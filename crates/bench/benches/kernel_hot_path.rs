@@ -3,11 +3,10 @@
 //! hammering the same kernel (the contention the paper's Fig. 4b
 //! architecture is supposed to avoid).
 //!
-//! LOCK-FREE DATA PLANE VARIANT: the kernel is a `Sync` facade over
-//! three separately-locked layers plus a lock-free reliability facade
-//! (per-peer transport shards, SPSC stage rings — DESIGN.md §11), so
-//! app-side sends (`tracking` lock + atomics) and comm-side ingest
-//! (`delivery` lock + shards) proceed concurrently instead of
+//! The kernel is a `Sync` facade over three separately-locked layers
+//! and a per-peer-sharded transport (DESIGN.md §4, §11), so app-side
+//! sends (`tracking`, then `recovery` + one shard) and comm-side
+//! ingest (`delivery` + shards) proceed concurrently instead of
 //! serializing on a whole-kernel mutex.
 //!
 //! Receiver-side servicing (draining the fabric, delivering, and the
@@ -164,9 +163,7 @@ fn bench_hot_path(c: &mut Criterion) {
 /// Frames/sec saturation: 1–8 producer threads hammer `app_send` on
 /// the same kernel while a service thread drains, delivers, and
 /// checkpoints. The reported value is wall time per frame aggregated
-/// across producers (throughput = 1e9 / value frames/sec); with the
-/// lock-free send path it should stay near-flat as producers go from
-/// 1 to 8 instead of multiplying.
+/// across producers (throughput = 1e9 / value frames/sec).
 fn bench_saturation(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_saturation");
     // One sample = this many sends per producer; large enough that

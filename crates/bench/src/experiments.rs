@@ -1122,10 +1122,13 @@ impl HotPair {
     }
 }
 
-/// Mean `app_send` latency in nanoseconds. Uncontended: receiver
-/// servicing runs untimed between 64-send chunks. Contended: a comm
-/// thread concurrently ingests acks, delivers, checkpoints, and runs
-/// both kernels' ticks against the same pair.
+/// Mean per-send cost in nanoseconds. Uncontended: one thread
+/// alternates 64-send chunks with a `service()` round and the whole
+/// cycle is timed — work a send defers to the receiver round (log GC,
+/// ack ingest) is charged to it, so deferral cannot read as a
+/// speed-up. Contended: only `app_send` is timed while a comm thread
+/// concurrently ingests acks, delivers, checkpoints, and runs both
+/// kernels' ticks against the same pair.
 fn send_latency_ns(contended: bool, iters: u64) -> f64 {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -1134,19 +1137,17 @@ fn send_latency_ns(contended: bool, iters: u64) -> f64 {
     let mut p = hot_pair();
     let k0 = Arc::clone(&p.k0);
     if !contended {
-        let mut timed = Duration::ZERO;
         let mut i = 0;
+        let t0 = Instant::now();
         while i < iters {
-            p.service();
             let chunk = 64.min(iters - i);
-            let t0 = Instant::now();
             for _ in 0..chunk {
                 k0.app_send(1, 0, data.clone(), false);
             }
-            timed += t0.elapsed();
+            p.service();
             i += chunk;
         }
-        timed.as_nanos() as f64 / iters as f64
+        t0.elapsed().as_nanos() as f64 / iters as f64
     } else {
         let stop = Arc::new(AtomicBool::new(false));
         let comm = {
@@ -1283,8 +1284,8 @@ fn deliver_latency_ns(contended: bool, iters: u64) -> f64 {
 /// Send-side saturation: `producers` threads hammer `app_send` on
 /// the same kernel while one service thread concurrently drains,
 /// delivers, and checkpoints. Returns kframes/s over the producers'
-/// wall time — the capacity of the lock-free send path under
-/// contention, not receiver throughput. The receiver is drained
+/// wall time — the capacity of the send path under contention, not
+/// receiver throughput. The receiver is drained
 /// (untimed) before teardown so every frame is accounted for.
 fn saturation_kfps(producers: usize, per_producer: u64) -> f64 {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -1335,16 +1336,16 @@ fn saturation_kfps(producers: usize, per_producer: u64) -> f64 {
     total as f64 / wall.as_secs_f64() / 1e3
 }
 
-/// HP1 (lock-free hot path): `app_send` latency with and without a
+/// HP1 (kernel hot path): per-send cost with and without a
 /// concurrent comm thread, a frames/sec saturation sweep over 1–8
 /// producer threads on one kernel, and the digest-parity gate that
-/// guards the ring data plane — clean vs. mid-run kill, across both
+/// guards the data plane — clean vs. mid-run kill, across both
 /// engines (threaded ranks, ranks-as-tasks) and both tracking
 /// protocols (TDI, TDI-S). A `false` in `digest_ok` means the
-/// lock-free path broke exactly-once recovery.
+/// data plane broke exactly-once recovery.
 pub fn hotpath_table(quick: bool) -> Table {
     let mut t = Table::new(
-        "HP1 — Lock-free hot path: app_send latency, saturation sweep, digest parity",
+        "HP1 — Kernel hot path: per-send cost, saturation sweep, digest parity",
         &[
             "cell",
             "threads",
@@ -1411,7 +1412,7 @@ pub fn hotpath_table(quick: bool) -> Table {
             "-".to_string(),
         ]);
     }
-    // Digest parity: the ring data plane must reproduce fault-free
+    // Digest parity: the data plane must reproduce fault-free
     // digests through a mid-run kill on every engine × protocol cell.
     let class = Class::Test;
     let steps = total_steps(Benchmark::Lu, class);

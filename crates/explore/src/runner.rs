@@ -42,7 +42,8 @@ use std::time::Duration;
 use bytes::Bytes;
 use lclog_core::{MembershipView, ProtocolKind, Rank};
 use lclog_runtime::{
-    payload_is_app_frame, AppMsg, CheckpointPolicy, Clock, Kernel, RecvSpec, RunConfig,
+    payload_is_app_frame, AppMsg, CheckpointPolicy, Clock, EventSink, Kernel, RecvSpec,
+    RunConfig,
 };
 use lclog_simnet::{Endpoint, NetConfig, SimClock, SimNet};
 use lclog_stable::{CheckpointStore, MemStore};
@@ -336,7 +337,7 @@ impl<'w> World<'w> {
         let net = SimNet::new(n + 1, NetConfig::held());
         let store = CheckpointStore::new(Arc::new(MemStore::new()));
         let kernels: Vec<Kernel> = (0..n)
-            .map(|r| Self::make_kernel(r, n, kind, &clock, &net, &store))
+            .map(|r| Kernel::new(r, n, Self::run_config(kind, &clock), net.clone(), store.clone()))
             .collect();
         let endpoints: Vec<Endpoint> = (0..n).map(|r| net.attach(r)).collect();
         World {
@@ -359,23 +360,15 @@ impl<'w> World<'w> {
         }
     }
 
-    fn make_kernel(
-        r: Rank,
-        n: usize,
-        kind: ProtocolKind,
-        clock: &SimClock,
-        net: &SimNet,
-        store: &CheckpointStore,
-    ) -> Kernel {
+    fn run_config(kind: ProtocolKind, clock: &SimClock) -> RunConfig {
         // `log_gc_lag` keeps one checkpoint generation of sender logs
         // resendable past the GC horizon — the runtime's contract for
         // node-loss restores, and what makes `Alt::CrashWipe` (restore
         // falls back past the wiped checkpoint) recoverable.
-        let cfg = RunConfig::new(kind)
+        RunConfig::new(kind)
             .with_checkpoint(CheckpointPolicy::Never)
             .with_log_gc_lag(true)
-            .with_clock(Clock::Sim(clock.clone()));
-        Kernel::new(r, n, cfg, net.clone(), store.clone())
+            .with_clock(Clock::Sim(clock.clone()))
     }
 
     fn done(&self, r: Rank) -> bool {
@@ -508,34 +501,25 @@ impl<'w> World<'w> {
             while self.net.held_deliver(src, rank) {}
         }
         if wipe {
-            let prefix = CheckpointStore::prefix(rank);
-            for key in self.store.storage().keys_with_prefix(&prefix) {
-                self.store.storage().delete(&key);
-            }
+            self.store.clear_rank(rank);
         }
         self.endpoints[rank] = self.net.respawn(rank);
         self.incarnation[rank] += 1;
-        let mut k = Self::make_kernel(
+        let (k, restored) = Kernel::respawn(
             rank,
             self.n,
-            self.kind,
-            &self.clock,
-            &self.net,
-            &self.store,
+            Self::run_config(self.kind, &self.clock),
+            self.net.clone(),
+            self.store.clone(),
+            self.incarnation[rank],
+            EventSink::disabled(),
+            None,
+            // `checkpoint_if_due` images are `pc | state`, 8 bytes each.
+            |app| Some(u64::from_le_bytes(app.get(8..16)?.try_into().ok()?)),
         );
-        k.set_incarnation(self.incarnation[rank]);
-        let (pc, state) = match k.load_checkpoint() {
-            Some(image) => {
-                let (step, app) = k.restore(image).expect("explorer images restore");
-                let mut s = [0u8; 8];
-                s.copy_from_slice(&app[8..16]);
-                (step as usize, u64::from_le_bytes(s))
-            }
-            None => (0, 0),
-        };
-        self.pc[rank] = pc;
+        let (pc, state) = restored.unwrap_or((0, 0));
+        self.pc[rank] = pc as usize;
         self.state[rank] = state;
-        k.begin_recovery();
         self.kernels[rank] = k;
     }
 

@@ -670,17 +670,8 @@ impl Cluster {
                                 repl.corrupt_newest_remote_generation(cfg.rank_base + rank);
                             }
                         }
-                        let prefix = CheckpointStore::prefix(cfg.rank_base + rank);
-                        let gens = raw_storage.keys_with_prefix(&prefix);
-                        for key in &gens {
-                            raw_storage.delete(key);
-                        }
-                        sink.emit(
-                            rank,
-                            EventKind::StoreWiped {
-                                generations: gens.len(),
-                            },
-                        );
+                        let generations = ckpts.clear_rank(rank);
+                        sink.emit(rank, EventKind::StoreWiped { generations });
                     }
                     per_rank_stats[rank].merge(&stats);
                     per_rank_data_plane[rank].merge(&data_plane);
@@ -853,45 +844,29 @@ fn rank_main<A: RankApp>(
             }
         }
     }
-    let global_rank = ckpts.rank_base() + rank;
-    let mut kernel = Kernel::new(rank, n, run, net, ckpts);
-    kernel.set_incarnation(incarnation);
-    kernel.set_event_sink(sink.clone());
     sink.emit(rank, EventKind::Spawned { incarnation });
-    let (mut step, mut state) = if incarnation == 1 {
-        (0u64, app.init(rank, n))
+    let (kernel, restored) = if incarnation == 1 {
+        let mut kernel = Kernel::new(rank, n, run, net, ckpts);
+        kernel.set_incarnation(incarnation);
+        kernel.set_event_sink(sink.clone());
+        (kernel, None)
     } else {
         // Incarnation: restore the last checkpoint (or the initial
         // state if the process died before ever checkpointing), then
         // announce the rollback (Algorithm 1 lines 40–46).
-        let mut image = kernel.load_checkpoint();
-        if image.is_none() {
-            // An empty local store after a death is the node-loss
-            // signature: pull the newest fully-certified generation
-            // from the remote, then read it back as usual. Remote
-            // manifests speak global rank (the job's namespace).
-            if let Some(repl) = &replicator {
-                if repl
-                    .restore_rank(global_rank, raw_storage.as_ref())
-                    .is_some()
-                {
-                    image = kernel.load_checkpoint();
-                }
-            }
-        }
-        // An image whose protocol or application state does not decode
-        // is treated like no image at all: restart from the initial
-        // state and roll forward through recovery (restore leaves the
-        // kernel untouched on error).
-        let restored = image.and_then(|image| {
-            let (step, app_bytes) = kernel.restore(image).ok()?;
-            let state = lclog_wire::decode_from_slice(&app_bytes).ok()?;
-            Some((step, state))
-        });
-        let restored = restored.unwrap_or_else(|| (0u64, app.init(rank, n)));
-        kernel.begin_recovery();
-        restored
+        Kernel::respawn(
+            rank,
+            n,
+            run,
+            net,
+            ckpts,
+            incarnation,
+            sink.clone(),
+            replicator.as_deref().map(|repl| (repl, raw_storage.as_ref())),
+            |bytes| lclog_wire::decode_from_slice(bytes).ok(),
+        )
     };
+    let (mut step, mut state) = restored.unwrap_or_else(|| (0u64, app.init(rank, n)));
 
     let mut engine = Engine::new(kernel, endpoint, Arc::clone(&shutdown));
     loop {
@@ -949,81 +924,45 @@ fn rank_main<A: RankApp>(
                 }
                 return;
             }
-            Err(Fault::Killed) => {
-                engine.crash();
-                let snap = engine.snapshot();
-                let kill = plan.kill_for(rank, incarnation);
-                let _ = tx.send(Outcome::Killed {
-                    rank,
-                    stats: snap.stats,
-                    data_plane: snap.data_plane,
-                    fenced: false,
-                    wipe: kill.map(|k| k.wipe).unwrap_or(false),
-                    corrupt_remote: kill.map(|k| k.corrupt_remote).unwrap_or(false),
-                });
-                return;
-            }
-            Err(Fault::Unreachable(_peer)) => {
-                // A peer stayed silent across the whole retransmit
-                // budget. Treat it like our own crash: restore from
-                // the checkpoint and re-run recovery, so the operation
-                // is retried against whatever incarnation of the peer
-                // eventually answers. The run watchdog bounds repeated
-                // failures. (With a detector configured this fault is
-                // never surfaced — exhaustion becomes a suspicion.)
-                sink.emit(rank, EventKind::Crashed { step });
-                engine.crash();
-                let snap = engine.snapshot();
-                let _ = tx.send(Outcome::Killed {
-                    rank,
-                    stats: snap.stats,
-                    data_plane: snap.data_plane,
-                    fenced: false,
-                    wipe: false,
-                    corrupt_remote: false,
-                });
-                return;
-            }
-            Err(Fault::Fenced) => {
-                // The membership service declared this very (live)
-                // incarnation dead. Every peer rejects our frames now,
-                // so volatile state is forfeit exactly as if we had
-                // crashed: unwind and rejoin via the normal rollback
-                // path as the next incarnation.
-                sink.emit(rank, EventKind::Crashed { step });
-                engine.crash();
-                let snap = engine.snapshot();
-                let _ = tx.send(Outcome::Killed {
-                    rank,
-                    stats: snap.stats,
-                    data_plane: snap.data_plane,
-                    fenced: true,
-                    wipe: false,
-                    corrupt_remote: false,
-                });
-                return;
-            }
-            Err(Fault::Desync) | Err(Fault::Collective(_)) => {
-                // The tracking merge rejected a gate-approved message
-                // (protocol state untrusted), or a collective's
-                // contribution pattern broke under it. Either way the
-                // incarnation cannot make trustworthy progress:
-                // unwind like a crash and rebuild through the normal
-                // rollback path.
-                sink.emit(rank, EventKind::Crashed { step });
-                engine.crash();
-                let snap = engine.snapshot();
-                let _ = tx.send(Outcome::Killed {
-                    rank,
-                    stats: snap.stats,
-                    data_plane: snap.data_plane,
-                    fenced: false,
-                    wipe: false,
-                    corrupt_remote: false,
-                });
-                return;
-            }
             Err(Fault::Shutdown) => return,
+            Err(fault) => {
+                // Every other fault unwinds like a crash and rejoins through
+                // the normal rollback path as the next incarnation:
+                //
+                // * `Unreachable` — a peer stayed silent across the
+                //   whole retransmit budget; the operation is retried
+                //   against whatever incarnation of the peer eventually
+                //   answers (the run watchdog bounds repeats; with a
+                //   detector configured exhaustion becomes a suspicion
+                //   and this fault is never surfaced).
+                // * `Fenced` — the membership service declared this
+                //   very (live) incarnation dead; every peer rejects
+                //   our frames now, so volatile state is forfeit.
+                // * `Desync` / `Collective` — the tracking merge
+                //   rejected a gate-approved message, or a collective's
+                //   contribution pattern broke under it; the protocol
+                //   state cannot be trusted.
+                //
+                // Only an injected kill carries the plan's node-loss
+                // flags.
+                let (fenced, kill) = match fault {
+                    Fault::Killed => (false, plan.kill_for(rank, incarnation)),
+                    Fault::Fenced => (true, None),
+                    _ => (false, None),
+                };
+                sink.emit(rank, EventKind::Crashed { step });
+                engine.crash();
+                let snap = engine.snapshot();
+                let _ = tx.send(Outcome::Killed {
+                    rank,
+                    stats: snap.stats,
+                    data_plane: snap.data_plane,
+                    fenced,
+                    wipe: kill.is_some_and(|k| k.wipe),
+                    corrupt_remote: kill.is_some_and(|k| k.corrupt_remote),
+                });
+                return;
+            }
         }
     }
 }

@@ -7,12 +7,6 @@
 //! comm thread's enqueue and the app thread's dequeue (`try_deliver`)
 //! serialize only against each other — never against an `app_send` on
 //! the outbound side.
-//!
-//! Admission is batched (DESIGN.md §11): inbound app wires stage in
-//! per-sender ingress rings and the kernel's `drain_ingress` admits a
-//! whole batch under a *single* `delivery` acquisition, sending any
-//! re-acks owed to repetitive rendezvous duplicates after the lock is
-//! released. One lock round per drained batch, not per message.
 
 use crate::message::AppWire;
 use crate::recvq::{Pending, RecvQueue};

@@ -118,7 +118,7 @@ struct Peer {
 }
 
 /// The φ-accrual failure detector for one rank, monitoring its `n`
-/// application peers. Lives inside the reliability layer (leaf lock);
+/// application peers. Lives in the kernel behind its own leaf mutex;
 /// driven by `Kernel::tick`.
 pub(crate) struct Detector {
     cfg: DetectorConfig,

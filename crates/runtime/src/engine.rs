@@ -177,9 +177,8 @@ impl Engine {
 
     /// Drain the fabric inbox into the kernel (blocking mode only —
     /// the app thread owns the endpoint). Envelopes are handed to the
-    /// kernel as one batch, so staged app wires are admitted under a
-    /// single delivery acquisition and acks coalesce to one cumulative
-    /// frame per peer.
+    /// kernel as one batch, so acks coalesce to one cumulative frame
+    /// per peer.
     fn pump(&self) -> Result<(), Fault> {
         let ep = self.endpoint.as_ref().expect("pump in blocking mode");
         let mut batch = Vec::new();
@@ -462,10 +461,8 @@ fn spawn_comm_thread(shared: Arc<Shared>, endpoint: Endpoint, poll: Duration) ->
                     Ok(env) => {
                         backoff.reset();
                         // Drain whatever else is queued and hand the
-                        // kernel one batch — staged app wires admit
-                        // under a single delivery acquisition and acks
-                        // coalesce per peer — before waking the app
-                        // thread.
+                        // kernel one batch — acks coalesce per peer —
+                        // before waking the app thread.
                         let mut batch = vec![env];
                         while let Ok(env) = endpoint.try_recv() {
                             batch.push(env);

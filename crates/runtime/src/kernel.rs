@@ -1,6 +1,6 @@
 //! The rollback-recovery kernel: a thin, `Sync` facade over three
-//! separately-locked layers plus a lock-free data plane, together
-//! implementing the paper's Algorithm 1.
+//! separately-locked layers, together implementing the paper's
+//! Algorithm 1.
 //!
 //! One kernel instance exists per rank incarnation. Engines feed it
 //! raw envelopes ([`Kernel::ingest_batch`], comm thread) and pull
@@ -10,18 +10,9 @@
 //!
 //! | layer                          | lock     | owns                                             | Algorithm 1 |
 //! |--------------------------------|----------|--------------------------------------------------|-------------|
-//! | [`recovery`](crate::recovery)  | `recovery` | state machine, sender log, checkpoints         | 8–9, 12, 32–53 |
-//! | [`tracking`](crate::tracking)  | `tracking` | `LoggingProtocol` box, piggyback merge, stats   | 10–11, 15–31 |
+//! | [`recovery`](crate::recovery)  | `recovery` | state machine, sender log, suppression bound, checkpoints | 8–9, 12, 32–53 |
+//! | [`tracking`](crate::tracking)  | `tracking` | `LoggingProtocol` box, `last_send_index`, stats | 10–11, 15–31 |
 //! | [`delivery`](crate::delivery)  | `delivery` | receiving queue, `last_deliver_index`           | 13–17 |
-//!
-//! The old fourth layer — a `Mutex<Reliability>` serializing every
-//! transmit and every frame-strip — is gone. The reliability layer is
-//! embedded **lock-free**: the transport shards its channel state per
-//! peer (no two channels share a lock), the rendezvous-ack and send
-//! counters are [`AtomicCounters`], and the sender-log/ingress
-//! bookkeeping that used to ride under the `recovery`/`delivery` locks
-//! on every frame is staged in per-channel [`SeqRing`]s and drained in
-//! batches (see *Batching epochs* below).
 //!
 //! # Lock ordering
 //!
@@ -32,75 +23,43 @@
 //! ```
 //!
 //! (any contiguous-or-gapped subset, never a back edge). Below the
-//! hierarchy sit only terminal leaves that never acquire anything:
-//! the transport's per-peer channel shards, the resync pacer, and the
-//! failure detector's own small mutex. Sends are legal from under any
-//! layer lock. In debug builds the order is machine-checked: every
-//! layer acquisition goes through [`crate::lockcheck`], which keeps a
-//! thread-local held-set and asserts on any back edge before the
-//! mutex can deadlock.
+//! hierarchy sit only terminal leaves that never acquire a layer: the
+//! transport's per-peer channel shards (and, below those, its
+//! ack-dirty list), the resync pacer, and the failure detector's own
+//! small mutex. Sends are legal from under any layer lock. In debug
+//! builds the order is machine-checked: every layer acquisition goes
+//! through [`crate::lockcheck`], which keeps a thread-local held-set
+//! and asserts on any back edge before the mutex can deadlock.
 //!
-//! The send hot path is **tracking-only**: `app_send` takes the
-//! tracking lock for the protocol piggyback, bumps the atomic send
-//! counter, transmits through the destination's channel shard, and
-//! stages the log entry in that destination's ring — it touches
-//! neither the `recovery` nor the `delivery` lock. The ingest hot
-//! path (`App` frames) is **delivery-only** and batched: frames are
-//! staged per source and admitted under one `delivery` acquisition
-//! per batch. The deliver hot path holds **at most one** layer lock
-//! at a time: `try_deliver` snapshots FIFO-eligible candidates under
-//! `delivery`, gates and merges under `tracking`, then extracts the
-//! winner under `delivery` again — the comm thread's ingest batches
-//! and the app thread's protocol merges never contend on a combined
-//! critical section (see the method docs for why the phase split is
+//! The send path is one sequence (`app_send`): `tracking` for the
+//! index bump and the protocol piggyback, released; then `recovery`
+//! held across the suppression check, the transmit through the
+//! destination's channel shard, and the log insert — so every other
+//! recovery-lock holder (`ROLLBACK`, `RESPONSE`, checkpoint, GC) sees
+//! a log that contains exactly the sends that went out. The ingest
+//! path (`App` frames) admits under `delivery` in arrival order. The
+//! deliver path holds **at most one** layer lock at a time:
+//! `try_deliver` snapshots FIFO-eligible candidates under `delivery`,
+//! gates and merges under `tracking`, then extracts the winner under
+//! `delivery` again (see the method docs for why the phase split is
 //! race-free).
 //!
-//! # Batching epochs
+//! Cumulative transport acks are the one thing batched: the transport
+//! marks channels dirty and [`Kernel::ingest_batch`] flushes one ack
+//! per peer per batch instead of one frame per frame.
 //!
-//! Three kinds of per-frame bookkeeping are deferred into rings and
-//! consumed in bulk:
-//!
-//! * **staged sender-log entries** (`log_stage[dst]`) — drained into
-//!   the locked [`SenderLog`] by `drain_log_rings`, which runs at the
-//!   top of *every* recovery-lock section (checkpoint, rollback,
-//!   response, GC, snapshot) and opportunistically from [`Kernel::tick`]
-//!   via `try_lock`. Any observer holding the recovery lock therefore
-//!   sees a complete log; between drains the entries live in the rings,
-//!   which are part of this incarnation's volatile state exactly like
-//!   the log itself.
-//! * **staged inbound app wires** (`ingress[src]`) — drained into the
-//!   receive queue by `drain_ingress` under one `delivery` acquisition,
-//!   at the end of each ingest batch and at the top of `try_deliver`.
-//! * **coalesced cumulative acks** — the transport marks channels
-//!   dirty and [`Kernel::ingest_batch`] flushes one cumulative ack per
-//!   peer per batch instead of one frame per frame.
-//!
-//! # Crash-drain
-//!
-//! Rings are volatile, so a crash loses staged entries exactly as it
-//! loses the locked log — nothing new. What recovery *requires* is
-//! that every survivor answering a `ROLLBACK` resends its complete
-//! retained log: `handle_rollback` drains the rings under the
-//! recovery lock before computing the resend window, so staged
-//! entries are never invisible to a recovering peer. Checkpoints
-//! drain before imaging for the same reason.
-//!
-//! Lock-free fast paths keep `try_deliver` off the cold locks: the
-//! `recovering` flag is an `AtomicBool` (Release-stored only after
-//! recovery info is installed under `tracking`, so an Acquire-load of
-//! `false` plus the `tracking` lock acquisition observes the installed
-//! state), and `needs_full_recovery_info` is cached at construction
-//! (the [`LoggingProtocol`] contract requires it constant). The
-//! duplicate-suppression bound (`rollback_last_send_index`) is read
-//! lock-free on the send fast path; every *write* happens under the
-//! recovery lock, and a send that observes a stale bound errs toward
-//! transmitting — safe, because receivers discard repetitive
-//! send-indexes and re-ack them (§III.C.3). A send that observes the
-//! bound *suppressing* it re-checks under the recovery lock, making
-//! the suppression decision authoritative.
+//! Lock-free flags keep `try_deliver` off `recovery`: the `recovering`
+//! flag is an `AtomicBool` (Release-stored only after recovery info is
+//! installed under `tracking`, so an Acquire-load of `false` plus the
+//! `tracking` lock acquisition observes the installed state), and
+//! `needs_full_recovery_info` is cached at construction (the
+//! [`LoggingProtocol`] contract requires it constant). The rendezvous
+//! `acked` counters are [`AtomicCounters`] because the blocking
+//! engine's spin polls them while the comm thread raises them.
 
 use crate::backoff::RetryBackoff;
 use crate::config::RunConfig;
+use crate::counters::AtomicCounters;
 use crate::delivery::{Admit, Delivery};
 use crate::detector::Detector;
 use crate::events::{EventKind, EventSink};
@@ -111,26 +70,17 @@ use crate::message::{
     AppMsg, AppWire, CkptAdvanceWire, RecvSpec, ResponseWire, RollbackWire, SuspectWire, WireMsg,
 };
 use crate::recovery::{RecoveryLayer, RecoveryPhase, Transition};
-use crate::reliability::Reliability;
-use crate::ring::{AtomicCounters, SeqRing};
+use crate::replicator::Replicator;
 use crate::tracking::Tracking;
 use crate::transport::{DataPlaneStats, Transport, TransportConfig};
 use bytes::Bytes;
 use lclog_core::{make_protocol, CounterVector, DeliveryVerdict, MembershipView, Rank, TrackingStats};
 use lclog_simnet::{Envelope, SimNet};
-use lclog_stable::CheckpointStore;
+use lclog_stable::{CheckpointStore, StableStorage};
 use lclog_wire::{encode_to_vec, impl_wire_struct};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
-
-/// Slots per staging ring (sender-log entries per destination,
-/// inbound app wires per source). Rings are lazily allocated per
-/// active channel, so idle channels in a 1024-rank system cost one
-/// empty `OnceLock` each. A full ring falls back to the locked slow
-/// path — correctness never depends on capacity.
-const STAGE_SLOTS: usize = 256;
 
 /// Everything a checkpoint durably captures (Algorithm 1 line 33:
 /// image, log, and the counter vectors).
@@ -189,9 +139,8 @@ pub struct KernelSnapshot {
     pub data_plane: DataPlaneStats,
 }
 
-/// Per-rank rollback-recovery kernel: three locked layers plus a
-/// lock-free data plane behind `&self` methods (see the module docs
-/// for the lock hierarchy and the batching-epoch protocol).
+/// Per-rank rollback-recovery kernel: three locked layers behind
+/// `&self` methods (see the module docs for the lock hierarchy).
 pub struct Kernel {
     me: Rank,
     n: usize,
@@ -219,33 +168,19 @@ pub struct Kernel {
     /// rebuilds through the rollback path instead of aborting the
     /// process.
     desynced: AtomicBool,
-    /// `last_send_index[dst]`: bumped lock-free on the send fast path
-    /// (under the tracking lock, so per-destination protocol state and
-    /// index order agree), snapshotted into checkpoints.
-    last_send_index: AtomicCounters,
-    /// Duplicate-suppression bound per destination (§III.C.3): sends
-    /// with `send_index <= bound` were delivered by the peer before
-    /// our crash and are logged without transmitting. Read lock-free
-    /// on the fast path; written only under the recovery lock.
-    rollback_last_send_index: AtomicCounters,
-    /// Staged sender-log entries per destination, drained into
-    /// `recovery.log` by `drain_log_rings`.
-    log_stage: Vec<OnceLock<SeqRing<LogEntry>>>,
-    /// Staged inbound app wires per source, drained into the receive
-    /// queue by `drain_ingress`.
-    ingress: Vec<OnceLock<SeqRing<AppWire>>>,
-    /// Dirty flag: some `log_stage` ring may be non-empty.
-    log_staged: AtomicBool,
-    /// Dirty flag: some `ingress` ring may be non-empty.
-    ingress_pending: AtomicBool,
-    /// High-water mark of retained log bytes, maintained at drain
-    /// points (the locked-era code updated it per send).
-    log_bytes_peak: AtomicU64,
     recovery: Mutex<RecoveryLayer>,
     tracking: Mutex<Tracking>,
     delivery: Mutex<Delivery>,
-    /// Lock-free: per-peer transport shards + atomic rendezvous acks.
-    reliability: Reliability,
+    /// CRC framing, sequencing, dedup, ack/retransmit, fencing — every
+    /// wire message crosses it. Sharded per peer, `&self` throughout.
+    transport: Transport,
+    /// Highest acknowledged rendezvous send per destination. Atomic
+    /// because the blocking engine's spin polls it lock-free while the
+    /// comm thread raises it.
+    acked: AtomicCounters,
+    /// φ-accrual failure detector (detected-failures mode only). A
+    /// leaf mutex, never held across a layer lock.
+    detector: Option<Mutex<Detector>>,
     /// Full-jitter pacing of outgoing `RESYNC_REQ` frames (TDI-S): the
     /// protocol re-queues a request on *every* gate check while a
     /// channel is parked behind an undecodable frame, so without
@@ -313,17 +248,6 @@ impl Kernel {
         }
     }
 
-    /// Try-acquire the `recovery` layer (order-audited on success; a
-    /// try-lock cannot deadlock, but a back-edge try-acquire is still
-    /// an ordering bug worth catching).
-    fn try_lock_recovery(&self) -> Option<LayerGuard<'_, RecoveryLayer>> {
-        let guard = self.recovery.try_lock()?;
-        let held = lockcheck::acquire(lockcheck::RECOVERY, "recovery(try)");
-        Some(LayerGuard {
-            guard,
-            _held: held,
-        })
-    }
 }
 
 impl Kernel {
@@ -345,11 +269,12 @@ impl Kernel {
         );
         let clock = cfg.clock.clone();
         let now = clock.now();
-        let mut reliability = Reliability::new(transport, n);
-        if let Some(dcfg) = cfg.detector {
-            reliability.set_detector(Detector::new(me, n, dcfg, now));
-        }
-        let slots = net.n();
+        let detector = cfg
+            .detector
+            .map(|dcfg| Mutex::new(Detector::new(me, n, dcfg, now)));
+        // With a detector, retransmit-budget exhaustion is a suspicion
+        // input, not a unilateral `unreachable` verdict.
+        transport.set_suspicion_mode(detector.is_some());
         let resync_pacer = Mutex::new(ResyncPacer::new(me, n, &cfg));
         Kernel {
             me,
@@ -361,49 +286,41 @@ impl Kernel {
             recovering: AtomicBool::new(false),
             fenced: AtomicBool::new(false),
             desynced: AtomicBool::new(false),
-            last_send_index: AtomicCounters::zeroed(n),
-            rollback_last_send_index: AtomicCounters::zeroed(n),
-            log_stage: (0..slots).map(|_| OnceLock::new()).collect(),
-            ingress: (0..slots).map(|_| OnceLock::new()).collect(),
-            log_staged: AtomicBool::new(false),
-            ingress_pending: AtomicBool::new(false),
-            log_bytes_peak: AtomicU64::new(0),
             recovery: Mutex::new(RecoveryLayer::new(n, ckpt_store, now)),
-            tracking: Mutex::new(Tracking::new(protocol, clock)),
+            tracking: Mutex::new(Tracking::new(protocol, n, clock)),
             delivery: Mutex::new(Delivery::new(n)),
-            reliability,
+            transport,
+            acked: AtomicCounters::zeroed(n),
+            detector,
             resync_pacer,
             events: EventSink::disabled(),
         }
     }
 
-    /// Tell the reliability layer which incarnation this kernel is:
+    /// Tell the transport which incarnation this kernel is:
     /// receivers use the epoch to distinguish a respawned sender's
     /// fresh sequence space from stale duplicates. Must be called
     /// before any traffic when the incarnation is not the first.
     pub fn set_incarnation(&mut self, incarnation: u64) {
-        self.reliability.transport.set_epoch(incarnation);
+        self.transport.set_epoch(incarnation);
     }
 
-    /// True when the reliability layer has written `dst` off: it
+    /// True when the transport has written `dst` off: it
     /// stayed silent across the whole retransmit budget. Lock-free.
     pub fn peer_unreachable(&self, dst: Rank) -> bool {
-        self.reliability.transport.peer_unreachable(dst)
+        self.transport.peer_unreachable(dst)
     }
 
     /// Lock-free read of the blocking engine's rendezvous state for
     /// `dst`: `(highest acked send_index, peer written off)`.
     pub fn rendezvous_progress(&self, dst: Rank) -> (u64, bool) {
-        (
-            self.reliability.acked.get(dst),
-            self.reliability.transport.peer_unreachable(dst),
-        )
+        (self.acked.get(dst), self.transport.peer_unreachable(dst))
     }
 
     /// Attach a timeline collector (see [`crate::events`]). Call
     /// before the kernel is shared with the engine.
     pub fn set_event_sink(&mut self, sink: EventSink) {
-        self.reliability.transport.set_event_sink(sink.clone());
+        self.transport.set_event_sink(sink.clone());
         self.events = sink;
     }
 
@@ -431,29 +348,23 @@ impl Kernel {
     /// old `stats()` / `log_bytes()` / `log_entries()` / `acked()`
     /// accessor pile with one locked round-trip.
     pub fn snapshot(&self) -> KernelSnapshot {
-        // Settle the batched planes first so the locked reads see a
-        // complete picture, then canonical lock order:
-        // recovery → tracking → delivery.
-        self.drain_ingress();
-        let mut rec = self.lock_recovery();
-        self.drain_log_rings(&mut rec);
+        // Canonical lock order: recovery → tracking → delivery.
+        let rec = self.lock_recovery();
         let trk = self.lock_tracking();
         let del = self.lock_delivery();
         let mut stats = trk.snapshot_stats();
-        stats.log_bytes_peak = stats
-            .log_bytes_peak
-            .max(self.log_bytes_peak.load(Ordering::Relaxed));
+        stats.log_bytes_peak = rec.log_bytes_peak;
         KernelSnapshot {
             stats,
             log_bytes: rec.log.bytes(),
             log_entries: rec.log.len(),
-            acked: self.reliability.acked.snapshot(),
+            acked: self.acked.snapshot(),
             recovery_phase: rec.machine.phase().clone(),
             queued: del.queue.len(),
-            dup_discarded: self.reliability.transport.dup_discarded(),
-            corrupt_detected: self.reliability.transport.corrupt_detected(),
-            fenced_rejected: self.reliability.transport.fenced_rejected(),
-            data_plane: self.reliability.transport.data_plane(),
+            dup_discarded: self.transport.dup_discarded(),
+            corrupt_detected: self.transport.corrupt_detected(),
+            fenced_rejected: self.transport.fenced_rejected(),
+            data_plane: self.transport.data_plane(),
         }
     }
 
@@ -499,8 +410,23 @@ impl Kernel {
         self.lock_tracking().protocol.send_ready()
     }
 
-    fn send_wire(&self, dst: Rank, msg: &WireMsg) {
-        self.reliability.send_wire(dst, msg);
+    /// Send one wire message reliably to `dst`. Every wire message
+    /// crosses the transport: CRC framing, sequencing and
+    /// ack/retransmit mask the chaos fabric's drops, duplicates and
+    /// corruptions. Sends to dead ranks are retransmitted until the
+    /// peer's next incarnation answers (or the budget writes it off);
+    /// recovery resends cover anything lost with the old incarnation.
+    /// Returns the encoded-message region of the built frame as a
+    /// zero-copy window. Locks only the destination's channel shard.
+    fn send_wire(&self, dst: Rank, msg: &WireMsg) -> Bytes {
+        self.transport.send_msg(dst, msg)
+    }
+
+    /// Run `f` against the installed failure detector, if any.
+    fn with_detector(&self, f: impl FnOnce(&mut Detector)) {
+        if let Some(det) = &self.detector {
+            f(&mut det.lock());
+        }
     }
 
     fn emit_transition(&self, tr: Option<Transition>) {
@@ -540,20 +466,14 @@ impl Kernel {
     /// Returns `(send_index, transmitted)`; when `transmitted` and
     /// `needs_ack`, the blocking engine waits for [`WireMsg::Ack`].
     ///
-    /// Locks: **tracking only** on the fast path. The send counter is
-    /// bumped (under the tracking lock, so per-destination protocol
-    /// state and index order agree), the suppression bound is read
-    /// lock-free, the frame goes out through the destination's
-    /// channel shard, and the log entry is staged in the
-    /// destination's ring. A stale bound read can only err toward
-    /// transmitting a send a concurrent `RESPONSE` would have
-    /// suppressed — safe, because the receiver discards repetitive
-    /// send-indexes and re-acks them. When the bound *does* suppress,
-    /// the slow path re-checks under the recovery lock (which
-    /// serializes all bound writes), making suppression
-    /// authoritative; a concurrent `ROLLBACK` either sees the entry
-    /// in the drained log (and resends it) or has already clamped the
-    /// bound this send is checked against.
+    /// Locks: `tracking` for the index bump and the piggyback (one
+    /// acquisition, so per-destination protocol state and index order
+    /// agree), released; then `recovery` across the suppression check,
+    /// the transmit and the log insert. The fabric send is
+    /// non-blocking, so holding the lock across it is cheap, and it
+    /// makes the send atomic against `ROLLBACK`: the survivor side
+    /// either sees the entry in the log (and resends it) or has
+    /// already clamped the bound this send is checked against.
     ///
     /// ## Zero-copy budget
     ///
@@ -567,30 +487,10 @@ impl Kernel {
     /// move in from the send without a decode pass. A suppressed send
     /// encodes once into the log and transmits nothing.
     pub fn app_send(&self, dst: Rank, tag: u32, data: Bytes, needs_ack: bool) -> (u64, bool) {
-        let mut trk = self.lock_tracking();
-        let send_index = self.last_send_index.bump(dst);
-        let artifacts = trk.on_send(dst, send_index);
-        drop(trk);
+        let (send_index, artifacts) = self.lock_tracking().on_send(dst);
         let piggyback = Bytes::from(artifacts.piggyback);
-        if send_index > self.rollback_last_send_index.get(dst) {
-            let msg = WireMsg::App(AppWire {
-                tag,
-                send_index,
-                piggyback,
-                needs_ack,
-                data,
-            });
-            let inner = self.reliability.send_wire(dst, &msg);
-            let WireMsg::App(w) = msg else { unreachable!() };
-            self.stage_log_entry(dst, LogEntry::from_parts(dst as u32, w, inner));
-            return (send_index, true);
-        }
-        // Suppression slow path: the bound says this send was already
-        // delivered by the peer's pre-crash observation of us. Confirm
-        // under the recovery lock, where all bound writes serialize.
         let mut rec = self.lock_recovery();
-        self.drain_log_rings(&mut rec);
-        let transmit = send_index > self.rollback_last_send_index.get(dst);
+        let transmit = send_index > rec.rollback_last_send_index.get(dst);
         let entry = if transmit {
             let msg = WireMsg::App(AppWire {
                 tag,
@@ -599,55 +499,14 @@ impl Kernel {
                 needs_ack,
                 data,
             });
-            let inner = self.reliability.send_wire(dst, &msg);
+            let inner = self.send_wire(dst, &msg);
             let WireMsg::App(w) = msg else { unreachable!() };
             LogEntry::from_parts(dst as u32, w, inner)
         } else {
             LogEntry::new(dst as u32, send_index, tag, piggyback, needs_ack, data)
         };
-        rec.log.insert(entry);
-        self.note_log_peak(&rec);
+        rec.log_insert(entry);
         (send_index, transmit)
-    }
-
-    /// Stage a log entry in `dst`'s ring for the next batched drain.
-    /// A full ring degrades to the locked slow path (drain + insert),
-    /// so capacity is a performance knob, never a correctness one.
-    fn stage_log_entry(&self, dst: Rank, entry: LogEntry) {
-        let ring = self.log_stage[dst].get_or_init(|| SeqRing::with_capacity(STAGE_SLOTS));
-        match ring.try_push(entry) {
-            Ok(()) => self.log_staged.store(true, Ordering::Release),
-            Err(entry) => {
-                let mut rec = self.lock_recovery();
-                self.drain_log_rings(&mut rec);
-                rec.log.insert(entry);
-                self.note_log_peak(&rec);
-            }
-        }
-    }
-
-    /// Consume every staged log entry into the locked sender log.
-    /// Runs at the top of every recovery-lock section, so any code
-    /// holding the lock observes a complete log. Entries land in the
-    /// per-destination `BTreeMap` keyed by send_index, so concurrent
-    /// producers' interleaving across the ring is irrelevant.
-    fn drain_log_rings(&self, rec: &mut RecoveryLayer) {
-        if !self.log_staged.swap(false, Ordering::AcqRel) {
-            return;
-        }
-        for slot in &self.log_stage {
-            if let Some(ring) = slot.get() {
-                while let Some(entry) = ring.try_pop() {
-                    rec.log.insert(entry);
-                }
-            }
-        }
-        self.note_log_peak(rec);
-    }
-
-    fn note_log_peak(&self, rec: &RecoveryLayer) {
-        self.log_bytes_peak
-            .fetch_max(rec.log.bytes() as u64, Ordering::Relaxed);
     }
 
     /// Retransmit a logged message whose rendezvous ack has not
@@ -656,23 +515,17 @@ impl Kernel {
     /// zero payload copies); it carries `needs_ack`, because only
     /// rendezvous sends are ever waited on.
     pub fn resend_unacked(&self, dst: Rank, send_index: u64) {
-        let wire = {
-            let mut rec = self.lock_recovery();
-            self.drain_log_rings(&mut rec);
-            let found = rec
-                .log
-                .entries_after(dst, send_index - 1)
-                .next()
-                .and_then(|e| (e.send_index == send_index).then(|| e.to_wire()));
-            found
-        };
+        let wire = self
+            .lock_recovery()
+            .log
+            .entries_after(dst, send_index - 1)
+            .next()
+            .and_then(|e| (e.send_index == send_index).then(|| e.to_wire()));
         match wire {
-            Some(inner) => self.reliability.send_encoded(dst, inner),
-            None => {
-                // The entry was released by a CHECKPOINT_ADVANCE: the
-                // receiver durably consumed it — an implicit ack.
-                self.reliability.note_consumed(dst, send_index);
-            }
+            Some(inner) => self.transport.send_encoded(dst, inner),
+            // The entry was released by a CHECKPOINT_ADVANCE: the
+            // receiver durably consumed it — an implicit ack.
+            None => self.acked.max_up(dst, send_index),
         }
     }
 
@@ -680,43 +533,24 @@ impl Kernel {
     // Ingestion and delivery (lines 13–31)
     // ---------------------------------------------------------------
 
-    /// Process one raw envelope from the fabric, then close the batch
-    /// (drain staged app wires, flush coalesced acks). Engines that
-    /// hold several envelopes should prefer [`Kernel::ingest_batch`],
-    /// which pays the batch close once.
+    /// Process one raw envelope from the fabric, then flush the
+    /// coalesced acks. Engines that hold several envelopes should
+    /// prefer [`Kernel::ingest_batch`], which pays the flush once.
     pub fn ingest(&self, env: Envelope) {
         self.ingest_env(env);
-        self.finish_batch();
+        self.transport.flush_acks();
     }
 
-    /// Process a batch of raw envelopes, then close the batch once:
-    /// one `delivery` acquisition admits every staged app wire, and
-    /// one cumulative ack per dirty peer replaces per-frame acks.
+    /// Process a batch of raw envelopes in arrival order, then flush
+    /// one cumulative ack per dirty peer instead of per-frame acks.
     pub fn ingest_batch(&self, envs: impl IntoIterator<Item = Envelope>) {
         for env in envs {
             self.ingest_env(env);
         }
-        self.finish_batch();
+        self.transport.flush_acks();
     }
 
-    /// Close an ingest batch: admit staged app wires under one
-    /// delivery acquisition and flush the transport's coalesced acks.
-    /// Also opportunistically retires staged sender-log entries so a
-    /// send burst between recovery-lock sections cannot fill the
-    /// stage rings and push `app_send` onto its locked slow path (the
-    /// comm thread closes a batch far more often than checkpoint
-    /// advances arrive).
-    fn finish_batch(&self) {
-        self.drain_ingress();
-        if self.log_staged.load(Ordering::Acquire) {
-            if let Some(mut rec) = self.try_lock_recovery() {
-                self.drain_log_rings(&mut rec);
-            }
-        }
-        self.reliability.flush_acks();
-    }
-
-    /// Process one raw envelope without closing the batch. The
+    /// Process one raw envelope without flushing acks. The
     /// transport strips its frame first — corrupt envelopes are
     /// NACK'ed, duplicates discarded, and control frames consumed
     /// without ever reaching the dispatch below (all inside the
@@ -724,10 +558,15 @@ impl Kernel {
     /// the layer that owns it.
     fn ingest_env(&self, env: Envelope) {
         let src = env.src;
-        let inner = self.reliability.ingest(env);
+        let inner = self.transport.ingest(env);
+        // Intact frames double as liveness evidence for the detector.
+        self.with_detector(|det| {
+            let now = self.cfg.clock.now();
+            self.transport.take_heard(|rank| det.heard(rank, now));
+        });
         // A `FENCED` notice from a peer lands entirely inside the
         // transport; mirror its verdict.
-        if self.reliability.transport.is_self_fenced() {
+        if self.transport.is_self_fenced() {
             self.fenced.store(true, Ordering::Release);
         }
         let Some(inner) = inner else {
@@ -746,16 +585,12 @@ impl Kernel {
         };
         match msg {
             WireMsg::App(wire) => self.ingest_app(src, wire),
-            WireMsg::Ack(idx) => self.reliability.note_consumed(src, idx),
+            WireMsg::Ack(idx) => self.acked.max_up(src, idx),
             WireMsg::Rollback(w) => self.handle_rollback(src, w),
             WireMsg::Response(w) => self.handle_response(src, w),
             WireMsg::CkptAdvance(w) => {
                 {
                     let mut rec = self.lock_recovery();
-                    // Staged entries must be in the locked log before
-                    // the release pass, or covered entries could
-                    // outlive their GC horizon.
-                    self.drain_log_rings(&mut rec);
                     let horizon = if self.cfg.log_gc_lag {
                         // Release only what the *previous* advance
                         // covered: one extra generation of entries
@@ -777,7 +612,7 @@ impl Kernel {
                     .protocol
                     .on_peer_checkpoint(src, w.total_delivered);
                 // Checkpointed delivery counts double as acks.
-                self.reliability.note_consumed(src, w.delivered_from_you);
+                self.acked.max_up(src, w.delivered_from_you);
             }
             WireMsg::LogAck(upto) => self.lock_tracking().protocol.on_logger_ack(upto),
             WireMsg::LogQueryResp(dets) => self.handle_logger_sync(dets),
@@ -804,62 +639,16 @@ impl Kernel {
         }
     }
 
-    /// Stage one inbound app wire in `src`'s ingress ring; the next
-    /// `drain_ingress` admits it under the batch's single delivery
-    /// acquisition. A full ring drains first and retries; if a racing
-    /// drain already refilled it, the wire is admitted inline (the
-    /// receive queue is arrival-order independent, so out-of-order
-    /// admission is harmless).
+    /// Admit one inbound app wire under the delivery lock, then send
+    /// the re-ack a repetitive rendezvous duplicate is owed (outside
+    /// the lock).
     fn ingest_app(&self, src: Rank, wire: AppWire) {
-        let ring = self.ingress[src].get_or_init(|| SeqRing::with_capacity(STAGE_SLOTS));
-        let wire = match ring.try_push(wire) {
-            Ok(()) => {
-                self.ingress_pending.store(true, Ordering::Release);
-                return;
-            }
-            Err(wire) => wire,
-        };
-        self.drain_ingress();
-        match ring.try_push(wire) {
-            Ok(()) => self.ingress_pending.store(true, Ordering::Release),
-            Err(wire) => {
-                let verdict = self.lock_delivery().admit(src, wire);
-                if let Admit::Repetitive {
-                    needs_ack: true,
-                    send_index,
-                } = verdict
-                {
-                    self.send_wire(src, &WireMsg::Ack(send_index));
-                }
-            }
-        }
-    }
-
-    /// Admit every staged inbound app wire under one `delivery`
-    /// acquisition, then send the re-acks owed to repetitive
-    /// rendezvous duplicates (outside the lock).
-    fn drain_ingress(&self) {
-        if !self.ingress_pending.swap(false, Ordering::AcqRel) {
-            return;
-        }
-        let mut reacks: Vec<(Rank, u64)> = Vec::new();
+        let verdict = self.lock_delivery().admit(src, wire);
+        if let Admit::Repetitive {
+            needs_ack: true,
+            send_index,
+        } = verdict
         {
-            let mut del = self.lock_delivery();
-            for (src, slot) in self.ingress.iter().enumerate() {
-                if let Some(ring) = slot.get() {
-                    while let Some(wire) = ring.try_pop() {
-                        if let Admit::Repetitive {
-                            needs_ack: true,
-                            send_index,
-                        } = del.admit(src, wire)
-                        {
-                            reacks.push((src, send_index));
-                        }
-                    }
-                }
-            }
-        }
-        for (src, send_index) in reacks {
             self.send_wire(src, &WireMsg::Ack(send_index));
         }
     }
@@ -876,10 +665,9 @@ impl Kernel {
     /// now the two planes only touch through three short
     /// single-lock phases:
     ///
-    /// 1. **`delivery`** — drain staged ingress, then snapshot each
-    ///    lane's FIFO-next candidate (`(src, send_index, piggyback)`;
-    ///    the piggyback is a refcounted clone, so nothing borrows the
-    ///    queue).
+    /// 1. **`delivery`** — snapshot each lane's FIFO-next candidate
+    ///    (`(src, send_index, piggyback)`; the piggyback is a
+    ///    refcounted clone, so nothing borrows the queue).
     /// 2. **`tracking`** — walk the snapshot in arrival order, gate
     ///    each candidate against the protocol, and merge the winner's
     ///    piggyback under the *same* acquisition (gate and merge must
@@ -909,7 +697,6 @@ impl Kernel {
         // FIFO-next (send indexes are unique per sender), so the
         // FIFO-only snapshot finds exactly the candidates the old
         // combined gate could have matched.
-        self.drain_ingress();
         let candidates = {
             let del = self.lock_delivery();
             let last_deliver_index = &del.last_deliver_index;
@@ -1003,7 +790,6 @@ impl Kernel {
         if self.holds_delivery_in_recovery && self.recovering.load(Ordering::Acquire) {
             return Vec::new();
         }
-        self.drain_ingress();
         let trk = self.lock_tracking();
         let del = self.lock_delivery();
         let protocol = &trk.protocol;
@@ -1031,22 +817,17 @@ impl Kernel {
     ///
     /// Locks: `recovery` + `tracking` + `delivery` held together while
     /// the image is assembled — the one operation that genuinely needs
-    /// a cross-layer-consistent cut — with the staged log drained
-    /// first so the image's log is complete. The `CHECKPOINT_ADVANCE`
-    /// broadcast goes out lock-free after all three are released.
-    /// `last_send` is snapshotted under the tracking lock, which is
-    /// consistent because only the application thread both sends and
-    /// checkpoints.
+    /// a cross-layer-consistent cut. The `CHECKPOINT_ADVANCE`
+    /// broadcast goes out after all three are released.
     pub fn do_checkpoint(&self, app_state: Vec<u8>, step: u64) {
         let mut rec = self.lock_recovery();
-        self.drain_log_rings(&mut rec);
         let mut trk = self.lock_tracking();
         let del = self.lock_delivery();
         let image = CheckpointImage {
             step,
             app_state,
             protocol: trk.protocol.checkpoint_bytes(),
-            last_send: self.last_send_index.snapshot(),
+            last_send: trk.last_send_index.clone(),
             last_deliver: del.last_deliver_index.clone(),
             log: rec.log.to_entries(),
         };
@@ -1113,12 +894,12 @@ impl Kernel {
         trk.protocol
             .restore_from_checkpoint(&image.protocol)
             .map_err(|_| Fault::Desync)?;
-        self.last_send_index.load_from(&image.last_send);
+        trk.last_send_index = image.last_send.clone();
         rec.restored_send_index = image.last_send;
         del.last_deliver_index = image.last_deliver.clone();
         rec.last_ckpt_deliver_index = image.last_deliver;
         rec.log = SenderLog::from_entries(self.n, image.log);
-        self.note_log_peak(&rec);
+        rec.log_bytes_peak = rec.log_bytes_peak.max(rec.log.bytes() as u64);
         rec.ckpt_version = rec
             .ckpt_store
             .latest_version(self.me)
@@ -1162,8 +943,58 @@ impl Kernel {
         }
     }
 
+    /// Bring up the successor of a dead incarnation — the one respawn
+    /// path under every engine: new kernel → [`Kernel::set_incarnation`]
+    /// → [`Kernel::set_event_sink`] → [`Kernel::load_checkpoint`] →
+    /// [`Kernel::restore`] → [`Kernel::begin_recovery`].
+    ///
+    /// An empty local store after a death is the node-loss signature:
+    /// with `remote` set, the newest fully-certified generation is
+    /// pulled into the given raw store first (manifests speak global
+    /// rank) and read back as usual.
+    ///
+    /// `decode` turns the image's application bytes into the caller's
+    /// state and runs **before** the kernel is touched: an image whose
+    /// application or protocol state does not decode is treated like
+    /// no image at all. The second return is then `None` with the
+    /// kernel still at its initial counters, so the caller restarts
+    /// the application from its initial state and both roll forward
+    /// through recovery together.
+    #[allow(clippy::too_many_arguments)]
+    pub fn respawn<S>(
+        rank: Rank,
+        n: usize,
+        cfg: RunConfig,
+        net: SimNet,
+        ckpts: CheckpointStore,
+        incarnation: u64,
+        sink: EventSink,
+        remote: Option<(&Replicator, &dyn StableStorage)>,
+        decode: impl FnOnce(&[u8]) -> Option<S>,
+    ) -> (Kernel, Option<(u64, S)>) {
+        let global_rank = ckpts.rank_base() + rank;
+        let mut kernel = Kernel::new(rank, n, cfg, net, ckpts);
+        kernel.set_incarnation(incarnation);
+        kernel.set_event_sink(sink);
+        let mut image = kernel.load_checkpoint();
+        if image.is_none() {
+            if let Some((repl, raw_storage)) = remote {
+                if repl.restore_rank(global_rank, raw_storage).is_some() {
+                    image = kernel.load_checkpoint();
+                }
+            }
+        }
+        let restored = image.and_then(|image| {
+            let state = decode(&image.app_state)?;
+            let (step, _) = kernel.restore(image).ok()?;
+            Some((step, state))
+        });
+        kernel.begin_recovery();
+        (kernel, restored)
+    }
+
     /// Locks: caller holds `recovery`; takes `delivery` briefly for
-    /// the counter snapshot. The broadcast itself is lock-free.
+    /// the counter snapshot.
     fn broadcast_rollback(&self, rec: &mut RecoveryLayer) {
         rec.rollback_epoch += 1;
         let wire = RollbackWire {
@@ -1178,12 +1009,11 @@ impl Kernel {
             },
         );
         for k in targets {
-            self.reliability.send_wire(k, &WireMsg::Rollback(wire.clone()));
+            self.send_wire(k, &WireMsg::Rollback(wire.clone()));
         }
         if let Some(logger) = self.logger {
             if rec.machine.needs_logger_sync() {
-                self.reliability
-                    .send_wire(logger, &WireMsg::LogQuery(self.me as u32));
+                self.send_wire(logger, &WireMsg::LogQuery(self.me as u32));
             }
         }
         rec.machine.note_broadcast(self.cfg.clock.now());
@@ -1193,9 +1023,8 @@ impl Kernel {
     /// delivery count and determinant knowledge, then resend logged
     /// messages the failed process lost.
     ///
-    /// Locks: `recovery` (staged log drained on entry, so the resend
-    /// window is complete) → `tracking` → `delivery`, all released
-    /// before the lock-free answer goes out.
+    /// Locks: `recovery` → `tracking` → `delivery`, all released
+    /// before the answer goes out.
     fn handle_rollback(&self, src: Rank, w: RollbackWire) {
         // The rollback vector is the *authoritative* post-restore
         // delivery state of src's new incarnation. Anything we
@@ -1207,9 +1036,8 @@ impl Kernel {
         // messages the incarnation still needs.
         let upto = w.last_deliver_index.get(self.me).copied();
         let mut rec = self.lock_recovery();
-        self.drain_log_rings(&mut rec);
         if let Some(upto) = upto {
-            self.rollback_last_send_index.set(src, upto);
+            rec.rollback_last_send_index.set(src, upto);
         }
         let lost_after = upto.unwrap_or(0);
         // Logged wire bytes are resent verbatim — refcount bumps, zero
@@ -1234,9 +1062,9 @@ impl Kernel {
             );
         }
         if let Some(upto) = upto {
-            self.reliability.acked.set(src, upto);
+            self.acked.set(src, upto);
         }
-        self.reliability.send_wire(
+        self.send_wire(
             src,
             &WireMsg::Response(ResponseWire {
                 delivered_from_you,
@@ -1245,7 +1073,7 @@ impl Kernel {
             }),
         );
         for inner in resends.drain(..) {
-            self.reliability.send_encoded(src, inner);
+            self.transport.send_encoded(src, inner);
         }
         // Anything we had queued from the pre-failure incarnation will
         // be resent/regenerated with identical identities; keeping the
@@ -1257,12 +1085,12 @@ impl Kernel {
     ///
     /// Locks: `recovery` → `tracking` (recovery info installed and the
     /// barrier possibly lifted with both held); the resupply resends
-    /// go out lock-free afterwards.
+    /// go out afterwards.
     fn handle_response(&self, src: Rank, w: ResponseWire) {
         let mut rec = self.lock_recovery();
-        self.drain_log_rings(&mut rec);
-        self.rollback_last_send_index
-            .max_up(src, w.delivered_from_you);
+        let bound = rec.rollback_last_send_index.get(src);
+        rec.rollback_last_send_index
+            .set(src, bound.max(w.delivered_from_you));
         // The dead incarnation's transport may have been holding sent-
         // but-undelivered messages for retransmission when it crashed;
         // on a lossy fabric those copies are gone for good. Any such
@@ -1303,9 +1131,9 @@ impl Kernel {
                 },
             );
         }
-        self.reliability.note_consumed(src, w.delivered_from_you);
+        self.acked.max_up(src, w.delivered_from_you);
         for inner in resends {
-            self.reliability.send_encoded(src, inner);
+            self.transport.send_encoded(src, inner);
         }
     }
 
@@ -1339,19 +1167,18 @@ impl Kernel {
     ///    corpse for a whole retry interval per cascade link.
     ///
     /// Locks: none of the layer hierarchy until (only when duty 3
-    /// applies) `recovery` — the fence and detector updates run on
-    /// the lock-free plane and the detector's leaf mutex.
+    /// applies) `recovery` — the fence and detector updates touch only
+    /// the transport's atomics and the detector's leaf mutex.
     fn handle_membership(&self, view: MembershipView) {
         let advanced = self
-            .reliability
             .transport
             .apply_fence_floors(view.epoch, &view.floor);
-        if self.reliability.transport.is_self_fenced() {
+        if self.transport.is_self_fenced() {
             self.fenced.store(true, Ordering::Release);
         }
         if let Some(adv) = &advanced {
             let now = self.cfg.clock.now();
-            self.reliability.with_detector(|det| {
+            self.with_detector(|det| {
                 for &r in adv {
                     det.reset_peer(r, now);
                 }
@@ -1387,10 +1214,8 @@ impl Kernel {
         self.handle_membership(view);
     }
 
-    /// Periodic maintenance — the kernel tick that closes the batching
-    /// epochs: opportunistically drain the staged sender log, admit
-    /// staged ingress, drive the transport's retransmission timers and
-    /// the failure detector (liveness feed, forced suspicions,
+    /// Periodic maintenance: drive the transport's retransmission
+    /// timers and the failure detector (liveness feed, forced suspicions,
     /// threshold crossings, idle heartbeats), flush coalesced acks,
     /// then rebroadcast `ROLLBACK` to peers that have not responded
     /// (they may have been dead when the first broadcast went out —
@@ -1410,18 +1235,11 @@ impl Kernel {
                 self.send_wire(src, &WireMsg::ResyncReq(self.me as u32));
             }
         }
-        // Opportunistic log-ring drain: bound how long staged entries
-        // can sit in their rings without ever blocking the tick behind
-        // a busy recovery lock (whoever holds it drains on entry).
-        if let Some(mut rec) = self.try_lock_recovery() {
-            self.drain_log_rings(&mut rec);
-        }
-        self.drain_ingress();
-        let transport = &self.reliability.transport;
+        let transport = &self.transport;
         transport.tick();
         // (rank, believed incarnation, φ·100) per new suspicion.
         let mut suspects: Vec<(Rank, u64, u64)> = Vec::new();
-        self.reliability.with_detector(|det| {
+        self.with_detector(|det| {
             let now = self.cfg.clock.now();
             transport.take_heard(|r| det.heard(r, now));
             // Budget exhaustion = forced threshold crossing.
@@ -1453,7 +1271,7 @@ impl Kernel {
                 suspects.push((r, believed, phi_x100));
             }
         });
-        self.reliability.flush_acks();
+        transport.flush_acks();
         if transport.is_self_fenced() {
             self.fenced.store(true, Ordering::Release);
         }
@@ -1576,16 +1394,7 @@ impl std::fmt::Debug for Kernel {
         let rec = self.lock_recovery();
         let trk = self.lock_tracking();
         let del = self.lock_delivery();
-        let staged: Vec<(usize, usize, usize)> = self
-            .log_stage
-            .iter()
-            .enumerate()
-            .filter_map(|(dst, slot)| {
-                let ring = slot.get()?;
-                (!ring.is_empty()).then(|| (dst, ring.len(), ring.capacity()))
-            })
-            .collect();
-        let transport = &self.reliability.transport;
+        let transport = &self.transport;
         f.debug_struct("Kernel")
             .field("me", &self.me)
             .field("n", &self.n)
@@ -1594,8 +1403,7 @@ impl std::fmt::Debug for Kernel {
             .field("queued", &del.queue.summary())
             .field("log_bytes", &rec.log.bytes())
             .field("log_entries", &rec.log.len())
-            .field("log_staged (dst, len, cap)", &staged)
-            .field("last_send", &self.last_send_index)
+            .field("last_send", &trk.last_send_index.as_slice())
             .field("last_deliver", &del.last_deliver_index.as_slice())
             .field("delivered_total", &trk.protocol.delivered_total())
             .field("recovery_phase", rec.machine.phase())
@@ -1664,6 +1472,19 @@ mod tests {
         assert_eq!(&msg.data[..], b"hello");
         assert_eq!(k1.snapshot().stats.delivers, 1);
         assert!(k1.try_deliver(RecvSpec::any()).is_none());
+    }
+
+    #[test]
+    fn batch_admission_keeps_arrival_order_across_sources() {
+        let (ks, _net, eps) = harness(3, ProtocolKind::Tdi);
+        // Rank 2 sends first, then rank 1: rank 0's inbox is [2, 1].
+        ks[2].app_send(0, 0, Bytes::from_static(b"from 2"), false);
+        ks[1].app_send(0, 0, Bytes::from_static(b"from 1"), false);
+        let batch: Vec<_> = std::iter::from_fn(|| eps[0].try_recv().ok()).collect();
+        assert_eq!(batch.iter().map(|e| e.src).collect::<Vec<_>>(), [2, 1]);
+        ks[0].ingest_batch(batch);
+        assert_eq!(ks[0].deliverable_sources(RecvSpec::any()), [2, 1]);
+        assert_eq!(ks[0].try_deliver(RecvSpec::any()).unwrap().src, 2);
     }
 
     #[test]
@@ -1799,6 +1620,36 @@ mod tests {
         pump(&k1, &eps[1]);
         let m = k1.try_deliver(RecvSpec::any()).expect("deliverable");
         assert_eq!(&m.data[..], b"still alive");
+    }
+
+    /// Regression: every respawn copy used to `restore` before decoding
+    /// the application state, so a CRC-intact image whose app bytes do
+    /// not decode left a kernel at the checkpoint's counters under an
+    /// application restarted at step 0. `respawn` decodes first.
+    #[test]
+    fn respawn_with_undecodable_app_state_leaves_kernel_at_initial_counters() {
+        let (mut ks, net, _eps) = harness(2, ProtocolKind::Tdi);
+        let k1 = ks.pop().unwrap();
+        // The image carries last_send[0] == 1 and valid protocol bytes.
+        k1.app_send(0, 0, Bytes::from_static(b"before"), false);
+        k1.do_checkpoint(b"not an app state".to_vec(), 5);
+        net.kill(1);
+        let _ep1b = net.respawn(1);
+        let (k1b, restored) = Kernel::respawn(
+            1,
+            2,
+            RunConfig::new(ProtocolKind::Tdi),
+            net.clone(),
+            CheckpointStore::new(k1.ckpt_storage()),
+            2,
+            EventSink::disabled(),
+            None,
+            |bytes| lclog_wire::decode_from_slice::<u64>(bytes).ok(),
+        );
+        assert!(restored.is_none(), "garbage app bytes must read as no image");
+        assert!(k1b.is_recovering());
+        let (send_index, _) = k1b.app_send(0, 0, Bytes::from_static(b"again"), false);
+        assert_eq!(send_index, 1, "kernel must restart with the application");
     }
 
     #[test]

@@ -46,6 +46,7 @@ mod clock;
 mod cluster;
 pub mod collectives;
 mod config;
+mod counters;
 mod delivery;
 mod detector;
 mod engine;
@@ -58,9 +59,7 @@ mod message;
 mod process;
 mod recovery;
 mod recvq;
-mod reliability;
 pub mod replicator;
-mod ring;
 mod service;
 mod tasks;
 mod tracking;

@@ -4,13 +4,11 @@
 //! checkpoint-store plumbing.
 //!
 //! This is the outermost layer of the kernel's lock hierarchy (see
-//! [`crate::kernel`] for the ordering rules) — and since the staged
-//! sender-log rings it is a **cold** lock: `app_send` stages its log
-//! entry in a lock-free per-destination ring instead of taking this
-//! lock, and only the rare recovery/checkpoint control paths
-//! (`ROLLBACK`, `RESPONSE`, `CHECKPOINT_ADVANCE`, checkpoints,
-//! snapshots, the tick's opportunistic drain) acquire it — each one
-//! draining the rings on entry so the log it observes is complete.
+//! [`crate::kernel`] for the ordering rules). `app_send` holds it
+//! across the suppression check, the transmit and the log insert, so
+//! a send is atomic against every other holder (`ROLLBACK`,
+//! `RESPONSE`, `CHECKPOINT_ADVANCE`, checkpoints, snapshots): each
+//! sees a log that contains exactly the sends that went out.
 //!
 //! ## The recovery state machine
 //!
@@ -44,7 +42,7 @@
 //! once.
 
 use crate::config::CheckpointPolicy;
-use crate::log::SenderLog;
+use crate::log::{LogEntry, SenderLog};
 use lclog_core::{CounterVector, Rank};
 use lclog_stable::CheckpointStore;
 use std::time::{Duration, Instant};
@@ -254,13 +252,16 @@ impl RecoveryMachine {
 /// The checkpoint/recovery layer: the recovery machine plus everything
 /// a checkpoint durably captures on the send side — the sender log,
 /// checkpoint-time counter snapshots — and the checkpoint-store
-/// plumbing. The live `last_send_index` / `rollback_last_send_index`
-/// vectors moved to the kernel as lock-free [`crate::ring::AtomicCounters`]
-/// (the send fast path reads them without this lock); their *writes*
-/// during recovery still happen under this lock, which is what makes
-/// the suppression re-check in `app_send`'s slow path authoritative.
+/// plumbing.
 pub(crate) struct RecoveryLayer {
     pub machine: RecoveryMachine,
+    /// Duplicate-suppression bound per destination (§III.C.3): sends
+    /// with `send_index <= bound` were delivered by the peer before
+    /// our crash and are logged without transmitting. `ROLLBACK`
+    /// clamps it, `RESPONSE` raises it, `app_send` checks it — all
+    /// under this layer's lock, which is what makes the check
+    /// authoritative.
+    pub rollback_last_send_index: CounterVector,
     /// `last_send_index` as restored from the checkpoint (zero on a
     /// first incarnation). Sends at or below this bound happened
     /// before the checkpoint, so re-execution will never regenerate
@@ -277,6 +278,8 @@ pub(crate) struct RecoveryLayer {
     pub peer_ckpt_advance: CounterVector,
     /// The sender-based message log (line 12).
     pub log: SenderLog,
+    /// High-water mark of `log.bytes()`.
+    pub log_bytes_peak: u64,
     pub ckpt_store: CheckpointStore,
     pub ckpt_version: u64,
     pub last_ckpt_at: Instant,
@@ -289,16 +292,24 @@ impl RecoveryLayer {
     pub fn new(n: usize, ckpt_store: CheckpointStore, now: Instant) -> Self {
         RecoveryLayer {
             machine: RecoveryMachine::new(n, now),
+            rollback_last_send_index: CounterVector::zeroed(n),
             restored_send_index: CounterVector::zeroed(n),
             last_ckpt_deliver_index: CounterVector::zeroed(n),
             peer_ckpt_advance: CounterVector::zeroed(n),
             log: SenderLog::new(n),
+            log_bytes_peak: 0,
             ckpt_store,
             ckpt_version: 0,
             last_ckpt_at: now,
             steps_at_ckpt: 0,
             rollback_epoch: 0,
         }
+    }
+
+    /// Record a send in the log and keep the peak current.
+    pub fn log_insert(&mut self, entry: LogEntry) {
+        self.log.insert(entry);
+        self.log_bytes_peak = self.log_bytes_peak.max(self.log.bytes() as u64);
     }
 
     /// Is a checkpoint due after `step` under `policy`?

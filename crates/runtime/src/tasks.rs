@@ -684,47 +684,26 @@ impl<A: TaskApp> TaskJob<A> {
         }
         slot.incarnation += 1;
         slot.endpoint = self.net.respawn(slot.rank);
-        let mut kernel = Kernel::new(
-            slot.rank,
-            n,
-            self.run_cfg.clone(),
-            self.net.clone(),
-            self.ckpts.clone(),
-        );
-        kernel.set_incarnation(slot.incarnation);
-        kernel.set_event_sink(self.sink.clone());
         self.sink.emit(
             slot.rank,
             EventKind::Spawned {
                 incarnation: slot.incarnation,
             },
         );
-        let mut image = kernel.load_checkpoint();
-        if image.is_none() {
-            // An empty local store after a death is the node-loss
-            // signature: pull the newest fully-certified generation
-            // from the remote (manifests speak global rank), then read
-            // it back as usual.
-            if let Some(repl) = &self.replicator {
-                if repl
-                    .restore_rank(global_rank, self.raw_storage.as_ref())
-                    .is_some()
-                {
-                    image = kernel.load_checkpoint();
-                }
-            }
-        }
-        // An image whose protocol or application state does not decode
-        // is treated like no image at all: restart from the initial
-        // state and roll forward through recovery (restore leaves the
-        // kernel untouched on error).
-        let restored = image.and_then(|image| {
-            let (step, app_bytes) = kernel.restore(image).ok()?;
-            let state = lclog_wire::decode_from_slice(&app_bytes).ok()?;
-            Some((step, state))
-        });
+        let (kernel, restored) = Kernel::respawn(
+            slot.rank,
+            n,
+            self.run_cfg.clone(),
+            self.net.clone(),
+            self.ckpts.clone(),
+            slot.incarnation,
+            self.sink.clone(),
+            self.replicator
+                .as_deref()
+                .map(|repl| (repl, self.raw_storage.as_ref())),
+            |bytes| lclog_wire::decode_from_slice(bytes).ok(),
+        );
         let (step, state) = restored.unwrap_or_else(|| (0u64, self.app.init(slot.rank, n)));
-        kernel.begin_recovery();
         slot.kernel = kernel;
         slot.state = state;
         slot.step = step;

@@ -1,22 +1,28 @@
-//! The tracking layer: the pluggable [`LoggingProtocol`] box and
-//! nothing else — the piggyback construction/merge the paper's whole
-//! argument is about (TDI makes *this* layer cheap; Algorithm 1
-//! lines 8–11 on send, 15–31 on deliver).
+//! The tracking layer: the pluggable [`LoggingProtocol`] box and the
+//! `last_send_index` vector it is stepped with — the piggyback
+//! construction/merge the paper's whole argument is about (TDI makes
+//! *this* layer cheap; Algorithm 1 lines 8–11 on send, 15–31 on
+//! deliver).
 //!
 //! Keeping the protocol object in its own lock means the per-message
 //! tracking cost — `on_send` piggyback construction, the delivery
 //! gate, `on_deliver` merge — is paid without holding the delivery
-//! buffer, the reliability channels, or the recovery bookkeeping.
+//! buffer, the transport's channels, or the recovery bookkeeping.
 //! [`TrackingStats`] lives here too because every counter it holds is
 //! incremented next to a protocol call.
 
 use crate::clock::Clock;
-use lclog_core::Rank;
-use lclog_core::{LoggingProtocol, ProtocolError, SendArtifacts, TrackingStats};
+use lclog_core::{
+    CounterVector, LoggingProtocol, ProtocolError, Rank, SendArtifacts, TrackingStats,
+};
 
 /// Protocol box + the statistics measured around its calls.
 pub(crate) struct Tracking {
     pub protocol: Box<dyn LoggingProtocol>,
+    /// `last_send_index` vector (Algorithm 1 line 8). Bumped under the
+    /// same lock as the protocol's `on_send`, so per-destination
+    /// protocol state and index order agree.
+    pub last_send_index: CounterVector,
     pub stats: TrackingStats,
     /// Time source for the tracking-cost accounting. Under a virtual
     /// clock the measured cost is zero — deterministically so, which
@@ -25,24 +31,26 @@ pub(crate) struct Tracking {
 }
 
 impl Tracking {
-    pub fn new(protocol: Box<dyn LoggingProtocol>, clock: Clock) -> Self {
+    pub fn new(protocol: Box<dyn LoggingProtocol>, n: usize, clock: Clock) -> Self {
         Tracking {
             protocol,
+            last_send_index: CounterVector::zeroed(n),
             stats: TrackingStats::default(),
             clock,
         }
     }
 
-    /// Timed `on_send` (Algorithm 1 lines 8–11): builds the piggyback
-    /// and accounts the tracking cost.
-    pub fn on_send(&mut self, dst: Rank, send_index: u64) -> SendArtifacts {
+    /// Timed `on_send` (Algorithm 1 lines 8–11): bumps `dst`'s send
+    /// index, builds the piggyback and accounts the tracking cost.
+    pub fn on_send(&mut self, dst: Rank) -> (u64, SendArtifacts) {
+        let send_index = self.last_send_index.bump(dst);
         let t0 = self.clock.now();
         let artifacts = self.protocol.on_send(dst, send_index);
         self.stats.track_send_ns += self.clock.now().saturating_duration_since(t0).as_nanos() as u64;
         self.stats.sends += 1;
         self.stats.piggyback_ids += artifacts.id_count;
         self.stats.piggyback_bytes += artifacts.piggyback.len() as u64;
-        artifacts
+        (send_index, artifacts)
     }
 
     /// Timed `on_deliver` (lines 15–31): merges the piggyback and

@@ -25,16 +25,15 @@
 //! floors, liveness bits, byte accounting) is atomic. No two channels
 //! share a lock, so concurrent sends to different destinations — and a
 //! send racing an ingest on a *different* channel — proceed without
-//! contention, and every method takes `&self`. The kernel embeds the
-//! transport directly (no `Mutex<Reliability>` leaf lock any more).
+//! contention, and every method takes `&self`.
 //!
 //! ## Batched acknowledgements
 //!
-//! Receiving a data frame no longer transmits an ack inline. It marks
-//! the channel ack-pending and enqueues the peer on a lock-free
-//! [`SeqRing`]; [`Transport::flush_acks`] — called once per ingest
-//! batch by the kernel, and by the tick — drains that ring and sends
-//! one **cumulative** ack per dirty peer. A batch of k frames from one
+//! Receiving a data frame does not transmit an ack inline. It marks
+//! the channel ack-pending and pushes the peer on a dirty list (a leaf
+//! mutex); [`Transport::flush_acks`] — called once per ingest batch by
+//! the kernel, and by the tick — swaps that list out and sends one
+//! **cumulative** ack per dirty peer. A batch of k frames from one
 //! peer costs one ack frame instead of k. NACKs (corruption reports)
 //! still go out immediately: they short-circuit a retransmission
 //! timeout, so latency matters.
@@ -83,7 +82,6 @@
 
 use crate::clock::Clock;
 use crate::events::{EventKind, EventSink};
-use crate::ring::SeqRing;
 use bytes::{Bytes, BytesMut};
 use lclog_core::Rank;
 use lclog_simnet::{Envelope, SimNet};
@@ -403,7 +401,7 @@ struct PeerChan {
     tx: TxChannel,
     rx: RxChannel,
     /// Set when a data frame arrived and its cumulative ack has not
-    /// been flushed yet (the peer sits on the ack queue).
+    /// been flushed yet (the peer sits on the dirty list).
     ack_pending: bool,
 }
 
@@ -433,9 +431,10 @@ pub(crate) struct Transport {
     net: SimNet,
     cfg: TransportConfig,
     peers: Vec<PeerShard>,
-    /// Peers with an unflushed cumulative ack (dirty list; the
-    /// `ack_pending` flag dedups entries).
-    ack_queue: SeqRing<Rank>,
+    /// Peers with an unflushed cumulative ack (the `ack_pending` flag
+    /// dedups entries). A leaf below the shards: pushed to from under
+    /// a shard lock, swapped out by `flush_acks` before it takes any.
+    ack_dirty: Mutex<Vec<Rank>>,
     /// Duplicates discarded below the app layer (observability).
     dup_discarded: AtomicU64,
     /// CRC mismatches detected (observability).
@@ -506,7 +505,7 @@ impl Transport {
                     suspect_flagged: AtomicBool::new(false),
                 })
                 .collect(),
-            ack_queue: SeqRing::with_capacity(slots.max(8) * 2),
+            ack_dirty: Mutex::new(Vec::new()),
             dup_discarded: AtomicU64::new(0),
             corrupt_detected: AtomicU64::new(0),
             dp: DpCounters::default(),
@@ -522,12 +521,6 @@ impl Transport {
             pending_suspects: Mutex::new(Vec::new()),
             peer_inc: (0..slots).map(|_| AtomicU64::new(0)).collect(),
         }
-    }
-
-    /// The transport's time source (shared with everything downstream
-    /// of the kernel that needs "now" — e.g. the detector feed).
-    pub(crate) fn clock(&self) -> &Clock {
-        &self.cfg.clock
     }
 
     /// Attach a timeline collector (peer write-offs are timeline
@@ -971,9 +964,8 @@ impl Transport {
         Some(d.inner)
     }
 
-    /// Mark `src`'s channel ack-pending and enqueue it on the dirty
-    /// list (the flag dedups). If the queue is somehow full the ack
-    /// goes out inline — correctness never depends on the batch.
+    /// Mark `src`'s channel ack-pending and push it on the dirty list
+    /// (the flag dedups).
     fn note_ack_pending(&self, src: Rank, ch: &mut PeerChan) {
         if ch.ack_pending {
             // This frame's ack rides the already-pending cumulative one.
@@ -981,27 +973,23 @@ impl Transport {
             return;
         }
         ch.ack_pending = true;
-        if self.ack_queue.try_push(src).is_err() {
-            ch.ack_pending = false;
-            let ack = AckFrame {
-                epoch: ch.rx.epoch,
-                floor: ch.rx.floor,
-            };
-            self.dp.ack_frames.fetch_add(1, Ordering::Relaxed);
-            self.transmit_control(src, &Frame::Ack(ack));
-        }
+        self.ack_dirty.lock().push(src);
     }
 
     /// Flush the coalesced cumulative acks: one ack frame per peer
     /// that received data since the last flush. Called by the kernel
     /// at the end of each ingest batch and from the tick.
     pub(crate) fn flush_acks(&self) {
-        while let Some(src) = self.ack_queue.try_pop() {
+        let mut dirty = {
+            let mut slot = self.ack_dirty.lock();
+            if slot.is_empty() {
+                return;
+            }
+            std::mem::take(&mut *slot)
+        };
+        for src in dirty.drain(..) {
             let ack = {
                 let mut ch = self.peers[src].chan.lock();
-                if !ch.ack_pending {
-                    continue; // already flushed inline
-                }
                 ch.ack_pending = false;
                 AckFrame {
                     epoch: ch.rx.epoch,
@@ -1010,6 +998,11 @@ impl Transport {
             };
             self.dp.ack_frames.fetch_add(1, Ordering::Relaxed);
             self.transmit_control(src, &Frame::Ack(ack));
+        }
+        // Hand the buffer back so steady-state batches allocate nothing.
+        let mut slot = self.ack_dirty.lock();
+        if slot.capacity() == 0 {
+            *slot = dirty;
         }
     }
 
