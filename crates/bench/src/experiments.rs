@@ -1044,374 +1044,17 @@ pub fn scaling_table(quick: bool) -> Table {
     t
 }
 
-/// Deliveries between receiver checkpoints in the HP1 harness
-/// (sender-log GC cadence, mirrors the `kernel_hot_path` bench).
-const HP_CKPT_EVERY: u64 = 1024;
-
-/// A two-rank kernel pair on a direct fabric — the HP1 measurement
-/// rig, mirroring the `kernel_hot_path` criterion bench.
-struct HotPair {
-    _net: lclog_simnet::SimNet,
-    k0: std::sync::Arc<lclog_runtime::Kernel>,
-    k1: std::sync::Arc<lclog_runtime::Kernel>,
-    ep0: lclog_simnet::Endpoint,
-    ep1: lclog_simnet::Endpoint,
-    delivered: u64,
-    ckpts: u64,
-}
-
-fn hot_pair() -> HotPair {
-    use lclog_stable::{CheckpointStore, MemStore};
-    use std::sync::Arc;
-    let net = lclog_simnet::SimNet::new(3, NetConfig::direct());
-    let store = CheckpointStore::new(Arc::new(MemStore::new()));
-    let ep0 = net.attach(0);
-    let ep1 = net.attach(1);
-    let k0 = Arc::new(lclog_runtime::Kernel::new(
-        0,
-        2,
-        RunConfig::new(ProtocolKind::Tdi),
-        net.clone(),
-        store.clone(),
-    ));
-    let k1 = Arc::new(lclog_runtime::Kernel::new(
-        1,
-        2,
-        RunConfig::new(ProtocolKind::Tdi),
-        net.clone(),
-        store,
-    ));
-    HotPair {
-        _net: net,
-        k0,
-        k1,
-        ep0,
-        ep1,
-        delivered: 0,
-        ckpts: 0,
-    }
-}
-
-impl HotPair {
-    /// One comm-thread round for both ranks: batch-ingest the fabric
-    /// inboxes, deliver on rank 1, checkpoint every `HP_CKPT_EVERY`
-    /// deliveries so rank 0's sender log stays bounded.
-    fn service(&mut self) {
-        use lclog_runtime::RecvSpec;
-        let mut batch = Vec::new();
-        while let Ok(env) = self.ep1.try_recv() {
-            batch.push(env);
-        }
-        if !batch.is_empty() {
-            self.k1.ingest_batch(batch);
-        }
-        while self.k1.try_deliver(RecvSpec::any()).is_some() {
-            self.delivered += 1;
-            if self.delivered.is_multiple_of(HP_CKPT_EVERY) {
-                self.ckpts += 1;
-                self.k1.do_checkpoint(Vec::new(), self.ckpts);
-            }
-        }
-        let mut acks = Vec::new();
-        while let Ok(env) = self.ep0.try_recv() {
-            acks.push(env);
-        }
-        if !acks.is_empty() {
-            self.k0.ingest_batch(acks);
-        }
-    }
-}
-
-/// Mean per-send cost in nanoseconds. Uncontended: one thread
-/// alternates 64-send chunks with a `service()` round and the whole
-/// cycle is timed — work a send defers to the receiver round (log GC,
-/// ack ingest) is charged to it, so deferral cannot read as a
-/// speed-up. Contended: only `app_send` is timed while a comm thread
-/// concurrently ingests acks, delivers, checkpoints, and runs both
-/// kernels' ticks against the same pair.
-fn send_latency_ns(contended: bool, iters: u64) -> f64 {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::Instant;
-    let data = bytes::Bytes::from(vec![7u8; 256]);
-    let mut p = hot_pair();
-    let k0 = Arc::clone(&p.k0);
-    if !contended {
-        let mut i = 0;
-        let t0 = Instant::now();
-        while i < iters {
-            let chunk = 64.min(iters - i);
-            for _ in 0..chunk {
-                k0.app_send(1, 0, data.clone(), false);
-            }
-            p.service();
-            i += chunk;
-        }
-        t0.elapsed().as_nanos() as f64 / iters as f64
-    } else {
-        let stop = Arc::new(AtomicBool::new(false));
-        let comm = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    p.service();
-                    p.k0.tick();
-                    p.k1.tick();
-                    std::hint::spin_loop();
-                }
-            })
-        };
-        for _ in 0..1_000 {
-            k0.app_send(1, 0, data.clone(), false);
-        }
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            k0.app_send(1, 0, data.clone(), false);
-        }
-        let ns = t0.elapsed().as_nanos() as f64 / iters as f64;
-        stop.store(true, Ordering::Relaxed);
-        comm.join().unwrap();
-        ns
-    }
-}
-
-/// Mean successful `try_deliver` latency in nanoseconds.
-/// Uncontended: one thread alternates untimed feeding (send + ingest)
-/// with timed delivery chunks. Contended: a feeder thread keeps
-/// sending on rank 0 and ingesting into rank 1 — hammering the
-/// tracking layer — while the timed thread only delivers. The 3-phase
-/// deliver path (at most one layer lock held at any instant) is what
-/// keeps the contended number near the uncontended one; before the
-/// lock split, every ingest serialized against the whole delivery.
-fn deliver_latency_ns(contended: bool, iters: u64) -> f64 {
-    use lclog_runtime::RecvSpec;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Arc;
-    use std::time::Instant;
-    let data = bytes::Bytes::from(vec![7u8; 256]);
-    let p = hot_pair();
-    if !contended {
-        let mut timed = Duration::ZERO;
-        let mut delivered = 0u64;
-        let mut ckpts = 0u64;
-        while delivered < iters {
-            let chunk = 64.min(iters - delivered);
-            for _ in 0..chunk {
-                p.k0.app_send(1, 0, data.clone(), false);
-            }
-            let mut batch = Vec::new();
-            while let Ok(env) = p.ep1.try_recv() {
-                batch.push(env);
-            }
-            p.k1.ingest_batch(batch);
-            let t0 = Instant::now();
-            for _ in 0..chunk {
-                assert!(p.k1.try_deliver(RecvSpec::any()).is_some());
-            }
-            timed += t0.elapsed();
-            delivered += chunk;
-            if delivered / HP_CKPT_EVERY > ckpts {
-                ckpts = delivered / HP_CKPT_EVERY;
-                p.k1.do_checkpoint(Vec::new(), ckpts);
-            }
-            let mut acks = Vec::new();
-            while let Ok(env) = p.ep0.try_recv() {
-                acks.push(env);
-            }
-            if !acks.is_empty() {
-                p.k0.ingest_batch(acks);
-            }
-        }
-        timed.as_nanos() as f64 / iters as f64
-    } else {
-        let k1 = Arc::clone(&p.k1);
-        let stop = Arc::new(AtomicBool::new(false));
-        let delivered = Arc::new(AtomicU64::new(0));
-        let feeder = {
-            let stop = Arc::clone(&stop);
-            let delivered = Arc::clone(&delivered);
-            std::thread::spawn(move || {
-                let mut sent = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    // Keep a bounded window in flight so memory and the
-                    // sender log stay flat.
-                    if sent.saturating_sub(delivered.load(Ordering::Acquire)) < 4096 {
-                        for _ in 0..64 {
-                            p.k0.app_send(1, 0, data.clone(), false);
-                        }
-                        sent += 64;
-                    }
-                    let mut batch = Vec::new();
-                    while let Ok(env) = p.ep1.try_recv() {
-                        batch.push(env);
-                    }
-                    if !batch.is_empty() {
-                        p.k1.ingest_batch(batch);
-                    }
-                    let mut acks = Vec::new();
-                    while let Ok(env) = p.ep0.try_recv() {
-                        acks.push(env);
-                    }
-                    if !acks.is_empty() {
-                        p.k0.ingest_batch(acks);
-                    }
-                    std::hint::spin_loop();
-                }
-            })
-        };
-        let mut done = 0u64;
-        let mut ckpts = 0u64;
-        let t0 = Instant::now();
-        while done < iters {
-            if k1.try_deliver(RecvSpec::any()).is_some() {
-                done += 1;
-                delivered.store(done, Ordering::Release);
-                if done.is_multiple_of(HP_CKPT_EVERY) {
-                    ckpts += 1;
-                    k1.do_checkpoint(Vec::new(), ckpts);
-                }
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        let ns = t0.elapsed().as_nanos() as f64 / iters as f64;
-        stop.store(true, Ordering::Relaxed);
-        feeder.join().unwrap();
-        ns
-    }
-}
-
-/// Send-side saturation: `producers` threads hammer `app_send` on
-/// the same kernel while one service thread concurrently drains,
-/// delivers, and checkpoints. Returns kframes/s over the producers'
-/// wall time — the capacity of the send path under contention, not
-/// receiver throughput. The receiver is drained
-/// (untimed) before teardown so every frame is accounted for.
-fn saturation_kfps(producers: usize, per_producer: u64) -> f64 {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Arc;
-    use std::time::Instant;
-    let mut p = hot_pair();
-    let total = producers as u64 * per_producer;
-    let k0 = Arc::clone(&p.k0);
-    let done = Arc::new(AtomicBool::new(false));
-    let delivered = Arc::new(AtomicU64::new(0));
-    let service = {
-        let done = Arc::clone(&done);
-        let delivered = Arc::clone(&delivered);
-        std::thread::spawn(move || {
-            while !done.load(Ordering::Acquire) {
-                p.service();
-                delivered.store(p.delivered, Ordering::Release);
-                std::hint::spin_loop();
-            }
-        })
-    };
-    let data = bytes::Bytes::from(vec![7u8; 256]);
-    let start = Instant::now();
-    let senders: Vec<_> = (0..producers)
-        .map(|_| {
-            let k0 = Arc::clone(&k0);
-            let data = data.clone();
-            std::thread::spawn(move || {
-                for _ in 0..per_producer {
-                    k0.app_send(1, 0, data.clone(), false);
-                }
-            })
-        })
-        .collect();
-    for s in senders {
-        s.join().unwrap();
-    }
-    let wall = start.elapsed();
-    // Untimed: let the service thread finish delivering the backlog.
-    let drain_start = Instant::now();
-    while delivered.load(Ordering::Acquire) < total
-        && drain_start.elapsed() < Duration::from_secs(120)
-    {
-        std::thread::yield_now();
-    }
-    done.store(true, Ordering::Release);
-    service.join().unwrap();
-    total as f64 / wall.as_secs_f64() / 1e3
-}
-
-/// HP1 (kernel hot path): per-send cost with and without a
-/// concurrent comm thread, a frames/sec saturation sweep over 1–8
-/// producer threads on one kernel, and the digest-parity gate that
-/// guards the data plane — clean vs. mid-run kill, across both
-/// engines (threaded ranks, ranks-as-tasks) and both tracking
-/// protocols (TDI, TDI-S). A `false` in `digest_ok` means the
-/// data plane broke exactly-once recovery.
+/// HP1 (kernel hot path): the digest-parity gate that guards the
+/// data plane — clean vs. mid-run kill, across both engines (threaded
+/// ranks, ranks-as-tasks) and both tracking protocols (TDI, TDI-S). A
+/// `false` in `digest_ok` means the data plane broke exactly-once
+/// recovery. What the hot path costs is `lcbench`'s to say
+/// (`pair_stream`, `pair_pingpong`, `lu_threads`).
 pub fn hotpath_table(quick: bool) -> Table {
     let mut t = Table::new(
-        "HP1 — Kernel hot path: per-send cost, saturation sweep, digest parity",
-        &[
-            "cell",
-            "threads",
-            "ns_per_op",
-            "kframes_s",
-            "engine",
-            "protocol",
-            "kills",
-            "digest_ok",
-        ],
+        "HP1 — Kernel hot path: digest parity through a mid-run kill",
+        &["cell", "engine", "protocol", "kills", "digest_ok"],
     );
-    let iters: u64 = if quick { 20_000 } else { 200_000 };
-    for contended in [false, true] {
-        let ns = send_latency_ns(contended, iters);
-        t.row(vec![
-            if contended {
-                "send_contended"
-            } else {
-                "send_uncontended"
-            }
-            .to_string(),
-            "1".to_string(),
-            format!("{ns:.0}"),
-            "-".to_string(),
-            "threads".to_string(),
-            "tdi".to_string(),
-            "-".to_string(),
-            "-".to_string(),
-        ]);
-    }
-    // The deliver-side counterpart: the contended cell has a feeder
-    // thread ingesting into the same kernel's tracking layer the whole
-    // time — the number the 3-phase `try_deliver` lock split exists
-    // for.
-    for contended in [false, true] {
-        let ns = deliver_latency_ns(contended, iters);
-        t.row(vec![
-            if contended {
-                "deliver_contended"
-            } else {
-                "deliver_uncontended"
-            }
-            .to_string(),
-            if contended { "2" } else { "1" }.to_string(),
-            format!("{ns:.0}"),
-            "-".to_string(),
-            "threads".to_string(),
-            "tdi".to_string(),
-            "-".to_string(),
-            "-".to_string(),
-        ]);
-    }
-    let per_producer: u64 = if quick { 20_000 } else { 100_000 };
-    for producers in [1usize, 2, 4, 8] {
-        let kfps = saturation_kfps(producers, per_producer);
-        t.row(vec![
-            "saturation".to_string(),
-            producers.to_string(),
-            format!("{:.0}", 1e6 / kfps),
-            format!("{kfps:.0}"),
-            "threads".to_string(),
-            "tdi".to_string(),
-            "-".to_string(),
-            "-".to_string(),
-        ]);
-    }
     // Digest parity: the data plane must reproduce fault-free
     // digests through a mid-run kill on every engine × protocol cell.
     let class = Class::Test;
@@ -1438,9 +1081,6 @@ pub fn hotpath_table(quick: bool) -> Table {
         let faulty = threaded(true);
         t.row(vec![
             "parity_kill".to_string(),
-            "-".to_string(),
-            "-".to_string(),
-            "-".to_string(),
             "threads".to_string(),
             kind.to_string(),
             faulty.kills.to_string(),
@@ -1473,9 +1113,6 @@ pub fn hotpath_table(quick: bool) -> Table {
         let faulty = tasks(true);
         t.row(vec![
             "parity_kill".to_string(),
-            "-".to_string(),
-            "-".to_string(),
-            "-".to_string(),
             "tasks".to_string(),
             kind.to_string(),
             faulty.kills.to_string(),

@@ -3,10 +3,10 @@
 //! message was ingested" and "the application got it" except the
 //! protocol's own dependency gate, which lives in the tracking layer.
 //!
-//! Owns [`RecvQueue`] and `last_deliver_index` under one lock so the
-//! comm thread's enqueue and the app thread's dequeue (`try_deliver`)
-//! serialize only against each other — never against an `app_send` on
-//! the outbound side.
+//! Owns [`RecvQueue`] and `last_deliver_index` together because
+//! admission is defined by both: a frame is repetitive when the
+//! counter covers it and a duplicate when the queue holds it. Part of
+//! the kernel's `State` (see [`crate::kernel`]).
 
 use crate::message::AppWire;
 use crate::recvq::{Pending, RecvQueue};

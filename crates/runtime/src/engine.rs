@@ -15,10 +15,10 @@
 //! sends return immediately and recovery traffic is serviced even
 //! while the application computes.
 //!
-//! The kernel is `Sync` (its layers carry their own locks), so both
-//! threads call it directly — the comm thread's `ingest_batch` and the
-//! app thread's `try_deliver`/`app_send` run concurrently. The only
-//! coordination between them is the [`Notifier`]: an eventcount the
+//! The kernel is `Sync` (one state lock inside), so both threads call
+//! it directly — the comm thread's `ingest_batch` and the app thread's
+//! `try_deliver`/`app_send`. The only coordination between them
+//! outside the kernel is the [`Notifier`]: an eventcount the
 //! comm thread bumps after every ingestion batch so the app thread can
 //! sleep without a missed-wakeup race (read the generation *before*
 //! checking the condition; wait only past that generation).

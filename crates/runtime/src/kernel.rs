@@ -1,75 +1,63 @@
-//! The rollback-recovery kernel: a thin, `Sync` facade over three
-//! separately-locked layers, together implementing the paper's
-//! Algorithm 1.
+//! The rollback-recovery kernel: the paper's Algorithm 1 for one rank
+//! incarnation, behind one lock.
 //!
-//! One kernel instance exists per rank incarnation. Engines feed it
-//! raw envelopes ([`Kernel::ingest_batch`], comm thread) and pull
-//! deliverable application messages ([`Kernel::try_deliver`], app
-//! thread) **concurrently** — there is no whole-kernel lock. Each
-//! layer owns exactly the state its operations touch:
+//! Engines feed it raw envelopes ([`Kernel::ingest_batch`], comm
+//! thread) and pull deliverable application messages
+//! ([`Kernel::try_deliver`], app thread). Those two threads sharing
+//! one rank's state is all the concurrency Fig. 4b asks for, so every
+//! mutable field lives in one `state: Mutex<State>` and every `&self`
+//! method is a critical section on it:
 //!
-//! | layer                          | lock     | owns                                             | Algorithm 1 |
-//! |--------------------------------|----------|--------------------------------------------------|-------------|
-//! | [`recovery`](crate::recovery)  | `recovery` | state machine, sender log, suppression bound, checkpoints | 8–9, 12, 32–53 |
-//! | [`tracking`](crate::tracking)  | `tracking` | `LoggingProtocol` box, `last_send_index`, stats | 10–11, 15–31 |
-//! | [`delivery`](crate::delivery)  | `delivery` | receiving queue, `last_deliver_index`           | 13–17 |
+//! | part of `State`                   | owns                                                      | Algorithm 1    |
+//! |-----------------------------------|-----------------------------------------------------------|----------------|
+//! | `rec` ([`crate::recovery`])       | state machine, sender log, suppression bound, checkpoints | 8–9, 12, 32–53 |
+//! | `trk` ([`crate::tracking`])       | `LoggingProtocol` box, `last_send_index`, stats           | 10–11, 15–31   |
+//! | `del` ([`crate::delivery`])       | receiving queue, `last_deliver_index`                     | 13–17          |
+//! | `acked`, `detector`, `resync_pacer` | rendezvous acks, φ-accrual detector, `RESYNC_REQ` pacing | —              |
 //!
-//! # Lock ordering
+//! Below the state lock sit only the transport's per-peer channel
+//! shards (and, below those, its ack-dirty list); the transport never
+//! calls back into the kernel, so a send is legal with the lock held.
 //!
-//! Locks are always acquired in the fixed order
+//! Who holds the state lock across what:
 //!
-//! ```text
-//! recovery  →  tracking  →  delivery
-//! ```
+//! * [`Kernel::app_send`] — index bump, piggyback, suppression check,
+//!   transmit, log insert: send order, wire order and log order agree
+//!   by construction, and `ROLLBACK` / `RESPONSE` / checkpoint / GC
+//!   see a log that contains exactly the sends that went out.
+//! * [`Kernel::try_deliver`] — FIFO + protocol gate, queue extraction,
+//!   piggyback merge, counter bump. The rendezvous ack and the TEL
+//!   determinants go out after the unlock.
+//! * one inbound wire message ([`Kernel::ingest_batch`] re-locks per
+//!   envelope; the transport strips its frame before the lock).
+//! * [`Kernel::do_checkpoint`] — image assembly and the stable-store
+//!   write; [`Kernel::restore`], [`Kernel::begin_recovery`] and a
+//!   `ROLLBACK` (re)broadcast, whole.
+//! * [`Kernel::tick`] — resync pacing, detector poll, heartbeats and
+//!   the rebroadcast check, once; the transport's retransmit pass runs
+//!   before it, unlocked.
 //!
-//! (any contiguous-or-gapped subset, never a back edge). Below the
-//! hierarchy sit only terminal leaves that never acquire a layer: the
-//! transport's per-peer channel shards (and, below those, its
-//! ack-dirty list), the resync pacer, and the failure detector's own
-//! small mutex. Sends are legal from under any layer lock. In debug
-//! builds the order is machine-checked: every layer acquisition goes
-//! through [`crate::lockcheck`], which keeps a thread-local held-set
-//! and asserts on any back edge before the mutex can deadlock.
+//! Never under the lock, because their length is the sender log's:
+//! the `CHECKPOINT_ADVANCE` fan-out of `do_checkpoint` and the log
+//! resend bursts answering `ROLLBACK` and `RESPONSE`.
 //!
-//! The send path is one sequence (`app_send`): `tracking` for the
-//! index bump and the protocol piggyback, released; then `recovery`
-//! held across the suppression check, the transmit through the
-//! destination's channel shard, and the log insert — so every other
-//! recovery-lock holder (`ROLLBACK`, `RESPONSE`, checkpoint, GC) sees
-//! a log that contains exactly the sends that went out. The ingest
-//! path (`App` frames) admits under `delivery` in arrival order. The
-//! deliver path holds **at most one** layer lock at a time:
-//! `try_deliver` snapshots FIFO-eligible candidates under `delivery`,
-//! gates and merges under `tracking`, then extracts the winner under
-//! `delivery` again (see the method docs for why the phase split is
-//! race-free).
-//!
-//! Cumulative transport acks are the one thing batched: the transport
+//! `fenced` and `desynced` stay atomics: engines poll them between
+//! kernel calls. Cumulative transport acks are batched: the transport
 //! marks channels dirty and [`Kernel::ingest_batch`] flushes one ack
 //! per peer per batch instead of one frame per frame.
-//!
-//! Lock-free flags keep `try_deliver` off `recovery`: the `recovering`
-//! flag is an `AtomicBool` (Release-stored only after recovery info is
-//! installed under `tracking`, so an Acquire-load of `false` plus the
-//! `tracking` lock acquisition observes the installed state), and
-//! `needs_full_recovery_info` is cached at construction (the
-//! [`LoggingProtocol`] contract requires it constant). The rendezvous
-//! `acked` counters are [`AtomicCounters`] because the blocking
-//! engine's spin polls them while the comm thread raises them.
 
 use crate::backoff::RetryBackoff;
 use crate::config::RunConfig;
-use crate::counters::AtomicCounters;
 use crate::delivery::{Admit, Delivery};
 use crate::detector::Detector;
 use crate::events::{EventKind, EventSink};
 use crate::fault::Fault;
-use crate::lockcheck;
 use crate::log::{LogEntry, SenderLog};
 use crate::message::{
     AppMsg, AppWire, CkptAdvanceWire, RecvSpec, ResponseWire, RollbackWire, SuspectWire, WireMsg,
 };
 use crate::recovery::{RecoveryLayer, RecoveryPhase, Transition};
+use crate::recvq::Pending;
 use crate::replicator::Replicator;
 use crate::tracking::Tracking;
 use crate::transport::{DataPlaneStats, Transport, TransportConfig};
@@ -78,7 +66,7 @@ use lclog_core::{make_protocol, CounterVector, DeliveryVerdict, MembershipView, 
 use lclog_simnet::{Envelope, SimNet};
 use lclog_stable::{CheckpointStore, StableStorage};
 use lclog_wire::{encode_to_vec, impl_wire_struct};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -139,8 +127,8 @@ pub struct KernelSnapshot {
     pub data_plane: DataPlaneStats,
 }
 
-/// Per-rank rollback-recovery kernel: three locked layers behind
-/// `&self` methods (see the module docs for the lock hierarchy).
+/// Per-rank rollback-recovery kernel: one state lock behind `&self`
+/// methods (see the module docs for who holds it across what).
 pub struct Kernel {
     me: Rank,
     n: usize,
@@ -149,17 +137,9 @@ pub struct Kernel {
     /// TEL event-logger service rank (slot `n`), when the protocol
     /// uses one. Constant per protocol kind.
     logger: Option<Rank>,
-    /// Cached `LoggingProtocol::needs_full_recovery_info` — constant
-    /// per protocol instance, so `try_deliver` can consult it without
-    /// the tracking lock.
-    holds_delivery_in_recovery: bool,
-    /// Lock-free mirror of "the state machine is in Logging or
-    /// Replaying". Stored with Release only after recovery info is
-    /// installed under the tracking lock.
-    recovering: AtomicBool,
-    /// Lock-free mirror of the transport's self-fenced flag: a
-    /// membership view (or a peer's `Fenced` notice) declared this
-    /// incarnation dead. Engines poll it in `check_live` and surface
+    /// Mirror of the transport's self-fenced flag: a membership view
+    /// (or a peer's `Fenced` notice) declared this incarnation dead.
+    /// Engines poll it in `check_live` and surface
     /// [`crate::Fault::Fenced`].
     fenced: AtomicBool,
     /// Set when the tracking merge rejected a gate-approved message:
@@ -168,86 +148,46 @@ pub struct Kernel {
     /// rebuilds through the rollback path instead of aborting the
     /// process.
     desynced: AtomicBool,
-    recovery: Mutex<RecoveryLayer>,
-    tracking: Mutex<Tracking>,
-    delivery: Mutex<Delivery>,
+    state: Mutex<State>,
     /// CRC framing, sequencing, dedup, ack/retransmit, fencing — every
     /// wire message crosses it. Sharded per peer, `&self` throughout.
     transport: Transport,
-    /// Highest acknowledged rendezvous send per destination. Atomic
-    /// because the blocking engine's spin polls it lock-free while the
-    /// comm thread raises it.
-    acked: AtomicCounters,
-    /// φ-accrual failure detector (detected-failures mode only). A
-    /// leaf mutex, never held across a layer lock.
-    detector: Option<Mutex<Detector>>,
+    /// Structured timeline collector (disabled by default).
+    events: EventSink,
+}
+
+/// Everything mutable about one rank incarnation.
+struct State {
+    rec: RecoveryLayer,
+    trk: Tracking,
+    del: Delivery,
+    /// Highest acknowledged rendezvous send per destination.
+    acked: CounterVector,
+    /// φ-accrual failure detector (detected-failures mode only).
+    detector: Option<Detector>,
     /// Full-jitter pacing of outgoing `RESYNC_REQ` frames (TDI-S): the
     /// protocol re-queues a request on *every* gate check while a
     /// channel is parked behind an undecodable frame, so without
     /// pacing each kernel tick re-sends the request and a slow or lost
     /// `RESYNC_SNAP` turns into a request storm.
-    resync_pacer: Mutex<ResyncPacer>,
-    /// Structured timeline collector (disabled by default).
-    events: EventSink,
+    resync_pacer: ResyncPacer,
 }
 
-/// A layer-lock guard that carries its debug-build lock-order token:
-/// acquiring one registers the layer with [`crate::lockcheck`] (so a
-/// back-edge acquisition asserts instead of deadlocking), dropping
-/// one releases the mutex and then clears the thread's held-bit.
-/// Derefs to the layer state, so guard-based call sites read exactly
-/// like raw `MutexGuard` ones.
-struct LayerGuard<'a, T> {
-    guard: parking_lot::MutexGuard<'a, T>,
-    /// Declared after `guard`: fields drop in declaration order, so
-    /// the mutex is released before the held-bit clears — the audit
-    /// window covers the whole critical section.
-    _held: lockcheck::Held,
-}
-
-impl<T> std::ops::Deref for LayerGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
+impl State {
+    /// PWD protocols must not deliver against an incomplete replay
+    /// script; they hold everything until every survivor (and the
+    /// event logger) has answered our ROLLBACK. TDI has no such wait —
+    /// each message carries its own complete delivery constraint.
+    fn holds_delivery(&self) -> bool {
+        self.rec.machine.is_recovering() && self.trk.protocol.needs_full_recovery_info()
     }
 }
 
-impl<T> std::ops::DerefMut for LayerGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
+/// Monotone raise: never lowers the stored value.
+fn raise(v: &mut CounterVector, k: Rank, to: u64) {
+    if to > v.get(k) {
+        v.set(k, to);
     }
-}
-
-impl Kernel {
-    /// Acquire the `recovery` layer (order-audited). All kernel code
-    /// goes through these helpers rather than locking the fields
-    /// directly, so every acquisition is checked in debug builds.
-    fn lock_recovery(&self) -> LayerGuard<'_, RecoveryLayer> {
-        let held = lockcheck::acquire(lockcheck::RECOVERY, "recovery");
-        LayerGuard {
-            guard: self.recovery.lock(),
-            _held: held,
-        }
-    }
-
-    /// Acquire the `tracking` layer (order-audited).
-    fn lock_tracking(&self) -> LayerGuard<'_, Tracking> {
-        let held = lockcheck::acquire(lockcheck::TRACKING, "tracking");
-        LayerGuard {
-            guard: self.tracking.lock(),
-            _held: held,
-        }
-    }
-
-    /// Acquire the `delivery` layer (order-audited).
-    fn lock_delivery(&self) -> LayerGuard<'_, Delivery> {
-        let held = lockcheck::acquire(lockcheck::DELIVERY, "delivery");
-        LayerGuard {
-            guard: self.delivery.lock(),
-            _held: held,
-        }
-    }
-
 }
 
 impl Kernel {
@@ -255,7 +195,6 @@ impl Kernel {
     pub fn new(me: Rank, n: usize, cfg: RunConfig, net: SimNet, ckpt_store: CheckpointStore) -> Self {
         let protocol = make_protocol(cfg.protocol, me, n);
         let logger = protocol.wants_event_logger().then(|| crate::logger_rank(n));
-        let holds_delivery_in_recovery = protocol.needs_full_recovery_info();
         let transport = Transport::new(
             me,
             net.n(),
@@ -267,32 +206,29 @@ impl Kernel {
                 clock: cfg.clock.clone(),
             },
         );
-        let clock = cfg.clock.clone();
-        let now = clock.now();
-        let detector = cfg
-            .detector
-            .map(|dcfg| Mutex::new(Detector::new(me, n, dcfg, now)));
+        let now = cfg.clock.now();
+        let detector = cfg.detector.map(|dcfg| Detector::new(me, n, dcfg, now));
         // With a detector, retransmit-budget exhaustion is a suspicion
         // input, not a unilateral `unreachable` verdict.
         transport.set_suspicion_mode(detector.is_some());
-        let resync_pacer = Mutex::new(ResyncPacer::new(me, n, &cfg));
+        let state = State {
+            rec: RecoveryLayer::new(n, ckpt_store, now),
+            trk: Tracking::new(protocol, n, cfg.clock.clone()),
+            del: Delivery::new(n),
+            acked: CounterVector::zeroed(n),
+            detector,
+            resync_pacer: ResyncPacer::new(me, n, &cfg),
+        };
         Kernel {
             me,
             n,
             cfg,
             net,
             logger,
-            holds_delivery_in_recovery,
-            recovering: AtomicBool::new(false),
             fenced: AtomicBool::new(false),
             desynced: AtomicBool::new(false),
-            recovery: Mutex::new(RecoveryLayer::new(n, ckpt_store, now)),
-            tracking: Mutex::new(Tracking::new(protocol, n, clock)),
-            delivery: Mutex::new(Delivery::new(n)),
+            state: Mutex::new(state),
             transport,
-            acked: AtomicCounters::zeroed(n),
-            detector,
-            resync_pacer,
             events: EventSink::disabled(),
         }
     }
@@ -305,16 +241,11 @@ impl Kernel {
         self.transport.set_epoch(incarnation);
     }
 
-    /// True when the transport has written `dst` off: it
-    /// stayed silent across the whole retransmit budget. Lock-free.
-    pub fn peer_unreachable(&self, dst: Rank) -> bool {
-        self.transport.peer_unreachable(dst)
-    }
-
-    /// Lock-free read of the blocking engine's rendezvous state for
-    /// `dst`: `(highest acked send_index, peer written off)`.
+    /// The blocking engine's rendezvous state for `dst`:
+    /// `(highest acked send_index, peer written off)`.
     pub fn rendezvous_progress(&self, dst: Rank) -> (u64, bool) {
-        (self.acked.get(dst), self.transport.peer_unreachable(dst))
+        let acked = self.state.lock().acked.get(dst);
+        (acked, self.transport.peer_unreachable(dst))
     }
 
     /// Attach a timeline collector (see [`crate::events`]). Call
@@ -344,23 +275,18 @@ impl Kernel {
         self.net.clone()
     }
 
-    /// Consistent cross-layer snapshot for reporting — replaces the
-    /// old `stats()` / `log_bytes()` / `log_entries()` / `acked()`
-    /// accessor pile with one locked round-trip.
+    /// Consistent snapshot for reporting, one lock round-trip.
     pub fn snapshot(&self) -> KernelSnapshot {
-        // Canonical lock order: recovery → tracking → delivery.
-        let rec = self.lock_recovery();
-        let trk = self.lock_tracking();
-        let del = self.lock_delivery();
-        let mut stats = trk.snapshot_stats();
-        stats.log_bytes_peak = rec.log_bytes_peak;
+        let st = self.state.lock();
+        let mut stats = st.trk.snapshot_stats();
+        stats.log_bytes_peak = st.rec.log_bytes_peak;
         KernelSnapshot {
             stats,
-            log_bytes: rec.log.bytes(),
-            log_entries: rec.log.len(),
-            acked: self.acked.snapshot(),
-            recovery_phase: rec.machine.phase().clone(),
-            queued: del.queue.len(),
+            log_bytes: st.rec.log.bytes(),
+            log_entries: st.rec.log.len(),
+            acked: st.acked.clone(),
+            recovery_phase: st.rec.machine.phase().clone(),
+            queued: st.del.queue.len(),
             dup_discarded: self.transport.dup_discarded(),
             corrupt_detected: self.transport.corrupt_detected(),
             fenced_rejected: self.transport.fenced_rejected(),
@@ -370,13 +296,13 @@ impl Kernel {
 
     /// Where the recovery state machine stands.
     pub fn recovery_phase(&self) -> RecoveryPhase {
-        self.lock_recovery().machine.phase().clone()
+        self.state.lock().rec.machine.phase().clone()
     }
 
     /// True while this incarnation is still collecting recovery
-    /// information (lock-free).
+    /// information.
     pub fn is_recovering(&self) -> bool {
-        self.recovering.load(Ordering::Acquire)
+        self.state.lock().rec.machine.is_recovering()
     }
 
     /// True once a membership view (or a peer's `FENCED` notice)
@@ -401,13 +327,13 @@ impl Kernel {
     /// (§III.E): every legal delivery schedule must converge to the
     /// same vector.
     pub fn interval_vector(&self) -> Option<Vec<u64>> {
-        self.lock_tracking().protocol.interval_vector()
+        self.state.lock().trk.protocol.interval_vector()
     }
 
     /// Protocol send gate (pessimistic logging holds sends while
     /// determinants are unstable).
     pub fn send_ready(&self) -> bool {
-        self.lock_tracking().protocol.send_ready()
+        self.state.lock().trk.protocol.send_ready()
     }
 
     /// Send one wire message reliably to `dst`. Every wire message
@@ -422,10 +348,11 @@ impl Kernel {
         self.transport.send_msg(dst, msg)
     }
 
-    /// Run `f` against the installed failure detector, if any.
-    fn with_detector(&self, f: impl FnOnce(&mut Detector)) {
-        if let Some(det) = &self.detector {
-            f(&mut det.lock());
+    /// Mirror the transport's self-fenced verdict (a `FENCED` notice
+    /// or a membership view lands entirely inside the transport).
+    fn mirror_fence(&self) {
+        if self.transport.is_self_fenced() {
+            self.fenced.store(true, Ordering::Release);
         }
     }
 
@@ -436,16 +363,11 @@ impl Kernel {
         }
     }
 
-    /// Book the `→ Synced` edge: account the sync time, lift the
-    /// lock-free recovery barrier, and emit the timeline events. The
-    /// `&mut Tracking` parameter is deliberate — it proves the caller
-    /// holds the tracking lock, so every `install_recovery_info` is
-    /// complete before the Release store makes `recovering == false`
-    /// visible to the app thread's Acquire load.
+    /// Book the `→ Synced` edge: account the sync time and emit the
+    /// timeline events.
     fn finish_sync(&self, trk: &mut Tracking, done: (u64, Transition)) {
         let (sync_ns, tr) = done;
         trk.stats.recovery_sync_ns += sync_ns;
-        self.recovering.store(false, Ordering::Release);
         self.emit_transition(Some(tr));
         self.events.emit(
             self.me,
@@ -466,14 +388,12 @@ impl Kernel {
     /// Returns `(send_index, transmitted)`; when `transmitted` and
     /// `needs_ack`, the blocking engine waits for [`WireMsg::Ack`].
     ///
-    /// Locks: `tracking` for the index bump and the piggyback (one
-    /// acquisition, so per-destination protocol state and index order
-    /// agree), released; then `recovery` across the suppression check,
-    /// the transmit and the log insert. The fabric send is
-    /// non-blocking, so holding the lock across it is cheap, and it
-    /// makes the send atomic against `ROLLBACK`: the survivor side
-    /// either sees the entry in the log (and resends it) or has
-    /// already clamped the bound this send is checked against.
+    /// One critical section: index bump, piggyback, suppression check,
+    /// transmit, log insert. The fabric send is non-blocking, so
+    /// holding the lock across it is cheap, and it makes the send
+    /// atomic against `ROLLBACK`: the survivor side either sees the
+    /// entry in the log (and resends it) or has already clamped the
+    /// bound this send is checked against.
     ///
     /// ## Zero-copy budget
     ///
@@ -487,10 +407,10 @@ impl Kernel {
     /// move in from the send without a decode pass. A suppressed send
     /// encodes once into the log and transmits nothing.
     pub fn app_send(&self, dst: Rank, tag: u32, data: Bytes, needs_ack: bool) -> (u64, bool) {
-        let (send_index, artifacts) = self.lock_tracking().on_send(dst);
+        let mut st = self.state.lock();
+        let (send_index, artifacts) = st.trk.on_send(dst);
         let piggyback = Bytes::from(artifacts.piggyback);
-        let mut rec = self.lock_recovery();
-        let transmit = send_index > rec.rollback_last_send_index.get(dst);
+        let transmit = send_index > st.rec.rollback_last_send_index.get(dst);
         let entry = if transmit {
             let msg = WireMsg::App(AppWire {
                 tag,
@@ -505,7 +425,7 @@ impl Kernel {
         } else {
             LogEntry::new(dst as u32, send_index, tag, piggyback, needs_ack, data)
         };
-        rec.log_insert(entry);
+        st.rec.log_insert(entry);
         (send_index, transmit)
     }
 
@@ -515,17 +435,21 @@ impl Kernel {
     /// zero payload copies); it carries `needs_ack`, because only
     /// rendezvous sends are ever waited on.
     pub fn resend_unacked(&self, dst: Rank, send_index: u64) {
-        let wire = self
-            .lock_recovery()
+        let mut st = self.state.lock();
+        let wire = st
+            .rec
             .log
             .entries_after(dst, send_index - 1)
             .next()
             .and_then(|e| (e.send_index == send_index).then(|| e.to_wire()));
         match wire {
-            Some(inner) => self.transport.send_encoded(dst, inner),
+            Some(inner) => {
+                drop(st);
+                self.transport.send_encoded(dst, inner);
+            }
             // The entry was released by a CHECKPOINT_ADVANCE: the
             // receiver durably consumed it — an implicit ack.
-            None => self.acked.max_up(dst, send_index),
+            None => raise(&mut st.acked, dst, send_index),
         }
     }
 
@@ -554,72 +478,88 @@ impl Kernel {
     /// transport strips its frame first — corrupt envelopes are
     /// NACK'ed, duplicates discarded, and control frames consumed
     /// without ever reaching the dispatch below (all inside the
-    /// source's channel shard) — then the inner message is routed to
-    /// the layer that owns it.
+    /// source's channel shard) — then the inner message is applied
+    /// under the state lock.
     fn ingest_env(&self, env: Envelope) {
         let src = env.src;
         let inner = self.transport.ingest(env);
-        // Intact frames double as liveness evidence for the detector.
-        self.with_detector(|det| {
-            let now = self.cfg.clock.now();
-            self.transport.take_heard(|rank| det.heard(rank, now));
-        });
-        // A `FENCED` notice from a peer lands entirely inside the
-        // transport; mirror its verdict.
-        if self.transport.is_self_fenced() {
-            self.fenced.store(true, Ordering::Release);
-        }
-        let Some(inner) = inner else {
-            return;
-        };
+        self.mirror_fence();
         // Zero-copy decode: `App` payload and piggyback come out as
         // windows into the ingested frame, not fresh allocations.
-        let msg: WireMsg = match lclog_wire::decode_from_bytes(&inner) {
-            Ok(m) => m,
-            Err(_) => {
-                // The frame passed its CRC, so this is a codec bug,
-                // not line noise.
-                debug_assert!(false, "undecodable wire message from {src}");
-                return;
-            }
+        let msg = inner.and_then(|inner| {
+            let msg = lclog_wire::decode_from_bytes::<WireMsg>(&inner).ok();
+            // The frame passed its CRC, so a failure here is a codec
+            // bug, not line noise.
+            debug_assert!(msg.is_some(), "undecodable wire message from {src}");
+            msg
+        });
+        if msg.is_none() && self.cfg.detector.is_none() {
+            return;
+        }
+        let mut st = self.state.lock();
+        // Intact frames double as liveness evidence for the detector.
+        if let Some(det) = &mut st.detector {
+            let now = self.cfg.clock.now();
+            self.transport.take_heard(|rank| det.heard(rank, now));
+        }
+        let Some(msg) = msg else {
+            return;
         };
         match msg {
-            WireMsg::App(wire) => self.ingest_app(src, wire),
-            WireMsg::Ack(idx) => self.acked.max_up(src, idx),
-            WireMsg::Rollback(w) => self.handle_rollback(src, w),
-            WireMsg::Response(w) => self.handle_response(src, w),
-            WireMsg::CkptAdvance(w) => {
+            WireMsg::App(wire) => {
+                let verdict = st.del.admit(src, wire);
+                drop(st);
+                // The re-ack a repetitive rendezvous duplicate is owed.
+                if let Admit::Repetitive {
+                    needs_ack: true,
+                    send_index,
+                } = verdict
                 {
-                    let mut rec = self.lock_recovery();
-                    let horizon = if self.cfg.log_gc_lag {
-                        // Release only what the *previous* advance
-                        // covered: one extra generation of entries
-                        // stays resendable, so a node-loss restore
-                        // that falls back a generation can still be
-                        // rolled forward. `min` guards against
-                        // reordered advances shrinking the horizon.
-                        let prev = rec.peer_ckpt_advance.get(src);
-                        prev.min(w.delivered_from_you)
-                    } else {
-                        w.delivered_from_you
-                    };
-                    if w.delivered_from_you > rec.peer_ckpt_advance.get(src) {
-                        rec.peer_ckpt_advance.set(src, w.delivered_from_you);
-                    }
-                    rec.log.release(src, horizon);
+                    self.send_wire(src, &WireMsg::Ack(send_index));
                 }
-                self.lock_tracking()
-                    .protocol
-                    .on_peer_checkpoint(src, w.total_delivered);
-                // Checkpointed delivery counts double as acks.
-                self.acked.max_up(src, w.delivered_from_you);
             }
-            WireMsg::LogAck(upto) => self.lock_tracking().protocol.on_logger_ack(upto),
-            WireMsg::LogQueryResp(dets) => self.handle_logger_sync(dets),
-            WireMsg::Membership(view) => self.handle_membership(view),
+            WireMsg::Ack(idx) => raise(&mut st.acked, src, idx),
+            WireMsg::Rollback(w) => self.handle_rollback(st, src, w),
+            WireMsg::Response(w) => self.handle_response(st, src, w),
+            WireMsg::CkptAdvance(w) => {
+                let State { rec, trk, acked, .. } = &mut *st;
+                let horizon = if self.cfg.log_gc_lag {
+                    // Release only what the *previous* advance
+                    // covered: one extra generation of entries
+                    // stays resendable, so a node-loss restore
+                    // that falls back a generation can still be
+                    // rolled forward. `min` guards against
+                    // reordered advances shrinking the horizon.
+                    rec.peer_ckpt_advance.get(src).min(w.delivered_from_you)
+                } else {
+                    w.delivered_from_you
+                };
+                raise(&mut rec.peer_ckpt_advance, src, w.delivered_from_you);
+                rec.log.release(src, horizon);
+                trk.protocol.on_peer_checkpoint(src, w.total_delivered);
+                // Checkpointed delivery counts double as acks.
+                raise(acked, src, w.delivered_from_you);
+            }
+            WireMsg::LogAck(upto) => st.trk.protocol.on_logger_ack(upto),
+            WireMsg::LogQueryResp(dets) => {
+                // The event logger answered our `LOG_QUERY` with the
+                // failed incarnation's stable determinants.
+                let State { rec, trk, .. } = &mut *st;
+                let (_, tr) = rec.machine.note_logger_synced();
+                self.emit_transition(tr);
+                trk.protocol.install_recovery_info(dets);
+                if let Some(done) = rec.machine.try_complete(self.cfg.clock.now()) {
+                    self.finish_sync(trk, done);
+                }
+            }
+            WireMsg::Membership(view) => {
+                drop(st);
+                self.handle_membership(view);
+            }
             WireMsg::ResyncReq(who) => {
                 debug_assert_eq!(who as Rank, src, "resync request must name its sender");
-                let snap = self.lock_tracking().protocol.resync_snapshot(src);
+                let snap = st.trk.protocol.resync_snapshot(src);
+                drop(st);
                 if let Some(bytes) = snap {
                     self.send_wire(src, &WireMsg::ResyncSnap(bytes.into()));
                 }
@@ -630,8 +570,8 @@ impl Kernel {
                 // dropped rather than faulting the rank. Either way the
                 // round-trip completed, so the request pacer restarts
                 // its schedule for this source.
-                let _ = self.lock_tracking().protocol.install_resync(src, &bytes);
-                self.resync_pacer.lock().settle(src);
+                let _ = st.trk.protocol.install_resync(src, &bytes);
+                st.resync_pacer.settle(src);
             }
             WireMsg::LogDets(_) | WireMsg::LogQuery(_) | WireMsg::Suspect(_) => {
                 debug_assert!(false, "service-bound message reached rank {}", self.me);
@@ -639,126 +579,54 @@ impl Kernel {
         }
     }
 
-    /// Admit one inbound app wire under the delivery lock, then send
-    /// the re-ack a repetitive rendezvous duplicate is owed (outside
-    /// the lock).
-    fn ingest_app(&self, src: Rank, wire: AppWire) {
-        let verdict = self.lock_delivery().admit(src, wire);
-        if let Admit::Repetitive {
-            needs_ack: true,
-            send_index,
-        } = verdict
-        {
-            self.send_wire(src, &WireMsg::Ack(send_index));
-        }
-    }
-
-    /// Deliver the first queued message matching `spec` whose
-    /// per-sender FIFO predecessor has been delivered and whose
-    /// protocol dependency gate opens (lines 15–31). App thread.
+    /// Deliver the first queued message (in arrival order) matching
+    /// `spec` whose per-sender FIFO predecessor has been delivered and
+    /// whose protocol dependency gate opens (lines 15–31). App thread.
     ///
-    /// Locks: **at most one layer at a time** — never `recovery`
-    /// (whose role here is played by the lock-free `recovering`
-    /// flag), and never `tracking` and `delivery` together. The old
-    /// combined critical section made every protocol gate + merge
-    /// contend with the comm thread's batched ingress admissions;
-    /// now the two planes only touch through three short
-    /// single-lock phases:
-    ///
-    /// 1. **`delivery`** — snapshot each lane's FIFO-next candidate
-    ///    (`(src, send_index, piggyback)`; the piggyback is a
-    ///    refcounted clone, so nothing borrows the queue).
-    /// 2. **`tracking`** — walk the snapshot in arrival order, gate
-    ///    each candidate against the protocol, and merge the winner's
-    ///    piggyback under the *same* acquisition (gate and merge must
-    ///    see one consistent protocol state).
-    /// 3. **`delivery`** — extract the winner by identity and bump
-    ///    the FIFO counter.
-    ///
-    /// The split is race-free because delivery is single-threaded by
-    /// contract: only the app thread extracts entries or bumps
-    /// `last_deliver_index`, so a phase-1 candidate is still queued
-    /// and still FIFO-next at phase 3. The comm thread's concurrent
-    /// admissions only *add* entries, with later arrival stamps; its
-    /// dedup (`Admit`) keys on the queue, which holds the candidate
-    /// until phase 3 removes it. In debug builds the at-most-one
-    /// invariant is pinned by [`lockcheck::assert_none_held`] at
-    /// every phase boundary.
+    /// One critical section: gate, extraction, piggyback merge and
+    /// counter bump see one protocol state and one queue. The
+    /// rendezvous ack and the TEL determinants go out after the
+    /// unlock.
     pub fn try_deliver(&self, spec: RecvSpec) -> Option<AppMsg> {
-        // PWD protocols must not deliver against an incomplete replay
-        // script; hold everything until every survivor (and the event
-        // logger) has answered our ROLLBACK. TDI has no such wait —
-        // each message carries its own complete delivery constraint.
-        if self.holds_delivery_in_recovery && self.recovering.load(Ordering::Acquire) {
+        let mut st = self.state.lock();
+        if st.holds_delivery() {
             return None;
         }
-        lockcheck::assert_none_held("try_deliver entry");
-        // Phase 1: delivery only. At most one entry per lane can be
-        // FIFO-next (send indexes are unique per sender), so the
-        // FIFO-only snapshot finds exactly the candidates the old
-        // combined gate could have matched.
-        let candidates = {
-            let del = self.lock_delivery();
-            let last_deliver_index = &del.last_deliver_index;
-            del.queue
-                .candidate_heads(spec, |src, idx, _| idx == last_deliver_index.get(src) + 1)
-        };
-        if candidates.is_empty() {
-            return None;
-        }
-        lockcheck::assert_none_held("try_deliver phase 1 → 2");
-        // Phase 2: tracking only. First candidate (in arrival order)
-        // whose dependency gate opens wins — identical pick to the
-        // old single-section scan, which also took the arrival-first
-        // candidate passing FIFO + protocol.
-        let (src, send_index, merged) = {
-            let mut trk = self.lock_tracking();
-            let (src, send_index, piggyback) = candidates.into_iter().find(|(src, idx, pb)| {
-                matches!(
-                    trk.protocol.deliverable(*src, *idx, pb),
+        let State { trk, del, .. } = &mut *st;
+        let protocol = &trk.protocol;
+        let last_deliver_index = &del.last_deliver_index;
+        let Pending { src, wire } = del.queue.take_first_matching(spec, |src, idx, piggyback| {
+            idx == last_deliver_index.get(src) + 1
+                && matches!(
+                    protocol.deliverable(src, idx, piggyback),
                     DeliveryVerdict::Deliver
                 )
-            })?;
-            let merged = trk.on_deliver(src, send_index, &piggyback).is_ok();
-            let dets = if merged && self.logger.is_some() {
-                trk.protocol.drain_determinants_for_logger()
-            } else {
-                Vec::new()
-            };
-            (src, send_index, merged.then_some(dets))
-        };
-        lockcheck::assert_none_held("try_deliver phase 2 → 3");
-        // Phase 3: delivery only. Extract by identity.
-        let taken = {
-            let mut del = self.lock_delivery();
-            let taken = del.queue.take_exact(src, send_index);
-            if taken.is_some() && merged.is_some() {
-                del.note_delivered(src);
-            }
-            taken
-        };
-        let Some(dets) = merged else {
+        })?;
+        if trk.on_deliver(src, wire.send_index, &wire.piggyback).is_err() {
             // Gate and merge disagreed (poisoned/stale piggyback): the
             // message is discarded *without* bumping the delivery
             // counter, and the rank is marked desynchronized so its
             // engine faults it (single-rank recovery, not a process
             // abort). No ack either — as far as the sender can tell,
             // the message was never consumed.
-            self.events
-                .emit(self.me, EventKind::TrackingDesync { src, send_index });
+            drop(st);
+            self.events.emit(
+                self.me,
+                EventKind::TrackingDesync {
+                    src,
+                    send_index: wire.send_index,
+                },
+            );
             self.desynced.store(true, Ordering::Release);
             return None;
+        }
+        let dets = if self.logger.is_some() {
+            trk.protocol.drain_determinants_for_logger()
+        } else {
+            Vec::new()
         };
-        let Some(taken) = taken else {
-            // Unreachable while the single-deliverer contract holds
-            // (only this thread removes queue entries): the merge has
-            // consumed a message the app will never see, so treat the
-            // broken contract as a desync rather than diverge quietly.
-            debug_assert!(false, "phase-1 candidate vanished before phase-3 extraction");
-            self.desynced.store(true, Ordering::Release);
-            return None;
-        };
-        let wire = taken.wire;
+        del.note_delivered(src);
+        drop(st);
         // Rendezvous ack at delivery time (§IV.B), then freshly created
         // determinants to the TEL event logger.
         if wire.needs_ack {
@@ -781,20 +649,15 @@ impl Kernel {
     /// by arrival (index 0 is what [`Kernel::try_deliver`] would
     /// take). Each element is a legal alternative next delivery — the
     /// schedule explorer's choice-point set (§III.E: any such order is
-    /// supposed to converge). Read-only. Unlike [`Kernel::try_deliver`]
-    /// this *does* hold `tracking` + `delivery` together — it is an
-    /// explorer/diagnostic path, not the hot path, and a combined
-    /// section is the cheapest way to get one consistent eligible-set
-    /// cut. The order is the legal forward one.
+    /// supposed to converge). Read-only.
     pub fn deliverable_sources(&self, spec: RecvSpec) -> Vec<Rank> {
-        if self.holds_delivery_in_recovery && self.recovering.load(Ordering::Acquire) {
+        let st = self.state.lock();
+        if st.holds_delivery() {
             return Vec::new();
         }
-        let trk = self.lock_tracking();
-        let del = self.lock_delivery();
-        let protocol = &trk.protocol;
-        let last_deliver_index = &del.last_deliver_index;
-        del.queue.eligible_sources(spec, |src, idx, piggyback| {
+        let protocol = &st.trk.protocol;
+        let last_deliver_index = &st.del.last_deliver_index;
+        st.del.queue.eligible_sources(spec, |src, idx, piggyback| {
             idx == last_deliver_index.get(src) + 1
                 && matches!(
                     protocol.deliverable(src, idx, piggyback),
@@ -809,20 +672,21 @@ impl Kernel {
 
     /// Should a checkpoint be taken now (between steps)?
     pub fn checkpoint_due(&self, step: u64) -> bool {
-        self.lock_recovery()
+        self.state
+            .lock()
+            .rec
             .checkpoint_due(self.cfg.checkpoint, step, self.cfg.clock.now())
     }
 
     /// Take a checkpoint of `app_state` after `step`.
     ///
-    /// Locks: `recovery` + `tracking` + `delivery` held together while
-    /// the image is assembled — the one operation that genuinely needs
-    /// a cross-layer-consistent cut. The `CHECKPOINT_ADVANCE`
-    /// broadcast goes out after all three are released.
+    /// The image is assembled and written to stable storage under the
+    /// state lock — it has to be one consistent cut of log, counters
+    /// and protocol state. The `CHECKPOINT_ADVANCE` broadcast goes out
+    /// after the unlock.
     pub fn do_checkpoint(&self, app_state: Vec<u8>, step: u64) {
-        let mut rec = self.lock_recovery();
-        let mut trk = self.lock_tracking();
-        let del = self.lock_delivery();
+        let mut st = self.state.lock();
+        let State { rec, trk, del, .. } = &mut *st;
         let image = CheckpointImage {
             step,
             app_state,
@@ -860,9 +724,7 @@ impl Kernel {
         }
         rec.last_ckpt_at = self.cfg.clock.now();
         rec.steps_at_ckpt = step;
-        drop(del);
-        drop(trk);
-        drop(rec);
+        drop(st);
         // The paper notifies only senders whose messages the
         // checkpoint newly covers; we notify everyone so TAG/TEL peers
         // can also prune determinant state (`total_delivered` is the
@@ -888,9 +750,8 @@ impl Kernel {
     /// from `checkpoint.depend_interval` — an obvious typo we
     /// correct.)
     pub fn restore(&self, image: CheckpointImage) -> Result<(u64, Vec<u8>), Fault> {
-        let mut rec = self.lock_recovery();
-        let mut trk = self.lock_tracking();
-        let mut del = self.lock_delivery();
+        let mut st = self.state.lock();
+        let State { rec, trk, del, .. } = &mut *st;
         trk.protocol
             .restore_from_checkpoint(&image.protocol)
             .map_err(|_| Fault::Desync)?;
@@ -916,7 +777,7 @@ impl Kernel {
     /// restarts from the initial state and rolls forward through
     /// recovery instead of aborting the process.
     pub fn load_checkpoint(&self) -> Option<CheckpointImage> {
-        let (_, bytes) = self.lock_recovery().ckpt_store.load_latest(self.me)?;
+        let (_, bytes) = self.state.lock().rec.ckpt_store.load_latest(self.me)?;
         lclog_wire::decode_from_slice(&bytes).ok()
     }
 
@@ -929,17 +790,16 @@ impl Kernel {
     /// If called twice on one incarnation (the state machine rejects
     /// `begin` outside `Running`).
     pub fn begin_recovery(&self) {
-        let mut rec = self.lock_recovery();
-        let tr = rec
+        let mut st = self.state.lock();
+        let tr = st
+            .rec
             .machine
             .begin(self.me, self.logger.is_some(), self.cfg.clock.now());
-        self.recovering.store(true, Ordering::Release);
         self.emit_transition(Some(tr));
-        self.broadcast_rollback(&mut rec);
+        self.broadcast_rollback(&mut st);
         // Degenerate single-rank system: nothing to collect.
-        if let Some(done) = rec.machine.try_complete(self.cfg.clock.now()) {
-            let mut trk = self.lock_tracking();
-            self.finish_sync(&mut trk, done);
+        if let Some(done) = st.rec.machine.try_complete(self.cfg.clock.now()) {
+            self.finish_sync(&mut st.trk, done);
         }
     }
 
@@ -993,12 +853,13 @@ impl Kernel {
         (kernel, restored)
     }
 
-    /// Locks: caller holds `recovery`; takes `delivery` briefly for
-    /// the counter snapshot.
-    fn broadcast_rollback(&self, rec: &mut RecoveryLayer) {
+    /// `ROLLBACK` to every rank that has not answered yet (and the
+    /// `LOG_QUERY` to the event logger while its answer is owed).
+    fn broadcast_rollback(&self, st: &mut State) {
+        let rec = &mut st.rec;
         rec.rollback_epoch += 1;
         let wire = RollbackWire {
-            last_deliver_index: self.lock_delivery().last_deliver_index.as_slice().to_vec(),
+            last_deliver_index: st.del.last_deliver_index.as_slice().to_vec(),
             epoch: rec.rollback_epoch,
         };
         let targets = rec.machine.pending_targets();
@@ -1021,11 +882,9 @@ impl Kernel {
 
     /// Survivor side of `ROLLBACK` (lines 47–51): answer with our
     /// delivery count and determinant knowledge, then resend logged
-    /// messages the failed process lost.
-    ///
-    /// Locks: `recovery` → `tracking` → `delivery`, all released
-    /// before the answer goes out.
-    fn handle_rollback(&self, src: Rank, w: RollbackWire) {
+    /// messages the failed process lost. The lock is released before
+    /// the answer and the resend burst go out.
+    fn handle_rollback(&self, mut st: MutexGuard<'_, State>, src: Rank, w: RollbackWire) {
         // The rollback vector is the *authoritative* post-restore
         // delivery state of src's new incarnation. Anything we
         // believed beyond it — an ack, or a RESPONSE-based duplicate
@@ -1035,35 +894,24 @@ impl Kernel {
         // and must be forgotten, or we would suppress regenerated
         // messages the incarnation still needs.
         let upto = w.last_deliver_index.get(self.me).copied();
-        let mut rec = self.lock_recovery();
         if let Some(upto) = upto {
-            rec.rollback_last_send_index.set(src, upto);
+            st.rec.rollback_last_send_index.set(src, upto);
+            st.acked.set(src, upto);
         }
-        let lost_after = upto.unwrap_or(0);
         // Logged wire bytes are resent verbatim — refcount bumps, zero
         // payload copies; the original piggyback (and `needs_ack`,
         // which is safe: rendezvous acks are idempotent) ride along
         // exactly as first framed.
-        let mut resends: Vec<Bytes> = rec
+        let resends: Vec<Bytes> = st
+            .rec
             .log
-            .entries_after(src, lost_after)
+            .entries_after(src, upto.unwrap_or(0))
             .map(|e| e.to_wire())
             .collect();
-        let dets = self.lock_tracking().protocol.determinants_for(src);
-        let delivered_from_you = self.lock_delivery().last_deliver_index.get(src);
-        drop(rec);
-        if !resends.is_empty() {
-            self.events.emit(
-                self.me,
-                EventKind::LogResent {
-                    to: src,
-                    count: resends.len(),
-                },
-            );
-        }
-        if let Some(upto) = upto {
-            self.acked.set(src, upto);
-        }
+        let dets = st.trk.protocol.determinants_for(src);
+        let delivered_from_you = st.del.last_deliver_index.get(src);
+        drop(st);
+        self.emit_resent(src, resends.len());
         self.send_wire(
             src,
             &WireMsg::Response(ResponseWire {
@@ -1072,7 +920,7 @@ impl Kernel {
                 epoch: w.epoch,
             }),
         );
-        for inner in resends.drain(..) {
+        for inner in resends {
             self.transport.send_encoded(src, inner);
         }
         // Anything we had queued from the pre-failure incarnation will
@@ -1081,16 +929,15 @@ impl Kernel {
         // faster.
     }
 
-    /// Incarnation side of `RESPONSE` (lines 52–53).
-    ///
-    /// Locks: `recovery` → `tracking` (recovery info installed and the
-    /// barrier possibly lifted with both held); the resupply resends
-    /// go out afterwards.
-    fn handle_response(&self, src: Rank, w: ResponseWire) {
-        let mut rec = self.lock_recovery();
-        let bound = rec.rollback_last_send_index.get(src);
-        rec.rollback_last_send_index
-            .set(src, bound.max(w.delivered_from_you));
+    /// Incarnation side of `RESPONSE` (lines 52–53): recovery info is
+    /// installed and the barrier possibly lifted under the lock; the
+    /// resupply resends go out after it.
+    fn handle_response(&self, mut st: MutexGuard<'_, State>, src: Rank, w: ResponseWire) {
+        let State {
+            rec, trk, acked, ..
+        } = &mut *st;
+        raise(&mut rec.rollback_last_send_index, src, w.delivered_from_you);
+        raise(acked, src, w.delivered_from_you);
         // The dead incarnation's transport may have been holding sent-
         // but-undelivered messages for retransmission when it crashed;
         // on a lossy fabric those copies are gone for good. Any such
@@ -1111,43 +958,23 @@ impl Kernel {
             self.events
                 .emit(self.me, EventKind::ResponseReceived { from: src });
         }
-        let done = rec.machine.try_complete(self.cfg.clock.now());
-        {
-            let mut trk = self.lock_tracking();
-            if !w.dets.is_empty() {
-                trk.protocol.install_recovery_info(w.dets);
-            }
-            if let Some(done) = done {
-                self.finish_sync(&mut trk, done);
-            }
+        if !w.dets.is_empty() {
+            trk.protocol.install_recovery_info(w.dets);
         }
-        drop(rec);
-        if !resends.is_empty() {
-            self.events.emit(
-                self.me,
-                EventKind::LogResent {
-                    to: src,
-                    count: resends.len(),
-                },
-            );
+        if let Some(done) = rec.machine.try_complete(self.cfg.clock.now()) {
+            self.finish_sync(trk, done);
         }
-        self.acked.max_up(src, w.delivered_from_you);
+        drop(st);
+        self.emit_resent(src, resends.len());
         for inner in resends {
             self.transport.send_encoded(src, inner);
         }
     }
 
-    /// The event logger answered our `LOG_QUERY` with the failed
-    /// incarnation's stable determinants.
-    fn handle_logger_sync(&self, dets: Vec<lclog_core::Determinant>) {
-        let mut rec = self.lock_recovery();
-        let (_, tr) = rec.machine.note_logger_synced();
-        self.emit_transition(tr);
-        let done = rec.machine.try_complete(self.cfg.clock.now());
-        let mut trk = self.lock_tracking();
-        trk.protocol.install_recovery_info(dets);
-        if let Some(done) = done {
-            self.finish_sync(&mut trk, done);
+    fn emit_resent(&self, to: Rank, count: usize) {
+        if count > 0 {
+            self.events
+                .emit(self.me, EventKind::LogResent { to, count });
         }
     }
 
@@ -1166,37 +993,32 @@ impl Kernel {
     ///    retry clock would leave `Replaying{progress}` wedged on a
     ///    corpse for a whole retry interval per cascade link.
     ///
-    /// Locks: none of the layer hierarchy until (only when duty 3
-    /// applies) `recovery` — the fence and detector updates touch only
-    /// the transport's atomics and the detector's leaf mutex.
+    /// The state lock is taken only when the view declared someone
+    /// new.
     fn handle_membership(&self, view: MembershipView) {
         let advanced = self
             .transport
             .apply_fence_floors(view.epoch, &view.floor);
-        if self.transport.is_self_fenced() {
-            self.fenced.store(true, Ordering::Release);
-        }
-        if let Some(adv) = &advanced {
-            let now = self.cfg.clock.now();
-            self.with_detector(|det| {
-                for &r in adv {
-                    det.reset_peer(r, now);
-                }
-            });
-        }
+        self.mirror_fence();
         let Some(advanced) = advanced else {
             return; // stale or already-applied view
         };
-        if advanced.is_empty() || !self.recovering.load(Ordering::Acquire) {
+        if advanced.is_empty() {
             return;
         }
-        let mut rec = self.lock_recovery();
-        if !rec.machine.is_recovering() {
+        let mut st = self.state.lock();
+        if let Some(det) = &mut st.detector {
+            let now = self.cfg.clock.now();
+            for &r in &advanced {
+                det.reset_peer(r, now);
+            }
+        }
+        if !st.rec.machine.is_recovering() {
             return;
         }
-        let pending = rec.machine.pending_targets();
+        let pending = st.rec.machine.pending_targets();
         if advanced.iter().any(|r| pending.contains(r)) {
-            self.broadcast_rollback(&mut rec);
+            self.broadcast_rollback(&mut st);
         }
     }
 
@@ -1215,66 +1037,71 @@ impl Kernel {
     }
 
     /// Periodic maintenance: drive the transport's retransmission
-    /// timers and the failure detector (liveness feed, forced suspicions,
-    /// threshold crossings, idle heartbeats), flush coalesced acks,
-    /// then rebroadcast `ROLLBACK` to peers that have not responded
-    /// (they may have been dead when the first broadcast went out —
-    /// the multi-failure case of Fig. 2).
+    /// timers, then — under one acquisition of the state lock — pace
+    /// the sparse codec's resync requests, run the failure detector
+    /// (liveness feed, forced suspicions, threshold crossings, idle
+    /// heartbeats) and rebroadcast `ROLLBACK` to peers that have not
+    /// responded (they may have been dead when the first broadcast
+    /// went out — the multi-failure case of Fig. 2); finally flush
+    /// coalesced acks and report new suspicions to the arbiter.
     pub fn tick(&self) {
-        // Sparse-codec resyncs first: frames queued behind an
-        // undecodable one stay parked until the snapshot round-trip
-        // completes, so the *first* request goes out immediately.
-        // Re-requests are paced by a per-source full-jitter backoff:
-        // the protocol re-queues the request on every gate check while
-        // the snapshot is in flight, and re-sending each tick would be
-        // a request storm that the snapshot sender answers in kind.
-        let resyncs = self.lock_tracking().protocol.take_resync_requests();
-        if !resyncs.is_empty() {
-            let now = self.cfg.clock.now();
-            for src in self.resync_pacer.lock().admit(&resyncs, now) {
-                self.send_wire(src, &WireMsg::ResyncReq(self.me as u32));
-            }
-        }
         let transport = &self.transport;
         transport.tick();
+        let now = self.cfg.clock.now();
         // (rank, believed incarnation, φ·100) per new suspicion.
         let mut suspects: Vec<(Rank, u64, u64)> = Vec::new();
-        self.with_detector(|det| {
-            let now = self.cfg.clock.now();
-            transport.take_heard(|r| det.heard(r, now));
-            // Budget exhaustion = forced threshold crossing.
-            let mut crossed: Vec<(Rank, u64)> = Vec::new();
-            for r in transport.take_pending_suspects() {
-                if det.force_suspect(r) {
-                    crossed.push((r, (det.phi(r, now) * 100.0) as u64));
+        {
+            let mut st = self.state.lock();
+            // Frames queued behind an undecodable one stay parked
+            // until the snapshot round-trip completes, so the *first*
+            // request goes out on the first tick. Re-requests are
+            // paced by a per-source full-jitter backoff: the protocol
+            // re-queues the request on every gate check while the
+            // snapshot is in flight, and re-sending each tick would be
+            // a request storm that the snapshot sender answers in kind.
+            let resyncs = st.trk.protocol.take_resync_requests();
+            if !resyncs.is_empty() {
+                for src in st.resync_pacer.admit(&resyncs, now) {
+                    self.send_wire(src, &WireMsg::ResyncReq(self.me as u32));
                 }
             }
-            crossed.extend(det.poll(now));
-            if det.heartbeat_due(now) {
-                for k in 0..self.n {
-                    if k != self.me {
-                        transport.send_heartbeat(k);
+            if let Some(det) = &mut st.detector {
+                transport.take_heard(|r| det.heard(r, now));
+                // Budget exhaustion = forced threshold crossing.
+                let mut crossed: Vec<(Rank, u64)> = Vec::new();
+                for r in transport.take_pending_suspects() {
+                    if det.force_suspect(r) {
+                        crossed.push((r, (det.phi(r, now) * 100.0) as u64));
                     }
                 }
+                crossed.extend(det.poll(now));
+                if det.heartbeat_due(now) {
+                    for k in 0..self.n {
+                        if k != self.me {
+                            transport.send_heartbeat(k);
+                        }
+                    }
+                }
+                // The believed incarnation: the highest one we have
+                // evidence of — data-frame epochs or heartbeats seen
+                // (`peer_incarnation`), or the membership floor if a
+                // successor has been declared but never spoke. A
+                // stale belief is harmless: the arbiter answers it
+                // with the current view instead of a declaration.
+                for (r, phi_x100) in crossed {
+                    let believed = transport
+                        .peer_incarnation(r)
+                        .max(transport.fence_floor(r))
+                        .max(1);
+                    suspects.push((r, believed, phi_x100));
+                }
             }
-            // The believed incarnation: the highest one we have
-            // evidence of — data-frame epochs or heartbeats seen
-            // (`peer_incarnation`), or the membership floor if a
-            // successor has been declared but never spoke. A
-            // stale belief is harmless: the arbiter answers it
-            // with the current view instead of a declaration.
-            for (r, phi_x100) in crossed {
-                let believed = transport
-                    .peer_incarnation(r)
-                    .max(transport.fence_floor(r))
-                    .max(1);
-                suspects.push((r, believed, phi_x100));
+            if st.rec.machine.rebroadcast_due(self.cfg.retry_interval, now) {
+                self.broadcast_rollback(&mut st);
             }
-        });
-        transport.flush_acks();
-        if transport.is_self_fenced() {
-            self.fenced.store(true, Ordering::Release);
         }
+        transport.flush_acks();
+        self.mirror_fence();
         for (r, incarnation, phi_x100) in suspects {
             self.events.emit(
                 self.me,
@@ -1292,22 +1119,13 @@ impl Kernel {
                 }),
             );
         }
-        if self.recovering.load(Ordering::Acquire) {
-            let mut rec = self.lock_recovery();
-            if rec
-                .machine
-                .rebroadcast_due(self.cfg.retry_interval, self.cfg.clock.now())
-            {
-                self.broadcast_rollback(&mut rec);
-            }
-        }
     }
 
     /// The backing store checkpoints were written to (tests re-create
     /// kernels around the same storage).
     #[cfg(test)]
     pub(crate) fn ckpt_storage(&self) -> std::sync::Arc<dyn lclog_stable::StableStorage> {
-        std::sync::Arc::clone(self.lock_recovery().ckpt_store.storage())
+        std::sync::Arc::clone(self.state.lock().rec.ckpt_store.storage())
     }
 }
 
@@ -1390,10 +1208,8 @@ impl ResyncPacer {
 
 impl std::fmt::Debug for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Canonical lock order, same as every other multi-layer path.
-        let rec = self.lock_recovery();
-        let trk = self.lock_tracking();
-        let del = self.lock_delivery();
+        let st = self.state.lock();
+        let State { rec, trk, del, .. } = &*st;
         let transport = &self.transport;
         f.debug_struct("Kernel")
             .field("me", &self.me)
@@ -1444,8 +1260,7 @@ mod tests {
         (kernels, net, endpoints)
     }
 
-    /// Drain one endpoint fully into its kernel — `&Kernel`: every
-    /// runtime-path method is lock-internal now.
+    /// Drain one endpoint fully into its kernel.
     fn pump(kernel: &Kernel, ep: &lclog_simnet::Endpoint) {
         while let Ok(env) = ep.try_recv() {
             kernel.ingest(env);
@@ -1785,7 +1600,7 @@ mod tests {
         let sink = EventSink::recording();
         k1.set_event_sink(sink.clone());
         assert!(!k1.is_desynced());
-        k1.ingest_app(
+        k1.state.lock().del.admit(
             0,
             AppWire {
                 tag: 3,
@@ -1854,11 +1669,11 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_send_and_ingest_do_not_serialize_or_corrupt() {
-        // The point of the lock split: rank 0's app thread hammers
-        // app_send while another thread concurrently ingests rank 0's
-        // inbound acks — the two paths share no lock except the
-        // reliability leaf. Assert the counters come out exact.
+    fn concurrent_send_and_ingest_keep_counters_exact() {
+        // Rank 0's app thread hammers app_send while another thread
+        // concurrently ingests rank 0's inbound rendezvous acks, the
+        // way a comm thread would. Every send must be counted once and
+        // every message delivered once.
         let (mut ks, _net, mut eps) = harness(2, ProtocolKind::Tdi);
         let k1 = ks.pop().unwrap();
         let k0 = Arc::new(ks.pop().unwrap());
@@ -1892,6 +1707,72 @@ mod tests {
         ingester.join().unwrap();
         assert_eq!(k0.snapshot().stats.sends, sends);
         assert_eq!(k1.snapshot().stats.delivers, sends);
+    }
+
+    #[test]
+    fn concurrent_ingest_and_deliver_is_fifo_and_exactly_once() {
+        // Fig. 4b on the receiver: a comm-style thread admits frames
+        // from two senders (`ingest_batch` + `tick`) while an app-style
+        // thread delivers and checkpoints. Each payload is its
+        // per-sender sequence number, so a lost, duplicated or
+        // reordered delivery shows as a gap.
+        use std::time::Instant;
+
+        const PER_SENDER: u64 = 2_000;
+        let (mut ks, _net, mut eps) = harness(3, ProtocolKind::Tdi);
+        let k2 = Arc::new(ks.pop().unwrap());
+        let ep2 = eps.pop().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let comm = {
+            let (k2, stop) = (Arc::clone(&k2), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Acquire) {
+                    let batch: Vec<_> = std::iter::from_fn(|| ep2.try_recv().ok()).collect();
+                    k2.ingest_batch(batch);
+                    k2.tick();
+                }
+            })
+        };
+        let app = {
+            let k2 = Arc::clone(&k2);
+            std::thread::spawn(move || {
+                let deadline = Instant::now() + Duration::from_secs(60);
+                let mut next = [1u64; 2];
+                let mut delivered = 0u64;
+                while delivered < 2 * PER_SENDER {
+                    let Some(msg) = k2.try_deliver(RecvSpec::any()) else {
+                        assert!(Instant::now() < deadline, "stalled at {delivered}");
+                        std::thread::yield_now();
+                        continue;
+                    };
+                    let seq = u64::from_le_bytes(msg.data[..].try_into().unwrap());
+                    assert_eq!(seq, next[msg.src], "sender {} out of sequence", msg.src);
+                    next[msg.src] += 1;
+                    delivered += 1;
+                    if delivered.is_multiple_of(256) {
+                        k2.do_checkpoint(vec![], delivered);
+                    }
+                }
+            })
+        };
+        for seq in 1..=PER_SENDER {
+            for k in &ks {
+                k.app_send(2, 0, Bytes::copy_from_slice(&seq.to_le_bytes()), false);
+            }
+        }
+        // Keep absorbing rank 2's checkpoint notices until it is done.
+        while !app.is_finished() {
+            for (k, ep) in ks.iter().zip(&eps) {
+                pump(k, ep);
+            }
+            std::thread::yield_now();
+        }
+        app.join().unwrap();
+        stop.store(true, Ordering::Release);
+        comm.join().unwrap();
+        let snap = k2.snapshot();
+        assert_eq!(snap.stats.delivers, 2 * PER_SENDER);
+        assert_eq!(snap.queued, 0);
     }
 
     #[test]
@@ -1958,8 +1839,9 @@ mod tests {
         let delta = side_sender.on_send(1, 2).piggyback;
         assert_eq!(
             kernels[1]
-                .tracking
+                .state
                 .lock()
+                .trk
                 .protocol
                 .deliverable(0, 2, &delta),
             DeliveryVerdict::Wait,
@@ -1968,7 +1850,7 @@ mod tests {
         // Rank 0's kernel must answer snapshot requests with the state
         // that actually produced the delta, so install the side sender
         // as its live protocol.
-        kernels[0].tracking.lock().protocol = side_sender;
+        kernels[0].state.lock().trk.protocol = side_sender;
 
         // Simulate the stall: rank 1's app keeps polling (each gate
         // check re-queues the request) and the kernel ticks once per
@@ -1978,8 +1860,9 @@ mod tests {
         for _ in 0..400 {
             sim.advance(Duration::from_millis(1));
             let _ = kernels[1]
-                .tracking
+                .state
                 .lock()
+                .trk
                 .protocol
                 .deliverable(0, 2, &delta);
             kernels[1].tick();
@@ -1995,8 +1878,9 @@ mod tests {
         // retransmission of unacked frames is bounded separately by
         // the retransmit budget, so it is excluded here on purpose).
         let originated = {
-            let pacer = kernels[1].resync_pacer.lock();
-            pacer.slots[0].as_ref().expect("slot live while desynced").backoff.attempt()
+            let st = kernels[1].state.lock();
+            let slot = st.resync_pacer.slots[0].as_ref();
+            slot.expect("slot live while desynced").backoff.attempt()
         };
         assert!(
             originated >= 2,
@@ -2014,13 +1898,14 @@ mod tests {
         }
         assert_eq!(
             kernels[1]
-                .tracking
+                .state
                 .lock()
+                .trk
                 .protocol
                 .deliverable(0, 2, &delta),
             DeliveryVerdict::Deliver,
             "installed snapshot must unblock the parked delta"
         );
-        assert!(kernels[1].resync_pacer.lock().slots[0].is_none());
+        assert!(kernels[1].state.lock().resync_pacer.slots[0].is_none());
     }
 }

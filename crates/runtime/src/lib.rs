@@ -46,14 +46,12 @@ mod clock;
 mod cluster;
 pub mod collectives;
 mod config;
-mod counters;
 mod delivery;
 mod detector;
 mod engine;
 pub mod events;
 mod fault;
 mod kernel;
-pub mod lockcheck;
 mod log;
 mod message;
 mod process;

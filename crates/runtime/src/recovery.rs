@@ -3,12 +3,11 @@
 //! checkpoint durably captures — the sender-based message log and the
 //! checkpoint-store plumbing.
 //!
-//! This is the outermost layer of the kernel's lock hierarchy (see
-//! [`crate::kernel`] for the ordering rules). `app_send` holds it
-//! across the suppression check, the transmit and the log insert, so
-//! a send is atomic against every other holder (`ROLLBACK`,
-//! `RESPONSE`, `CHECKPOINT_ADVANCE`, checkpoints, snapshots): each
-//! sees a log that contains exactly the sends that went out.
+//! Part of the kernel's `State` (see [`crate::kernel`]): `app_send`
+//! checks the suppression bound, transmits and inserts into the log
+//! in one critical section, so `ROLLBACK`, `RESPONSE`,
+//! `CHECKPOINT_ADVANCE`, checkpoints and snapshots each see a log
+//! that contains exactly the sends that went out.
 //!
 //! ## The recovery state machine
 //!
@@ -259,7 +258,7 @@ pub(crate) struct RecoveryLayer {
     /// with `send_index <= bound` were delivered by the peer before
     /// our crash and are logged without transmitting. `ROLLBACK`
     /// clamps it, `RESPONSE` raises it, `app_send` checks it — all
-    /// under this layer's lock, which is what makes the check
+    /// under the kernel's state lock, which is what makes the check
     /// authoritative.
     pub rollback_last_send_index: CounterVector,
     /// `last_send_index` as restored from the checkpoint (zero on a

@@ -20,12 +20,11 @@
 //! lane whose head candidate passes the gate is a legal next delivery
 //! ([`RecvQueue::eligible_sources`]).
 //!
-//! Under the batched data plane (DESIGN.md §11) messages arrive here
-//! a drained-ring batch at a time rather than one by one; arrival
-//! stamps are assigned at admission, so within a batch they follow
-//! ring (= per-sender transport) order and the cross-lane total order
-//! is whatever interleaving the drain observed — exactly the
-//! order-insensitivity the explorer already checks.
+//! Arrival stamps are assigned at admission, one envelope at a time
+//! in the order the engine drained them from the fabric: per sender
+//! that is transport order, and the cross-lane total order is whatever
+//! interleaving the drain observed — exactly the order-insensitivity
+//! the explorer already checks.
 //!
 //! [`DeliveryVerdict::Wait`]: lclog_core::DeliveryVerdict
 
@@ -179,43 +178,8 @@ impl RecvQueue {
         })
     }
 
-    /// First passing candidate per lane, in global arrival order:
-    /// `(src, send_index, piggyback)` for every lane whose head
-    /// candidate matches `spec` and passes `gate`. Piggybacks are
-    /// refcounted [`Bytes`] clones, so the snapshot borrows nothing —
-    /// callers can drop the queue's lock and gate the candidates
-    /// against protocol state under a *different* lock, then come back
-    /// with [`take_exact`]. This is the delivery hot path's
-    /// phase-1 snapshot (DESIGN.md §11: `try_deliver` never holds
-    /// `tracking` and `delivery` together).
-    ///
-    /// [`Bytes`]: bytes::Bytes
-    /// [`take_exact`]: RecvQueue::take_exact
-    pub fn candidate_heads(
-        &self,
-        spec: RecvSpec,
-        mut gate: impl FnMut(Rank, u64, &[u8]) -> bool,
-    ) -> Vec<(Rank, u64, bytes::Bytes)> {
-        let mut found: Vec<(u64, Rank, u64, bytes::Bytes)> = Vec::new();
-        for src in self.lane_range(spec) {
-            if let Some(pos) = self.lane_candidate(src, spec, &mut gate) {
-                let s = &self.lanes[src].entries[pos];
-                found.push((s.arrival, src, s.wire.send_index, s.wire.piggyback.clone()));
-            }
-        }
-        found.sort_unstable_by_key(|&(arrival, ..)| arrival);
-        found
-            .into_iter()
-            .map(|(_, src, idx, pb)| (src, idx, pb))
-            .collect()
-    }
-
     /// Remove the message with this exact identity, wherever it sits
-    /// in its lane. The phase-3 counterpart of
-    /// [`candidate_heads`](RecvQueue::candidate_heads): after the
-    /// snapshot has been gated elsewhere, the winner is extracted by
-    /// identity rather than by re-running the match. Returns `None`
-    /// if the message is no longer queued.
+    /// in its lane. Returns `None` if it is not queued.
     pub fn take_exact(&mut self, src: Rank, send_index: u64) -> Option<Pending> {
         let lane = self.lanes.get_mut(src)?;
         let pos = lane
@@ -437,29 +401,6 @@ mod tests {
         assert_eq!(q.eligible_sources(RecvSpec::any_source(1), gate), vec![0]);
         let taken = q.take_first_matching(RecvSpec::any_source(1), gate).unwrap();
         assert_eq!(taken.wire.tag, 1);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn candidate_heads_snapshots_then_take_exact_extracts() {
-        let mut q = RecvQueue::with_ranks(3);
-        q.push(pending(2, 1, 1));
-        q.push(pending(0, 1, 2)); // FIFO-blocked
-        q.push(pending(1, 1, 1));
-        let gate = |_src: Rank, idx: u64, _pb: &[u8]| idx == 1;
-        let heads = q.candidate_heads(RecvSpec::any(), gate);
-        assert_eq!(
-            heads.iter().map(|(s, i, _)| (*s, *i)).collect::<Vec<_>>(),
-            vec![(2, 1), (1, 1)]
-        );
-        // Extraction by identity matches what the snapshot reported.
-        let taken = q.take_exact(2, 1).unwrap();
-        assert_eq!((taken.src, taken.wire.send_index), (2, 1));
-        assert!(q.take_exact(2, 1).is_none());
-        // The FIFO-blocked entry is untouched and still extractable.
-        assert!(q.contains(0, 2));
-        let taken = q.take_exact(0, 2).unwrap();
-        assert_eq!(taken.src, 0);
         assert_eq!(q.len(), 1);
     }
 

@@ -464,8 +464,8 @@ impl<A: TaskApp> TaskJob<A> {
         };
         let mut progressed = false;
         for slot in slots.iter_mut() {
-            // 1. Drain the fabric inbox as one batch (one delivery
-            // acquisition, coalesced acks).
+            // 1. Drain the fabric inbox as one batch (one coalesced
+            // ack flush).
             let mut batch = Vec::new();
             while let Ok(env) = slot.endpoint.try_recv() {
                 batch.push(env);

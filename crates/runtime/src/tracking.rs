@@ -4,12 +4,11 @@
 //! *this* layer cheap; Algorithm 1 lines 8–11 on send, 15–31 on
 //! deliver).
 //!
-//! Keeping the protocol object in its own lock means the per-message
-//! tracking cost — `on_send` piggyback construction, the delivery
-//! gate, `on_deliver` merge — is paid without holding the delivery
-//! buffer, the transport's channels, or the recovery bookkeeping.
-//! [`TrackingStats`] lives here too because every counter it holds is
-//! incremented next to a protocol call.
+//! The wrapper exists to time the protocol calls: the per-message
+//! tracking cost — `on_send` piggyback construction, `on_deliver`
+//! merge — is measured here, next to the call, and [`TrackingStats`]
+//! lives here because every counter it holds is incremented next to a
+//! protocol call. Part of the kernel's `State` (see [`crate::kernel`]).
 
 use crate::clock::Clock;
 use lclog_core::{
@@ -19,8 +18,8 @@ use lclog_core::{
 /// Protocol box + the statistics measured around its calls.
 pub(crate) struct Tracking {
     pub protocol: Box<dyn LoggingProtocol>,
-    /// `last_send_index` vector (Algorithm 1 line 8). Bumped under the
-    /// same lock as the protocol's `on_send`, so per-destination
+    /// `last_send_index` vector (Algorithm 1 line 8). Bumped in the
+    /// same call as the protocol's `on_send`, so per-destination
     /// protocol state and index order agree.
     pub last_send_index: CounterVector,
     pub stats: TrackingStats,
