@@ -19,7 +19,7 @@
 //!   replay).
 //!
 //! Run everything with `cargo run -p lclog-bench --bin reproduce
-//! --release`; Criterion variants live in `benches/`.
+//! --release`.
 
 #![warn(missing_docs)]
 

@@ -265,7 +265,7 @@ fn dependent(a: &Alt, b: &Alt) -> bool {
         // sends they trigger only park frames on disjoint channels.
         (Alt::Deliver { rank: r1, .. }, Alt::Deliver { rank: r2, .. }) => r1 == r2,
         // Releases into different destinations touch disjoint arrival
-        // queues (their ack traffic lands on per-peer shards, which
+        // queues (their ack traffic lands on per-peer channels, which
         // commute); into the same destination they race on arrival
         // order, which ANY_SOURCE extraction can observe.
         (Alt::Release { dst: d1, .. }, Alt::Release { dst: d2, .. }) => d1 == d2,

@@ -13,38 +13,29 @@
 //! | `rec` ([`crate::recovery`])       | state machine, sender log, suppression bound, checkpoints | 8–9, 12, 32–53 |
 //! | `trk` ([`crate::tracking`])       | `LoggingProtocol` box, `last_send_index`, stats           | 10–11, 15–31   |
 //! | `del` ([`crate::delivery`])       | receiving queue, `last_deliver_index`                     | 13–17          |
+//! | `transport` ([`crate::transport`]) | CRC framing, sequencing, dedup, ack/retransmit, fencing  | —              |
 //! | `acked`, `detector`, `resync_pacer` | rendezvous acks, φ-accrual detector, `RESYNC_REQ` pacing | —              |
 //!
-//! Below the state lock sit only the transport's per-peer channel
-//! shards (and, below those, its ack-dirty list); the transport never
-//! calls back into the kernel, so a send is legal with the lock held.
+//! Every public call is one critical section, and whatever it sends
+//! goes out inside it — the fabric send never blocks — so send order,
+//! wire order and log order agree by construction. Two things are kept
+//! off the lock:
 //!
-//! Who holds the state lock across what:
+//! * the CRC check and frame decode of an inbound envelope, pure
+//!   functions of the envelope, run before it
+//!   ([`Kernel::ingest_batch`] re-locks per envelope);
+//! * a log resend burst answering `ROLLBACK` or `RESPONSE` is as long
+//!   as the sender log, so it goes out [`RESEND_CHUNK`] frames at a
+//!   time with the lock dropped between chunks.
 //!
-//! * [`Kernel::app_send`] — index bump, piggyback, suppression check,
-//!   transmit, log insert: send order, wire order and log order agree
-//!   by construction, and `ROLLBACK` / `RESPONSE` / checkpoint / GC
-//!   see a log that contains exactly the sends that went out.
-//! * [`Kernel::try_deliver`] — FIFO + protocol gate, queue extraction,
-//!   piggyback merge, counter bump. The rendezvous ack and the TEL
-//!   determinants go out after the unlock.
-//! * one inbound wire message ([`Kernel::ingest_batch`] re-locks per
-//!   envelope; the transport strips its frame before the lock).
-//! * [`Kernel::do_checkpoint`] — image assembly and the stable-store
-//!   write; [`Kernel::restore`], [`Kernel::begin_recovery`] and a
-//!   `ROLLBACK` (re)broadcast, whole.
-//! * [`Kernel::tick`] — resync pacing, detector poll, heartbeats and
-//!   the rebroadcast check, once; the transport's retransmit pass runs
-//!   before it, unlocked.
+//! Sections proportional to n are accepted: the `CHECKPOINT_ADVANCE`
+//! fan-out, a `ROLLBACK` (re)broadcast, heartbeats, the tick's scan of
+//! the peer table.
 //!
-//! Never under the lock, because their length is the sender log's:
-//! the `CHECKPOINT_ADVANCE` fan-out of `do_checkpoint` and the log
-//! resend bursts answering `ROLLBACK` and `RESPONSE`.
-//!
-//! `fenced` and `desynced` stay atomics: engines poll them between
-//! kernel calls. Cumulative transport acks are batched: the transport
-//! marks channels dirty and [`Kernel::ingest_batch`] flushes one ack
-//! per peer per batch instead of one frame per frame.
+//! `fenced` and `desynced` are atomics beside the lock: engines poll
+//! them between kernel calls. Cumulative transport acks are batched:
+//! the transport marks channels dirty and [`Kernel::ingest_batch`]
+//! flushes one ack per peer per batch instead of one frame per frame.
 
 use crate::backoff::RetryBackoff;
 use crate::config::RunConfig;
@@ -60,7 +51,7 @@ use crate::recovery::{RecoveryLayer, RecoveryPhase, Transition};
 use crate::recvq::Pending;
 use crate::replicator::Replicator;
 use crate::tracking::Tracking;
-use crate::transport::{DataPlaneStats, Transport, TransportConfig};
+use crate::transport::{decode_envelope, DataPlaneStats, Ingest, Transport, TransportConfig};
 use bytes::Bytes;
 use lclog_core::{make_protocol, CounterVector, DeliveryVerdict, MembershipView, Rank, TrackingStats};
 use lclog_simnet::{Envelope, SimNet};
@@ -137,10 +128,10 @@ pub struct Kernel {
     /// TEL event-logger service rank (slot `n`), when the protocol
     /// uses one. Constant per protocol kind.
     logger: Option<Rank>,
-    /// Mirror of the transport's self-fenced flag: a membership view
-    /// (or a peer's `Fenced` notice) declared this incarnation dead.
-    /// Engines poll it in `check_live` and surface
-    /// [`crate::Fault::Fenced`].
+    /// A membership view (or a peer's `Fenced` notice) declared this
+    /// incarnation dead; stored in the critical section in which the
+    /// transport reached that verdict. Engines poll it in `check_live`
+    /// and surface [`crate::Fault::Fenced`].
     fenced: AtomicBool,
     /// Set when the tracking merge rejected a gate-approved message:
     /// the protocol state can no longer be trusted. Engines poll it in
@@ -149,9 +140,6 @@ pub struct Kernel {
     /// process.
     desynced: AtomicBool,
     state: Mutex<State>,
-    /// CRC framing, sequencing, dedup, ack/retransmit, fencing — every
-    /// wire message crosses it. Sharded per peer, `&self` throughout.
-    transport: Transport,
     /// Structured timeline collector (disabled by default).
     events: EventSink,
 }
@@ -161,6 +149,11 @@ struct State {
     rec: RecoveryLayer,
     trk: Tracking,
     del: Delivery,
+    /// CRC framing, sequencing, dedup, ack/retransmit, fencing — every
+    /// wire message crosses it. Sends to dead ranks are retransmitted
+    /// until the peer's next incarnation answers (or the budget writes
+    /// it off); recovery resends cover anything lost with the old one.
+    transport: Transport,
     /// Highest acknowledged rendezvous send per destination.
     acked: CounterVector,
     /// φ-accrual failure detector (detected-failures mode only).
@@ -183,6 +176,11 @@ impl State {
     }
 }
 
+/// Frames of a log resend burst sent per acquisition of the state
+/// lock: long enough to amortise the lock, short enough that the
+/// rank's other thread waits for microseconds, not for the log.
+const RESEND_CHUNK: usize = 256;
+
 /// Monotone raise: never lowers the stored value.
 fn raise(v: &mut CounterVector, k: Rank, to: u64) {
     if to > v.get(k) {
@@ -195,7 +193,7 @@ impl Kernel {
     pub fn new(me: Rank, n: usize, cfg: RunConfig, net: SimNet, ckpt_store: CheckpointStore) -> Self {
         let protocol = make_protocol(cfg.protocol, me, n);
         let logger = protocol.wants_event_logger().then(|| crate::logger_rank(n));
-        let transport = Transport::new(
+        let mut transport = Transport::new(
             me,
             net.n(),
             net.clone(),
@@ -210,11 +208,12 @@ impl Kernel {
         let detector = cfg.detector.map(|dcfg| Detector::new(me, n, dcfg, now));
         // With a detector, retransmit-budget exhaustion is a suspicion
         // input, not a unilateral `unreachable` verdict.
-        transport.set_suspicion_mode(detector.is_some());
+        transport.suspicion_mode = detector.is_some();
         let state = State {
             rec: RecoveryLayer::new(n, ckpt_store, now),
             trk: Tracking::new(protocol, n, cfg.clock.clone()),
             del: Delivery::new(n),
+            transport,
             acked: CounterVector::zeroed(n),
             detector,
             resync_pacer: ResyncPacer::new(me, n, &cfg),
@@ -228,7 +227,6 @@ impl Kernel {
             fenced: AtomicBool::new(false),
             desynced: AtomicBool::new(false),
             state: Mutex::new(state),
-            transport,
             events: EventSink::disabled(),
         }
     }
@@ -238,20 +236,20 @@ impl Kernel {
     /// fresh sequence space from stale duplicates. Must be called
     /// before any traffic when the incarnation is not the first.
     pub fn set_incarnation(&mut self, incarnation: u64) {
-        self.transport.set_epoch(incarnation);
+        self.state.get_mut().transport.set_epoch(incarnation);
     }
 
     /// The blocking engine's rendezvous state for `dst`:
     /// `(highest acked send_index, peer written off)`.
     pub fn rendezvous_progress(&self, dst: Rank) -> (u64, bool) {
-        let acked = self.state.lock().acked.get(dst);
-        (acked, self.transport.peer_unreachable(dst))
+        let st = self.state.lock();
+        (st.acked.get(dst), st.transport.peer_unreachable(dst))
     }
 
     /// Attach a timeline collector (see [`crate::events`]). Call
     /// before the kernel is shared with the engine.
     pub fn set_event_sink(&mut self, sink: EventSink) {
-        self.transport.set_event_sink(sink.clone());
+        self.state.get_mut().transport.events = sink.clone();
         self.events = sink;
     }
 
@@ -287,10 +285,10 @@ impl Kernel {
             acked: st.acked.clone(),
             recovery_phase: st.rec.machine.phase().clone(),
             queued: st.del.queue.len(),
-            dup_discarded: self.transport.dup_discarded(),
-            corrupt_detected: self.transport.corrupt_detected(),
-            fenced_rejected: self.transport.fenced_rejected(),
-            data_plane: self.transport.data_plane(),
+            dup_discarded: st.transport.dup_discarded,
+            corrupt_detected: st.transport.corrupt_detected,
+            fenced_rejected: st.transport.fenced_rejected,
+            data_plane: st.transport.dp.clone(),
         }
     }
 
@@ -334,26 +332,6 @@ impl Kernel {
     /// determinants are unstable).
     pub fn send_ready(&self) -> bool {
         self.state.lock().trk.protocol.send_ready()
-    }
-
-    /// Send one wire message reliably to `dst`. Every wire message
-    /// crosses the transport: CRC framing, sequencing and
-    /// ack/retransmit mask the chaos fabric's drops, duplicates and
-    /// corruptions. Sends to dead ranks are retransmitted until the
-    /// peer's next incarnation answers (or the budget writes it off);
-    /// recovery resends cover anything lost with the old incarnation.
-    /// Returns the encoded-message region of the built frame as a
-    /// zero-copy window. Locks only the destination's channel shard.
-    fn send_wire(&self, dst: Rank, msg: &WireMsg) -> Bytes {
-        self.transport.send_msg(dst, msg)
-    }
-
-    /// Mirror the transport's self-fenced verdict (a `FENCED` notice
-    /// or a membership view lands entirely inside the transport).
-    fn mirror_fence(&self) {
-        if self.transport.is_self_fenced() {
-            self.fenced.store(true, Ordering::Release);
-        }
     }
 
     fn emit_transition(&self, tr: Option<Transition>) {
@@ -419,7 +397,7 @@ impl Kernel {
                 needs_ack,
                 data,
             });
-            let inner = self.send_wire(dst, &msg);
+            let inner = st.transport.send_msg(dst, &msg);
             let WireMsg::App(w) = msg else { unreachable!() };
             LogEntry::from_parts(dst as u32, w, inner)
         } else {
@@ -436,21 +414,13 @@ impl Kernel {
     /// rendezvous sends are ever waited on.
     pub fn resend_unacked(&self, dst: Rank, send_index: u64) {
         let mut st = self.state.lock();
-        let wire = st
-            .rec
-            .log
-            .entries_after(dst, send_index - 1)
-            .next()
-            .and_then(|e| (e.send_index == send_index).then(|| e.to_wire()));
-        match wire {
-            Some(inner) => {
-                drop(st);
-                self.transport.send_encoded(dst, inner);
-            }
+        let State { rec, transport, acked, .. } = &mut *st;
+        match rec.log.entries_after(dst, send_index - 1).next() {
+            Some(e) if e.send_index == send_index => transport.send_encoded(dst, e.to_wire()),
             // The entry was released by a CHECKPOINT_ADVANCE: the
             // receiver durably consumed it — an implicit ack.
-            None => raise(&mut st.acked, dst, send_index),
-        }
+            _ => raise(acked, dst, send_index),
+        };
     }
 
     // ---------------------------------------------------------------
@@ -461,8 +431,7 @@ impl Kernel {
     /// coalesced acks. Engines that hold several envelopes should
     /// prefer [`Kernel::ingest_batch`], which pays the flush once.
     pub fn ingest(&self, env: Envelope) {
-        self.ingest_env(env);
-        self.transport.flush_acks();
+        self.ingest_batch([env]);
     }
 
     /// Process a batch of raw envelopes in arrival order, then flush
@@ -471,51 +440,49 @@ impl Kernel {
         for env in envs {
             self.ingest_env(env);
         }
-        self.transport.flush_acks();
+        self.state.lock().transport.flush_acks();
     }
 
-    /// Process one raw envelope without flushing acks. The
-    /// transport strips its frame first — corrupt envelopes are
-    /// NACK'ed, duplicates discarded, and control frames consumed
-    /// without ever reaching the dispatch below (all inside the
-    /// source's channel shard) — then the inner message is applied
-    /// under the state lock.
+    /// Process one raw envelope without flushing acks. CRC check and
+    /// frame decode run before the lock; under it the transport
+    /// strips the frame — corrupt envelopes are NACK'ed, duplicates
+    /// discarded, and control frames consumed without ever reaching
+    /// the dispatch below — and the inner message is applied.
     fn ingest_env(&self, env: Envelope) {
         let src = env.src;
-        let inner = self.transport.ingest(env);
-        self.mirror_fence();
-        // Zero-copy decode: `App` payload and piggyback come out as
-        // windows into the ingested frame, not fresh allocations.
-        let msg = inner.and_then(|inner| {
-            let msg = lclog_wire::decode_from_bytes::<WireMsg>(&inner).ok();
-            // The frame passed its CRC, so a failure here is a codec
-            // bug, not line noise.
-            debug_assert!(msg.is_some(), "undecodable wire message from {src}");
-            msg
-        });
-        if msg.is_none() && self.cfg.detector.is_none() {
-            return;
-        }
+        let frame = decode_envelope(&env);
         let mut st = self.state.lock();
+        let inner = match st.transport.ingest(src, frame) {
+            Ingest::Dropped => {
+                // What was dropped may have been a `FENCED` notice.
+                if st.transport.is_self_fenced() {
+                    self.fenced.store(true, Ordering::Release);
+                }
+                return;
+            }
+            Ingest::Heard => None,
+            Ingest::Data(inner) => Some(inner),
+        };
         // Intact frames double as liveness evidence for the detector.
         if let Some(det) = &mut st.detector {
-            let now = self.cfg.clock.now();
-            self.transport.take_heard(|rank| det.heard(rank, now));
+            det.heard(src, self.cfg.clock.now());
         }
-        let Some(msg) = msg else {
+        // Zero-copy decode: `App` payload and piggyback come out as
+        // windows into the ingested frame, not fresh allocations. Any
+        // fabric peer can frame bytes that are not a message; they are
+        // dropped (the transport has already acknowledged the frame).
+        let Some(Ok(msg)) = inner.map(|b| lclog_wire::decode_from_bytes::<WireMsg>(&b)) else {
             return;
         };
         match msg {
             WireMsg::App(wire) => {
-                let verdict = st.del.admit(src, wire);
-                drop(st);
                 // The re-ack a repetitive rendezvous duplicate is owed.
                 if let Admit::Repetitive {
                     needs_ack: true,
                     send_index,
-                } = verdict
+                } = st.del.admit(src, wire)
                 {
-                    self.send_wire(src, &WireMsg::Ack(send_index));
+                    st.transport.send_msg(src, &WireMsg::Ack(send_index));
                 }
             }
             WireMsg::Ack(idx) => raise(&mut st.acked, src, idx),
@@ -552,16 +519,11 @@ impl Kernel {
                     self.finish_sync(trk, done);
                 }
             }
-            WireMsg::Membership(view) => {
-                drop(st);
-                self.handle_membership(view);
-            }
+            WireMsg::Membership(view) => self.handle_membership(&mut st, view),
             WireMsg::ResyncReq(who) => {
                 debug_assert_eq!(who as Rank, src, "resync request must name its sender");
-                let snap = st.trk.protocol.resync_snapshot(src);
-                drop(st);
-                if let Some(bytes) = snap {
-                    self.send_wire(src, &WireMsg::ResyncSnap(bytes.into()));
+                if let Some(bytes) = st.trk.protocol.resync_snapshot(src) {
+                    st.transport.send_msg(src, &WireMsg::ResyncSnap(bytes.into()));
                 }
             }
             WireMsg::ResyncSnap(bytes) => {
@@ -583,16 +545,15 @@ impl Kernel {
     /// `spec` whose per-sender FIFO predecessor has been delivered and
     /// whose protocol dependency gate opens (lines 15–31). App thread.
     ///
-    /// One critical section: gate, extraction, piggyback merge and
-    /// counter bump see one protocol state and one queue. The
-    /// rendezvous ack and the TEL determinants go out after the
-    /// unlock.
+    /// One critical section: gate, extraction, piggyback merge,
+    /// counter bump, rendezvous ack and TEL determinants see one
+    /// protocol state and one queue.
     pub fn try_deliver(&self, spec: RecvSpec) -> Option<AppMsg> {
         let mut st = self.state.lock();
         if st.holds_delivery() {
             return None;
         }
-        let State { trk, del, .. } = &mut *st;
+        let State { trk, del, transport, .. } = &mut *st;
         let protocol = &trk.protocol;
         let last_deliver_index = &del.last_deliver_index;
         let Pending { src, wire } = del.queue.take_first_matching(spec, |src, idx, piggyback| {
@@ -620,21 +581,16 @@ impl Kernel {
             self.desynced.store(true, Ordering::Release);
             return None;
         }
-        let dets = if self.logger.is_some() {
-            trk.protocol.drain_determinants_for_logger()
-        } else {
-            Vec::new()
-        };
         del.note_delivered(src);
-        drop(st);
         // Rendezvous ack at delivery time (§IV.B), then freshly created
         // determinants to the TEL event logger.
         if wire.needs_ack {
-            self.send_wire(src, &WireMsg::Ack(wire.send_index));
+            transport.send_msg(src, &WireMsg::Ack(wire.send_index));
         }
         if let Some(logger) = self.logger {
+            let dets = trk.protocol.drain_determinants_for_logger();
             if !dets.is_empty() {
-                self.send_wire(logger, &WireMsg::LogDets(dets));
+                transport.send_msg(logger, &WireMsg::LogDets(dets));
             }
         }
         Some(AppMsg {
@@ -682,11 +638,11 @@ impl Kernel {
     ///
     /// The image is assembled and written to stable storage under the
     /// state lock — it has to be one consistent cut of log, counters
-    /// and protocol state. The `CHECKPOINT_ADVANCE` broadcast goes out
-    /// after the unlock.
+    /// and protocol state — and the `CHECKPOINT_ADVANCE` broadcast
+    /// follows in the same section.
     pub fn do_checkpoint(&self, app_state: Vec<u8>, step: u64) {
         let mut st = self.state.lock();
-        let State { rec, trk, del, .. } = &mut *st;
+        let State { rec, trk, del, transport, .. } = &mut *st;
         let image = CheckpointImage {
             step,
             app_state,
@@ -707,31 +663,24 @@ impl Kernel {
         rec.ckpt_store.save(self.me, rec.ckpt_version, &encoded);
         trk.protocol.on_local_checkpoint();
         let total = trk.protocol.delivered_total();
-        let mut advances = Vec::with_capacity(self.n.saturating_sub(1));
+        // The paper notifies only senders whose messages the
+        // checkpoint newly covers; we notify everyone so TAG/TEL peers
+        // can also prune determinant state (`total_delivered` is the
+        // GC horizon). Log release is idempotent.
         for k in 0..self.n {
             if k == self.me {
                 continue;
             }
             let delivered = del.last_deliver_index.get(k);
-            advances.push((
-                k,
-                CkptAdvanceWire {
-                    delivered_from_you: delivered,
-                    total_delivered: total,
-                },
-            ));
             rec.last_ckpt_deliver_index.set(k, delivered);
+            let advance = CkptAdvanceWire {
+                delivered_from_you: delivered,
+                total_delivered: total,
+            };
+            transport.send_msg(k, &WireMsg::CkptAdvance(advance));
         }
         rec.last_ckpt_at = self.cfg.clock.now();
         rec.steps_at_ckpt = step;
-        drop(st);
-        // The paper notifies only senders whose messages the
-        // checkpoint newly covers; we notify everyone so TAG/TEL peers
-        // can also prune determinant state (`total_delivered` is the
-        // GC horizon). Log release is idempotent.
-        for (k, w) in advances {
-            self.send_wire(k, &WireMsg::CkptAdvance(w));
-        }
     }
 
     // ---------------------------------------------------------------
@@ -869,12 +818,13 @@ impl Kernel {
                 epoch: rec.rollback_epoch,
             },
         );
+        let rollback = WireMsg::Rollback(wire);
         for k in targets {
-            self.send_wire(k, &WireMsg::Rollback(wire.clone()));
+            st.transport.send_msg(k, &rollback);
         }
         if let Some(logger) = self.logger {
             if rec.machine.needs_logger_sync() {
-                self.send_wire(logger, &WireMsg::LogQuery(self.me as u32));
+                st.transport.send_msg(logger, &WireMsg::LogQuery(self.me as u32));
             }
         }
         rec.machine.note_broadcast(self.cfg.clock.now());
@@ -882,8 +832,7 @@ impl Kernel {
 
     /// Survivor side of `ROLLBACK` (lines 47–51): answer with our
     /// delivery count and determinant knowledge, then resend logged
-    /// messages the failed process lost. The lock is released before
-    /// the answer and the resend burst go out.
+    /// messages the failed process lost.
     fn handle_rollback(&self, mut st: MutexGuard<'_, State>, src: Rank, w: RollbackWire) {
         // The rollback vector is the *authoritative* post-restore
         // delivery state of src's new incarnation. Anything we
@@ -898,40 +847,58 @@ impl Kernel {
             st.rec.rollback_last_send_index.set(src, upto);
             st.acked.set(src, upto);
         }
-        // Logged wire bytes are resent verbatim — refcount bumps, zero
-        // payload copies; the original piggyback (and `needs_ack`,
-        // which is safe: rendezvous acks are idempotent) ride along
-        // exactly as first framed.
-        let resends: Vec<Bytes> = st
-            .rec
-            .log
-            .entries_after(src, upto.unwrap_or(0))
-            .map(|e| e.to_wire())
-            .collect();
-        let dets = st.trk.protocol.determinants_for(src);
-        let delivered_from_you = st.del.last_deliver_index.get(src);
+        let response = WireMsg::Response(ResponseWire {
+            delivered_from_you: st.del.last_deliver_index.get(src),
+            dets: st.trk.protocol.determinants_for(src),
+            epoch: w.epoch,
+        });
+        st.transport.send_msg(src, &response);
+        // Everything logged so far; a send racing the burst transmits
+        // itself.
+        let last = st.trk.last_send_index.get(src);
         drop(st);
-        self.emit_resent(src, resends.len());
-        self.send_wire(
-            src,
-            &WireMsg::Response(ResponseWire {
-                delivered_from_you,
-                dets,
-                epoch: w.epoch,
-            }),
-        );
-        for inner in resends {
-            self.transport.send_encoded(src, inner);
-        }
+        self.resend_logged(src, upto.unwrap_or(0), last);
         // Anything we had queued from the pre-failure incarnation will
         // be resent/regenerated with identical identities; keeping the
         // queued copies is both correct (dedup by send_index) and
         // faster.
     }
 
-    /// Incarnation side of `RESPONSE` (lines 52–53): recovery info is
-    /// installed and the barrier possibly lifted under the lock; the
-    /// resupply resends go out after it.
+    /// Resend the logged sends to `dst` with `send_index` in
+    /// `(after, upto]`, oldest first. Logged wire bytes go out
+    /// verbatim — refcount bumps, zero payload copies; the original
+    /// piggyback (and `needs_ack`, which is safe: rendezvous acks are
+    /// idempotent) ride along exactly as first framed. The lock is
+    /// taken anew every [`RESEND_CHUNK`] frames.
+    fn resend_logged(&self, dst: Rank, mut after: u64, upto: u64) {
+        let mut count = 0;
+        loop {
+            let mut st = self.state.lock();
+            let State { rec, transport, .. } = &mut *st;
+            let chunk = rec
+                .log
+                .entries_after(dst, after)
+                .take_while(|e| e.send_index <= upto)
+                .take(RESEND_CHUNK);
+            let mut sent = 0;
+            for e in chunk {
+                transport.send_encoded(dst, e.to_wire());
+                after = e.send_index;
+                sent += 1;
+            }
+            count += sent;
+            if sent < RESEND_CHUNK {
+                break;
+            }
+        }
+        if count > 0 {
+            self.events
+                .emit(self.me, EventKind::LogResent { to: dst, count });
+        }
+    }
+
+    /// Incarnation side of `RESPONSE` (lines 52–53): install the
+    /// recovery info, possibly lift the barrier, then resupply.
     fn handle_response(&self, mut st: MutexGuard<'_, State>, src: Rank, w: ResponseWire) {
         let State {
             rec, trk, acked, ..
@@ -946,12 +913,7 @@ impl Kernel {
         // it either — the checkpointed sender log is its only
         // surviving copy. Resend that window; the receiver's dedup
         // absorbs whatever did arrive.
-        let resends: Vec<Bytes> = rec
-            .log
-            .entries_after(src, w.delivered_from_you)
-            .filter(|e| e.send_index <= rec.restored_send_index.get(src))
-            .map(|e| e.to_wire())
-            .collect();
+        let restored = rec.restored_send_index.get(src);
         let (newly, tr) = rec.machine.note_response(src);
         self.emit_transition(tr);
         if newly {
@@ -965,24 +927,14 @@ impl Kernel {
             self.finish_sync(trk, done);
         }
         drop(st);
-        self.emit_resent(src, resends.len());
-        for inner in resends {
-            self.transport.send_encoded(src, inner);
-        }
-    }
-
-    fn emit_resent(&self, to: Rank, count: usize) {
-        if count > 0 {
-            self.events
-                .emit(self.me, EventKind::LogResent { to, count });
-        }
+        self.resend_logged(src, w.delivered_from_you, restored);
     }
 
     /// A certified membership view from the arbiter. Three duties:
     ///
     /// 1. Raise the transport's fence floors, so below-floor
     ///    incarnations are rejected (and notified) from here on — and
-    ///    mirror the verdict if the view fences *us*.
+    ///    publish the verdict if the view fences *us*.
     /// 2. Reset the detector's book on every newly-declared rank: the
     ///    successor incarnation starts with a clean silence clock and
     ///    an unlatched suspicion.
@@ -992,21 +944,13 @@ impl Kernel {
     ///    successor needs our rollback vector, and waiting for the
     ///    retry clock would leave `Replaying{progress}` wedged on a
     ///    corpse for a whole retry interval per cascade link.
-    ///
-    /// The state lock is taken only when the view declared someone
-    /// new.
-    fn handle_membership(&self, view: MembershipView) {
-        let advanced = self
-            .transport
-            .apply_fence_floors(view.epoch, &view.floor);
-        self.mirror_fence();
-        let Some(advanced) = advanced else {
+    fn handle_membership(&self, st: &mut State, view: MembershipView) {
+        let Some(advanced) = st.transport.apply_fence_floors(view.epoch, &view.floor) else {
             return; // stale or already-applied view
         };
-        if advanced.is_empty() {
-            return;
+        if st.transport.is_self_fenced() {
+            self.fenced.store(true, Ordering::Release);
         }
-        let mut st = self.state.lock();
         if let Some(det) = &mut st.detector {
             let now = self.cfg.clock.now();
             for &r in &advanced {
@@ -1018,7 +962,7 @@ impl Kernel {
         }
         let pending = st.rec.machine.pending_targets();
         if advanced.iter().any(|r| pending.contains(r)) {
-            self.broadcast_rollback(&mut st);
+            self.broadcast_rollback(st);
         }
     }
 
@@ -1033,92 +977,71 @@ impl Kernel {
     /// `WireMsg::Membership(view)`; idempotent and safe on stale
     /// views (they are ignored, like any non-advancing view).
     pub fn apply_membership(&self, view: MembershipView) {
-        self.handle_membership(view);
+        self.handle_membership(&mut self.state.lock(), view);
     }
 
-    /// Periodic maintenance: drive the transport's retransmission
-    /// timers, then — under one acquisition of the state lock — pace
-    /// the sparse codec's resync requests, run the failure detector
-    /// (liveness feed, forced suspicions, threshold crossings, idle
-    /// heartbeats) and rebroadcast `ROLLBACK` to peers that have not
-    /// responded (they may have been dead when the first broadcast
-    /// went out — the multi-failure case of Fig. 2); finally flush
-    /// coalesced acks and report new suspicions to the arbiter.
+    /// Periodic maintenance, one critical section: drive the
+    /// transport's retransmission timers, pace the sparse codec's
+    /// resync requests, run the failure detector (forced suspicions,
+    /// threshold crossings, idle heartbeats, reports to the arbiter),
+    /// rebroadcast `ROLLBACK` to peers that have not responded (they
+    /// may have been dead when the first broadcast went out — the
+    /// multi-failure case of Fig. 2) and flush coalesced acks.
     pub fn tick(&self) {
-        let transport = &self.transport;
-        transport.tick();
         let now = self.cfg.clock.now();
-        // (rank, believed incarnation, φ·100) per new suspicion.
-        let mut suspects: Vec<(Rank, u64, u64)> = Vec::new();
-        {
-            let mut st = self.state.lock();
-            // Frames queued behind an undecodable one stay parked
-            // until the snapshot round-trip completes, so the *first*
-            // request goes out on the first tick. Re-requests are
-            // paced by a per-source full-jitter backoff: the protocol
-            // re-queues the request on every gate check while the
-            // snapshot is in flight, and re-sending each tick would be
-            // a request storm that the snapshot sender answers in kind.
-            let resyncs = st.trk.protocol.take_resync_requests();
-            if !resyncs.is_empty() {
-                for src in st.resync_pacer.admit(&resyncs, now) {
-                    self.send_wire(src, &WireMsg::ResyncReq(self.me as u32));
-                }
-            }
-            if let Some(det) = &mut st.detector {
-                transport.take_heard(|r| det.heard(r, now));
-                // Budget exhaustion = forced threshold crossing.
-                let mut crossed: Vec<(Rank, u64)> = Vec::new();
-                for r in transport.take_pending_suspects() {
-                    if det.force_suspect(r) {
-                        crossed.push((r, (det.phi(r, now) * 100.0) as u64));
-                    }
-                }
-                crossed.extend(det.poll(now));
-                if det.heartbeat_due(now) {
-                    for k in 0..self.n {
-                        if k != self.me {
-                            transport.send_heartbeat(k);
-                        }
-                    }
-                }
-                // The believed incarnation: the highest one we have
-                // evidence of — data-frame epochs or heartbeats seen
-                // (`peer_incarnation`), or the membership floor if a
-                // successor has been declared but never spoke. A
-                // stale belief is harmless: the arbiter answers it
-                // with the current view instead of a declaration.
-                for (r, phi_x100) in crossed {
-                    let believed = transport
-                        .peer_incarnation(r)
-                        .max(transport.fence_floor(r))
-                        .max(1);
-                    suspects.push((r, believed, phi_x100));
-                }
-            }
-            if st.rec.machine.rebroadcast_due(self.cfg.retry_interval, now) {
-                self.broadcast_rollback(&mut st);
+        let mut st = self.state.lock();
+        let State { trk, transport, detector, resync_pacer, .. } = &mut *st;
+        let overdue = transport.tick();
+        // Frames queued behind an undecodable one stay parked until
+        // the snapshot round-trip completes, so the *first* request
+        // goes out on the first tick. Re-requests are paced by a
+        // per-source full-jitter backoff: the protocol re-queues the
+        // request on every gate check while the snapshot is in flight,
+        // and re-sending each tick would be a request storm that the
+        // snapshot sender answers in kind.
+        let resyncs = trk.protocol.take_resync_requests();
+        if !resyncs.is_empty() {
+            for src in resync_pacer.admit(&resyncs, now) {
+                transport.send_msg(src, &WireMsg::ResyncReq(self.me as u32));
             }
         }
-        transport.flush_acks();
-        self.mirror_fence();
-        for (r, incarnation, phi_x100) in suspects {
-            self.events.emit(
-                self.me,
-                EventKind::PeerSuspected {
-                    peer: r,
-                    incarnation,
-                    phi_x100,
-                },
-            );
-            self.send_wire(
-                crate::logger_rank(self.n),
-                &WireMsg::Suspect(SuspectWire {
+        if let Some(det) = detector {
+            // Budget exhaustion = forced threshold crossing.
+            let mut crossed: Vec<(Rank, u64)> = Vec::new();
+            for r in overdue {
+                if det.force_suspect(r) {
+                    crossed.push((r, (det.phi(r, now) * 100.0) as u64));
+                }
+            }
+            crossed.extend(det.poll(now));
+            if det.heartbeat_due(now) {
+                for k in 0..self.n {
+                    if k != self.me {
+                        transport.send_heartbeat(k);
+                    }
+                }
+            }
+            for (r, phi_x100) in crossed {
+                let incarnation = transport.believed_incarnation(r);
+                self.events.emit(
+                    self.me,
+                    EventKind::PeerSuspected {
+                        peer: r,
+                        incarnation,
+                        phi_x100,
+                    },
+                );
+                let suspect = WireMsg::Suspect(SuspectWire {
                     rank: r as u32,
                     incarnation,
-                }),
-            );
+                });
+                transport.send_msg(crate::logger_rank(self.n), &suspect);
+            }
         }
+        if st.rec.machine.rebroadcast_due(self.cfg.retry_interval, now) {
+            self.broadcast_rollback(&mut st);
+        }
+        st.transport.flush_acks();
     }
 
     /// The backing store checkpoints were written to (tests re-create
@@ -1209,8 +1132,7 @@ impl ResyncPacer {
 impl std::fmt::Debug for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let st = self.state.lock();
-        let State { rec, trk, del, .. } = &*st;
-        let transport = &self.transport;
+        let State { rec, trk, del, transport, .. } = &*st;
         f.debug_struct("Kernel")
             .field("me", &self.me)
             .field("n", &self.n)
@@ -1223,10 +1145,10 @@ impl std::fmt::Debug for Kernel {
             .field("last_deliver", &del.last_deliver_index.as_slice())
             .field("delivered_total", &trk.protocol.delivered_total())
             .field("recovery_phase", rec.machine.phase())
-            .field("dup_discarded", &transport.dup_discarded())
-            .field("corrupt_detected", &transport.corrupt_detected())
-            .field("fence_epoch", &transport.fence_epoch())
-            .field("fenced_rejected", &transport.fenced_rejected())
+            .field("dup_discarded", &transport.dup_discarded)
+            .field("corrupt_detected", &transport.corrupt_detected)
+            .field("fence_epoch", &transport.fence_epoch)
+            .field("fenced_rejected", &transport.fenced_rejected)
             .field("channels", &transport.channel_summary())
             .finish()
     }
@@ -1265,6 +1187,17 @@ mod tests {
         while let Ok(env) = ep.try_recv() {
             kernel.ingest(env);
         }
+    }
+
+    /// A bare endpoint at slot `me`: frames whatever the test says.
+    fn raw_peer(me: Rank, net: &SimNet) -> Transport {
+        let cfg = TransportConfig {
+            timeout: Duration::from_millis(2),
+            cap: Duration::from_millis(50),
+            budget: 40,
+            clock: crate::clock::Clock::Real,
+        };
+        Transport::new(me, net.n(), net.clone(), cfg)
     }
 
     #[test]
@@ -1625,6 +1558,50 @@ mod tests {
         );
     }
 
+    #[test]
+    fn crc_valid_frame_around_garbage_is_dropped_not_panicked() {
+        // Any fabric peer can frame bytes that are not a wire message.
+        let (ks, net, eps) = harness(2, ProtocolKind::Tdi);
+        raw_peer(crate::logger_rank(2), &net).send_encoded(1, Bytes::from_static(&[0xFF]));
+        ks[0].app_send(1, 0, Bytes::from_static(b"real"), false);
+        pump(&ks[1], &eps[1]);
+        assert_eq!(ks[1].snapshot().queued, 1);
+        assert_eq!(&ks[1].try_deliver(RecvSpec::any()).unwrap().data[..], b"real");
+    }
+
+    // Both ways an incarnation learns it was declared dead must reach
+    // the flag engines poll before the carrying `ingest_batch` returns.
+    #[test]
+    fn fencing_verdicts_reach_the_polled_flag_within_the_ingest_call() {
+        let view = |epoch, floor: [u64; 2]| MembershipView { epoch, floor: floor.to_vec() };
+        // A `FENCED` notice: rank 1 holds a view that fences rank 0's
+        // incarnation 1, so rank 0's next frame draws the notice.
+        let (ks, _net, eps) = harness(2, ProtocolKind::Tdi);
+        ks[1].apply_membership(view(1, [2, 1]));
+        for rejected in 1..=2 {
+            ks[0].app_send(1, 0, Bytes::from_static(b"zombie"), false);
+            pump(&ks[1], &eps[1]);
+            assert_eq!(ks[1].snapshot().fenced_rejected, rejected);
+            assert!(ks[1].try_deliver(RecvSpec::any()).is_none());
+        }
+        assert!(!ks[0].is_fenced() && !ks[1].is_fenced());
+        pump(&ks[0], &eps[0]);
+        assert!(ks[0].is_fenced());
+
+        // A membership view over the wire, from the arbiter's slot.
+        let (ks, net, eps) = harness(2, ProtocolKind::Tdi);
+        let mut arbiter = raw_peer(crate::logger_rank(2), &net);
+        arbiter.send_msg(0, &WireMsg::Membership(view(1, [1, 1])));
+        // Stale (epoch not above the applied one): changes nothing.
+        arbiter.send_msg(0, &WireMsg::Membership(view(1, [2, 1])));
+        pump(&ks[0], &eps[0]);
+        assert!(!ks[0].is_fenced());
+        // Newer, with a floor above our incarnation: fenced.
+        arbiter.send_msg(0, &WireMsg::Membership(view(2, [2, 1])));
+        pump(&ks[0], &eps[0]);
+        assert!(ks[0].is_fenced());
+    }
+
     // Duplicate-suppression audit: a respawned incarnation re-executes
     // its sends with *reused* send_indexes. If the receiver still holds
     // the pre-crash copy in its queue, the resend must be recognized as
@@ -1671,42 +1648,93 @@ mod tests {
     #[test]
     fn concurrent_send_and_ingest_keep_counters_exact() {
         // Rank 0's app thread hammers app_send while another thread
-        // concurrently ingests rank 0's inbound rendezvous acks, the
-        // way a comm thread would. Every send must be counted once and
-        // every message delivered once.
-        let (mut ks, _net, mut eps) = harness(2, ProtocolKind::Tdi);
+        // concurrently ingests rank 0's inbound traffic, the way a
+        // comm thread would: first rendezvous acks, then a ROLLBACK
+        // answered from the whole log. Every send must be counted
+        // once and every message delivered once.
+        use std::time::Instant;
+
+        let (mut ks, net, mut eps) = harness(2, ProtocolKind::Tdi);
         let k1 = ks.pop().unwrap();
-        let k0 = Arc::new(ks.pop().unwrap());
+        let mut k0 = ks.pop().unwrap();
+        let sink = EventSink::recording();
+        k0.set_event_sink(sink.clone());
+        let k0 = Arc::new(k0);
         let ep1 = eps.pop().unwrap();
         let ep0 = eps.pop().unwrap();
-        let sends = 2_000u64;
+        let stop = Arc::new(AtomicBool::new(false));
         let ingester = {
-            let k0 = Arc::clone(&k0);
+            let (k0, stop) = (Arc::clone(&k0), Arc::clone(&stop));
             std::thread::spawn(move || {
-                // Every rendezvous send produces exactly one Ack frame.
-                let mut seen = 0u64;
-                while seen < sends {
+                while !stop.load(Ordering::Acquire) {
                     match ep0.try_recv() {
-                        Ok(env) => {
-                            k0.ingest(env);
-                            seen += 1;
-                        }
+                        Ok(env) => k0.ingest(env),
                         Err(_) => std::hint::spin_loop(),
                     }
                 }
             })
         };
-        for i in 0..sends {
-            k0.app_send(1, 0, Bytes::from(vec![i as u8; 16]), true);
+        // Each payload is its own send_index.
+        let mut next = 0u64;
+        let mut send = |needs_ack| {
+            next += 1;
+            k0.app_send(1, 0, Bytes::copy_from_slice(&next.to_le_bytes()), needs_ack);
+        };
+        let logged = 10_000u64;
+        for _ in 0..logged {
+            send(true);
             // Keep rank 1 consuming so acks flow back.
             pump(&k1, &ep1);
             while k1.try_deliver(RecvSpec::any()).is_some() {}
         }
-        pump(&k1, &ep1);
-        while k1.try_deliver(RecvSpec::any()).is_some() {}
+        assert_eq!(k0.snapshot().stats.sends, logged);
+        assert_eq!(k1.snapshot().stats.delivers, logged);
+
+        // Rank 1 dies with nothing checkpointed; its successor's
+        // ROLLBACK makes the ingester resend the whole log. This
+        // thread keeps the app side of rank 0 going from before the
+        // burst starts until the timeline says it is over.
+        net.kill(1);
+        let ep1b = net.respawn(1);
+        let store = CheckpointStore::new(k1.ckpt_storage());
+        let mut k1b = Kernel::new(1, 2, RunConfig::new(ProtocolKind::Tdi), net.clone(), store);
+        k1b.set_incarnation(2);
+        k1b.begin_recovery();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let resent = loop {
+            send(false);
+            assert!(k0.try_deliver(RecvSpec::any()).is_none());
+            let burst = sink.take().into_iter().find_map(|e| match e.kind {
+                EventKind::LogResent { to: 1, count } => Some(count as u64),
+                _ => None,
+            });
+            if let Some(count) = burst {
+                break count;
+            }
+            assert!(Instant::now() < deadline, "resend burst stalled");
+        };
+        let snap = k0.snapshot();
+        let sends = snap.stats.sends;
+        assert!(resent >= logged && resent <= sends);
+        assert_eq!(snap.data_plane.zero_copy_resends, resent);
+        assert_eq!(snap.log_entries as u64, sends);
+
+        // The successor admits every send_index — resent or fresh,
+        // however the two interleaved on the wire — exactly once.
+        let mut expected = 1u64;
+        while expected <= sends {
+            pump(&k1b, &ep1b);
+            while let Some(msg) = k1b.try_deliver(RecvSpec::any()) {
+                assert_eq!(msg.data[..], expected.to_le_bytes());
+                expected += 1;
+            }
+            assert!(Instant::now() < deadline, "replay stalled at {expected}");
+        }
+        stop.store(true, Ordering::Release);
         ingester.join().unwrap();
-        assert_eq!(k0.snapshot().stats.sends, sends);
-        assert_eq!(k1.snapshot().stats.delivers, sends);
+        let snap = k1b.snapshot();
+        assert_eq!((snap.stats.delivers, snap.queued), (sends, 0));
+        assert_eq!(snap.recovery_phase, RecoveryPhase::Synced);
     }
 
     #[test]

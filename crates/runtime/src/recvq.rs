@@ -135,7 +135,14 @@ impl RecvQueue {
         spec: RecvSpec,
         gate: &mut impl FnMut(Rank, u64, &[u8]) -> bool,
     ) -> Option<usize> {
-        self.lanes[src].entries.iter().position(|s| {
+        let entries = &self.lanes[src].entries;
+        // At large n nearly every lane is empty and a deliver is this
+        // scan; the explicit test keeps an empty lane to one compare
+        // however the closure chain below happens to be inlined.
+        if entries.is_empty() {
+            return None;
+        }
+        entries.iter().position(|s| {
             spec.matches(src, s.wire.tag) && gate(src, s.wire.send_index, &s.wire.piggyback)
         })
     }

@@ -21,7 +21,7 @@ use crate::clock::Clock;
 use crate::detector::MembershipTable;
 use crate::events::{EventKind, EventSink};
 use crate::message::WireMsg;
-use crate::transport::{Transport, TransportConfig};
+use crate::transport::{decode_envelope, Ingest, Transport, TransportConfig};
 use lclog_core::{Determinant, Rank};
 use lclog_simnet::{Endpoint, RecvError, SimNet};
 use lclog_stable::StableStorage;
@@ -67,7 +67,7 @@ pub fn spawn_event_logger(
                     clock: Clock::Real,
                 },
             );
-            transport.set_event_sink(sink.clone());
+            transport.events = sink.clone();
             // In-memory mirror of stable storage for fast queries; the
             // stable copy is authoritative and written first.
             let mut dets: HashMap<Rank, Vec<Determinant>> = HashMap::new();
@@ -86,12 +86,12 @@ pub fn spawn_event_logger(
                     Err(_) => return,
                 };
                 let src = env.src;
-                let inner = transport.ingest(env);
+                let got = transport.ingest(src, decode_envelope(&env));
                 // Inbound data frames mark their channel ack-pending;
                 // the service is single-threaded and cold, so flush
                 // the coalesced ack right away.
                 transport.flush_acks();
-                let Some(inner) = inner else {
+                let Ingest::Data(inner) = got else {
                     continue;
                 };
                 backoff.reset();
