@@ -29,24 +29,24 @@
 //! processing is order-insensitive at the reliability layer), sends,
 //! source-specific receives (delivery order already fixed by channel
 //! FIFO), checkpoints at fixed program positions, and zombie
-//! retirement. Recovery after an injected fault rides the *real*
-//! protocol machinery — `begin_recovery`, `ROLLBACK` broadcast,
-//! survivor `RESPONSE`s and sender-log resends — with the resent data
+//! retirement. An injected fault goes through the runtime's own
+//! incarnation lifecycle ([`RunEnv::lose`] / [`RunEnv::respawn`], the
+//! code every engine runs) and recovery rides the *real* protocol
+//! machinery — `begin_recovery`, `ROLLBACK` broadcast, survivor
+//! `RESPONSE`s and sender-log resends — with the resent data
 //! frames parking in held channels like any other send, so the
 //! interleaving of recovery traffic with ordinary traffic is itself
 //! explored.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use lclog_core::{MembershipView, ProtocolKind, Rank};
 use lclog_runtime::{
-    payload_is_app_frame, AppMsg, CheckpointPolicy, Clock, EventSink, Kernel, RecvSpec,
-    RunConfig,
+    payload_is_app_frame, AppMsg, CheckpointPolicy, Clock, ClusterConfig, Death, Kernel, RecvSpec,
+    RunConfig, RunEnv, RETRY_INTERVAL,
 };
-use lclog_simnet::{Endpoint, NetConfig, SimClock, SimNet};
-use lclog_stable::{CheckpointStore, MemStore};
+use lclog_simnet::{Endpoint, NetConfig, SimClock};
 
 use crate::decider::Decider;
 use crate::trace::Trace;
@@ -306,11 +306,11 @@ const MAX_TICK_ESCAPES: usize = 16;
 /// fabric, plus the bookkeeping fault injection needs.
 struct World<'w> {
     workload: &'w Workload,
-    kind: ProtocolKind,
     n: usize,
     clock: SimClock,
-    net: SimNet,
-    store: CheckpointStore,
+    /// The runtime's own incarnation lifecycle: the crash, wipe and
+    /// respawn the explorer injects are the ones that ship.
+    env: RunEnv,
     kernels: Vec<Kernel>,
     endpoints: Vec<Endpoint>,
     state: Vec<u64>,
@@ -331,23 +331,23 @@ impl<'w> World<'w> {
     fn new(workload: &'w Workload, kind: ProtocolKind) -> Self {
         let n = workload.n;
         let clock = SimClock::new();
-        // Slot n is reserved for the TEL event logger by convention;
-        // TDI never talks to it, but sizing the fabric identically to
-        // the real cluster keeps rank arithmetic the same.
-        let net = SimNet::new(n + 1, NetConfig::held());
-        let store = CheckpointStore::new(Arc::new(MemStore::new()));
-        let kernels: Vec<Kernel> = (0..n)
-            .map(|r| Kernel::new(r, n, Self::run_config(kind, &clock), net.clone(), store.clone()))
-            .collect();
-        let endpoints: Vec<Endpoint> = (0..n).map(|r| net.attach(r)).collect();
+        // `log_gc_lag` keeps one checkpoint generation of sender logs
+        // resendable past the GC horizon — the runtime's contract for
+        // node-loss restores, and what makes `Alt::CrashWipe` (restore
+        // falls back past the wiped checkpoint) recoverable.
+        let run = RunConfig::new(kind)
+            .with_checkpoint(CheckpointPolicy::Never)
+            .with_log_gc_lag(true)
+            .with_clock(Clock::Sim(clock.clone()));
+        let cfg = ClusterConfig::new(n, run).with_net(NetConfig::held());
+        let env = RunEnv::open(&cfg, None).expect("in-memory storage opens");
+        let endpoints = env.attach();
         World {
             workload,
-            kind,
             n,
             clock,
-            net,
-            store,
-            kernels,
+            kernels: (0..n).map(|r| env.boot(r)).collect(),
+            env,
             endpoints,
             state: vec![0u64; n],
             pc: vec![0usize; n],
@@ -358,17 +358,6 @@ impl<'w> World<'w> {
             delivered: 0,
             faults_injected: 0,
         }
-    }
-
-    fn run_config(kind: ProtocolKind, clock: &SimClock) -> RunConfig {
-        // `log_gc_lag` keeps one checkpoint generation of sender logs
-        // resendable past the GC horizon — the runtime's contract for
-        // node-loss restores, and what makes `Alt::CrashWipe` (restore
-        // falls back past the wiped checkpoint) recoverable.
-        RunConfig::new(kind)
-            .with_checkpoint(CheckpointPolicy::Never)
-            .with_log_gc_lag(true)
-            .with_clock(Clock::Sim(clock.clone()))
     }
 
     fn done(&self, r: Rank) -> bool {
@@ -414,15 +403,15 @@ impl<'w> World<'w> {
             // rollback/response traffic, membership, fence notices)
             // at channel heads. Application frames stay parked —
             // releasing them is a choice.
-            for (src, dst, _) in self.net.held_channels() {
+            for (src, dst, _) in self.env.net().held_channels() {
                 if src >= self.n || dst >= self.n {
                     continue;
                 }
-                while let Some(head) = self.net.held_head(src, dst) {
+                while let Some(head) = self.env.net().held_head(src, dst) {
                     if payload_is_app_frame(&head) {
                         break;
                     }
-                    self.net.held_deliver(src, dst);
+                    self.env.net().held_deliver(src, dst);
                     progress = true;
                 }
             }
@@ -483,7 +472,7 @@ impl<'w> World<'w> {
         for r in 0..self.n {
             if self.zombie[r] && (self.kernels[r].is_fenced() || self.done(r)) {
                 self.zombie[r] = false;
-                self.crash_respawn(r, false);
+                self.crash_respawn(r, Death::Fenced);
                 retired = true;
             }
         }
@@ -495,32 +484,20 @@ impl<'w> World<'w> {
     /// crash semantics); frames it already sent stay parked — a crash
     /// cannot recall datagrams, and the survivors' dedup machinery
     /// must absorb whichever copies the schedule later releases.
-    fn crash_respawn(&mut self, rank: Rank, wipe: bool) {
-        self.net.kill(rank);
-        for src in 0..self.n {
-            while self.net.held_deliver(src, rank) {}
-        }
-        if wipe {
-            self.store.clear_rank(rank);
-        }
-        self.endpoints[rank] = self.net.respawn(rank);
+    fn crash_respawn(&mut self, rank: Rank, death: Death) {
+        let pc = self.pc[rank] as u64;
+        self.env
+            .lose(rank, self.incarnation[rank], pc, &self.kernels[rank], death);
         self.incarnation[rank] += 1;
-        let (k, restored) = Kernel::respawn(
-            rank,
-            self.n,
-            Self::run_config(self.kind, &self.clock),
-            self.net.clone(),
-            self.store.clone(),
-            self.incarnation[rank],
-            EventSink::disabled(),
-            None,
-            // `checkpoint_if_due` images are `pc | state`, 8 bytes each.
-            |app| Some(u64::from_le_bytes(app.get(8..16)?.try_into().ok()?)),
-        );
+        // `checkpoint_if_due` images are `pc | state`, 8 bytes each.
+        let (kernel, endpoint, restored) = self.env.respawn(rank, self.incarnation[rank], |app| {
+            Some(u64::from_le_bytes(app.get(8..16)?.try_into().ok()?))
+        });
         let (pc, state) = restored.unwrap_or((0, 0));
         self.pc[rank] = pc as usize;
         self.state[rank] = state;
-        self.kernels[rank] = k;
+        self.kernels[rank] = kernel;
+        self.endpoints[rank] = endpoint;
     }
 
     /// Synthesize the certified membership view a real arbiter would
@@ -539,7 +516,7 @@ impl<'w> World<'w> {
                     self.kernels[s].apply_membership(view.clone());
                 }
             }
-            self.crash_respawn(rank, false);
+            self.crash_respawn(rank, Death::Process);
             self.kernels[rank].apply_membership(view);
         } else {
             for s in 0..self.n {
@@ -562,15 +539,15 @@ impl<'w> World<'w> {
                 }
             }
             Alt::Release { src, dst } => {
-                self.net.held_deliver(src, dst);
+                self.env.net().held_deliver(src, dst);
             }
             Alt::Crash { rank } => {
                 self.faults_injected += 1;
-                self.crash_respawn(rank, false);
+                self.crash_respawn(rank, Death::Process);
             }
             Alt::CrashWipe { rank } => {
                 self.faults_injected += 1;
-                self.crash_respawn(rank, true);
+                self.crash_respawn(rank, Death::Node { torn_upload: false });
             }
             Alt::Suspect { rank, real } => {
                 self.faults_injected += 1;
@@ -601,11 +578,11 @@ impl<'w> World<'w> {
                 }
             }
         }
-        for (src, dst, len) in self.net.held_channels() {
+        for (src, dst, len) in self.env.net().held_channels() {
             if src >= self.n || dst >= self.n || len == 0 {
                 continue;
             }
-            if let Some(head) = self.net.held_head(src, dst) {
+            if let Some(head) = self.env.net().held_head(src, dst) {
                 if payload_is_app_frame(&head) {
                     alts.push(Alt::Release { src, dst });
                 }
@@ -624,7 +601,7 @@ impl<'w> World<'w> {
             if quiescent {
                 let eligible: Vec<Rank> = (0..self.n)
                     .filter(|&r| {
-                        self.net.is_alive(r) && !self.kernels[r].is_fenced() && !self.done(r)
+                        self.env.net().is_alive(r) && !self.kernels[r].is_fenced() && !self.done(r)
                     })
                     .collect();
                 if budget.crashes > 0 {
@@ -712,10 +689,9 @@ pub fn run_schedule_cfg(
                 && world.kernels.iter().any(|k| k.is_recovering())
             {
                 escapes += 1;
-                let interval = world.kernels[0].cfg().retry_interval;
-                world.clock.advance(interval + Duration::from_millis(1));
+                world.clock.advance(RETRY_INTERVAL + Duration::from_millis(1));
                 for r in 0..world.n {
-                    if world.net.is_alive(r) {
+                    if world.env.net().is_alive(r) {
                         world.kernels[r].tick();
                     }
                 }

@@ -1,28 +1,29 @@
-//! The cluster harness: spawns rank threads, injects failures,
-//! respawns incarnations, runs the TEL event-logger service, and
-//! collects results — the reproduction's equivalent of the paper's
-//! testbed scripts.
+//! The thread engine and what every engine's callers configure and
+//! read: the failure plan, the cluster configuration and the run
+//! report — the reproduction's equivalent of the paper's testbed
+//! scripts.
+//!
+//! [`Cluster::run`] is Fig. 4 as drawn: one OS thread per rank (plus a
+//! comm thread each in non-blocking mode, see [`crate::engine`]) and
+//! the TEL event-logger / membership service. Each rank thread runs
+//! its own incarnations back to back through the shared lifecycle of
+//! [`crate::env`]; the calling thread only waits, with the watchdog,
+//! for every rank to finish.
 
 use crate::config::RunConfig;
-use crate::detector::MembershipTable;
 use crate::engine::Engine;
-use crate::events::{Event, EventKind, EventSink};
+use crate::env::{Death, RunEnv};
+use crate::events::Event;
 use crate::fault::{Fault, StepStatus};
-use crate::kernel::Kernel;
 use crate::process::{RankApp, RankCtx};
-use crate::replicator::{Replicator, ReplicatorConfig, ReplicatorStats};
+use crate::replicator::{ReplicatorConfig, ReplicatorStats};
 use crate::service::spawn_event_logger;
 use crate::transport::DataPlaneStats;
 use lclog_core::{Rank, TrackingStats};
-use std::collections::HashMap;
-use lclog_simnet::{NetConfig, SimNet, StorageChaos};
-use lclog_stable::{
-    CheckpointStore, DiskStore, FaultyRemote, MemRemote, MemStore, RemoteStore, StableStorage,
-};
+use lclog_simnet::{Endpoint, NetConfig, StorageChaos};
+use lclog_stable::{FaultyRemote, MemRemote, RemoteStore};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// One planned failure: the given incarnation of `rank` crashes when
@@ -440,79 +441,6 @@ impl DetectorReport {
     }
 }
 
-enum Outcome {
-    Done {
-        rank: Rank,
-        digest: u64,
-        stats: TrackingStats,
-        data_plane: DataPlaneStats,
-    },
-    Killed {
-        rank: Rank,
-        stats: TrackingStats,
-        data_plane: DataPlaneStats,
-        /// True when the death was a membership fencing of a live
-        /// incarnation (false suspicion), not an injected kill.
-        fenced: bool,
-        /// Node loss: wipe the local store before respawning.
-        wipe: bool,
-        /// Also tear the victim's newest remote generation.
-        corrupt_remote: bool,
-    },
-    /// A respawn gate fell through on its timeout (bookkeeping only).
-    GateTimeout,
-}
-
-/// Stable-storage wrapper that mirrors durable writes into the
-/// replicator: checkpoint-generation puts and append-log records are
-/// offered (non-blocking) after landing locally. Deletes are local
-/// only — remote retention is the manifest's business, and keeping
-/// superseded generations remotely deepens the restore fallback.
-pub(crate) struct ShippingStorage {
-    inner: Arc<dyn StableStorage>,
-    repl: Arc<Replicator>,
-}
-
-impl ShippingStorage {
-    pub(crate) fn new(inner: Arc<dyn StableStorage>, repl: Arc<Replicator>) -> Self {
-        ShippingStorage { inner, repl }
-    }
-}
-
-impl StableStorage for ShippingStorage {
-    fn put(&self, key: &str, bytes: &[u8]) {
-        self.inner.put(key, bytes);
-        if key.starts_with("ckpt/") {
-            self.repl.offer_generation(key, bytes);
-        }
-    }
-
-    fn get(&self, key: &str) -> Option<Vec<u8>> {
-        self.inner.get(key)
-    }
-
-    fn delete(&self, key: &str) {
-        self.inner.delete(key);
-    }
-
-    fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
-        self.inner.keys_with_prefix(prefix)
-    }
-
-    fn append(&self, key: &str, record: &[u8]) {
-        self.inner.append(key, record);
-        self.repl.offer_record(key, record);
-    }
-
-    fn read_log(&self, key: &str) -> Vec<Vec<u8>> {
-        self.inner.read_log(key)
-    }
-
-    fn truncate_log(&self, key: &str) {
-        self.inner.truncate_log(key)
-    }
-}
-
 /// Entry point for running applications under rollback recovery.
 pub struct Cluster;
 
@@ -521,413 +449,82 @@ impl Cluster {
     /// configured failures. Returns an error string if the watchdog
     /// fires.
     pub fn run<A: RankApp>(cfg: &ClusterConfig, app: A) -> Result<RunReport, String> {
-        let n = cfg.n;
-        assert!(n > 0, "cluster needs at least one rank");
-        let net = SimNet::new(n + 1, cfg.net.clone());
-        let raw_storage: Arc<dyn StableStorage> = match &cfg.storage {
-            StorageKind::Memory => Arc::new(MemStore::new()),
-            StorageKind::Disk(dir) => Arc::new(
-                DiskStore::open(dir).map_err(|e| format!("open disk store: {e}"))?,
-            ),
-        };
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let sink = if cfg.trace {
-            EventSink::recording()
-        } else {
-            EventSink::disabled()
-        };
-        // With a remote configured, durable writes flow through the
-        // shipping wrapper; restores install straight into the raw
-        // store (avoiding a re-ship of what just came down).
-        let (replicator, storage) = match &cfg.remote {
-            Some(rc) => {
-                let repl = Replicator::spawn(
-                    Arc::clone(&rc.store),
-                    rc.replicator.clone(),
-                    sink.clone(),
-                    cfg.rank_base + crate::logger_rank(n),
-                );
-                let wrapped: Arc<dyn StableStorage> = Arc::new(ShippingStorage::new(
-                    Arc::clone(&raw_storage),
-                    Arc::clone(&repl),
-                ));
-                (Some(repl), wrapped)
-            }
-            None => (None, Arc::clone(&raw_storage)),
-        };
-        let ckpts = CheckpointStore::new(Arc::clone(&storage)).with_rank_base(cfg.rank_base);
-        // Replicated checkpoints imply a node-loss restore may fall
-        // back one generation; survivors must then keep one extra
-        // generation of sender-log entries resendable.
-        let run_cfg = {
-            let mut rc = cfg.run.clone();
-            if cfg.remote.is_some() {
-                rc.log_gc_lag = true;
-            }
-            rc
-        };
-        let app = Arc::new(app);
-        let plan = Arc::new(cfg.failures.clone());
-        let (tx, rx) = crossbeam::channel::unbounded::<Outcome>();
-
+        let env = RunEnv::open(cfg, None)?;
         // Detected-failures mode: the stable service slot doubles as
         // the membership arbiter, so the service runs even for
         // protocols that need no event logger.
-        let membership = cfg
-            .run
-            .detector
-            .map(|_| Arc::new(MembershipTable::new(n)));
-        let mut handles: Vec<JoinHandle<()>> = Vec::new();
-        if cfg.run.protocol.uses_event_logger() || membership.is_some() {
-            handles.push(spawn_event_logger(
-                net.clone(),
-                net.attach(crate::logger_rank(n)),
-                Arc::clone(&storage),
-                Arc::clone(&shutdown),
-                sink.clone(),
-                membership.clone(),
-            ));
-        }
-        // Attach every endpoint *before* spawning any rank thread: a
-        // send to a not-yet-attached slot would be dropped as if the
-        // destination were dead.
-        let endpoints: Vec<_> = (0..n).map(|rank| net.attach(rank)).collect();
-        for (rank, endpoint) in endpoints.into_iter().enumerate() {
-            handles.push(spawn_rank(
-                Arc::clone(&app),
-                rank,
-                n,
-                run_cfg.clone(),
-                net.clone(),
-                endpoint,
-                ckpts.clone(),
-                Arc::clone(&plan),
-                1,
-                Arc::clone(&shutdown),
-                sink.clone(),
-                tx.clone(),
-                membership.clone(),
-                replicator.clone(),
-                Arc::clone(&raw_storage),
-            ));
-        }
-
-        let start = Instant::now();
-        let mut digests: Vec<Option<u64>> = vec![None; n];
-        let mut per_rank_stats = vec![TrackingStats::default(); n];
-        let mut per_rank_data_plane = vec![DataPlaneStats::default(); n];
-        let mut incarnations = vec![1u64; n];
-        let mut kills = 0u32;
-        let mut false_kills = 0u32;
-        let mut gate_timeouts = 0u32;
-        // Detection-latency bookkeeping: when each incarnation died
-        // (the rank thread reports its own death immediately, so the
-        // receive time is the crash time to within scheduling noise).
-        let mut killed_at: HashMap<(Rank, u64), Instant> = HashMap::new();
-
-        while digests.iter().any(Option::is_none) {
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(Outcome::Done {
-                    rank,
-                    digest,
-                    stats,
-                    data_plane,
-                }) => {
-                    digests[rank] = Some(digest);
-                    per_rank_stats[rank].merge(&stats);
-                    per_rank_data_plane[rank].merge(&data_plane);
-                }
-                Ok(Outcome::Killed {
-                    rank,
-                    stats,
-                    data_plane,
-                    fenced,
-                    wipe,
-                    corrupt_remote,
-                }) => {
-                    kills += 1;
-                    if fenced {
-                        false_kills += 1;
-                        // A fenced incarnation was falsely declared —
-                        // its digest (if any) is void; it must rejoin.
-                        digests[rank] = None;
-                    } else {
-                        killed_at.insert((rank, incarnations[rank]), Instant::now());
-                    }
-                    // Node loss: the local store dies with the node.
-                    // Let the replicator drain before the replacement
-                    // comes up: the respawn must not restore against a
-                    // manifest staler than what survivors can still
-                    // replay (a backend outage in progress is ridden
-                    // out here, bounded). For the torn-upload variant,
-                    // then damage the newest remote generation — which
-                    // after the drain is the one the victim just
-                    // checkpointed.
-                    if wipe {
-                        if let Some(repl) = &replicator {
-                            repl.wait_synced(Duration::from_secs(2));
-                            if corrupt_remote {
-                                repl.corrupt_newest_remote_generation(cfg.rank_base + rank);
-                            }
-                        }
-                        let generations = ckpts.clear_rank(rank);
-                        sink.emit(rank, EventKind::StoreWiped { generations });
-                    }
-                    per_rank_stats[rank].merge(&stats);
-                    per_rank_data_plane[rank].merge(&data_plane);
-                    incarnations[rank] += 1;
-                    let endpoint = net.respawn(rank);
-                    handles.push(spawn_rank(
-                        Arc::clone(&app),
-                        rank,
-                        n,
-                        run_cfg.clone(),
-                        net.clone(),
-                        endpoint,
-                        ckpts.clone(),
-                        Arc::clone(&plan),
-                        incarnations[rank],
-                        Arc::clone(&shutdown),
-                        sink.clone(),
-                        tx.clone(),
-                        membership.clone(),
-                        replicator.clone(),
-                        Arc::clone(&raw_storage),
-                    ));
-                }
-                Ok(Outcome::GateTimeout) => gate_timeouts += 1,
-                Err(_) => {
-                    if start.elapsed() > cfg.max_wall {
-                        shutdown.store(true, Ordering::Relaxed);
-                        for h in handles {
-                            let _ = h.join();
-                        }
-                        if let Some(repl) = &replicator {
-                            repl.finish();
-                        }
-                        return Err(format!(
-                            "cluster watchdog fired after {:?} (protocol {}, {} ranks)",
-                            cfg.max_wall, cfg.run.protocol, n
-                        ));
-                    }
-                }
+        let service = (cfg.run.protocol.uses_event_logger() || env.membership.is_some())
+            .then(|| spawn_event_logger(&env));
+        let endpoints = env.attach();
+        let (done, wall) = std::thread::scope(|s| {
+            for (rank, endpoint) in endpoints.into_iter().enumerate() {
+                let (env, app) = (&env, &app);
+                std::thread::Builder::new()
+                    .name(format!("lclog-rank-{rank}"))
+                    .spawn_scoped(s, move || rank_main(env, app, rank, endpoint))
+                    .expect("spawn rank thread");
             }
-        }
-        let wall = start.elapsed();
-        shutdown.store(true, Ordering::Relaxed);
-        for h in handles {
-            let _ = h.join();
-        }
-        let replicator_stats = replicator.map(|repl| {
-            repl.finish();
-            repl.stats()
+            let start = Instant::now();
+            let done = env.wait_all_done(start + cfg.max_wall);
+            (done, start.elapsed())
         });
-        let mut stats = TrackingStats::default();
-        for s in &per_rank_stats {
-            stats.merge(s);
+        if let Some(handle) = service {
+            let _ = handle.join();
         }
-        let mut data_plane = DataPlaneStats::default();
-        for d in &per_rank_data_plane {
-            data_plane.merge(d);
-        }
-        let detector = membership.map(|table| {
-            let mut report = DetectorReport {
-                false_kills,
-                gate_timeouts,
-                ..DetectorReport::default()
-            };
-            for decl in table.declarations() {
-                report.declarations += 1;
-                // Latency is only meaningful for declarations matching
-                // an injected kill; a declaration with no matching
-                // death was a false suspicion.
-                if let Some(&died) = killed_at.get(&(decl.rank, decl.incarnation)) {
-                    report
-                        .detection_latency
-                        .push(decl.at.saturating_duration_since(died));
-                }
-            }
-            report
-        });
-        Ok(RunReport {
-            digests: digests.into_iter().map(Option::unwrap).collect(),
-            per_rank_stats,
-            stats,
-            wall,
-            kills,
-            net_msgs: net.stats().msgs_sent(),
-            net_bytes: net.stats().bytes_sent(),
-            retransmits: net.stats().retransmits(),
-            chaos_dropped: net.stats().chaos_dropped(),
-            chaos_duplicated: net.stats().chaos_duplicated(),
-            chaos_corrupted: net.stats().chaos_corrupted(),
-            per_rank_data_plane,
-            data_plane,
-            timeline: sink.take(),
-            detector,
-            replicator: replicator_stats,
-        })
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn spawn_rank<A: RankApp>(
-    app: Arc<A>,
-    rank: Rank,
-    n: usize,
-    run: RunConfig,
-    net: SimNet,
-    endpoint: lclog_simnet::Endpoint,
-    ckpts: CheckpointStore,
-    plan: Arc<FailurePlan>,
-    incarnation: u64,
-    shutdown: Arc<AtomicBool>,
-    sink: EventSink,
-    tx: crossbeam::channel::Sender<Outcome>,
-    membership: Option<Arc<MembershipTable>>,
-    replicator: Option<Arc<Replicator>>,
-    raw_storage: Arc<dyn StableStorage>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("lclog-rank-{rank}.{incarnation}"))
-        .spawn(move || {
-            rank_main(
-                app,
-                rank,
-                n,
-                run,
-                net,
-                endpoint,
-                ckpts,
-                plan,
-                incarnation,
-                shutdown,
-                sink,
-                tx,
-                membership,
-                replicator,
-                raw_storage,
+        let failure = (!done).then(|| {
+            format!(
+                "cluster watchdog fired after {:?} (protocol {}, {} ranks)",
+                cfg.max_wall, cfg.run.protocol, cfg.n
             )
-        })
-        .expect("spawn rank thread")
+        });
+        env.report(wall, failure)
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn rank_main<A: RankApp>(
-    app: Arc<A>,
-    rank: Rank,
-    n: usize,
-    run: RunConfig,
-    net: SimNet,
-    endpoint: lclog_simnet::Endpoint,
-    ckpts: CheckpointStore,
-    plan: Arc<FailurePlan>,
-    incarnation: u64,
-    shutdown: Arc<AtomicBool>,
-    sink: EventSink,
-    tx: crossbeam::channel::Sender<Outcome>,
-    membership: Option<Arc<MembershipTable>>,
-    replicator: Option<Arc<Replicator>>,
-    raw_storage: Arc<dyn StableStorage>,
-) {
-    // Detected-failures mode: a replacement incarnation does not start
-    // until the arbiter has *certified* its predecessor dead — the
-    // respawn is driven by detection, not by the injection script. The
-    // gate-timeout fallback preserves liveness if no survivor can
-    // detect (e.g. everyone else is also down).
-    if incarnation > 1 {
-        if let (Some(table), Some(dcfg)) = (&membership, &run.detector) {
-            if !table.wait_floor_above(rank, incarnation - 1, dcfg.gate_timeout)
-                && !shutdown.load(Ordering::Relaxed)
-            {
-                let _ = tx.send(Outcome::GateTimeout);
+/// One rank's whole life on its own thread: run an incarnation to
+/// `Done` or to its death, hand the death to the shared lifecycle,
+/// come back as the next incarnation.
+fn rank_main<A: RankApp>(env: &RunEnv, app: &A, rank: Rank, endpoint: Endpoint) {
+    let mut life = (env.boot(rank), endpoint, None);
+    for incarnation in 1.. {
+        let (kernel, endpoint, restored) = life;
+        let (mut step, mut state) = restored.unwrap_or_else(|| (0, app.init(rank, kernel.n())));
+        let mut engine = Engine::new(kernel, endpoint, Arc::clone(&env.shutdown));
+        let death = loop {
+            if let Some(death) = env.due(rank, incarnation, step) {
+                break death;
             }
-        }
-    }
-    sink.emit(rank, EventKind::Spawned { incarnation });
-    let (kernel, restored) = if incarnation == 1 {
-        let mut kernel = Kernel::new(rank, n, run, net, ckpts);
-        kernel.set_incarnation(incarnation);
-        kernel.set_event_sink(sink.clone());
-        (kernel, None)
-    } else {
-        // Incarnation: restore the last checkpoint (or the initial
-        // state if the process died before ever checkpointing), then
-        // announce the rollback (Algorithm 1 lines 40–46).
-        Kernel::respawn(
-            rank,
-            n,
-            run,
-            net,
-            ckpts,
-            incarnation,
-            sink.clone(),
-            replicator.as_deref().map(|repl| (repl, raw_storage.as_ref())),
-            |bytes| lclog_wire::decode_from_slice(bytes).ok(),
-        )
-    };
-    let (mut step, mut state) = restored.unwrap_or_else(|| (0u64, app.init(rank, n)));
-
-    let mut engine = Engine::new(kernel, endpoint, Arc::clone(&shutdown));
-    loop {
-        if plan.should_kill(rank, incarnation, step) {
-            sink.emit(rank, EventKind::Crashed { step });
-            engine.crash();
-            let snap = engine.snapshot();
-            let kill = plan.kill_for(rank, incarnation);
-            let _ = tx.send(Outcome::Killed {
-                rank,
-                stats: snap.stats,
-                data_plane: snap.data_plane,
-                fenced: false,
-                wipe: kill.map(|k| k.wipe).unwrap_or(false),
-                corrupt_remote: kill.map(|k| k.corrupt_remote).unwrap_or(false),
-            });
-            return;
-        }
-        let mut ctx = RankCtx::new(&engine, step);
-        match app.step(&mut ctx, &mut state) {
-            Ok(StepStatus::Continue) => {
-                step += 1;
-                engine.maybe_checkpoint(|| lclog_wire::encode_to_vec(&state), step);
-            }
-            Ok(StepStatus::Done) => {
-                sink.emit(rank, EventKind::Done { step });
-                // A final checkpoint lets every peer release the last
-                // log entries referring to us.
-                engine.checkpoint_now(lclog_wire::encode_to_vec(&state), step);
-                let snap = engine.snapshot();
-                let _ = tx.send(Outcome::Done {
-                    rank,
-                    digest: app.digest(&state),
-                    stats: snap.stats,
-                    data_plane: snap.data_plane,
-                });
-                // Stay responsive: peers may still fail and need our
-                // logged messages resent.
-                engine.serve_until_shutdown();
-                if engine.is_fenced() && !shutdown.load(Ordering::Relaxed) {
-                    // A false suspicion fenced a *finished* rank. Its
-                    // reported digest is void; crash and rejoin like
-                    // any other fenced incarnation. Stats were already
-                    // reported with the Done outcome, so send empties
-                    // to avoid double counting.
-                    engine.crash();
-                    let _ = tx.send(Outcome::Killed {
-                        rank,
-                        stats: TrackingStats::default(),
-                        data_plane: DataPlaneStats::default(),
-                        fenced: true,
-                        wipe: false,
-                        corrupt_remote: false,
-                    });
+            let mut ctx = RankCtx::new(&engine, step);
+            match app.step(&mut ctx, &mut state) {
+                Ok(StepStatus::Continue) => {
+                    step += 1;
+                    if engine.kernel().checkpoint_due(step) {
+                        engine
+                            .kernel()
+                            .do_checkpoint(lclog_wire::encode_to_vec(&state), step);
+                    }
                 }
-                return;
-            }
-            Err(Fault::Shutdown) => return,
-            Err(fault) => {
-                // Every other fault unwinds like a crash and rejoins through
-                // the normal rollback path as the next incarnation:
+                Ok(StepStatus::Done) => {
+                    let image = lclog_wire::encode_to_vec(&state);
+                    env.finish(rank, step, engine.kernel(), image, app.digest(&state));
+                    // Stay responsive: peers may still fail and need
+                    // our logged messages resent.
+                    engine.serve_until_shutdown();
+                    if env.is_shutdown() || !engine.kernel().is_fenced() {
+                        return;
+                    }
+                    // A false suspicion fenced a *finished* rank: its
+                    // digest is void and it rejoins like any other
+                    // fenced incarnation.
+                    break Death::Fenced;
+                }
+                Err(Fault::Shutdown) => return,
+                // `Fenced` — the membership service declared this very
+                // (live) incarnation dead; every peer rejects our
+                // frames now, so volatile state is forfeit.
+                Err(Fault::Fenced) => break Death::Fenced,
+                // Every other fault unwinds like a crash and rejoins
+                // through the normal rollback path:
                 //
                 // * `Unreachable` — a peer stayed silent across the
                 //   whole retransmit budget; the operation is retried
@@ -935,35 +532,24 @@ fn rank_main<A: RankApp>(
                 //   answers (the run watchdog bounds repeats; with a
                 //   detector configured exhaustion becomes a suspicion
                 //   and this fault is never surfaced).
-                // * `Fenced` — the membership service declared this
-                //   very (live) incarnation dead; every peer rejects
-                //   our frames now, so volatile state is forfeit.
                 // * `Desync` / `Collective` — the tracking merge
                 //   rejected a gate-approved message, or a collective's
                 //   contribution pattern broke under it; the protocol
                 //   state cannot be trusted.
-                //
-                // Only an injected kill carries the plan's node-loss
-                // flags.
-                let (fenced, kill) = match fault {
-                    Fault::Killed => (false, plan.kill_for(rank, incarnation)),
-                    Fault::Fenced => (true, None),
-                    _ => (false, None),
-                };
-                sink.emit(rank, EventKind::Crashed { step });
-                engine.crash();
-                let snap = engine.snapshot();
-                let _ = tx.send(Outcome::Killed {
-                    rank,
-                    stats: snap.stats,
-                    data_plane: snap.data_plane,
-                    fenced,
-                    wipe: kill.is_some_and(|k| k.wipe),
-                    corrupt_remote: kill.is_some_and(|k| k.corrupt_remote),
-                });
-                return;
+                Err(_) => break Death::Process,
             }
+        };
+        engine.halt();
+        env.lose(rank, incarnation, step, engine.kernel(), death);
+        if env.is_shutdown() {
+            return;
         }
+        // Restore the last checkpoint (or the initial state if the
+        // process died before ever checkpointing), then announce the
+        // rollback (Algorithm 1 lines 40–46).
+        life = env.respawn(rank, incarnation + 1, |bytes| {
+            lclog_wire::decode_from_slice(bytes).ok()
+        });
     }
 }
 

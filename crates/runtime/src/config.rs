@@ -73,21 +73,6 @@ pub struct RunConfig {
     pub comm: CommMode,
     /// Checkpoint cadence.
     pub checkpoint: CheckpointPolicy,
-    /// How long a blocked operation sleeps between queue polls.
-    pub poll_interval: Duration,
-    /// Resend cadence for unacknowledged rendezvous sends and for
-    /// `ROLLBACK` rebroadcasts to unresponsive peers.
-    pub retry_interval: Duration,
-    /// Initial transport retransmission timeout (reliability layer).
-    pub retransmit_timeout: Duration,
-    /// Ceiling of the transport's exponential retransmission backoff.
-    pub retransmit_cap: Duration,
-    /// Consecutive no-progress retransmission rounds before a peer is
-    /// declared [`crate::Fault::Unreachable`].
-    ///
-    /// With a detector configured, budget exhaustion is instead fed to
-    /// the detector as a suspicion input and retransmission continues.
-    pub retransmit_budget: u32,
     /// When `Some`, failures are *detected* instead of announced: the
     /// φ-accrual detector runs at every rank, the membership arbiter
     /// runs on the service slot, stale incarnations are fenced, and
@@ -122,11 +107,6 @@ impl RunConfig {
             protocol,
             comm: CommMode::NonBlocking,
             checkpoint: CheckpointPolicy::EverySteps(64),
-            poll_interval: Duration::from_micros(200),
-            retry_interval: Duration::from_millis(25),
-            retransmit_timeout: Duration::from_millis(2),
-            retransmit_cap: Duration::from_millis(50),
-            retransmit_budget: 40,
             detector: None,
             clock: Clock::Real,
             log_gc_lag: false,

@@ -16,21 +16,24 @@
 //! while the application computes.
 //!
 //! The kernel is `Sync` (one state lock inside), so both threads call
-//! it directly — the comm thread's `ingest_batch` and the app thread's
-//! `try_deliver`/`app_send`. The only coordination between them
-//! outside the kernel is the [`Notifier`]: an eventcount the
-//! comm thread bumps after every ingestion batch so the app thread can
-//! sleep without a missed-wakeup race (read the generation *before*
-//! checking the condition; wait only past that generation).
+//! it directly. Whichever thread owns the endpoint runs the one inbox
+//! step (`Shared::service_inbox`: wait, drain, `ingest_batch`, `tick`,
+//! notify) — the comm thread in a loop, the app thread from inside the
+//! one wait loop (`Engine::wait_for`) that the send gate, the
+//! rendezvous, `recv` and `serve_until_shutdown` all are. The only
+//! coordination outside the kernel is the [`Notifier`]: an eventcount
+//! bumped after every inbox step so the app thread can sleep without a
+//! missed-wakeup race (read the generation *before* checking the
+//! condition; wait only past that generation).
 
 use crate::backoff::Backoff;
 use crate::config::CommMode;
 use crate::fault::Fault;
-use crate::kernel::{Kernel, KernelSnapshot};
+use crate::kernel::{Kernel, RETRY_INTERVAL};
 use crate::message::{AppMsg, RecvSpec};
 use bytes::Bytes;
 use lclog_core::Rank;
-use lclog_simnet::{Endpoint, RecvError, SimNet};
+use lclog_simnet::{Endpoint, RecvError};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -77,7 +80,18 @@ impl Notifier {
     }
 }
 
-/// Shared engine state.
+/// How long a blocked operation sleeps between queue polls once its
+/// channel has gone idle.
+const POLL_INTERVAL: Duration = Duration::from_micros(200);
+
+/// Poll-interval schedule for wait loops: start fine-grained so an
+/// active channel answers quickly, back off to [`POLL_INTERVAL`] when
+/// idle.
+fn poll_backoff() -> Backoff {
+    Backoff::new(POLL_INTERVAL / 8, POLL_INTERVAL)
+}
+
+/// Engine state both threads of a rank see.
 struct Shared {
     kernel: Kernel,
     notifier: Notifier,
@@ -89,6 +103,35 @@ struct Shared {
     shutdown: Arc<AtomicBool>,
 }
 
+impl Shared {
+    /// One inbox step, on the thread that owns `endpoint`: wait up to
+    /// `wait` for an envelope, drain whatever else is queued, hand the
+    /// kernel one batch — acks coalesce to one cumulative frame per
+    /// peer — run its timers, and wake whoever sleeps on the notifier.
+    /// True if anything arrived.
+    fn service_inbox(&self, endpoint: &Endpoint, wait: Duration) -> Result<bool, Fault> {
+        let arrived = match endpoint.recv_timeout(wait) {
+            Ok(env) => {
+                let mut batch = vec![env];
+                while let Ok(env) = endpoint.try_recv() {
+                    batch.push(env);
+                }
+                self.kernel.ingest_batch(batch);
+                true
+            }
+            Err(RecvError::Timeout) => false,
+            Err(_) => {
+                self.dead.store(true, Ordering::Relaxed);
+                self.notifier.notify();
+                return Err(Fault::Killed);
+            }
+        };
+        self.kernel.tick();
+        self.notifier.notify();
+        Ok(arrived)
+    }
+}
+
 /// One rank incarnation's communication engine.
 pub struct Engine {
     shared: Arc<Shared>,
@@ -96,21 +139,12 @@ pub struct Engine {
     /// thread owns it.
     endpoint: Option<Endpoint>,
     comm: Option<JoinHandle<()>>,
-    net: SimNet,
-    me: Rank,
-    mode: CommMode,
-    poll: Duration,
-    retry: Duration,
 }
 
 impl Engine {
-    /// Wrap a kernel and start the engine for `mode`.
+    /// Wrap a kernel and start the engine for its configured mode.
     pub fn new(kernel: Kernel, endpoint: Endpoint, shutdown: Arc<AtomicBool>) -> Self {
-        let me = kernel.me();
         let mode = kernel.cfg().comm;
-        let poll = kernel.cfg().poll_interval;
-        let retry = kernel.cfg().retry_interval;
-        let net = kernel.net_handle();
         let shared = Arc::new(Shared {
             kernel,
             notifier: Notifier::new(),
@@ -119,26 +153,18 @@ impl Engine {
         });
         let (endpoint, comm) = match mode {
             CommMode::Blocking { .. } => (Some(endpoint), None),
-            CommMode::NonBlocking => {
-                let handle = spawn_comm_thread(Arc::clone(&shared), endpoint, poll);
-                (None, Some(handle))
-            }
+            CommMode::NonBlocking => (None, Some(spawn_comm_thread(Arc::clone(&shared), endpoint))),
         };
         Engine {
             shared,
             endpoint,
             comm,
-            net,
-            me,
-            mode,
-            poll,
-            retry,
         }
     }
 
     /// This rank.
     pub fn me(&self) -> Rank {
-        self.me
+        self.shared.kernel.me()
     }
 
     /// System size.
@@ -146,11 +172,9 @@ impl Engine {
         self.shared.kernel.n()
     }
 
-    /// Poll-interval schedule for wait loops: start fine-grained so an
-    /// active channel answers quickly, back off to `poll_interval`
-    /// when idle.
-    fn poll_backoff(&self) -> Backoff {
-        Backoff::new((self.poll / 8).max(Duration::from_micros(1)), self.poll)
+    /// The kernel underneath (checkpoints, snapshots, fencing state).
+    pub(crate) fn kernel(&self) -> &Kernel {
+        &self.shared.kernel
     }
 
     fn check_live(&self) -> Result<(), Fault> {
@@ -169,185 +193,97 @@ impl Engine {
         Ok(())
     }
 
-    /// True once a membership view declared this live incarnation dead
-    /// (a false suspicion caught it). The harness treats it as a crash.
-    pub fn is_fenced(&self) -> bool {
-        self.shared.kernel.is_fenced()
+    /// Blocking mode: service whatever is queued without waiting —
+    /// incoming traffic is handled only inside runtime calls (Fig. 4a).
+    fn pump(&self) -> Result<(), Fault> {
+        if let Some(endpoint) = &self.endpoint {
+            self.shared.service_inbox(endpoint, Duration::ZERO)?;
+        }
+        Ok(())
     }
 
-    /// Drain the fabric inbox into the kernel (blocking mode only —
-    /// the app thread owns the endpoint). Envelopes are handed to the
-    /// kernel as one batch, so acks coalesce to one cumulative frame
-    /// per peer.
-    fn pump(&self) -> Result<(), Fault> {
-        let ep = self.endpoint.as_ref().expect("pump in blocking mode");
-        let mut batch = Vec::new();
+    /// The one wait loop: until `ready` yields, the incarnation dies or
+    /// the run ends, keep the inbox serviced — by this thread in
+    /// blocking mode (a blocked rank must still answer `ROLLBACK`s or
+    /// the system deadlocks), by sleeping on the comm thread's notifier
+    /// otherwise. The notifier generation is read *before* `ready`
+    /// runs, so an ingestion landing between the two cuts the sleep
+    /// short instead of being missed.
+    fn wait_for<T>(
+        &self,
+        mut ready: impl FnMut(&Kernel) -> Result<Option<T>, Fault>,
+    ) -> Result<T, Fault> {
+        let mut backoff = poll_backoff();
         loop {
-            match ep.try_recv() {
-                Ok(env) => batch.push(env),
-                Err(RecvError::Empty) => break,
-                Err(RecvError::Dead) => {
-                    self.shared.dead.store(true, Ordering::Relaxed);
-                    return Err(Fault::Killed);
-                }
-                Err(RecvError::Timeout) => unreachable!("try_recv never times out"),
+            self.check_live()?;
+            let seen = self.shared.notifier.generation();
+            if let Some(out) = ready(&self.shared.kernel)? {
+                return Ok(out);
+            }
+            let progressed = match &self.endpoint {
+                Some(endpoint) => self.shared.service_inbox(endpoint, backoff.next_wait())?,
+                None => !self.shared.notifier.wait_past(seen, backoff.next_wait()),
+            };
+            if progressed {
+                backoff.reset();
             }
         }
-        if !batch.is_empty() {
-            self.shared.kernel.ingest_batch(batch);
-        }
-        self.shared.kernel.tick();
-        Ok(())
     }
 
     /// Send an application message (both modes).
     pub fn send(&self, dst: Rank, tag: u32, data: Bytes) -> Result<(), Fault> {
-        self.check_live()?;
-        let kernel = &self.shared.kernel;
-        match self.mode {
-            CommMode::NonBlocking => {
-                // Pessimistic logging: hold the send until the logger
-                // has acknowledged our delivery determinants (the comm
-                // thread ingests the ack and notifies).
-                let mut backoff = self.poll_backoff();
-                loop {
-                    let seen = self.shared.notifier.generation();
-                    if kernel.send_ready() {
-                        break;
-                    }
-                    self.check_live()?;
-                    self.shared.notifier.wait_past(seen, backoff.next_wait());
-                }
-                kernel.app_send(dst, tag, data, false);
-                Ok(())
-            }
-            CommMode::Blocking { eager_threshold } => {
-                self.pump()?;
-                // Pessimistic send gate: service the inbox until the
-                // logger ack arrives.
-                let mut backoff = self.poll_backoff();
-                loop {
-                    if kernel.send_ready() {
-                        break;
-                    }
-                    self.check_live()?;
-                    let ep = self.endpoint.as_ref().expect("blocking mode endpoint");
-                    match ep.recv_timeout(backoff.next_wait()) {
-                        Ok(env) => {
-                            kernel.ingest(env);
-                            backoff.reset();
-                        }
-                        Err(RecvError::Timeout) => kernel.tick(),
-                        Err(RecvError::Dead) => {
-                            self.shared.dead.store(true, Ordering::Relaxed);
-                            return Err(Fault::Killed);
-                        }
-                        Err(RecvError::Empty) => unreachable!(),
-                    }
-                }
-                let needs_ack = data.len() > eager_threshold;
-                let (send_index, transmitted) = kernel.app_send(dst, tag, data, needs_ack);
-                if !(needs_ack && transmitted) {
-                    return Ok(());
-                }
-                // Rendezvous: wait for the receiver's ingestion ack,
-                // servicing our own inbox meanwhile (a blocked sender
-                // must still answer ROLLBACKs or the system deadlocks).
-                let ep = self.endpoint.as_ref().expect("blocking mode endpoint");
-                let mut last_resend = Instant::now();
-                let mut backoff = self.poll_backoff();
-                loop {
-                    self.check_live()?;
-                    self.pump()?;
-                    let (acked, unreachable) = kernel.rendezvous_progress(dst);
-                    if acked >= send_index {
-                        return Ok(());
-                    }
-                    // The reliability layer has written the peer off:
-                    // fail the send instead of spinning on a rendezvous
-                    // that can never complete.
-                    if unreachable {
-                        return Err(Fault::Unreachable(dst));
-                    }
-                    match ep.recv_timeout(backoff.next_wait()) {
-                        Ok(env) => {
-                            kernel.ingest(env);
-                            backoff.reset();
-                        }
-                        Err(RecvError::Timeout) => {}
-                        Err(RecvError::Dead) => {
-                            self.shared.dead.store(true, Ordering::Relaxed);
-                            return Err(Fault::Killed);
-                        }
-                        Err(RecvError::Empty) => unreachable!(),
-                    }
-                    if last_resend.elapsed() >= self.retry {
-                        // The receiver may have died and respawned; its
-                        // incarnation will ack (or discard-and-ack) the
-                        // retransmission.
-                        kernel.resend_unacked(dst, send_index);
-                        last_resend = Instant::now();
-                    }
-                }
-            }
+        self.pump()?;
+        // Pessimistic logging: hold the send until the logger has
+        // acknowledged our delivery determinants.
+        self.wait_for(|kernel| Ok(kernel.send_ready().then_some(())))?;
+        let needs_ack = match self.shared.kernel.cfg().comm {
+            CommMode::Blocking { eager_threshold } => data.len() > eager_threshold,
+            CommMode::NonBlocking => false,
+        };
+        let (send_index, transmitted) = self.shared.kernel.app_send(dst, tag, data, needs_ack);
+        if !(needs_ack && transmitted) {
+            return Ok(());
         }
+        // Rendezvous: wait for the receiver's ingestion ack.
+        let mut last_resend = Instant::now();
+        self.wait_for(|kernel| {
+            let (acked, unreachable) = kernel.rendezvous_progress(dst);
+            if acked >= send_index {
+                return Ok(Some(()));
+            }
+            // The reliability layer has written the peer off: fail the
+            // send instead of spinning on a rendezvous that can never
+            // complete.
+            if unreachable {
+                return Err(Fault::Unreachable(dst));
+            }
+            if last_resend.elapsed() >= RETRY_INTERVAL {
+                // The receiver may have died and respawned; its
+                // incarnation will ack (or discard-and-ack) the
+                // retransmission.
+                kernel.resend_unacked(dst, send_index);
+                last_resend = Instant::now();
+            }
+            Ok(None)
+        })
     }
 
     /// Blocking receive matching `spec` (both modes).
     pub fn recv(&self, spec: RecvSpec) -> Result<AppMsg, Fault> {
-        let kernel = &self.shared.kernel;
         let started = Instant::now();
         let mut dumped = false;
-        let mut backoff = self.poll_backoff();
-        match self.mode {
-            CommMode::Blocking { .. } => loop {
-                self.check_live()?;
-                self.pump()?;
-                if let Some(msg) = kernel.try_deliver(spec) {
-                    return Ok(msg);
-                }
-                if !dumped
-                    && started.elapsed() > Duration::from_secs(5)
-                    && std::env::var_os("LCLOG_TRACE").is_some()
-                {
-                    dumped = true;
-                    eprintln!("[stall] rank {} recv {:?}: {:?}", self.me, spec, kernel);
-                }
-                let ep = self.endpoint.as_ref().expect("blocking mode endpoint");
-                match ep.recv_timeout(backoff.next_wait()) {
-                    Ok(env) => {
-                        kernel.ingest(env);
-                        backoff.reset();
-                    }
-                    Err(RecvError::Timeout) => {}
-                    Err(RecvError::Dead) => {
-                        self.shared.dead.store(true, Ordering::Relaxed);
-                        return Err(Fault::Killed);
-                    }
-                    Err(RecvError::Empty) => unreachable!(),
-                }
-            },
-            CommMode::NonBlocking => loop {
-                self.check_live()?;
-                // Generation first, condition second: an ingestion
-                // that lands between the two makes wait_past return
-                // immediately instead of being missed.
-                let seen = self.shared.notifier.generation();
-                if let Some(msg) = kernel.try_deliver(spec) {
-                    return Ok(msg);
-                }
-                if !dumped
-                    && started.elapsed() > Duration::from_secs(5)
-                    && std::env::var_os("LCLOG_TRACE").is_some()
-                {
-                    dumped = true;
-                    eprintln!("[stall] rank {} recv {:?}: {:?}", self.me, spec, kernel);
-                }
-                if !self.shared.notifier.wait_past(seen, backoff.next_wait()) {
-                    backoff.reset();
-                }
-            },
-        }
+        self.wait_for(|kernel| {
+            let msg = kernel.try_deliver(spec);
+            if msg.is_none()
+                && !dumped
+                && started.elapsed() > Duration::from_secs(5)
+                && std::env::var_os("LCLOG_TRACE").is_some()
+            {
+                dumped = true;
+                eprintln!("[stall] rank {} recv {:?}: {:?}", kernel.me(), spec, kernel);
+            }
+            Ok(msg)
+        })
     }
 
     /// Non-blocking receive: deliver the first queued message matching
@@ -356,131 +292,49 @@ impl Engine {
     /// a task must never park its worker thread in [`Engine::recv`].
     pub fn try_recv(&self, spec: RecvSpec) -> Result<Option<AppMsg>, Fault> {
         self.check_live()?;
-        if matches!(self.mode, CommMode::Blocking { .. }) {
-            self.pump()?;
-        }
+        self.pump()?;
         Ok(self.shared.kernel.try_deliver(spec))
     }
 
-    /// Take a checkpoint if the policy says one is due after `step`.
-    pub fn maybe_checkpoint(&self, app_state: impl FnOnce() -> Vec<u8>, step: u64) -> bool {
-        let kernel = &self.shared.kernel;
-        if kernel.checkpoint_due(step) {
-            kernel.do_checkpoint(app_state(), step);
-            true
-        } else {
-            false
-        }
+    /// After the application finishes, keep servicing peers (log
+    /// resends for late failures, acks, checkpoint notices) until the
+    /// whole cluster is done — or this incarnation is fenced: a false
+    /// suspicion can catch even a finished rank, and peers reject a
+    /// fenced incarnation's frames, so serving on is pointless.
+    pub fn serve_until_shutdown(&self) {
+        let _ = self.wait_for(|_| Ok(None::<()>));
     }
 
-    /// Unconditional checkpoint after `step`.
-    pub fn checkpoint_now(&self, app_state: Vec<u8>, step: u64) {
-        self.shared.kernel.do_checkpoint(app_state, step);
-    }
-
-    /// Simulate a crash of this incarnation: sever the fabric endpoint
-    /// (in-flight and queued messages are lost) and poison all runtime
-    /// calls. Volatile kernel state dies with the thread.
-    pub fn crash(&mut self) {
-        self.net.kill(self.me);
+    /// Stop this incarnation: poison all runtime calls and join the
+    /// comm thread, after which nothing touches the kernel but the
+    /// caller. Volatile kernel state dies with the engine.
+    pub(crate) fn halt(&mut self) {
         self.shared.dead.store(true, Ordering::Relaxed);
         self.shared.notifier.notify();
         if let Some(handle) = self.comm.take() {
             let _ = handle.join();
         }
-    }
-
-    /// After the application finishes, keep servicing peers (log
-    /// resends for late failures, acks, checkpoint notices) until the
-    /// whole cluster is done.
-    pub fn serve_until_shutdown(&self) {
-        let mut backoff = self.poll_backoff();
-        while !self.shared.shutdown.load(Ordering::Relaxed) {
-            if self.shared.dead.load(Ordering::Relaxed) {
-                return;
-            }
-            // A false suspicion can fence even a finished rank; return
-            // so the harness can crash-and-respawn it (peers reject a
-            // fenced incarnation's frames, so serving is pointless).
-            if self.shared.kernel.is_fenced() {
-                return;
-            }
-            match self.mode {
-                CommMode::Blocking { .. } => {
-                    if self.pump().is_err() {
-                        return;
-                    }
-                    let ep = self.endpoint.as_ref().expect("blocking mode endpoint");
-                    match ep.recv_timeout(backoff.next_wait()) {
-                        Ok(env) => {
-                            self.shared.kernel.ingest(env);
-                            backoff.reset();
-                        }
-                        Err(RecvError::Timeout) => {}
-                        Err(_) => return,
-                    }
-                }
-                CommMode::NonBlocking => {
-                    // The comm thread does the serving; this thread
-                    // only waits for the shutdown flag.
-                    std::thread::sleep(backoff.next_wait());
-                }
-            }
-        }
-    }
-
-    /// Consistent cross-layer snapshot of the kernel (statistics, log
-    /// pressure, recovery phase).
-    pub fn snapshot(&self) -> KernelSnapshot {
-        self.shared.kernel.snapshot()
     }
 }
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        // Stop the comm thread; without marking dead it would keep
-        // polling a live endpoint forever.
-        self.shared.dead.store(true, Ordering::Relaxed);
-        self.shared.notifier.notify();
-        if let Some(handle) = self.comm.take() {
-            let _ = handle.join();
-        }
+        // Without marking dead the comm thread would keep polling a
+        // live endpoint forever.
+        self.halt();
     }
 }
 
-fn spawn_comm_thread(shared: Arc<Shared>, endpoint: Endpoint, poll: Duration) -> JoinHandle<()> {
+fn spawn_comm_thread(shared: Arc<Shared>, endpoint: Endpoint) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("lclog-comm-{}", endpoint.rank()))
         .spawn(move || {
-            let mut backoff = Backoff::new((poll / 8).max(Duration::from_micros(1)), poll);
-            loop {
-                if shared.dead.load(Ordering::Relaxed) || shared.shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-                match endpoint.recv_timeout(backoff.next_wait()) {
-                    Ok(env) => {
-                        backoff.reset();
-                        // Drain whatever else is queued and hand the
-                        // kernel one batch — acks coalesce per peer —
-                        // before waking the app thread.
-                        let mut batch = vec![env];
-                        while let Ok(env) = endpoint.try_recv() {
-                            batch.push(env);
-                        }
-                        shared.kernel.ingest_batch(batch);
-                        shared.kernel.tick();
-                        shared.notifier.notify();
-                    }
-                    Err(RecvError::Timeout) => {
-                        shared.kernel.tick();
-                        shared.notifier.notify();
-                    }
-                    Err(RecvError::Dead) => {
-                        shared.dead.store(true, Ordering::Relaxed);
-                        shared.notifier.notify();
-                        return;
-                    }
-                    Err(RecvError::Empty) => unreachable!(),
+            let mut backoff = poll_backoff();
+            while !shared.dead.load(Ordering::Relaxed) && !shared.shutdown.load(Ordering::Relaxed) {
+                match shared.service_inbox(&endpoint, backoff.next_wait()) {
+                    Ok(true) => backoff.reset(),
+                    Ok(false) => {}
+                    Err(_) => return,
                 }
             }
         })

@@ -51,7 +51,10 @@ use crate::recovery::{RecoveryLayer, RecoveryPhase, Transition};
 use crate::recvq::Pending;
 use crate::replicator::Replicator;
 use crate::tracking::Tracking;
-use crate::transport::{decode_envelope, DataPlaneStats, Ingest, Transport, TransportConfig};
+use crate::transport::{
+    decode_envelope, DataPlaneStats, Ingest, Transport, TransportConfig, RETRANSMIT_CAP,
+    RETRANSMIT_TIMEOUT,
+};
 use bytes::Bytes;
 use lclog_core::{make_protocol, CounterVector, DeliveryVerdict, MembershipView, Rank, TrackingStats};
 use lclog_simnet::{Envelope, SimNet};
@@ -124,7 +127,6 @@ pub struct Kernel {
     me: Rank,
     n: usize,
     cfg: RunConfig,
-    net: SimNet,
     /// TEL event-logger service rank (slot `n`), when the protocol
     /// uses one. Constant per protocol kind.
     logger: Option<Rank>,
@@ -176,6 +178,10 @@ impl State {
     }
 }
 
+/// Resend cadence for unacknowledged rendezvous sends and for
+/// `ROLLBACK` rebroadcasts to peers that have not answered.
+pub const RETRY_INTERVAL: Duration = Duration::from_millis(25);
+
 /// Frames of a log resend burst sent per acquisition of the state
 /// lock: long enough to amortise the lock, short enough that the
 /// rank's other thread waits for microseconds, not for the log.
@@ -193,17 +199,8 @@ impl Kernel {
     pub fn new(me: Rank, n: usize, cfg: RunConfig, net: SimNet, ckpt_store: CheckpointStore) -> Self {
         let protocol = make_protocol(cfg.protocol, me, n);
         let logger = protocol.wants_event_logger().then(|| crate::logger_rank(n));
-        let mut transport = Transport::new(
-            me,
-            net.n(),
-            net.clone(),
-            TransportConfig {
-                timeout: cfg.retransmit_timeout,
-                cap: cfg.retransmit_cap,
-                budget: cfg.retransmit_budget,
-                clock: cfg.clock.clone(),
-            },
-        );
+        let mut transport =
+            Transport::new(me, net.n(), net, TransportConfig::standard(cfg.clock.clone()));
         let now = cfg.clock.now();
         let detector = cfg.detector.map(|dcfg| Detector::new(me, n, dcfg, now));
         // With a detector, retransmit-budget exhaustion is a suspicion
@@ -216,13 +213,12 @@ impl Kernel {
             transport,
             acked: CounterVector::zeroed(n),
             detector,
-            resync_pacer: ResyncPacer::new(me, n, &cfg),
+            resync_pacer: ResyncPacer::new(me, n),
         };
         Kernel {
             me,
             n,
             cfg,
-            net,
             logger,
             fenced: AtomicBool::new(false),
             desynced: AtomicBool::new(false),
@@ -266,11 +262,6 @@ impl Kernel {
     /// Runtime configuration.
     pub fn cfg(&self) -> &RunConfig {
         &self.cfg
-    }
-
-    /// A clone of the fabric handle (for the engine's crash path).
-    pub fn net_handle(&self) -> SimNet {
-        self.net.clone()
     }
 
     /// Consistent snapshot for reporting, one lock round-trip.
@@ -475,6 +466,20 @@ impl Kernel {
             return;
         };
         match msg {
+            // Frames no correct peer sends — an answer to a `ROLLBACK`
+            // or `LOG_QUERY` this incarnation never sent, a resync
+            // request naming someone else, a service-bound message at
+            // an application rank — are counted and dropped like
+            // undecodable ones.
+            WireMsg::Response(_) | WireMsg::LogQueryResp(_)
+                if *st.rec.machine.phase() == RecoveryPhase::Running =>
+            {
+                st.transport.corrupt_detected += 1;
+            }
+            WireMsg::ResyncReq(who) if who as Rank != src => st.transport.corrupt_detected += 1,
+            WireMsg::LogDets(_) | WireMsg::LogQuery(_) | WireMsg::Suspect(_) => {
+                st.transport.corrupt_detected += 1;
+            }
             WireMsg::App(wire) => {
                 // The re-ack a repetitive rendezvous duplicate is owed.
                 if let Admit::Repetitive {
@@ -520,8 +525,7 @@ impl Kernel {
                 }
             }
             WireMsg::Membership(view) => self.handle_membership(&mut st, view),
-            WireMsg::ResyncReq(who) => {
-                debug_assert_eq!(who as Rank, src, "resync request must name its sender");
+            WireMsg::ResyncReq(_) => {
                 if let Some(bytes) = st.trk.protocol.resync_snapshot(src) {
                     st.transport.send_msg(src, &WireMsg::ResyncSnap(bytes.into()));
                 }
@@ -534,9 +538,6 @@ impl Kernel {
                 // its schedule for this source.
                 let _ = st.trk.protocol.install_resync(src, &bytes);
                 st.resync_pacer.settle(src);
-            }
-            WireMsg::LogDets(_) | WireMsg::LogQuery(_) | WireMsg::Suspect(_) => {
-                debug_assert!(false, "service-bound message reached rank {}", self.me);
             }
         }
     }
@@ -1038,7 +1039,7 @@ impl Kernel {
                 transport.send_msg(crate::logger_rank(self.n), &suspect);
             }
         }
-        if st.rec.machine.rebroadcast_due(self.cfg.retry_interval, now) {
+        if st.rec.machine.rebroadcast_due(RETRY_INTERVAL, now) {
             self.broadcast_rollback(&mut st);
         }
         st.transport.flush_acks();
@@ -1077,13 +1078,13 @@ struct ResyncSlot {
 }
 
 impl ResyncPacer {
-    fn new(me: Rank, n: usize, cfg: &RunConfig) -> Self {
+    fn new(me: Rank, n: usize) -> Self {
         ResyncPacer {
             slots: (0..n).map(|_| None).collect(),
             // A resync is one wire round-trip, same scale as a
             // retransmission; reuse the transport's envelope.
-            initial: cfg.retransmit_timeout,
-            cap: cfg.retransmit_cap,
+            initial: RETRANSMIT_TIMEOUT,
+            cap: RETRANSMIT_CAP,
             seed: 0x5EED_5EED ^ ((me as u64) << 32),
         }
     }
@@ -1191,12 +1192,7 @@ mod tests {
 
     /// A bare endpoint at slot `me`: frames whatever the test says.
     fn raw_peer(me: Rank, net: &SimNet) -> Transport {
-        let cfg = TransportConfig {
-            timeout: Duration::from_millis(2),
-            cap: Duration::from_millis(50),
-            budget: 40,
-            clock: crate::clock::Clock::Real,
-        };
+        let cfg = TransportConfig::standard(crate::clock::Clock::Real);
         Transport::new(me, net.n(), net.clone(), cfg)
     }
 
@@ -1485,13 +1481,13 @@ mod tests {
         net.kill(1);
         let ep0b = net.respawn(0);
         let store = CheckpointStore::new(k0.ckpt_storage());
-        let mut cfg = RunConfig::new(ProtocolKind::Tdi);
-        cfg.retry_interval = Duration::from_millis(1);
+        let sim = lclog_simnet::SimClock::new();
+        let cfg = RunConfig::new(ProtocolKind::Tdi).with_clock(crate::clock::Clock::Sim(sim.clone()));
         let mut k0b = Kernel::new(0, 2, cfg.clone(), net.clone(), store.clone());
         k0b.set_incarnation(2);
         k0b.begin_recovery();
         // The first broadcast is dropped (rank 1 dead).
-        std::thread::sleep(Duration::from_millis(2));
+        sim.advance(RETRY_INTERVAL);
         let ep1b = net.respawn(1);
         let mut k1b = Kernel::new(1, 2, cfg, net.clone(), store);
         k1b.set_incarnation(2);
@@ -1567,6 +1563,43 @@ mod tests {
         pump(&ks[1], &eps[1]);
         assert_eq!(ks[1].snapshot().queued, 1);
         assert_eq!(&ks[1].try_deliver(RecvSpec::any()).unwrap().data[..], b"real");
+    }
+
+    /// What rank 1 of a two-rank world counts as corrupt after slot
+    /// `from` sent it `forged`. Regressions: each frame below used to
+    /// trip a `debug_assert!`, and any fabric peer can send it.
+    fn corrupt_count_after(from: Rank, forged: &[WireMsg]) -> u64 {
+        let (ks, net, eps) = harness(2, ProtocolKind::Tdi);
+        let mut peer = raw_peer(from, &net);
+        for msg in forged {
+            peer.send_msg(1, msg);
+        }
+        pump(&ks[1], &eps[1]);
+        // Still serving: a real message gets through afterwards.
+        peer.send_msg(1, &WireMsg::Ack(1));
+        pump(&ks[1], &eps[1]);
+        assert_eq!(ks[1].rendezvous_progress(from).0, 1);
+        ks[1].snapshot().corrupt_detected
+    }
+
+    #[test]
+    fn resync_request_naming_another_rank_is_a_counted_drop() {
+        assert_eq!(corrupt_count_after(0, &[WireMsg::ResyncReq(1)]), 1);
+    }
+
+    #[test]
+    fn service_bound_messages_at_an_app_rank_are_counted_drops() {
+        let suspect = SuspectWire { rank: 0, incarnation: 1 };
+        let forged = [WireMsg::LogDets(vec![]), WireMsg::LogQuery(0), WireMsg::Suspect(suspect)];
+        assert_eq!(corrupt_count_after(0, &forged), 3);
+    }
+
+    #[test]
+    fn recovery_answers_to_a_running_incarnation_are_counted_drops() {
+        // Rank 1 never broadcast `ROLLBACK` nor queried the logger.
+        let response = ResponseWire { delivered_from_you: 9, dets: vec![], epoch: 1 };
+        let forged = [WireMsg::Response(response), WireMsg::LogQueryResp(vec![])];
+        assert_eq!(corrupt_count_after(0, &forged), 2);
     }
 
     // Both ways an incarnation learns it was declared dead must reach
@@ -1805,8 +1838,7 @@ mod tests {
 
     #[test]
     fn resync_pacer_admits_boundedly_and_resets_on_settle() {
-        let cfg = RunConfig::new(ProtocolKind::TdiSparse(64));
-        let mut pacer = ResyncPacer::new(1, 2, &cfg);
+        let mut pacer = ResyncPacer::new(1, 2);
         let t0 = std::time::Instant::now();
         // The protocol re-queues the request on every gate check, so
         // the pacer sees the same source once per tick. One simulated

@@ -34,10 +34,12 @@
 //!   receiving proceed concurrently and recovery traffic is serviced
 //!   immediately.
 //!
-//! The [`Cluster`] harness ties it together: it spawns rank threads,
-//! injects failures from a [`FailurePlan`], respawns incarnations, runs
-//! the TEL event-logger service, and collects per-rank digests and
-//! tracking statistics.
+//! One incarnation lifecycle ([`RunEnv`]: open storage, boot, lose,
+//! respawn, report) runs under every engine. [`Cluster`] schedules it
+//! on one OS thread per rank beside the TEL event-logger service,
+//! [`TaskJob`] / [`run_tasks`] cooperatively on a small worker pool;
+//! both inject failures from a [`FailurePlan`] and return a
+//! [`RunReport`] of per-rank digests and tracking statistics.
 
 #![warn(missing_docs)]
 
@@ -49,6 +51,7 @@ mod config;
 mod delivery;
 mod detector;
 mod engine;
+mod env;
 pub mod events;
 mod fault;
 mod kernel;
@@ -80,7 +83,9 @@ pub use message::{
     ANY_SOURCE, ANY_TAG,
 };
 pub use process::{RankApp, RankCtx};
-pub use tasks::{run_tasks, BlockingTaskApp, TaskApp, TaskCtx, TaskJob, TaskPoll, TasksEnv};
+pub use env::{Death, RunEnv, TasksEnv};
+pub use kernel::RETRY_INTERVAL;
+pub use tasks::{run_tasks, BlockingTaskApp, TaskApp, TaskCtx, TaskJob, TaskPoll};
 pub use recvq::{Pending, RecvQueue};
 pub use replicator::{Replicator, ReplicatorConfig, ReplicatorStats};
 pub use transport::{payload_is_app_frame, payload_is_data_frame, DataPlaneStats};

@@ -158,17 +158,10 @@ impl RecoveryMachine {
 
     /// A survivor's `RESPONSE` arrived. Returns `(newly_recorded,
     /// transition)`; duplicates and post-`Synced` stragglers are legal
-    /// no-ops.
-    ///
-    /// # Panics
-    ///
-    /// In `Running` (debug builds): a `RESPONSE` can only answer a
-    /// `ROLLBACK`, and `Running` incarnations never broadcast one.
+    /// no-ops, and so is an answer in `Running` — no `ROLLBACK` was
+    /// ever broadcast, so whoever sent it is confused or hostile (the
+    /// kernel counts and drops those before they get here).
     pub fn note_response(&mut self, from: Rank) -> (bool, Option<Transition>) {
-        debug_assert!(
-            !matches!(self.phase, RecoveryPhase::Running),
-            "RESPONSE from rank {from} while running (never broadcast ROLLBACK)"
-        );
         if !self.phase.is_recovering() || self.responded[from] {
             return (false, None);
         }
@@ -179,10 +172,6 @@ impl RecoveryMachine {
     /// The event logger answered our `LOG_QUERY`. Duplicates and
     /// post-`Synced` stragglers are legal no-ops.
     pub fn note_logger_synced(&mut self) -> (bool, Option<Transition>) {
-        debug_assert!(
-            !matches!(self.phase, RecoveryPhase::Running),
-            "logger answer while running (never queried)"
-        );
         if !self.phase.is_recovering() || self.logger_synced {
             return (false, None);
         }
@@ -413,18 +402,14 @@ mod tests {
         m.begin(0, false, Instant::now());
     }
 
+    /// Regression: both used to `debug_assert!`, so a forged `RESPONSE`
+    /// or logger answer aborted a debug build.
     #[test]
-    #[should_panic(expected = "while running")]
-    fn response_while_running_is_a_bug() {
+    fn answers_while_running_are_ignored() {
         let mut m = RecoveryMachine::new(2, Instant::now());
-        let out = m.note_response(1);
-        // Debug builds never reach this point — the debug_assert in
-        // note_response fires first. Release builds tolerate the
-        // straggler as a no-op; verify that, then panic explicitly so
-        // the should_panic expectation holds in both build modes.
-        assert_eq!(out, (false, None));
+        assert_eq!(m.note_response(1), (false, None));
+        assert_eq!(m.note_logger_synced(), (false, None));
         assert_eq!(m.phase(), &RecoveryPhase::Running);
-        panic!("response while running is tolerated in release");
     }
 
     #[test]

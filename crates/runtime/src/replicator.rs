@@ -98,18 +98,6 @@ impl ReplicatorConfig {
         self
     }
 
-    /// Builder-style jitter seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Builder-style breaker cooldown.
-    pub fn with_breaker_cooldown(mut self, cooldown: Duration) -> Self {
-        self.breaker_cooldown = cooldown;
-        self
-    }
-
     /// Builder-style segment flush threshold.
     pub fn with_segment_flush(mut self, bytes: usize) -> Self {
         self.segment_flush_bytes = bytes;

@@ -18,21 +18,21 @@
 
 use crate::backoff::Backoff;
 use crate::clock::Clock;
-use crate::detector::MembershipTable;
-use crate::events::{EventKind, EventSink};
+use crate::env::RunEnv;
+use crate::events::EventKind;
 use crate::message::WireMsg;
 use crate::transport::{decode_envelope, Ingest, Transport, TransportConfig};
 use lclog_core::{Determinant, Rank};
-use lclog_simnet::{Endpoint, RecvError, SimNet};
-use lclog_stable::StableStorage;
+use lclog_simnet::RecvError;
 use lclog_wire::encode_to_vec;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Spawn the event-logger thread. It answers:
+/// Spawn the event-logger thread on the run's service slot, writing
+/// through the run's (shipping) stable storage. It answers:
 ///
 /// * [`WireMsg::LogDets`] — append the submitter's determinants to
 ///   stable storage and reply [`WireMsg::LogAck`] with the highest
@@ -44,29 +44,19 @@ use std::time::Duration;
 ///   certified view; a stale suspicion is answered with the current
 ///   view so the suspecter can catch up instead of killing a
 ///   successor incarnation.
-pub fn spawn_event_logger(
-    net: SimNet,
-    endpoint: Endpoint,
-    storage: Arc<dyn StableStorage>,
-    shutdown: Arc<AtomicBool>,
-    sink: EventSink,
-    membership: Option<Arc<MembershipTable>>,
-) -> JoinHandle<()> {
+pub(crate) fn spawn_event_logger(env: &RunEnv) -> JoinHandle<()> {
+    let net = env.net().clone();
+    let endpoint = net.attach(crate::logger_rank(env.n));
+    let storage = Arc::clone(env.ckpts.storage());
+    let shutdown = Arc::clone(&env.shutdown);
+    let sink = env.sink.clone();
+    let membership = env.membership.clone();
     std::thread::Builder::new()
         .name("lclog-event-logger".into())
         .spawn(move || {
             let me = endpoint.rank();
-            let mut transport = Transport::new(
-                me,
-                net.n(),
-                net.clone(),
-                TransportConfig {
-                    timeout: Duration::from_millis(2),
-                    cap: Duration::from_millis(50),
-                    budget: 40,
-                    clock: Clock::Real,
-                },
-            );
+            let mut transport =
+                Transport::new(me, net.n(), net.clone(), TransportConfig::standard(Clock::Real));
             transport.events = sink.clone();
             // In-memory mirror of stable storage for fast queries; the
             // stable copy is authoritative and written first.
@@ -105,7 +95,13 @@ pub fn spawn_event_logger(
                         let count = batch.len();
                         let upto = acked.entry(src).or_insert(0);
                         for det in batch {
-                            debug_assert_eq!(det.receiver as Rank, src);
+                            // A rank logs only its own deliveries; a
+                            // determinant filed under another receiver
+                            // is forged: counted and dropped.
+                            if det.receiver as Rank != src {
+                                transport.corrupt_detected += 1;
+                                continue;
+                            }
                             // Stable first, then the mirror.
                             storage.append(&key, &encode_to_vec(&det));
                             dets.entry(src).or_default().push(det);
@@ -176,4 +172,47 @@ pub fn spawn_event_logger(
             }
         })
         .expect("spawn event logger")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::ClusterConfig;
+    use crate::config::RunConfig;
+    use lclog_core::ProtocolKind;
+    use std::time::Instant;
+
+    /// Regression: a determinant filed under another rank used to trip
+    /// a `debug_assert!` in the service thread; any fabric peer can
+    /// send one, so it is dropped and the service keeps answering.
+    #[test]
+    fn determinant_filed_under_another_receiver_is_dropped() {
+        let env = RunEnv::open(&ClusterConfig::new(2, RunConfig::new(ProtocolKind::Tel)), None)
+            .expect("in-memory storage opens");
+        let logger = crate::logger_rank(2);
+        let service = spawn_event_logger(&env);
+        let net = env.net();
+        let ep0 = net.attach(0);
+        let mut rank0 = Transport::new(0, net.n(), net.clone(), TransportConfig::standard(Clock::Real));
+        let det = |receiver| Determinant { sender: 1, send_index: 1, receiver, deliver_index: 1 };
+        rank0.send_msg(logger, &WireMsg::LogDets(vec![det(1), det(0)]));
+        rank0.send_msg(logger, &WireMsg::LogQuery(1));
+        rank0.send_msg(logger, &WireMsg::LogQuery(0));
+        let mut answers = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while answers.len() < 2 {
+            assert!(Instant::now() < deadline, "service stopped answering");
+            let Ok(env) = ep0.recv_timeout(Duration::from_millis(10)) else {
+                continue;
+            };
+            if let Ingest::Data(inner) = rank0.ingest(logger, decode_envelope(&env)) {
+                if let Ok(WireMsg::LogQueryResp(found)) = lclog_wire::decode_from_bytes(&inner) {
+                    answers.push(found);
+                }
+            }
+        }
+        assert_eq!(answers, [vec![], vec![det(0)]]);
+        env.shutdown.store(true, Ordering::Relaxed);
+        service.join().unwrap();
+    }
 }

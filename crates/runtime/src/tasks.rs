@@ -17,11 +17,8 @@
 //! shard:
 //!
 //! 1. drain the fabric inbox of every owned rank into its kernel;
-//! 2. crash/respawn owned ranks the failure plan says to kill (held
-//!    frames toward the dead slot are flushed while it is dead, so
-//!    in-flight messages are lost exactly as in the thread engine;
-//!    `wipe` kills also lose the rank's local generations and restore
-//!    from the remote);
+//! 2. lose and respawn owned ranks the failure plan says to kill,
+//!    through the one lifecycle of [`crate::env`];
 //! 3. poll each live rank's state machine up to a bounded budget
 //!    (checkpointing between steps, exactly like the thread loop);
 //! 4. tick the kernel (retransmission timers, resync-request drain,
@@ -43,7 +40,7 @@
 //!   may [`TaskJob::sweep`] any shard of any job (shard mutexes keep
 //!   kernels single-threaded), and a [`TasksEnv`] lets co-resident
 //!   jobs share one stable-storage backend and one replication
-//!   pipeline, namespaced by [`ClusterConfig::rank_base`].
+//!   pipeline.
 //!
 //! Unsupported in tasks mode (clean config errors from
 //! [`TaskJob::new`]; use the thread engine): event-logger protocols
@@ -51,25 +48,21 @@
 //! latency delivery models (the fabric is forced to held delivery),
 //! and fabric chaos (which rides the courier model).
 
-use crate::cluster::{ClusterConfig, RunReport, ShippingStorage, StorageKind};
 use crate::clock::Clock;
+use crate::cluster::{ClusterConfig, RunReport};
 use crate::config::EngineMode;
 use crate::engine::Engine;
-use crate::events::{EventKind, EventSink};
+use crate::env::{Death, RunEnv, TasksEnv};
 use crate::fault::{Fault, StepStatus};
 use crate::kernel::Kernel;
 use crate::message::{AppMsg, RecvSpec};
 use crate::process::{RankApp, RankCtx};
-use crate::replicator::Replicator;
-use crate::transport::DataPlaneStats;
 use bytes::Bytes;
-use lclog_core::{Rank, TrackingStats};
-use lclog_simnet::{DeliveryModel, Endpoint, NetConfig, SimClock, SimNet};
-use lclog_stable::{CheckpointStore, DiskStore, MemStore, StableStorage};
+use lclog_core::Rank;
+use lclog_simnet::{DeliveryModel, Endpoint, NetConfig, SimClock};
 use lclog_wire::{Decode, Encode};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// What one poll of a task state machine produced.
@@ -249,11 +242,6 @@ struct Slot<A: TaskApp> {
     state: A::State,
     step: u64,
     done: bool,
-    digest: u64,
-    /// Merged across this rank's incarnations (live kernel excluded
-    /// until its crash or completion).
-    stats: TrackingStats,
-    data_plane: DataPlaneStats,
 }
 
 /// Steps a slot may take per sweep before yielding to its shard-mates.
@@ -261,22 +249,6 @@ const POLL_BUDGET: usize = 32;
 /// Virtual time per sweep — enough that retransmission and rebroadcast
 /// timers make progress over tens of sweeps without ever dominating.
 const SWEEP_ADVANCE: Duration = Duration::from_micros(50);
-
-/// The durable environment a [`TaskJob`] runs against. A standalone
-/// run builds its own ([`TaskJob::new`]); a hosting service builds one
-/// shared environment and hands it to every job
-/// ([`TaskJob::with_env`]), so co-resident tenants write into one
-/// backend (namespaced by [`ClusterConfig::rank_base`]) and ship
-/// through one replication pipeline.
-pub struct TasksEnv {
-    /// Local stable storage shared by the jobs.
-    pub storage: Arc<dyn StableStorage>,
-    /// Shared replication pipeline (`None` = local-only durability).
-    /// The job offers its checkpoint generations into it and restores
-    /// node-loss wipes from it, but never calls `finish` — lifecycle
-    /// belongs to the host.
-    pub replicator: Option<Arc<Replicator>>,
-}
 
 /// One tasks-engine run as a sweepable object: construction validates
 /// the config and builds every kernel; any thread may then drive
@@ -286,21 +258,9 @@ pub struct TasksEnv {
 /// the `lclog-serve` service multiplexes many jobs onto one pool.
 pub struct TaskJob<A: TaskApp> {
     app: A,
-    n: usize,
-    rank_base: usize,
-    protocol: String,
-    failures: crate::cluster::FailurePlan,
-    run_cfg: crate::config::RunConfig,
-    net: SimNet,
+    env: RunEnv,
     clock: SimClock,
-    ckpts: CheckpointStore,
-    raw_storage: Arc<dyn StableStorage>,
-    replicator: Option<Arc<Replicator>>,
-    owns_replicator: bool,
-    sink: EventSink,
     shards: Vec<Mutex<Vec<Slot<A>>>>,
-    done_count: AtomicUsize,
-    kills: AtomicU32,
     finished: AtomicBool,
     failure: Mutex<Option<String>>,
     start: Instant,
@@ -312,120 +272,49 @@ impl<A: TaskApp> TaskJob<A> {
     /// `cfg.storage`) and, when `cfg.remote` is set, its own
     /// replication pipeline (finished when the job's report is taken).
     pub fn new(cfg: &ClusterConfig, app: A) -> Result<Self, String> {
-        let storage: Arc<dyn StableStorage> = match &cfg.storage {
-            StorageKind::Memory => Arc::new(MemStore::new()),
-            StorageKind::Disk(dir) => {
-                Arc::new(DiskStore::open(dir).map_err(|e| format!("open disk store: {e}"))?)
-            }
-        };
-        let replicator = cfg.remote.as_ref().map(|rc| {
-            Replicator::spawn(
-                Arc::clone(&rc.store),
-                rc.replicator.clone(),
-                EventSink::disabled(),
-                cfg.rank_base + crate::logger_rank(cfg.n),
-            )
-        });
-        Self::build(cfg, app, storage, replicator, true)
+        Self::build(cfg, app, None)
     }
 
     /// Build a job against a host-owned environment (see [`TasksEnv`]).
     /// `cfg.remote` is ignored: remote durability is whatever the
     /// shared `env.replicator` provides.
     pub fn with_env(cfg: &ClusterConfig, app: A, env: &TasksEnv) -> Result<Self, String> {
-        Self::build(
-            cfg,
-            app,
-            Arc::clone(&env.storage),
-            env.replicator.clone(),
-            false,
-        )
+        Self::build(cfg, app, Some(env))
     }
 
-    fn build(
-        cfg: &ClusterConfig,
-        app: A,
-        raw_storage: Arc<dyn StableStorage>,
-        replicator: Option<Arc<Replicator>>,
-        owns_replicator: bool,
-    ) -> Result<Self, String> {
-        let n = cfg.n;
-        assert!(n > 0, "cluster needs at least one rank");
+    fn build(cfg: &ClusterConfig, app: A, host: Option<&TasksEnv>) -> Result<Self, String> {
         validate(cfg)?;
-
+        let n = cfg.n;
         let workers = match cfg.run.engine {
             EngineMode::Tasks { workers } => workers.max(1),
             EngineMode::Threads => 4,
         }
         .min(n);
         let clock = SimClock::new();
-        let mut run_cfg = cfg.run.clone();
-        run_cfg.clock = Clock::Sim(clock.clone());
-        // Replicated checkpoints imply a node-loss restore may fall
-        // back one generation; survivors must then keep one extra
-        // generation of sender-log entries resendable.
-        if replicator.is_some() {
-            run_cfg.log_gc_lag = true;
-        }
+        let mut cfg = cfg.clone();
+        cfg.run.clock = Clock::Sim(clock.clone());
         // Held delivery is what makes sweeps deterministic and lets one
         // thread serve many ranks (validate() rejected configs that
         // asked for anything the held fabric cannot honour).
-        let net = SimNet::new(n + 1, NetConfig::held());
-        // Durable writes flow through the shipping wrapper when a
-        // replicator exists; restores install straight into the raw
-        // store (avoiding a re-ship of what just came down).
-        let ckpt_storage: Arc<dyn StableStorage> = match &replicator {
-            Some(repl) => Arc::new(ShippingStorage::new(
-                Arc::clone(&raw_storage),
-                Arc::clone(repl),
-            )),
-            None => Arc::clone(&raw_storage),
-        };
-        let ckpts = CheckpointStore::new(ckpt_storage).with_rank_base(cfg.rank_base);
-        let sink = if cfg.trace {
-            EventSink::recording()
-        } else {
-            EventSink::disabled()
-        };
-        // Attach every endpoint before any sweep runs, then shard
-        // round-robin.
-        let endpoints: Vec<Endpoint> = (0..n).map(|rank| net.attach(rank)).collect();
+        cfg.net = NetConfig::held();
+        let env = RunEnv::open(&cfg, host)?;
         let mut shards: Vec<Vec<Slot<A>>> = (0..workers).map(|_| Vec::new()).collect();
-        for (rank, endpoint) in endpoints.into_iter().enumerate() {
-            let mut kernel = Kernel::new(rank, n, run_cfg.clone(), net.clone(), ckpts.clone());
-            kernel.set_incarnation(1);
-            kernel.set_event_sink(sink.clone());
-            sink.emit(rank, EventKind::Spawned { incarnation: 1 });
+        for (rank, endpoint) in env.attach().into_iter().enumerate() {
             shards[rank % workers].push(Slot {
                 rank,
                 incarnation: 1,
                 endpoint,
-                kernel,
+                kernel: env.boot(rank),
                 state: app.init(rank, n),
                 step: 0,
                 done: false,
-                digest: 0,
-                stats: TrackingStats::default(),
-                data_plane: DataPlaneStats::default(),
             });
         }
         Ok(TaskJob {
             app,
-            n,
-            rank_base: cfg.rank_base,
-            protocol: cfg.run.protocol.to_string(),
-            failures: cfg.failures.clone(),
-            run_cfg,
-            net,
+            env,
             clock,
-            ckpts,
-            raw_storage,
-            replicator,
-            owns_replicator,
-            sink,
             shards: shards.into_iter().map(Mutex::new).collect(),
-            done_count: AtomicUsize::new(0),
-            kills: AtomicU32::new(0),
             finished: AtomicBool::new(false),
             failure: Mutex::new(None),
             start: Instant::now(),
@@ -440,17 +329,17 @@ impl<A: TaskApp> TaskJob<A> {
 
     /// Number of application ranks.
     pub fn n(&self) -> usize {
-        self.n
+        self.env.n
     }
 
     /// `(done ranks, total ranks)` — a cheap progress probe.
     pub fn progress(&self) -> (usize, usize) {
-        (self.done_count.load(Ordering::Relaxed), self.n)
+        (self.env.done(), self.env.n)
     }
 
     /// Injected/earned crash count so far.
     pub fn kills_fired(&self) -> u32 {
-        self.kills.load(Ordering::Relaxed)
+        self.env.kills()
     }
 
     /// One sweep over shard `shard` (see the module docs for the four
@@ -475,75 +364,21 @@ impl<A: TaskApp> TaskJob<A> {
                 progressed = true;
             }
             if !slot.done {
-                if self
-                    .failures
-                    .should_kill(slot.rank, slot.incarnation, slot.step)
-                {
-                    self.kills.fetch_add(1, Ordering::Relaxed);
-                    self.crash_and_respawn(slot);
-                    progressed = true;
-                } else if slot.kernel.is_fenced() || slot.kernel.is_desynced() {
-                    // No detector runs in tasks mode, but the desync
-                    // path (tracking merge rejected a gate-approved
-                    // message) is still reachable; rebuild through the
-                    // rollback path like the thread engine does.
-                    self.kills.fetch_add(1, Ordering::Relaxed);
-                    self.crash_and_respawn(slot);
-                    progressed = true;
-                } else {
-                    // 3. Poll up to the budget.
-                    for _ in 0..POLL_BUDGET {
-                        let mut ctx = TaskCtx::for_kernel(&slot.kernel, slot.step);
-                        match self.app.poll(&mut ctx, &mut slot.state) {
-                            Ok(TaskPoll::Pending) => break,
-                            Ok(TaskPoll::Step) => {
-                                slot.step += 1;
-                                if slot.kernel.checkpoint_due(slot.step) {
-                                    slot.kernel.do_checkpoint(
-                                        lclog_wire::encode_to_vec(&slot.state),
-                                        slot.step,
-                                    );
-                                }
-                                progressed = true;
-                                // Kills fire on step boundaries; leave
-                                // the budget so the next sweep's kill
-                                // check sees the new step promptly.
-                                if self.failures.should_kill(
-                                    slot.rank,
-                                    slot.incarnation,
-                                    slot.step,
-                                ) {
-                                    break;
-                                }
-                            }
-                            Ok(TaskPoll::Done) => {
-                                self.sink
-                                    .emit(slot.rank, EventKind::Done { step: slot.step });
-                                // A final checkpoint lets every peer
-                                // release the last log entries
-                                // referring to us.
-                                slot.kernel.do_checkpoint(
-                                    lclog_wire::encode_to_vec(&slot.state),
-                                    slot.step,
-                                );
-                                slot.digest = self.app.digest(&slot.state);
-                                let snap = slot.kernel.snapshot();
-                                slot.stats.merge(&snap.stats);
-                                slot.data_plane.merge(&snap.data_plane);
-                                slot.done = true;
-                                self.done_count.fetch_add(1, Ordering::Relaxed);
-                                progressed = true;
-                                break;
-                            }
-                            Err(Fault::Shutdown) => break,
-                            Err(_) => {
-                                self.kills.fetch_add(1, Ordering::Relaxed);
-                                self.crash_and_respawn(slot);
-                                progressed = true;
-                                break;
-                            }
-                        }
+                // 2. Planned kills fire on step boundaries. No detector
+                // runs in tasks mode, but the desync path (tracking
+                // merge rejected a gate-approved message) is still
+                // reachable; it rebuilds through the rollback path like
+                // any fault in the thread engine.
+                let death = match self.env.due(slot.rank, slot.incarnation, slot.step) {
+                    Some(death) => Some(death),
+                    None if slot.kernel.is_fenced() || slot.kernel.is_desynced() => {
+                        Some(Death::Process)
                     }
+                    None => self.poll(slot, &mut progressed),
+                };
+                if let Some(death) = death {
+                    self.crash_and_respawn(slot, death);
+                    progressed = true;
                 }
             }
             // 4. Timers, resync-request drain, rollback rebroadcast.
@@ -554,21 +389,61 @@ impl<A: TaskApp> TaskJob<A> {
         progressed
     }
 
+    /// Stage 3: poll `slot`'s state machine up to the budget,
+    /// checkpointing between steps; a fault it returns is the
+    /// incarnation's death.
+    fn poll(&self, slot: &mut Slot<A>, progressed: &mut bool) -> Option<Death> {
+        for _ in 0..POLL_BUDGET {
+            let mut ctx = TaskCtx::for_kernel(&slot.kernel, slot.step);
+            match self.app.poll(&mut ctx, &mut slot.state) {
+                Ok(TaskPoll::Pending) | Err(Fault::Shutdown) => break,
+                Ok(TaskPoll::Step) => {
+                    slot.step += 1;
+                    if slot.kernel.checkpoint_due(slot.step) {
+                        slot.kernel
+                            .do_checkpoint(lclog_wire::encode_to_vec(&slot.state), slot.step);
+                    }
+                    *progressed = true;
+                    // Leave the budget so the next sweep's kill check
+                    // sees the new step promptly.
+                    if self
+                        .env
+                        .due(slot.rank, slot.incarnation, slot.step)
+                        .is_some()
+                    {
+                        break;
+                    }
+                }
+                Ok(TaskPoll::Done) => {
+                    let image = lclog_wire::encode_to_vec(&slot.state);
+                    let digest = self.app.digest(&slot.state);
+                    self.env
+                        .finish(slot.rank, slot.step, &slot.kernel, image, digest);
+                    slot.done = true;
+                    *progressed = true;
+                    break;
+                }
+                Err(_) => return Some(Death::Process),
+            }
+        }
+        None
+    }
+
     /// The leader duties, run once per sweep round by exactly one
     /// driver: release everything in flight, advance virtual time,
     /// check completion, arm the watchdog. Returns true if held frames
     /// moved.
     pub fn advance(&self) -> bool {
-        let progressed = self.net.held_deliver_all() > 0;
+        let progressed = self.env.net().held_deliver_all() > 0;
         self.clock.advance(SWEEP_ADVANCE);
-        if self.done_count.load(Ordering::Relaxed) == self.n {
+        if self.env.done() == self.env.n {
             self.finished.store(true, Ordering::Release);
         } else if self.start.elapsed() > self.max_wall {
             *self.failure.lock() = Some(format!(
                 "tasks watchdog fired after {:?} (protocol {}, {} ranks, {} shards)",
                 self.max_wall,
-                self.protocol,
-                self.n,
+                self.env.run.protocol,
+                self.env.n,
                 self.shards.len()
             ));
             self.finished.store(true, Ordering::Release);
@@ -587,51 +462,8 @@ impl<A: TaskApp> TaskJob<A> {
     /// drained and joined here, a host-owned one is left running and
     /// only snapshotted.
     pub fn report(&self) -> Result<RunReport, String> {
-        if self.owns_replicator {
-            if let Some(repl) = &self.replicator {
-                repl.finish();
-            }
-        }
-        if let Some(msg) = self.failure.lock().clone() {
-            return Err(msg);
-        }
-        let mut digests = vec![0u64; self.n];
-        let mut per_rank_stats = vec![TrackingStats::default(); self.n];
-        let mut per_rank_data_plane = vec![DataPlaneStats::default(); self.n];
-        for shard in &self.shards {
-            for slot in shard.lock().iter() {
-                debug_assert!(slot.done, "report taken with an unfinished rank");
-                digests[slot.rank] = slot.digest;
-                per_rank_stats[slot.rank] = slot.stats.clone();
-                per_rank_data_plane[slot.rank] = slot.data_plane.clone();
-            }
-        }
-        let mut stats = TrackingStats::default();
-        for s in &per_rank_stats {
-            stats.merge(s);
-        }
-        let mut data_plane = DataPlaneStats::default();
-        for d in &per_rank_data_plane {
-            data_plane.merge(d);
-        }
-        Ok(RunReport {
-            digests,
-            per_rank_stats,
-            stats,
-            wall: self.start.elapsed(),
-            kills: self.kills.load(Ordering::Relaxed),
-            net_msgs: self.net.stats().msgs_sent(),
-            net_bytes: self.net.stats().bytes_sent(),
-            retransmits: self.net.stats().retransmits(),
-            chaos_dropped: self.net.stats().chaos_dropped(),
-            chaos_duplicated: self.net.stats().chaos_duplicated(),
-            chaos_corrupted: self.net.stats().chaos_corrupted(),
-            per_rank_data_plane,
-            data_plane,
-            timeline: self.sink.take(),
-            detector: None,
-            replicator: self.replicator.as_ref().map(|r| r.stats()),
-        })
+        self.env
+            .report(self.start.elapsed(), self.failure.lock().clone())
     }
 
     /// Garbage-collect every checkpoint generation this job wrote,
@@ -640,73 +472,22 @@ impl<A: TaskApp> TaskJob<A> {
     /// after that, and a long-running service must not accumulate dead
     /// tenants' generations.
     pub fn clear_generations(&self) -> usize {
-        (0..self.n).map(|rank| self.ckpts.clear_rank(rank)).sum()
+        self.env.clear_generations()
     }
 
-    /// Crash `slot`'s incarnation and bring up its successor through
-    /// the normal rollback path — the tasks-mode equivalent of the
-    /// thread engine's `crash` + respawn cycle, including node loss
-    /// (`wipe`): local generations die with the node and the respawn
-    /// restores from the remote manifest.
-    fn crash_and_respawn(&self, slot: &mut Slot<A>) {
-        let n = self.n;
-        let kill = self.failures.kill_for(slot.rank, slot.incarnation);
-        let wipe = kill.map(|k| k.wipe).unwrap_or(false);
-        let corrupt_remote = kill.map(|k| k.corrupt_remote).unwrap_or(false);
-        let global_rank = self.rank_base + slot.rank;
-        self.sink.emit(slot.rank, EventKind::Crashed { step: slot.step });
-        self.net.kill(slot.rank);
-        // Flush held frames toward the dead slot — they are dropped at
-        // delivery, reproducing the thread engine's loss of in-flight
-        // messages at a crash (survivors resend from their logs).
-        for src in 0..n + 1 {
-            while self.net.held_deliver(src, slot.rank) {}
-        }
-        let snap = slot.kernel.snapshot();
-        slot.stats.merge(&snap.stats);
-        slot.data_plane.merge(&snap.data_plane);
-        // Node loss: the local store dies with the node. Let the
-        // replicator drain before the replacement comes up — the
-        // respawn must not restore against a manifest staler than what
-        // survivors can still replay. For the torn-upload variant,
-        // then damage the newest remote generation, which after the
-        // drain is the one the victim just checkpointed.
-        if wipe {
-            if let Some(repl) = &self.replicator {
-                repl.wait_synced(Duration::from_secs(2));
-                if corrupt_remote {
-                    repl.corrupt_newest_remote_generation(global_rank);
-                }
-            }
-            let gens = self.ckpts.clear_rank(slot.rank);
-            self.sink
-                .emit(slot.rank, EventKind::StoreWiped { generations: gens });
-        }
+    /// `slot`'s incarnation is dead: the shared lifecycle loses it and
+    /// brings up its successor in the same sweep.
+    fn crash_and_respawn(&self, slot: &mut Slot<A>, death: Death) {
+        self.env
+            .lose(slot.rank, slot.incarnation, slot.step, &slot.kernel, death);
         slot.incarnation += 1;
-        slot.endpoint = self.net.respawn(slot.rank);
-        self.sink.emit(
-            slot.rank,
-            EventKind::Spawned {
-                incarnation: slot.incarnation,
-            },
-        );
-        let (kernel, restored) = Kernel::respawn(
-            slot.rank,
-            n,
-            self.run_cfg.clone(),
-            self.net.clone(),
-            self.ckpts.clone(),
-            slot.incarnation,
-            self.sink.clone(),
-            self.replicator
-                .as_deref()
-                .map(|repl| (repl, self.raw_storage.as_ref())),
-            |bytes| lclog_wire::decode_from_slice(bytes).ok(),
-        );
-        let (step, state) = restored.unwrap_or_else(|| (0u64, self.app.init(slot.rank, n)));
+        let (kernel, endpoint, restored) = self.env.respawn(slot.rank, slot.incarnation, |bytes| {
+            lclog_wire::decode_from_slice(bytes).ok()
+        });
+        (slot.step, slot.state) =
+            restored.unwrap_or_else(|| (0, self.app.init(slot.rank, self.env.n)));
         slot.kernel = kernel;
-        slot.state = state;
-        slot.step = step;
+        slot.endpoint = endpoint;
     }
 }
 
@@ -774,8 +555,12 @@ mod tests {
     use super::*;
     use crate::cluster::{Cluster, FailurePlan, RemoteConfig};
     use crate::config::{CheckpointPolicy, RunConfig};
+    use crate::events::EventKind;
     use lclog_core::ProtocolKind;
+    use lclog_simnet::SimNet;
+    use lclog_stable::{CheckpointStore, MemStore, StableStorage};
     use lclog_wire::impl_wire_struct;
+    use std::sync::Arc;
 
     const TAG: u32 = 7;
 
@@ -886,31 +671,74 @@ mod tests {
         }
     }
 
+    /// The incarnation lifecycle is one piece of code under both
+    /// engines: a node loss on one rank and a plain kill on another at
+    /// the same step recover to the fault-free digests under threads
+    /// and under tasks, and each victim's timeline from `Crashed` to
+    /// its `ROLLBACK` broadcast reads the same on both. (Not to
+    /// `RecoverySynced`: with two ranks down at once the first
+    /// broadcast can miss the other victim, and under TDI the
+    /// application may finish before the rebroadcast is answered.)
     #[test]
-    fn tasks_mode_ships_to_remote_and_recovers_a_wiped_rank() {
-        let clean = run_tasks(
-            &tasks_cfg(4, ProtocolKind::Tdi),
-            ExchangeRing { rounds: 8 },
-        )
-        .unwrap();
-        let wiped = run_tasks(
-            &tasks_cfg(4, ProtocolKind::Tdi)
-                .with_remote(RemoteConfig::in_memory())
-                .with_failures(FailurePlan::kill_wipe_at(2, 4)),
-            ExchangeRing { rounds: 8 },
-        )
-        .unwrap();
-        assert!(wiped.kills >= 1, "the wipe kill must fire");
-        assert_eq!(
-            wiped.digests, clean.digests,
-            "node-loss recovery must reproduce the fault-free digests"
-        );
-        let repl = wiped.replicator.expect("remote run reports replicator stats");
-        assert!(
-            repl.objects_shipped > 0,
-            "checkpoint generations must have shipped"
-        );
-        assert!(repl.restores >= 1, "the wipe must trigger a remote restore");
+    fn lifecycle_is_the_same_under_both_engines() {
+        let app = || ExchangeRing { rounds: 8 };
+        let clean = run_tasks(&tasks_cfg(4, ProtocolKind::Tdi), app()).unwrap();
+        let faulty = |engine| {
+            ClusterConfig::new(
+                4,
+                RunConfig::new(ProtocolKind::Tdi)
+                    .with_checkpoint(CheckpointPolicy::EverySteps(2))
+                    .with_engine(engine),
+            )
+            .with_max_wall(Duration::from_secs(30))
+            .with_remote(RemoteConfig::in_memory())
+            .with_failures(FailurePlan::kill_wipe_at(2, 4).and_kill(0, 4))
+            .with_trace(true)
+        };
+        let threads = Cluster::run(&faulty(EngineMode::Threads), BlockingTaskApp(app())).unwrap();
+        let tasks = run_tasks(&faulty(EngineMode::Tasks { workers: 2 }), app()).unwrap();
+        let lifecycle = |report: &RunReport, victim: Rank| -> Vec<&'static str> {
+            let on_victim = report.timeline.iter().filter(|e| e.rank == victim);
+            let mut story: Vec<_> = on_victim
+                .map(|e| match e.kind {
+                    EventKind::Crashed { .. } => "crashed",
+                    EventKind::StoreWiped { .. } => "store_wiped",
+                    EventKind::RemoteRestored { .. } => "remote_restored",
+                    EventKind::Spawned { .. } => "spawned",
+                    EventKind::RollbackBroadcast { .. } => "rollback",
+                    _ => "",
+                })
+                .skip_while(|&name| name != "crashed")
+                .filter(|name| !name.is_empty())
+                .collect();
+            let first_rollback = story.iter().position(|&name| name == "rollback");
+            story.truncate(first_rollback.map_or(story.len(), |at| at + 1));
+            story
+        };
+        for report in [&threads, &tasks] {
+            assert_eq!(report.digests, clean.digests);
+            assert_eq!(report.kills, 2);
+            assert_eq!(
+                lifecycle(report, 2),
+                [
+                    "crashed",
+                    "store_wiped",
+                    "spawned",
+                    "remote_restored",
+                    "rollback"
+                ]
+            );
+            assert_eq!(lifecycle(report, 0), ["crashed", "spawned", "rollback"]);
+            let repl = report
+                .replicator
+                .as_ref()
+                .expect("remote run reports replicator stats");
+            assert!(
+                repl.objects_shipped > 0,
+                "checkpoint generations must have shipped"
+            );
+            assert!(repl.restores >= 1, "the wipe must trigger a remote restore");
+        }
     }
 
     #[test]

@@ -383,7 +383,18 @@ impl DataPlaneStats {
     }
 }
 
-/// Retransmission tuning (from `RunConfig`).
+/// Initial retransmission timeout of every kernel and of the stable
+/// service.
+pub(crate) const RETRANSMIT_TIMEOUT: Duration = Duration::from_millis(2);
+/// Ceiling of the exponential retransmission backoff.
+pub(crate) const RETRANSMIT_CAP: Duration = Duration::from_millis(50);
+/// Consecutive no-progress retransmission rounds before a peer is
+/// declared [`crate::Fault::Unreachable`] — or, with a detector
+/// configured, reported to it as a suspicion while retransmission
+/// continues.
+pub(crate) const RETRANSMIT_BUDGET: u32 = 40;
+
+/// Retransmission tuning; a struct so the unit tests can shorten it.
 #[derive(Debug, Clone)]
 pub(crate) struct TransportConfig {
     /// Initial retransmission timeout.
@@ -397,6 +408,18 @@ pub(crate) struct TransportConfig {
     /// simulation — backoff then advances only when the scheduler
     /// advances the clock).
     pub clock: Clock,
+}
+
+impl TransportConfig {
+    /// What everything outside the unit tests runs with.
+    pub(crate) fn standard(clock: Clock) -> Self {
+        TransportConfig {
+            timeout: RETRANSMIT_TIMEOUT,
+            cap: RETRANSMIT_CAP,
+            budget: RETRANSMIT_BUDGET,
+            clock,
+        }
+    }
 }
 
 /// Sender side of one channel.

@@ -1,12 +1,8 @@
-//! Tenant job descriptions and the engine-erased driver the service's
-//! shared worker pool sweeps.
+//! Tenant job descriptions: the SUBMIT grammar and what it turns into.
 
 use crate::workload::{Workload, WorkloadKind};
 use lclog_core::ProtocolKind;
-use lclog_runtime::{
-    CheckpointPolicy, ClusterConfig, DetectorConfig, EngineMode, FailurePlan, RunReport,
-    TaskApp, TaskJob,
-};
+use lclog_runtime::{CheckpointPolicy, ClusterConfig, DetectorConfig, EngineMode, FailurePlan};
 use std::time::Duration;
 
 /// Which engine runs a submitted job.
@@ -244,55 +240,6 @@ impl JobSpec {
     /// The workload instance this spec runs.
     pub fn workload(&self) -> Workload {
         Workload::new(self.kind, self.rounds)
-    }
-}
-
-/// The engine-erased face of a tasks-mode job: what the service's
-/// shared worker pool needs to drive any tenant regardless of its
-/// concrete [`TaskApp`] type.
-pub trait SweepJob: Send + Sync {
-    /// Number of shards the job exposes.
-    fn shards(&self) -> usize;
-    /// One sweep of `shard`; true if anything progressed.
-    fn sweep(&self, shard: usize) -> bool;
-    /// The once-per-round leader duties; true if held frames moved.
-    fn advance(&self) -> bool;
-    /// True once every rank finished (or the watchdog fired).
-    fn is_finished(&self) -> bool;
-    /// Assemble the job's report (call once, after `is_finished`).
-    fn take_report(&self) -> Result<RunReport, String>;
-    /// GC every checkpoint generation the job wrote.
-    fn clear_generations(&self) -> usize;
-    /// `(done ranks, total ranks)`.
-    fn progress(&self) -> (usize, usize);
-    /// Crashes fired so far.
-    fn kills(&self) -> u32;
-}
-
-impl<A: TaskApp> SweepJob for TaskJob<A> {
-    fn shards(&self) -> usize {
-        TaskJob::shards(self)
-    }
-    fn sweep(&self, shard: usize) -> bool {
-        TaskJob::sweep(self, shard)
-    }
-    fn advance(&self) -> bool {
-        TaskJob::advance(self)
-    }
-    fn is_finished(&self) -> bool {
-        TaskJob::is_finished(self)
-    }
-    fn take_report(&self) -> Result<RunReport, String> {
-        TaskJob::report(self)
-    }
-    fn clear_generations(&self) -> usize {
-        TaskJob::clear_generations(self)
-    }
-    fn progress(&self) -> (usize, usize) {
-        TaskJob::progress(self)
-    }
-    fn kills(&self) -> u32 {
-        TaskJob::kills_fired(self)
     }
 }
 

@@ -15,7 +15,7 @@
 //!
 //! ## Scheduling model
 //!
-//! Tasks-engine jobs are [`SweepJob`]s multiplexed onto one shared
+//! Tasks-engine jobs are [`TaskJob`]s multiplexed onto one shared
 //! worker pool: each pool thread round-robins over every active job's
 //! shards, and the shard mutexes' `try_lock` skip means a busy shard
 //! never convoys the pool — that is the fairness mechanism. Thread-
@@ -23,7 +23,8 @@
 //! own dedicated runner thread, since their ranks are OS threads
 //! already.
 
-use crate::job::{EngineKind, JobSpec, SweepJob};
+use crate::job::{EngineKind, JobSpec};
+use crate::workload::Workload;
 use lclog_runtime::{
     BlockingTaskApp, Cluster, DetectorReport, EventSink, RemoteConfig, Replicator,
     ReplicatorConfig, RunReport, TaskJob, TasksEnv,
@@ -74,7 +75,7 @@ impl LatencyHist {
 /// Where a job currently is in its lifecycle.
 enum JobState {
     /// A tasks-engine job being swept by the shared pool.
-    Tasks(Arc<dyn SweepJob>),
+    Tasks(Arc<TaskJob<Workload>>),
     /// A thread-engine job running on its dedicated runner thread.
     Threads,
     /// Done: the report (or failure) is held for REPORT/DIGESTS.
@@ -91,7 +92,7 @@ struct JobEntry {
     rank_base: usize,
     submitted: Instant,
     /// Claim flag so exactly one pool thread runs a sweep round's
-    /// leader duties ([`SweepJob::advance`]) at a time.
+    /// leader duties ([`TaskJob::advance`]) at a time.
     advancing: AtomicBool,
     state: Mutex<JobState>,
 }
@@ -259,7 +260,7 @@ impl Service {
                 let (done, total) = driver.progress();
                 format!(
                     "id={id} state=running engine=tasks done={done}/{total} kills={}",
-                    driver.kills()
+                    driver.kills_fired()
                 )
             }
             JobState::Threads => format!("id={id} state=running engine=threads"),
@@ -679,7 +680,7 @@ fn pool_worker(inner: &Arc<Inner>) {
                 // Report first, then GC: a finished tenant's ranks
                 // never restore again, and a long-running service must
                 // not accumulate dead tenants' generations.
-                let report = driver.take_report();
+                let report = driver.report();
                 let gens = driver.clear_generations();
                 inner.finalize(entry, report, gens);
                 progressed = true;
