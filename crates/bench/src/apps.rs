@@ -218,8 +218,8 @@ mod tests {
     use super::*;
     use lclog_core::ProtocolKind;
     use lclog_runtime::{
-        run_tasks, BlockingTaskApp, CheckpointPolicy, Cluster, ClusterConfig, EngineMode,
-        FailurePlan, RunConfig,
+        run_tasks, BlockingTaskApp, CheckpointPolicy, Cluster, ClusterConfig, FailurePlan,
+        RunConfig,
     };
     use std::time::Duration;
 
@@ -250,13 +250,7 @@ mod tests {
             payload: 64,
         };
         let threads = Cluster::run(&cfg(4), BlockingTaskApp(app)).unwrap().digests;
-        let tasks_cfg = ClusterConfig::new(
-            4,
-            RunConfig::new(ProtocolKind::Tdi)
-                .with_checkpoint(CheckpointPolicy::EverySteps(4))
-                .with_engine(EngineMode::Tasks { workers: 2 }),
-        )
-        .with_max_wall(Duration::from_secs(30));
+        let tasks_cfg = cfg(4).with_max_wall(Duration::from_secs(30));
         let tasks = run_tasks(&tasks_cfg, app).unwrap().digests;
         assert_eq!(threads, tasks);
         let faulty = run_tasks(

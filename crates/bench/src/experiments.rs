@@ -5,8 +5,8 @@ use crate::table::Table;
 use lclog_core::ProtocolKind;
 use lclog_npb::{run_benchmark, Benchmark, Class};
 use lclog_runtime::{
-    run_tasks, CheckpointPolicy, Cluster, ClusterConfig, CommMode, DetectorConfig, EngineMode,
-    FailurePlan, RemoteConfig, ReplicatorConfig, RunConfig,
+    run_tasks, CheckpointPolicy, Cluster, ClusterConfig, CommMode, DetectorConfig, FailurePlan,
+    RemoteConfig, ReplicatorConfig, RunConfig,
 };
 use lclog_simnet::{ChaosConfig, NetConfig, StorageChaos};
 use std::time::Duration;
@@ -968,7 +968,7 @@ fn tracking_us_per_msg(kind: ProtocolKind, n: usize, iters: u64) -> f64 {
 
 /// SC1: piggyback-bytes × tracking-time scaling, extending Fig. 6/7
 /// beyond the paper's n = 32 ceiling. Every run uses the task engine
-/// (ranks as scheduler tasks on a worker pool, held fabric, virtual
+/// (ranks as scheduler tasks driven by one thread, held fabric, virtual
 /// clock) on the neighbor-exchange ring, sweeping n with dense TDI
 /// against sparse delta tracking (TDI-S). Each (n, protocol) cell runs
 /// fault-free and again with rank 1 killed mid-run; `digest_ok` is the
@@ -1001,10 +1001,6 @@ pub fn scaling_table(quick: bool) -> Table {
     };
     let rounds: u64 = if quick { 6 } else { 16 };
     let kill_step = rounds / 2;
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(8);
     let app = TaskRing {
         rounds,
         payload: 64,
@@ -1014,9 +1010,7 @@ pub fn scaling_table(quick: bool) -> Table {
             let cfg = |failures: FailurePlan| {
                 ClusterConfig::new(
                     n,
-                    RunConfig::new(kind)
-                        .with_checkpoint(CheckpointPolicy::EverySteps(8))
-                        .with_engine(EngineMode::Tasks { workers }),
+                    RunConfig::new(kind).with_checkpoint(CheckpointPolicy::EverySteps(8)),
                 )
                 .with_failures(failures)
                 .with_max_wall(Duration::from_secs(600))
@@ -1061,10 +1055,6 @@ pub fn hotpath_table(quick: bool) -> Table {
     let steps = total_steps(Benchmark::Lu, class);
     let ckpt = (steps / 6).max(2);
     let rounds: u64 = if quick { 6 } else { 16 };
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(8);
     for kind in [ProtocolKind::Tdi, ProtocolKind::TdiSparse(32)] {
         let threaded = |kill: bool| {
             let mut c = ClusterConfig::new(
@@ -1094,9 +1084,7 @@ pub fn hotpath_table(quick: bool) -> Table {
             };
             let cfg = ClusterConfig::new(
                 8,
-                RunConfig::new(kind)
-                    .with_checkpoint(CheckpointPolicy::EverySteps(8))
-                    .with_engine(EngineMode::Tasks { workers }),
+                RunConfig::new(kind).with_checkpoint(CheckpointPolicy::EverySteps(8)),
             )
             .with_failures(failures)
             .with_max_wall(Duration::from_secs(600));

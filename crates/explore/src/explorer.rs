@@ -22,16 +22,10 @@
 //! state (digest vector, wedge, desync) is still visited at least
 //! once; the reduction only removes commuting duplicates.
 //!
-//! Parallel exploration partitions the **root frontier**: worker `w`
-//! of `W` owns root branches `w, w+W, …`, each explored as an
-//! independent sleep-set DFS in which all lower-numbered root branches
-//! are pre-slept (they are owned — and fully explored — by definition
-//! of the partition, so the reduction matches the serial schedule
-//! order exactly). Workers share only an execution budget and a stop
-//! flag; statistics and digest censuses merge after joining.
+//! Every mode runs on the caller's thread, one schedule at a time, so
+//! an exploration's census and counts repeat exactly.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use crate::decider::{Decider, SeededDecider, TraceDecider};
 use crate::runner::{run_schedule_cfg, Alt, RunOutcome, RunnerConfig, Verdict};
@@ -59,10 +53,6 @@ pub struct ExploreConfig {
     /// Fault choice points each schedule may spend (all-zero =
     /// fault-free exploration).
     pub faults: FaultBudget,
-    /// Worker threads for [`explore_dpor`]'s partitioned root
-    /// frontier (clamped to the root arity; 0 and 1 both mean
-    /// serial).
-    pub workers: usize,
 }
 
 impl Default for ExploreConfig {
@@ -73,7 +63,6 @@ impl Default for ExploreConfig {
             seed: 0x5EED,
             protocol: ProtocolKind::Tdi,
             faults: FaultBudget::none(),
-            workers: 1,
         }
     }
 }
@@ -336,51 +325,41 @@ impl Decider for DporDecider {
     }
 }
 
-/// Per-worker accumulation, merged after joining.
-struct SubResult {
-    schedules: usize,
-    sleep_blocked: usize,
-    wedged: usize,
-    max_arity: usize,
-    digests_seen: BTreeSet<Vec<u64>>,
-    /// `(root_branch, diverging run)` — shrunk later on the main
-    /// thread, and only for the winning (lowest-root-branch) worker.
-    divergence: Option<(usize, RunOutcome)>,
-    exhausted: bool,
-}
+/// DPOR exploration: the full schedule tree of `workload` — fault
+/// choice points included, per `cfg.faults` — searched depth-first and
+/// reduced by sleep sets. Every completed schedule is compared against
+/// the all-defaults fault-free baseline; exploration stops at the
+/// first divergence (shrunk before reporting). With reduction,
+/// `schedules` is typically a small fraction of what
+/// [`explore_exhaustive`] visits for the same configuration, while
+/// `digests_seen` covers the same set.
+pub fn explore_dpor(workload: &Workload, cfg: &ExploreConfig) -> ExploreReport {
+    let rcfg = cfg.runner();
+    let baseline = run_with(workload, Trace::new(), &rcfg);
+    let mut report = ExploreReport::new(&baseline);
+    if baseline.verdict != Verdict::Completed {
+        report.divergence = Some(make_divergence(workload, &rcfg, &baseline, &baseline));
+        return report;
+    }
+    let Some(first) = baseline.steps.first() else {
+        // No steps at all — the baseline is the only schedule.
+        report.exhausted = true;
+        return report;
+    };
 
-/// Sleep-set DFS over the subtree rooted at `root_alts[branch]`, with
-/// all lower-numbered root branches pre-slept (they are fully explored
-/// by the workers that own them).
-#[allow(clippy::too_many_arguments)]
-fn explore_subtree(
-    workload: &Workload,
-    rcfg: &RunnerConfig,
-    baseline: &RunOutcome,
-    root_alts: &[Alt],
-    branch: usize,
-    executions: &AtomicUsize,
-    max_executions: usize,
-    stop: &AtomicBool,
-    out: &mut SubResult,
-) {
+    // The baseline above is re-executed as the search's first run
+    // (root branch 0, empty sleep), so it is not counted here.
+    report.schedules = 0;
+    report.wedged = 0;
     let mut frames = vec![Frame {
-        alts: root_alts.to_vec(),
-        picked: branch,
+        alts: first.alts.clone(),
+        picked: 0,
         sleep_entry: BTreeSet::new(),
-        done: root_alts[..branch].iter().cloned().collect(),
+        done: BTreeSet::new(),
     }];
 
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            out.exhausted = false;
-            return;
-        }
-        if executions.fetch_add(1, Ordering::Relaxed) >= max_executions {
-            out.exhausted = false;
-            return;
-        }
-
+    // Sleep-blocked abandonments count against the budget too.
+    for _ in 0..cfg.max_schedules {
         let plan: Vec<usize> = frames.iter().map(|f| f.picked).collect();
         let frontier = frames.last().expect("nonempty stack").child_sleep();
         let mut decider = DporDecider {
@@ -388,22 +367,16 @@ fn explore_subtree(
             pos: 0,
             sleep: frontier.clone(),
         };
-        let run = run_schedule_cfg(workload, &mut decider, rcfg);
-        out.max_arity = out.max_arity.max(run.max_arity());
+        let run = run_schedule_cfg(workload, &mut decider, &rcfg);
 
         if run.verdict == Verdict::Aborted {
-            out.sleep_blocked += 1;
+            report.sleep_blocked += 1;
+            report.max_arity = report.max_arity.max(run.max_arity());
         } else {
-            out.schedules += 1;
-            if matches!(run.verdict, Verdict::Wedged { .. }) {
-                out.wedged += 1;
-            }
-            out.digests_seen.insert(run.digests.clone());
-            if out.divergence.is_none() && !run.agrees_with(baseline) {
-                out.divergence = Some((branch, run.clone()));
-                stop.store(true, Ordering::Relaxed);
-                out.exhausted = false;
-                return;
+            report.absorb(&run);
+            if !run.agrees_with(&baseline) {
+                report.divergence = Some(make_divergence(workload, &rcfg, &run, &baseline));
+                return report;
             }
         }
 
@@ -431,20 +404,14 @@ fn explore_subtree(
 
         // Backtrack: mark the current branch done at the deepest
         // frame, advance to its next unexplored non-slept sibling, or
-        // pop. The root frame never advances — its siblings belong to
-        // other partitions.
+        // pop. An empty stack means the whole tree was explored.
         loop {
-            let depth = frames.len();
             let Some(top) = frames.last_mut() else {
-                out.exhausted = true;
-                return;
+                report.exhausted = true;
+                return report;
             };
             let cur = top.action();
             top.done.insert(cur);
-            if depth == 1 {
-                out.exhausted = true;
-                return;
-            }
             let next = top
                 .alts
                 .iter()
@@ -459,127 +426,6 @@ fn explore_subtree(
                 }
             }
         }
-    }
-}
-
-/// DPOR exploration: the full schedule tree of `workload` — fault
-/// choice points included, per `cfg.faults` — reduced by sleep sets
-/// and optionally partitioned across `cfg.workers` threads. Every
-/// completed schedule is compared against the all-defaults fault-free
-/// baseline; exploration stops at the first divergence (shrunk before
-/// reporting). With reduction, `schedules` is typically a small
-/// fraction of what [`explore_exhaustive`] visits for the same
-/// configuration, while `digests_seen` covers the same set.
-pub fn explore_dpor(workload: &Workload, cfg: &ExploreConfig) -> ExploreReport {
-    let rcfg = cfg.runner();
-    let baseline = run_with(workload, Trace::new(), &rcfg);
-    let mut report = ExploreReport::new(&baseline);
-    if baseline.verdict != Verdict::Completed {
-        report.divergence = Some(make_divergence(workload, &rcfg, &baseline, &baseline));
-        return report;
-    }
-    let Some(first) = baseline.steps.first() else {
-        // No steps at all — the baseline is the only schedule.
-        report.exhausted = true;
-        return report;
-    };
-    let root_alts = first.alts.clone();
-
-    // The baseline above is re-executed as worker 0's first run (root
-    // branch 0, empty sleep), so it is not counted here; worker
-    // results alone sum to the schedule count.
-    report.schedules = 0;
-    report.wedged = 0;
-
-    let workers = cfg.workers.clamp(1, root_alts.len());
-    let executions = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let fresh = || SubResult {
-        schedules: 0,
-        sleep_blocked: 0,
-        wedged: 0,
-        max_arity: report.max_arity,
-        digests_seen: BTreeSet::new(),
-        divergence: None,
-        exhausted: true,
-    };
-
-    let results: Vec<SubResult> = if workers == 1 {
-        let mut sub = fresh();
-        for branch in 0..root_alts.len() {
-            if sub.divergence.is_some() || !sub.exhausted {
-                break;
-            }
-            explore_subtree(
-                workload,
-                &rcfg,
-                &baseline,
-                &root_alts,
-                branch,
-                &executions,
-                cfg.max_schedules,
-                &stop,
-                &mut sub,
-            );
-        }
-        vec![sub]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let (root_alts, baseline, rcfg) = (&root_alts, &baseline, &rcfg);
-                    let (executions, stop) = (&executions, &stop);
-                    let mut sub = fresh();
-                    scope.spawn(move || {
-                        let mut branch = w;
-                        while branch < root_alts.len() {
-                            if sub.divergence.is_some() || !sub.exhausted {
-                                break;
-                            }
-                            explore_subtree(
-                                workload,
-                                rcfg,
-                                baseline,
-                                root_alts,
-                                branch,
-                                executions,
-                                cfg.max_schedules,
-                                stop,
-                                &mut sub,
-                            );
-                            branch += workers;
-                        }
-                        sub
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("explore worker panicked"))
-                .collect()
-        })
-    };
-
-    let mut winning: Option<(usize, RunOutcome)> = None;
-    let mut all_exhausted = true;
-    for sub in results {
-        report.schedules += sub.schedules;
-        report.sleep_blocked += sub.sleep_blocked;
-        report.wedged += sub.wedged;
-        report.max_arity = report.max_arity.max(sub.max_arity);
-        report.digests_seen.extend(sub.digests_seen);
-        all_exhausted &= sub.exhausted;
-        if let Some((branch, run)) = sub.divergence {
-            if winning.as_ref().map(|(b, _)| branch < *b).unwrap_or(true) {
-                winning = Some((branch, run));
-            }
-        }
-    }
-    report.digests_seen.insert(baseline.digests.clone());
-    // Exhaustion requires *every* partition to finish its subtrees.
-    report.exhausted = all_exhausted && winning.is_none();
-    if let Some((_, run)) = winning {
-        report.divergence = Some(make_divergence(workload, &rcfg, &run, &baseline));
     }
     report
 }

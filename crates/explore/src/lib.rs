@@ -38,10 +38,9 @@
 //!   TDI `depend_interval` vectors against the first run.
 //! * [`explore_dpor`] covers the same tree with dynamic partial-order
 //!   reduction: an independence relation over [`Alt`]s drives sleep
-//!   sets that skip schedules equivalent to ones already executed,
-//!   and the root frontier can be partitioned across worker threads
-//!   (`ExploreConfig::workers`). Same digest census, a fraction of
-//!   the executions; see `DESIGN.md` §12.
+//!   sets that skip schedules equivalent to ones already executed.
+//!   Same digest census, a fraction of the executions; see
+//!   `DESIGN.md` §12.
 //! * On divergence, [`shrink`] greedily minimizes the offending
 //!   [`Trace`] — truncating the tail and zeroing decisions while the
 //!   mismatch reproduces — so the report carries a minimal replayable

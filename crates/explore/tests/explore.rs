@@ -64,26 +64,6 @@ fn dpor_matches_brute_force_census_at_n3() {
     assert_eq!(dpor.baseline_digests, brute.baseline_digests);
 }
 
-/// Partitioning the root frontier across workers is an accounting
-/// detail, not a semantic one: serial and 3-way-parallel DPOR visit
-/// the same schedules.
-#[test]
-fn parallel_dpor_matches_serial() {
-    let w = Workload::rotating_gather(3, 2);
-    let mk = |workers| ExploreConfig {
-        max_schedules: 50_000,
-        workers,
-        ..Default::default()
-    };
-    let serial = explore_dpor(&w, &mk(1));
-    let parallel = explore_dpor(&w, &mk(3));
-    assert!(serial.exhausted && parallel.exhausted);
-    assert_eq!(serial.schedules, parallel.schedules);
-    assert_eq!(serial.sleep_blocked, parallel.sleep_blocked);
-    assert_eq!(serial.digests_seen, parallel.digests_seen);
-    assert!(parallel.divergence.is_none());
-}
-
 /// Injected order dependence: an order-sensitive fold must make
 /// different schedules produce different digests, the explorer must
 /// catch it, and the shrunk trace must (a) be no longer than the

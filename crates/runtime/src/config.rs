@@ -33,21 +33,19 @@ impl CommMode {
     }
 }
 
-/// How rank state machines are mapped onto OS threads.
+/// Inert: nothing reads it. The engine is the entry point called —
+/// [`crate::Cluster::run`] (one OS thread per rank) or
+/// [`crate::run_tasks`] (ranks as tasks driven by one thread). The
+/// type survives only because the benchmark package still builds
+/// `EngineMode::Tasks { workers: 2 }` through
+/// [`RunConfig::with_engine`]; it goes once that use does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
-    /// One OS thread per rank (plus a communication thread each in
-    /// non-blocking mode) — the faithful Fig. 4 arrangement. Fine to
-    /// n ≈ 64; thread stacks and context switches dominate beyond.
+    /// Inert (see [`EngineMode`]).
     Threads,
-    /// Ranks run as cooperative tasks multiplexed onto a small sharded
-    /// worker pool over the held-delivery fabric and a virtual clock —
-    /// how n ∈ {256, 512, 1024} runs in-process. Requires a
-    /// [`crate::TaskApp`] workload (a poll-style state machine instead
-    /// of a blocking run loop).
+    /// Inert (see [`EngineMode`]).
     Tasks {
-        /// Worker threads sharing the rank population (ranks are
-        /// sharded `rank % workers`). Clamped to at least 1.
+        /// Inert: a tasks job is always driven by one thread.
         workers: usize,
     },
 }
@@ -94,8 +92,7 @@ pub struct RunConfig {
     /// [`crate::Cluster`] switches this on automatically whenever a
     /// [`crate::RemoteConfig`] is attached.
     pub log_gc_lag: bool,
-    /// Ranks as OS threads (default) or as scheduler tasks on a worker
-    /// pool (large n).
+    /// Inert: nothing reads it (see [`EngineMode`]).
     pub engine: EngineMode,
 }
 
@@ -146,7 +143,8 @@ impl RunConfig {
         self
     }
 
-    /// Builder-style engine mode override (ranks as tasks for large n).
+    /// Sets the inert [`RunConfig::engine`]; changes nothing about a
+    /// run (see [`EngineMode`]).
     pub fn with_engine(mut self, engine: EngineMode) -> Self {
         self.engine = engine;
         self

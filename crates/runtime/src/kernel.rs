@@ -466,11 +466,20 @@ impl Kernel {
             return;
         };
         match msg {
-            // Frames no correct peer sends — an answer to a `ROLLBACK`
-            // or `LOG_QUERY` this incarnation never sent, a resync
-            // request naming someone else, a service-bound message at
-            // an application rank — are counted and dropped like
-            // undecodable ones.
+            // Frames no correct peer sends — from the service slot, any
+            // but the logger's and the arbiter's (other arms index by
+            // `src`); an answer to a `ROLLBACK` or `LOG_QUERY` this
+            // incarnation never sent, a resync request naming someone
+            // else, a service-bound message at an application rank —
+            // are counted and dropped like undecodable ones.
+            _ if src >= self.n
+                && !matches!(
+                    msg,
+                    WireMsg::LogAck(_) | WireMsg::LogQueryResp(_) | WireMsg::Membership(_)
+                ) =>
+            {
+                st.transport.corrupt_detected += 1;
+            }
             WireMsg::Response(_) | WireMsg::LogQueryResp(_)
                 if *st.rec.machine.phase() == RecoveryPhase::Running =>
             {
@@ -1565,33 +1574,39 @@ mod tests {
         assert_eq!(&ks[1].try_deliver(RecvSpec::any()).unwrap().data[..], b"real");
     }
 
-    /// What rank 1 of a two-rank world counts as corrupt after slot
-    /// `from` sent it `forged`. Regressions: each frame below used to
-    /// trip a `debug_assert!`, and any fabric peer can send it.
-    fn corrupt_count_after(from: Rank, forged: &[WireMsg]) -> u64 {
-        let (ks, net, eps) = harness(2, ProtocolKind::Tdi);
+    /// What rank 1 of a three-rank world — recovering, if asked —
+    /// counts as corrupt after slot `from` sent it `forged`.
+    /// Regressions: each frame below used to trip a `debug_assert!` or
+    /// index out of bounds, and any fabric peer can send it.
+    fn corrupt_count_after(from: Rank, recovering: bool, forged: &[WireMsg]) -> u64 {
+        // TDI-S: the one protocol that installs resync snapshots.
+        let (ks, net, eps) = harness(3, ProtocolKind::TdiSparse(8));
+        if recovering {
+            ks[1].begin_recovery();
+        }
         let mut peer = raw_peer(from, &net);
         for msg in forged {
             peer.send_msg(1, msg);
         }
         pump(&ks[1], &eps[1]);
-        // Still serving: a real message gets through afterwards.
-        peer.send_msg(1, &WireMsg::Ack(1));
+        // Still serving: a real message from rank 2, which forges
+        // nothing, gets through afterwards.
+        raw_peer(2, &net).send_msg(1, &WireMsg::Ack(1));
         pump(&ks[1], &eps[1]);
-        assert_eq!(ks[1].rendezvous_progress(from).0, 1);
+        assert_eq!(ks[1].rendezvous_progress(2).0, 1);
         ks[1].snapshot().corrupt_detected
     }
 
     #[test]
     fn resync_request_naming_another_rank_is_a_counted_drop() {
-        assert_eq!(corrupt_count_after(0, &[WireMsg::ResyncReq(1)]), 1);
+        assert_eq!(corrupt_count_after(0, false, &[WireMsg::ResyncReq(1)]), 1);
     }
 
     #[test]
     fn service_bound_messages_at_an_app_rank_are_counted_drops() {
         let suspect = SuspectWire { rank: 0, incarnation: 1 };
         let forged = [WireMsg::LogDets(vec![]), WireMsg::LogQuery(0), WireMsg::Suspect(suspect)];
-        assert_eq!(corrupt_count_after(0, &forged), 3);
+        assert_eq!(corrupt_count_after(0, false, &forged), 3);
     }
 
     #[test]
@@ -1599,7 +1614,37 @@ mod tests {
         // Rank 1 never broadcast `ROLLBACK` nor queried the logger.
         let response = ResponseWire { delivered_from_you: 9, dets: vec![], epoch: 1 };
         let forged = [WireMsg::Response(response), WireMsg::LogQueryResp(vec![])];
-        assert_eq!(corrupt_count_after(0, &forged), 2);
+        assert_eq!(corrupt_count_after(0, false, &forged), 2);
+    }
+
+    /// The service slot (`n`) hosts only the event logger and the
+    /// membership arbiter; a rank-to-rank message from there used to
+    /// index an `n`-long per-peer vector at `n` and panic.
+    #[test]
+    fn rank_messages_from_the_service_slot_are_counted_drops() {
+        let service = 3;
+        let app = AppWire {
+            tag: 0,
+            send_index: 1,
+            piggyback: Bytes::new(),
+            needs_ack: false,
+            data: Bytes::from_static(b"forged"),
+        };
+        let rollback = RollbackWire { last_deliver_index: vec![0; 3], epoch: 2 };
+        let advance = CkptAdvanceWire { delivered_from_you: 1, total_delivered: 1 };
+        for forged in [
+            WireMsg::App(app),
+            WireMsg::Ack(1),
+            WireMsg::Rollback(rollback),
+            WireMsg::CkptAdvance(advance),
+            // A well-formed three-rank snapshot: epoch 1, seq 1, zeros.
+            WireMsg::ResyncSnap(Bytes::from_static(&[1, 1, 0, 0, 0])),
+        ] {
+            assert_eq!(corrupt_count_after(service, false, &[forged]), 1);
+        }
+        // `RESPONSE` reaches its handler only while rank 1 recovers.
+        let response = ResponseWire { delivered_from_you: 9, dets: vec![], epoch: 1 };
+        assert_eq!(corrupt_count_after(service, true, &[WireMsg::Response(response)]), 1);
     }
 
     // Both ways an incarnation learns it was declared dead must reach

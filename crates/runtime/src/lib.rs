@@ -37,7 +37,7 @@
 //! One incarnation lifecycle ([`RunEnv`]: open storage, boot, lose,
 //! respawn, report) runs under every engine. [`Cluster`] schedules it
 //! on one OS thread per rank beside the TEL event-logger service,
-//! [`TaskJob`] / [`run_tasks`] cooperatively on a small worker pool;
+//! [`TaskJob`] / [`run_tasks`] cooperatively, one thread per job;
 //! both inject failures from a [`FailurePlan`] and return a
 //! [`RunReport`] of per-rank digests and tracking statistics.
 

@@ -485,8 +485,10 @@ impl Inner {
     }
 
     fn ingest(&self, work: Work) {
-        self.queued.fetch_sub(1, Ordering::SeqCst);
         let mut st = self.state.lock();
+        // Uncount the offer only under the lock that files it, so
+        // `is_synced` never sees it in neither place.
+        self.queued.fetch_sub(1, Ordering::SeqCst);
         match work {
             Work::Generation { key, bytes } => {
                 let seq = st.next_seq;
@@ -639,7 +641,17 @@ impl Inner {
         };
         let mut shipped_any = false;
         for _ in 0..window {
-            let Some(item) = self.state.lock().pending.pop_front() else {
+            // An object in flight is in neither `pending` nor the
+            // remote manifest: the manifest is dirty from the moment it
+            // leaves `pending`, or `is_synced` would report a sync the
+            // remote cannot restore from.
+            let item = {
+                let mut st = self.state.lock();
+                let item = st.pending.pop_front();
+                st.manifest_dirty |= item.is_some();
+                item
+            };
+            let Some(item) = item else {
                 break;
             };
             match self.put_with_retries(&item.key, &item.bytes) {
@@ -648,7 +660,6 @@ impl Inner {
                     {
                         let mut st = self.state.lock();
                         st.pending_bytes -= item.bytes.len();
-                        st.manifest_dirty = true;
                         let entry = ManifestEntry {
                             kind: item.kind,
                             key: item.key.clone(),
@@ -806,7 +817,7 @@ fn gen_prefix(key: &str) -> String {
 mod tests {
     use super::*;
     use lclog_simnet::StorageChaos;
-    use lclog_stable::{FaultyRemote, MemRemote, MemStore};
+    use lclog_stable::{FaultyRemote, MemRemote, MemStore, RemoteResult};
 
     fn quick_cfg() -> ReplicatorConfig {
         ReplicatorConfig {
@@ -894,6 +905,49 @@ mod tests {
         assert!(repl.wait_synced(Duration::from_secs(2)));
         let local = MemStore::new();
         assert_eq!(repl.restore_rank(7, &local), None);
+        repl.finish();
+    }
+
+    /// A remote whose object uploads meet the test at a barrier twice,
+    /// once started and once released; the manifest goes straight
+    /// through.
+    struct GatedRemote(MemRemote, std::sync::Barrier);
+
+    impl RemoteStore for GatedRemote {
+        fn put(&self, key: &str, bytes: &[u8]) -> RemoteResult<()> {
+            if key != MANIFEST_KEY {
+                self.1.wait();
+                self.1.wait();
+            }
+            self.0.put(key, bytes)
+        }
+
+        fn get(&self, key: &str) -> RemoteResult<Option<Vec<u8>>> {
+            self.0.get(key)
+        }
+
+        fn list(&self, prefix: &str) -> RemoteResult<Vec<String>> {
+            self.0.list(prefix)
+        }
+
+        fn delete(&self, key: &str) -> RemoteResult<()> {
+            self.0.delete(key)
+        }
+    }
+
+    /// Regression: a generation taken off the queue but not yet in the
+    /// manifest read as synced, so a node-loss restore right after
+    /// `wait_synced` could find no generation at all.
+    #[test]
+    fn a_generation_mid_upload_is_not_synced() {
+        let remote = Arc::new(GatedRemote(MemRemote::new(), std::sync::Barrier::new(2)));
+        let repl = Replicator::spawn(remote.clone(), quick_cfg(), EventSink::disabled(), 4);
+        repl.offer_generation(&CheckpointStore::key(0, 1), &gen_blob(1, 32));
+        remote.1.wait();
+        assert!(!repl.is_synced(), "the manifest does not list the generation yet");
+        remote.1.wait();
+        assert!(repl.wait_synced(Duration::from_secs(2)));
+        assert_eq!(repl.restore_rank(0, &MemStore::new()), Some(1));
         repl.finish();
     }
 

@@ -1,5 +1,5 @@
-//! Ranks as scheduler tasks: many rank state machines multiplexed
-//! onto a small sharded worker pool.
+//! Ranks as scheduler tasks: many rank state machines driven in
+//! rounds by one thread.
 //!
 //! The thread engine ([`crate::Cluster`]) is the faithful Fig. 4
 //! arrangement — one OS thread per rank — and tops out around n ≈ 64:
@@ -7,40 +7,32 @@
 //! n = 1024 run is not even schedulable. This module runs the *same
 //! kernels* (same transport, sender log, checkpointing, rollback
 //! recovery) cooperatively instead: each rank is a [`TaskApp`] state
-//! machine polled by one of W worker threads, the fabric runs in held
-//! mode so delivery happens in deterministic sweeps, and kernel time
-//! is a scheduler-advanced virtual clock.
+//! machine, the fabric runs in held mode so delivery happens in
+//! deterministic sweeps, and kernel time is a scheduler-advanced
+//! virtual clock. One thread drives a round at a time, so a run is a
+//! pure function of its config: the same digests, messages, bytes and
+//! retransmissions every time.
 //!
-//! Sharding is by rank (`rank % workers`), so a kernel is only ever
-//! touched by the worker currently holding its shard and no
-//! cross-worker locking exists beyond the fabric itself. One sweep per
-//! shard:
+//! A round is one sweep over every rank, in rank order:
 //!
-//! 1. drain the fabric inbox of every owned rank into its kernel;
-//! 2. lose and respawn owned ranks the failure plan says to kill,
+//! 1. drain the rank's fabric inbox into its kernel;
+//! 2. lose and respawn the rank if the failure plan says to kill it,
 //!    through the one lifecycle of [`crate::env`];
-//! 3. poll each live rank's state machine up to a bounded budget
+//! 3. poll a live rank's state machine up to a bounded budget
 //!    (checkpointing between steps, exactly like the thread loop);
 //! 4. tick the kernel (retransmission timers, resync-request drain,
-//!    rollback rebroadcast).
+//!    rollback rebroadcast);
 //!
-//! The leader duties ([`TaskJob::advance`]) release all held fabric
-//! channels, advance the virtual clock, and arm the watchdog.
-//! Completion leaves a rank serving its peers (drain + tick) until
-//! every rank is done — the cooperative version of
-//! `serve_until_shutdown`.
+//! then one [`TaskJob::advance`]: release all held fabric channels,
+//! advance the virtual clock, and arm the watchdog. Completion leaves a
+//! rank serving its peers (drain + tick) until every rank is done — the
+//! cooperative version of `serve_until_shutdown`.
 //!
-//! The engine comes in two shapes:
-//!
-//! * [`run_tasks`] — the standalone entry point: one scoped worker
-//!   pool per run, worker `w` permanently owning shard `w`;
-//! * [`TaskJob`] — the same machine exposed as a sweepable object for
-//!   long-running hosts (the `lclog-serve` service), where one shared
-//!   worker pool multiplexes *many* concurrent jobs: any pool thread
-//!   may [`TaskJob::sweep`] any shard of any job (shard mutexes keep
-//!   kernels single-threaded), and a [`TasksEnv`] lets co-resident
-//!   jobs share one stable-storage backend and one replication
-//!   pipeline.
+//! [`run_tasks`] drives a job on the caller's thread. Long-running
+//! hosts (the `lclog-serve` service) hold many jobs and let any pool
+//! thread claim a whole round of one with [`TaskJob::try_round`]; a
+//! [`TasksEnv`] lets co-resident jobs share one stable-storage backend
+//! and one replication pipeline.
 //!
 //! Unsupported in tasks mode (clean config errors from
 //! [`TaskJob::new`]; use the thread engine): event-logger protocols
@@ -50,7 +42,6 @@
 
 use crate::clock::Clock;
 use crate::cluster::{ClusterConfig, RunReport};
-use crate::config::EngineMode;
 use crate::engine::Engine;
 use crate::env::{Death, RunEnv, TasksEnv};
 use crate::fault::{Fault, StepStatus};
@@ -62,7 +53,6 @@ use lclog_core::Rank;
 use lclog_simnet::{DeliveryModel, Endpoint, NetConfig, SimClock};
 use lclog_wire::{Decode, Encode};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// What one poll of a task state machine produced.
@@ -233,7 +223,7 @@ impl<A: TaskApp> RankApp for BlockingTaskApp<A> {
     }
 }
 
-/// One rank's slot in a worker's shard.
+/// One rank's slot in a job.
 struct Slot<A: TaskApp> {
     rank: Rank,
     incarnation: u64,
@@ -244,25 +234,32 @@ struct Slot<A: TaskApp> {
     done: bool,
 }
 
-/// Steps a slot may take per sweep before yielding to its shard-mates.
+/// Steps a slot may take per sweep before the sweep moves on to the
+/// next rank.
 const POLL_BUDGET: usize = 32;
 /// Virtual time per sweep — enough that retransmission and rebroadcast
 /// timers make progress over tens of sweeps without ever dominating.
 const SWEEP_ADVANCE: Duration = Duration::from_micros(50);
 
-/// One tasks-engine run as a sweepable object: construction validates
-/// the config and builds every kernel; any thread may then drive
-/// [`TaskJob::sweep`] / [`TaskJob::advance`] until
-/// [`TaskJob::is_finished`], and [`TaskJob::report`] assembles the
-/// [`RunReport`]. [`run_tasks`] wraps this in a dedicated scoped pool;
-/// the `lclog-serve` service multiplexes many jobs onto one pool.
+/// Everything a round mutates: every rank's slot and how the job ended.
+struct Ranks<A: TaskApp> {
+    slots: Vec<Slot<A>>,
+    finished: bool,
+    failure: Option<String>,
+}
+
+/// One tasks-engine run as a drivable object: construction validates
+/// the config and builds every kernel; rounds of [`TaskJob::sweep`] +
+/// [`TaskJob::advance`] then run until [`TaskJob::is_finished`], and
+/// [`TaskJob::report`] assembles the [`RunReport`]. One lock holds the
+/// ranks, so one thread drives a round at a time: [`run_tasks`] on the
+/// caller's thread, the `lclog-serve` pool through
+/// [`TaskJob::try_round`].
 pub struct TaskJob<A: TaskApp> {
     app: A,
     env: RunEnv,
     clock: SimClock,
-    shards: Vec<Mutex<Vec<Slot<A>>>>,
-    finished: AtomicBool,
-    failure: Mutex<Option<String>>,
+    ranks: Mutex<Ranks<A>>,
     start: Instant,
     max_wall: Duration,
 }
@@ -285,11 +282,6 @@ impl<A: TaskApp> TaskJob<A> {
     fn build(cfg: &ClusterConfig, app: A, host: Option<&TasksEnv>) -> Result<Self, String> {
         validate(cfg)?;
         let n = cfg.n;
-        let workers = match cfg.run.engine {
-            EngineMode::Tasks { workers } => workers.max(1),
-            EngineMode::Threads => 4,
-        }
-        .min(n);
         let clock = SimClock::new();
         let mut cfg = cfg.clone();
         cfg.run.clock = Clock::Sim(clock.clone());
@@ -298,9 +290,8 @@ impl<A: TaskApp> TaskJob<A> {
         // asked for anything the held fabric cannot honour).
         cfg.net = NetConfig::held();
         let env = RunEnv::open(&cfg, host)?;
-        let mut shards: Vec<Vec<Slot<A>>> = (0..workers).map(|_| Vec::new()).collect();
-        for (rank, endpoint) in env.attach().into_iter().enumerate() {
-            shards[rank % workers].push(Slot {
+        let slots = (env.attach().into_iter().enumerate())
+            .map(|(rank, endpoint)| Slot {
                 rank,
                 incarnation: 1,
                 endpoint,
@@ -308,23 +299,27 @@ impl<A: TaskApp> TaskJob<A> {
                 state: app.init(rank, n),
                 step: 0,
                 done: false,
-            });
-        }
+            })
+            .collect();
         Ok(TaskJob {
             app,
             env,
             clock,
-            shards: shards.into_iter().map(Mutex::new).collect(),
-            finished: AtomicBool::new(false),
-            failure: Mutex::new(None),
+            ranks: Mutex::new(Ranks {
+                slots,
+                finished: false,
+                failure: None,
+            }),
             start: Instant::now(),
             max_wall: cfg.max_wall,
         })
     }
 
-    /// Number of shards (= worker slots this job can use in parallel).
+    /// Always 1: one sweep covers every rank. Kept so a driver written
+    /// as `for shard in 0..job.shards() { job.sweep(shard) }` still
+    /// drives the whole job.
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        1
     }
 
     /// Number of application ranks.
@@ -342,17 +337,35 @@ impl<A: TaskApp> TaskJob<A> {
         self.env.kills()
     }
 
-    /// One sweep over shard `shard` (see the module docs for the four
-    /// sweep stages). Returns true if anything progressed. Non-blocking
-    /// with respect to other drivers: a shard currently swept by
-    /// another thread is skipped (`false`), which is what lets a shared
-    /// pool serve many jobs fairly without convoying on a busy one.
-    pub fn sweep(&self, shard: usize) -> bool {
-        let Some(mut slots) = self.shards[shard].try_lock() else {
-            return false;
-        };
+    /// One sweep over every rank (see the module docs for the four
+    /// sweep stages); `_shard` is always 0 (see [`TaskJob::shards`]).
+    /// Returns true if anything progressed.
+    pub fn sweep(&self, _shard: usize) -> bool {
+        self.sweep_slots(&mut self.ranks.lock().slots)
+    }
+
+    /// Close the round: release everything in flight, advance virtual
+    /// time, check completion, arm the watchdog. Returns true if held
+    /// frames moved.
+    pub fn advance(&self) -> bool {
+        self.advance_ranks(&mut self.ranks.lock())
+    }
+
+    /// One whole round — [`TaskJob::sweep`] then [`TaskJob::advance`]
+    /// — unless another thread is driving this job, in which case it
+    /// returns `None` at once. This is what lets a shared pool drive
+    /// many jobs in parallel without ever waiting on a busy one.
+    /// `Some(true)` once the job is finished.
+    pub fn try_round(&self) -> Option<bool> {
+        let mut ranks = self.ranks.try_lock()?;
+        self.sweep_slots(&mut ranks.slots);
+        self.advance_ranks(&mut ranks);
+        Some(ranks.finished)
+    }
+
+    fn sweep_slots(&self, slots: &mut [Slot<A>]) -> bool {
         let mut progressed = false;
-        for slot in slots.iter_mut() {
+        for slot in slots {
             // 1. Drain the fabric inbox as one batch (one coalesced
             // ack flush).
             let mut batch = Vec::new();
@@ -429,32 +442,24 @@ impl<A: TaskApp> TaskJob<A> {
         None
     }
 
-    /// The leader duties, run once per sweep round by exactly one
-    /// driver: release everything in flight, advance virtual time,
-    /// check completion, arm the watchdog. Returns true if held frames
-    /// moved.
-    pub fn advance(&self) -> bool {
+    fn advance_ranks(&self, ranks: &mut Ranks<A>) -> bool {
         let progressed = self.env.net().held_deliver_all() > 0;
         self.clock.advance(SWEEP_ADVANCE);
         if self.env.done() == self.env.n {
-            self.finished.store(true, Ordering::Release);
+            ranks.finished = true;
         } else if self.start.elapsed() > self.max_wall {
-            *self.failure.lock() = Some(format!(
-                "tasks watchdog fired after {:?} (protocol {}, {} ranks, {} shards)",
-                self.max_wall,
-                self.env.run.protocol,
-                self.env.n,
-                self.shards.len()
+            ranks.failure = Some(format!(
+                "tasks watchdog fired after {:?} (protocol {}, {} ranks)",
+                self.max_wall, self.env.run.protocol, self.env.n
             ));
-            self.finished.store(true, Ordering::Release);
+            ranks.finished = true;
         }
         progressed
     }
 
-    /// True once every rank is done (or the watchdog fired). Sweeping
-    /// a finished job is a no-op.
+    /// True once every rank is done (or the watchdog fired).
     pub fn is_finished(&self) -> bool {
-        self.finished.load(Ordering::Acquire)
+        self.ranks.lock().finished
     }
 
     /// Assemble the run's [`RunReport`] (or the watchdog failure).
@@ -462,8 +467,8 @@ impl<A: TaskApp> TaskJob<A> {
     /// drained and joined here, a host-owned one is left running and
     /// only snapshotted.
     pub fn report(&self) -> Result<RunReport, String> {
-        self.env
-            .report(self.start.elapsed(), self.failure.lock().clone())
+        let failure = self.ranks.lock().failure.clone();
+        self.env.report(self.start.elapsed(), failure)
     }
 
     /// Garbage-collect every checkpoint generation this job wrote,
@@ -525,28 +530,15 @@ fn validate(cfg: &ClusterConfig) -> Result<(), String> {
     Ok(())
 }
 
-/// Run `app` on `cfg.n` ranks as cooperative tasks on a dedicated
-/// sharded worker pool (see the module docs for the sweep loop and the
-/// list of configurations that require the thread engine instead).
+/// Run `app` on `cfg.n` ranks as cooperative tasks, driven round by
+/// round on the caller's thread (see the module docs for the round and
+/// the list of configurations that require the thread engine instead).
 pub fn run_tasks<A: TaskApp>(cfg: &ClusterConfig, app: A) -> Result<RunReport, String> {
     let job = TaskJob::new(cfg, app)?;
-    std::thread::scope(|s| {
-        for w in 0..job.shards() {
-            let job = &job;
-            s.spawn(move || loop {
-                let mut progressed = job.sweep(w);
-                if w == 0 && job.advance() {
-                    progressed = true;
-                }
-                if job.is_finished() {
-                    return;
-                }
-                if !progressed {
-                    std::thread::yield_now();
-                }
-            });
-        }
-    });
+    while !job.is_finished() {
+        job.sweep(0);
+        job.advance();
+    }
     job.report()
 }
 
@@ -630,11 +622,32 @@ mod tests {
     fn tasks_cfg(n: usize, kind: ProtocolKind) -> ClusterConfig {
         ClusterConfig::new(
             n,
-            RunConfig::new(kind)
-                .with_checkpoint(CheckpointPolicy::EverySteps(2))
-                .with_engine(EngineMode::Tasks { workers: 2 }),
+            RunConfig::new(kind).with_checkpoint(CheckpointPolicy::EverySteps(2)),
         )
         .with_max_wall(Duration::from_secs(30))
+    }
+
+    /// One thread drives every round, so nothing about a run depends on
+    /// timing: not the digests, nor the traffic a mid-run kill provokes.
+    #[test]
+    fn a_tasks_run_is_a_pure_function_of_its_config() {
+        let run = || {
+            let cfg = tasks_cfg(64, ProtocolKind::TdiSparse(8))
+                .with_failures(FailurePlan::kill_at(1, 5));
+            run_tasks(&cfg, ExchangeRing { rounds: 12 }).unwrap()
+        };
+        let first = run();
+        assert_eq!(first.kills, 1);
+        for _ in 0..2 {
+            let again = run();
+            assert_eq!(again.digests, first.digests);
+            assert_eq!(
+                (again.net_msgs, again.net_bytes, again.retransmits),
+                (first.net_msgs, first.net_bytes, first.retransmits)
+            );
+            assert_eq!(again.stats, first.stats);
+            assert_eq!(again.data_plane, first.data_plane);
+        }
     }
 
     #[test]
@@ -683,20 +696,12 @@ mod tests {
     fn lifecycle_is_the_same_under_both_engines() {
         let app = || ExchangeRing { rounds: 8 };
         let clean = run_tasks(&tasks_cfg(4, ProtocolKind::Tdi), app()).unwrap();
-        let faulty = |engine| {
-            ClusterConfig::new(
-                4,
-                RunConfig::new(ProtocolKind::Tdi)
-                    .with_checkpoint(CheckpointPolicy::EverySteps(2))
-                    .with_engine(engine),
-            )
-            .with_max_wall(Duration::from_secs(30))
+        let faulty = tasks_cfg(4, ProtocolKind::Tdi)
             .with_remote(RemoteConfig::in_memory())
             .with_failures(FailurePlan::kill_wipe_at(2, 4).and_kill(0, 4))
-            .with_trace(true)
-        };
-        let threads = Cluster::run(&faulty(EngineMode::Threads), BlockingTaskApp(app())).unwrap();
-        let tasks = run_tasks(&faulty(EngineMode::Tasks { workers: 2 }), app()).unwrap();
+            .with_trace(true);
+        let threads = Cluster::run(&faulty, BlockingTaskApp(app())).unwrap();
+        let tasks = run_tasks(&faulty, app()).unwrap();
         let lifecycle = |report: &RunReport, victim: Rank| -> Vec<&'static str> {
             let on_victim = report.timeline.iter().filter(|e| e.rank == victim);
             let mut story: Vec<_> = on_victim
@@ -754,10 +759,7 @@ mod tests {
             let cfg = tasks_cfg(3, ProtocolKind::Tdi).with_rank_base(base);
             let job = TaskJob::with_env(&cfg, ExchangeRing { rounds: 4 }, &env).unwrap();
             while !job.is_finished() {
-                for w in 0..job.shards() {
-                    job.sweep(w);
-                }
-                job.advance();
+                job.try_round().expect("nobody else drives this job");
             }
             job
         };

@@ -2,7 +2,7 @@
 
 use crate::workload::{Workload, WorkloadKind};
 use lclog_core::ProtocolKind;
-use lclog_runtime::{CheckpointPolicy, ClusterConfig, DetectorConfig, EngineMode, FailurePlan};
+use lclog_runtime::{CheckpointPolicy, ClusterConfig, DetectorConfig, FailurePlan};
 use std::time::Duration;
 
 /// Which engine runs a submitted job.
@@ -44,8 +44,6 @@ pub struct JobSpec {
     pub rounds: u64,
     /// Checkpoint every this many steps.
     pub ckpt: u64,
-    /// Shard count for tasks-engine jobs.
-    pub workers: usize,
     /// Engine selection.
     pub engine: EngineKind,
     /// Run a failure detector (thread engine only).
@@ -62,7 +60,6 @@ impl Default for JobSpec {
             protocol: ProtocolKind::Tdi,
             rounds: 8,
             ckpt: 2,
-            workers: 4,
             engine: EngineKind::Tasks,
             detector: false,
             fault: None,
@@ -96,7 +93,7 @@ impl JobSpec {
     /// Parse the `key=value` words of a SUBMIT request.
     ///
     /// ```text
-    /// SUBMIT kind=ring n=8 proto=tdi rounds=12 ckpt=4 workers=4 \
+    /// SUBMIT kind=ring n=8 proto=tdi rounds=12 ckpt=4 \
     ///        engine=tasks detector=off kill=1@4 wipe=on corrupt=off
     /// ```
     pub fn parse<'a>(words: impl Iterator<Item = &'a str>) -> Result<Self, String> {
@@ -130,11 +127,6 @@ impl JobSpec {
                     if spec.ckpt == 0 {
                         return Err("ckpt=0: checkpoint period must be positive".into());
                     }
-                }
-                "workers" => {
-                    spec.workers = value
-                        .parse()
-                        .map_err(|_| format!("workers={value:?} is not a number"))?
                 }
                 "engine" => {
                     spec.engine = match value {
@@ -223,11 +215,6 @@ impl JobSpec {
     pub fn cluster_config(&self, rank_base: usize) -> ClusterConfig {
         let mut run = lclog_runtime::RunConfig::new(self.protocol)
             .with_checkpoint(CheckpointPolicy::EverySteps(self.ckpt));
-        if self.engine == EngineKind::Tasks {
-            run = run.with_engine(EngineMode::Tasks {
-                workers: self.workers,
-            });
-        }
         if self.detector {
             run = run.with_detector(DetectorConfig::default());
         }

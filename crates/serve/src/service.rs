@@ -16,9 +16,11 @@
 //! ## Scheduling model
 //!
 //! Tasks-engine jobs are [`TaskJob`]s multiplexed onto one shared
-//! worker pool: each pool thread round-robins over every active job's
-//! shards, and the shard mutexes' `try_lock` skip means a busy shard
-//! never convoys the pool — that is the fairness mechanism. Thread-
+//! worker pool: each pool thread round-robins over every active job,
+//! claiming a whole round of each with [`TaskJob::try_round`]. A job
+//! another pool thread is driving is skipped, never waited on, so a
+//! busy job never convoys the pool — that is the fairness mechanism —
+//! and different jobs run in parallel on different threads. Thread-
 //! engine jobs (detector runs, event-logger protocols) run on their
 //! own dedicated runner thread, since their ranks are OS threads
 //! already.
@@ -31,7 +33,7 @@ use lclog_runtime::{
 };
 use lclog_runtime::{DataPlaneStats, ReplicatorStats};
 use lclog_core::TrackingStats;
-use lclog_stable::{MemRemote, MemStore, RemoteStore, StableStorage};
+use lclog_stable::{MemRemote, MemStore, RemoteResult, RemoteStore, StableStorage};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -91,9 +93,6 @@ struct JobEntry {
     spec: JobSpec,
     rank_base: usize,
     submitted: Instant,
-    /// Claim flag so exactly one pool thread runs a sweep round's
-    /// leader duties ([`TaskJob::advance`]) at a time.
-    advancing: AtomicBool,
     state: Mutex<JobState>,
 }
 
@@ -227,15 +226,18 @@ impl Service {
             spec: spec.clone(),
             rank_base,
             submitted: Instant::now(),
-            advancing: AtomicBool::new(false),
             state: Mutex::new(state),
         });
         if spec.engine == EngineKind::Threads {
             // Thread-engine ranks are OS threads already; the job gets
             // a dedicated runner instead of the sweep pool. It ships
-            // into the shared remote through its own pipeline, in its
-            // own rank namespace.
-            let cfg = cfg.with_remote(RemoteConfig::new(Arc::clone(&self.inner.remote)));
+            // into the shared remote through its own pipeline, under
+            // its own key prefix.
+            let remote = JobRemote {
+                shared: Arc::clone(&self.inner.remote),
+                prefix: format!("job/{id}/"),
+            };
+            let cfg = cfg.with_remote(RemoteConfig::new(Arc::new(remote)));
             let inner = Arc::clone(&self.inner);
             let entry2 = Arc::clone(&entry);
             let workload = spec.workload();
@@ -604,6 +606,33 @@ impl Service {
     }
 }
 
+/// A thread-engine job's view of the shared remote: every key under
+/// `prefix`. Its pipeline writes a manifest of its own, which must not
+/// replace the service pipeline's at the shared `manifest` key.
+struct JobRemote {
+    shared: Arc<dyn RemoteStore>,
+    prefix: String,
+}
+
+impl RemoteStore for JobRemote {
+    fn put(&self, key: &str, bytes: &[u8]) -> RemoteResult<()> {
+        self.shared.put(&format!("{}{key}", self.prefix), bytes)
+    }
+
+    fn get(&self, key: &str) -> RemoteResult<Option<Vec<u8>>> {
+        self.shared.get(&format!("{}{key}", self.prefix))
+    }
+
+    fn list(&self, prefix: &str) -> RemoteResult<Vec<String>> {
+        let keys = self.shared.list(&format!("{}{prefix}", self.prefix))?;
+        Ok(keys.into_iter().map(|key| key[self.prefix.len()..].to_string()).collect())
+    }
+
+    fn delete(&self, key: &str) -> RemoteResult<()> {
+        self.shared.delete(&format!("{}{key}", self.prefix))
+    }
+}
+
 /// Hex digest list, comma separated — stable across REPORT/DIGESTS
 /// and trivially diffable between runs.
 fn render_digests(digests: &[u64]) -> String {
@@ -650,9 +679,8 @@ impl Inner {
 }
 
 /// One shared pool thread: round-robin over every active tasks-engine
-/// job, sweeping all shards (`try_lock` inside `sweep` skips shards
-/// another pool thread holds), claiming the leader duties once per
-/// pass, and finalizing jobs that completed.
+/// job, running one round of each that no other pool thread holds, and
+/// finalizing jobs that completed.
 fn pool_worker(inner: &Arc<Inner>) {
     loop {
         if inner.stop.load(Ordering::Acquire) {
@@ -665,25 +693,19 @@ fn pool_worker(inner: &Arc<Inner>) {
                 JobState::Tasks(driver) => Arc::clone(driver),
                 _ => continue,
             };
-            for shard in 0..driver.shards() {
-                progressed |= driver.sweep(shard);
-            }
-            if entry
-                .advancing
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                progressed |= driver.advance();
-                entry.advancing.store(false, Ordering::Release);
-            }
-            if driver.is_finished() {
+            // A round always moves the job's virtual clock, so it is
+            // progress even when no frame moved.
+            let Some(finished) = driver.try_round() else {
+                continue;
+            };
+            progressed = true;
+            if finished {
                 // Report first, then GC: a finished tenant's ranks
                 // never restore again, and a long-running service must
                 // not accumulate dead tenants' generations.
                 let report = driver.report();
                 let gens = driver.clear_generations();
                 inner.finalize(entry, report, gens);
-                progressed = true;
             }
         }
         if !progressed {
@@ -771,6 +793,28 @@ mod tests {
         service.wait(b, Duration::from_secs(30)).unwrap();
         service.retire(b).unwrap();
         assert!(service.report(b).is_err(), "retired jobs are gone");
+        service.shutdown();
+    }
+
+    /// Regression: a thread-engine tenant's own pipeline overwrote the
+    /// shared `manifest` with its own generations only, so a tasks
+    /// tenant's node loss could restore nothing (the soak hung).
+    #[test]
+    fn a_thread_engine_tenant_leaves_the_shared_manifest_alone() {
+        let service = Service::start(ServiceConfig::default());
+        let tasks = service
+            .submit(spec("kind=ring n=3 proto=tdi rounds=6"))
+            .unwrap();
+        service.wait(tasks, Duration::from_secs(30)).unwrap();
+        assert!(service.inner.replicator.wait_synced(Duration::from_secs(10)));
+        let threads = service
+            .submit(spec("kind=ring n=3 proto=tdi rounds=6 engine=threads"))
+            .unwrap();
+        service.wait(threads, Duration::from_secs(30)).unwrap();
+        assert!(
+            service.inner.replicator.restore_rank(0, &MemStore::new()).is_some(),
+            "the tasks tenant's rank 0 must still restore from the shared remote"
+        );
         service.shutdown();
     }
 

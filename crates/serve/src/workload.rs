@@ -167,15 +167,13 @@ impl TaskApp for Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lclog_runtime::{run_tasks, CheckpointPolicy, ClusterConfig, EngineMode, RunConfig};
+    use lclog_runtime::{run_tasks, CheckpointPolicy, ClusterConfig, RunConfig};
     use lclog_core::ProtocolKind;
 
     fn cfg(n: usize) -> ClusterConfig {
         ClusterConfig::new(
             n,
-            RunConfig::new(ProtocolKind::Tdi)
-                .with_checkpoint(CheckpointPolicy::EverySteps(2))
-                .with_engine(EngineMode::Tasks { workers: 2 }),
+            RunConfig::new(ProtocolKind::Tdi).with_checkpoint(CheckpointPolicy::EverySteps(2)),
         )
     }
 

@@ -428,25 +428,22 @@ impl SimNet {
     }
 
     /// Release every held envelope, channel by channel in `(src, dst)`
-    /// order, repeating until nothing is in flight (deliveries can
-    /// trigger no new sends at the fabric level, but the loop keeps
-    /// the method correct if a future caller races sends with it).
+    /// order, in one pass under one lock (deliveries trigger no sends
+    /// at the fabric level, so nothing can be parked behind the pass).
     /// Returns the number of envelopes released.
     pub fn held_deliver_all(&self) -> usize {
+        let Some(held) = &self.fabric.held else {
+            return 0;
+        };
+        let mut held = held.lock();
         let mut released = 0;
-        loop {
-            let channels = self.held_channels();
-            if channels.is_empty() {
-                return released;
-            }
-            for (src, dst, queued) in channels {
-                for _ in 0..queued {
-                    if self.held_deliver(src, dst) {
-                        released += 1;
-                    }
-                }
+        for channel in held.iter_mut() {
+            released += channel.len();
+            for env in channel.drain(..) {
+                self.fabric.deliver(env);
             }
         }
+        released
     }
 }
 
