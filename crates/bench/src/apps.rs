@@ -236,11 +236,11 @@ mod tests {
             rounds: 12,
             payload: 256,
         };
-        let clean = Cluster::run(&cfg(4), app).unwrap().digests;
-        let faulty = Cluster::run(&cfg(4).with_failures(FailurePlan::kill_at(2, 6)), app)
-            .unwrap()
-            .digests;
-        assert_eq!(clean, faulty);
+        let clean = Cluster::run(&cfg(4), app).unwrap();
+        let faulty = Cluster::run(&cfg(4).with_failures(FailurePlan::kill_at(2, 6)), app).unwrap();
+        assert_eq!(clean.digests, faulty.digests);
+        // Without a fault nothing is resent from a sender log.
+        assert_eq!(clean.data_plane.zero_copy_resends, 0);
     }
 
     #[test]

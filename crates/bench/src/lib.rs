@@ -1,22 +1,21 @@
 //! # lclog-bench
 //!
-//! The experiment harness that regenerates every figure of the
-//! paper's evaluation (§IV) plus two ablations:
+//! The experiment harness behind the `reproduce` binary. Its
+//! [`registry`] holds two kinds of table:
 //!
-//! * [`experiments::fig6_table`] — average piggyback amount per
-//!   message (identifier count), 3 protocols × {LU, BT, SP} ×
-//!   {4, 8, 16, 32} processes;
-//! * [`experiments::fig7_table`] — dependency-tracking time overhead,
-//!   same matrix;
-//! * [`experiments::fig8_table`] — normalized accomplishment time with
-//!   a mid-run failure, blocking (Fig. 4a) vs non-blocking (Fig. 4b)
-//!   communication;
-//! * [`experiments::ablation_rate`] — piggyback growth vs message
-//!   count (TDI flat at `n`, TAG full-history growth, TEL
-//!   stabilization plateau);
-//! * [`experiments::ablation_replay`] — rolling-forward time under an
-//!   adversarially reordering fabric (TDI's relaxed delivery vs PWD
-//!   replay).
+//! * the paper's figures (§IV), printed and archived but not compared:
+//!   [`experiments::fig6_table`] (average piggyback amount per message,
+//!   3 protocols × {LU, BT, SP} × {4, 8, 16, 32} processes),
+//!   [`experiments::fig7_table`] (dependency-tracking time, same
+//!   matrix) and [`experiments::fig8_table`] (accomplishment time with a
+//!   mid-run failure, blocking (Fig. 4a) vs non-blocking (Fig. 4b)
+//!   communication);
+//! * golden tables, whose every cell replays byte for byte and is
+//!   compared with the committed `results/<csv>.csv` by the test suite:
+//!   schedule exploration (EXP1), digest parity through a kill (HP1),
+//!   piggyback scaling to n = 128 (SC1), log shipping under backend
+//!   outages (LS1), the multi-tenant service (SV1) and the chaos fabric
+//!   (ABL6).
 //!
 //! Run everything with `cargo run -p lclog-bench --bin reproduce
 //! --release`.
@@ -25,6 +24,8 @@
 
 pub mod apps;
 pub mod experiments;
+pub mod registry;
 pub mod table;
 
+pub use registry::{Sweep, EXPERIMENTS};
 pub use table::Table;

@@ -1,40 +1,19 @@
-//! `reproduce` — regenerate the paper's figures from the reproduction.
+//! `reproduce` — regenerate the paper's figures and the golden tables.
 //!
 //! ```text
-//! reproduce [--quick] [fig6|fig7|fig8|ablation-rate|ablation-replay|
-//!                       ablation-ckpt|ablation-protocols|ablation-f|
-//!                       ablation-chaos|data-plane|detector|explore|
-//!                       log-ship|scaling|hotpath|serve|all]
+//! reproduce [--quick] [all | <name>...]
 //! reproduce explore --replay <case-file>
 //! ```
 //!
-//! Tables are printed to stdout and archived as CSV under `results/`.
-//! `--replay` re-executes a counterexample case file (written by the
-//! explore table on divergence) through the deterministic runner and
-//! prints the per-step timeline.
+//! Names come from [`lclog_bench::EXPERIMENTS`]; with none, every table
+//! runs. An unknown name or flag prints the names and exits 2. Tables
+//! are printed to stdout and saved under `results/`. `--quick` shrinks
+//! only the figures: a golden table has one size. `--replay` re-executes
+//! a counterexample case file (EXP1 saves one on divergence) through the
+//! deterministic runner and prints the per-step timeline.
 
-use lclog_bench::experiments::{
-    ablation_chaos, ablation_ckpt, ablation_detector, ablation_f_bound, ablation_protocols,
-    ablation_rate, ablation_replay, data_plane_table, explore_table, fig6_table, fig7_table,
-    fig8_table, hotpath_table, log_ship_table, overhead_matrix, scaling_table, serve_table,
-    ExpConfig,
-};
-use lclog_bench::Table;
+use lclog_bench::{Sweep, EXPERIMENTS};
 use std::path::Path;
-
-fn save(table: &Table, name: &str) {
-    let dir = Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(format!("{name}.csv"));
-        if std::fs::write(&path, table.to_csv()).is_ok() {
-            println!("(saved {})", path.display());
-        }
-        let json = dir.join(format!("BENCH_{name}.json"));
-        if std::fs::write(&json, table.to_json()).is_ok() {
-            println!("(saved {})", json.display());
-        }
-    }
-}
 
 /// Replay a counterexample case file through the deterministic runner
 /// and print a per-step timeline. Returns an error string for `main`
@@ -42,8 +21,7 @@ fn save(table: &Table, name: &str) {
 fn replay(path: &str) -> Result<(), String> {
     use lclog_explore::{replay_trace, ReplayCase, Verdict};
 
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let case: ReplayCase = text.parse().map_err(|e| format!("{path}: {e}"))?;
     println!("replaying {path}");
     print!("{case}");
@@ -75,137 +53,65 @@ fn replay(path: &str) -> Result<(), String> {
     Ok(())
 }
 
+fn usage(problem: &str) -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    eprintln!("reproduce: {problem}");
+    eprintln!("usage: reproduce [--quick] [all | <name>...]");
+    eprintln!("       reproduce explore --replay <case-file>");
+    eprintln!("names: {}", names.join(" "));
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(pos) = args.iter().position(|a| a == "--replay") {
-        let Some(path) = args.get(pos + 1) else {
-            eprintln!("--replay requires a case-file path");
-            std::process::exit(2);
-        };
-        if let Err(e) = replay(path) {
+    let mut quick = false;
+    let mut replay_path = None;
+    let mut names: Vec<&str> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--replay" => {
+                let path = args.next();
+                replay_path =
+                    Some(path.unwrap_or_else(|| usage("--replay needs a case-file path")));
+            }
+            "all" => names.extend(EXPERIMENTS.iter().map(|e| e.name)),
+            other => match EXPERIMENTS.iter().find(|e| e.name == other) {
+                Some(e) => names.push(e.name),
+                None => usage(&format!("unknown table or flag `{other}`")),
+            },
+        }
+    }
+    if let Some(path) = replay_path {
+        if let Err(e) = replay(&path) {
             eprintln!("replay failed: {e}");
             std::process::exit(1);
         }
         return;
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let which: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
-    let all = which.is_empty() || which.contains(&"all");
-    let cfg = if quick {
-        ExpConfig::quick()
-    } else {
-        ExpConfig::full()
-    };
 
+    let sweep = Sweep::new(quick);
     println!(
-        "lclog reproduction — class {}, procs {:?}{}",
-        cfg.class,
-        cfg.procs,
+        "lclog reproduction — figures at class {}, procs {:?}{}",
+        sweep.cfg.class,
+        sweep.cfg.procs,
         if quick { " (quick)" } else { "" }
     );
     println!();
-
-    if all || which.contains(&"fig6") || which.contains(&"fig7") {
-        let cells = overhead_matrix(&cfg);
-        if all || which.contains(&"fig6") {
-            let t = fig6_table(&cells);
-            print!("{}", t.render());
-            save(&t, "fig6_piggyback");
-            println!();
+    let dir = Path::new("results");
+    for e in EXPERIMENTS
+        .iter()
+        .filter(|e| names.is_empty() || names.contains(&e.name))
+    {
+        let out = e.output(&sweep);
+        print!("{}", out.table.render());
+        for (file, text) in out.files(e.csv) {
+            let path = dir.join(file);
+            match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, text)) {
+                Ok(()) => println!("(saved {})", path.display()),
+                Err(err) => eprintln!("cannot save {}: {err}", path.display()),
+            }
         }
-        if all || which.contains(&"fig7") {
-            let t = fig7_table(&cells);
-            print!("{}", t.render());
-            save(&t, "fig7_tracking");
-            println!();
-        }
-    }
-    if all || which.contains(&"fig8") {
-        let t = fig8_table(&cfg);
-        print!("{}", t.render());
-        save(&t, "fig8_blocking");
-        println!();
-    }
-    if all || which.contains(&"ablation-rate") {
-        let t = ablation_rate(if quick { 4 } else { 8 });
-        print!("{}", t.render());
-        save(&t, "ablation_rate");
-        println!();
-    }
-    if all || which.contains(&"ablation-replay") {
-        let t = ablation_replay();
-        print!("{}", t.render());
-        save(&t, "ablation_replay");
-        println!();
-    }
-    if all || which.contains(&"ablation-ckpt") {
-        let t = ablation_ckpt();
-        print!("{}", t.render());
-        save(&t, "ablation_ckpt");
-        println!();
-    }
-    if all || which.contains(&"ablation-protocols") {
-        let t = ablation_protocols(if quick { 4 } else { 8 });
-        print!("{}", t.render());
-        save(&t, "ablation_protocols");
-        println!();
-    }
-    if all || which.contains(&"ablation-f") {
-        let t = ablation_f_bound(if quick { 4 } else { 8 });
-        print!("{}", t.render());
-        save(&t, "ablation_f_bound");
-        println!();
-    }
-    if all || which.contains(&"ablation-chaos") {
-        let t = ablation_chaos(if quick { 4 } else { 8 });
-        print!("{}", t.render());
-        save(&t, "ablation_chaos");
-        println!();
-    }
-    if all || which.contains(&"data-plane") {
-        let t = data_plane_table(if quick { 4 } else { 8 });
-        print!("{}", t.render());
-        save(&t, "data_plane");
-        println!();
-    }
-    if all || which.contains(&"detector") {
-        let t = ablation_detector(if quick { 4 } else { 8 });
-        print!("{}", t.render());
-        save(&t, "detector_ablation");
-        println!();
-    }
-    if all || which.contains(&"explore") {
-        let t = explore_table(quick);
-        print!("{}", t.render());
-        save(&t, "explore");
-        println!();
-    }
-    if all || which.contains(&"log-ship") {
-        let t = log_ship_table(quick);
-        print!("{}", t.render());
-        save(&t, "log_ship");
-        println!();
-    }
-    if all || which.contains(&"scaling") {
-        let t = scaling_table(quick);
-        print!("{}", t.render());
-        save(&t, "scaling");
-        println!();
-    }
-    if all || which.contains(&"hotpath") {
-        let t = hotpath_table(quick);
-        print!("{}", t.render());
-        save(&t, "hotpath");
-        println!();
-    }
-    if all || which.contains(&"serve") {
-        let t = serve_table(quick);
-        print!("{}", t.render());
-        save(&t, "serve");
         println!();
     }
 }

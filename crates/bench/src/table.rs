@@ -77,40 +77,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as a JSON document (`{"title", "header", "rows"}`) for
-    /// machine-readable benchmark artifacts. Hand-rolled: the
-    /// reproduction vendors no serialization framework.
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out
-        }
-        let arr = |cells: &[String]| -> String {
-            let quoted: Vec<String> = cells.iter().map(|c| format!("\"{}\"", esc(c))).collect();
-            format!("[{}]", quoted.join(","))
-        };
-        let rows: Vec<String> = self.rows.iter().map(|r| format!("    {}", arr(r))).collect();
-        format!(
-            "{{\n  \"title\": \"{}\",\n  \"header\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-            esc(&self.title),
-            arr(&self.header),
-            rows.join(",\n")
-        )
-    }
 }
 
 #[cfg(test)]
@@ -131,16 +97,5 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.starts_with("bench,procs,value\n"));
         assert!(csv.contains("BT,32,12.25"));
-    }
-
-    #[test]
-    fn json_escapes_and_round_trips_shape() {
-        let mut t = Table::new("quote \"x\"\nline", &["a", "b"]);
-        t.row(vec!["1".into(), "back\\slash".into()]);
-        let json = t.to_json();
-        assert!(json.contains("\"title\": \"quote \\\"x\\\"\\nline\""));
-        assert!(json.contains("\"header\": [\"a\",\"b\"]"));
-        assert!(json.contains("[\"1\",\"back\\\\slash\"]"));
-        assert!(json.ends_with("}\n"));
     }
 }
