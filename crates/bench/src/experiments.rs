@@ -535,7 +535,7 @@ pub fn scaling_table() -> Table {
         rounds,
         payload: 64,
     };
-    for n in [32, 128] {
+    for n in [32, 128, 512] {
         for kind in [ProtocolKind::Tdi, ProtocolKind::TdiSparse(32)] {
             let cfg = |failures: FailurePlan| {
                 ClusterConfig::new(
@@ -889,7 +889,8 @@ mod tests {
                 "{r:?}"
             );
         }
-        for n in ["32", "128"] {
+        assert_eq!(rows.len(), 6, "three sizes x two protocols");
+        for n in ["32", "128", "512"] {
             let bytes = |protocol: &str| -> f64 {
                 rows.iter()
                     .find(|r| r["n"] == n && r["protocol"] == protocol)

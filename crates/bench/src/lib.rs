@@ -13,7 +13,7 @@
 //! * golden tables, whose every cell replays byte for byte and is
 //!   compared with the committed `results/<csv>.csv` by the test suite:
 //!   schedule exploration (EXP1), digest parity through a kill (HP1),
-//!   piggyback scaling to n = 128 (SC1), log shipping under backend
+//!   piggyback scaling to n = 512 (SC1), log shipping under backend
 //!   outages (LS1), the multi-tenant service (SV1) and the chaos fabric
 //!   (ABL6).
 //!

@@ -45,6 +45,11 @@ fn replay(path: &str) -> Result<(), String> {
             println!("verdict: WEDGED — unfinished ranks {unfinished:?}")
         }
         Verdict::Desynced => println!("verdict: DESYNCED"),
+        Verdict::LogFreed {
+            sender,
+            receiver,
+            send_index,
+        } => println!("verdict: LOG FREED — {sender}'s log lost {send_index} to {receiver}"),
         Verdict::Aborted => println!("verdict: aborted by decider"),
     }
     println!("faults injected: {}", out.faults_injected);

@@ -89,6 +89,15 @@ pub trait LoggingProtocol: Send {
     /// messages: prune tracking state about its earlier deliveries.
     fn on_peer_checkpoint(&mut self, _peer: Rank, _peer_delivered_total: u64) {}
 
+    /// Whether [`LoggingProtocol::on_peer_checkpoint`] prunes state
+    /// held about the peer's deliveries from *any* sender, so every
+    /// rank must hear each checkpoint — not only the senders whose
+    /// messages it newly covers (Algorithm 1 lines 32–39). True for
+    /// TAG-f and TEL. Constant over the instance's lifetime.
+    fn prunes_on_peer_checkpoint(&self) -> bool {
+        false
+    }
+
     // ----- recovery: survivor side -----------------------------------------
 
     /// Determinants this process holds about `failed`'s pre-failure
@@ -223,8 +232,10 @@ mod tests {
         assert!(make_protocol(ProtocolKind::Tel, 0, 2).wants_event_logger());
         assert!(make_protocol(ProtocolKind::Pessim, 0, 2).wants_event_logger());
         for kind in ProtocolKind::EXTENDED {
-            let ready = make_protocol(kind, 0, 2).send_ready();
-            assert!(ready, "{kind}: fresh instances can always send");
+            let p = make_protocol(kind, 0, 2);
+            assert!(p.send_ready(), "{kind}: fresh instances can always send");
+            let prunes = matches!(kind, ProtocolKind::TagF(_) | ProtocolKind::Tel);
+            assert_eq!(p.prunes_on_peer_checkpoint(), prunes, "{kind}");
         }
     }
 }

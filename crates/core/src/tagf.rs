@@ -205,6 +205,10 @@ impl LoggingProtocol for TagF {
             .retain(|&(r, idx), _| !(r == peer as u32 && idx <= peer_delivered_total));
     }
 
+    fn prunes_on_peer_checkpoint(&self) -> bool {
+        true
+    }
+
     fn determinants_for(&self, failed: Rank) -> Vec<Determinant> {
         self.graph
             .values()

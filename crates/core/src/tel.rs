@@ -206,6 +206,10 @@ impl LoggingProtocol for Tel {
             .retain(|&(r, idx), _| !(r == peer as u32 && idx <= peer_delivered_total));
     }
 
+    fn prunes_on_peer_checkpoint(&self) -> bool {
+        true
+    }
+
     fn determinants_for(&self, failed: Rank) -> Vec<Determinant> {
         // The stable portion lives at the event logger; the runtime
         // queries it separately. We contribute the unstable window.

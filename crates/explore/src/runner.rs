@@ -37,14 +37,18 @@
 //! frames parking in held channels like any other send, so the
 //! interleaving of recovery traffic with ordinary traffic is itself
 //! explored.
+//!
+//! After every step the runner checks that log GC never freed an entry
+//! a permitted rollback still needs; a run that breaks it ends as
+//! [`Verdict::LogFreed`].
 
 use std::time::Duration;
 
 use bytes::Bytes;
-use lclog_core::{MembershipView, ProtocolKind, Rank};
+use lclog_core::{CounterVector, MembershipView, ProtocolKind, Rank};
 use lclog_runtime::{
-    payload_is_app_frame, AppMsg, CheckpointPolicy, Clock, ClusterConfig, Death, Kernel, RecvSpec,
-    RunConfig, RunEnv, RETRY_INTERVAL,
+    payload_is_app_frame, AppMsg, CheckpointImage, CheckpointPolicy, Clock, ClusterConfig, Death,
+    Kernel, RecvSpec, RunConfig, RunEnv, RETRY_INTERVAL,
 };
 use lclog_simnet::{Endpoint, NetConfig, SimClock};
 
@@ -187,6 +191,16 @@ pub enum Verdict {
     },
     /// Some kernel flagged a tracking desync (always a defect).
     Desynced,
+    /// A sender log freed an entry that a rollback the receiver may
+    /// still take needs (always a defect; checked after every step).
+    LogFreed {
+        /// The rank whose sender log lost the entry.
+        sender: Rank,
+        /// The rank whose rollback would need it.
+        receiver: Rank,
+        /// The first missing `send_index` on that channel.
+        send_index: u64,
+    },
     /// The decider abandoned the run (`choose` returned `None`) — the
     /// DPOR engine prunes sleep-blocked continuations this way. Not a
     /// defect and not a distinct schedule.
@@ -323,6 +337,11 @@ struct World<'w> {
     /// real arbiter's certified view sequence.
     view_epoch: u64,
     floors: Vec<u64>,
+    /// Per rank, what the oldest generation a restore may fall back to
+    /// delivered from each sender (`None`: the initial state). Under
+    /// `log_gc_lag` that is the generation before the newest; re-read
+    /// whenever the rank's checkpoint store changes.
+    fallback: Vec<Option<CounterVector>>,
     delivered: usize,
     faults_injected: usize,
 }
@@ -355,6 +374,7 @@ impl<'w> World<'w> {
             zombie: vec![false; n],
             view_epoch: 0,
             floors: vec![1u64; n],
+            fallback: vec![None; n],
             delivered: 0,
             faults_injected: 0,
         }
@@ -371,7 +391,16 @@ impl<'w> World<'w> {
         !self.kernels[r].is_recovering() && !self.kernels[r].is_fenced()
     }
 
-    fn checkpoint_if_due(&self, r: Rank) {
+    fn read_fallback(&mut self, r: Rank) {
+        let generations = self.env.checkpoints().intact_generations(r);
+        self.fallback[r] = generations.len().checked_sub(2).map(|older| {
+            let image: CheckpointImage = lclog_wire::decode_from_slice(&generations[older].1)
+                .expect("the kernel wrote this image");
+            image.last_deliver
+        });
+    }
+
+    fn checkpoint_if_due(&mut self, r: Rank) {
         let Some(every) = self.workload.checkpoint_every else {
             return;
         };
@@ -381,6 +410,7 @@ impl<'w> World<'w> {
             bytes.extend_from_slice(&pc.to_le_bytes());
             bytes.extend_from_slice(&self.state[r].to_le_bytes());
             self.kernels[r].do_checkpoint(bytes, pc);
+            self.read_fallback(r);
         }
     }
 
@@ -488,6 +518,7 @@ impl<'w> World<'w> {
         let pc = self.pc[rank] as u64;
         self.env
             .lose(rank, self.incarnation[rank], pc, &self.kernels[rank], death);
+        self.read_fallback(rank);
         self.incarnation[rank] += 1;
         // `checkpoint_if_due` images are `pc | state`, 8 bytes each.
         let (kernel, endpoint, restored) = self.env.respawn(rank, self.incarnation[rank], |app| {
@@ -641,6 +672,28 @@ impl<'w> World<'w> {
             .collect()
     }
 
+    /// Algorithm 1's log-GC rule, checked after every step: for each
+    /// sender `k` and receiver `r`, `k`'s log still holds every entry
+    /// to `r` above what the oldest generation `r` may restore
+    /// delivered from `k`.
+    fn log_gc_violation(&self) -> Option<Verdict> {
+        for receiver in 0..self.n {
+            for sender in (0..self.n).filter(|&k| k != receiver) {
+                let after = self.fallback[receiver]
+                    .as_ref()
+                    .map_or(0, |v| v.get(sender));
+                if let Some(send_index) = self.kernels[sender].log_gap(receiver, after) {
+                    return Some(Verdict::LogFreed {
+                        sender,
+                        receiver,
+                        send_index,
+                    });
+                }
+            }
+        }
+        None
+    }
+
     fn outcome(&self, steps: Vec<Step>, verdict: Verdict) -> RunOutcome {
         RunOutcome {
             digests: self.state.clone(),
@@ -674,6 +727,9 @@ pub fn run_schedule_cfg(
         }
         if world.kernels.iter().any(|k| k.is_desynced()) {
             return world.outcome(steps, Verdict::Desynced);
+        }
+        if let Some(freed) = world.log_gc_violation() {
+            return world.outcome(steps, freed);
         }
         if world.finished() {
             return world.outcome(steps, Verdict::Completed);
@@ -731,4 +787,43 @@ fn decode(msg: &AppMsg) -> u64 {
     let len = msg.data.len().min(8);
     b[..len].copy_from_slice(&msg.data[..len]);
     u64::from_le_bytes(b)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workload::Fold;
+    use lclog_stable::CheckpointStore;
+
+    /// The log-GC check fires on a state missing one needed entry.
+    /// Rank 1 checkpoints after each of two deliveries from rank 0,
+    /// which under `log_gc_lag` frees send 1 — legal while the older
+    /// generation remains as the fallback. Losing it makes the initial
+    /// state the fallback, and that rollback needs send 1.
+    #[test]
+    fn log_gc_check_fires_on_a_freed_entry_a_rollback_needs() {
+        let mut w = Workload::new(2, Fold::Commutative).with_checkpoints(1);
+        for _ in 0..2 {
+            w.push(0, Op::Send { dst: 1, tag: 0 });
+            w.push(1, Op::Recv { src: Some(0), tag: 0 });
+        }
+        let mut world = World::new(&w, ProtocolKind::Tdi);
+        while !world.finished() {
+            world.forced_fixpoint();
+            if let Some(&alt) = world.enumerate_alts(&FaultBudget::none(), 0).first() {
+                world.execute(alt);
+            }
+        }
+        assert_eq!(world.log_gc_violation(), None);
+        world.env.checkpoints().storage().delete(&CheckpointStore::key(1, 1));
+        world.read_fallback(1);
+        assert_eq!(
+            world.log_gc_violation(),
+            Some(Verdict::LogFreed {
+                sender: 0,
+                receiver: 1,
+                send_index: 1
+            })
+        );
+    }
 }

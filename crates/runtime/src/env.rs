@@ -224,6 +224,11 @@ impl RunEnv {
         &self.net
     }
 
+    /// The run's checkpoint store.
+    pub fn checkpoints(&self) -> &CheckpointStore {
+        &self.ckpts
+    }
+
     /// Attach every rank's first endpoint. Call once, before any
     /// kernel sends: a send to a not-yet-attached slot is dropped as
     /// if the destination were dead.

@@ -28,9 +28,12 @@
 //!   as the sender log, so it goes out [`RESEND_CHUNK`] frames at a
 //!   time with the lock dropped between chunks.
 //!
-//! Sections proportional to n are accepted: the `CHECKPOINT_ADVANCE`
-//! fan-out, a `ROLLBACK` (re)broadcast, heartbeats, the tick's scan of
-//! the peer table.
+//! A checkpoint sends `CHECKPOINT_ADVANCE` only to the senders whose
+//! messages it newly covers, so on a ring it is one frame, not n − 1.
+//! Sections proportional to n are still accepted: that fan-out under
+//! TAG-f and TEL (their peers prune on any rank's checkpoint), a
+//! `ROLLBACK` (re)broadcast, heartbeats, the tick's scan of the peer
+//! table.
 //!
 //! `fenced` and `desynced` are atomics beside the lock: engines poll
 //! them between kernel calls. Cumulative transport acks are batched:
@@ -317,6 +320,23 @@ impl Kernel {
     /// same vector.
     pub fn interval_vector(&self) -> Option<Vec<u64>> {
         self.state.lock().trk.protocol.interval_vector()
+    }
+
+    /// The first send to `dst` with a `send_index` in
+    /// `(after, last_send_index[dst]]` that the sender log no longer
+    /// holds, if any. A rollback of `dst` to a checkpoint that
+    /// delivered `after` messages from us needs every one of them:
+    /// the schedule explorer's log-GC invariant.
+    pub fn log_gap(&self, dst: Rank, after: u64) -> Option<u64> {
+        let st = self.state.lock();
+        let mut want = after + 1;
+        for e in st.rec.log.entries_after(dst, after) {
+            if e.send_index != want {
+                break;
+            }
+            want += 1;
+        }
+        (want <= st.trk.last_send_index.get(dst)).then_some(want)
     }
 
     /// Protocol send gate (pessimistic logging holds sends while
@@ -648,8 +668,8 @@ impl Kernel {
     ///
     /// The image is assembled and written to stable storage under the
     /// state lock — it has to be one consistent cut of log, counters
-    /// and protocol state — and the `CHECKPOINT_ADVANCE` broadcast
-    /// follows in the same section.
+    /// and protocol state — and the `CHECKPOINT_ADVANCE` notices
+    /// follow in the same section.
     pub fn do_checkpoint(&self, app_state: Vec<u8>, step: u64) {
         let mut st = self.state.lock();
         let State { rec, trk, del, transport, .. } = &mut *st;
@@ -673,15 +693,17 @@ impl Kernel {
         rec.ckpt_store.save(self.me, rec.ckpt_version, &encoded);
         trk.protocol.on_local_checkpoint();
         let total = trk.protocol.delivered_total();
-        // The paper notifies only senders whose messages the
-        // checkpoint newly covers; we notify everyone so TAG/TEL peers
-        // can also prune determinant state (`total_delivered` is the
-        // GC horizon). Log release is idempotent.
+        // Notify only the senders whose messages this checkpoint newly
+        // covers (lines 32–39): those whose delivered count grew past
+        // what they were last told. TAG-f and TEL peers also prune
+        // other ranks' determinants on `total_delivered`, so under
+        // them every rank hears every checkpoint.
+        let everyone = trk.protocol.prunes_on_peer_checkpoint();
         for k in 0..self.n {
-            if k == self.me {
+            let delivered = del.last_deliver_index.get(k);
+            if k == self.me || (!everyone && delivered <= rec.last_ckpt_deliver_index.get(k)) {
                 continue;
             }
-            let delivered = del.last_deliver_index.get(k);
             rec.last_ckpt_deliver_index.set(k, delivered);
             let advance = CkptAdvanceWire {
                 delivered_from_you: delivered,
@@ -716,8 +738,10 @@ impl Kernel {
             .map_err(|_| Fault::Desync)?;
         trk.last_send_index = image.last_send.clone();
         rec.restored_send_index = image.last_send;
-        del.last_deliver_index = image.last_deliver.clone();
-        rec.last_ckpt_deliver_index = image.last_deliver;
+        del.last_deliver_index = image.last_deliver;
+        // The dead incarnation's notices may have died with it: the
+        // first checkpoint tells every sender again.
+        rec.last_ckpt_deliver_index = CounterVector::zeroed(self.n);
         rec.log = SenderLog::from_entries(self.n, image.log);
         rec.log_bytes_peak = rec.log_bytes_peak.max(rec.log.bytes() as u64);
         rec.ckpt_version = rec
@@ -853,10 +877,20 @@ impl Kernel {
         // and must be forgotten, or we would suppress regenerated
         // messages the incarnation still needs.
         let upto = w.last_deliver_index.get(self.me).copied();
+        let State { rec, acked, .. } = &mut *st;
         if let Some(upto) = upto {
-            st.rec.rollback_last_send_index.set(src, upto);
-            st.acked.set(src, upto);
+            rec.rollback_last_send_index.set(src, upto);
+            acked.set(src, upto);
+            // Under `log_gc_lag`, src's next advance releases up to the
+            // previous one, which must not reach past the generation
+            // src restored: that is its next checkpoint's fallback.
+            if rec.peer_ckpt_advance.get(src) > upto {
+                rec.peer_ckpt_advance.set(src, upto);
+            }
         }
+        // src's restored log holds what our earlier checkpoints
+        // released: the next one tells it again.
+        rec.last_ckpt_deliver_index.set(src, 0);
         let response = WireMsg::Response(ResponseWire {
             delivered_from_you: st.del.last_deliver_index.get(src),
             dets: st.trk.protocol.determinants_for(src),
@@ -1297,6 +1331,139 @@ mod tests {
         let snap = k0.snapshot();
         assert_eq!(snap.log_bytes, 0);
         assert_eq!(snap.log_entries, 0);
+    }
+
+    /// Frames one checkpoint of `k` builds: its `CHECKPOINT_ADVANCE`s.
+    fn checkpoint_frames(k: &Kernel) -> u64 {
+        let before = k.snapshot().data_plane.frames_built;
+        k.do_checkpoint(vec![], 1);
+        k.snapshot().data_plane.frames_built - before
+    }
+
+    #[test]
+    fn checkpoint_notifies_only_the_senders_it_newly_covers() {
+        // Rank 0 of eight delivered from rank 3 alone: one notice, not
+        // seven. A second checkpoint covers nothing new and sends none.
+        let (ks, _net, eps) = harness(8, ProtocolKind::Tdi);
+        ks[3].app_send(0, 0, Bytes::from_static(b"m"), false);
+        pump(&ks[0], &eps[0]);
+        ks[0].try_deliver(RecvSpec::any()).unwrap();
+        assert_eq!(checkpoint_frames(&ks[0]), 1);
+        assert_eq!(checkpoint_frames(&ks[0]), 0);
+        pump(&ks[3], &eps[3]);
+        assert_eq!(ks[3].snapshot().log_entries, 0);
+    }
+
+    #[test]
+    fn rollback_makes_the_next_checkpoint_release_the_restored_log() {
+        // Rank 0's checkpoint logs two sends that rank 1 then delivers
+        // and checkpoints past; rank 0's successor restores them.
+        let (mut ks, net, eps) = harness(2, ProtocolKind::Tdi);
+        let k1 = ks.pop().unwrap();
+        let k0 = ks.pop().unwrap();
+        k0.app_send(1, 0, Bytes::from_static(b"a"), false);
+        k0.app_send(1, 0, Bytes::from_static(b"b"), false);
+        k0.do_checkpoint(vec![], 1);
+        pump(&k1, &eps[1]);
+        while k1.try_deliver(RecvSpec::any()).is_some() {}
+        k1.do_checkpoint(vec![], 1);
+        pump(&k0, &eps[0]);
+        assert_eq!(k0.snapshot().log_entries, 0);
+        net.kill(0);
+        let ep0b = net.respawn(0);
+        let store = CheckpointStore::new(k0.ckpt_storage());
+        let mut k0b = Kernel::new(0, 2, RunConfig::new(ProtocolKind::Tdi), net.clone(), store);
+        k0b.set_incarnation(2);
+        k0b.restore(k0b.load_checkpoint().unwrap()).unwrap();
+        k0b.begin_recovery();
+        pump(&k1, &eps[1]); // ROLLBACK in, RESPONSE out
+        pump(&k0b, &ep0b);
+        assert_eq!(k0b.recovery_phase(), RecoveryPhase::Synced);
+        assert_eq!(k0b.snapshot().log_entries, 2);
+        // Nothing new delivered, yet rank 1's next checkpoint tells
+        // rank 0 again.
+        assert_eq!(checkpoint_frames(&k1), 1);
+        pump(&k0b, &ep0b);
+        assert_eq!(k0b.snapshot().log_entries, 0);
+    }
+
+    #[test]
+    fn rollback_to_an_older_generation_clamps_the_gc_lag_horizon() {
+        // Under `log_gc_lag` rank 1's two checkpoints (after one and
+        // two deliveries) free rank 0's first send. Rank 1 then comes
+        // back from its older generation, so its next checkpoint's
+        // fallback is that generation: rank 0 must keep send 2 however
+        // far the previous advance reached.
+        let net = SimNet::new(3, NetConfig::direct());
+        let store = CheckpointStore::new(Arc::new(MemStore::new()));
+        let eps: Vec<_> = (0..2).map(|r| net.attach(r)).collect();
+        let cfg = RunConfig::new(ProtocolKind::Tdi).with_log_gc_lag(true);
+        let k0 = Kernel::new(0, 2, cfg.clone(), net.clone(), store.clone());
+        let k1 = Kernel::new(1, 2, cfg.clone(), net.clone(), store.clone());
+        for (step, payload) in [(1, &b"a"[..]), (2, b"b")] {
+            k0.app_send(1, 0, Bytes::copy_from_slice(payload), false);
+            pump(&k1, &eps[1]);
+            k1.try_deliver(RecvSpec::any()).unwrap();
+            k1.do_checkpoint(vec![], step);
+            pump(&k0, &eps[0]);
+        }
+        assert_eq!(k0.log_gap(1, 0), Some(1));
+        assert_eq!(k0.log_gap(1, 1), None);
+        net.kill(1);
+        let ep1b = net.respawn(1);
+        store.storage().delete(&CheckpointStore::key(1, 2));
+        let mut k1b = Kernel::new(1, 2, cfg, net.clone(), store);
+        k1b.set_incarnation(2);
+        k1b.restore(k1b.load_checkpoint().unwrap()).unwrap();
+        k1b.begin_recovery();
+        pump(&k0, &eps[0]); // ROLLBACK (delivered 1) in, send 2 resent
+        pump(&k1b, &ep1b);
+        assert_eq!(&k1b.try_deliver(RecvSpec::any()).unwrap().data[..], b"b");
+        k1b.do_checkpoint(vec![], 2);
+        pump(&k0, &eps[0]);
+        assert_eq!(k0.log_gap(1, 1), None, "the fallback generation needs send 2");
+    }
+
+    #[test]
+    fn first_checkpoint_after_restore_notifies_every_sender_it_covers() {
+        // The dead incarnation's notices may have died with it. Rank 0
+        // of four delivered from ranks 1 and 2, never from 3.
+        let (ks, net, eps) = harness(4, ProtocolKind::Tdi);
+        for k in &ks[1..3] {
+            k.app_send(0, 0, Bytes::from_static(b"m"), false);
+        }
+        pump(&ks[0], &eps[0]);
+        while ks[0].try_deliver(RecvSpec::any()).is_some() {}
+        assert_eq!(checkpoint_frames(&ks[0]), 2);
+        net.kill(0);
+        let _ep0b = net.respawn(0);
+        let store = CheckpointStore::new(ks[0].ckpt_storage());
+        let mut k0b = Kernel::new(0, 4, RunConfig::new(ProtocolKind::Tdi), net.clone(), store);
+        k0b.set_incarnation(2);
+        k0b.restore(k0b.load_checkpoint().unwrap()).unwrap();
+        assert_eq!(checkpoint_frames(&k0b), 2);
+        assert_eq!(checkpoint_frames(&k0b), 0);
+    }
+
+    #[test]
+    fn tagf_and_tel_checkpoints_reach_ranks_that_never_sent() {
+        // Rank 2 learns a determinant of rank 1's delivery of a rank-0
+        // message; rank 1's checkpoint covers no send of rank 2's, yet
+        // must still let it prune that determinant.
+        for kind in [ProtocolKind::TagF(2), ProtocolKind::Tel] {
+            let (ks, _net, eps) = harness(3, kind);
+            ks[0].app_send(1, 0, Bytes::from_static(b"m"), false);
+            pump(&ks[1], &eps[1]);
+            ks[1].try_deliver(RecvSpec::any()).unwrap();
+            ks[1].app_send(2, 0, Bytes::from_static(b"m"), false);
+            pump(&ks[2], &eps[2]);
+            ks[2].try_deliver(RecvSpec::any()).unwrap();
+            let about_1 = || ks[2].state.lock().trk.protocol.determinants_for(1).len();
+            assert_eq!(about_1(), 1, "{kind}");
+            ks[1].do_checkpoint(vec![], 1);
+            pump(&ks[2], &eps[2]);
+            assert_eq!(about_1(), 0, "{kind}");
+        }
     }
 
     #[test]

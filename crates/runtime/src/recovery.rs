@@ -257,12 +257,17 @@ pub(crate) struct RecoveryLayer {
     /// retransmission window, only the checkpointed sender log can
     /// resupply it.
     pub restored_send_index: CounterVector,
-    /// `last_deliver_index` at our last checkpoint (per peer).
+    /// `last_deliver_index[k]` as last announced to `k` in a
+    /// `CHECKPOINT_ADVANCE`: a checkpoint notifies `k` only once its
+    /// count has grown past this. Zeroed for `k` when `k`'s `ROLLBACK`
+    /// arrives and for everyone on restore, so the next checkpoint
+    /// tells them again.
     pub last_ckpt_deliver_index: CounterVector,
     /// Highest `CHECKPOINT_ADVANCE` horizon received from each peer.
     /// With [`crate::RunConfig::log_gc_lag`] set, log release trails
     /// this by one advance, retaining one extra generation of entries
-    /// for node-loss restores that fall back a generation.
+    /// for node-loss restores that fall back a generation. A peer's
+    /// `ROLLBACK` clamps it to the count that peer restored.
     pub peer_ckpt_advance: CounterVector,
     /// The sender-based message log (line 12).
     pub log: SenderLog,

@@ -109,6 +109,20 @@ impl CheckpointStore {
         None
     }
 
+    /// Every retained *intact* generation of `rank`, oldest first: the
+    /// images a restore may fall back through.
+    pub fn intact_generations(&self, rank: usize) -> Vec<(u64, Vec<u8>)> {
+        let keys = self
+            .storage
+            .keys_with_prefix(&Self::prefix(self.rank_base + rank));
+        keys.iter()
+            .filter_map(|key| {
+                let image = unseal(&self.storage.get(key)?)?;
+                Some((Self::parse_version(key)?, image))
+            })
+            .collect()
+    }
+
     /// Newest intact checkpoint version for `rank`, if any.
     pub fn latest_version(&self, rank: usize) -> Option<u64> {
         self.load_latest(rank).map(|(v, _)| v)
@@ -169,6 +183,8 @@ mod tests {
         assert_eq!(s.load_latest(0), Some((10, b"v10".to_vec())));
         // Default retention: the last two generations remain.
         assert_eq!(s.storage().keys_with_prefix("ckpt/0/").len(), 2);
+        let versions: Vec<u64> = s.intact_generations(0).iter().map(|g| g.0).collect();
+        assert_eq!(versions, [2, 10]);
     }
 
     #[test]
@@ -209,6 +225,7 @@ mod tests {
         s.storage().put(key, &blob[..blob.len() / 2]);
         assert_eq!(s.load_latest(0), Some((1, b"good".to_vec())));
         assert_eq!(s.latest_version(0), Some(1));
+        assert_eq!(s.intact_generations(0), [(1, b"good".to_vec())]);
     }
 
     #[test]
