@@ -461,7 +461,6 @@ pub fn log_ship_table() -> Table {
             retry_cap: Duration::from_millis(2),
             breaker_cooldown: Duration::from_millis(2),
             spill_limit_bytes: 32 * 1024,
-            ..ReplicatorConfig::default()
         };
         let mut c = ClusterConfig::new(
             n,

@@ -11,8 +11,8 @@
 //!
 //! * [`run_schedule`] executes a [`Workload`] over *real* kernels
 //!   ([`lclog_runtime::Kernel`]) on a single thread, with the fabric in
-//!   [`DeliveryModel::Held`] mode (no courier — envelopes park until
-//!   the scheduler releases them) and every kernel-path timestamp
+//!   [`DeliveryModel::Held`] mode (no release times — envelopes park
+//!   until the scheduler releases them) and every kernel-path timestamp
 //!   pinned to a [`SimClock`]. The only remaining non-determinism is
 //!   the explicit choice sequence, so a run is a pure function of
 //!   `(workload, trace)`.

@@ -4,7 +4,7 @@
 //!
 //! The runner owns everything that is normally concurrent: the fabric
 //! runs in [held mode](lclog_simnet::DeliveryModel::Held) so sends park
-//! in per-`(src, dst)` FIFOs instead of racing couriers, every
+//! in per-`(src, dst)` FIFOs instead of racing each other, every
 //! kernel-path timestamp reads a shared [`SimClock`], and there are no
 //! engine threads — the runner drives `ingest`/`try_deliver` itself.
 //! With wall time frozen the transport never retransmits, so each

@@ -1,7 +1,6 @@
-use crate::clock::Clock;
 use crate::detector::DetectorConfig;
 use lclog_core::ProtocolKind;
-use std::time::Duration;
+use lclog_simnet::Clock;
 
 /// Which Fig. 4 communication architecture a rank uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,9 +54,6 @@ pub enum EngineMode {
 pub enum CheckpointPolicy {
     /// Every `k` application steps (deterministic; used by tests).
     EverySteps(u64),
-    /// Whenever at least this much wall time elapsed since the last
-    /// checkpoint (the paper's 180 s interval, scaled down).
-    EveryElapsed(Duration),
     /// Only the implicit initial state; never checkpoint again.
     Never,
 }

@@ -8,9 +8,10 @@
 //!
 //! * opens storage ([`RunEnv::open`]),
 //! * boots incarnation 1 ([`RunEnv::attach`], [`RunEnv::boot`]),
-//! * handles a death ([`RunEnv::lose`]: `Crashed` → fabric kill →
-//!   flush held frames → tally → on node loss drain the replicator,
-//!   tear the newest upload if asked, wipe → `StoreWiped`),
+//! * handles a death ([`RunEnv::lose`]: `Crashed` → fabric kill, which
+//!   loses every frame in flight toward the victim → tally → on node
+//!   loss drain the replicator, tear the newest upload if asked, wipe →
+//!   `StoreWiped`),
 //! * brings up the successor ([`RunEnv::respawn`]: endpoint →
 //!   detector gate → `Spawned` → [`Kernel::respawn`], the restore and
 //!   the `ROLLBACK` broadcast),
@@ -148,11 +149,11 @@ pub struct RunEnv {
 }
 
 impl RunEnv {
-    /// Open the run `cfg` describes: fabric, storage, and — with
-    /// `cfg.remote` — the replication pipeline durable writes ship
-    /// through. Under a `host`, storage and pipeline are the host's
-    /// (`cfg.storage` and `cfg.remote` are ignored) and the pipeline is
-    /// never finished here.
+    /// Open the run `cfg` describes: fabric (its release times on the
+    /// run's clock), storage, and — with `cfg.remote` — the replication
+    /// pipeline durable writes ship through. Under a `host`, storage and
+    /// pipeline are the host's (`cfg.storage` and `cfg.remote` are
+    /// ignored) and the pipeline is never finished here.
     pub fn open(cfg: &ClusterConfig, host: Option<&TasksEnv>) -> Result<Self, String> {
         let n = cfg.n;
         assert!(n > 0, "cluster needs at least one rank");
@@ -195,7 +196,7 @@ impl RunEnv {
         run.log_gc_lag |= replicator.is_some();
         Ok(RunEnv {
             n,
-            net: SimNet::new(n + 1, cfg.net.clone()),
+            net: SimNet::with_clock(n + 1, cfg.net.clone(), run.clock.clone()),
             membership: run.detector.map(|_| Arc::new(MembershipTable::new(n))),
             run,
             ckpts: CheckpointStore::new(storage).with_rank_base(cfg.rank_base),
@@ -270,12 +271,6 @@ impl RunEnv {
     pub fn lose(&self, rank: Rank, incarnation: u64, step: u64, kernel: &Kernel, death: Death) {
         self.sink.emit(rank, EventKind::Crashed { step });
         self.net.kill(rank);
-        // Frames parked toward the dead slot are dropped at delivery:
-        // a held fabric loses in-flight messages at a crash exactly as
-        // a live one does (survivors resend from their logs).
-        for src in 0..=self.n {
-            while self.net.held_deliver(src, rank) {}
-        }
         let snap = kernel.snapshot();
         {
             let mut board = self.board.lock();

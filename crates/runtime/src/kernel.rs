@@ -661,7 +661,7 @@ impl Kernel {
         self.state
             .lock()
             .rec
-            .checkpoint_due(self.cfg.checkpoint, step, self.cfg.clock.now())
+            .checkpoint_due(self.cfg.checkpoint, step)
     }
 
     /// Take a checkpoint of `app_state` after `step`.
@@ -711,7 +711,6 @@ impl Kernel {
             };
             transport.send_msg(k, &WireMsg::CkptAdvance(advance));
         }
-        rec.last_ckpt_at = self.cfg.clock.now();
         rec.steps_at_ckpt = step;
     }
 
@@ -749,7 +748,6 @@ impl Kernel {
             .latest_version(self.me)
             .unwrap_or(rec.ckpt_version);
         rec.steps_at_ckpt = image.step;
-        rec.last_ckpt_at = self.cfg.clock.now();
         Ok((image.step, image.app_state))
     }
 
@@ -1235,7 +1233,7 @@ mod tests {
 
     /// A bare endpoint at slot `me`: frames whatever the test says.
     fn raw_peer(me: Rank, net: &SimNet) -> Transport {
-        let cfg = TransportConfig::standard(crate::clock::Clock::Real);
+        let cfg = TransportConfig::standard(crate::Clock::Real);
         Transport::new(me, net.n(), net.clone(), cfg)
     }
 
@@ -1658,7 +1656,7 @@ mod tests {
         let ep0b = net.respawn(0);
         let store = CheckpointStore::new(k0.ckpt_storage());
         let sim = lclog_simnet::SimClock::new();
-        let cfg = RunConfig::new(ProtocolKind::Tdi).with_clock(crate::clock::Clock::Sim(sim.clone()));
+        let cfg = RunConfig::new(ProtocolKind::Tdi).with_clock(crate::Clock::Sim(sim.clone()));
         let mut k0b = Kernel::new(0, 2, cfg.clone(), net.clone(), store.clone());
         k0b.set_incarnation(2);
         k0b.begin_recovery();
@@ -2080,7 +2078,7 @@ mod tests {
 
     #[test]
     fn lost_resync_snap_converges_without_request_storm() {
-        use crate::clock::Clock;
+        use crate::Clock;
         use lclog_simnet::SimClock;
 
         // Two kernels under TDI-S on a virtual clock. Rank 1's sparse

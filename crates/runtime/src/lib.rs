@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod backoff;
-mod clock;
 mod cluster;
 pub mod collectives;
 mod config;
@@ -70,7 +69,7 @@ pub use cluster::{
     Cluster, ClusterConfig, DetectorReport, FailurePlan, Kill, RemoteConfig, RunReport,
     StorageKind,
 };
-pub use clock::Clock;
+pub use lclog_simnet::Clock;
 pub use events::{Event, EventKind, EventSink};
 pub use config::{CheckpointPolicy, CommMode, EngineMode, RunConfig};
 pub use detector::DetectorConfig;

@@ -275,7 +275,6 @@ pub(crate) struct RecoveryLayer {
     pub log_bytes_peak: u64,
     pub ckpt_store: CheckpointStore,
     pub ckpt_version: u64,
-    pub last_ckpt_at: Instant,
     pub steps_at_ckpt: u64,
     /// Distinguishes `ROLLBACK` rebroadcasts.
     pub rollback_epoch: u64,
@@ -293,7 +292,6 @@ impl RecoveryLayer {
             log_bytes_peak: 0,
             ckpt_store,
             ckpt_version: 0,
-            last_ckpt_at: now,
             steps_at_ckpt: 0,
             rollback_epoch: 0,
         }
@@ -306,12 +304,9 @@ impl RecoveryLayer {
     }
 
     /// Is a checkpoint due after `step` under `policy`?
-    pub fn checkpoint_due(&self, policy: CheckpointPolicy, step: u64, now: Instant) -> bool {
+    pub fn checkpoint_due(&self, policy: CheckpointPolicy, step: u64) -> bool {
         match policy {
             CheckpointPolicy::EverySteps(k) => k > 0 && step >= self.steps_at_ckpt + k,
-            CheckpointPolicy::EveryElapsed(d) => {
-                now.saturating_duration_since(self.last_ckpt_at) >= d
-            }
             CheckpointPolicy::Never => false,
         }
     }

@@ -49,44 +49,21 @@ pub struct ReplicatorConfig {
     /// Byte bound on the spill buffer (pending objects plus open
     /// segment buffers). Shedding keeps usage at or below this.
     pub spill_limit_bytes: usize,
-    /// Objects shipped per round before the inbox is re-checked —
-    /// the bounded in-flight window.
-    pub in_flight_window: usize,
     /// First retry backoff ceiling.
     pub retry_initial: Duration,
     /// Retry backoff cap.
     pub retry_cap: Duration,
-    /// Put attempts per object per round before the round is declared
-    /// failed.
-    pub retry_limit: u32,
-    /// Consecutive failed rounds before the circuit breaker opens.
-    pub breaker_threshold: u32,
     /// How long an open breaker waits before probing the backend.
     pub breaker_cooldown: Duration,
-    /// Seal an open log-segment buffer once it holds this many bytes.
-    pub segment_flush_bytes: usize,
-    /// Give up draining on shutdown after this long.
-    pub drain_deadline: Duration,
-    /// Wall-time budget for a node-loss restore.
-    pub restore_deadline: Duration,
-    /// Seed for retry jitter.
-    pub seed: u64,
 }
 
 impl Default for ReplicatorConfig {
     fn default() -> Self {
         ReplicatorConfig {
             spill_limit_bytes: 256 * 1024,
-            in_flight_window: 4,
             retry_initial: Duration::from_millis(1),
             retry_cap: Duration::from_millis(16),
-            retry_limit: 3,
-            breaker_threshold: 2,
             breaker_cooldown: Duration::from_millis(10),
-            segment_flush_bytes: 4096,
-            drain_deadline: Duration::from_secs(5),
-            restore_deadline: Duration::from_secs(5),
-            seed: 0x10C5_10C5,
         }
     }
 }
@@ -97,13 +74,24 @@ impl ReplicatorConfig {
         self.spill_limit_bytes = bytes;
         self
     }
-
-    /// Builder-style segment flush threshold.
-    pub fn with_segment_flush(mut self, bytes: usize) -> Self {
-        self.segment_flush_bytes = bytes;
-        self
-    }
 }
+
+/// Objects shipped per round before the inbox is re-checked — the
+/// bounded in-flight window.
+const IN_FLIGHT_WINDOW: usize = 4;
+/// Put attempts per object per round before the round is declared
+/// failed.
+const RETRY_LIMIT: u32 = 3;
+/// Consecutive failed rounds before the circuit breaker opens.
+const BREAKER_THRESHOLD: u32 = 2;
+/// Seal an open log-segment buffer once it holds this many bytes.
+const SEGMENT_FLUSH_BYTES: usize = 4096;
+/// Give up draining on shutdown after this long.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
+/// Wall-time budget for a node-loss restore.
+const RESTORE_DEADLINE: Duration = Duration::from_secs(5);
+/// Seed for retry jitter.
+const RETRY_SEED: u64 = 0x10C5_10C5;
 
 /// What the replicator did, threaded into
 /// [`RunReport`](crate::RunReport).
@@ -315,7 +303,7 @@ impl Replicator {
     pub fn finish(&self) {
         {
             let mut st = self.inner.state.lock();
-            st.drain_deadline = Some(Instant::now() + self.inner.cfg.drain_deadline);
+            st.drain_deadline = Some(Instant::now() + DRAIN_DEADLINE);
         }
         self.inner.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.thread.lock().take() {
@@ -330,7 +318,7 @@ impl Replicator {
     /// be fetched (the rank then rejoins from its initial state).
     pub fn restore_rank(&self, rank: Rank, local: &dyn StableStorage) -> Option<u64> {
         let started = Instant::now();
-        let deadline = started + self.inner.cfg.restore_deadline;
+        let deadline = started + RESTORE_DEADLINE;
         let prefix = CheckpointStore::prefix(rank);
         let mut skipped = 0u32;
         let mut restored = None;
@@ -390,7 +378,7 @@ impl Replicator {
         let mut backoff = RetryBackoff::new(
             self.inner.cfg.retry_initial,
             self.inner.cfg.retry_cap,
-            self.inner.cfg.seed,
+            RETRY_SEED,
         );
         loop {
             match self.inner.remote.put(&newest, &blob) {
@@ -414,7 +402,7 @@ impl Replicator {
         let mut backoff = RetryBackoff::new(
             self.inner.cfg.retry_initial,
             self.inner.cfg.retry_cap,
-            self.inner.cfg.seed ^ crc32(key.as_bytes()) as u64,
+            RETRY_SEED ^ crc32(key.as_bytes()) as u64,
         );
         loop {
             match self.inner.remote.get(key) {
@@ -507,7 +495,7 @@ impl Inner {
                 let buf = st.open.entry(log.clone()).or_default();
                 buf.bytes += bytes.len();
                 buf.records.push(bytes);
-                if buf.bytes >= self.cfg.segment_flush_bytes {
+                if buf.bytes >= SEGMENT_FLUSH_BYTES {
                     Self::seal_segment(&mut st, &log);
                 }
             }
@@ -618,11 +606,11 @@ impl Inner {
     }
 
     /// One shipping round: respect the breaker, then store up to
-    /// `in_flight_window` objects followed by the manifest.
+    /// [`IN_FLIGHT_WINDOW`] objects followed by the manifest.
     fn ship_round(&self) {
         let (breaker_open, in_cooldown, has_work) = {
             let st = self.state.lock();
-            let open = st.consecutive_failed_rounds >= self.cfg.breaker_threshold;
+            let open = st.consecutive_failed_rounds >= BREAKER_THRESHOLD;
             let cooling = open
                 && st
                     .cooldown_until
@@ -634,11 +622,7 @@ impl Inner {
             return; // degraded cooldown: spill only, block no one.
         }
         // Closed breaker, or a half-open probe after the cooldown.
-        let window = if breaker_open {
-            1
-        } else {
-            self.cfg.in_flight_window
-        };
+        let window = if breaker_open { 1 } else { IN_FLIGHT_WINDOW };
         let mut shipped_any = false;
         for _ in 0..window {
             // An object in flight is in neither `pending` nor the
@@ -697,7 +681,7 @@ impl Inner {
                 Ok(()) => {
                     let was_open = {
                         let mut st = self.state.lock();
-                        let open = st.consecutive_failed_rounds >= self.cfg.breaker_threshold;
+                        let open = st.consecutive_failed_rounds >= BREAKER_THRESHOLD;
                         st.manifest_dirty = false;
                         st.consecutive_failed_rounds = 0;
                         open
@@ -718,16 +702,16 @@ impl Inner {
         let mut backoff = RetryBackoff::new(
             self.cfg.retry_initial,
             self.cfg.retry_cap,
-            self.cfg.seed ^ crc32(key.as_bytes()) as u64,
+            RETRY_SEED ^ crc32(key.as_bytes()) as u64,
         );
         let mut last = RemoteError::Transient;
-        for attempt in 0..self.cfg.retry_limit.max(1) {
+        for attempt in 0..RETRY_LIMIT {
             match self.remote.put(key, bytes) {
                 Ok(()) => return Ok(()),
                 Err(e) => {
                     last = e;
                     self.stats.lock().retries += 1;
-                    if attempt + 1 < self.cfg.retry_limit {
+                    if attempt + 1 < RETRY_LIMIT {
                         let wait = backoff.next_wait();
                         self.stats.lock().backoff += wait;
                         std::thread::sleep(wait);
@@ -742,7 +726,7 @@ impl Inner {
         let entered = {
             let mut st = self.state.lock();
             st.consecutive_failed_rounds = st.consecutive_failed_rounds.saturating_add(1);
-            let open = st.consecutive_failed_rounds >= self.cfg.breaker_threshold;
+            let open = st.consecutive_failed_rounds >= BREAKER_THRESHOLD;
             if open {
                 // (Re)start the cooldown; a failed half-open probe
                 // waits a full cooldown before the next probe. The
@@ -824,8 +808,6 @@ mod tests {
             retry_initial: Duration::from_micros(100),
             retry_cap: Duration::from_micros(800),
             breaker_cooldown: Duration::from_millis(2),
-            drain_deadline: Duration::from_secs(2),
-            restore_deadline: Duration::from_secs(2),
             ..ReplicatorConfig::default()
         }
     }
@@ -1036,15 +1018,16 @@ mod tests {
     #[test]
     fn segment_buffers_seal_at_flush_threshold() {
         let remote = Arc::new(MemRemote::new());
-        let cfg = quick_cfg().with_segment_flush(64);
         let repl = Replicator::spawn(
             Arc::clone(&remote) as Arc<dyn RemoteStore>,
-            cfg,
+            quick_cfg(),
             EventSink::disabled(),
             4,
         );
-        for i in 0..10 {
-            repl.offer_record("det/0", format!("record number {i:04}").as_bytes());
+        // Ten 1 KiB records: two buffers seal at the threshold, the
+        // rest at shutdown.
+        for i in 0..10u8 {
+            repl.offer_record("det/0", &[i; 1024]);
         }
         repl.finish();
         assert_eq!(repl.stats().unsynced_at_exit, 0);

@@ -17,7 +17,7 @@
 //! incarnation at their transports.
 
 use crate::backoff::Backoff;
-use crate::clock::Clock;
+use lclog_simnet::Clock;
 use crate::env::RunEnv;
 use crate::events::EventKind;
 use crate::message::WireMsg;

@@ -7,11 +7,13 @@
 //! n = 1024 run is not even schedulable. This module runs the *same
 //! kernels* (same transport, sender log, checkpointing, rollback
 //! recovery) cooperatively instead: each rank is a [`TaskApp`] state
-//! machine, the fabric runs in held mode so delivery happens in
-//! deterministic sweeps, and kernel time is a scheduler-advanced
-//! virtual clock. One thread drives a round at a time, so a run is a
-//! pure function of its config: the same digests, messages, bytes and
-//! retransmissions every time.
+//! machine, and kernel time is a scheduler-advanced virtual clock. A
+//! direct fabric runs in held mode, so delivery happens in
+//! deterministic sweeps; a timed one (a latency model, or chaos
+//! delays) keeps its release times, on the same virtual clock. One
+//! thread drives a round at a time, so a run is a pure function of its
+//! config: the same digests, messages, bytes, retransmissions and
+//! chaos counters every time.
 //!
 //! A round is one sweep over every rank, in rank order:
 //!
@@ -24,9 +26,10 @@
 //!    rollback rebroadcast);
 //!
 //! then one [`TaskJob::advance`]: release all held fabric channels,
-//! advance the virtual clock, and arm the watchdog. Completion leaves a
-//! rank serving its peers (drain + tick) until every rank is done — the
-//! cooperative version of `serve_until_shutdown`.
+//! advance the virtual clock (a timed fabric releases what then falls
+//! due at the next sweep's drains), and arm the watchdog. Completion
+//! leaves a rank serving its peers (drain + tick) until every rank is
+//! done — the cooperative version of `serve_until_shutdown`.
 //!
 //! [`run_tasks`] drives a job on the caller's thread. Long-running
 //! hosts (the `lclog-serve` service) hold many jobs and let any pool
@@ -36,11 +39,8 @@
 //!
 //! Unsupported in tasks mode (clean config errors from
 //! [`TaskJob::new`]; use the thread engine): event-logger protocols
-//! (TEL/PES — the stable service is a thread), detected failures,
-//! latency delivery models (the fabric is forced to held delivery),
-//! and fabric chaos (which rides the courier model).
+//! (TEL/PES — the stable service is a thread) and detected failures.
 
-use crate::clock::Clock;
 use crate::cluster::{ClusterConfig, RunReport};
 use crate::engine::Engine;
 use crate::env::{Death, RunEnv, TasksEnv};
@@ -50,7 +50,7 @@ use crate::message::{AppMsg, RecvSpec};
 use crate::process::{RankApp, RankCtx};
 use bytes::Bytes;
 use lclog_core::Rank;
-use lclog_simnet::{DeliveryModel, Endpoint, NetConfig, SimClock};
+use lclog_simnet::{Clock, DeliveryModel, Endpoint, SimClock};
 use lclog_wire::{Decode, Encode};
 use parking_lot::Mutex;
 use std::time::{Duration, Instant};
@@ -285,10 +285,12 @@ impl<A: TaskApp> TaskJob<A> {
         let clock = SimClock::new();
         let mut cfg = cfg.clone();
         cfg.run.clock = Clock::Sim(clock.clone());
-        // Held delivery is what makes sweeps deterministic and lets one
-        // thread serve many ranks (validate() rejected configs that
-        // asked for anything the held fabric cannot honour).
-        cfg.net = NetConfig::held();
+        // A direct fabric is held and released once per round; a timed
+        // one keeps its release times, now on the virtual clock. Either
+        // way one thread serves every rank deterministically.
+        if !cfg.net.is_timed() {
+            cfg.net.delivery = DeliveryModel::Held;
+        }
         let env = RunEnv::open(&cfg, host)?;
         let slots = (env.attach().into_iter().enumerate())
             .map(|(rank, endpoint)| Slot {
@@ -344,9 +346,9 @@ impl<A: TaskApp> TaskJob<A> {
         self.sweep_slots(&mut self.ranks.lock().slots)
     }
 
-    /// Close the round: release everything in flight, advance virtual
-    /// time, check completion, arm the watchdog. Returns true if held
-    /// frames moved.
+    /// Close the round: release held frames, advance virtual time,
+    /// check completion, arm the watchdog. Returns true if held frames
+    /// moved.
     pub fn advance(&self) -> bool {
         self.advance_ranks(&mut self.ranks.lock())
     }
@@ -510,23 +512,6 @@ fn validate(cfg: &ClusterConfig) -> Result<(), String> {
             "detected failures are not supported in tasks mode; use the thread engine".into(),
         );
     }
-    if cfg.net.chaos.is_some() {
-        return Err(
-            "fabric chaos injection rides the courier model, which tasks mode replaces \
-             with held delivery; use the thread engine"
-                .into(),
-        );
-    }
-    if matches!(
-        cfg.net.delivery,
-        DeliveryModel::Delayed { .. } | DeliveryModel::SharedBus { .. }
-    ) {
-        return Err(
-            "latency delivery models are not honoured in tasks mode (the fabric is \
-             forced to held delivery); use the thread engine"
-                .into(),
-        );
-    }
     Ok(())
 }
 
@@ -549,7 +534,7 @@ mod tests {
     use crate::config::{CheckpointPolicy, RunConfig};
     use crate::events::EventKind;
     use lclog_core::ProtocolKind;
-    use lclog_simnet::SimNet;
+    use lclog_simnet::{ChaosConfig, NetConfig, SimNet};
     use lclog_stable::{CheckpointStore, MemStore, StableStorage};
     use lclog_wire::impl_wire_struct;
     use std::sync::Arc;
@@ -668,21 +653,61 @@ mod tests {
         assert_eq!((dp.frames_built, dp.ack_frames), (2240, 1088));
     }
 
+    /// Chaos and fabric latency are release times on the virtual clock,
+    /// so a lossy, duplicating, corrupting, heavy-tailed LAN with a
+    /// mid-run kill still recovers to the fault-free digests, and runs
+    /// as a pure function of its config.
+    #[test]
+    fn a_chaotic_lan_run_is_a_pure_function_of_its_config() {
+        let app = || ExchangeRing { rounds: 8 };
+        let mut chaos_fired = 0;
+        for kind in [ProtocolKind::Tdi, ProtocolKind::TdiSparse(8)] {
+            let clean = run_tasks(&tasks_cfg(16, kind), app()).unwrap();
+            for seed in 1..=4 {
+                let chaos = ChaosConfig::seeded(seed)
+                    .with_drop(0.02)
+                    .with_duplicate(0.02)
+                    .with_corrupt(0.01)
+                    .with_heavy_tail(
+                        0.02,
+                        Duration::from_micros(500),
+                        1.0,
+                        Duration::from_millis(5),
+                    );
+                let cfg = tasks_cfg(16, kind)
+                    .with_net(NetConfig::lan_like(seed).with_chaos(chaos))
+                    .with_failures(FailurePlan::kill_at(1, 4));
+                let counters = |r: &RunReport| {
+                    [
+                        r.net_msgs,
+                        r.net_bytes,
+                        r.retransmits,
+                        r.chaos_dropped,
+                        r.chaos_duplicated,
+                        r.chaos_corrupted,
+                    ]
+                };
+                let first = run_tasks(&cfg, app()).unwrap();
+                assert_eq!(first.kills, 1, "{kind} seed {seed}");
+                assert_eq!(first.digests, clean.digests, "{kind} seed {seed}");
+                let again = run_tasks(&cfg, app()).unwrap();
+                assert_eq!(counters(&again), counters(&first), "{kind} seed {seed}");
+                chaos_fired += counters(&first)[3..].iter().sum::<u64>();
+            }
+        }
+        assert!(chaos_fired > 0, "the chaos must have fired");
+    }
+
     #[test]
     fn tasks_and_threads_agree_on_digests() {
         let app = || ExchangeRing { rounds: 6 };
-        let tasks = run_tasks(&tasks_cfg(4, ProtocolKind::Tdi), app()).unwrap();
-        let threads = Cluster::run(
-            &ClusterConfig::new(
-                4,
-                RunConfig::new(ProtocolKind::Tdi)
-                    .with_checkpoint(CheckpointPolicy::EverySteps(2)),
-            ),
-            BlockingTaskApp(app()),
-        )
-        .unwrap();
-        assert_eq!(tasks.digests, threads.digests);
-        assert_eq!(tasks.stats.delivers, threads.stats.delivers);
+        for net in [NetConfig::direct(), NetConfig::lan_like(7)] {
+            let cfg = tasks_cfg(4, ProtocolKind::Tdi).with_net(net);
+            let tasks = run_tasks(&cfg, app()).unwrap();
+            let threads = Cluster::run(&cfg, BlockingTaskApp(app())).unwrap();
+            assert_eq!(tasks.digests, threads.digests);
+            assert_eq!(tasks.stats.delivers, threads.stats.delivers);
+        }
     }
 
     #[test]
@@ -838,39 +863,6 @@ mod tests {
         let err = run_tasks(&cfg, ExchangeRing { rounds: 2 }).unwrap_err();
         assert!(err.contains("detected failures"), "{err}");
         assert!(err.contains("thread engine"), "{err}");
-    }
-
-    #[test]
-    fn tasks_mode_rejects_chaos_fabric() {
-        let chaos = lclog_simnet::ChaosConfig::seeded(7).with_drop(0.01);
-        let cfg = tasks_cfg(3, ProtocolKind::Tdi).with_net(NetConfig::direct().with_chaos(chaos));
-        let err = run_tasks(&cfg, ExchangeRing { rounds: 2 }).unwrap_err();
-        assert!(err.contains("chaos"), "{err}");
-        assert!(err.contains("thread engine"), "{err}");
-    }
-
-    #[test]
-    fn tasks_mode_rejects_latency_delivery_models() {
-        let delayed = NetConfig::delayed(
-            Duration::from_micros(10),
-            Duration::from_micros(1),
-            Duration::ZERO,
-            1,
-        );
-        let err = run_tasks(
-            &tasks_cfg(3, ProtocolKind::Tdi).with_net(delayed),
-            ExchangeRing { rounds: 2 },
-        )
-        .unwrap_err();
-        assert!(err.contains("latency delivery"), "{err}");
-        assert!(err.contains("thread engine"), "{err}");
-        // Direct (the config default) and held are both fine: the held
-        // fabric preserves their semantics under sweeps.
-        assert!(run_tasks(
-            &tasks_cfg(3, ProtocolKind::Tdi).with_net(NetConfig::held()),
-            ExchangeRing { rounds: 2 },
-        )
-        .is_ok());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! lives here because every counter it holds is incremented next to a
 //! protocol call. Part of the kernel's `State` (see [`crate::kernel`]).
 
-use crate::clock::Clock;
+use lclog_simnet::Clock;
 use lclog_core::{
     CounterVector, LoggingProtocol, ProtocolError, Rank, SendArtifacts, TrackingStats,
 };

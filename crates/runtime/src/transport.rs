@@ -75,7 +75,7 @@
 //! so an accidental deep copy panics in CI instead of silently
 //! regressing the hot path.
 
-use crate::clock::Clock;
+use lclog_simnet::Clock;
 use crate::events::{EventKind, EventSink};
 use bytes::{Bytes, BytesMut};
 use lclog_core::Rank;

@@ -295,7 +295,7 @@ fn blocking_mode_rendezvous_sends_recover() {
 
 #[test]
 fn delayed_reordering_fabric_failure_recovers() {
-    // The courier actively reorders cross-pair traffic; recovery
+    // Seeded jitter actively reorders cross-pair traffic; recovery
     // messages arrive out of order and sit in the receiving queue
     // until deliverable (§III.E).
     let rounds = 12;

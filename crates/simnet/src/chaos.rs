@@ -1,5 +1,5 @@
 //! Seeded chaos fault model: per-link drop / duplicate / bit-flip
-//! corruption, transient partitions, and courier stalls.
+//! corruption, transient partitions, and heavy-tailed delays.
 //!
 //! Every decision is a pure function of `(seed, src, dst, seq, salt)`,
 //! where `seq` is the fabric's per-`(src, dst)` sequence number. Given
@@ -53,10 +53,6 @@ pub struct ChaosConfig {
     pub duplicate_p: f64,
     /// Probability one payload bit is flipped in transit.
     pub corrupt_p: f64,
-    /// Probability the courier stalls this envelope by [`ChaosConfig::stall`].
-    pub stall_p: f64,
-    /// Extra in-flight delay applied to stalled envelopes.
-    pub stall: Duration,
     /// Probability an envelope draws an extra heavy-tailed delay.
     pub delay_p: f64,
     /// Median of the lognormal heavy-tail delay distribution.
@@ -79,8 +75,6 @@ impl ChaosConfig {
             drop_p: 0.0,
             duplicate_p: 0.0,
             corrupt_p: 0.0,
-            stall_p: 0.0,
-            stall: Duration::from_millis(2),
             delay_p: 0.0,
             delay_median: Duration::from_millis(2),
             delay_sigma: 1.0,
@@ -110,20 +104,13 @@ impl ChaosConfig {
         self
     }
 
-    /// Sets the courier-stall probability and stall duration.
-    pub fn with_stall(mut self, p: f64, stall: Duration) -> Self {
-        assert!((0.0..=1.0).contains(&p), "stall probability out of range");
-        self.stall_p = p;
-        self.stall = stall;
-        self
-    }
-
     /// Enables a seeded heavy-tailed (lognormal) per-envelope delay:
     /// with probability `p` an envelope is held for
     /// `median · exp(sigma · z)` (z standard normal), capped at `cap`.
-    /// Because the courier preserves per-pair FIFO, one tail draw
+    /// Because the fabric preserves per-pair FIFO, one tail draw
     /// silences its whole link for the draw's duration — exactly the
-    /// jitter an accrual failure detector must ride out.
+    /// jitter an accrual failure detector must ride out. A fixed stall
+    /// of `d` is `with_heavy_tail(p, d, 0.0, d)`.
     pub fn with_heavy_tail(mut self, p: f64, median: Duration, sigma: f64, cap: Duration) -> Self {
         assert!((0.0..=1.0).contains(&p), "delay probability out of range");
         assert!(sigma >= 0.0, "delay sigma must be non-negative");
@@ -140,30 +127,22 @@ impl ChaosConfig {
         self
     }
 
-    /// True when stalls or heavy-tail delays can occur (the fabric
-    /// then needs a courier even under the direct delivery model).
-    pub fn wants_courier(&self) -> bool {
-        self.stall_p > 0.0 || self.delay_p > 0.0
-    }
-
     /// Decides the fate of one envelope. Pure in `(seed, src, dst,
     /// seq)`; two calls with identical arguments always agree.
     pub(crate) fn fate(&self, src: Rank, dst: Rank, seq: u64) -> Fate {
         let severed = self.partitions.iter().any(|p| p.severs(src, dst, seq));
-        let mut stall = Duration::ZERO;
-        if self.stall_p > 0.0 && self.roll(src, dst, seq, SALT_STALL) < self.stall_p {
-            stall += self.stall;
-        }
-        if self.delay_p > 0.0 && self.roll(src, dst, seq, SALT_DELAY) < self.delay_p {
-            stall += self.heavy_tail_sample(src, dst, seq);
-        }
+        let delayed = self.delay_p > 0.0 && self.roll(src, dst, seq, SALT_DELAY) < self.delay_p;
         Fate {
             severed,
             dropped: !severed && self.roll(src, dst, seq, SALT_DROP) < self.drop_p,
             duplicated: self.roll(src, dst, seq, SALT_DUP) < self.duplicate_p,
             corrupt_bit: (self.roll(src, dst, seq, SALT_CORRUPT) < self.corrupt_p)
                 .then(|| self.hash(src, dst, seq, SALT_BIT)),
-            stall,
+            delay: if delayed {
+                self.heavy_tail_sample(src, dst, seq)
+            } else {
+                Duration::ZERO
+            },
         }
     }
 
@@ -179,14 +158,7 @@ impl ChaosConfig {
     }
 
     fn hash(&self, src: Rank, dst: Rank, seq: u64, salt: u64) -> u64 {
-        let key = self
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((src as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
-            .wrapping_add((dst as u64).wrapping_mul(0x94D0_49BB_1331_11EB))
-            .wrapping_add(seq.wrapping_mul(0xD6E8_FEB8_6659_FD93))
-            .wrapping_add(salt);
-        splitmix(key)
+        link_hash(self.seed, src, dst, seq, salt)
     }
 
     fn roll(&self, src: Rank, dst: Rank, seq: u64, salt: u64) -> f64 {
@@ -345,7 +317,6 @@ const SALT_DROP: u64 = 0xD0;
 const SALT_DUP: u64 = 0xD1;
 const SALT_CORRUPT: u64 = 0xC0;
 const SALT_BIT: u64 = 0xB1;
-const SALT_STALL: u64 = 0x57;
 const SALT_DELAY: u64 = 0xDE;
 const SALT_TAIL_A: u64 = 0x7A;
 const SALT_TAIL_B: u64 = 0x7B;
@@ -354,6 +325,19 @@ const SALT_S_TORN: u64 = 0x5B;
 const SALT_S_FLIP: u64 = 0x5C;
 const SALT_S_BIT: u64 = 0x5D;
 const SALT_S_SPIKE: u64 = 0x5E;
+
+/// A pure 64-bit hash of `(seed, src, dst, seq, salt)`: the one source
+/// of randomness of every per-envelope decision (chaos fates and the
+/// `Delayed` model's jitter).
+pub(crate) fn link_hash(seed: u64, src: Rank, dst: Rank, seq: u64, salt: u64) -> u64 {
+    let key = seed
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add((src as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
+        .wrapping_add((dst as u64).wrapping_mul(0x94D0_49BB_1331_11EB))
+        .wrapping_add(seq.wrapping_mul(0xD6E8_FEB8_6659_FD93))
+        .wrapping_add(salt);
+    splitmix(key)
+}
 
 fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -372,9 +356,9 @@ pub(crate) struct Fate {
     pub duplicated: bool,
     /// When `Some(h)`, flip payload bit `h % (len * 8)`.
     pub corrupt_bit: Option<u64>,
-    /// Extra time the courier holds this envelope: the uniform stall
-    /// plus any heavy-tail draw. Zero means deliver on schedule.
-    pub stall: Duration,
+    /// Heavy-tail delay added to this envelope's release time. Zero
+    /// means deliver on schedule.
+    pub delay: Duration,
 }
 
 #[cfg(test)]
@@ -414,10 +398,9 @@ mod tests {
         let median = Duration::from_millis(2);
         let cap = Duration::from_millis(20);
         let c = ChaosConfig::seeded(11).with_heavy_tail(1.0, median, 1.0, cap);
-        assert!(c.wants_courier());
-        let draws: Vec<Duration> = (1..=10_000u64).map(|s| c.fate(0, 1, s).stall).collect();
+        let draws: Vec<Duration> = (1..=10_000u64).map(|s| c.fate(0, 1, s).delay).collect();
         for (i, d) in draws.iter().enumerate() {
-            assert_eq!(*d, c.fate(0, 1, (i + 1) as u64).stall, "draws must replay");
+            assert_eq!(*d, c.fate(0, 1, (i + 1) as u64).delay, "draws must replay");
             assert!(*d <= cap, "draw {d:?} exceeds cap");
         }
         // Median of a lognormal is its scale parameter: roughly half
@@ -430,19 +413,18 @@ mod tests {
         // Probability gate honours delay_p.
         let rare = ChaosConfig::seeded(11).with_heavy_tail(0.05, median, 1.0, cap);
         let delayed = (1..=10_000u64)
-            .filter(|&s| rare.fate(0, 1, s).stall > Duration::ZERO)
+            .filter(|&s| rare.fate(0, 1, s).delay > Duration::ZERO)
             .count();
         assert!((300..800).contains(&delayed), "delayed={delayed}");
     }
 
     #[test]
-    fn stall_and_heavy_tail_compose() {
-        let c = ChaosConfig::seeded(3)
-            .with_stall(1.0, Duration::from_millis(4))
-            .with_heavy_tail(1.0, Duration::from_millis(2), 0.0, Duration::from_millis(20));
-        // sigma = 0 makes the tail draw exactly the median, so every
-        // envelope is held for stall + median.
-        assert_eq!(c.fate(0, 1, 1).stall, Duration::from_millis(6));
+    fn a_fixed_stall_is_a_zero_sigma_heavy_tail() {
+        // sigma = 0 makes every draw exactly the median: each envelope
+        // is held for the same 4 ms.
+        let stall = Duration::from_millis(4);
+        let c = ChaosConfig::seeded(3).with_heavy_tail(1.0, stall, 0.0, stall);
+        assert!((1..100u64).all(|seq| c.fate(0, 1, seq).delay == stall));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Virtual time for deterministic simulation.
+//! Time sources: the wall clock or a virtual one.
 //!
 //! A [`SimClock`] is a shared counter of simulated nanoseconds,
 //! anchored to an arbitrary epoch [`Instant`] so existing code that
@@ -7,11 +7,42 @@
 //! deterministic run the scheduler owns *all* progress of time, so
 //! every timeout, backoff, and detector decision is a pure function of
 //! the schedule instead of the host's wall clock.
+//!
+//! A [`Clock`] is the choice between the two. The fabric reads it for
+//! release times (see [`crate::SimNet::with_clock`]), and every
+//! kernel-path timestamp of the runtime above it flows through the
+//! same clock, so under [`Clock::Sim`] retransmission backoff, detector
+//! accrual, rebroadcast intervals and fabric latency are all pure
+//! functions of the simulated schedule. Harness-side code (the cluster
+//! thread loop, the blocking engine's rendezvous spin, the event-sink
+//! timeline) intentionally keeps real time: it never runs on the
+//! deterministic path.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Where the fabric and the kernel stack read "now" from.
+#[derive(Debug, Clone, Default)]
+pub enum Clock {
+    /// The wall clock (`Instant::now`) — production and threaded runs.
+    #[default]
+    Real,
+    /// A shared virtual clock advanced only by the simulation
+    /// scheduler — deterministic runs.
+    Sim(SimClock),
+}
+
+impl Clock {
+    /// The current time, from whichever source this clock wraps.
+    pub fn now(&self) -> Instant {
+        match self {
+            Clock::Real => Instant::now(),
+            Clock::Sim(sim) => sim.now(),
+        }
+    }
+}
 
 /// A shared virtual clock. Cheap to clone; all clones tick together.
 #[derive(Clone)]

@@ -2,17 +2,27 @@ use crate::chaos::ChaosConfig;
 use std::time::Duration;
 
 /// How the fabric moves envelopes from sender to receiver.
+///
+/// `Delayed` and `SharedBus` are *timed*: `send` gives each envelope a
+/// release time on the fabric's clock and parks it until then, and
+/// every `send`, `try_recv` and `recv_timeout` first releases whatever
+/// is due. Nothing runs in the background, so under a virtual clock
+/// (see [`crate::SimNet::with_clock`]) the release schedule is a pure
+/// function of the sends and of when the clock is advanced.
 #[derive(Debug, Clone)]
 pub enum DeliveryModel {
     /// Hand the envelope to the destination inbox synchronously inside
     /// `send`. Fast and deterministic-ish; used for overhead-counting
-    /// experiments (Fig. 6/7) where transport time is irrelevant.
+    /// experiments (Fig. 6/7) where transport time is irrelevant. A
+    /// chaos heavy-tail delay makes a direct fabric timed too: delayed
+    /// envelopes are released when due, the rest at once.
     Direct,
-    /// Route every envelope through a courier thread that imposes a
-    /// latency of `base + per_kib * ceil(len/1024) + U(0..jitter)`
-    /// (seeded), actively reordering messages from different senders.
-    /// Used for recovery and blocking experiments (Fig. 8) and for
-    /// adversarial reordering tests.
+    /// Release each envelope `base + per_kib * ceil(len/1024) +
+    /// jitter` after its send, the jitter uniform in `0..jitter` and
+    /// drawn from a hash of `(seed, src, dst, seq)`, actively
+    /// reordering messages from different senders. Used for recovery
+    /// and blocking experiments (Fig. 8) and for adversarial
+    /// reordering tests.
     Delayed {
         /// Fixed latency component.
         base: Duration,
@@ -22,7 +32,7 @@ pub enum DeliveryModel {
         per_kib: Duration,
         /// Upper bound of the uniform random jitter term.
         jitter: Duration,
-        /// RNG seed so runs are reproducible.
+        /// Jitter seed so runs are reproducible.
         seed: u64,
     },
     /// A single shared medium, like the paper's 100 Mb Ethernet
@@ -39,10 +49,11 @@ pub enum DeliveryModel {
     /// Deterministic-simulation mode: `send` parks the envelope in a
     /// per-`(src, dst)` FIFO inside the fabric and *nothing* moves it
     /// until an external scheduler calls [`SimNet::held_deliver`] (or
-    /// [`SimNet::held_deliver_all`]). No courier thread, no wall-clock
-    /// timing — arrival order is exactly the scheduler's decision
-    /// sequence, so a run is a pure function of `(topology, workload,
-    /// schedule)`. Chaos fates (seeded) still apply at send time.
+    /// [`SimNet::held_deliver_all`]). No release times — arrival order
+    /// is exactly the scheduler's decision sequence, so a run is a pure
+    /// function of `(topology, workload, schedule)`. Chaos fates
+    /// (seeded) still apply at send time, except heavy-tail delays:
+    /// when to deliver is already the scheduler's decision.
     ///
     /// [`SimNet::held_deliver`]: crate::SimNet::held_deliver
     /// [`SimNet::held_deliver_all`]: crate::SimNet::held_deliver_all
@@ -67,7 +78,7 @@ impl NetConfig {
         }
     }
 
-    /// Courier delivery with the given parameters.
+    /// Per-message latency with the given parameters.
     pub fn delayed(base: Duration, per_kib: Duration, jitter: Duration, seed: u64) -> Self {
         NetConfig {
             delivery: DeliveryModel::Delayed {
@@ -97,7 +108,7 @@ impl NetConfig {
         self
     }
 
-    /// A mild default courier: 50 µs base, 20 µs/KiB, 100 µs jitter.
+    /// A mild default latency: 50 µs base, 20 µs/KiB, 100 µs jitter.
     /// Scaled-down stand-in for the paper's 100 Mb LAN.
     pub fn lan_like(seed: u64) -> Self {
         Self::delayed(
@@ -119,6 +130,16 @@ impl NetConfig {
                 bytes_per_sec: 1 << 30,
             },
             chaos: None,
+        }
+    }
+
+    /// True when envelopes get release times (see [`DeliveryModel`]):
+    /// a latency model, or a direct fabric with heavy-tail chaos.
+    pub fn is_timed(&self) -> bool {
+        match self.delivery {
+            DeliveryModel::Delayed { .. } | DeliveryModel::SharedBus { .. } => true,
+            DeliveryModel::Direct => self.chaos.as_ref().is_some_and(|c| c.delay_p > 0.0),
+            DeliveryModel::Held => false,
         }
     }
 }

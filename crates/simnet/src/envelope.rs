@@ -4,9 +4,9 @@ use bytes::Bytes;
 /// A message in flight on the fabric.
 ///
 /// `seq` is a fabric-level sequence number unique per `(src, dst)`
-/// pair and monotonically increasing in send order; the courier uses
-/// it to preserve per-pair FIFO while reordering across pairs, and
-/// tests use it to assert the FIFO guarantee. Protocol-level indices
+/// pair and monotonically increasing in send order; the delay models
+/// hash it into jitter and chaos fates, and tests use it to assert the
+/// FIFO guarantee. Protocol-level indices
 /// (send_index etc.) live inside `payload` and are independent of it.
 /// The logical frame is the concatenation `payload ++ body`. Most
 /// envelopes carry a single contiguous buffer (`body` empty); the

@@ -1,13 +1,13 @@
-use crate::chaos::ChaosConfig;
-use crate::courier::Courier;
-use crate::{DeliveryModel, Envelope, NetConfig, NetStats, Rank};
+use crate::schedule::Schedule;
+use crate::{ChaosConfig, Clock, DeliveryModel, Envelope, NetConfig, NetStats, Rank};
 use bytes::Bytes;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Errors returned by [`SimNet::send`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,25 +64,33 @@ struct Slot {
     state: SlotState,
 }
 
-/// Shared fabric state: endpoint slots, per-pair sequence counters and
-/// traffic stats. Held by `SimNet`, every `Endpoint`, and the courier
-/// thread.
-pub(crate) struct Fabric {
+/// Where an envelope waits between `send` and its destination inbox.
+enum Flight {
+    /// Nowhere: `send` delivers synchronously.
+    Direct,
+    /// One FIFO per `(src, dst)` channel, released only by explicit
+    /// `held_deliver*` calls ([`DeliveryModel::Held`]).
+    Held(Mutex<Vec<VecDeque<Envelope>>>),
+    /// Release times on the fabric's clock ([`NetConfig::is_timed`]).
+    Timed(Mutex<Schedule>),
+}
+
+/// Shared fabric state: endpoint slots, per-pair sequence counters,
+/// what is in flight and traffic stats. Held by `SimNet` and every
+/// `Endpoint`.
+struct Fabric {
     n: usize,
     slots: Vec<Mutex<Slot>>,
     pair_seq: Vec<AtomicU64>,
     stats: NetStats,
     chaos: Option<ChaosConfig>,
-    /// Scheduler-held in-flight envelopes ([`DeliveryModel::Held`]):
-    /// one FIFO per `(src, dst)` channel, released only by explicit
-    /// `held_deliver*` calls. `None` for every other delivery model.
-    held: Option<Mutex<Vec<std::collections::VecDeque<Envelope>>>>,
+    flight: Flight,
 }
 
 impl Fabric {
     /// Place `env` into the destination inbox if its current
     /// incarnation is alive; otherwise drop it (crash-loss model).
-    pub(crate) fn deliver(&self, env: Envelope) {
+    fn deliver(&self, env: Envelope) {
         let slot = self.slots[env.dst].lock();
         match &slot.state {
             SlotState::Attached(tx) => {
@@ -91,12 +99,35 @@ impl Fabric {
                 if tx.send(env).is_ok() {
                     self.stats.record_delivered();
                 } else {
-                    self.stats.record_dropped_dead();
+                    self.stats.record_dropped_dead(1);
                 }
             }
             SlotState::Detached | SlotState::Dead => {
-                self.stats.record_dropped_dead();
+                self.stats.record_dropped_dead(1);
             }
+        }
+    }
+
+    /// Release every timed envelope that is due, in release order,
+    /// and return how long until the next one (`None`: nothing is
+    /// scheduled, or the fabric is not timed). Delivering under the
+    /// schedule lock keeps two concurrent releasers from reordering a
+    /// pair.
+    fn release_due(&self) -> Option<Duration> {
+        let Flight::Timed(schedule) = &self.flight else {
+            return None;
+        };
+        let mut schedule = schedule.lock();
+        while let Some(env) = schedule.pop_due() {
+            self.deliver(env);
+        }
+        schedule.next_release_in()
+    }
+
+    fn held(&self) -> Option<&Mutex<Vec<VecDeque<Envelope>>>> {
+        match &self.flight {
+            Flight::Held(held) => Some(held),
+            _ => None,
         }
     }
 
@@ -111,84 +142,45 @@ impl Fabric {
 #[derive(Clone)]
 pub struct SimNet {
     fabric: Arc<Fabric>,
-    courier: Option<Arc<Courier>>,
 }
 
 impl SimNet {
-    /// Create a fabric with `n` endpoint slots.
+    /// Create a fabric with `n` endpoint slots whose release times run
+    /// on the wall clock.
     pub fn new(n: usize, config: NetConfig) -> Self {
+        Self::with_clock(n, config, Clock::Real)
+    }
+
+    /// Create a fabric with `n` endpoint slots whose release times run
+    /// on `clock`. Under [`Clock::Sim`] a timed fabric releases an
+    /// envelope only once the scheduler has advanced the clock past its
+    /// release time.
+    pub fn with_clock(n: usize, config: NetConfig, clock: Clock) -> Self {
         assert!(n > 0, "fabric needs at least one endpoint");
-        let fabric = Arc::new(Fabric {
-            n,
-            slots: (0..n)
-                .map(|_| {
-                    Mutex::new(Slot {
-                        incarnation: 0,
-                        state: SlotState::Detached,
-                    })
-                })
-                .collect(),
-            pair_seq: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
-            stats: NetStats::default(),
-            chaos: config.chaos.clone(),
-            held: matches!(config.delivery, DeliveryModel::Held).then(|| {
-                Mutex::new(
-                    (0..n * n)
-                        .map(|_| std::collections::VecDeque::new())
-                        .collect(),
-                )
-            }),
-        });
-        // Chaos stalls are imposed in flight, so they need a courier
-        // even under the otherwise-synchronous direct model.
-        let stall_courier = config
-            .chaos
-            .as_ref()
-            .is_some_and(ChaosConfig::wants_courier);
-        let courier = match config.delivery {
-            DeliveryModel::Direct if stall_courier => Some(Arc::new(Courier::spawn(
-                Arc::clone(&fabric),
-                n,
-                crate::courier::Timing::Delayed {
-                    base: Duration::ZERO,
-                    per_kib: Duration::ZERO,
-                    jitter: Duration::ZERO,
-                    seed: 0,
-                },
-            ))),
-            DeliveryModel::Direct => None,
-            DeliveryModel::Delayed {
-                base,
-                per_kib,
-                jitter,
-                seed,
-            } => Some(Arc::new(Courier::spawn(
-                Arc::clone(&fabric),
-                n,
-                crate::courier::Timing::Delayed {
-                    base,
-                    per_kib,
-                    jitter,
-                    seed,
-                },
-            ))),
-            DeliveryModel::SharedBus {
-                latency,
-                bytes_per_sec,
-            } => Some(Arc::new(Courier::spawn(
-                Arc::clone(&fabric),
-                n,
-                crate::courier::Timing::SharedBus {
-                    latency,
-                    bytes_per_sec,
-                },
-            ))),
-            // Held mode spawns nothing: the scheduler *is* the
-            // courier, and chaos stalls are meaningless when delivery
-            // timing is already an explicit decision.
-            DeliveryModel::Held => None,
+        let flight = match config.delivery {
+            DeliveryModel::Held => Flight::Held(Mutex::new(vec![VecDeque::new(); n * n])),
+            _ if config.is_timed() => {
+                Flight::Timed(Mutex::new(Schedule::new(n, config.delivery.clone(), clock)))
+            }
+            _ => Flight::Direct,
         };
-        SimNet { fabric, courier }
+        SimNet {
+            fabric: Arc::new(Fabric {
+                n,
+                slots: (0..n)
+                    .map(|_| {
+                        Mutex::new(Slot {
+                            incarnation: 0,
+                            state: SlotState::Detached,
+                        })
+                    })
+                    .collect(),
+                pair_seq: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
+                stats: NetStats::default(),
+                chaos: config.chaos,
+                flight,
+            }),
+        }
     }
 
     /// Number of endpoint slots.
@@ -223,11 +215,23 @@ impl SimNet {
     }
 
     /// Kill the current incarnation of `rank`: its inbox and all
-    /// in-flight messages towards it are lost.
+    /// in-flight messages towards it — scheduled or held — are lost,
+    /// so none of them reaches a later incarnation.
     pub fn kill(&self, rank: Rank) {
         assert!(rank < self.fabric.n, "rank {rank} out of range");
-        let mut slot = self.fabric.slots[rank].lock();
-        slot.state = SlotState::Dead;
+        self.fabric.slots[rank].lock().state = SlotState::Dead;
+        let n = self.fabric.n;
+        let lost = match &self.fabric.flight {
+            Flight::Direct => 0,
+            Flight::Held(held) => {
+                let mut held = held.lock();
+                (0..n)
+                    .map(|src| held[src * n + rank].drain(..).count())
+                    .sum()
+            }
+            Flight::Timed(schedule) => schedule.lock().purge(rank),
+        };
+        self.fabric.stats.record_dropped_dead(lost);
     }
 
     /// Create a fresh incarnation of a previously killed (or detached)
@@ -265,9 +269,12 @@ impl SimNet {
     ///
     /// When a [`ChaosConfig`] is installed, the envelope may be
     /// dropped, duplicated, bit-flipped, severed by a partition
-    /// window, or stalled in flight — all decided purely from the
+    /// window, or delayed in flight — all decided purely from the
     /// chaos seed and the per-link sequence number, so a schedule
     /// replays identically for the same per-link send sequence.
+    ///
+    /// On a timed fabric the envelope is scheduled, and then whatever
+    /// is due (it included) is released.
     pub fn send(&self, src: Rank, dst: Rank, payload: Bytes) -> Result<(), SendError> {
         self.send_parts(src, dst, payload, Bytes::new())
     }
@@ -295,7 +302,7 @@ impl SimNet {
         let mut payload = payload;
         let mut body = body;
         let mut duplicated = false;
-        let mut stall = Duration::ZERO;
+        let mut delay = Duration::ZERO;
         if let Some(chaos) = &self.fabric.chaos {
             let fate = chaos.fate(src, dst, seq);
             if fate.severed {
@@ -329,9 +336,9 @@ impl SimNet {
                 self.fabric.stats.record_chaos_duplicated();
                 duplicated = true;
             }
-            if fate.stall > Duration::ZERO {
+            if fate.delay > Duration::ZERO {
                 self.fabric.stats.record_chaos_stalled();
-                stall = fate.stall;
+                delay = fate.delay;
             }
         }
         let env = Envelope {
@@ -345,14 +352,19 @@ impl SimNet {
         // frame arriving twice, which the reliability layer above the
         // fabric must collapse to one delivery.
         let copies = if duplicated { 2 } else { 1 };
-        for _ in 0..copies {
-            if let Some(held) = &self.fabric.held {
-                held.lock()[src * self.fabric.n + dst].push_back(env.clone());
-                continue;
+        match &self.fabric.flight {
+            Flight::Direct => (0..copies).for_each(|_| self.fabric.deliver(env.clone())),
+            Flight::Held(held) => {
+                let channel = &mut held.lock()[src * self.fabric.n + dst];
+                channel.extend(std::iter::repeat_n(env, copies));
             }
-            match &self.courier {
-                None => self.fabric.deliver(env.clone()),
-                Some(courier) => courier.submit(env.clone(), stall),
+            Flight::Timed(schedule) => {
+                let mut schedule = schedule.lock();
+                for _ in 0..copies {
+                    schedule.push(env.clone(), delay);
+                }
+                drop(schedule);
+                self.fabric.release_due();
             }
         }
         Ok(())
@@ -366,7 +378,7 @@ impl SimNet {
     /// `(src, dst)` — a deterministic view of everything in flight.
     /// Empty on fabrics not in held mode.
     pub fn held_channels(&self) -> Vec<(Rank, Rank, usize)> {
-        let Some(held) = &self.fabric.held else {
+        let Some(held) = self.fabric.held() else {
             return Vec::new();
         };
         let n = self.fabric.n;
@@ -377,36 +389,15 @@ impl SimNet {
             .collect()
     }
 
-    /// Total held envelopes across all channels (0 unless held mode).
-    pub fn held_in_flight(&self) -> usize {
-        match &self.fabric.held {
-            Some(held) => held.lock().iter().map(|q| q.len()).sum(),
-            None => 0,
-        }
-    }
-
-    /// Payload of the next parked envelope on `src → dst`, if any — a
-    /// cheap refcounted peek that lets a deterministic scheduler
-    /// classify the frame before deciding whether releasing it is a
-    /// branch point. `None` when the channel is empty or the fabric is
-    /// not in held mode.
-    pub fn held_head(&self, src: Rank, dst: Rank) -> Option<bytes::Bytes> {
-        let held = self.fabric.held.as_ref()?;
-        held.lock()[src * self.fabric.n + dst].front().map(|env| {
-            if env.body.is_empty() {
-                // Contiguous frame: hand back the buffer as-is.
-                env.payload.clone()
-            } else {
-                // Two-segment frame (zero-copy resend): the inner
-                // message — and so its discriminant — lives in the
-                // body, which classification must be able to see.
-                let mut joined =
-                    bytes::BytesMut::with_capacity(env.payload.len() + env.body.len());
-                joined.extend_from_slice(&env.payload);
-                joined.extend_from_slice(&env.body);
-                joined.freeze()
-            }
-        })
+    /// The whole frame of the next parked envelope on `src → dst`, if
+    /// any — a peek (refcounted unless the frame has two segments) that
+    /// lets a deterministic scheduler classify the frame before
+    /// deciding whether releasing it is a branch point. `None` when the
+    /// channel is empty or the fabric is not in held mode.
+    pub fn held_head(&self, src: Rank, dst: Rank) -> Option<Bytes> {
+        self.fabric.held()?.lock()[src * self.fabric.n + dst]
+            .front()
+            .map(Envelope::contiguous)
     }
 
     /// Release the head envelope of the `(src, dst)` channel into the
@@ -414,17 +405,11 @@ impl SimNet {
     /// construction). Returns `false` when the channel is empty or the
     /// fabric is not in held mode.
     pub fn held_deliver(&self, src: Rank, dst: Rank) -> bool {
-        let Some(held) = &self.fabric.held else {
+        let Some(held) = self.fabric.held() else {
             return false;
         };
         let env = held.lock()[src * self.fabric.n + dst].pop_front();
-        match env {
-            Some(env) => {
-                self.fabric.deliver(env);
-                true
-            }
-            None => false,
-        }
+        env.map(|env| self.fabric.deliver(env)).is_some()
     }
 
     /// Release every held envelope, channel by channel in `(src, dst)`
@@ -432,7 +417,7 @@ impl SimNet {
     /// at the fabric level, so nothing can be parked behind the pass).
     /// Returns the number of envelopes released.
     pub fn held_deliver_all(&self) -> usize {
-        let Some(held) = &self.fabric.held else {
+        let Some(held) = self.fabric.held() else {
             return 0;
         };
         let mut held = held.lock();
@@ -451,7 +436,7 @@ impl fmt::Debug for SimNet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimNet")
             .field("n", &self.fabric.n)
-            .field("delayed", &self.courier.is_some())
+            .field("timed", &matches!(self.fabric.flight, Flight::Timed(_)))
             .finish()
     }
 }
@@ -480,39 +465,45 @@ impl Endpoint {
         self.fabric.is_current(self.rank, self.incarnation)
     }
 
-    /// Block up to `timeout` for the next envelope.
+    /// Block up to `timeout` for the next envelope. On a timed fabric
+    /// the wait lasts at most until the fabric's next release, which
+    /// this call then makes, whoever the envelope is for.
     ///
     /// Returns [`RecvError::Dead`] as soon as this incarnation has
     /// been killed — queued messages are *not* drained, matching the
     /// lost-volatile-state crash model.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
-        if !self.is_alive() {
-            return Err(RecvError::Dead);
-        }
-        match self.rx.recv_timeout(timeout) {
-            Ok(env) => {
-                if self.is_alive() {
-                    Ok(env)
-                } else {
-                    Err(RecvError::Dead)
-                }
+        let deadline = Instant::now() + timeout;
+        loop {
+            if !self.is_alive() {
+                return Err(RecvError::Dead);
             }
-            Err(RecvTimeoutError::Timeout) => {
-                if self.is_alive() {
-                    Err(RecvError::Timeout)
-                } else {
-                    Err(RecvError::Dead)
+            let next = self.fabric.release_due();
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self
+                .rx
+                .recv_timeout(next.map_or(left, |next| next.min(left)))
+            {
+                Ok(env) if self.is_alive() => return Ok(env),
+                Ok(_) | Err(RecvTimeoutError::Disconnected) => return Err(RecvError::Dead),
+                Err(RecvTimeoutError::Timeout) if left.is_zero() => {
+                    return Err(if self.is_alive() {
+                        RecvError::Timeout
+                    } else {
+                        RecvError::Dead
+                    });
                 }
+                Err(RecvTimeoutError::Timeout) => {}
             }
-            Err(RecvTimeoutError::Disconnected) => Err(RecvError::Dead),
         }
     }
 
-    /// Non-blocking receive.
+    /// Non-blocking receive (after releasing whatever is due).
     pub fn try_recv(&self) -> Result<Envelope, RecvError> {
         if !self.is_alive() {
             return Err(RecvError::Dead);
         }
+        self.fabric.release_due();
         match self.rx.try_recv() {
             Ok(env) => Ok(env),
             Err(TryRecvError::Empty) => Err(RecvError::Empty),

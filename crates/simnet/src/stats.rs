@@ -29,8 +29,9 @@ impl NetStats {
         self.msgs_delivered.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_dropped_dead(&self) {
-        self.msgs_dropped_dead.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_dropped_dead(&self, envelopes: usize) {
+        self.msgs_dropped_dead
+            .fetch_add(envelopes as u64, Ordering::Relaxed);
     }
 
     pub(crate) fn record_chaos_dropped(&self) {
@@ -75,7 +76,7 @@ impl NetStats {
     }
 
     /// Envelopes dropped because the destination was dead at delivery
-    /// time (the crash-loss model).
+    /// time or died while they were in flight (the crash-loss model).
     pub fn msgs_dropped_dead(&self) -> u64 {
         self.msgs_dropped_dead.load(Ordering::Relaxed)
     }
@@ -95,7 +96,7 @@ impl NetStats {
         self.chaos_corrupted.load(Ordering::Relaxed)
     }
 
-    /// Envelopes the chaos model stalled in the courier.
+    /// Envelopes the chaos model delayed in flight.
     pub fn chaos_stalled(&self) -> u64 {
         self.chaos_stalled.load(Ordering::Relaxed)
     }

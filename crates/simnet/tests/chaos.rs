@@ -132,7 +132,8 @@ fn corruption_flips_exactly_one_bit() {
 
 #[test]
 fn stalls_delay_but_deliver() {
-    let chaos = ChaosConfig::seeded(5).with_stall(1.0, Duration::from_millis(20));
+    let stall = Duration::from_millis(20);
+    let chaos = ChaosConfig::seeded(5).with_heavy_tail(1.0, stall, 0.0, stall);
     let net = SimNet::new(2, NetConfig::direct().with_chaos(chaos));
     let _ep0 = net.attach(0);
     let ep1 = net.attach(1);

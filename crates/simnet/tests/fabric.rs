@@ -2,7 +2,7 @@
 //! crash-loss semantics, incarnations, and traffic accounting.
 
 use bytes::Bytes;
-use lclog_simnet::{NetConfig, RecvError, SendError, SimNet};
+use lclog_simnet::{Clock, NetConfig, RecvError, SendError, SimClock, SimNet};
 use std::time::Duration;
 
 const TICK: Duration = Duration::from_millis(500);
@@ -159,28 +159,52 @@ fn stats_account_for_traffic() {
 }
 
 #[test]
-fn courier_flushes_on_shutdown() {
+fn frames_in_flight_outlive_the_last_handle_and_arrive_when_due() {
+    let clock = SimClock::new();
     let ep1;
     {
-        let net = SimNet::new(2, NetConfig::delayed(
-            Duration::from_millis(5),
-            Duration::ZERO,
-            Duration::ZERO,
-            7,
-        ));
+        let net = SimNet::with_clock(
+            2,
+            NetConfig::delayed(Duration::from_millis(5), Duration::ZERO, Duration::ZERO, 7),
+            Clock::Sim(clock.clone()),
+        );
         let _ep0 = net.attach(0);
         ep1 = net.attach(1);
         for i in 0..10 {
             net.send(0, 1, payload(i)).unwrap();
         }
-        // `net` (the only handle) drops here; the courier must flush
-        // all ten messages before exiting.
+        // `net`, the only handle, drops here with all ten in flight.
     }
-    let mut got = 0;
-    while ep1.try_recv().is_ok() {
-        got += 1;
-    }
-    assert_eq!(got, 10);
+    clock.advance(Duration::from_millis(4));
+    assert_eq!(ep1.try_recv().unwrap_err(), RecvError::Empty, "not due yet");
+    clock.advance(Duration::from_millis(1));
+    let tags: Vec<u8> = std::iter::from_fn(|| ep1.try_recv().ok().map(|e| e.payload[0])).collect();
+    assert_eq!(tags, (0..10).collect::<Vec<u8>>());
+}
+
+#[test]
+fn kill_drops_frames_in_flight_toward_the_slot() {
+    // A frame still in flight at the kill belongs to the dead
+    // incarnation: the successor, respawned at once, never sees it.
+    let net = SimNet::new(
+        2,
+        NetConfig::delayed(Duration::from_millis(5), Duration::ZERO, Duration::ZERO, 3),
+    );
+    let _ep0 = net.attach(0);
+    let _ep1 = net.attach(1);
+    net.send(0, 1, payload(1)).unwrap();
+    net.kill(1);
+    let successor = net.respawn(1);
+    assert_eq!(
+        successor
+            .recv_timeout(Duration::from_millis(50))
+            .unwrap_err(),
+        RecvError::Timeout
+    );
+    assert_eq!(net.stats().msgs_dropped_dead(), 1);
+    // What is sent to the successor still arrives.
+    net.send(0, 1, payload(2)).unwrap();
+    assert_eq!(&successor.recv_timeout(TICK).unwrap().payload[..], &[2]);
 }
 
 #[test]
@@ -271,7 +295,6 @@ fn held_mode_parks_until_scheduler_releases() {
     net.send(0, 1, payload(2)).unwrap();
     // Nothing moves on its own.
     assert!(matches!(ep1.try_recv(), Err(RecvError::Empty)));
-    assert_eq!(net.held_in_flight(), 2);
     assert_eq!(net.held_channels(), vec![(0, 1, 2)]);
     // Releases are explicit and per-channel FIFO.
     assert!(net.held_deliver(0, 1));
@@ -280,7 +303,7 @@ fn held_mode_parks_until_scheduler_releases() {
     assert!(net.held_deliver(0, 1));
     assert_eq!(&ep1.try_recv().unwrap().payload[..], &[2]);
     assert!(!net.held_deliver(0, 1), "channel drained");
-    assert_eq!(net.held_in_flight(), 0);
+    assert!(net.held_channels().is_empty());
 }
 
 #[test]
@@ -296,7 +319,7 @@ fn held_deliver_all_flushes_every_channel() {
     assert!(ep1.try_recv().is_ok());
     assert!(ep1.try_recv().is_ok());
     assert!(ep2.try_recv().is_ok());
-    assert_eq!(net.held_in_flight(), 0);
+    assert!(net.held_channels().is_empty());
 }
 
 #[test]
@@ -330,7 +353,6 @@ fn non_held_fabric_reports_empty_held_state() {
     let _ep0 = net.attach(0);
     let _ep1 = net.attach(1);
     net.send(0, 1, payload(1)).unwrap();
-    assert_eq!(net.held_in_flight(), 0);
     assert!(net.held_channels().is_empty());
     assert!(!net.held_deliver(0, 1));
     assert_eq!(net.held_deliver_all(), 0);

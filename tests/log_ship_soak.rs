@@ -98,7 +98,6 @@ fn soak_log_shipping_across_seeds() {
             retry_cap: Duration::from_millis(2),
             breaker_cooldown: Duration::from_millis(2),
             spill_limit_bytes: SPILL_LIMIT,
-            ..ReplicatorConfig::default()
         };
 
         let mut cfg = ClusterConfig::new(n, run_cfg())
