@@ -4,11 +4,12 @@
 //! scripts.
 //!
 //! [`Cluster::run`] is Fig. 4 as drawn: one OS thread per rank (plus a
-//! comm thread each in non-blocking mode, see [`crate::engine`]) and
-//! the TEL event-logger / membership service. Each rank thread runs
-//! its own incarnations back to back through the shared lifecycle of
-//! [`crate::env`]; the calling thread only waits, with the watchdog,
-//! for every rank to finish.
+//! comm thread each in non-blocking mode, see [`crate::engine`]) and,
+//! when the run needs it, one stepping the TEL event-logger /
+//! membership service. Each rank thread runs its own incarnations back
+//! to back through the shared lifecycle of [`crate::env`], polling the
+//! respawn gate between them; the calling thread only waits, with the
+//! watchdog, for every rank to finish.
 
 use crate::config::RunConfig;
 use crate::engine::Engine;
@@ -450,11 +451,7 @@ impl Cluster {
     /// fires.
     pub fn run<A: RankApp>(cfg: &ClusterConfig, app: A) -> Result<RunReport, String> {
         let env = RunEnv::open(cfg, None)?;
-        // Detected-failures mode: the stable service slot doubles as
-        // the membership arbiter, so the service runs even for
-        // protocols that need no event logger.
-        let service = (cfg.run.protocol.uses_event_logger() || env.membership.is_some())
-            .then(|| spawn_event_logger(&env));
+        let service = spawn_event_logger(&env);
         let endpoints = env.attach();
         let (done, wall) = std::thread::scope(|s| {
             for (rank, endpoint) in endpoints.into_iter().enumerate() {
@@ -541,8 +538,14 @@ fn rank_main<A: RankApp>(env: &RunEnv, app: &A, rank: Rank, endpoint: Endpoint) 
         };
         engine.halt();
         env.lose(rank, incarnation, step, engine.kernel(), death);
-        if env.is_shutdown() {
-            return;
+        loop {
+            if env.is_shutdown() {
+                return;
+            }
+            if env.may_respawn(rank, incarnation + 1) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
         }
         // Restore the last checkpoint (or the initial state if the
         // process died before ever checkpointing), then announce the

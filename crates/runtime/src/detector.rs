@@ -33,47 +33,28 @@
 //! [`Frame::Heartbeat`]: crate::transport::Frame::Heartbeat
 
 use lclog_core::{MembershipView, Rank};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// Tuning for the accrual failure detector (attach to
-/// [`RunConfig::with_detector`]).
+/// [`RunConfig::with_detector`]). Only the threshold is a knob; the
+/// detector's timing is fixed: a 2 ms heartbeat, a 32-sample window, a
+/// 100 ms startup grace and a 1 s respawn-gate fallback.
 ///
 /// [`RunConfig::with_detector`]: crate::RunConfig::with_detector
 #[derive(Debug, Clone, Copy)]
 pub struct DetectorConfig {
-    /// Idle liveness beacon period: when a rank has sent a peer
-    /// nothing for this long, the kernel tick emits an explicit
-    /// heartbeat. Also the floor of the inter-arrival estimate, so
-    /// bursty application traffic cannot make the detector trigger-
-    /// happy during a lull.
-    pub heartbeat_interval: Duration,
     /// Suspicion threshold φ: report a peer once the silence is this
     /// many decimal orders of magnitude less likely than the observed
     /// inter-arrival process explains. 8.0 rides out the chaos
     /// fabric's heavy-tailed delays (see EXPERIMENTS.md).
     pub phi_threshold: f64,
-    /// Inter-arrival samples kept per peer.
-    pub window: usize,
-    /// Startup grace: a peer never heard from is not suspected until
-    /// this much time has passed since the detector started.
-    pub grace: Duration,
-    /// Respawn gate fallback: a replacement incarnation waits at most
-    /// this long for the membership floor to pass its predecessor
-    /// before starting anyway (liveness when no survivor can detect).
-    pub gate_timeout: Duration,
 }
 
 impl Default for DetectorConfig {
     fn default() -> Self {
-        DetectorConfig {
-            heartbeat_interval: Duration::from_millis(2),
-            phi_threshold: 8.0,
-            window: 32,
-            grace: Duration::from_millis(100),
-            gate_timeout: Duration::from_secs(1),
-        }
+        DetectorConfig { phi_threshold: 8.0 }
     }
 }
 
@@ -84,26 +65,23 @@ impl DetectorConfig {
         self.phi_threshold = phi;
         self
     }
-
-    /// Sets the idle heartbeat period (and the inter-arrival floor).
-    pub fn with_heartbeat_interval(mut self, interval: Duration) -> Self {
-        assert!(!interval.is_zero(), "heartbeat interval must be non-zero");
-        self.heartbeat_interval = interval;
-        self
-    }
-
-    /// Sets the startup grace period.
-    pub fn with_grace(mut self, grace: Duration) -> Self {
-        self.grace = grace;
-        self
-    }
-
-    /// Sets the respawn-gate fallback timeout.
-    pub fn with_gate_timeout(mut self, timeout: Duration) -> Self {
-        self.gate_timeout = timeout;
-        self
-    }
 }
+
+/// Idle liveness beacon period: when a rank has sent a peer nothing for
+/// this long, the kernel tick emits an explicit heartbeat. Also the
+/// floor of the inter-arrival estimate, so bursty application traffic
+/// cannot make the detector trigger-happy during a lull.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(2);
+/// Inter-arrival samples kept per peer.
+const WINDOW: usize = 32;
+/// Startup grace: a peer never heard from is not suspected until this
+/// much time has passed since the detector started.
+const GRACE: Duration = Duration::from_millis(100);
+/// Respawn gate fallback: a replacement incarnation waits at most this
+/// long (on the run's clock) for the membership floor to pass its
+/// predecessor before starting anyway — liveness when no survivor can
+/// detect.
+pub(crate) const GATE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Per-peer accrual state.
 struct Peer {
@@ -155,7 +133,7 @@ impl Detector {
         };
         if let Some(last) = peer.last_heard {
             let dt = now.saturating_duration_since(last).as_secs_f64();
-            if peer.intervals.len() == self.cfg.window {
+            if peer.intervals.len() == WINDOW {
                 peer.intervals.pop_front();
             }
             peer.intervals.push_back(dt);
@@ -167,7 +145,7 @@ impl Detector {
     /// True once per heartbeat period: the caller should beacon every
     /// peer it has no outstanding traffic towards.
     pub(crate) fn heartbeat_due(&mut self, now: Instant) -> bool {
-        if now.saturating_duration_since(self.last_beacon) >= self.cfg.heartbeat_interval {
+        if now.saturating_duration_since(self.last_beacon) >= HEARTBEAT_INTERVAL {
             self.last_beacon = now;
             true
         } else {
@@ -181,7 +159,7 @@ impl Detector {
         let peer = &self.peers[rank];
         let since = peer.last_heard.unwrap_or(self.started);
         let elapsed = now.saturating_duration_since(since).as_secs_f64();
-        let floor = self.cfg.heartbeat_interval.as_secs_f64();
+        let floor = HEARTBEAT_INTERVAL.as_secs_f64();
         let m_eff = if peer.intervals.is_empty() {
             floor
         } else {
@@ -203,7 +181,7 @@ impl Detector {
             }
             // Startup grace: never-heard peers get time to say hello.
             if self.peers[rank].last_heard.is_none()
-                && now.saturating_duration_since(self.started) < self.cfg.grace
+                && now.saturating_duration_since(self.started) < GRACE
             {
                 continue;
             }
@@ -256,13 +234,12 @@ struct MembershipState {
     declarations: Vec<Declaration>,
 }
 
-/// The arbiter's membership state, shared between the service thread
-/// (which drives declarations from `Suspect` reports) and the cluster
-/// harness (which gates respawns on them and reads detection-latency
+/// The arbiter's membership state, shared between the event logger
+/// (which drives declarations from `Suspect` reports) and the run's
+/// lifecycle (which gates respawns on them and reads detection-latency
 /// bookkeeping at the end of a run).
 pub(crate) struct MembershipTable {
     state: Mutex<MembershipState>,
-    changed: Condvar,
 }
 
 impl MembershipTable {
@@ -274,14 +251,19 @@ impl MembershipTable {
                 view: MembershipView::initial(n),
                 declarations: Vec::new(),
             }),
-            changed: Condvar::new(),
         }
     }
 
-    /// Declare `incarnation` of `rank` dead. Returns the new certified
-    /// view, or `None` when the suspicion is stale (that incarnation
-    /// is already below the floor) — idempotent by construction.
-    pub(crate) fn declare(&self, rank: Rank, incarnation: u64) -> Option<MembershipView> {
+    /// Declare `incarnation` of `rank` dead at `at` (the run's clock).
+    /// Returns the new certified view, or `None` when the suspicion is
+    /// stale (that incarnation is already below the floor) — idempotent
+    /// by construction.
+    pub(crate) fn declare(
+        &self,
+        rank: Rank,
+        incarnation: u64,
+        at: Instant,
+    ) -> Option<MembershipView> {
         let mut s = self.state.lock();
         if !s.view.declare_dead(rank, incarnation) {
             return None;
@@ -289,9 +271,8 @@ impl MembershipTable {
         s.declarations.push(Declaration {
             rank,
             incarnation,
-            at: Instant::now(),
+            at,
         });
-        self.changed.notify_all();
         Some(s.view.clone())
     }
 
@@ -300,23 +281,10 @@ impl MembershipTable {
         self.state.lock().view.clone()
     }
 
-    /// Respawn gate: block until the floor for `rank` exceeds
-    /// `incarnation` (i.e. the predecessor has been *detected and
-    /// declared* dead), or until `timeout`. Returns true when the
-    /// declaration happened — false means the gate fell through on
-    /// the liveness fallback.
-    pub(crate) fn wait_floor_above(&self, rank: Rank, incarnation: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut s = self.state.lock();
-        while s.view.live_floor(rank) <= incarnation {
-            let Some(left) = deadline.checked_duration_since(Instant::now()).filter(|d| !d.is_zero()) else {
-                return s.view.live_floor(rank) > incarnation;
-            };
-            if self.changed.wait_for(&mut s, left).timed_out() {
-                return s.view.live_floor(rank) > incarnation;
-            }
-        }
-        true
+    /// True once the floor for `rank` exceeds `incarnation`: that
+    /// incarnation has been *detected and declared* dead.
+    pub(crate) fn floor_above(&self, rank: Rank, incarnation: u64) -> bool {
+        self.state.lock().view.live_floor(rank) > incarnation
     }
 
     /// Every declaration so far, in order.
@@ -335,15 +303,11 @@ mod tests {
 
     #[test]
     fn config_defaults_and_builders() {
-        let cfg = DetectorConfig::default()
-            .with_threshold(4.0)
-            .with_heartbeat_interval(ms(5))
-            .with_grace(ms(50))
-            .with_gate_timeout(ms(500));
-        assert_eq!(cfg.phi_threshold, 4.0);
-        assert_eq!(cfg.heartbeat_interval, ms(5));
-        assert_eq!(cfg.grace, ms(50));
-        assert_eq!(cfg.gate_timeout, ms(500));
+        assert_eq!(DetectorConfig::default().phi_threshold, 8.0);
+        assert_eq!(
+            DetectorConfig::default().with_threshold(4.0).phi_threshold,
+            4.0
+        );
     }
 
     #[test]
@@ -367,8 +331,7 @@ mod tests {
 
     #[test]
     fn poll_latches_one_report_per_silence_episode() {
-        let cfg = DetectorConfig::default().with_grace(Duration::ZERO);
-        let mut d = Detector::new(0, 3, cfg, Instant::now());
+        let mut d = Detector::new(0, 3, DetectorConfig::default(), Instant::now());
         let t0 = Instant::now();
         for i in 0..10 {
             d.heard(1, t0 + ms(2 * i));
@@ -401,8 +364,7 @@ mod tests {
 
     #[test]
     fn detector_never_suspects_itself_or_the_service_slot() {
-        let cfg = DetectorConfig::default().with_grace(Duration::ZERO);
-        let mut d = Detector::new(1, 2, cfg, Instant::now());
+        let mut d = Detector::new(1, 2, DetectorConfig::default(), Instant::now());
         // Total silence from everyone, forever.
         let reports = d.poll(Instant::now() + Duration::from_secs(5));
         assert_eq!(reports.len(), 1, "only rank 0 is suspect");
@@ -415,9 +377,14 @@ mod tests {
 
     #[test]
     fn grace_shields_never_heard_peers() {
-        let cfg = DetectorConfig::default().with_grace(Duration::from_secs(60));
-        let mut d = Detector::new(0, 2, cfg, Instant::now());
-        assert!(d.poll(Instant::now() + ms(500)).is_empty());
+        let t0 = Instant::now();
+        let mut d = Detector::new(0, 2, DetectorConfig::default(), t0);
+        assert!(d.poll(t0 + GRACE - ms(1)).is_empty());
+        assert_eq!(
+            d.poll(t0 + GRACE).len(),
+            1,
+            "grace over: the silent peer is suspect"
+        );
     }
 
     #[test]
@@ -442,23 +409,23 @@ mod tests {
 
     #[test]
     fn membership_table_declares_once_and_gates() {
-        let table = std::sync::Arc::new(MembershipTable::new(3));
-        let view = table.declare(1, 1).expect("first declaration");
+        let table = MembershipTable::new(3);
+        let t0 = Instant::now();
+        let view = table.declare(1, 1, t0).expect("first declaration");
         assert_eq!(view.epoch, 1);
         assert_eq!(view.live_floor(1), 2);
-        assert!(table.declare(1, 1).is_none(), "stale suspicion is a no-op");
-        // Gate: incarnation 2 of rank 1 passes instantly (floor 2 > 1).
-        assert!(table.wait_floor_above(1, 1, ms(10)));
-        // Incarnation 3 would wait for a second declaration; fallback
-        // fires when nobody declares.
-        assert!(!table.wait_floor_above(1, 2, ms(20)));
-        // A concurrent declaration releases a waiting gate.
-        let t2 = table.clone();
-        let waiter = std::thread::spawn(move || t2.wait_floor_above(1, 2, Duration::from_secs(5)));
-        std::thread::sleep(ms(20));
-        assert!(table.declare(1, 2).is_some());
-        assert!(waiter.join().unwrap());
-        assert_eq!(table.declarations().len(), 2);
+        assert!(
+            table.declare(1, 1, t0 + ms(1)).is_none(),
+            "stale suspicion is a no-op"
+        );
+        // Gate: incarnation 2 of rank 1 may start (floor 2 > 1); a
+        // third incarnation waits for a second declaration.
+        assert!(table.floor_above(1, 1));
+        assert!(!table.floor_above(1, 2));
+        assert!(table.declare(1, 2, t0 + ms(5)).is_some());
+        assert!(table.floor_above(1, 2));
+        let at: Vec<_> = table.declarations().iter().map(|d| d.at - t0).collect();
+        assert_eq!(at, [ms(0), ms(5)], "declarations keep the caller's clock");
         assert_eq!(table.view().epoch, 2);
     }
 }

@@ -12,9 +12,10 @@
 //!   loses every frame in flight toward the victim → tally → on node
 //!   loss drain the replicator, tear the newest upload if asked, wipe →
 //!   `StoreWiped`),
+//! * gates the successor on detection ([`RunEnv::may_respawn`]),
 //! * brings up the successor ([`RunEnv::respawn`]: endpoint →
-//!   detector gate → `Spawned` → [`Kernel::respawn`], the restore and
-//!   the `ROLLBACK` broadcast),
+//!   `Spawned` → [`Kernel::respawn`], the restore and the `ROLLBACK`
+//!   broadcast),
 //! * books a completion ([`RunEnv::finish`]) and assembles the
 //!   [`RunReport`] ([`RunEnv::report`]).
 //!
@@ -25,10 +26,11 @@
 
 use crate::cluster::{ClusterConfig, DetectorReport, FailurePlan, RunReport, StorageKind};
 use crate::config::RunConfig;
-use crate::detector::MembershipTable;
+use crate::detector::{MembershipTable, GATE_TIMEOUT};
 use crate::events::{EventKind, EventSink};
 use crate::kernel::Kernel;
 use crate::replicator::Replicator;
+use crate::service::event_log_key;
 use crate::transport::DataPlaneStats;
 use lclog_core::{Rank, TrackingStats};
 use lclog_simnet::{Endpoint, SimNet};
@@ -123,7 +125,8 @@ struct Board {
     kills: u32,
     false_kills: u32,
     gate_timeouts: u32,
-    /// When each incarnation died, for detection latency.
+    /// When each unfenced incarnation died (run clock): detection
+    /// latency and the respawn gate's fallback.
     killed_at: HashMap<(Rank, u64), Instant>,
 }
 
@@ -278,7 +281,9 @@ impl RunEnv {
             if death == Death::Fenced {
                 board.false_kills += 1;
             } else {
-                board.killed_at.insert((rank, incarnation), Instant::now());
+                board
+                    .killed_at
+                    .insert((rank, incarnation), self.run.clock.now());
             }
             if board.digests[rank].is_none() {
                 board.stats[rank].merge(&snap.stats);
@@ -309,10 +314,36 @@ impl RunEnv {
         }
     }
 
-    /// Bring up `incarnation` (> 1) of `rank` after [`RunEnv::lose`].
-    /// `decode` reads the checkpointed application state; `None` in
-    /// the third place means no usable image, so the caller restarts
-    /// the application from its initial state and both roll forward.
+    /// The respawn gate, never blocking: may `incarnation` (> 1) of
+    /// `rank` come up now? With detected failures only once the arbiter
+    /// certified its predecessor dead, or — liveness, counted in
+    /// [`DetectorReport::gate_timeouts`] — 1 s after the death on the
+    /// run's clock. A tasks slot asks every sweep, a rank thread polls.
+    pub(crate) fn may_respawn(&self, rank: Rank, incarnation: u64) -> bool {
+        let Some(table) = &self.membership else {
+            return true;
+        };
+        if table.floor_above(rank, incarnation - 1) {
+            return true;
+        }
+        let mut board = self.board.lock();
+        let Some(&died) = board.killed_at.get(&(rank, incarnation - 1)) else {
+            return true; // fenced, so declared already
+        };
+        if self.run.clock.now().saturating_duration_since(died) < GATE_TIMEOUT {
+            return false;
+        }
+        if !self.is_shutdown() {
+            board.gate_timeouts += 1;
+        }
+        true
+    }
+
+    /// Bring up `incarnation` (> 1) of `rank` once the respawn gate
+    /// allows it (always, without a detector). `decode` reads the
+    /// checkpointed application state; `None` in the third place means
+    /// no usable image, so the caller restarts the application from
+    /// its initial state and both roll forward.
     pub fn respawn<S>(
         &self,
         rank: Rank,
@@ -320,17 +351,6 @@ impl RunEnv {
         decode: impl FnOnce(&[u8]) -> Option<S>,
     ) -> (Kernel, Endpoint, Option<(u64, S)>) {
         let endpoint = self.net.respawn(rank);
-        // Detected failures: the replacement does not start until the
-        // arbiter has *certified* its predecessor dead — the respawn
-        // is driven by detection, not by the injection script. The
-        // gate timeout preserves liveness if no survivor can detect.
-        if let (Some(table), Some(dcfg)) = (&self.membership, &self.run.detector) {
-            if !table.wait_floor_above(rank, incarnation - 1, dcfg.gate_timeout)
-                && !self.is_shutdown()
-            {
-                self.board.lock().gate_timeouts += 1;
-            }
-        }
         self.sink.emit(rank, EventKind::Spawned { incarnation });
         let (kernel, restored) = Kernel::respawn(
             rank,
@@ -392,11 +412,17 @@ impl RunEnv {
         board.done == self.n
     }
 
-    /// Delete every checkpoint generation this run wrote, returning
-    /// how many. For hosts retiring a tenant whose report has been
-    /// fetched.
+    /// Delete every checkpoint generation and event log this run
+    /// wrote, returning how many generations. For hosts retiring a
+    /// tenant whose report has been fetched.
     pub fn clear_generations(&self) -> usize {
-        (0..self.n).map(|rank| self.ckpts.clear_rank(rank)).sum()
+        let storage = self.ckpts.storage();
+        (0..self.n)
+            .map(|rank| {
+                storage.truncate_log(&event_log_key(self.ckpts.rank_base() + rank));
+                self.ckpts.clear_rank(rank)
+            })
+            .sum()
     }
 
     /// The run's [`RunReport`] — or `failure`, the engine's watchdog

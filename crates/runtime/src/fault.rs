@@ -38,6 +38,9 @@ pub enum Fault {
     /// it like an unreachable peer: unwind and retry the operation
     /// through the normal recovery path.
     Collective(&'static str),
+    /// A task's send met a closed send gate (PES awaits the logger) and
+    /// sent nothing; the tasks engine treats it like a pending poll.
+    WouldBlock,
 }
 
 impl fmt::Display for Fault {
@@ -57,6 +60,7 @@ impl fmt::Display for Fault {
             Fault::Collective(reason) => {
                 write!(f, "collective operation failed: {reason}")
             }
+            Fault::WouldBlock => write!(f, "send gate closed; poll again"),
         }
     }
 }

@@ -179,6 +179,31 @@ impl State {
     fn holds_delivery(&self) -> bool {
         self.rec.machine.is_recovering() && self.trk.protocol.needs_full_recovery_info()
     }
+
+    /// The body of [`Kernel::app_send`], under the state lock (inlined
+    /// into both callers, so the plain send path compiles as one body).
+    #[inline(always)]
+    fn app_send(&mut self, dst: Rank, tag: u32, data: Bytes, needs_ack: bool) -> (u64, bool) {
+        let (send_index, artifacts) = self.trk.on_send(dst);
+        let piggyback = Bytes::from(artifacts.piggyback);
+        let transmit = send_index > self.rec.rollback_last_send_index.get(dst);
+        let entry = if transmit {
+            let msg = WireMsg::App(AppWire {
+                tag,
+                send_index,
+                piggyback,
+                needs_ack,
+                data,
+            });
+            let inner = self.transport.send_msg(dst, &msg);
+            let WireMsg::App(w) = msg else { unreachable!() };
+            LogEntry::from_parts(dst as u32, w, inner)
+        } else {
+            LogEntry::new(dst as u32, send_index, tag, piggyback, needs_ack, data)
+        };
+        self.rec.log_insert(entry);
+        (send_index, transmit)
+    }
 }
 
 /// Resend cadence for unacknowledged rendezvous sends and for
@@ -396,26 +421,18 @@ impl Kernel {
     /// move in from the send without a decode pass. A suppressed send
     /// encodes once into the log and transmits nothing.
     pub fn app_send(&self, dst: Rank, tag: u32, data: Bytes, needs_ack: bool) -> (u64, bool) {
+        self.state.lock().app_send(dst, tag, data, needs_ack)
+    }
+
+    /// [`Kernel::app_send`] behind the protocol's send gate, in one
+    /// critical section: `false`, sending nothing, while PES holds sends.
+    pub(crate) fn try_app_send(&self, dst: Rank, tag: u32, data: Bytes) -> bool {
         let mut st = self.state.lock();
-        let (send_index, artifacts) = st.trk.on_send(dst);
-        let piggyback = Bytes::from(artifacts.piggyback);
-        let transmit = send_index > st.rec.rollback_last_send_index.get(dst);
-        let entry = if transmit {
-            let msg = WireMsg::App(AppWire {
-                tag,
-                send_index,
-                piggyback,
-                needs_ack,
-                data,
-            });
-            let inner = st.transport.send_msg(dst, &msg);
-            let WireMsg::App(w) = msg else { unreachable!() };
-            LogEntry::from_parts(dst as u32, w, inner)
-        } else {
-            LogEntry::new(dst as u32, send_index, tag, piggyback, needs_ack, data)
-        };
-        st.rec.log_insert(entry);
-        (send_index, transmit)
+        if !st.trk.protocol.send_ready() {
+            return false;
+        }
+        st.app_send(dst, tag, data, false);
+        true
     }
 
     /// Retransmit a logged message whose rendezvous ack has not

@@ -15,15 +15,20 @@
 //! [`crate::detector::MembershipTable`]) and broadcasts the certified
 //! `(epoch, floor[])` view to every rank, which fences the declared
 //! incarnation at their transports.
+//!
+//! One polled [`EventLogger`] serves both engines: the tasks sweep steps
+//! it after the ranks, the thread engine in a loop on a thread of its
+//! own ([`spawn_event_logger`]).
 
 use crate::backoff::Backoff;
-use lclog_simnet::Clock;
+use crate::detector::MembershipTable;
 use crate::env::RunEnv;
 use crate::events::EventKind;
 use crate::message::WireMsg;
 use crate::transport::{decode_envelope, Ingest, Transport, TransportConfig};
 use lclog_core::{Determinant, Rank};
-use lclog_simnet::RecvError;
+use lclog_simnet::{Clock, Endpoint, Envelope};
+use lclog_stable::CheckpointStore;
 use lclog_wire::encode_to_vec;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -31,147 +36,185 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Spawn the event-logger thread on the run's service slot, writing
-/// through the run's (shipping) stable storage. It answers:
+/// Stable-storage key of the event log of **global** rank `rank`
+/// (co-resident jobs share a backend).
+pub(crate) fn event_log_key(rank: usize) -> String {
+    format!("eventlog/{rank}")
+}
+
+/// The event logger and membership arbiter of one run, on its service
+/// slot. It answers:
 ///
 /// * [`WireMsg::LogDets`] — append the submitter's determinants to
 ///   stable storage and reply [`WireMsg::LogAck`] with the highest
 ///   contiguously stored deliver index;
 /// * [`WireMsg::LogQuery`] — return every stored determinant of the
 ///   queried (failed) rank as [`WireMsg::LogQueryResp`];
-/// * [`WireMsg::Suspect`] — when `membership` is present, declare the
+/// * [`WireMsg::Suspect`] — when the run detects failures, declare the
 ///   suspected incarnation dead (at most once) and broadcast the new
 ///   certified view; a stale suspicion is answered with the current
 ///   view so the suspecter can catch up instead of killing a
 ///   successor incarnation.
-pub(crate) fn spawn_event_logger(env: &RunEnv) -> JoinHandle<()> {
-    let net = env.net().clone();
-    let endpoint = net.attach(crate::logger_rank(env.n));
-    let storage = Arc::clone(env.ckpts.storage());
-    let shutdown = Arc::clone(&env.shutdown);
-    let sink = env.sink.clone();
-    let membership = env.membership.clone();
-    std::thread::Builder::new()
-        .name("lclog-event-logger".into())
-        .spawn(move || {
-            let me = endpoint.rank();
-            let mut transport =
-                Transport::new(me, net.n(), net.clone(), TransportConfig::standard(Clock::Real));
-            transport.events = sink.clone();
-            // In-memory mirror of stable storage for fast queries; the
-            // stable copy is authoritative and written first.
-            let mut dets: HashMap<Rank, Vec<Determinant>> = HashMap::new();
-            let mut acked: HashMap<Rank, u64> = HashMap::new();
-            let mut backoff = Backoff::new(Duration::from_micros(100), Duration::from_millis(5));
-            loop {
-                if shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-                let env = match endpoint.recv_timeout(backoff.next_wait()) {
-                    Ok(env) => env,
-                    Err(RecvError::Timeout) => {
-                        transport.tick();
+pub(crate) struct EventLogger {
+    endpoint: Endpoint,
+    transport: Transport,
+    clock: Clock,
+    ckpts: CheckpointStore,
+    membership: Option<Arc<MembershipTable>>,
+    /// In-memory mirror of stable storage for fast queries; the stable
+    /// copy is authoritative and written first.
+    dets: HashMap<Rank, Vec<Determinant>>,
+    acked: HashMap<Rank, u64>,
+}
+
+impl EventLogger {
+    /// Attach the run's service slot, when the run needs one: an
+    /// event-logger protocol, or detected failures (the slot doubles
+    /// as the membership arbiter). Call before any kernel sends to it.
+    pub(crate) fn attach(env: &RunEnv) -> Option<Self> {
+        if !env.run.protocol.uses_event_logger() && env.membership.is_none() {
+            return None;
+        }
+        let (net, me, clock) = (env.net(), crate::logger_rank(env.n), &env.run.clock);
+        let cfg = TransportConfig::standard(clock.clone());
+        let mut transport = Transport::new(me, net.n(), net.clone(), cfg);
+        transport.events = env.sink.clone();
+        Some(EventLogger {
+            endpoint: net.attach(me),
+            transport,
+            clock: clock.clone(),
+            ckpts: env.ckpts.clone(),
+            membership: env.membership.clone(),
+            dets: HashMap::new(),
+            acked: HashMap::new(),
+        })
+    }
+
+    /// Answer everything that arrives within `wait` (zero: only what
+    /// is already queued), then flush acks and run the retransmission
+    /// timers. True if anything arrived.
+    pub(crate) fn step(&mut self, wait: Duration) -> bool {
+        let mut arrived = false;
+        let mut next = self.endpoint.recv_timeout(wait);
+        while let Ok(env) = next {
+            arrived = true;
+            self.handle(env);
+            next = self.endpoint.try_recv();
+        }
+        self.transport.flush_acks();
+        self.transport.tick();
+        arrived
+    }
+
+    fn handle(&mut self, env: Envelope) {
+        let src = env.src;
+        let Ingest::Data(inner) = self.transport.ingest(src, decode_envelope(&env)) else {
+            return;
+        };
+        let Ok(msg) = lclog_wire::decode_from_bytes::<WireMsg>(&inner) else {
+            return;
+        };
+        let me = self.endpoint.rank();
+        match msg {
+            WireMsg::LogDets(batch) => {
+                let key = event_log_key(self.ckpts.rank_base() + src);
+                let count = batch.len();
+                let upto = self.acked.entry(src).or_insert(0);
+                for det in batch {
+                    // A rank logs only its own deliveries; a
+                    // determinant filed under another receiver is
+                    // forged: counted and dropped.
+                    if det.receiver as Rank != src {
+                        self.transport.corrupt_detected += 1;
                         continue;
                     }
-                    Err(_) => return,
+                    // Stable first, then the mirror.
+                    self.ckpts.storage().append(&key, &encode_to_vec(&det));
+                    self.dets.entry(src).or_default().push(det);
+                    if det.deliver_index > *upto {
+                        *upto = det.deliver_index;
+                    }
+                }
+                let upto = *upto;
+                self.transport.events.emit(
+                    me,
+                    EventKind::LoggerStored {
+                        from: src,
+                        count,
+                        upto,
+                    },
+                );
+                self.transport.send_msg(src, &WireMsg::LogAck(upto));
+            }
+            WireMsg::LogQuery(failed) => {
+                let found = self
+                    .dets
+                    .get(&(failed as Rank))
+                    .cloned()
+                    .unwrap_or_default();
+                self.transport.events.emit(
+                    me,
+                    EventKind::LoggerQueried {
+                        failed: failed as Rank,
+                        count: found.len(),
+                    },
+                );
+                self.transport.send_msg(src, &WireMsg::LogQueryResp(found));
+            }
+            WireMsg::Suspect(s) => {
+                let Some(table) = &self.membership else {
+                    return; // announced-failures run: ignore
                 };
-                let src = env.src;
-                let got = transport.ingest(src, decode_envelope(&env));
-                // Inbound data frames mark their channel ack-pending;
-                // the service is single-threaded and cold, so flush
-                // the coalesced ack right away.
-                transport.flush_acks();
-                let Ingest::Data(inner) = got else {
-                    continue;
-                };
-                backoff.reset();
-                let msg: WireMsg = match lclog_wire::decode_from_bytes(&inner) {
-                    Ok(m) => m,
-                    Err(_) => continue,
-                };
-                match msg {
-                    WireMsg::LogDets(batch) => {
-                        let key = format!("eventlog/{src}");
-                        let count = batch.len();
-                        let upto = acked.entry(src).or_insert(0);
-                        for det in batch {
-                            // A rank logs only its own deliveries; a
-                            // determinant filed under another receiver
-                            // is forged: counted and dropped.
-                            if det.receiver as Rank != src {
-                                transport.corrupt_detected += 1;
-                                continue;
-                            }
-                            // Stable first, then the mirror.
-                            storage.append(&key, &encode_to_vec(&det));
-                            dets.entry(src).or_default().push(det);
-                            if det.deliver_index > *upto {
-                                *upto = det.deliver_index;
-                            }
-                        }
-                        let ack = WireMsg::LogAck(*upto);
-                        sink.emit(
+                let suspect = s.rank as Rank;
+                match table.declare(suspect, s.incarnation, self.clock.now()) {
+                    Some(view) => {
+                        self.transport.events.emit(
                             me,
-                            EventKind::LoggerStored {
-                                from: src,
-                                count,
-                                upto: *upto,
+                            EventKind::MembershipBumped {
+                                epoch: view.epoch,
+                                dead: suspect,
+                                incarnation: s.incarnation,
                             },
                         );
-                        transport.send_msg(src, &ack);
-                    }
-                    WireMsg::LogQuery(failed) => {
-                        let found = dets
-                            .get(&(failed as Rank))
-                            .cloned()
-                            .unwrap_or_default();
-                        sink.emit(
-                            me,
-                            EventKind::LoggerQueried {
-                                failed: failed as Rank,
-                                count: found.len(),
-                            },
-                        );
-                        let resp = WireMsg::LogQueryResp(found);
-                        transport.send_msg(src, &resp);
-                    }
-                    WireMsg::Suspect(s) => {
-                        let Some(table) = &membership else {
-                            continue; // announced-failures run: ignore
-                        };
-                        let suspect = s.rank as Rank;
-                        match table.declare(suspect, s.incarnation) {
-                            Some(view) => {
-                                sink.emit(
-                                    me,
-                                    EventKind::MembershipBumped {
-                                        epoch: view.epoch,
-                                        dead: suspect,
-                                        incarnation: s.incarnation,
-                                    },
-                                );
-                                // Certified view to every application
-                                // rank — including the victim, whose
-                                // transport will self-fence if it is
-                                // in fact still alive.
-                                let msg = WireMsg::Membership(view);
-                                for k in 0..me {
-                                    transport.send_msg(k, &msg);
-                                }
-                            }
-                            None => {
-                                // Stale: that incarnation is already
-                                // below the floor. Re-send the current
-                                // view so the suspecter fences it too.
-                                transport.send_msg(src, &WireMsg::Membership(table.view()));
-                            }
+                        // Certified view to every application rank —
+                        // including the victim, whose transport will
+                        // self-fence if it is in fact still alive.
+                        let msg = WireMsg::Membership(view);
+                        for k in 0..me {
+                            self.transport.send_msg(k, &msg);
                         }
                     }
-                    _ => {}
+                    None => {
+                        // Stale: that incarnation is already below the
+                        // floor. Re-send the current view so the
+                        // suspecter fences it too.
+                        let view = table.view();
+                        self.transport.send_msg(src, &WireMsg::Membership(view));
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The thread engine's service: step the run's [`EventLogger`] (if it
+/// needs one) on a thread of its own until the run shuts down.
+pub(crate) fn spawn_event_logger(env: &RunEnv) -> Option<JoinHandle<()>> {
+    let mut logger = EventLogger::attach(env)?;
+    let shutdown = Arc::clone(&env.shutdown);
+    let handle = std::thread::Builder::new()
+        .name("lclog-event-logger".into())
+        .spawn(move || {
+            let mut backoff = Backoff::new(Duration::from_micros(100), Duration::from_millis(5));
+            while !shutdown.load(Ordering::Relaxed) {
+                if logger.step(backoff.next_wait()) {
+                    backoff.reset();
                 }
             }
         })
-        .expect("spawn event logger")
+        .expect("spawn event logger");
+    Some(handle)
 }
 
 #[cfg(test)]
@@ -180,31 +223,39 @@ mod tests {
     use crate::cluster::ClusterConfig;
     use crate::config::RunConfig;
     use lclog_core::ProtocolKind;
-    use std::time::Instant;
 
     /// Regression: a determinant filed under another rank used to trip
     /// a `debug_assert!` in the service thread; any fabric peer can
     /// send one, so it is dropped and the service keeps answering.
     #[test]
     fn determinant_filed_under_another_receiver_is_dropped() {
-        let env = RunEnv::open(&ClusterConfig::new(2, RunConfig::new(ProtocolKind::Tel)), None)
-            .expect("in-memory storage opens");
+        let env = RunEnv::open(
+            &ClusterConfig::new(2, RunConfig::new(ProtocolKind::Tel)),
+            None,
+        )
+        .expect("in-memory storage opens");
         let logger = crate::logger_rank(2);
-        let service = spawn_event_logger(&env);
+        let mut service = EventLogger::attach(&env).expect("TEL runs the service");
         let net = env.net();
         let ep0 = net.attach(0);
-        let mut rank0 = Transport::new(0, net.n(), net.clone(), TransportConfig::standard(Clock::Real));
-        let det = |receiver| Determinant { sender: 1, send_index: 1, receiver, deliver_index: 1 };
+        let mut rank0 = Transport::new(
+            0,
+            net.n(),
+            net.clone(),
+            TransportConfig::standard(Clock::Real),
+        );
+        let det = |receiver| Determinant {
+            sender: 1,
+            send_index: 1,
+            receiver,
+            deliver_index: 1,
+        };
         rank0.send_msg(logger, &WireMsg::LogDets(vec![det(1), det(0)]));
         rank0.send_msg(logger, &WireMsg::LogQuery(1));
         rank0.send_msg(logger, &WireMsg::LogQuery(0));
+        assert!(service.step(Duration::ZERO));
         let mut answers = Vec::new();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while answers.len() < 2 {
-            assert!(Instant::now() < deadline, "service stopped answering");
-            let Ok(env) = ep0.recv_timeout(Duration::from_millis(10)) else {
-                continue;
-            };
+        while let Ok(env) = ep0.try_recv() {
             if let Ingest::Data(inner) = rank0.ingest(logger, decode_envelope(&env)) {
                 if let Ok(WireMsg::LogQueryResp(found)) = lclog_wire::decode_from_bytes(&inner) {
                     answers.push(found);
@@ -212,7 +263,5 @@ mod tests {
             }
         }
         assert_eq!(answers, [vec![], vec![det(0)]]);
-        env.shutdown.store(true, Ordering::Relaxed);
-        service.join().unwrap();
     }
 }

@@ -18,28 +18,29 @@
 //! A round is one sweep over every rank, in rank order:
 //!
 //! 1. drain the rank's fabric inbox into its kernel;
-//! 2. lose and respawn the rank if the failure plan says to kill it,
-//!    through the one lifecycle of [`crate::env`];
+//! 2. lose the rank if the failure plan kills it or it was fenced or
+//!    desynchronized, through the one lifecycle of [`crate::env`]; it
+//!    stays down until [`RunEnv::may_respawn`] lets its successor up;
 //! 3. poll a live rank's state machine up to a bounded budget
 //!    (checkpointing between steps, exactly like the thread loop);
 //! 4. tick the kernel (retransmission timers, resync-request drain,
-//!    rollback rebroadcast);
+//!    failure detector, rollback rebroadcast);
 //!
-//! then one [`TaskJob::advance`]: release all held fabric channels,
-//! advance the virtual clock (a timed fabric releases what then falls
-//! due at the next sweep's drains), and arm the watchdog. Completion
-//! leaves a rank serving its peers (drain + tick) until every rank is
-//! done — the cooperative version of `serve_until_shutdown`.
+//! then one step of the service slot (event logger and membership
+//! arbiter, if the run has one) and one [`TaskJob::advance`]: release
+//! all held fabric channels, advance the virtual clock (a timed fabric
+//! releases what then falls due at the next sweep's drains), and arm
+//! the watchdog. Completion leaves a rank serving its peers (drain +
+//! tick) until every rank is done — the cooperative version of
+//! `serve_until_shutdown`. A send PES's gate holds returns
+//! [`Fault::WouldBlock`], which the driver treats like
+//! [`TaskPoll::Pending`].
 //!
 //! [`run_tasks`] drives a job on the caller's thread. Long-running
 //! hosts (the `lclog-serve` service) hold many jobs and let any pool
 //! thread claim a whole round of one with [`TaskJob::try_round`]; a
 //! [`TasksEnv`] lets co-resident jobs share one stable-storage backend
 //! and one replication pipeline.
-//!
-//! Unsupported in tasks mode (clean config errors from
-//! [`TaskJob::new`]; use the thread engine): event-logger protocols
-//! (TEL/PES — the stable service is a thread) and detected failures.
 
 use crate::cluster::{ClusterConfig, RunReport};
 use crate::engine::Engine;
@@ -48,6 +49,7 @@ use crate::fault::{Fault, StepStatus};
 use crate::kernel::Kernel;
 use crate::message::{AppMsg, RecvSpec};
 use crate::process::{RankApp, RankCtx};
+use crate::service::EventLogger;
 use bytes::Bytes;
 use lclog_core::Rank;
 use lclog_simnet::{Clock, DeliveryModel, Endpoint, SimClock};
@@ -143,8 +145,9 @@ impl<'a> TaskCtx<'a> {
         self.step
     }
 
-    /// Send `data` to `dst` under `tag` (never blocks — under the task
-    /// scheduler sends are buffered into the held fabric).
+    /// Send `data` to `dst` under `tag` (never blocks: a send the
+    /// protocol's gate holds returns [`Fault::WouldBlock`]; propagate
+    /// it with `?`, and the next poll retries).
     pub fn send(&mut self, dst: Rank, tag: u32, data: &[u8]) -> Result<(), Fault> {
         self.send_bytes(dst, tag, Bytes::copy_from_slice(data))
     }
@@ -153,8 +156,11 @@ impl<'a> TaskCtx<'a> {
     pub fn send_bytes(&mut self, dst: Rank, tag: u32, data: Bytes) -> Result<(), Fault> {
         match &self.io {
             TaskIo::Kernel(k) => {
-                k.app_send(dst, tag, data, false);
-                Ok(())
+                if k.try_app_send(dst, tag, data) {
+                    Ok(())
+                } else {
+                    Err(Fault::WouldBlock)
+                }
             }
             TaskIo::Engine(e) => e.send(dst, tag, data),
         }
@@ -232,6 +238,8 @@ struct Slot<A: TaskApp> {
     state: A::State,
     step: u64,
     done: bool,
+    /// Lost; `incarnation` is the successor's, awaiting the gate.
+    down: bool,
 }
 
 /// Steps a slot may take per sweep before the sweep moves on to the
@@ -241,15 +249,17 @@ const POLL_BUDGET: usize = 32;
 /// timers make progress over tens of sweeps without ever dominating.
 const SWEEP_ADVANCE: Duration = Duration::from_micros(50);
 
-/// Everything a round mutates: every rank's slot and how the job ended.
+/// Everything a round mutates: every rank's slot, the service slot,
+/// and how the job ended.
 struct Ranks<A: TaskApp> {
     slots: Vec<Slot<A>>,
+    logger: Option<EventLogger>,
     finished: bool,
     failure: Option<String>,
 }
 
-/// One tasks-engine run as a drivable object: construction validates
-/// the config and builds every kernel; rounds of [`TaskJob::sweep`] +
+/// One tasks-engine run as a drivable object: construction attaches
+/// the service slot and builds every kernel; rounds of [`TaskJob::sweep`] +
 /// [`TaskJob::advance`] then run until [`TaskJob::is_finished`], and
 /// [`TaskJob::report`] assembles the [`RunReport`]. One lock holds the
 /// ranks, so one thread drives a round at a time: [`run_tasks`] on the
@@ -280,7 +290,6 @@ impl<A: TaskApp> TaskJob<A> {
     }
 
     fn build(cfg: &ClusterConfig, app: A, host: Option<&TasksEnv>) -> Result<Self, String> {
-        validate(cfg)?;
         let n = cfg.n;
         let clock = SimClock::new();
         let mut cfg = cfg.clone();
@@ -292,6 +301,7 @@ impl<A: TaskApp> TaskJob<A> {
             cfg.net.delivery = DeliveryModel::Held;
         }
         let env = RunEnv::open(&cfg, host)?;
+        let logger = EventLogger::attach(&env);
         let slots = (env.attach().into_iter().enumerate())
             .map(|(rank, endpoint)| Slot {
                 rank,
@@ -301,6 +311,7 @@ impl<A: TaskApp> TaskJob<A> {
                 state: app.init(rank, n),
                 step: 0,
                 done: false,
+                down: false,
             })
             .collect();
         Ok(TaskJob {
@@ -309,6 +320,7 @@ impl<A: TaskApp> TaskJob<A> {
             clock,
             ranks: Mutex::new(Ranks {
                 slots,
+                logger,
                 finished: false,
                 failure: None,
             }),
@@ -343,7 +355,7 @@ impl<A: TaskApp> TaskJob<A> {
     /// sweep stages); `_shard` is always 0 (see [`TaskJob::shards`]).
     /// Returns true if anything progressed.
     pub fn sweep(&self, _shard: usize) -> bool {
-        self.sweep_slots(&mut self.ranks.lock().slots)
+        self.sweep_ranks(&mut self.ranks.lock())
     }
 
     /// Close the round: release held frames, advance virtual time,
@@ -357,49 +369,69 @@ impl<A: TaskApp> TaskJob<A> {
     /// — unless another thread is driving this job, in which case it
     /// returns `None` at once. This is what lets a shared pool drive
     /// many jobs in parallel without ever waiting on a busy one.
-    /// `Some(true)` once the job is finished.
+    /// `Some(true)` once the job is finished; a finished job is never
+    /// swept again, so a host may GC it (late determinants reaching the
+    /// event logger would write its logs back).
     pub fn try_round(&self) -> Option<bool> {
         let mut ranks = self.ranks.try_lock()?;
-        self.sweep_slots(&mut ranks.slots);
-        self.advance_ranks(&mut ranks);
+        if !ranks.finished {
+            self.sweep_ranks(&mut ranks);
+            self.advance_ranks(&mut ranks);
+        }
         Some(ranks.finished)
     }
 
-    fn sweep_slots(&self, slots: &mut [Slot<A>]) -> bool {
+    fn sweep_ranks(&self, ranks: &mut Ranks<A>) -> bool {
         let mut progressed = false;
-        for slot in slots {
-            // 1. Drain the fabric inbox as one batch (one coalesced
-            // ack flush).
-            let mut batch = Vec::new();
-            while let Ok(env) = slot.endpoint.try_recv() {
-                batch.push(env);
-            }
-            if !batch.is_empty() {
-                slot.kernel.ingest_batch(batch);
-                progressed = true;
-            }
-            if !slot.done {
-                // 2. Planned kills fire on step boundaries. No detector
-                // runs in tasks mode, but the desync path (tracking
-                // merge rejected a gate-approved message) is still
-                // reachable; it rebuilds through the rollback path like
-                // any fault in the thread engine.
-                let death = match self.env.due(slot.rank, slot.incarnation, slot.step) {
-                    Some(death) => Some(death),
-                    None if slot.kernel.is_fenced() || slot.kernel.is_desynced() => {
-                        Some(Death::Process)
-                    }
-                    None => self.poll(slot, &mut progressed),
+        for slot in &mut ranks.slots {
+            if !slot.down {
+                // 1. Drain the fabric inbox as one batch (one coalesced
+                // ack flush).
+                let mut batch = Vec::new();
+                while let Ok(env) = slot.endpoint.try_recv() {
+                    batch.push(env);
+                }
+                if !batch.is_empty() {
+                    slot.kernel.ingest_batch(batch);
+                    progressed = true;
+                }
+                // 2. Planned kills fire on step boundaries; a fenced
+                // incarnation (a finished one too: its digest is void)
+                // or a desynchronized one dies and rejoins.
+                let death = if slot.kernel.is_fenced() {
+                    Some(Death::Fenced)
+                } else if slot.done {
+                    None
+                } else {
+                    self.env
+                        .due(slot.rank, slot.incarnation, slot.step)
+                        .or_else(|| slot.kernel.is_desynced().then_some(Death::Process))
+                        .or_else(|| self.poll(slot, &mut progressed))
                 };
                 if let Some(death) = death {
-                    self.crash_and_respawn(slot, death);
+                    self.env
+                        .lose(slot.rank, slot.incarnation, slot.step, &slot.kernel, death);
+                    slot.incarnation += 1;
+                    slot.down = true;
                     progressed = true;
                 }
             }
-            // 4. Timers, resync-request drain, rollback rebroadcast.
-            // Done ranks keep ticking: the cooperative
+            if slot.down {
+                // At once without a detector; else once certified (or
+                // the gate's fallback elapsed).
+                if !self.env.may_respawn(slot.rank, slot.incarnation) {
+                    continue;
+                }
+                self.respawn(slot);
+                progressed = true;
+            }
+            // 4. Timers, resync-request drain, detector, rollback
+            // rebroadcast. Done ranks keep ticking: the cooperative
             // `serve_until_shutdown`.
             slot.kernel.tick();
+        }
+        if let Some(logger) = &mut ranks.logger {
+            progressed |= logger.step(Duration::ZERO);
         }
         progressed
     }
@@ -411,7 +443,7 @@ impl<A: TaskApp> TaskJob<A> {
         for _ in 0..POLL_BUDGET {
             let mut ctx = TaskCtx::for_kernel(&slot.kernel, slot.step);
             match self.app.poll(&mut ctx, &mut slot.state) {
-                Ok(TaskPoll::Pending) | Err(Fault::Shutdown) => break,
+                Ok(TaskPoll::Pending) | Err(Fault::Shutdown | Fault::WouldBlock) => break,
                 Ok(TaskPoll::Step) => {
                     slot.step += 1;
                     if slot.kernel.checkpoint_due(slot.step) {
@@ -482,12 +514,10 @@ impl<A: TaskApp> TaskJob<A> {
         self.env.clear_generations()
     }
 
-    /// `slot`'s incarnation is dead: the shared lifecycle loses it and
-    /// brings up its successor in the same sweep.
-    fn crash_and_respawn(&self, slot: &mut Slot<A>, death: Death) {
-        self.env
-            .lose(slot.rank, slot.incarnation, slot.step, &slot.kernel, death);
-        slot.incarnation += 1;
+    /// Bring up `slot`'s successor incarnation (the gate has passed):
+    /// restore its last checkpoint, or start over from the initial
+    /// state.
+    fn respawn(&self, slot: &mut Slot<A>) {
         let (kernel, endpoint, restored) = self.env.respawn(slot.rank, slot.incarnation, |bytes| {
             lclog_wire::decode_from_slice(bytes).ok()
         });
@@ -495,29 +525,13 @@ impl<A: TaskApp> TaskJob<A> {
             restored.unwrap_or_else(|| (0, self.app.init(slot.rank, self.env.n)));
         slot.kernel = kernel;
         slot.endpoint = endpoint;
+        slot.done = false;
+        slot.down = false;
     }
-}
-
-/// Reject configuration knobs the tasks engine cannot honour, with an
-/// error naming the knob and the alternative.
-fn validate(cfg: &ClusterConfig) -> Result<(), String> {
-    if cfg.run.protocol.uses_event_logger() {
-        return Err(format!(
-            "protocol {} needs the event-logger service thread; use the thread engine",
-            cfg.run.protocol
-        ));
-    }
-    if cfg.run.detector.is_some() {
-        return Err(
-            "detected failures are not supported in tasks mode; use the thread engine".into(),
-        );
-    }
-    Ok(())
 }
 
 /// Run `app` on `cfg.n` ranks as cooperative tasks, driven round by
-/// round on the caller's thread (see the module docs for the round and
-/// the list of configurations that require the thread engine instead).
+/// round on the caller's thread (see the module docs for the round).
 pub fn run_tasks<A: TaskApp>(cfg: &ClusterConfig, app: A) -> Result<RunReport, String> {
     let job = TaskJob::new(cfg, app)?;
     while !job.is_finished() {
@@ -540,6 +554,9 @@ mod tests {
     use std::sync::Arc;
 
     const TAG: u32 = 7;
+    /// A heavy-tail seed whose φ = 2 run fences live ranks, a finished
+    /// one among them.
+    const FALSE_KILL_SEED: u64 = 5;
 
     fn mix(mut z: u64) -> u64 {
         z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -614,24 +631,34 @@ mod tests {
 
     /// One thread drives every round, so nothing about a run depends on
     /// timing: not the digests, nor the traffic a mid-run kill provokes.
+    /// TEL and PES too: their event logger is a slot of the round, and
+    /// PES's send gate holds a task instead of a thread.
     #[test]
     fn a_tasks_run_is_a_pure_function_of_its_config() {
-        let run = || {
-            let cfg = tasks_cfg(64, ProtocolKind::TdiSparse(8))
-                .with_failures(FailurePlan::kill_at(1, 5));
-            run_tasks(&cfg, ExchangeRing { rounds: 12 }).unwrap()
-        };
-        let first = run();
-        assert_eq!(first.kills, 1);
-        for _ in 0..2 {
-            let again = run();
-            assert_eq!(again.digests, first.digests);
-            assert_eq!(
-                (again.net_msgs, again.net_bytes, again.retransmits),
-                (first.net_msgs, first.net_bytes, first.retransmits)
-            );
-            assert_eq!(again.stats, first.stats);
-            assert_eq!(again.data_plane, first.data_plane);
+        for (kind, n) in [
+            (ProtocolKind::TdiSparse(8), 64),
+            (ProtocolKind::Tel, 8),
+            (ProtocolKind::Pessim, 8),
+        ] {
+            let clean = run_tasks(&tasks_cfg(n, kind), ExchangeRing { rounds: 12 }).unwrap();
+            let run = || {
+                let cfg = tasks_cfg(n, kind).with_failures(FailurePlan::kill_at(1, 5));
+                run_tasks(&cfg, ExchangeRing { rounds: 12 }).unwrap()
+            };
+            let first = run();
+            assert_eq!(first.kills, 1, "{kind}");
+            assert_eq!(first.digests, clean.digests, "{kind}");
+            for _ in 0..2 {
+                let again = run();
+                assert_eq!(again.digests, first.digests, "{kind}");
+                assert_eq!(
+                    (again.net_msgs, again.net_bytes, again.retransmits),
+                    (first.net_msgs, first.net_bytes, first.retransmits),
+                    "{kind}"
+                );
+                assert_eq!(again.stats, first.stats, "{kind}");
+                assert_eq!(again.data_plane, first.data_plane, "{kind}");
+            }
         }
     }
 
@@ -701,13 +728,70 @@ mod tests {
     #[test]
     fn tasks_and_threads_agree_on_digests() {
         let app = || ExchangeRing { rounds: 6 };
-        for net in [NetConfig::direct(), NetConfig::lan_like(7)] {
-            let cfg = tasks_cfg(4, ProtocolKind::Tdi).with_net(net);
+        for (kind, net) in [
+            (ProtocolKind::Tdi, NetConfig::direct()),
+            (ProtocolKind::Tdi, NetConfig::lan_like(7)),
+            (ProtocolKind::Tel, NetConfig::direct()),
+            (ProtocolKind::Pessim, NetConfig::direct()),
+        ] {
+            let cfg = tasks_cfg(4, kind).with_net(net);
             let tasks = run_tasks(&cfg, app()).unwrap();
             let threads = Cluster::run(&cfg, BlockingTaskApp(app())).unwrap();
-            assert_eq!(tasks.digests, threads.digests);
-            assert_eq!(tasks.stats.delivers, threads.stats.delivers);
+            assert_eq!(tasks.digests, threads.digests, "{kind}");
+            assert_eq!(tasks.stats.delivers, threads.stats.delivers, "{kind}");
         }
+    }
+
+    /// Fencing under tasks. At φ = 2 a heavy-tailed fabric makes live
+    /// ranks look dead: each false suspicion fences a live incarnation
+    /// — a finished one too, whose digest is voided — which is counted
+    /// as a false kill and rejoins through the rollback path. The run
+    /// still lands on the fault-free digests, and repeats exactly.
+    #[test]
+    fn false_suspicions_fence_live_ranks_and_repeat_exactly() {
+        let app = || ExchangeRing { rounds: 40 };
+        let cfg = |kind| {
+            ClusterConfig::new(
+                4,
+                RunConfig::new(kind).with_checkpoint(CheckpointPolicy::EverySteps(4)),
+            )
+            .with_max_wall(Duration::from_secs(60))
+            .with_trace(true)
+        };
+        let clean = run_tasks(&cfg(ProtocolKind::Tdi), app()).unwrap();
+        let mut twitchy = cfg(ProtocolKind::Tdi).with_net(NetConfig::direct().with_chaos(
+            ChaosConfig::seeded(FALSE_KILL_SEED).with_heavy_tail(
+                0.05,
+                Duration::from_millis(4),
+                1.2,
+                Duration::from_millis(40),
+            ),
+        ));
+        twitchy.run = twitchy
+            .run
+            .with_detector(crate::detector::DetectorConfig::default().with_threshold(2.0));
+        let first = run_tasks(&twitchy, app()).unwrap();
+        let det = first.detector.clone().expect("detector report");
+        assert!(
+            det.false_kills >= 1,
+            "the seed must fire a false kill: {det:?}"
+        );
+        assert_eq!(first.kills, det.false_kills, "nothing else dies: {det:?}");
+        let fenced_after_done = (0..4).any(|rank| {
+            let mut story = first.timeline.iter().filter(|e| e.rank == rank);
+            story.any(|e| matches!(e.kind, EventKind::Done { .. }))
+                && story.any(|e| matches!(e.kind, EventKind::Crashed { .. }))
+        });
+        assert!(
+            fenced_after_done,
+            "a finished rank must have been fenced too"
+        );
+        assert_eq!(first.digests, clean.digests);
+        let again = run_tasks(&twitchy, app()).unwrap();
+        assert_eq!(
+            again.detector.expect("detector report").false_kills,
+            det.false_kills
+        );
     }
 
     #[test]
@@ -791,15 +875,16 @@ mod tests {
 
     #[test]
     fn tasks_job_under_shared_env_uses_rank_namespace() {
-        // Two jobs, one backend: rank namespaces keep their
-        // generations apart, and retiring one GCs only its own.
+        // Two TEL jobs, one backend: rank namespaces keep their
+        // generations and event logs apart, and retiring one GCs only
+        // its own.
         let backend: Arc<dyn StableStorage> = Arc::new(MemStore::new());
         let env = TasksEnv {
             storage: Arc::clone(&backend),
             replicator: None,
         };
         let run = |base: usize| {
-            let cfg = tasks_cfg(3, ProtocolKind::Tdi).with_rank_base(base);
+            let cfg = tasks_cfg(3, ProtocolKind::Tel).with_rank_base(base);
             let job = TaskJob::with_env(&cfg, ExchangeRing { rounds: 4 }, &env).unwrap();
             while !job.is_finished() {
                 job.try_round().expect("nobody else drives this job");
@@ -815,11 +900,17 @@ mod tests {
         );
         assert!(!backend.keys_with_prefix("ckpt/100/").is_empty());
         assert!(!backend.keys_with_prefix("ckpt/0/").is_empty());
+        let logged = |rank| backend.log_len(&crate::service::event_log_key(rank));
+        assert!(
+            logged(0) > 0 && logged(100) > 0,
+            "each tenant logs under its own rank"
+        );
         assert!(b.clear_generations() > 0);
         assert!(backend.keys_with_prefix("ckpt/100/").is_empty());
+        assert_eq!(logged(100), 0, "retiring a tenant drops its event logs");
         assert!(
-            !backend.keys_with_prefix("ckpt/0/").is_empty(),
-            "retiring one tenant must not GC another's generations"
+            !backend.keys_with_prefix("ckpt/0/").is_empty() && logged(0) > 0,
+            "retiring one tenant must not GC another's generations or logs"
         );
     }
 
@@ -845,24 +936,6 @@ mod tests {
             ctx.try_recv_value::<u64>(RecvSpec::from(0, TAG)),
             Err(Fault::Desync)
         );
-    }
-
-    #[test]
-    fn tasks_mode_rejects_service_protocols() {
-        for kind in [ProtocolKind::Tel, ProtocolKind::Pessim] {
-            let err = run_tasks(&tasks_cfg(3, kind), ExchangeRing { rounds: 2 }).unwrap_err();
-            assert!(err.contains("event-logger"), "{kind}: {err}");
-            assert!(err.contains("thread engine"), "{kind}: {err}");
-        }
-    }
-
-    #[test]
-    fn tasks_mode_rejects_detector_configs() {
-        let mut cfg = tasks_cfg(3, ProtocolKind::Tdi);
-        cfg.run = cfg.run.with_detector(crate::detector::DetectorConfig::default());
-        let err = run_tasks(&cfg, ExchangeRing { rounds: 2 }).unwrap_err();
-        assert!(err.contains("detected failures"), "{err}");
-        assert!(err.contains("thread engine"), "{err}");
     }
 
     #[test]

@@ -5,17 +5,6 @@ use lclog_core::ProtocolKind;
 use lclog_runtime::{CheckpointPolicy, ClusterConfig, DetectorConfig, FailurePlan};
 use std::time::Duration;
 
-/// Which engine runs a submitted job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Ranks as cooperative tasks, multiplexed onto the service's
-    /// shared worker pool (the default).
-    Tasks,
-    /// One OS thread per rank on a dedicated runner thread — required
-    /// for detected failures and event-logger protocols.
-    Threads,
-}
-
 /// The fault a tenant asks the service to inject mid-job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
@@ -44,9 +33,7 @@ pub struct JobSpec {
     pub rounds: u64,
     /// Checkpoint every this many steps.
     pub ckpt: u64,
-    /// Engine selection.
-    pub engine: EngineKind,
-    /// Run a failure detector (thread engine only).
+    /// Detect failures instead of announcing them.
     pub detector: bool,
     /// Mid-job fault injection, if any.
     pub fault: Option<FaultSpec>,
@@ -60,7 +47,6 @@ impl Default for JobSpec {
             protocol: ProtocolKind::Tdi,
             rounds: 8,
             ckpt: 2,
-            engine: EngineKind::Tasks,
             detector: false,
             fault: None,
         }
@@ -94,7 +80,7 @@ impl JobSpec {
     ///
     /// ```text
     /// SUBMIT kind=ring n=8 proto=tdi rounds=12 ckpt=4 \
-    ///        engine=tasks detector=off kill=1@4 wipe=on corrupt=off
+    ///        detector=off kill=1@4 wipe=on corrupt=off
     /// ```
     pub fn parse<'a>(words: impl Iterator<Item = &'a str>) -> Result<Self, String> {
         let mut spec = JobSpec::default();
@@ -126,13 +112,6 @@ impl JobSpec {
                         .map_err(|_| format!("ckpt={value:?} is not a step count"))?;
                     if spec.ckpt == 0 {
                         return Err("ckpt=0: checkpoint period must be positive".into());
-                    }
-                }
-                "engine" => {
-                    spec.engine = match value {
-                        "tasks" => EngineKind::Tasks,
-                        "threads" => EngineKind::Threads,
-                        other => return Err(format!("engine={other:?} is not tasks|threads")),
                     }
                 }
                 "detector" => spec.detector = parse_bool("detector", value)?,
@@ -168,24 +147,17 @@ impl JobSpec {
         } else if wipe || corrupt {
             return Err("wipe/corrupt need a kill=rank@step".into());
         }
-        if spec.detector && spec.engine != EngineKind::Threads {
-            return Err("detector=on needs engine=threads".into());
-        }
         Ok(spec)
     }
 
     /// One-line description for MEMBERS / logs.
     pub fn describe(&self) -> String {
         format!(
-            "kind={} n={} proto={} rounds={} engine={}{}{}",
+            "kind={} n={} proto={} rounds={}{}{}",
             self.kind.name(),
             self.n,
             self.protocol,
             self.rounds,
-            match self.engine {
-                EngineKind::Tasks => "tasks",
-                EngineKind::Threads => "threads",
-            },
             if self.detector { " detector=on" } else { "" },
             match &self.fault {
                 Some(f) => format!(
@@ -240,9 +212,7 @@ mod tests {
 
     #[test]
     fn parses_a_full_submit_line() {
-        let spec =
-            parse("kind=pairs n=6 proto=tdis rounds=10 ckpt=3 engine=tasks kill=2@4 wipe=on")
-                .unwrap();
+        let spec = parse("kind=pairs n=6 proto=tdis rounds=10 ckpt=3 kill=2@4 wipe=on").unwrap();
         assert_eq!(spec.kind, WorkloadKind::Pairs);
         assert_eq!(spec.n, 6);
         assert_eq!(spec.protocol, ProtocolKind::TdiSparse(8));
@@ -261,8 +231,11 @@ mod tests {
         assert!(parse("kill=9").unwrap_err().contains("rank@step"));
         assert!(parse("n=4 kill=7@2").unwrap_err().contains("out of range"));
         assert!(parse("wipe=on").unwrap_err().contains("need a kill"));
-        assert!(parse("detector=on").unwrap_err().contains("engine=threads"));
+        assert!(parse("engine=threads")
+            .unwrap_err()
+            .contains("unknown SUBMIT key"));
         assert!(parse("frobnicate=yes").unwrap_err().contains("unknown"));
+        assert!(parse("detector=on").unwrap().detector);
     }
 
     #[test]

@@ -30,6 +30,6 @@ pub mod service;
 pub mod workload;
 
 pub use client::Client;
-pub use job::{EngineKind, FaultSpec, JobSpec};
+pub use job::{FaultSpec, JobSpec};
 pub use service::{Service, ServiceConfig};
 pub use workload::{Workload, WorkloadKind};

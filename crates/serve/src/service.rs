@@ -4,36 +4,34 @@
 //!
 //! ## Isolation model
 //!
-//! Every job gets its **own** fabric and virtual clock (a [`TaskJob`]
-//! builds both), so co-resident tenants cannot interfere through the
-//! network by construction. What they *do* share is durable: one
-//! stable-storage backend and one replication pipeline, namespaced by
-//! a monotonically allocated, never-reused `rank_base` — tenant A's
-//! generations live under `ckpt/<base_A + rank>/`, tenant B's under
+//! Every job gets its **own** fabric, virtual clock and service slot (a
+//! [`TaskJob`] builds all three), so co-resident tenants cannot
+//! interfere through the network by construction. What they *do* share
+//! is durable: one stable-storage backend and one replication pipeline,
+//! namespaced by a monotonically allocated, never-reused `rank_base` —
+//! tenant A's generations live under `ckpt/<base_A + rank>/` (event
+//! logs under `eventlog/<base_A + rank>`), tenant B's under
 //! `ckpt/<base_B + rank>/`, and a node-loss restore pulls exactly its
 //! own global rank from the shared remote manifest.
 //!
 //! ## Scheduling model
 //!
-//! Tasks-engine jobs are [`TaskJob`]s multiplexed onto one shared
-//! worker pool: each pool thread round-robins over every active job,
-//! claiming a whole round of each with [`TaskJob::try_round`]. A job
-//! another pool thread is driving is skipped, never waited on, so a
-//! busy job never convoys the pool — that is the fairness mechanism —
-//! and different jobs run in parallel on different threads. Thread-
-//! engine jobs (detector runs, event-logger protocols) run on their
-//! own dedicated runner thread, since their ranks are OS threads
-//! already.
+//! Every job — any protocol, detected failures included — is a
+//! [`TaskJob`] multiplexed onto one shared worker pool: each pool
+//! thread round-robins over every active job, claiming a whole round of
+//! each with [`TaskJob::try_round`]. A job another pool thread is
+//! driving is skipped, never waited on, so a busy job never convoys the
+//! pool — that is the fairness mechanism — and different jobs run in
+//! parallel on different threads.
 
-use crate::job::{EngineKind, JobSpec};
+use crate::job::JobSpec;
 use crate::workload::Workload;
 use lclog_runtime::{
-    BlockingTaskApp, Cluster, DetectorReport, EventSink, RemoteConfig, Replicator,
-    ReplicatorConfig, RunReport, TaskJob, TasksEnv,
+    DetectorReport, EventSink, Replicator, ReplicatorConfig, RunReport, TaskJob, TasksEnv,
 };
 use lclog_runtime::{DataPlaneStats, ReplicatorStats};
 use lclog_core::TrackingStats;
-use lclog_stable::{MemRemote, MemStore, RemoteResult, RemoteStore, StableStorage};
+use lclog_stable::{MemRemote, MemStore, StableStorage};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -76,10 +74,8 @@ impl LatencyHist {
 
 /// Where a job currently is in its lifecycle.
 enum JobState {
-    /// A tasks-engine job being swept by the shared pool.
-    Tasks(Arc<TaskJob<Workload>>),
-    /// A thread-engine job running on its dedicated runner thread.
-    Threads,
+    /// Being swept by the shared pool.
+    Running(Arc<TaskJob<Workload>>),
     /// Done: the report (or failure) is held for REPORT/DIGESTS.
     Finished {
         report: Box<Result<RunReport, String>>,
@@ -96,11 +92,9 @@ struct JobEntry {
     state: Mutex<JobState>,
 }
 
-/// Everything the pool threads, the runner threads, and the TCP
-/// connections share.
+/// Everything the pool threads and the TCP connections share.
 struct Inner {
     storage: Arc<dyn StableStorage>,
-    remote: Arc<dyn RemoteStore>,
     replicator: Arc<Replicator>,
     env: TasksEnv,
     jobs: Mutex<BTreeMap<u64, Arc<JobEntry>>>,
@@ -128,7 +122,7 @@ struct Inner {
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Sweep-pool threads shared by all tasks-engine jobs.
+    /// Sweep-pool threads shared by all jobs.
     pub workers: usize,
     /// Replication pipeline knobs for the service-wide replicator.
     pub replicator: ReplicatorConfig,
@@ -156,9 +150,8 @@ impl Service {
     /// replicator, and `cfg.workers` sweep threads.
     pub fn start(cfg: ServiceConfig) -> Arc<Self> {
         let storage: Arc<dyn StableStorage> = Arc::new(MemStore::new());
-        let remote: Arc<dyn RemoteStore> = Arc::new(MemRemote::new());
         let replicator = Replicator::spawn(
-            Arc::clone(&remote),
+            Arc::new(MemRemote::new()),
             cfg.replicator.clone(),
             EventSink::disabled(),
             0,
@@ -169,7 +162,6 @@ impl Service {
                 replicator: Some(Arc::clone(&replicator)),
             },
             storage,
-            remote,
             replicator,
             jobs: Mutex::new(BTreeMap::new()),
             next_id: AtomicU64::new(1),
@@ -211,44 +203,23 @@ impl Service {
         if self.inner.draining.load(Ordering::Acquire) {
             return Err("service is draining; submits are closed".into());
         }
-        let rank_base = self.inner.next_base.fetch_add(spec.n + 1, Ordering::Relaxed);
-        let cfg = spec.cluster_config(rank_base);
+        let rank_base = self
+            .inner
+            .next_base
+            .fetch_add(spec.n + 1, Ordering::Relaxed);
+        let job = TaskJob::with_env(
+            &spec.cluster_config(rank_base),
+            spec.workload(),
+            &self.inner.env,
+        )?;
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let state = match spec.engine {
-            EngineKind::Tasks => {
-                let job = TaskJob::with_env(&cfg, spec.workload(), &self.inner.env)?;
-                JobState::Tasks(Arc::new(job))
-            }
-            EngineKind::Threads => JobState::Threads,
-        };
         let entry = Arc::new(JobEntry {
             id,
-            spec: spec.clone(),
+            spec,
             rank_base,
             submitted: Instant::now(),
-            state: Mutex::new(state),
+            state: Mutex::new(JobState::Running(Arc::new(job))),
         });
-        if spec.engine == EngineKind::Threads {
-            // Thread-engine ranks are OS threads already; the job gets
-            // a dedicated runner instead of the sweep pool. It ships
-            // into the shared remote through its own pipeline, under
-            // its own key prefix.
-            let remote = JobRemote {
-                shared: Arc::clone(&self.inner.remote),
-                prefix: format!("job/{id}/"),
-            };
-            let cfg = cfg.with_remote(RemoteConfig::new(Arc::new(remote)));
-            let inner = Arc::clone(&self.inner);
-            let entry2 = Arc::clone(&entry);
-            let workload = spec.workload();
-            std::thread::Builder::new()
-                .name(format!("lclog-serve-job-{id}"))
-                .spawn(move || {
-                    let result = Cluster::run(&cfg, BlockingTaskApp(workload));
-                    inner.finalize(&entry2, result, 0);
-                })
-                .map_err(|e| format!("spawn job runner: {e}"))?;
-        }
         self.inner.jobs.lock().insert(id, entry);
         Ok(id)
     }
@@ -258,14 +229,13 @@ impl Service {
         let entry = self.entry(id)?;
         let state = entry.state.lock();
         Ok(match &*state {
-            JobState::Tasks(driver) => {
+            JobState::Running(driver) => {
                 let (done, total) = driver.progress();
                 format!(
-                    "id={id} state=running engine=tasks done={done}/{total} kills={}",
+                    "id={id} state=running done={done}/{total} kills={}",
                     driver.kills_fired()
                 )
             }
-            JobState::Threads => format!("id={id} state=running engine=threads"),
             JobState::Finished { report, wall } => match report.as_ref() {
                 Ok(r) => format!(
                     "id={id} state=finished wall_ms={} kills={}",
@@ -326,7 +296,7 @@ impl Service {
         let mut out = String::new();
         for entry in self.inner.jobs.lock().values() {
             let state = match &*entry.state.lock() {
-                JobState::Tasks(_) | JobState::Threads => "running",
+                JobState::Running(_) => "running",
                 JobState::Finished { report, .. } if report.is_ok() => "finished",
                 JobState::Finished { .. } => "failed",
             };
@@ -606,33 +576,6 @@ impl Service {
     }
 }
 
-/// A thread-engine job's view of the shared remote: every key under
-/// `prefix`. Its pipeline writes a manifest of its own, which must not
-/// replace the service pipeline's at the shared `manifest` key.
-struct JobRemote {
-    shared: Arc<dyn RemoteStore>,
-    prefix: String,
-}
-
-impl RemoteStore for JobRemote {
-    fn put(&self, key: &str, bytes: &[u8]) -> RemoteResult<()> {
-        self.shared.put(&format!("{}{key}", self.prefix), bytes)
-    }
-
-    fn get(&self, key: &str) -> RemoteResult<Option<Vec<u8>>> {
-        self.shared.get(&format!("{}{key}", self.prefix))
-    }
-
-    fn list(&self, prefix: &str) -> RemoteResult<Vec<String>> {
-        let keys = self.shared.list(&format!("{}{prefix}", self.prefix))?;
-        Ok(keys.into_iter().map(|key| key[self.prefix.len()..].to_string()).collect())
-    }
-
-    fn delete(&self, key: &str) -> RemoteResult<()> {
-        self.shared.delete(&format!("{}{key}", self.prefix))
-    }
-}
-
 /// Hex digest list, comma separated — stable across REPORT/DIGESTS
 /// and trivially diffable between runs.
 fn render_digests(digests: &[u64]) -> String {
@@ -678,8 +621,7 @@ impl Inner {
     }
 }
 
-/// One shared pool thread: round-robin over every active tasks-engine
-/// job, running one round of each that no other pool thread holds, and
+/// One shared pool thread: round-robin over every active job, running one round of each that no other pool thread holds, and
 /// finalizing jobs that completed.
 fn pool_worker(inner: &Arc<Inner>) {
     loop {
@@ -690,7 +632,7 @@ fn pool_worker(inner: &Arc<Inner>) {
         let mut progressed = false;
         for entry in &entries {
             let driver = match &*entry.state.lock() {
-                JobState::Tasks(driver) => Arc::clone(driver),
+                JobState::Running(driver) => Arc::clone(driver),
                 _ => continue,
             };
             // A round always moves the job's virtual clock, so it is
@@ -796,28 +738,6 @@ mod tests {
         service.shutdown();
     }
 
-    /// Regression: a thread-engine tenant's own pipeline overwrote the
-    /// shared `manifest` with its own generations only, so a tasks
-    /// tenant's node loss could restore nothing (the soak hung).
-    #[test]
-    fn a_thread_engine_tenant_leaves_the_shared_manifest_alone() {
-        let service = Service::start(ServiceConfig::default());
-        let tasks = service
-            .submit(spec("kind=ring n=3 proto=tdi rounds=6"))
-            .unwrap();
-        service.wait(tasks, Duration::from_secs(30)).unwrap();
-        assert!(service.inner.replicator.wait_synced(Duration::from_secs(10)));
-        let threads = service
-            .submit(spec("kind=ring n=3 proto=tdi rounds=6 engine=threads"))
-            .unwrap();
-        service.wait(threads, Duration::from_secs(30)).unwrap();
-        assert!(
-            service.inner.replicator.restore_rank(0, &MemStore::new()).is_some(),
-            "the tasks tenant's rank 0 must still restore from the shared remote"
-        );
-        service.shutdown();
-    }
-
     #[test]
     fn drain_closes_submits_and_syncs_the_replicator() {
         let service = Service::start(ServiceConfig::default());
@@ -840,15 +760,18 @@ mod tests {
     }
 
     #[test]
-    fn detector_thread_job_feeds_the_metrics_endpoint() {
+    fn detector_job_feeds_the_metrics_endpoint() {
         let service = Service::start(ServiceConfig::default());
         let id = service
             .submit(spec(
-                "kind=ring n=4 proto=tdi rounds=8 engine=threads detector=on kill=1@4",
+                "kind=ring n=4 proto=tdi rounds=8 detector=on kill=1@4",
             ))
             .unwrap();
         let report = service.wait(id, Duration::from_secs(60)).expect("job ok");
-        assert_eq!(report.digests, expected_digests(&spec("kind=ring n=4 proto=tdi rounds=8")));
+        assert_eq!(
+            report.digests,
+            expected_digests(&spec("kind=ring n=4 proto=tdi rounds=8"))
+        );
         let det = report.detector.expect("detector jobs report the detector");
         assert!(det.declarations >= 1, "the kill must be declared dead");
         let metrics = service.metrics();
@@ -856,6 +779,55 @@ mod tests {
             metrics.contains("det_declarations="),
             "metrics must carry the last detector report:\n{metrics}"
         );
+        service.shutdown();
+    }
+
+    /// TEL tenants share the service's storage and replicator, so each
+    /// one's event log lives under its own global ranks: co-resident
+    /// tenants never append to one key, and retiring one drops only its
+    /// own logs.
+    #[test]
+    fn tel_tenants_keep_their_event_logs_apart() {
+        let service = Service::start(ServiceConfig::default());
+        let (long, short) = (
+            spec("kind=pairs n=4 proto=tel rounds=3000"),
+            spec("kind=ring n=3 proto=tel rounds=4"),
+        );
+        let logged = |rank: usize| service.storage().log_len(&format!("eventlog/{rank}"));
+        let b = service.submit(long.clone()).unwrap();
+        let base_b = service.entry(b).unwrap().rank_base;
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while logged(base_b) == 0 {
+            assert!(Instant::now() < deadline, "the long tenant never logged");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let a = service.submit(short.clone()).unwrap();
+        let base_a = service.entry(a).unwrap().rank_base;
+        assert!(base_b + long.n < base_a, "namespaces are disjoint");
+        assert_eq!(
+            service.wait(a, Duration::from_secs(60)).unwrap().digests,
+            expected_digests(&short)
+        );
+        assert!(
+            (base_a..base_a + short.n).all(|rank| logged(rank) == 0),
+            "a finished tenant's event logs are GC'd"
+        );
+        // Read b's log before its status: b still running afterwards
+        // means its log was read before its own GC.
+        let b_logged = logged(base_b);
+        assert!(
+            service.status(b).unwrap().contains("state=running"),
+            "the long tenant must outlive the short one"
+        );
+        assert!(
+            b_logged > 0,
+            "the running tenant's event log must survive a's GC"
+        );
+        assert_eq!(
+            service.wait(b, Duration::from_secs(120)).unwrap().digests,
+            expected_digests(&long)
+        );
+        assert!((base_b..base_b + long.n).all(|rank| logged(rank) == 0));
         service.shutdown();
     }
 

@@ -1,11 +1,9 @@
 //! The workloads a service tenant can submit: small deterministic
-//! communication kernels written as [`TaskApp`] state machines, so one
-//! definition runs under both engines
-//! ([`BlockingTaskApp`](lclog_runtime::BlockingTaskApp) adapts them to
-//! the thread engine for detector jobs).
+//! communication kernels written as [`TaskApp`] state machines, which
+//! the service's shared pool sweeps as tasks.
 //!
 //! Digests are pure functions of `(kind, n, rounds)` — independent of
-//! the engine, the rank namespace, and everything else about the
+//! the schedule, the rank namespace, and everything else about the
 //! hosting service — which is what lets the soak tests and the SV1
 //! table check a tenant's result against a standalone fault-free run.
 

@@ -23,8 +23,8 @@ fn spec(args: &str) -> JobSpec {
 
 /// A seed's tenant mix: protocols, kinds, and sizes rotate with the
 /// seed; one tenant gets a mid-job node loss; every other seed also
-/// runs a thread-engine tenant (whose digests must match the tasks
-/// engine's).
+/// runs an event-logger tenant, TEL and PES in turn, beside its
+/// logger on the shared pool.
 fn round_specs(seed: u64) -> Vec<JobSpec> {
     let protos = ["tdi", "tdis", "tag"];
     let kinds = ["ring", "pairs"];
@@ -51,7 +51,8 @@ fn round_specs(seed: u64) -> Vec<JobSpec> {
         "kind=ring n={n} proto=tdi rounds={rounds} kill={victim}@{at_step} wipe=on{corrupt}"
     )));
     if seed.is_multiple_of(2) {
-        specs.push(spec("kind=pairs n=4 proto=tdi rounds=8 engine=threads"));
+        let proto = if seed.is_multiple_of(4) { "tel" } else { "pes" };
+        specs.push(spec(&format!("kind=pairs n=4 proto={proto} rounds=8")));
     }
     specs
 }
@@ -78,8 +79,6 @@ fn soak_overlapping_tenants_with_node_loss_across_8_seeds() {
             let want = expected.entry(digest_key(s)).or_insert_with(|| {
                 let mut clean = s.clone();
                 clean.fault = None;
-                clean.engine = lclog_serve::EngineKind::Tasks;
-                clean.detector = false;
                 run_tasks(&clean.cluster_config(0), clean.workload())
                     .expect("standalone fault-free run")
                     .digests

@@ -1,11 +1,71 @@
 //! Detected failures end to end: the detector + membership + fencing
 //! stack replaces announced failures, and recovery must still be
-//! exactly-once.
+//! exactly-once. The NPB runs use the thread engine (wall clock); the
+//! chaos run uses the tasks engine (virtual clock) and repeats exactly.
 
 use std::time::Duration;
 
 use lclog::npb::{run_benchmark, Benchmark, Class};
 use lclog::prelude::*;
+use lclog::runtime::{run_tasks, TaskApp, TaskCtx, TaskPoll};
+
+/// splitmix64 finalizer.
+fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Neighbour-exchange ring as a task: each round every rank sends one
+/// value right and folds one from the left.
+struct Ring {
+    rounds: u64,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+struct RingState {
+    round: u64,
+    sent: bool,
+    acc: u64,
+}
+impl_wire_struct!(RingState { round, sent, acc });
+
+impl TaskApp for Ring {
+    type State = RingState;
+
+    fn init(&self, rank: Rank, _n: usize) -> RingState {
+        RingState {
+            round: 0,
+            sent: false,
+            acc: mix(rank as u64),
+        }
+    }
+
+    fn poll(&self, ctx: &mut TaskCtx<'_>, st: &mut RingState) -> Result<TaskPoll, Fault> {
+        if st.round >= self.rounds {
+            return Ok(TaskPoll::Done);
+        }
+        let (me, n) = (ctx.rank(), ctx.n());
+        if !st.sent {
+            ctx.send_value((me + 1) % n, 0, &mix(st.acc ^ st.round))?;
+            st.sent = true;
+        }
+        match ctx.try_recv_value::<u64>(RecvSpec::from((me + n - 1) % n, 0))? {
+            Some((_, v)) => {
+                st.acc = mix(st.acc.wrapping_add(v));
+                st.sent = false;
+                st.round += 1;
+                Ok(TaskPoll::Step)
+            }
+            None => Ok(TaskPoll::Pending),
+        }
+    }
+
+    fn digest(&self, st: &RingState) -> u64 {
+        mix(st.acc ^ st.round)
+    }
+}
 
 #[test]
 fn smoke_detected_single_failure() {
@@ -36,42 +96,63 @@ fn smoke_detected_single_failure() {
 // sits below the default threshold's detection silence (~37 ms), so
 // the detector must ride out every stall without a false kill while
 // still certifying the real deaths — and recovery must stay
-// exactly-once.
+// exactly-once. It runs under the tasks engine, where detector, fabric
+// delays and respawn gate all read the job's virtual clock: a run is a
+// pure function of its config, detection latencies included.
 #[test]
 fn detected_seeded_chaos_with_heavy_tail() {
     let n = 4;
-    let base = ClusterConfig::new(
-        n,
-        RunConfig::new(ProtocolKind::Tdi).with_checkpoint(CheckpointPolicy::EverySteps(4)),
-    );
-    let clean = run_benchmark(Benchmark::Lu, Class::Test, &base).expect("clean run");
+    let cfg = |run: RunConfig| {
+        ClusterConfig::new(n, run.with_checkpoint(CheckpointPolicy::EverySteps(4)))
+    };
+    let app = || Ring { rounds: 24 };
+    let clean = run_tasks(&cfg(RunConfig::new(ProtocolKind::Tdi)), app()).expect("clean run");
     for seed in [0xfeed_u64, 0xbeef, 0x5eed] {
-        let chaotic = ClusterConfig::new(
-            n,
-            RunConfig::new(ProtocolKind::Tdi)
-                .with_checkpoint(CheckpointPolicy::EverySteps(4))
-                .with_detector(DetectorConfig::default()),
-        )
-        .with_net(NetConfig::direct().with_chaos(
-            ChaosConfig::seeded(seed)
-                .with_drop(0.05)
-                .with_duplicate(0.05)
-                .with_corrupt(0.05)
-                .with_heavy_tail(
-                    0.02,
-                    Duration::from_millis(2),
-                    1.0,
-                    Duration::from_millis(20),
-                ),
-        ))
-        .with_failures(FailurePlan::seeded_random(seed, n, 2, 14));
-        let faulty =
-            run_benchmark(Benchmark::Lu, Class::Test, &chaotic).expect("detected chaotic run");
+        let chaotic =
+            cfg(RunConfig::new(ProtocolKind::Tdi).with_detector(DetectorConfig::default()))
+                .with_net(
+                    NetConfig::direct().with_chaos(
+                        ChaosConfig::seeded(seed)
+                            .with_drop(0.05)
+                            .with_duplicate(0.05)
+                            .with_corrupt(0.05)
+                            .with_heavy_tail(
+                                0.02,
+                                Duration::from_millis(2),
+                                1.0,
+                                Duration::from_millis(20),
+                            ),
+                    ),
+                )
+                .with_failures(FailurePlan::seeded_random(seed, n, 2, 14));
+        let faulty = run_tasks(&chaotic, app()).expect("detected chaotic run");
         assert_eq!(clean.digests, faulty.digests, "seed {seed:#x}");
-        let det = faulty.detector.expect("detector report");
+        assert!(
+            faulty.kills >= 1,
+            "seed {seed:#x}: the planned kills must fire"
+        );
+        let det = faulty.detector.as_ref().expect("detector report");
         eprintln!("seed {seed:#x}: {det:?}");
         assert_eq!(det.false_kills, 0, "seed {seed:#x}: {det:?}");
         assert_eq!(det.gate_timeouts, 0, "seed {seed:#x}: {det:?}");
+        let again = run_tasks(&chaotic, app()).expect("detected chaotic rerun");
+        let det_again = again.detector.as_ref().expect("detector report");
+        assert_eq!(
+            (det_again.declarations, &det_again.detection_latency),
+            (det.declarations, &det.detection_latency),
+            "seed {seed:#x}"
+        );
+        let counters = |r: &RunReport| {
+            [
+                r.net_msgs,
+                r.net_bytes,
+                r.retransmits,
+                r.chaos_dropped,
+                r.chaos_duplicated,
+                r.chaos_corrupted,
+            ]
+        };
+        assert_eq!(counters(&again), counters(&faulty), "seed {seed:#x}");
     }
 }
 
