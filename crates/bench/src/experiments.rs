@@ -1,11 +1,11 @@
 //! The figure-regeneration experiments (see crate docs).
 
-use crate::apps::{RingApp, TaskRing};
+use crate::apps::TaskRing;
 use crate::table::Table;
 use lclog_core::ProtocolKind;
 use lclog_npb::{run_benchmark, Benchmark, Class};
 use lclog_runtime::{
-    run_tasks, CheckpointPolicy, Cluster, ClusterConfig, CommMode, FailurePlan, RemoteConfig,
+    run_tasks, CheckpointPolicy, ClusterConfig, CommMode, FailurePlan, RemoteConfig,
     ReplicatorConfig, RunConfig,
 };
 use lclog_simnet::{ChaosConfig, NetConfig, StorageChaos};
@@ -428,15 +428,18 @@ pub fn explore_table() -> (Table, Option<lclog_explore::ReplayCase>) {
 /// space ([`StorageChaos::with_outage`]); retries burn through them,
 /// so `short`/`long` translate to breaker-open windows of growing
 /// duration. `data_loss` must read `none` in every row: the digests of
-/// every faulted run equal the fault-free run's. Latencies, shipped
-/// object counts and spill peaks are not columns: they follow the
-/// replicator thread's timing and move from run to run.
+/// every faulted run equal the fault-free run's. The runs are tasks
+/// runs, the replicator stepped on the virtual clock, so every column
+/// repeats exactly.
 pub fn log_ship_table() -> Table {
     let mut t = Table::new(
         "LS1 — Durable log shipping: outage duration × restore path (ring, 4 ranks)",
         &[
             "outage",
             "path",
+            "objects_shipped",
+            "retries",
+            "spill_peak_B",
             "gens_skipped",
             "shed",
             "resyncs",
@@ -446,7 +449,7 @@ pub fn log_ship_table() -> Table {
     let n = 4;
     let rounds = 30;
     let kill_step = rounds / 2;
-    let app = RingApp {
+    let app = TaskRing {
         rounds,
         payload: 64,
     };
@@ -456,21 +459,15 @@ pub fn log_ship_table() -> Table {
             chaos = chaos.with_outage(from, to);
         }
         let (remote, _) = RemoteConfig::faulty(chaos);
-        let repl = ReplicatorConfig {
-            retry_initial: Duration::from_micros(200),
-            retry_cap: Duration::from_millis(2),
-            breaker_cooldown: Duration::from_millis(2),
-            spill_limit_bytes: 32 * 1024,
-        };
-        let mut c = ClusterConfig::new(
+        ClusterConfig::new(
             n,
             RunConfig::new(ProtocolKind::Tdi).with_checkpoint(CheckpointPolicy::EverySteps(3)),
         )
-        .with_remote(remote.with_replicator(repl));
-        c.max_wall = Duration::from_secs(120);
-        c
+        .with_remote(
+            remote.with_replicator(ReplicatorConfig::default().with_spill_limit(32 * 1024)),
+        )
     };
-    let clean = Cluster::run(&base(1, None), app).expect("clean run").digests;
+    let clean = run_tasks(&base(1, None), app).expect("clean run").digests;
     let outages: [(&str, Option<(u64, u64)>); 3] = [
         ("none", None),
         ("short", Some((6, 40))),
@@ -488,11 +485,14 @@ pub fn log_ship_table() -> Table {
         for (path_label, plan) in paths {
             let seed = 0x0015_AB1E ^ (outage_label.len() as u64) << 8 ^ path_label.len() as u64;
             let cfg = base(seed, outage).with_failures(plan(kill_step));
-            let r = Cluster::run(&cfg, app).expect("log-ship run recovers");
+            let r = run_tasks(&cfg, app).expect("log-ship run recovers");
             let stats = r.replicator.clone().unwrap_or_default();
             t.row(vec![
                 outage_label.to_string(),
                 path_label.to_string(),
+                stats.objects_shipped.to_string(),
+                stats.retries.to_string(),
+                stats.spill_peak_bytes.to_string(),
                 stats.generations_skipped.to_string(),
                 stats.spill_shed.to_string(),
                 stats.resyncs.to_string(),

@@ -6,10 +6,10 @@
 //! [`Cluster::run`] is Fig. 4 as drawn: one OS thread per rank (plus a
 //! comm thread each in non-blocking mode, see [`crate::engine`]) and,
 //! when the run needs it, one stepping the TEL event-logger /
-//! membership service. Each rank thread runs its own incarnations back
-//! to back through the shared lifecycle of [`crate::env`], polling the
-//! respawn gate between them; the calling thread only waits, with the
-//! watchdog, for every rank to finish.
+//! membership service and the replicator. Each rank thread runs its own
+//! incarnations back to back through the shared lifecycle of
+//! [`crate::env`], polling the respawn gate between them; the calling
+//! thread only waits, with the watchdog, for every rank to finish.
 
 use crate::config::RunConfig;
 use crate::engine::Engine;
@@ -18,7 +18,7 @@ use crate::events::Event;
 use crate::fault::{Fault, StepStatus};
 use crate::process::{RankApp, RankCtx};
 use crate::replicator::{ReplicatorConfig, ReplicatorStats};
-use crate::service::spawn_event_logger;
+use crate::service::spawn_service;
 use crate::transport::DataPlaneStats;
 use lclog_core::{Rank, TrackingStats};
 use lclog_simnet::{Endpoint, NetConfig, StorageChaos};
@@ -262,7 +262,8 @@ impl RemoteConfig {
 
     /// A fault-injected in-memory backend driven by the given chaos
     /// schedule. Also returns the `FaultyRemote` handle so tests can
-    /// force wall-clock outages with `set_available`.
+    /// inspect the stored objects and fault counters, or force an
+    /// outage with `set_available`.
     pub fn faulty(chaos: StorageChaos) -> (Self, Arc<FaultyRemote<MemRemote>>) {
         let remote = Arc::new(FaultyRemote::new(MemRemote::new(), chaos));
         (
@@ -451,7 +452,7 @@ impl Cluster {
     /// fires.
     pub fn run<A: RankApp>(cfg: &ClusterConfig, app: A) -> Result<RunReport, String> {
         let env = RunEnv::open(cfg, None)?;
-        let service = spawn_event_logger(&env);
+        let service = spawn_service(&env);
         let endpoints = env.attach();
         let (done, wall) = std::thread::scope(|s| {
             for (rank, endpoint) in endpoints.into_iter().enumerate() {

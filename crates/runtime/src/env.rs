@@ -154,9 +154,10 @@ pub struct RunEnv {
 impl RunEnv {
     /// Open the run `cfg` describes: fabric (its release times on the
     /// run's clock), storage, and — with `cfg.remote` — the replication
-    /// pipeline durable writes ship through. Under a `host`, storage and
-    /// pipeline are the host's (`cfg.storage` and `cfg.remote` are
-    /// ignored) and the pipeline is never finished here.
+    /// pipeline durable writes ship through, its retries and breaker on
+    /// the run's clock too. Under a `host`, storage and pipeline are the
+    /// host's (`cfg.storage` and `cfg.remote` are ignored), and the host
+    /// steps the pipeline.
     pub fn open(cfg: &ClusterConfig, host: Option<&TasksEnv>) -> Result<Self, String> {
         let n = cfg.n;
         assert!(n > 0, "cluster needs at least one rank");
@@ -175,12 +176,13 @@ impl RunEnv {
                     }
                 };
                 let replicator = cfg.remote.as_ref().map(|rc| {
-                    Replicator::spawn(
+                    Arc::new(Replicator::new(
                         Arc::clone(&rc.store),
                         rc.replicator.clone(),
+                        cfg.run.clock.clone(),
                         sink.clone(),
                         cfg.rank_base + crate::logger_rank(n),
-                    )
+                    ))
                 });
                 (raw, replicator)
             }
@@ -297,14 +299,15 @@ impl RunEnv {
             }
         }
         if let Death::Node { torn_upload } = death {
-            // Let the replicator drain before the replacement comes
-            // up: the respawn must not restore against a manifest
-            // staler than what survivors can still replay (a backend
-            // outage in progress is ridden out here, bounded). After
-            // the drain the newest remote generation is the one the
-            // victim just checkpointed.
+            // Drain the replicator before the replacement comes up: the
+            // respawn must not restore against a manifest staler than
+            // what survivors can still replay. The drain ships what was
+            // offered before it (an outage counted in operations is
+            // retried through), never what other tenants offer
+            // meanwhile, so the newest remote generation is now the one
+            // the victim last checkpointed.
             if let Some(repl) = &self.replicator {
-                repl.wait_synced(Duration::from_secs(2));
+                repl.drain();
                 if torn_upload {
                     repl.corrupt_newest_remote_generation(self.ckpts.rank_base() + rank);
                 }
@@ -425,12 +428,18 @@ impl RunEnv {
             .sum()
     }
 
+    /// The replicator this run owns and steps (`None` without a remote,
+    /// or when a host owns and steps it).
+    pub(crate) fn own_replicator(&self) -> Option<&Arc<Replicator>> {
+        self.replicator.as_ref().filter(|_| self.owns_replicator)
+    }
+
     /// The run's [`RunReport`] — or `failure`, the engine's watchdog
-    /// verdict. A replicator the run owns is drained and joined first;
-    /// a host's is only read.
+    /// verdict. A replicator the run owns is drained first; a host's is
+    /// only read.
     pub fn report(&self, wall: Duration, failure: Option<String>) -> Result<RunReport, String> {
-        if let (true, Some(repl)) = (self.owns_replicator, &self.replicator) {
-            repl.finish();
+        if let Some(repl) = self.own_replicator() {
+            repl.drain();
         }
         if let Some(msg) = failure {
             return Err(msg);

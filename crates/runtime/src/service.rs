@@ -18,7 +18,7 @@
 //!
 //! One polled [`EventLogger`] serves both engines: the tasks sweep steps
 //! it after the ranks, the thread engine in a loop on a thread of its
-//! own ([`spawn_event_logger`]).
+//! own ([`spawn_service`]), which also steps the run's replicator.
 
 use crate::backoff::Backoff;
 use crate::detector::MembershipTable;
@@ -198,22 +198,36 @@ impl EventLogger {
     }
 }
 
-/// The thread engine's service: step the run's [`EventLogger`] (if it
-/// needs one) on a thread of its own until the run shuts down.
-pub(crate) fn spawn_event_logger(env: &RunEnv) -> Option<JoinHandle<()>> {
-    let mut logger = EventLogger::attach(env)?;
+/// The thread engine's service: step the run's [`EventLogger`] and the
+/// replicator it owns, whichever it has, on a thread of its own until
+/// the run shuts down. A run with neither gets no thread.
+pub(crate) fn spawn_service(env: &RunEnv) -> Option<JoinHandle<()>> {
+    let mut logger = EventLogger::attach(env);
+    let repl = env.own_replicator().cloned();
+    if logger.is_none() && repl.is_none() {
+        return None;
+    }
     let shutdown = Arc::clone(&env.shutdown);
     let handle = std::thread::Builder::new()
-        .name("lclog-event-logger".into())
+        .name("lclog-service".into())
         .spawn(move || {
             let mut backoff = Backoff::new(Duration::from_micros(100), Duration::from_millis(5));
             while !shutdown.load(Ordering::Relaxed) {
-                if logger.step(backoff.next_wait()) {
+                let wait = backoff.next_wait();
+                let mut busy = match &mut logger {
+                    Some(logger) => logger.step(wait),
+                    None => {
+                        std::thread::sleep(wait);
+                        false
+                    }
+                };
+                busy |= repl.as_ref().is_some_and(|repl| repl.step());
+                if busy {
                     backoff.reset();
                 }
             }
         })
-        .expect("spawn event logger");
+        .expect("spawn service");
     Some(handle)
 }
 

@@ -27,10 +27,11 @@
 //!    failure detector, rollback rebroadcast);
 //!
 //! then one step of the service slot (event logger and membership
-//! arbiter, if the run has one) and one [`TaskJob::advance`]: release
-//! all held fabric channels, advance the virtual clock (a timed fabric
-//! releases what then falls due at the next sweep's drains), and arm
-//! the watchdog. Completion leaves a rank serving its peers (drain +
+//! arbiter, if the run has one), one shipping step of the replicator
+//! the job owns (if it has a remote), and one [`TaskJob::advance`]:
+//! release all held fabric channels, advance the virtual clock (a timed
+//! fabric releases what then falls due at the next sweep's drains), and
+//! arm the watchdog. Completion leaves a rank serving its peers (drain +
 //! tick) until every rank is done — the cooperative version of
 //! `serve_until_shutdown`. A send PES's gate holds returns
 //! [`Fault::WouldBlock`], which the driver treats like
@@ -277,14 +278,15 @@ pub struct TaskJob<A: TaskApp> {
 impl<A: TaskApp> TaskJob<A> {
     /// Build a standalone job: its own storage backend (from
     /// `cfg.storage`) and, when `cfg.remote` is set, its own
-    /// replication pipeline (finished when the job's report is taken).
+    /// replication pipeline (stepped each round on the job's virtual
+    /// clock, drained when the job's report is taken).
     pub fn new(cfg: &ClusterConfig, app: A) -> Result<Self, String> {
         Self::build(cfg, app, None)
     }
 
     /// Build a job against a host-owned environment (see [`TasksEnv`]).
     /// `cfg.remote` is ignored: remote durability is whatever the
-    /// shared `env.replicator` provides.
+    /// shared `env.replicator` provides, and the host steps it.
     pub fn with_env(cfg: &ClusterConfig, app: A, env: &TasksEnv) -> Result<Self, String> {
         Self::build(cfg, app, Some(env))
     }
@@ -433,6 +435,9 @@ impl<A: TaskApp> TaskJob<A> {
         if let Some(logger) = &mut ranks.logger {
             progressed |= logger.step(Duration::ZERO);
         }
+        if let Some(repl) = self.env.own_replicator() {
+            repl.step();
+        }
         progressed
     }
 
@@ -498,8 +503,7 @@ impl<A: TaskApp> TaskJob<A> {
 
     /// Assemble the run's [`RunReport`] (or the watchdog failure).
     /// Call after [`TaskJob::is_finished`]; a job-owned replicator is
-    /// drained and joined here, a host-owned one is left running and
-    /// only snapshotted.
+    /// drained here, a host-owned one is only snapshotted.
     pub fn report(&self) -> Result<RunReport, String> {
         let failure = self.ranks.lock().failure.clone();
         self.env.report(self.start.elapsed(), failure)
@@ -548,8 +552,8 @@ mod tests {
     use crate::config::{CheckpointPolicy, RunConfig};
     use crate::events::EventKind;
     use lclog_core::ProtocolKind;
-    use lclog_simnet::{ChaosConfig, NetConfig, SimNet};
-    use lclog_stable::{CheckpointStore, MemStore, StableStorage};
+    use lclog_simnet::{ChaosConfig, NetConfig, SimNet, StorageChaos};
+    use lclog_stable::{CheckpointStore, MemStore, RemoteStore, StableStorage, MANIFEST_KEY};
     use lclog_wire::impl_wire_struct;
     use std::sync::Arc;
 
@@ -723,6 +727,54 @@ mod tests {
             }
         }
         assert!(chaos_fired > 0, "the chaos must have fired");
+    }
+
+    /// The replicator is a step of the round on the virtual clock, so a
+    /// run shipping to a flaky backend — transient errors, an outage
+    /// counted in operations, a process kill and a node loss with a
+    /// torn upload — repeats exactly: every replicator counter and
+    /// duration, the backend's fault counts, the manifest it ends up
+    /// holding. TEL ships determinant segments too.
+    #[test]
+    fn a_log_shipping_run_is_a_pure_function_of_its_config() {
+        let app = || ExchangeRing { rounds: 12 };
+        for kind in [ProtocolKind::Tdi, ProtocolKind::Tel] {
+            let clean = run_tasks(&tasks_cfg(8, kind), app()).unwrap();
+            let run = || {
+                let chaos = StorageChaos::seeded(3)
+                    .with_transient(0.1)
+                    .with_outage(10, 60);
+                let (remote, handle) = RemoteConfig::faulty(chaos);
+                let cfg = tasks_cfg(8, kind)
+                    .with_remote(remote)
+                    .with_failures(FailurePlan::kill_at(2, 4).and_kill_wipe_corrupt(5, 7));
+                let report = run_tasks(&cfg, app()).unwrap();
+                let manifest = handle.inner().get(MANIFEST_KEY).unwrap();
+                let faults = (handle.faults_injected(), handle.objects_damaged());
+                (report, faults, manifest.expect("a manifest was shipped"))
+            };
+            let (first, faults, manifest) = run();
+            assert_eq!(first.kills, 2, "{kind}");
+            assert_eq!(first.digests, clean.digests, "{kind}");
+            let repl = first.replicator.clone().expect("replicator stats");
+            assert!(
+                repl.retries > 0 && repl.resyncs >= 1 && repl.generations_skipped == 1,
+                "{kind}: {repl:?}"
+            );
+            for _ in 0..2 {
+                let (again, again_faults, again_manifest) = run();
+                assert_eq!(again.digests, first.digests, "{kind}");
+                assert_eq!(again.kills, first.kills, "{kind}");
+                assert_eq!(
+                    (again.net_msgs, again.net_bytes, again.retransmits),
+                    (first.net_msgs, first.net_bytes, first.retransmits),
+                    "{kind}"
+                );
+                assert_eq!(again.replicator, first.replicator, "{kind}");
+                assert_eq!(again_faults, faults, "{kind}");
+                assert_eq!(again_manifest, manifest, "{kind}");
+            }
+        }
     }
 
     #[test]

@@ -13,10 +13,12 @@ use lclog_runtime::{
     CheckpointPolicy, Cluster, ClusterConfig, FailurePlan, Fault, RankApp, RankCtx, RecvSpec,
     RemoteConfig, ReplicatorConfig, RunConfig, StepStatus,
 };
+use lclog_runtime::{Clock, EventSink, Replicator};
 use lclog_simnet::StorageChaos;
-use lclog_stable::{Manifest, RemoteStore, MANIFEST_KEY};
+use lclog_stable::{CheckpointStore, Manifest, MemRemote, RemoteStore, MANIFEST_KEY};
 use lclog_wire::impl_wire_struct;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn mix(x: u64, salt: u64) -> u64 {
     (x ^ salt)
@@ -89,17 +91,6 @@ fn baseline(n: usize, kind: ProtocolKind, rounds: u64) -> Vec<u64> {
         .digests
 }
 
-/// Replicator knobs scaled to test time: fast retries, fast breaker
-/// probes.
-fn quick_replicator() -> ReplicatorConfig {
-    ReplicatorConfig {
-        retry_initial: Duration::from_micros(200),
-        retry_cap: Duration::from_millis(2),
-        breaker_cooldown: Duration::from_millis(2),
-        ..ReplicatorConfig::default()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Node loss: kill a rank AND wipe its local store. The respawn must
 // restore the newest certified generation from the remote and rejoin
@@ -111,7 +102,7 @@ fn wipe_restore(kind: ProtocolKind) {
     let clean = baseline(4, kind, rounds);
     let config = cfg(4, kind)
         .with_failures(FailurePlan::kill_wipe_at(1, 7))
-        .with_remote(RemoteConfig::in_memory().with_replicator(quick_replicator()))
+        .with_remote(RemoteConfig::in_memory())
         .with_trace(true);
     let report = Cluster::run(&config, RingApp { rounds }).expect("node-loss run recovers");
     assert_eq!(report.kills, 1);
@@ -156,7 +147,7 @@ fn corrupted_newest_generation_falls_back_one() {
     // newest (v2) is torn there is still a v1 to fall back to.
     let config = cfg(4, ProtocolKind::Tdi)
         .with_failures(FailurePlan::none().and_kill_wipe_corrupt(1, 8))
-        .with_remote(RemoteConfig::in_memory().with_replicator(quick_replicator()))
+        .with_remote(RemoteConfig::in_memory())
         .with_trace(true);
     let report = Cluster::run(&config, RingApp { rounds }).expect("torn-upload run recovers");
     assert_eq!(report.kills, 1);
@@ -187,7 +178,7 @@ fn outage_degrades_then_catches_up() {
         RemoteConfig::faulty(StorageChaos::seeded(0xA11E).with_outage(4, 60));
     let config = cfg(4, ProtocolKind::Tdi)
         .with_remote(
-            remote.with_replicator(quick_replicator().with_spill_limit(spill_limit)),
+            remote.with_replicator(ReplicatorConfig::default().with_spill_limit(spill_limit)),
         )
         .with_trace(true);
     let report = Cluster::run(&config, RingApp { rounds }).expect("outage run completes");
@@ -227,4 +218,49 @@ fn outage_degrades_then_catches_up() {
         .iter()
         .any(|e| matches!(e.kind, EventKind::DegradedExited { .. }));
     assert!(entered && exited, "timeline must bracket the degraded window");
+}
+
+// ---------------------------------------------------------------------------
+// A drain ships what was offered before it, whatever other tenants of a
+// shared replicator keep offering meanwhile.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn drain_does_not_wait_on_later_offers() {
+    let remote = Arc::new(MemRemote::new());
+    let repl = Replicator::new(
+        remote.clone(),
+        ReplicatorConfig::default(),
+        Clock::Real,
+        EventSink::disabled(),
+        0,
+    );
+    let (stop, offered) = (AtomicBool::new(false), AtomicU64::new(0));
+    let synced = std::thread::scope(|s| {
+        s.spawn(|| {
+            for v in 1.. {
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                repl.offer_generation(&CheckpointStore::key(1, v), &[v as u8; 64]);
+                offered.store(v, Ordering::Relaxed);
+            }
+        });
+        while offered.load(Ordering::Relaxed) < 100 {
+            std::thread::yield_now();
+        }
+        for v in 1..=3 {
+            repl.offer_generation(&CheckpointStore::key(0, v), &[v as u8; 64]);
+        }
+        let synced = repl.drain();
+        stop.store(true, Ordering::Relaxed);
+        synced
+    });
+    assert!(synced, "the drain must not wait on offers made after it");
+    let manifest = Manifest::decode(&remote.get(MANIFEST_KEY).unwrap().expect("manifest"))
+        .expect("manifest intact");
+    let newest = manifest.generations_with_prefix(&CheckpointStore::prefix(0))[0];
+    assert_eq!(newest.key, CheckpointStore::key(0, 3));
+    let blob = remote.get(&newest.key).unwrap().expect("object present");
+    assert!(Manifest::certifies(newest, &blob));
 }

@@ -19,15 +19,17 @@
 //! Every job — any protocol, detected failures included — is a
 //! [`TaskJob`] multiplexed onto one shared worker pool: each pool
 //! thread round-robins over every active job, claiming a whole round of
-//! each with [`TaskJob::try_round`]. A job another pool thread is
-//! driving is skipped, never waited on, so a busy job never convoys the
-//! pool — that is the fairness mechanism — and different jobs run in
-//! parallel on different threads.
+//! each with [`TaskJob::try_round`], then steps the service-wide
+//! replicator (on the wall clock) until it is idle. A job or a
+//! replicator another pool thread is driving is skipped, never waited
+//! on, so a busy job never convoys the pool — that is the fairness
+//! mechanism — and different jobs run in parallel on different
+//! threads.
 
 use crate::job::JobSpec;
 use crate::workload::Workload;
 use lclog_runtime::{
-    DetectorReport, EventSink, Replicator, ReplicatorConfig, RunReport, TaskJob, TasksEnv,
+    Clock, DetectorReport, EventSink, Replicator, ReplicatorConfig, RunReport, TaskJob, TasksEnv,
 };
 use lclog_runtime::{DataPlaneStats, ReplicatorStats};
 use lclog_core::TrackingStats;
@@ -147,15 +149,17 @@ pub struct Service {
 
 impl Service {
     /// Bring up the warm runtime: shared storage, the service-wide
-    /// replicator, and `cfg.workers` sweep threads.
+    /// replicator (stepped by the pool), and `cfg.workers` sweep
+    /// threads.
     pub fn start(cfg: ServiceConfig) -> Arc<Self> {
         let storage: Arc<dyn StableStorage> = Arc::new(MemStore::new());
-        let replicator = Replicator::spawn(
+        let replicator = Arc::new(Replicator::new(
             Arc::new(MemRemote::new()),
             cfg.replicator.clone(),
+            Clock::Real,
             EventSink::disabled(),
             0,
-        );
+        ));
         let inner = Arc::new(Inner {
             env: TasksEnv {
                 storage: Arc::clone(&storage),
@@ -311,10 +315,10 @@ impl Service {
         out
     }
 
-    /// Force the replicator to drain its backlog now; true when the
-    /// remote caught up within `timeout`.
-    pub fn snapshot_now(&self, timeout: Duration) -> bool {
-        self.inner.replicator.wait_synced(timeout)
+    /// Drain the replicator's backlog now; true when the remote holds
+    /// everything offered before the call.
+    pub fn snapshot_now(&self) -> bool {
+        self.inner.replicator.drain()
     }
 
     /// Graceful shutdown, phase 1: close submits, wait for running
@@ -335,15 +339,12 @@ impl Service {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        let synced = self
-            .inner
-            .replicator
-            .wait_synced(deadline.saturating_duration_since(Instant::now()));
+        let synced = self.inner.replicator.drain();
         (self.inner.jobs_finished.load(Ordering::Relaxed), synced)
     }
 
     /// Graceful shutdown, phase 2: stop the sweep pool and the
-    /// listener, join everything, and finish the replicator.
+    /// listener, and join them.
     pub fn shutdown(&self) {
         self.inner.stop.store(true, Ordering::Release);
         // Wake the accept loop with a throwaway connection.
@@ -353,7 +354,6 @@ impl Service {
         for handle in self.pool.lock().drain(..) {
             let _ = handle.join();
         }
-        self.inner.replicator.finish();
     }
 
     /// `key=value` metrics text: job counters, cross-job tracking and
@@ -556,7 +556,7 @@ impl Service {
             },
             "MEMBERS" => format!("{}END", self.members()),
             "METRICS" => format!("{}END", self.metrics()),
-            "SNAPSHOT" => format!("OK synced={}", self.snapshot_now(Duration::from_secs(10))),
+            "SNAPSHOT" => format!("OK synced={}", self.snapshot_now()),
             "DRAIN" => {
                 let (finished, synced) = self.drain(Duration::from_secs(60));
                 format!("OK drained jobs={finished} synced={synced}")
@@ -621,8 +621,10 @@ impl Inner {
     }
 }
 
-/// One shared pool thread: round-robin over every active job, running one round of each that no other pool thread holds, and
-/// finalizing jobs that completed.
+/// One shared pool thread: round-robin over every active job, running
+/// one round of each that no other pool thread holds and finalizing
+/// jobs that completed, then step the replicator until it is idle or
+/// another pool thread holds it.
 fn pool_worker(inner: &Arc<Inner>) {
     loop {
         if inner.stop.load(Ordering::Acquire) {
@@ -649,6 +651,11 @@ fn pool_worker(inner: &Arc<Inner>) {
                 let gens = driver.clear_generations();
                 inner.finalize(entry, report, gens);
             }
+        }
+        // Ship the backlog the pass offered, so the spill buffer never
+        // has to shed a generation a torn-upload restore falls back to.
+        while inner.replicator.step() {
+            progressed = true;
         }
         if !progressed {
             std::thread::sleep(Duration::from_micros(200));

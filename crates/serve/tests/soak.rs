@@ -1,6 +1,6 @@
 //! Service soak: 8 seeded rounds of overlapping tenant jobs, each
 //! round injecting a mid-job node loss (`kill … wipe`) into one
-//! tenant. Every job — faulted or not — must land on the digests of a
+//! tenant and a node loss with a torn upload into another. Every job — faulted or not — must land on the digests of a
 //! standalone fault-free batch run of the same spec, which checks
 //! both recovery correctness and the absence of cross-job
 //! interference through the shared storage/replication plane.
@@ -24,7 +24,8 @@ fn spec(args: &str) -> JobSpec {
 /// A seed's tenant mix: protocols, kinds, and sizes rotate with the
 /// seed; one tenant gets a mid-job node loss; every other seed also
 /// runs an event-logger tenant, TEL and PES in turn, beside its
-/// logger on the shared pool.
+/// logger on the shared pool; every seed ends with a fixed torn-upload
+/// tenant.
 fn round_specs(seed: u64) -> Vec<JobSpec> {
     let protos = ["tdi", "tdis", "tag"];
     let kinds = ["ring", "pairs"];
@@ -54,6 +55,10 @@ fn round_specs(seed: u64) -> Vec<JobSpec> {
         let proto = if seed.is_multiple_of(4) { "tel" } else { "pes" };
         specs.push(spec(&format!("kind=pairs n=4 proto={proto} rounds=8")));
     }
+    // A TDI-S node loss with a torn upload: its restore falls back one
+    // generation while other tenants keep offering to the shared
+    // replicator, which must not have shed that generation.
+    specs.push(spec("kind=ring n=5 proto=tdis rounds=16 kill=1@8 corrupt=on"));
     specs
 }
 

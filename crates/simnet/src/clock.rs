@@ -20,7 +20,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Where the fabric and the kernel stack read "now" from.
@@ -40,6 +40,19 @@ impl Clock {
         match self {
             Clock::Real => Instant::now(),
             Clock::Sim(sim) => sim.now(),
+        }
+    }
+
+    /// Time since this clock's epoch: a [`SimClock`]'s simulated time,
+    /// or for the wall clock the time since its first such reading in
+    /// this process. For components that keep durations, not instants.
+    pub fn elapsed(&self) -> Duration {
+        match self {
+            Clock::Real => {
+                static EPOCH: OnceLock<Instant> = OnceLock::new();
+                EPOCH.get_or_init(Instant::now).elapsed()
+            }
+            Clock::Sim(sim) => sim.elapsed(),
         }
     }
 }

@@ -108,8 +108,8 @@ impl RemoteStore for MemRemote {
 /// transient errors fail the call, latency spikes hold it, and torn
 /// or bit-flipped puts *succeed* while silently storing damaged bytes
 /// — the failure mode only the manifest's CRCs can catch. A manual
-/// [`FaultyRemote::set_available`] switch layers wall-clock outages
-/// on top for tests that need to end an outage at a chosen moment.
+/// [`FaultyRemote::set_available`] switch layers outages on top for
+/// tests that need to end an outage at a chosen moment.
 pub struct FaultyRemote<S> {
     inner: S,
     chaos: StorageChaos,
@@ -132,8 +132,8 @@ impl<S: RemoteStore> FaultyRemote<S> {
         }
     }
 
-    /// Manually raise or end a wall-clock outage (orthogonal to the
-    /// seeded op-sequence windows).
+    /// Manually raise or end an outage that lasts until the next call
+    /// (orthogonal to the seeded op-sequence windows).
     pub fn set_available(&self, up: bool) {
         self.forced_down.store(!up, Ordering::SeqCst);
     }

@@ -93,12 +93,7 @@ fn soak_log_shipping_across_seeds() {
             .with_latency_spike(0.05, Duration::from_micros(500))
             .with_outage(20, 90);
         let (remote, handle) = RemoteConfig::faulty(storage_chaos);
-        let replicator = ReplicatorConfig {
-            retry_initial: Duration::from_micros(200),
-            retry_cap: Duration::from_millis(2),
-            breaker_cooldown: Duration::from_millis(2),
-            spill_limit_bytes: SPILL_LIMIT,
-        };
+        let replicator = ReplicatorConfig::default().with_spill_limit(SPILL_LIMIT);
 
         let mut cfg = ClusterConfig::new(n, run_cfg())
             .with_net(NetConfig::direct().with_chaos(net_chaos))
