@@ -148,7 +148,7 @@ impl RankApp for HubApp {
 /// a round costs O(1) delivery sweeps regardless of `n`. Written as a
 /// poll-style [`TaskApp`] so it runs at n = 1024 under the task
 /// scheduler — and, via [`lclog_runtime::BlockingTaskApp`], unchanged
-/// under the thread engine for small-n cross-checks.
+/// under `Cluster::run` for small-n cross-checks.
 #[derive(Debug, Clone, Copy)]
 pub struct TaskRing {
     /// Rounds to run (each round is one step / checkpoint boundary).

@@ -201,15 +201,24 @@ pub fn fig8_table(cfg: &ExpConfig) -> Table {
 /// 8 LU ranks. For each protocol a fault-free run provides the
 /// reference digests; every chaotic run must reproduce them exactly
 /// (exactly-once delivery end to end, despite the transport
-/// retransmitting below the app layer). Retransmit and fault counters
-/// are not columns: under the thread engine they move from run to run.
+/// retransmitting below the app layer). The retransmit and chaos
+/// counters are columns too: a run is a pure function of its config.
 pub fn ablation_chaos() -> Table {
     let n = 8;
     let mut t = Table::new(
         format!(
             "ABL6 — Chaos fabric: loss sweep + mid-run kill (LU, {n} ranks, dup 2%, corrupt 1%)"
         ),
-        &["protocol", "drop_%", "kills", "digests_ok"],
+        &[
+            "protocol",
+            "drop_%",
+            "kills",
+            "digests_ok",
+            "retransmits",
+            "chaos_dropped",
+            "chaos_duplicated",
+            "chaos_corrupted",
+        ],
     );
     let class = Class::Test;
     let steps = total_steps(Benchmark::Lu, class);
@@ -243,6 +252,10 @@ pub fn ablation_chaos() -> Table {
                 format!("{:.0}", drop_p * 100.0),
                 r.kills.to_string(),
                 (r.digests == clean.digests).to_string(),
+                r.retransmits.to_string(),
+                r.chaos_dropped.to_string(),
+                r.chaos_duplicated.to_string(),
+                r.chaos_corrupted.to_string(),
             ]);
         }
     }

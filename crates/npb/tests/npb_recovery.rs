@@ -4,8 +4,10 @@
 
 use lclog_core::ProtocolKind;
 use lclog_npb::{run_benchmark, Benchmark, Class};
-use lclog_runtime::{CheckpointPolicy, ClusterConfig, CommMode, FailurePlan, RunConfig};
-use lclog_simnet::NetConfig;
+use lclog_runtime::{
+    CheckpointPolicy, ClusterConfig, CommMode, FailurePlan, RemoteConfig, RunConfig,
+};
+use lclog_simnet::{ChaosConfig, NetConfig};
 
 fn cfg(n: usize, kind: ProtocolKind) -> ClusterConfig {
     ClusterConfig::new(
@@ -166,4 +168,92 @@ fn bt_shared_bus_contention_recovers() {
     )
     .expect("recovered run");
     assert_eq!(report.digests, clean);
+}
+
+/// One of the three configurations of
+/// `an_npb_run_is_a_pure_function_of_its_config`, built afresh (a
+/// remote store must not outlive its run).
+fn replay_config(which: usize) -> ClusterConfig {
+    let ckpt = |kind| {
+        ClusterConfig::new(
+            8,
+            RunConfig::new(kind).with_checkpoint(CheckpointPolicy::EverySteps(5)),
+        )
+        .with_trace(true)
+    };
+    match which {
+        0 => ckpt(ProtocolKind::Tdi)
+            .with_remote(RemoteConfig::in_memory())
+            .with_failures(FailurePlan::kill_at(1, 9).and_kill_wipe_corrupt(5, 17)),
+        1 => {
+            let mut c = ckpt(ProtocolKind::Tel).with_failures(FailurePlan::kill_at(2, 13));
+            c.run = c.run.with_comm(CommMode::blocking_default());
+            c
+        }
+        _ => ckpt(ProtocolKind::Tdi)
+            .with_net(
+                NetConfig::direct().with_chaos(
+                    ChaosConfig::seeded(0xC4A05 ^ 8)
+                        .with_drop(0.02)
+                        .with_duplicate(0.02)
+                        .with_corrupt(0.01),
+                ),
+            )
+            .with_failures(FailurePlan::kill_at(1, 19)),
+    }
+}
+
+/// The round driver gives every rank a stack of its own, yet frames,
+/// deaths and service steps move only at round boundaries on the run's
+/// clock: an NPB run is a pure function of its config. Three
+/// configurations of LU on eight ranks — non-blocking TDI through a
+/// kill and a node loss with a torn upload, shipping to a remote;
+/// blocking TEL (rendezvous sends, the event logger) through a kill;
+/// ABL6's lossy, duplicating, corrupting fabric through a kill — each
+/// run three times, agree on every counter and the whole timeline.
+#[test]
+fn an_npb_run_is_a_pure_function_of_its_config() {
+    let clean = clean_digests(Benchmark::Lu, 8, ProtocolKind::Tdi);
+    for which in 0..3 {
+        let run = || {
+            run_benchmark(Benchmark::Lu, Class::Test, &replay_config(which)).expect("recovered run")
+        };
+        let first = run();
+        assert_eq!(first.digests, clean, "config {which}");
+        assert!(
+            first.kills >= 1 && !first.timeline.is_empty(),
+            "config {which}"
+        );
+        if which == 0 {
+            let repl = first.replicator.as_ref().expect("a remote run");
+            assert_eq!(repl.generations_skipped, 1, "the torn upload is skipped");
+        }
+        for _ in 0..2 {
+            let again = run();
+            assert_eq!(again.digests, first.digests, "config {which}");
+            assert_eq!(again.kills, first.kills, "config {which}");
+            assert_eq!(
+                [again.net_msgs, again.net_bytes, again.retransmits],
+                [first.net_msgs, first.net_bytes, first.retransmits],
+                "config {which}"
+            );
+            assert_eq!(
+                [
+                    again.chaos_dropped,
+                    again.chaos_duplicated,
+                    again.chaos_corrupted
+                ],
+                [
+                    first.chaos_dropped,
+                    first.chaos_duplicated,
+                    first.chaos_corrupted
+                ],
+                "config {which}"
+            );
+            assert_eq!(again.stats, first.stats, "config {which}");
+            assert_eq!(again.data_plane, first.data_plane, "config {which}");
+            assert_eq!(again.replicator, first.replicator, "config {which}");
+            assert_eq!(again.timeline, first.timeline, "config {which}");
+        }
+    }
 }

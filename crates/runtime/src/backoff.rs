@@ -1,58 +1,19 @@
-//! Backoff schedules shared by the runtime's polling loops and the
-//! replicator's retry paths.
+//! The backoff schedule of the runtime's retry paths (the
+//! replicator's puts, the sparse codec's resync requests).
 //!
-//! Two flavours live here:
+//! [`RetryBackoff`] is capped exponential backoff with **full jitter**
+//! for *retrying failed operations* against a shared resource (the
+//! remote store): attempt `k` waits a uniformly random duration in
+//! `[0, min(cap, initial·2^k)]`, which de-synchronizes competing
+//! retriers far better than equal or half jitter.
 //!
-//! * [`Backoff`] — a deterministic doubling schedule for *polling*:
-//!   the engines and the event-logger service poll their endpoints
-//!   tightly while traffic flows and cheaply while idle.
-//! * [`RetryBackoff`] — capped exponential backoff with **full
-//!   jitter** for *retrying failed operations* against a shared
-//!   resource (the remote store): attempt `k` waits a uniformly
-//!   random duration in `[0, min(cap, initial·2^k)]`, which
-//!   de-synchronizes competing retriers far better than equal or
-//!   half jitter.
-//!
-//! Both are **clock-free**: they never read wall time or global
-//! entropy — `RetryBackoff`'s jitter is a pure function of its seed
-//! and attempt counter. A schedule therefore replays identically
-//! under `SimClock`-driven deterministic exploration (`crates/
-//! explore`), where sampling a real clock would fork the schedule
-//! space.
+//! It is **clock-free**: it never reads wall time or global entropy —
+//! the jitter is a pure function of its seed and attempt counter. A
+//! schedule therefore replays identically under `SimClock`-driven
+//! deterministic runs and exploration (`crates/explore`), where
+//! sampling a real clock would fork the schedule space.
 
 use std::time::Duration;
-
-/// Exponential poll-interval schedule: `initial, 2·initial, …, cap`.
-#[derive(Debug, Clone)]
-pub struct Backoff {
-    initial: Duration,
-    cap: Duration,
-    current: Duration,
-}
-
-impl Backoff {
-    /// A schedule from `initial` up to `cap` (clamped to `initial`).
-    pub fn new(initial: Duration, cap: Duration) -> Self {
-        let cap = cap.max(initial);
-        Backoff {
-            initial,
-            cap,
-            current: initial,
-        }
-    }
-
-    /// The next wait, doubling the one after it (up to the cap).
-    pub fn next_wait(&mut self) -> Duration {
-        let wait = self.current;
-        self.current = (self.current * 2).min(self.cap);
-        wait
-    }
-
-    /// Progress happened: start the schedule over.
-    pub fn reset(&mut self) {
-        self.current = self.initial;
-    }
-}
 
 /// Capped exponential retry backoff with seeded full jitter.
 ///
@@ -124,25 +85,6 @@ fn splitmix(mut z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn doubles_to_cap_and_resets() {
-        let mut b = Backoff::new(Duration::from_micros(10), Duration::from_micros(50));
-        assert_eq!(b.next_wait(), Duration::from_micros(10));
-        assert_eq!(b.next_wait(), Duration::from_micros(20));
-        assert_eq!(b.next_wait(), Duration::from_micros(40));
-        assert_eq!(b.next_wait(), Duration::from_micros(50));
-        assert_eq!(b.next_wait(), Duration::from_micros(50));
-        b.reset();
-        assert_eq!(b.next_wait(), Duration::from_micros(10));
-    }
-
-    #[test]
-    fn cap_clamped_to_initial() {
-        let mut b = Backoff::new(Duration::from_millis(5), Duration::from_millis(1));
-        assert_eq!(b.next_wait(), Duration::from_millis(5));
-        assert_eq!(b.next_wait(), Duration::from_millis(5));
-    }
 
     #[test]
     fn jittered_draws_stay_within_exponential_ceiling_and_cap() {

@@ -1,31 +1,36 @@
-//! The thread engine and what every engine's callers configure and
-//! read: the failure plan, the cluster configuration and the run
-//! report — the reproduction's equivalent of the paper's testbed
-//! scripts.
+//! The round driver for blocking applications, and what every driver's
+//! callers configure and read: the failure plan, the cluster
+//! configuration and the run report.
 //!
-//! [`Cluster::run`] is Fig. 4 as drawn: one OS thread per rank (plus a
-//! comm thread each in non-blocking mode, see [`crate::engine`]) and,
-//! when the run needs it, one stepping the TEL event-logger /
-//! membership service and the replicator. Each rank thread runs its own
-//! incarnations back to back through the shared lifecycle of
-//! [`crate::env`], polling the respawn gate between them; the calling
-//! thread only waits, with the watchdog, for every rank to finish.
+//! [`Cluster::run`] runs a [`RankApp`] in rounds on the run's virtual
+//! clock, like a [`crate::TaskJob`], but each rank keeps a stack of its
+//! own (an OS thread) so its calls can block. A round resumes every
+//! runnable rank at once; each computes until it parks (see
+//! [`crate::engine`]). Then the driver alone does the boundary, in rank
+//! order: `Done`s and deaths ([`RunEnv::finish`] / [`RunEnv::lose`]),
+//! respawns the gate allows, ticks; the shared [`Tail`] (event logger,
+//! replicator, held frames, clock, watchdog); one inbox batch into each
+//! live kernel, which decides who runs next. A stack touches only its
+//! own kernel, fabric channels and storage keys, so a run repeats
+//! exactly however the stacks interleave.
 
 use crate::config::RunConfig;
-use crate::engine::Engine;
+use crate::engine::{Engine, Park, Resume, Stage, Wait};
 use crate::env::{Death, RunEnv};
 use crate::events::Event;
 use crate::fault::{Fault, StepStatus};
+use crate::kernel::Kernel;
 use crate::process::{RankApp, RankCtx};
 use crate::replicator::{ReplicatorConfig, ReplicatorStats};
-use crate::service::spawn_service;
+use crate::tasks::Tail;
 use crate::transport::DataPlaneStats;
 use lclog_core::{Rank, TrackingStats};
 use lclog_simnet::{Endpoint, NetConfig, StorageChaos};
 use lclog_stable::{FaultyRemote, MemRemote, RemoteStore};
+use parking_lot::Mutex;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One planned failure: the given incarnation of `rank` crashes when
 /// its step counter reaches `at_step`.
@@ -295,8 +300,9 @@ pub struct ClusterConfig {
     /// Collect a structured fault-tolerance timeline into
     /// [`RunReport::timeline`].
     pub trace: bool,
-    /// Abort the run (with an error) after this much wall time — a
-    /// watchdog against protocol deadlocks.
+    /// Abort the run (with an error naming where every unfinished rank
+    /// waits) after this much wall time — a watchdog against protocol
+    /// deadlocks.
     pub max_wall: Duration,
     /// Durable log shipping to a remote store (`None` = local-only
     /// stable storage, the paper's baseline).
@@ -383,6 +389,8 @@ pub struct RunReport {
     /// Cluster-wide sum of `per_rank_stats`.
     pub stats: TrackingStats,
     /// Wall-clock duration of the run (Fig. 8's accomplishment time).
+    /// The one field that reads the host's clock: it varies from run
+    /// to run.
     pub wall: Duration,
     /// Number of injected crashes that actually fired.
     pub kills: u32,
@@ -446,54 +454,209 @@ impl DetectorReport {
 /// Entry point for running applications under rollback recovery.
 pub struct Cluster;
 
+/// An incarnation handed to a rank's stack; a successor's restored
+/// `(step, state)`, or `None` to start over.
+struct Life<S> {
+    kernel: Arc<Kernel>,
+    incarnation: u64,
+    restored: Option<(u64, S)>,
+}
+
+/// Where a rank is between rounds, as the driver sees it.
+#[derive(Debug)]
+#[allow(dead_code)] // `step` is read by the watchdog's report
+enum Place {
+    /// Parked inside a call at `step`.
+    Waiting { wait: Wait, step: u64 },
+    /// Parked at `Done`.
+    Done,
+    /// Dead, until the respawn gate lets its successor up.
+    Down,
+    /// Resumed next round whatever it waits for (a fresh successor, or
+    /// a fenced rank that must notice).
+    Ready,
+}
+
+/// The driver's record of one rank.
+struct Slot {
+    incarnation: u64,
+    kernel: Arc<Kernel>,
+    endpoint: Endpoint,
+    place: Place,
+}
+
 impl Cluster {
     /// Run `app` on `cfg.n` ranks to completion, injecting the
-    /// configured failures. Returns an error string if the watchdog
-    /// fires.
+    /// configured failures. Returns an error naming where every
+    /// unfinished rank waits if the watchdog fires.
     pub fn run<A: RankApp>(cfg: &ClusterConfig, app: A) -> Result<RunReport, String> {
-        let env = RunEnv::open(cfg, None)?;
-        let service = spawn_service(&env);
-        let endpoints = env.attach();
-        let (done, wall) = std::thread::scope(|s| {
-            for (rank, endpoint) in endpoints.into_iter().enumerate() {
-                let (env, app) = (&env, &app);
+        let (env, mut tail) = Tail::open(cfg, None)?;
+        let stage = Stage::new(env.n);
+        let lives: Vec<_> = (0..env.n).map(|_| Mutex::new(None)).collect();
+        let mut slots: Vec<Slot> = (env.attach().into_iter().enumerate())
+            .map(|(rank, endpoint)| Slot {
+                incarnation: 1,
+                kernel: Arc::new(env.boot(rank)),
+                endpoint,
+                place: Place::Ready,
+            })
+            .collect();
+        let failure = std::thread::scope(|s| {
+            // Every stack runs its first round as soon as it starts.
+            for (rank, slot) in slots.iter().enumerate() {
+                let first = Life {
+                    kernel: Arc::clone(&slot.kernel),
+                    incarnation: 1,
+                    restored: None,
+                };
+                let (env, app, stage, lives) = (&env, &app, &stage, &lives);
                 std::thread::Builder::new()
                     .name(format!("lclog-rank-{rank}"))
-                    .spawn_scoped(s, move || rank_main(env, app, rank, endpoint))
-                    .expect("spawn rank thread");
+                    .spawn_scoped(s, move || {
+                        rank_main(env, app, stage, &lives[rank], rank, first)
+                    })
+                    .expect("spawn rank stack");
             }
-            let start = Instant::now();
-            let done = env.wait_all_done(start + cfg.max_wall);
-            (done, start.elapsed())
+            let failure = drive(&env, &mut tail, &stage, &lives, &mut slots);
+            // Every stack is parked (or gone, if it panicked): unwind.
+            (0..env.n).for_each(|rank| stage.resume(rank, Resume::Shutdown));
+            failure
         });
-        if let Some(handle) = service {
-            let _ = handle.join();
-        }
-        let failure = (!done).then(|| {
-            format!(
-                "cluster watchdog fired after {:?} (protocol {}, {} ranks)",
-                cfg.max_wall, cfg.run.protocol, cfg.n
-            )
-        });
-        env.report(wall, failure)
+        env.report(tail.start.elapsed(), failure)
     }
 }
 
-/// One rank's whole life on its own thread: run an incarnation to
-/// `Done` or to its death, hand the death to the shared lifecycle,
+/// Rounds until every rank is done, or the watchdog's error.
+fn drive<S: lclog_wire::Decode>(
+    env: &RunEnv,
+    tail: &mut Tail,
+    stage: &Stage,
+    lives: &[Mutex<Option<Life<S>>>],
+    slots: &mut [Slot],
+) -> Option<String> {
+    loop {
+        stage.wait_all_parked();
+        for (rank, slot) in slots.iter_mut().enumerate() {
+            match stage.take_park(rank) {
+                None => {}
+                Some(Park::Call { wait, step }) => slot.place = Place::Waiting { wait, step },
+                Some(Park::Done {
+                    step,
+                    image,
+                    digest,
+                }) => {
+                    env.finish(rank, step, &slot.kernel, image, digest);
+                    slot.place = Place::Done;
+                }
+                Some(Park::Dead { step, death }) => {
+                    env.lose(rank, slot.incarnation, step, &slot.kernel, death);
+                    slot.incarnation += 1;
+                    slot.place = Place::Down;
+                }
+                Some(Park::Panicked) => return Some(format!("rank {rank}'s stack panicked")),
+            }
+            // At once without a detector; else once certified (or the
+            // gate's fallback elapsed).
+            if matches!(slot.place, Place::Down) {
+                if !env.may_respawn(rank, slot.incarnation) {
+                    continue;
+                }
+                let (kernel, endpoint, restored) = env.respawn(rank, slot.incarnation, |bytes| {
+                    lclog_wire::decode_from_slice(bytes).ok()
+                });
+                slot.kernel = Arc::new(kernel);
+                slot.endpoint = endpoint;
+                slot.place = Place::Ready;
+                *lives[rank].lock() = Some(Life {
+                    kernel: Arc::clone(&slot.kernel),
+                    incarnation: slot.incarnation,
+                    restored,
+                });
+            }
+            // Finished ranks keep ticking: they serve their peers until
+            // every rank is done.
+            slot.kernel.tick();
+        }
+        match tail.close(env).1 {
+            None => {}
+            Some(Ok(())) => return None,
+            // Name where every unfinished rank waits.
+            Some(Err(mut error)) => {
+                for (rank, slot) in slots.iter().enumerate() {
+                    if !matches!(slot.place, Place::Done) {
+                        let (incarnation, place, kernel) =
+                            (slot.incarnation, &slot.place, &slot.kernel);
+                        error += &format!(
+                            "\n  rank {rank} incarnation {incarnation}: {place:?}; {kernel:?}"
+                        );
+                    }
+                }
+                return Some(error);
+            }
+        }
+        for (rank, slot) in slots.iter_mut().enumerate() {
+            if matches!(slot.place, Place::Down) {
+                continue;
+            }
+            // One batch per boundary: acks coalesce to one cumulative
+            // frame per peer.
+            let batch: Vec<_> = std::iter::from_fn(|| slot.endpoint.try_recv().ok()).collect();
+            let ingested = !batch.is_empty();
+            if ingested {
+                slot.kernel.ingest_batch(batch);
+            }
+            let runnable = match &slot.place {
+                Place::Waiting { wait, .. } => {
+                    slot.kernel.is_fenced()
+                        || slot.kernel.is_desynced()
+                        || wait.may_end(&slot.kernel, ingested)
+                }
+                // A false suspicion caught a finished rank: its digest
+                // is void, and it rejoins like any fenced incarnation.
+                Place::Done => slot.kernel.is_fenced(),
+                Place::Down => false,
+                Place::Ready => true,
+            };
+            if runnable {
+                slot.place = Place::Ready;
+                stage.resume(rank, Resume::Run);
+            }
+        }
+    }
+}
+
+/// One rank's whole life on its own stack: run an incarnation to
+/// `Done` or to its death, park there for the boundary to book it,
 /// come back as the next incarnation.
-fn rank_main<A: RankApp>(env: &RunEnv, app: &A, rank: Rank, endpoint: Endpoint) {
-    let mut life = (env.boot(rank), endpoint, None);
-    for incarnation in 1.. {
-        let (kernel, endpoint, restored) = life;
-        let (mut step, mut state) = restored.unwrap_or_else(|| (0, app.init(rank, kernel.n())));
-        let mut engine = Engine::new(kernel, endpoint, Arc::clone(&env.shutdown));
+fn rank_main<A: RankApp>(
+    env: &RunEnv,
+    app: &A,
+    stage: &Stage,
+    next_life: &Mutex<Option<Life<A::State>>>,
+    rank: Rank,
+    first: Life<A::State>,
+) {
+    // A panicking stack must not leave the driver waiting for its park.
+    struct Unwind<'a>(&'a Stage, Rank);
+    impl Drop for Unwind<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                self.0.abandon(self.1);
+            }
+        }
+    }
+    let _unwind = Unwind(stage, rank);
+    let mut life = first;
+    loop {
+        let (mut step, mut state) = life
+            .restored
+            .unwrap_or_else(|| (0, app.init(rank, life.kernel.n())));
+        let engine = Engine::new(life.kernel, stage);
         let death = loop {
-            if let Some(death) = env.due(rank, incarnation, step) {
+            if let Some(death) = env.due(rank, life.incarnation, step) {
                 break death;
             }
-            let mut ctx = RankCtx::new(&engine, step);
-            match app.step(&mut ctx, &mut state) {
+            match app.step(&mut RankCtx::new(&engine, step), &mut state) {
                 Ok(StepStatus::Continue) => {
                     step += 1;
                     if engine.kernel().checkpoint_due(step) {
@@ -504,62 +667,113 @@ fn rank_main<A: RankApp>(env: &RunEnv, app: &A, rank: Rank, endpoint: Endpoint) 
                 }
                 Ok(StepStatus::Done) => {
                     let image = lclog_wire::encode_to_vec(&state);
-                    env.finish(rank, step, engine.kernel(), image, app.digest(&state));
-                    // Stay responsive: peers may still fail and need
-                    // our logged messages resent.
-                    engine.serve_until_shutdown();
-                    if env.is_shutdown() || !engine.kernel().is_fenced() {
-                        return;
+                    let digest = app.digest(&state);
+                    match stage.park(
+                        rank,
+                        Park::Done {
+                            step,
+                            image,
+                            digest,
+                        },
+                    ) {
+                        Resume::Shutdown => return,
+                        // Resumed while finished: fenced (see `drive`).
+                        Resume::Run => break Death::Fenced,
                     }
-                    // A false suspicion fenced a *finished* rank: its
-                    // digest is void and it rejoins like any other
-                    // fenced incarnation.
-                    break Death::Fenced;
                 }
-                Err(Fault::Shutdown) => return,
-                // `Fenced` — the membership service declared this very
-                // (live) incarnation dead; every peer rejects our
-                // frames now, so volatile state is forfeit.
+                Err(_) if engine.is_over() => return,
+                // A membership view declared this live incarnation dead:
+                // every peer rejects its frames, volatile state is
+                // forfeit.
                 Err(Fault::Fenced) => break Death::Fenced,
-                // Every other fault unwinds like a crash and rejoins
-                // through the normal rollback path:
-                //
-                // * `Unreachable` — a peer stayed silent across the
-                //   whole retransmit budget; the operation is retried
-                //   against whatever incarnation of the peer eventually
-                //   answers (the run watchdog bounds repeats; with a
-                //   detector configured exhaustion becomes a suspicion
-                //   and this fault is never surfaced).
-                // * `Desync` / `Collective` — the tracking merge
-                //   rejected a gate-approved message, or a collective's
-                //   contribution pattern broke under it; the protocol
-                //   state cannot be trusted.
+                // Every other fault (`Unreachable`, `Desync`,
+                // `Collective`) unwinds like a crash and rejoins
+                // through the normal rollback path, which retries the
+                // operation against whatever incarnation of the peer
+                // answers.
                 Err(_) => break Death::Process,
             }
         };
-        engine.halt();
-        env.lose(rank, incarnation, step, engine.kernel(), death);
-        loop {
-            if env.is_shutdown() {
-                return;
-            }
-            if env.may_respawn(rank, incarnation + 1) {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
+        if let Resume::Shutdown = stage.park(rank, Park::Dead { step, death }) {
+            return;
         }
-        // Restore the last checkpoint (or the initial state if the
-        // process died before ever checkpointing), then announce the
-        // rollback (Algorithm 1 lines 40–46).
-        life = env.respawn(rank, incarnation + 1, |bytes| {
-            lclog_wire::decode_from_slice(bytes).ok()
-        });
+        // The boundary restored the successor (Algorithm 1 lines 40–46).
+        life = next_life.lock().take().expect("a successor was brought up");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::RecvSpec;
+    use lclog_core::ProtocolKind;
+
+    /// A deadlock is named, not just timed out: rank 0 waits for a
+    /// message rank 1 never sends, and the watchdog's error says which
+    /// rank waits in which call.
+    #[test]
+    fn the_watchdog_names_where_each_rank_waits() {
+        struct Stuck;
+        impl RankApp for Stuck {
+            type State = u64;
+            fn init(&self, _rank: Rank, _n: usize) -> u64 {
+                0
+            }
+            fn step(&self, ctx: &mut RankCtx<'_>, _state: &mut u64) -> Result<StepStatus, Fault> {
+                if ctx.rank() == 0 {
+                    ctx.recv(RecvSpec::from(1, 42))?;
+                }
+                Ok(StepStatus::Done)
+            }
+            fn digest(&self, _state: &u64) -> u64 {
+                0
+            }
+        }
+        let cfg = ClusterConfig::new(2, RunConfig::new(ProtocolKind::Tdi))
+            .with_max_wall(Duration::from_millis(200));
+        let started = std::time::Instant::now();
+        let err = Cluster::run(&cfg, Stuck).unwrap_err();
+        assert!(started.elapsed() < Duration::from_secs(10), "{err}");
+        let spec = format!("{:?}", RecvSpec::from(1, 42));
+        assert!(
+            err.contains(&format!(
+                "rank 0 incarnation 1: Waiting {{ wait: Recv({spec}), step: 0 }}"
+            )),
+            "{err}"
+        );
+        assert!(err.contains("Kernel {"), "the kernel is dumped: {err}");
+        assert!(
+            !err.contains("rank 1 "),
+            "a finished rank is not named: {err}"
+        );
+    }
+
+    /// A panicking stack fails the run at the next boundary (the panic
+    /// surfaces when the stacks are joined) instead of leaving the
+    /// driver waiting for its park, or its peer parked forever.
+    #[test]
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn a_panicking_rank_does_not_hang_the_run() {
+        struct Boom;
+        impl RankApp for Boom {
+            type State = u64;
+            fn init(&self, _rank: Rank, _n: usize) -> u64 {
+                0
+            }
+            fn step(&self, ctx: &mut RankCtx<'_>, _state: &mut u64) -> Result<StepStatus, Fault> {
+                assert_eq!(ctx.rank(), 0, "boom");
+                ctx.recv(RecvSpec::from(1, 7))?;
+                Ok(StepStatus::Done)
+            }
+            fn digest(&self, _state: &u64) -> u64 {
+                0
+            }
+        }
+        let _ = Cluster::run(
+            &ClusterConfig::new(2, RunConfig::new(ProtocolKind::Tdi)),
+            Boom,
+        );
+    }
 
     #[test]
     fn failure_plan_matching() {

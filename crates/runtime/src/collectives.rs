@@ -160,42 +160,65 @@ pub fn gather<T: Encode + Decode + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::{Cluster, ClusterConfig};
     use crate::config::RunConfig;
-    use crate::engine::Engine;
-    use crate::kernel::Kernel;
+    use crate::fault::StepStatus;
+    use crate::process::RankApp;
     use lclog_core::ProtocolKind;
-    use lclog_simnet::{NetConfig, SimNet};
-    use lclog_stable::{CheckpointStore, MemStore};
-    use std::sync::atomic::AtomicBool;
+    use parking_lot::Mutex;
     use std::sync::Arc;
 
-    /// A real non-blocking engine per rank over a direct fabric — the
-    /// smallest harness that can drive collectives outside a cluster.
-    fn engines(n: usize) -> Vec<Engine> {
-        let net = SimNet::new(n + 1, NetConfig::direct());
-        let store = CheckpointStore::new(Arc::new(MemStore::new()));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        (0..n)
-            .map(|r| {
-                let kernel = Kernel::new(
-                    r,
-                    n,
-                    RunConfig::new(ProtocolKind::Tdi),
-                    net.clone(),
-                    store.clone(),
-                );
-                Engine::new(kernel, net.attach(r), Arc::clone(&shutdown))
-            })
-            .collect()
+    type Body = fn(&mut RankCtx<'_>) -> Result<(), Fault>;
+
+    /// One step of `body` on every rank of an `n`-rank cluster; rank
+    /// 0's fault is kept, and every rank finishes regardless, so a
+    /// faulting collective reports instead of rejoining.
+    struct OneStep {
+        body: Body,
+        fault: Arc<Mutex<Option<Fault>>>,
+    }
+
+    impl RankApp for OneStep {
+        type State = u64;
+
+        fn init(&self, _rank: Rank, _n: usize) -> u64 {
+            0
+        }
+
+        fn step(&self, ctx: &mut RankCtx<'_>, _state: &mut u64) -> Result<StepStatus, Fault> {
+            if let Err(fault) = (self.body)(ctx) {
+                if ctx.rank() == 0 {
+                    *self.fault.lock() = Some(fault);
+                }
+            }
+            Ok(StepStatus::Done)
+        }
+
+        fn digest(&self, _state: &u64) -> u64 {
+            0
+        }
+    }
+
+    fn rank0_fault(n: usize, body: Body) -> Fault {
+        let fault = Arc::new(Mutex::new(None));
+        let app = OneStep {
+            body,
+            fault: Arc::clone(&fault),
+        };
+        Cluster::run(
+            &ClusterConfig::new(n, RunConfig::new(ProtocolKind::Tdi)),
+            app,
+        )
+        .unwrap();
+        let fault = fault.lock().take();
+        fault.expect("rank 0 faulted")
     }
 
     // Regression: `broadcast` with a root that supplies no value used
     // to hit `expect("root must supply...")` and abort the process.
     #[test]
     fn broadcast_root_without_value_faults_instead_of_panicking() {
-        let engines = engines(1);
-        let mut ctx = RankCtx::new(&engines[0], 0);
-        let err = broadcast::<u64>(&mut ctx, 0, 7, None).unwrap_err();
+        let err = rank0_fault(1, |ctx| broadcast::<u64>(ctx, 0, 7, None).map(drop));
         assert!(matches!(err, Fault::Collective(_)), "got {err}");
     }
 
@@ -205,12 +228,14 @@ mod tests {
     // It must now surface as a single-rank `Fault::Collective`.
     #[test]
     fn duplicate_contribution_faults_reduce_root() {
-        let engines = engines(3);
-        let mut c1 = RankCtx::new(&engines[1], 0);
-        c1.send_value(0, 9, &1.0f64).unwrap();
-        c1.send_value(0, 9, &2.0f64).unwrap(); // illegal second contribution
-        let mut c0 = RankCtx::new(&engines[0], 0);
-        let err = reduce(&mut c0, 0, 9, 0.5f64, |a, b| a + b).unwrap_err();
+        let err = rank0_fault(3, |ctx| match ctx.rank() {
+            0 => reduce(ctx, 0, 9, 0.5f64, |a, b| a + b).map(drop),
+            1 => {
+                ctx.send_value(0, 9, &1.0f64)?;
+                ctx.send_value(0, 9, &2.0f64) // illegal second contribution
+            }
+            _ => Ok(()),
+        });
         assert!(
             matches!(err, Fault::Collective(msg) if msg.contains("reduce")),
             "got {err}"
@@ -219,12 +244,14 @@ mod tests {
 
     #[test]
     fn duplicate_contribution_faults_gather_root() {
-        let engines = engines(3);
-        let mut c2 = RankCtx::new(&engines[2], 0);
-        c2.send_value(0, 11, &7u64).unwrap();
-        c2.send_value(0, 11, &8u64).unwrap();
-        let mut c0 = RankCtx::new(&engines[0], 0);
-        let err = gather(&mut c0, 0, 11, 1u64).unwrap_err();
+        let err = rank0_fault(3, |ctx| match ctx.rank() {
+            0 => gather(ctx, 0, 11, 1u64).map(drop),
+            2 => {
+                ctx.send_value(0, 11, &7u64)?;
+                ctx.send_value(0, 11, &8u64)
+            }
+            _ => Ok(()),
+        });
         assert!(
             matches!(err, Fault::Collective(msg) if msg.contains("gather")),
             "got {err}"

@@ -5,21 +5,16 @@ use lclog_simnet::Clock;
 /// Which Fig. 4 communication architecture a rank uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommMode {
-    /// Fig. 4a: the application thread talks to the fabric directly.
-    /// Sends larger than `eager_threshold` bytes wait for the
+    /// Fig. 4a: sends larger than `eager_threshold` bytes wait for the
     /// receiver's runtime to acknowledge ingestion (a rendezvous, like
-    /// MPICH's synchronous path when buffering is exhausted), and
-    /// incoming traffic — including recovery requests from peers — is
-    /// serviced only when the application enters a runtime call.
+    /// MPICH's synchronous path when buffering is exhausted).
     Blocking {
         /// Payloads at or below this size are sent eagerly (no
         /// acknowledgement wait). The paper observes big BT messages
         /// block longest; this knob reproduces that.
         eager_threshold: usize,
     },
-    /// Fig. 4b: buffered queues plus a dedicated communication thread;
-    /// application sends return immediately and incoming traffic is
-    /// serviced continuously.
+    /// Fig. 4b: buffered queues; application sends return immediately.
     NonBlocking,
 }
 
@@ -32,8 +27,8 @@ impl CommMode {
     }
 }
 
-/// Inert: nothing reads it. The engine is the entry point called —
-/// [`crate::Cluster::run`] (one OS thread per rank) or
+/// Inert: nothing reads it. The driver is the entry point called —
+/// [`crate::Cluster::run`] (a stack per rank) or
 /// [`crate::run_tasks`] (ranks as tasks driven by one thread). The
 /// type survives only because the benchmark package still builds
 /// `EngineMode::Tasks { workers: 2 }` through
@@ -93,7 +88,7 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// A sensible default for `protocol`: non-blocking engine,
+    /// A sensible default for `protocol`: non-blocking sends,
     /// checkpoint every 64 steps.
     pub fn new(protocol: ProtocolKind) -> Self {
         RunConfig {

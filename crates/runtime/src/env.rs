@@ -19,9 +19,9 @@
 //! * books a completion ([`RunEnv::finish`]) and assembles the
 //!   [`RunReport`] ([`RunEnv::report`]).
 //!
-//! The engines only schedule: [`crate::Cluster`] runs the loop on one
-//! OS thread per rank, [`crate::TaskJob`] inside a sweep, the schedule
-//! explorer at decider-chosen points — so the crash path the explorer
+//! The drivers only schedule: [`crate::Cluster`] at its round
+//! boundaries, [`crate::TaskJob`] inside a sweep, the schedule explorer
+//! at decider-chosen points — so the crash path the explorer
 //! model-checks is the one that ships.
 
 use crate::cluster::{ClusterConfig, DetectorReport, FailurePlan, RunReport, StorageKind};
@@ -35,9 +35,8 @@ use crate::transport::DataPlaneStats;
 use lclog_core::{Rank, TrackingStats};
 use lclog_simnet::{Endpoint, SimNet};
 use lclog_stable::{CheckpointStore, DiskStore, MemStore, StableStorage};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -145,10 +144,7 @@ pub struct RunEnv {
     plan: FailurePlan,
     /// The arbiter's table (detected-failures runs only).
     pub(crate) membership: Option<Arc<MembershipTable>>,
-    /// Set once every rank finished, or the watchdog gave up.
-    pub(crate) shutdown: Arc<AtomicBool>,
     board: Mutex<Board>,
-    finished: Condvar,
 }
 
 impl RunEnv {
@@ -162,7 +158,7 @@ impl RunEnv {
         let n = cfg.n;
         assert!(n > 0, "cluster needs at least one rank");
         let sink = if cfg.trace {
-            EventSink::recording()
+            EventSink::recording(cfg.run.clock.clone())
         } else {
             EventSink::disabled()
         };
@@ -210,7 +206,6 @@ impl RunEnv {
             owns_replicator: host.is_none(),
             sink,
             plan: cfg.failures.clone(),
-            shutdown: Arc::new(AtomicBool::new(false)),
             board: Mutex::new(Board {
                 digests: vec![None; n],
                 stats: vec![TrackingStats::default(); n],
@@ -221,7 +216,6 @@ impl RunEnv {
                 gate_timeouts: 0,
                 killed_at: HashMap::new(),
             }),
-            finished: Condvar::new(),
         })
     }
 
@@ -290,10 +284,9 @@ impl RunEnv {
             if board.digests[rank].is_none() {
                 board.stats[rank].merge(&snap.stats);
                 board.data_plane[rank].merge(&snap.data_plane);
-            } else if !self.is_shutdown() {
+            } else {
                 // Fenced after `Done`: the counters were tallied with
-                // the digest, the digest is void. Once the run is over
-                // (decided under this lock) the digest stands.
+                // the digest, the digest is void.
                 board.digests[rank] = None;
                 board.done -= 1;
             }
@@ -321,7 +314,7 @@ impl RunEnv {
     /// `rank` come up now? With detected failures only once the arbiter
     /// certified its predecessor dead, or — liveness, counted in
     /// [`DetectorReport::gate_timeouts`] — 1 s after the death on the
-    /// run's clock. A tasks slot asks every sweep, a rank thread polls.
+    /// run's clock. A driver asks every round while the rank is down.
     pub(crate) fn may_respawn(&self, rank: Rank, incarnation: u64) -> bool {
         let Some(table) = &self.membership else {
             return true;
@@ -336,9 +329,7 @@ impl RunEnv {
         if self.run.clock.now().saturating_duration_since(died) < GATE_TIMEOUT {
             return false;
         }
-        if !self.is_shutdown() {
-            board.gate_timeouts += 1;
-        }
+        board.gate_timeouts += 1;
         true
     }
 
@@ -383,7 +374,6 @@ impl RunEnv {
         board.data_plane[rank].merge(&snap.data_plane);
         board.digests[rank] = Some(digest);
         board.done += 1;
-        self.finished.notify_all();
     }
 
     /// Ranks finished so far.
@@ -394,25 +384,6 @@ impl RunEnv {
     /// Crashes so far, injected or earned.
     pub fn kills(&self) -> u32 {
         self.board.lock().kills
-    }
-
-    pub(crate) fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
-    }
-
-    /// Block until every rank has finished or `deadline` passes, and
-    /// flag the run over either way. True when all finished.
-    pub(crate) fn wait_all_done(&self, deadline: Instant) -> bool {
-        let mut board = self.board.lock();
-        while board.done < self.n {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            self.finished.wait_for(&mut board, left);
-        }
-        self.shutdown.store(true, Ordering::Relaxed);
-        board.done == self.n
     }
 
     /// Delete every checkpoint generation and event log this run
@@ -434,7 +405,7 @@ impl RunEnv {
         self.replicator.as_ref().filter(|_| self.owns_replicator)
     }
 
-    /// The run's [`RunReport`] — or `failure`, the engine's watchdog
+    /// The run's [`RunReport`] — or `failure`, the driver's watchdog
     /// verdict. A replicator the run owns is drained first; a host's is
     /// only read.
     pub fn report(&self, wall: Duration, failure: Option<String>) -> Result<RunReport, String> {

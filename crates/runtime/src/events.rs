@@ -1,20 +1,24 @@
 //! Structured run timelines: every fault-tolerance action a rank
 //! takes — checkpoints, crashes, rollback handshakes, log resends —
-//! recorded with microsecond timestamps. The observability surface a
-//! rollback-recovery toolkit needs when a recovery goes sideways.
+//! recorded with microsecond timestamps on the run's [`Clock`]. The
+//! observability surface a rollback-recovery toolkit needs when a
+//! recovery goes sideways.
 //!
 //! Collection is off unless [`ClusterConfig::with_trace`] enables it;
 //! when on, every kernel shares one lock-protected collector and the
-//! [`RunReport::timeline`] carries the merged, time-ordered result.
+//! [`RunReport::timeline`] carries the merged result, ordered by
+//! (time, rank), each rank's events in emission order: the same every
+//! time on a virtual clock, however the ranks' stacks interleaved.
 //!
 //! [`ClusterConfig::with_trace`]: crate::ClusterConfig::with_trace
 //! [`RunReport::timeline`]: crate::RunReport::timeline
 
 use lclog_core::Rank;
+use lclog_simnet::Clock;
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
 /// What happened.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -253,7 +257,7 @@ impl fmt::Display for EventKind {
 /// One timeline entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
-    /// Microseconds since the cluster run started.
+    /// Microseconds since the cluster run started, on its clock.
     pub at_us: u64,
     /// Acting rank.
     pub rank: Rank,
@@ -281,16 +285,18 @@ pub struct EventSink {
 }
 
 struct SinkInner {
-    start: Instant,
+    clock: Clock,
+    start: Duration,
     events: Mutex<Vec<Event>>,
 }
 
 impl EventSink {
-    /// A recording sink anchored at "now".
-    pub fn recording() -> Self {
+    /// A recording sink stamping events on `clock`, from its "now".
+    pub fn recording(clock: Clock) -> Self {
         EventSink {
             inner: Some(Arc::new(SinkInner {
-                start: Instant::now(),
+                start: clock.elapsed(),
+                clock,
                 events: Mutex::new(Vec::new()),
             })),
         }
@@ -309,17 +315,18 @@ impl EventSink {
     /// Record an event (no-op when disabled).
     pub fn emit(&self, rank: Rank, kind: EventKind) {
         if let Some(inner) = &self.inner {
-            let at_us = inner.start.elapsed().as_micros() as u64;
+            let at_us = (inner.clock.elapsed() - inner.start).as_micros() as u64;
             inner.events.lock().push(Event { at_us, rank, kind });
         }
     }
 
-    /// Drain the collected events, time-ordered.
+    /// Drain the collected events, ordered by (time, rank); a rank's
+    /// events stay in emission order.
     pub fn take(&self) -> Vec<Event> {
         match &self.inner {
             Some(inner) => {
                 let mut events = std::mem::take(&mut *inner.events.lock());
-                events.sort_by_key(|e| e.at_us);
+                events.sort_by_key(|e| (e.at_us, e.rank));
                 events
             }
             None => Vec::new(),
@@ -347,15 +354,18 @@ mod tests {
 
     #[test]
     fn recording_sink_orders_events() {
-        let sink = EventSink::recording();
+        let clock = lclog_simnet::SimClock::new();
+        let sink = EventSink::recording(Clock::Sim(clock.clone()));
         assert!(sink.is_recording());
         sink.emit(1, EventKind::Spawned { incarnation: 1 });
         sink.emit(0, EventKind::Crashed { step: 5 });
+        sink.emit(1, EventKind::Done { step: 3 });
+        clock.advance(Duration::from_micros(7));
         let clone = sink.clone();
-        clone.emit(2, EventKind::Done { step: 9 });
-        let events = sink.take();
-        assert_eq!(events.len(), 3);
-        assert!(events.windows(2).all(|w| w[0].at_us <= w[1].at_us));
+        clone.emit(0, EventKind::Done { step: 9 });
+        let order: Vec<(u64, Rank)> = sink.take().iter().map(|e| (e.at_us, e.rank)).collect();
+        // (time, rank), and rank 1's two events in emission order.
+        assert_eq!(order, [(0, 0), (0, 1), (0, 1), (7, 0)]);
         // Drained.
         assert!(sink.take().is_empty());
     }

@@ -4,11 +4,9 @@ use std::fmt;
 /// Why a runtime call could not complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Fault {
-    /// This rank incarnation has been killed by the failure injector.
-    /// Application code must propagate it (`?`) so the rank thread
-    /// unwinds and its volatile state is genuinely lost.
-    Killed,
-    /// The cluster is shutting down (another rank aborted); unwind.
+    /// The run is over — every rank finished, or the watchdog fired.
+    /// Application code must propagate it (`?`) so the rank's stack
+    /// unwinds.
     Shutdown,
     /// The reliability layer exhausted its retransmit budget towards
     /// this peer: it has been silent across every backoff round. The
@@ -46,7 +44,6 @@ pub enum Fault {
 impl fmt::Display for Fault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Fault::Killed => write!(f, "rank incarnation killed"),
             Fault::Shutdown => write!(f, "cluster shutting down"),
             Fault::Unreachable(peer) => {
                 write!(f, "peer rank {peer} unreachable (retransmit budget exhausted)")

@@ -1,12 +1,13 @@
 //! The rollback-recovery kernel: the paper's Algorithm 1 for one rank
 //! incarnation, behind one lock.
 //!
-//! Engines feed it raw envelopes ([`Kernel::ingest_batch`], comm
-//! thread) and pull deliverable application messages
-//! ([`Kernel::try_deliver`], app thread). Those two threads sharing
-//! one rank's state is all the concurrency Fig. 4b asks for, so every
-//! mutable field lives in one `state: Mutex<State>` and every `&self`
-//! method is a critical section on it:
+//! Engines feed it raw envelopes ([`Kernel::ingest_batch`]) and pull
+//! deliverable application messages ([`Kernel::try_deliver`]). Under
+//! the round driver of [`crate::Cluster`] the two run on different
+//! threads — the rank's own stack while it runs, the driver at the
+//! round boundary while it is parked — so every mutable field lives in
+//! one `state: Mutex<State>` and every `&self` method is a critical
+//! section on it:
 //!
 //! | part of `State`                   | owns                                                      | Algorithm 1    |
 //! |-----------------------------------|-----------------------------------------------------------|----------------|
@@ -14,7 +15,7 @@
 //! | `trk` ([`crate::tracking`])       | `LoggingProtocol` box, `last_send_index`, stats           | 10–11, 15–31   |
 //! | `del` ([`crate::delivery`])       | receiving queue, `last_deliver_index`                     | 13–17          |
 //! | `transport` ([`crate::transport`]) | CRC framing, sequencing, dedup, ack/retransmit, fencing  | —              |
-//! | `acked`, `detector`, `resync_pacer` | rendezvous acks, φ-accrual detector, `RESYNC_REQ` pacing | —              |
+//! | `acked`, `rendezvous`, `detector`, `resync_pacer` | rendezvous acks and resend timer, φ-accrual detector, `RESYNC_REQ` pacing | — |
 //!
 //! Every public call is one critical section, and whatever it sends
 //! goes out inside it — the fabric send never blocks — so send order,
@@ -65,7 +66,7 @@ use lclog_stable::{CheckpointStore, StableStorage};
 use lclog_wire::{encode_to_vec, impl_wire_struct};
 use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Everything a checkpoint durably captures (Algorithm 1 line 33:
 /// image, log, and the counter vectors).
@@ -161,6 +162,10 @@ struct State {
     transport: Transport,
     /// Highest acknowledged rendezvous send per destination.
     acked: CounterVector,
+    /// The rendezvous send the application waits on, `(dst,
+    /// send_index, last transmission)`: `tick` resends it every
+    /// [`RETRY_INTERVAL`] until it is acknowledged.
+    rendezvous: Option<(Rank, u64, Instant)>,
     /// φ-accrual failure detector (detected-failures mode only).
     detector: Option<Detector>,
     /// Full-jitter pacing of outgoing `RESYNC_REQ` frames (TDI-S): the
@@ -178,6 +183,21 @@ impl State {
     /// each message carries its own complete delivery constraint.
     fn holds_delivery(&self) -> bool {
         self.rec.machine.is_recovering() && self.trk.protocol.needs_full_recovery_info()
+    }
+
+    /// Retransmit a logged message whose rendezvous ack has not
+    /// arrived (receiver may have failed and respawned meanwhile).
+    /// The logged wire form is resent verbatim ([`LogEntry::to_wire`],
+    /// zero payload copies); it carries `needs_ack`, because only
+    /// rendezvous sends are ever waited on.
+    fn resend_unacked(&mut self, dst: Rank, send_index: u64) {
+        let State { rec, transport, acked, .. } = self;
+        match rec.log.entries_after(dst, send_index - 1).next() {
+            Some(e) if e.send_index == send_index => transport.send_encoded(dst, e.to_wire()),
+            // The entry was released by a CHECKPOINT_ADVANCE: the
+            // receiver durably consumed it — an implicit ack.
+            _ => raise(acked, dst, send_index),
+        };
     }
 
     /// The body of [`Kernel::app_send`], under the state lock (inlined
@@ -240,6 +260,7 @@ impl Kernel {
             del: Delivery::new(n),
             transport,
             acked: CounterVector::zeroed(n),
+            rendezvous: None,
             detector,
             resync_pacer: ResyncPacer::new(me, n),
         };
@@ -421,7 +442,12 @@ impl Kernel {
     /// move in from the send without a decode pass. A suppressed send
     /// encodes once into the log and transmits nothing.
     pub fn app_send(&self, dst: Rank, tag: u32, data: Bytes, needs_ack: bool) -> (u64, bool) {
-        self.state.lock().app_send(dst, tag, data, needs_ack)
+        let mut st = self.state.lock();
+        let (send_index, transmitted) = st.app_send(dst, tag, data, needs_ack);
+        if needs_ack && transmitted {
+            st.rendezvous = Some((dst, send_index, self.cfg.clock.now()));
+        }
+        (send_index, transmitted)
     }
 
     /// [`Kernel::app_send`] behind the protocol's send gate, in one
@@ -433,22 +459,6 @@ impl Kernel {
         }
         st.app_send(dst, tag, data, false);
         true
-    }
-
-    /// Retransmit a logged message whose rendezvous ack has not
-    /// arrived (receiver may have failed and respawned meanwhile).
-    /// The logged wire form is resent verbatim ([`LogEntry::to_wire`],
-    /// zero payload copies); it carries `needs_ack`, because only
-    /// rendezvous sends are ever waited on.
-    pub fn resend_unacked(&self, dst: Rank, send_index: u64) {
-        let mut st = self.state.lock();
-        let State { rec, transport, acked, .. } = &mut *st;
-        match rec.log.entries_after(dst, send_index - 1).next() {
-            Some(e) if e.send_index == send_index => transport.send_encoded(dst, e.to_wire()),
-            // The entry was released by a CHECKPOINT_ADVANCE: the
-            // receiver durably consumed it — an implicit ack.
-            _ => raise(acked, dst, send_index),
-        };
     }
 
     // ---------------------------------------------------------------
@@ -1045,7 +1055,8 @@ impl Kernel {
     /// threshold crossings, idle heartbeats, reports to the arbiter),
     /// rebroadcast `ROLLBACK` to peers that have not responded (they
     /// may have been dead when the first broadcast went out — the
-    /// multi-failure case of Fig. 2) and flush coalesced acks.
+    /// multi-failure case of Fig. 2), resend an unacknowledged
+    /// rendezvous send, and flush coalesced acks.
     pub fn tick(&self) {
         let now = self.cfg.clock.now();
         let mut st = self.state.lock();
@@ -1099,6 +1110,14 @@ impl Kernel {
         }
         if st.rec.machine.rebroadcast_due(RETRY_INTERVAL, now) {
             self.broadcast_rollback(&mut st);
+        }
+        // The receiver may have died and respawned; its incarnation
+        // will ack (or discard-and-ack) the retransmission.
+        if let Some((dst, send_index, sent)) = st.rendezvous {
+            if st.acked.get(dst) < send_index && now.duration_since(sent) >= RETRY_INTERVAL {
+                st.resend_unacked(dst, send_index);
+                st.rendezvous = Some((dst, send_index, now));
+            }
         }
         st.transport.flush_acks();
     }
@@ -1319,7 +1338,7 @@ mod tests {
         pump(&k0, &eps[0]);
         assert_eq!(k0.rendezvous_progress(1), (1, false));
         // Re-transmit the same message (as a recovering sender would).
-        k0.resend_unacked(1, 1);
+        k0.state.lock().resend_unacked(1, 1);
         pump(&k1, &eps[1]);
         // Discarded as repetitive — not deliverable again…
         assert!(k1.try_deliver(RecvSpec::any()).is_none());
@@ -1717,7 +1736,7 @@ mod tests {
     fn poisoned_piggyback_faults_rank_instead_of_aborting() {
         let (mut ks, _net, _eps) = harness(2, ProtocolKind::Tag);
         let mut k1 = ks.pop().unwrap();
-        let sink = EventSink::recording();
+        let sink = EventSink::recording(crate::Clock::Real);
         k1.set_event_sink(sink.clone());
         assert!(!k1.is_desynced());
         k1.state.lock().del.admit(
@@ -1908,16 +1927,16 @@ mod tests {
     #[test]
     fn concurrent_send_and_ingest_keep_counters_exact() {
         // Rank 0's app thread hammers app_send while another thread
-        // concurrently ingests rank 0's inbound traffic, the way a
-        // comm thread would: first rendezvous acks, then a ROLLBACK
-        // answered from the whole log. Every send must be counted
-        // once and every message delivered once.
+        // concurrently ingests rank 0's inbound traffic — the kernel
+        // is `Sync` and must stay exact even so: first rendezvous
+        // acks, then a ROLLBACK answered from the whole log. Every
+        // send must be counted once and every message delivered once.
         use std::time::Instant;
 
         let (mut ks, net, mut eps) = harness(2, ProtocolKind::Tdi);
         let k1 = ks.pop().unwrap();
         let mut k0 = ks.pop().unwrap();
-        let sink = EventSink::recording();
+        let sink = EventSink::recording(crate::Clock::Real);
         k0.set_event_sink(sink.clone());
         let k0 = Arc::new(k0);
         let ep1 = eps.pop().unwrap();

@@ -3,8 +3,9 @@
 //! An MPI-like rank runtime with rollback-recovery fault tolerance —
 //! the reproduction's stand-in for MPICH + the paper's WINDAR toolkit.
 //!
-//! Each rank of a parallel application runs as an OS thread against a
-//! [`lclog_simnet::SimNet`] fabric. Between the application and the
+//! Each rank of a parallel application runs against a
+//! [`lclog_simnet::SimNet`] fabric, in rounds on the run's virtual
+//! clock. Between the application and the
 //! fabric sits the rollback-recovery layer of the paper's Algorithm 1:
 //!
 //! * **sender-based message logging** — every sent payload, together
@@ -23,23 +24,23 @@
 //!   [`lclog_core::LoggingProtocol`] instance (TDI, TAG or TEL) decides
 //!   what is piggybacked and when queued messages may be delivered.
 //!
-//! Two communication engines reproduce Fig. 4:
+//! Fig. 4's two communication modes are comm models on that clock.
+//! Both ingest a rank's inbox at the round boundary, while it is parked
+//! inside a runtime call:
 //!
-//! * [`CommMode::Blocking`] (Fig. 4a) — the application thread itself
-//!   performs sends (waiting for the receiver's acknowledgement beyond
-//!   the eager threshold) and only services incoming traffic when it
-//!   enters a runtime call, so one process's failure stalls its peers;
-//! * [`CommMode::NonBlocking`] (Fig. 4b) — a dedicated communication
-//!   thread drains both buffer queues, so computation, sending and
-//!   receiving proceed concurrently and recovery traffic is serviced
-//!   immediately.
+//! * [`CommMode::Blocking`] (Fig. 4a) — a send above the eager
+//!   threshold parks until the receiver's ingestion ack (a rendezvous),
+//!   so a failed receiver stalls its senders;
+//! * [`CommMode::NonBlocking`] (Fig. 4b) — sends return at once.
 //!
 //! One incarnation lifecycle ([`RunEnv`]: open storage, boot, lose,
-//! respawn, report) runs under every engine. [`Cluster`] schedules it
-//! on one OS thread per rank beside the TEL event-logger service,
-//! [`TaskJob`] / [`run_tasks`] cooperatively, one thread per job;
-//! both inject failures from a [`FailurePlan`] and return a
-//! [`RunReport`] of per-rank digests and tracking statistics.
+//! respawn, report) runs under both drivers, and both end each round
+//! the same way (event logger, replicator, held frames, clock,
+//! watchdog). [`Cluster::run`] gives each rank's [`RankApp`] a stack of
+//! its own, so its calls can block; [`TaskJob`] / [`run_tasks`] poll
+//! [`TaskApp`] state machines from one thread. Both inject failures
+//! from a [`FailurePlan`], return a [`RunReport`] of per-rank digests
+//! and tracking statistics, and repeat exactly from their config.
 
 #![warn(missing_docs)]
 

@@ -41,27 +41,27 @@ pub trait RankApp: Send + Sync + 'static {
 
 /// The runtime handle passed to [`RankApp::step`].
 pub struct RankCtx<'a> {
-    engine: &'a Engine,
+    engine: &'a Engine<'a>,
     step: u64,
 }
 
 impl<'a> RankCtx<'a> {
-    pub(crate) fn new(engine: &'a Engine, step: u64) -> Self {
+    pub(crate) fn new(engine: &'a Engine<'a>, step: u64) -> Self {
         RankCtx { engine, step }
     }
 
-    pub(crate) fn engine(&self) -> &'a Engine {
+    pub(crate) fn engine(&self) -> &'a Engine<'a> {
         self.engine
     }
 
     /// This process's rank.
     pub fn rank(&self) -> Rank {
-        self.engine.me()
+        self.engine.kernel().me()
     }
 
     /// Number of application ranks.
     pub fn n(&self) -> usize {
-        self.engine.n()
+        self.engine.kernel().n()
     }
 
     /// The current application step index.
@@ -69,27 +69,28 @@ impl<'a> RankCtx<'a> {
         self.step
     }
 
-    /// Send `data` to `dst` under `tag`. In blocking mode this may
-    /// wait for the receiver (Fig. 4a); in non-blocking mode it
-    /// returns immediately (Fig. 4b).
+    /// Send `data` to `dst` under `tag`. In blocking mode a payload
+    /// above the eager threshold waits for the receiver (Fig. 4a); in
+    /// non-blocking mode it returns immediately (Fig. 4b). Either way
+    /// a PES send waits for the protocol's gate.
     pub fn send(&mut self, dst: Rank, tag: u32, data: &[u8]) -> Result<(), Fault> {
-        self.engine.send(dst, tag, Bytes::copy_from_slice(data))
+        self.send_bytes(dst, tag, Bytes::copy_from_slice(data))
     }
 
     /// Zero-copy variant of [`RankCtx::send`].
     pub fn send_bytes(&mut self, dst: Rank, tag: u32, data: Bytes) -> Result<(), Fault> {
-        self.engine.send(dst, tag, data)
+        self.engine.send(dst, tag, data, self.step)
     }
 
     /// Send an [`Encode`]-able value.
     pub fn send_value<T: Encode>(&mut self, dst: Rank, tag: u32, value: &T) -> Result<(), Fault> {
-        self.engine
-            .send(dst, tag, Bytes::from(lclog_wire::encode_to_vec(value)))
+        self.send_bytes(dst, tag, Bytes::from(lclog_wire::encode_to_vec(value)))
     }
 
-    /// Block until a message matching `spec` is deliverable.
+    /// Wait until a message matching `spec` is deliverable: the rank
+    /// parks until a later round ingests something for it.
     pub fn recv(&mut self, spec: RecvSpec) -> Result<AppMsg, Fault> {
-        self.engine.recv(spec)
+        self.engine.recv(spec, self.step)
     }
 
     /// Receive and decode a value. A payload that does not decode as
@@ -97,7 +98,7 @@ impl<'a> RankCtx<'a> {
     /// as [`Fault::Desync`] (crash-and-rebuild through the rollback
     /// path) rather than a process abort.
     pub fn recv_value<T: Decode>(&mut self, spec: RecvSpec) -> Result<(Rank, T), Fault> {
-        let msg = self.engine.recv(spec)?;
+        let msg = self.recv(spec)?;
         match lclog_wire::decode_from_slice(&msg.data) {
             Ok(value) => Ok((msg.src, value)),
             Err(_) => Err(Fault::Desync),

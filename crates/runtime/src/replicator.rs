@@ -11,7 +11,10 @@
 //! send hot path:
 //!
 //! * checkpoint writes and determinant appends are **offered**: the
-//!   object is filed in the spill buffer and the call returns;
+//!   call queues the object and returns; the next step or drain files
+//!   what was offered in the spill buffer in source order (generations
+//!   by rank, then log records), so ranks checkpointing on concurrent
+//!   threads cannot reorder it;
 //! * what drives the run ships with [`Replicator::step`], one round of a
 //!   bounded in-flight window per call. A failed put sets a
 //!   [`RetryBackoff`] full-jitter not-before time on the replicator's
@@ -33,14 +36,13 @@
 //!   generation wins, a checksum failure falls back one generation,
 //!   and the rank then rejoins through the normal ROLLBACK protocol.
 //!
-//! There is no thread: a `TaskJob` steps the replicator it owns after
-//! each sweep, on the run's virtual clock, so a log-shipping run is a
-//! pure function of its config; the thread engine steps it on its
-//! service thread, and `lclog-serve`'s pool steps its service-wide one
-//! (on [`Clock::Real`]) until idle after each pass over its jobs. One
-//! lock holds the whole state, and a step or a drain holds it for its
-//! remote operations, so the manifest is only ever written by one round
-//! at a time.
+//! There is no thread: both drivers step the replicator a run owns at
+//! the end of each round, on the run's virtual clock, so a log-shipping
+//! run is a pure function of its config; `lclog-serve`'s pool steps its
+//! service-wide one (on [`Clock::Real`]) until idle after each pass
+//! over its jobs. One lock holds the whole state, and a step or a drain
+//! holds it for its remote operations, so the manifest is only ever
+//! written by one round at a time.
 
 use crate::backoff::RetryBackoff;
 use crate::events::{EventKind, EventSink};
@@ -120,8 +122,9 @@ pub struct ReplicatorStats {
     pub degraded_windows: u32,
     /// Total time spent in closed degraded windows.
     pub degraded: Duration,
-    /// Peak bytes held in the spill buffer (after shedding — the
-    /// configured bound is never exceeded).
+    /// Peak bytes held in the spill buffer, after shedding: the
+    /// configured bound, unless the two newest pending generations of
+    /// every rank alone exceed it.
     pub spill_peak_bytes: usize,
     /// Objects shed from the spill buffer under memory pressure.
     pub spill_shed: u64,
@@ -137,6 +140,13 @@ pub struct ReplicatorStats {
     /// Objects still unshipped after the last drain (0 means the
     /// remote holds everything the manifest promises).
     pub unsynced_at_exit: u64,
+}
+
+/// An offer not yet filed in the spill buffer: a checkpoint
+/// generation `(key, bytes)`, or a record of the log `key`.
+enum Offer {
+    Generation(String, Vec<u8>),
+    Record(String, Vec<u8>),
 }
 
 /// One object waiting to ship.
@@ -228,21 +238,27 @@ impl ShipState {
     /// Enforce the spill byte bound, then note the spill peak. Shed
     /// order: (1) segments already covered by a newer checkpoint
     /// generation, oldest first — the generation embeds the sender-log
-    /// state they protect; (2) generations superseded by a newer
-    /// pending generation under the same rank prefix, oldest first;
-    /// (3) remaining segments, oldest first. The newest pending
-    /// generation per rank is never shed: it is exactly what a
-    /// node-loss restore needs.
+    /// state they protect; (2) generations with two newer pending
+    /// generations under the same rank prefix, oldest first; (3)
+    /// remaining segments, oldest first. The two newest pending
+    /// generations per rank are never shed: the newest is what a
+    /// node-loss restore needs, the second-newest what it falls back to
+    /// when the newest upload is torn.
     fn shed_to_bound(&mut self, limit: usize) {
         if self.pending_bytes + self.open_bytes > limit {
             let newest_gen_seq = self.newest_gen_seq;
-            let mut newest_per_prefix: HashMap<String, u64> = HashMap::new();
+            // Per rank: the two newest pending generations, newest first.
+            let mut newest_per_prefix: HashMap<String, [u64; 2]> = HashMap::new();
             for item in self.pending.iter() {
                 if item.kind == ObjectKind::Generation {
-                    let e = newest_per_prefix
+                    let top = newest_per_prefix
                         .entry(gen_prefix(&item.key))
-                        .or_insert(item.seq);
-                    *e = (*e).max(item.seq);
+                        .or_insert([0; 2]);
+                    if item.seq >= top[0] {
+                        *top = [item.seq, top[0]];
+                    } else {
+                        top[1] = top[1].max(item.seq);
+                    }
                 }
             }
             for pass in 0..3u8 {
@@ -255,8 +271,7 @@ impl ShipState {
                         }
                         (1, ObjectKind::Generation) => newest_per_prefix
                             .get(&gen_prefix(&item.key))
-                            .map(|&newest| item.seq < newest)
-                            .unwrap_or(false),
+                            .is_some_and(|top| item.seq < top[1]),
                         (2, ObjectKind::Segment) => true,
                         _ => false,
                     };
@@ -288,6 +303,8 @@ pub struct Replicator {
     /// Rank used for replicator-side timeline events (the stable
     /// service slot).
     service_rank: Rank,
+    /// Offers not yet filed, in arrival order.
+    offers: Mutex<Vec<Offer>>,
     state: Mutex<ShipState>,
 }
 
@@ -315,6 +332,7 @@ impl Replicator {
             clock,
             sink,
             service_rank,
+            offers: Mutex::new(Vec::new()),
             state: Mutex::new(ShipState {
                 pending: VecDeque::new(),
                 pending_bytes: 0,
@@ -335,34 +353,53 @@ impl Replicator {
         }
     }
 
-    /// Offer a sealed checkpoint generation for shipping: file it in
-    /// the spill buffer and return.
+    /// Offer a sealed checkpoint generation for shipping: queue it and
+    /// return; the next step or drain files it.
     pub fn offer_generation(&self, key: &str, bytes: &[u8]) {
-        let mut st = self.state.lock();
-        let seq = st.next_seq();
-        st.newest_gen_seq = Some(seq);
-        st.pending_bytes += bytes.len();
-        st.pending.push_back(Item {
-            kind: ObjectKind::Generation,
-            key: key.to_string(),
-            bytes: bytes.to_vec(),
-            seq,
-        });
-        st.shed_to_bound(self.cfg.spill_limit_bytes);
+        (self.offers.lock()).push(Offer::Generation(key.to_string(), bytes.to_vec()));
     }
 
     /// Offer one appended log record (e.g. a TEL determinant batch)
-    /// for segment shipping: buffer it and return.
+    /// for segment shipping: queue it and return, like a generation.
     pub fn offer_record(&self, log: &str, record: &[u8]) {
-        let mut st = self.state.lock();
-        st.open_bytes += record.len();
-        let buf = st.open.entry(log.to_string()).or_default();
-        buf.bytes += record.len();
-        buf.records.push(record.to_vec());
-        if buf.bytes >= SEGMENT_FLUSH_BYTES {
-            st.seal_segment(log);
+        (self.offers.lock()).push(Offer::Record(log.to_string(), record.to_vec()));
+    }
+
+    /// File the queued offers in the spill buffer in source order: the
+    /// generations by rank, then the log records (the event logger
+    /// appends them, on one thread); a source's offers keep their order.
+    fn file_offers(&self, st: &mut ShipState) {
+        let mut offers = std::mem::take(&mut *self.offers.lock());
+        offers.sort_by_key(|offer| match offer {
+            Offer::Generation(key, _) => key.split('/').nth(1).and_then(|r| r.parse().ok()),
+            Offer::Record(..) => Some(usize::MAX),
+        });
+        for offer in offers {
+            match offer {
+                Offer::Generation(key, bytes) => {
+                    let seq = st.next_seq();
+                    st.newest_gen_seq = Some(seq);
+                    st.pending_bytes += bytes.len();
+                    let kind = ObjectKind::Generation;
+                    st.pending.push_back(Item {
+                        kind,
+                        key,
+                        bytes,
+                        seq,
+                    });
+                }
+                Offer::Record(log, record) => {
+                    st.open_bytes += record.len();
+                    let buf = st.open.entry(log.clone()).or_default();
+                    buf.bytes += record.len();
+                    buf.records.push(record);
+                    if buf.bytes >= SEGMENT_FLUSH_BYTES {
+                        st.seal_segment(&log);
+                    }
+                }
+            }
+            st.shed_to_bound(self.cfg.spill_limit_bytes);
         }
-        st.shed_to_bound(self.cfg.spill_limit_bytes);
     }
 
     /// Snapshot the statistics so far.
@@ -374,7 +411,8 @@ impl Replicator {
     /// the ledger. Open segment buffers don't count: they seal on flush
     /// thresholds or at a drain.
     pub fn is_synced(&self) -> bool {
-        self.state.lock().is_synced()
+        let st = self.state.lock();
+        self.offers.lock().is_empty() && st.is_synced()
     }
 
     /// One shipping round, unless the not-before time has not come or
@@ -382,7 +420,10 @@ impl Replicator {
     /// True if anything was stored.
     pub fn step(&self) -> bool {
         match self.state.try_lock() {
-            Some(mut st) => self.round(&mut st, false),
+            Some(mut st) => {
+                self.file_offers(&mut st);
+                self.round(&mut st, false)
+            }
             None => false,
         }
     }
@@ -391,10 +432,11 @@ impl Replicator {
     /// sealed — plus a manifest naming it, at once: backoff and
     /// cooldown are not waited out, and the whole backlog goes before
     /// one manifest while the breaker is closed. Offers made meanwhile
-    /// wait for the drain. Gives up after [`DRAIN_FAILURES`] failed
+    /// wait for the drain. Gives up after `DRAIN_FAILURES` failed
     /// remote operations; true when synced.
     pub fn drain(&self) -> bool {
         let mut st = self.state.lock();
+        self.file_offers(&mut st);
         let logs: Vec<String> = st.open.keys().cloned().collect();
         for log in logs {
             st.seal_segment(&log);
@@ -735,7 +777,7 @@ mod tests {
         remote.set_available(false);
         let spill_limit = 2048;
         let clock = SimClock::new();
-        let sink = EventSink::recording();
+        let sink = EventSink::recording(Clock::Sim(clock.clone()));
         let repl = Replicator::new(
             remote.clone(),
             ReplicatorConfig::default().with_spill_limit(spill_limit),
@@ -810,6 +852,32 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e.kind, EventKind::DegradedExited { .. })));
+    }
+
+    /// The spill bound never sheds the generation a torn-upload
+    /// restore falls back to. During an outage rank 0 offers three
+    /// generations and rank 1 one, past the bound: only rank 0's oldest
+    /// may go. Once the backend is back and the newest upload is torn,
+    /// the restore falls back to the second-newest.
+    #[test]
+    fn a_full_spill_keeps_the_fallback_generation() {
+        let remote = Arc::new(FaultyRemote::new(MemRemote::new(), StorageChaos::seeded(5)));
+        remote.set_available(false);
+        let repl = replicator(
+            remote.clone(),
+            ReplicatorConfig::default().with_spill_limit(1100),
+        );
+        for v in 1..=3u64 {
+            repl.offer_generation(&CheckpointStore::key(0, v), &gen_blob(v as u8, 512));
+        }
+        repl.offer_generation(&CheckpointStore::key(1, 1), &gen_blob(9, 512));
+        repl.step();
+        assert_eq!(repl.stats().spill_shed, 1, "only rank 0's v1 may be shed");
+        remote.set_available(true);
+        assert!(repl.drain());
+        assert!(repl.corrupt_newest_remote_generation(0));
+        assert_eq!(repl.restore_rank(0, &MemStore::new()), Some(2));
+        assert_eq!(repl.stats().generations_skipped, 1);
     }
 
     #[test]

@@ -16,11 +16,9 @@
 //! `(epoch, floor[])` view to every rank, which fences the declared
 //! incarnation at their transports.
 //!
-//! One polled [`EventLogger`] serves both engines: the tasks sweep steps
-//! it after the ranks, the thread engine in a loop on a thread of its
-//! own ([`spawn_service`]), which also steps the run's replicator.
+//! One polled [`EventLogger`] serves both drivers: each steps it at
+//! the end of every round, before the run's replicator.
 
-use crate::backoff::Backoff;
 use crate::detector::MembershipTable;
 use crate::env::RunEnv;
 use crate::events::EventKind;
@@ -31,10 +29,7 @@ use lclog_simnet::{Clock, Endpoint, Envelope};
 use lclog_stable::CheckpointStore;
 use lclog_wire::encode_to_vec;
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Stable-storage key of the event log of **global** rank `rank`
 /// (co-resident jobs share a backend).
@@ -90,16 +85,13 @@ impl EventLogger {
         })
     }
 
-    /// Answer everything that arrives within `wait` (zero: only what
-    /// is already queued), then flush acks and run the retransmission
-    /// timers. True if anything arrived.
-    pub(crate) fn step(&mut self, wait: Duration) -> bool {
+    /// Answer everything queued, then flush acks and run the
+    /// retransmission timers. True if anything arrived.
+    pub(crate) fn step(&mut self) -> bool {
         let mut arrived = false;
-        let mut next = self.endpoint.recv_timeout(wait);
-        while let Ok(env) = next {
+        while let Ok(env) = self.endpoint.try_recv() {
             arrived = true;
             self.handle(env);
-            next = self.endpoint.try_recv();
         }
         self.transport.flush_acks();
         self.transport.tick();
@@ -198,39 +190,6 @@ impl EventLogger {
     }
 }
 
-/// The thread engine's service: step the run's [`EventLogger`] and the
-/// replicator it owns, whichever it has, on a thread of its own until
-/// the run shuts down. A run with neither gets no thread.
-pub(crate) fn spawn_service(env: &RunEnv) -> Option<JoinHandle<()>> {
-    let mut logger = EventLogger::attach(env);
-    let repl = env.own_replicator().cloned();
-    if logger.is_none() && repl.is_none() {
-        return None;
-    }
-    let shutdown = Arc::clone(&env.shutdown);
-    let handle = std::thread::Builder::new()
-        .name("lclog-service".into())
-        .spawn(move || {
-            let mut backoff = Backoff::new(Duration::from_micros(100), Duration::from_millis(5));
-            while !shutdown.load(Ordering::Relaxed) {
-                let wait = backoff.next_wait();
-                let mut busy = match &mut logger {
-                    Some(logger) => logger.step(wait),
-                    None => {
-                        std::thread::sleep(wait);
-                        false
-                    }
-                };
-                busy |= repl.as_ref().is_some_and(|repl| repl.step());
-                if busy {
-                    backoff.reset();
-                }
-            }
-        })
-        .expect("spawn service");
-    Some(handle)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,7 +198,7 @@ mod tests {
     use lclog_core::ProtocolKind;
 
     /// Regression: a determinant filed under another rank used to trip
-    /// a `debug_assert!` in the service thread; any fabric peer can
+    /// a `debug_assert!` in the service; any fabric peer can
     /// send one, so it is dropped and the service keeps answering.
     #[test]
     fn determinant_filed_under_another_receiver_is_dropped() {
@@ -267,7 +226,7 @@ mod tests {
         rank0.send_msg(logger, &WireMsg::LogDets(vec![det(1), det(0)]));
         rank0.send_msg(logger, &WireMsg::LogQuery(1));
         rank0.send_msg(logger, &WireMsg::LogQuery(0));
-        assert!(service.step(Duration::ZERO));
+        assert!(service.step());
         let mut answers = Vec::new();
         while let Ok(env) = ep0.try_recv() {
             if let Ingest::Data(inner) = rank0.ingest(logger, decode_envelope(&env)) {

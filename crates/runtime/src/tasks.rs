@@ -1,19 +1,16 @@
 //! Ranks as scheduler tasks: many rank state machines driven in
 //! rounds by one thread.
 //!
-//! The thread engine ([`crate::Cluster`]) is the faithful Fig. 4
-//! arrangement — one OS thread per rank — and tops out around n ≈ 64:
-//! beyond that, thread stacks and context switches dominate and an
-//! n = 1024 run is not even schedulable. This module runs the *same
-//! kernels* (same transport, sender log, checkpointing, rollback
-//! recovery) cooperatively instead: each rank is a [`TaskApp`] state
-//! machine, and kernel time is a scheduler-advanced virtual clock. A
-//! direct fabric runs in held mode, so delivery happens in
-//! deterministic sweeps; a timed one (a latency model, or chaos
-//! delays) keeps its release times, on the same virtual clock. One
-//! thread drives a round at a time, so a run is a pure function of its
-//! config: the same digests, messages, bytes, retransmissions and
-//! chaos counters every time.
+//! [`crate::Cluster::run`] gives every rank a stack of its own, so a
+//! [`RankApp`] can block inside `recv`; that tops out around n ≈ 64,
+//! where stacks and context switches dominate. This module runs the
+//! *same kernels* (same transport, sender log, checkpointing, rollback
+//! recovery) with no stacks at all: each rank is a [`TaskApp`] state
+//! machine that never blocks. Both drivers share the virtual clock, the
+//! held (or timed) fabric and the serial end of a round ([`Tail`]), so
+//! a run under either is a pure function of its config: the same
+//! digests, messages, bytes, retransmissions and chaos counters every
+//! time.
 //!
 //! A round is one sweep over every rank, in rank order:
 //!
@@ -22,18 +19,17 @@
 //!    desynchronized, through the one lifecycle of [`crate::env`]; it
 //!    stays down until [`RunEnv::may_respawn`] lets its successor up;
 //! 3. poll a live rank's state machine up to a bounded budget
-//!    (checkpointing between steps, exactly like the thread loop);
+//!    (checkpointing between steps, exactly like a rank's stack);
 //! 4. tick the kernel (retransmission timers, resync-request drain,
 //!    failure detector, rollback rebroadcast);
 //!
-//! then one step of the service slot (event logger and membership
-//! arbiter, if the run has one), one shipping step of the replicator
-//! the job owns (if it has a remote), and one [`TaskJob::advance`]:
-//! release all held fabric channels, advance the virtual clock (a timed
-//! fabric releases what then falls due at the next sweep's drains), and
-//! arm the watchdog. Completion leaves a rank serving its peers (drain +
-//! tick) until every rank is done — the cooperative version of
-//! `serve_until_shutdown`. A send PES's gate holds returns
+//! then the [`Tail`]: one step of the service slot (event logger and
+//! membership arbiter, if the run has one), one shipping step of the
+//! replicator the job owns (if it has a remote), the release of all
+//! held fabric channels, the clock's advance (a timed fabric releases
+//! what then falls due at the next sweep's drains) and the watchdog.
+//! Completion leaves a rank serving its peers (drain + tick) until
+//! every rank is done. A send PES's gate holds returns
 //! [`Fault::WouldBlock`], which the driver treats like
 //! [`TaskPoll::Pending`].
 //!
@@ -44,7 +40,6 @@
 //! and one replication pipeline.
 
 use crate::cluster::{ClusterConfig, RunReport};
-use crate::engine::Engine;
 use crate::env::{Death, RunEnv, TasksEnv};
 use crate::fault::{Fault, StepStatus};
 use crate::kernel::Kernel;
@@ -58,11 +53,77 @@ use lclog_wire::{Decode, Encode};
 use parking_lot::Mutex;
 use std::time::{Duration, Instant};
 
+/// Virtual time per round — enough that retransmission and rebroadcast
+/// timers make progress over tens of rounds without ever dominating.
+const ROUND_ADVANCE: Duration = Duration::from_micros(50);
+
+/// The serial end of every round, the same under both drivers
+/// ([`TaskJob`] and [`crate::Cluster::run`]): step the event logger
+/// and the replicator the run owns, release held frames, advance the
+/// virtual clock, check completion and the watchdog.
+pub(crate) struct Tail {
+    clock: SimClock,
+    logger: Option<EventLogger>,
+    /// When the run opened (the wall time a report states).
+    pub(crate) start: Instant,
+    max_wall: Duration,
+}
+
+impl Tail {
+    /// Open `cfg`'s run for a round driver: its clock becomes a virtual
+    /// one, a direct fabric is held (released once per round) and a
+    /// timed one keeps its release times on the virtual clock; the
+    /// service slot is attached before any kernel can send to it.
+    pub(crate) fn open(
+        cfg: &ClusterConfig,
+        host: Option<&TasksEnv>,
+    ) -> Result<(RunEnv, Tail), String> {
+        let clock = SimClock::new();
+        let mut cfg = cfg.clone();
+        cfg.run.clock = Clock::Sim(clock.clone());
+        if !cfg.net.is_timed() {
+            cfg.net.delivery = DeliveryModel::Held;
+        }
+        let env = RunEnv::open(&cfg, host)?;
+        let logger = EventLogger::attach(&env);
+        let tail = Tail {
+            clock,
+            logger,
+            start: Instant::now(),
+            max_wall: cfg.max_wall,
+        };
+        Ok((env, tail))
+    }
+
+    /// Close a round: whether anything arrived at the service slot or
+    /// held frames moved, and — once the run is over — `Ok` when every
+    /// rank finished, the watchdog's error when it fired.
+    pub(crate) fn close(&mut self, env: &RunEnv) -> (bool, Option<Result<(), String>>) {
+        let mut progressed = self.logger.as_mut().is_some_and(EventLogger::step);
+        if let Some(repl) = env.own_replicator() {
+            repl.step();
+        }
+        progressed |= env.net().held_deliver_all() > 0;
+        self.clock.advance(ROUND_ADVANCE);
+        let end = if env.done() == env.n {
+            Some(Ok(()))
+        } else if self.start.elapsed() > self.max_wall {
+            Some(Err(format!(
+                "watchdog fired after {:?} (protocol {}, {} ranks)",
+                self.max_wall, env.run.protocol, env.n
+            )))
+        } else {
+            None
+        };
+        (progressed, end)
+    }
+}
+
 /// What one poll of a task state machine produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskPoll {
     /// One application step completed — a checkpoint boundary, exactly
-    /// like [`StepStatus::Continue`] in the thread engine.
+    /// like [`StepStatus::Continue`] of a [`RankApp`].
     Step,
     /// Waiting on a message that has not arrived; poll again after the
     /// next delivery sweep. The task must NOT block its worker.
@@ -74,7 +135,7 @@ pub enum TaskPoll {
 /// A parallel application written as a poll-style state machine, the
 /// cooperative counterpart of [`RankApp`].
 ///
-/// The execution-model contract is the thread engine's: `poll` must be
+/// The execution-model contract is [`RankApp`]'s: `poll` must be
 /// a deterministic function of `(state, received messages)`, and a
 /// recovered incarnation re-polls from its last checkpointed state
 /// (re-sends are suppressed as repetitive by the kernel). The one new
@@ -95,50 +156,26 @@ pub trait TaskApp: Send + Sync + 'static {
     fn digest(&self, state: &Self::State) -> u64;
 }
 
-/// The runtime a task polls against: a bare kernel under the task
-/// scheduler, or a full engine when a [`TaskApp`] runs inside the
-/// thread engine via [`BlockingTaskApp`].
-enum TaskIo<'a> {
-    Kernel(&'a Kernel),
-    Engine(&'a Engine),
-}
-
 /// The runtime handle passed to [`TaskApp::poll`] — the non-blocking
-/// subset of [`RankCtx`].
+/// subset of [`RankCtx`], over the rank's kernel under either driver.
 pub struct TaskCtx<'a> {
-    io: TaskIo<'a>,
+    kernel: &'a Kernel,
     step: u64,
 }
 
 impl<'a> TaskCtx<'a> {
     fn for_kernel(kernel: &'a Kernel, step: u64) -> Self {
-        TaskCtx {
-            io: TaskIo::Kernel(kernel),
-            step,
-        }
-    }
-
-    pub(crate) fn for_engine(engine: &'a Engine, step: u64) -> Self {
-        TaskCtx {
-            io: TaskIo::Engine(engine),
-            step,
-        }
+        TaskCtx { kernel, step }
     }
 
     /// This process's rank.
     pub fn rank(&self) -> Rank {
-        match &self.io {
-            TaskIo::Kernel(k) => k.me(),
-            TaskIo::Engine(e) => e.me(),
-        }
+        self.kernel.me()
     }
 
     /// Number of application ranks.
     pub fn n(&self) -> usize {
-        match &self.io {
-            TaskIo::Kernel(k) => k.n(),
-            TaskIo::Engine(e) => e.n(),
-        }
+        self.kernel.n()
     }
 
     /// The current application step index.
@@ -155,15 +192,9 @@ impl<'a> TaskCtx<'a> {
 
     /// Zero-copy variant of [`TaskCtx::send`].
     pub fn send_bytes(&mut self, dst: Rank, tag: u32, data: Bytes) -> Result<(), Fault> {
-        match &self.io {
-            TaskIo::Kernel(k) => {
-                if k.try_app_send(dst, tag, data) {
-                    Ok(())
-                } else {
-                    Err(Fault::WouldBlock)
-                }
-            }
-            TaskIo::Engine(e) => e.send(dst, tag, data),
+        match self.kernel.try_app_send(dst, tag, data) {
+            true => Ok(()),
+            false => Err(Fault::WouldBlock),
         }
     }
 
@@ -176,10 +207,7 @@ impl<'a> TaskCtx<'a> {
     /// dependency gate opens right now; `Ok(None)` means return
     /// [`TaskPoll::Pending`] and try again after the next sweep.
     pub fn try_recv(&mut self, spec: RecvSpec) -> Result<Option<AppMsg>, Fault> {
-        match &self.io {
-            TaskIo::Kernel(k) => Ok(k.try_deliver(spec)),
-            TaskIo::Engine(e) => e.try_recv(spec),
-        }
+        Ok(self.kernel.try_deliver(spec))
     }
 
     /// Receive and decode a value. A payload that does not decode as
@@ -200,11 +228,11 @@ impl<'a> TaskCtx<'a> {
     }
 }
 
-/// Adapter running a [`TaskApp`] under the thread engine: `step` polls
-/// the state machine to its next step boundary, sleeping briefly on
-/// [`TaskPoll::Pending`]. This is how one workload runs under both
-/// engine modes, which is what makes cross-mode digest checks (and the
-/// SC1 scaling table's small-n thread baselines) possible.
+/// Adapter running a [`TaskApp`] under [`crate::Cluster::run`]: `step`
+/// polls the state machine to its next step boundary, parking until
+/// the next round while it is pending (or PES's gate holds a send).
+/// This is how one workload runs under both drivers, which is what
+/// makes cross-driver digest checks possible.
 pub struct BlockingTaskApp<A>(pub A);
 
 impl<A: TaskApp> RankApp for BlockingTaskApp<A> {
@@ -215,12 +243,14 @@ impl<A: TaskApp> RankApp for BlockingTaskApp<A> {
     }
 
     fn step(&self, ctx: &mut RankCtx<'_>, state: &mut Self::State) -> Result<StepStatus, Fault> {
+        let (engine, step) = (ctx.engine(), ctx.step());
         loop {
-            let mut tctx = TaskCtx::for_engine(ctx.engine(), ctx.step());
-            match self.0.poll(&mut tctx, state)? {
-                TaskPoll::Step => return Ok(StepStatus::Continue),
-                TaskPoll::Done => return Ok(StepStatus::Done),
-                TaskPoll::Pending => std::thread::sleep(Duration::from_micros(50)),
+            let mut tctx = TaskCtx::for_kernel(engine.kernel(), step);
+            match self.0.poll(&mut tctx, state) {
+                Ok(TaskPoll::Step) => return Ok(StepStatus::Continue),
+                Ok(TaskPoll::Done) => return Ok(StepStatus::Done),
+                Ok(TaskPoll::Pending) | Err(Fault::WouldBlock) => engine.next_round(step)?,
+                Err(fault) => return Err(fault),
             }
         }
     }
@@ -246,15 +276,12 @@ struct Slot<A: TaskApp> {
 /// Steps a slot may take per sweep before the sweep moves on to the
 /// next rank.
 const POLL_BUDGET: usize = 32;
-/// Virtual time per sweep — enough that retransmission and rebroadcast
-/// timers make progress over tens of sweeps without ever dominating.
-const SWEEP_ADVANCE: Duration = Duration::from_micros(50);
 
-/// Everything a round mutates: every rank's slot, the service slot,
+/// Everything a round mutates: every rank's slot, the round's tail,
 /// and how the job ended.
 struct Ranks<A: TaskApp> {
     slots: Vec<Slot<A>>,
-    logger: Option<EventLogger>,
+    tail: Tail,
     finished: bool,
     failure: Option<String>,
 }
@@ -269,10 +296,7 @@ struct Ranks<A: TaskApp> {
 pub struct TaskJob<A: TaskApp> {
     app: A,
     env: RunEnv,
-    clock: SimClock,
     ranks: Mutex<Ranks<A>>,
-    start: Instant,
-    max_wall: Duration,
 }
 
 impl<A: TaskApp> TaskJob<A> {
@@ -293,17 +317,7 @@ impl<A: TaskApp> TaskJob<A> {
 
     fn build(cfg: &ClusterConfig, app: A, host: Option<&TasksEnv>) -> Result<Self, String> {
         let n = cfg.n;
-        let clock = SimClock::new();
-        let mut cfg = cfg.clone();
-        cfg.run.clock = Clock::Sim(clock.clone());
-        // A direct fabric is held and released once per round; a timed
-        // one keeps its release times, now on the virtual clock. Either
-        // way one thread serves every rank deterministically.
-        if !cfg.net.is_timed() {
-            cfg.net.delivery = DeliveryModel::Held;
-        }
-        let env = RunEnv::open(&cfg, host)?;
-        let logger = EventLogger::attach(&env);
+        let (env, tail) = Tail::open(cfg, host)?;
         let slots = (env.attach().into_iter().enumerate())
             .map(|(rank, endpoint)| Slot {
                 rank,
@@ -319,15 +333,12 @@ impl<A: TaskApp> TaskJob<A> {
         Ok(TaskJob {
             app,
             env,
-            clock,
             ranks: Mutex::new(Ranks {
                 slots,
-                logger,
+                tail,
                 finished: false,
                 failure: None,
             }),
-            start: Instant::now(),
-            max_wall: cfg.max_wall,
         })
     }
 
@@ -360,9 +371,9 @@ impl<A: TaskApp> TaskJob<A> {
         self.sweep_ranks(&mut self.ranks.lock())
     }
 
-    /// Close the round: release held frames, advance virtual time,
-    /// check completion, arm the watchdog. Returns true if held frames
-    /// moved.
+    /// Close the round with its tail: event logger, replicator,
+    /// held frames, virtual time, completion, watchdog. Returns true if
+    /// anything arrived at the service slot or held frames moved.
     pub fn advance(&self) -> bool {
         self.advance_ranks(&mut self.ranks.lock())
     }
@@ -428,15 +439,9 @@ impl<A: TaskApp> TaskJob<A> {
                 progressed = true;
             }
             // 4. Timers, resync-request drain, detector, rollback
-            // rebroadcast. Done ranks keep ticking: the cooperative
-            // `serve_until_shutdown`.
+            // rebroadcast. Done ranks keep ticking: they serve their
+            // peers until every rank is done.
             slot.kernel.tick();
-        }
-        if let Some(logger) = &mut ranks.logger {
-            progressed |= logger.step(Duration::ZERO);
-        }
-        if let Some(repl) = self.env.own_replicator() {
-            repl.step();
         }
         progressed
     }
@@ -482,16 +487,10 @@ impl<A: TaskApp> TaskJob<A> {
     }
 
     fn advance_ranks(&self, ranks: &mut Ranks<A>) -> bool {
-        let progressed = self.env.net().held_deliver_all() > 0;
-        self.clock.advance(SWEEP_ADVANCE);
-        if self.env.done() == self.env.n {
+        let (progressed, end) = ranks.tail.close(&self.env);
+        if let Some(end) = end {
             ranks.finished = true;
-        } else if self.start.elapsed() > self.max_wall {
-            ranks.failure = Some(format!(
-                "tasks watchdog fired after {:?} (protocol {}, {} ranks)",
-                self.max_wall, self.env.run.protocol, self.env.n
-            ));
-            ranks.finished = true;
+            ranks.failure = end.err();
         }
         progressed
     }
@@ -505,8 +504,9 @@ impl<A: TaskApp> TaskJob<A> {
     /// Call after [`TaskJob::is_finished`]; a job-owned replicator is
     /// drained here, a host-owned one is only snapshotted.
     pub fn report(&self) -> Result<RunReport, String> {
-        let failure = self.ranks.lock().failure.clone();
-        self.env.report(self.start.elapsed(), failure)
+        let ranks = self.ranks.lock();
+        self.env
+            .report(ranks.tail.start.elapsed(), ranks.failure.clone())
     }
 
     /// Garbage-collect every checkpoint generation this job wrote,
@@ -864,13 +864,12 @@ mod tests {
     }
 
     /// The incarnation lifecycle is one piece of code under both
-    /// engines: a node loss on one rank and a plain kill on another at
-    /// the same step recover to the fault-free digests under threads
-    /// and under tasks, and each victim's timeline from `Crashed` to
-    /// its `ROLLBACK` broadcast reads the same on both. (Not to
-    /// `RecoverySynced`: with two ranks down at once the first
-    /// broadcast can miss the other victim, and under TDI the
-    /// application may finish before the rebroadcast is answered.)
+    /// drivers: a node loss on one rank and a plain kill on another at
+    /// the same step recover to the fault-free digests under
+    /// `Cluster::run` and under tasks, and each victim's whole timeline
+    /// from `Crashed` on reads the same on both — through
+    /// `RecoverySynced` for the node loss; the killed rank's
+    /// application finishes before its recovery syncs, on both.
     #[test]
     fn lifecycle_is_the_same_under_both_engines() {
         let app = || ExchangeRing { rounds: 8 };
@@ -883,20 +882,19 @@ mod tests {
         let tasks = run_tasks(&faulty, app()).unwrap();
         let lifecycle = |report: &RunReport, victim: Rank| -> Vec<&'static str> {
             let on_victim = report.timeline.iter().filter(|e| e.rank == victim);
-            let mut story: Vec<_> = on_victim
+            let story: Vec<_> = on_victim
                 .map(|e| match e.kind {
                     EventKind::Crashed { .. } => "crashed",
                     EventKind::StoreWiped { .. } => "store_wiped",
                     EventKind::RemoteRestored { .. } => "remote_restored",
                     EventKind::Spawned { .. } => "spawned",
                     EventKind::RollbackBroadcast { .. } => "rollback",
+                    EventKind::RecoverySynced { .. } => "synced",
                     _ => "",
                 })
                 .skip_while(|&name| name != "crashed")
                 .filter(|name| !name.is_empty())
                 .collect();
-            let first_rollback = story.iter().position(|&name| name == "rollback");
-            story.truncate(first_rollback.map_or(story.len(), |at| at + 1));
             story
         };
         for report in [&threads, &tasks] {
@@ -909,7 +907,8 @@ mod tests {
                     "store_wiped",
                     "spawned",
                     "remote_restored",
-                    "rollback"
+                    "rollback",
+                    "synced"
                 ]
             );
             assert_eq!(lifecycle(report, 0), ["crashed", "spawned", "rollback"]);

@@ -12,11 +12,9 @@
 //! release times (see [`crate::SimNet::with_clock`]), and every
 //! kernel-path timestamp of the runtime above it flows through the
 //! same clock, so under [`Clock::Sim`] retransmission backoff, detector
-//! accrual, rebroadcast intervals and fabric latency are all pure
-//! functions of the simulated schedule. Harness-side code (the cluster
-//! thread loop, the blocking engine's rendezvous spin, the event-sink
-//! timeline) intentionally keeps real time: it never runs on the
-//! deterministic path.
+//! accrual, rebroadcast intervals, rendezvous resends, timeline stamps
+//! and fabric latency are all pure functions of the simulated
+//! schedule. Only watchdogs and reported wall times read real time.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,7 +24,8 @@ use std::time::{Duration, Instant};
 /// Where the fabric and the kernel stack read "now" from.
 #[derive(Debug, Clone, Default)]
 pub enum Clock {
-    /// The wall clock (`Instant::now`) — production and threaded runs.
+    /// The wall clock (`Instant::now`) — the hosting service and
+    /// standalone fabrics.
     #[default]
     Real,
     /// A shared virtual clock advanced only by the simulation

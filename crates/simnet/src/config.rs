@@ -3,10 +3,9 @@ use std::time::Duration;
 
 /// How the fabric moves envelopes from sender to receiver.
 ///
-/// `Delayed` and `SharedBus` are *timed*: `send` gives each envelope a
-/// release time on the fabric's clock and parks it until then, and
-/// every `send`, `try_recv` and `recv_timeout` first releases whatever
-/// is due. Nothing runs in the background, so under a virtual clock
+/// `Delayed` and `SharedBus` are *timed*: each envelope gets a release
+/// time on the fabric's clock and is parked until then, and every
+/// `try_recv` first releases whatever is due. Nothing runs in the background, so under a virtual clock
 /// (see [`crate::SimNet::with_clock`]) the release schedule is a pure
 /// function of the sends and of when the clock is advanced.
 #[derive(Debug, Clone)]

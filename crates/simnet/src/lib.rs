@@ -20,11 +20,14 @@
 //!   fabric (in `lclog-runtime`) is responsible for masking these.
 //! * **Time is a release schedule, not a thread**: on a timed fabric
 //!   (a latency model, or chaos delays) `send` stamps each envelope
-//!   with a release time on the fabric's [`Clock`], and every `send`,
-//!   `try_recv` and `recv_timeout` first releases what is due. Built
-//!   with [`SimNet::with_clock`] over a [`SimClock`], latency and
-//!   chaos delays are as deterministic as the scheduler advancing the
-//!   clock.
+//!   with its send time on the fabric's [`Clock`], and every
+//!   [`Endpoint::try_recv`] first gives what was sent its release time
+//!   and releases what is due. Built with [`SimNet::with_clock`] over a
+//!   [`SimClock`], latency and chaos delays are as deterministic as the
+//!   scheduler advancing the clock, even when several threads send
+//!   between two releases.
+//! * **No blocking reader**: an endpoint's inbox is a queue under its
+//!   slot's lock; [`Endpoint::try_recv`] is the only way to read it.
 //! * **Crash = lost volatile state**: [`SimNet::kill`] drops the
 //!   endpoint, its queued messages, and everything in flight towards
 //!   it, scheduled or held. A later [`SimNet::respawn`] creates a
@@ -39,13 +42,12 @@
 //! ```
 //! use lclog_simnet::{NetConfig, SimNet};
 //! use bytes::Bytes;
-//! use std::time::Duration;
 //!
 //! let net = SimNet::new(2, NetConfig::direct());
 //! let ep0 = net.attach(0);
 //! let ep1 = net.attach(1);
 //! net.send(0, 1, Bytes::from_static(b"hi")).unwrap();
-//! let env = ep1.recv_timeout(Duration::from_secs(1)).unwrap();
+//! let env = ep1.try_recv().unwrap();
 //! assert_eq!(env.src, 0);
 //! assert_eq!(&env.payload[..], b"hi");
 //! drop(ep0);

@@ -1,13 +1,12 @@
 use crate::schedule::Schedule;
 use crate::{ChaosConfig, Clock, DeliveryModel, Envelope, NetConfig, NetStats, Rank};
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Errors returned by [`SimNet::send`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,12 +25,10 @@ impl fmt::Display for SendError {
 
 impl std::error::Error for SendError {}
 
-/// Errors returned by [`Endpoint::recv_timeout`] / [`Endpoint::try_recv`].
+/// Errors returned by [`Endpoint::try_recv`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecvError {
-    /// No message arrived before the deadline.
-    Timeout,
-    /// No message is currently queued (`try_recv` only).
+    /// No message is currently queued.
     Empty,
     /// This endpoint's incarnation has been killed; its inbox contents
     /// are lost.
@@ -41,7 +38,6 @@ pub enum RecvError {
 impl fmt::Display for RecvError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RecvError::Timeout => write!(f, "receive timed out"),
             RecvError::Empty => write!(f, "no message queued"),
             RecvError::Dead => write!(f, "endpoint incarnation is dead"),
         }
@@ -53,8 +49,8 @@ impl std::error::Error for RecvError {}
 enum SlotState {
     /// No endpoint has attached yet.
     Detached,
-    /// Live endpoint; envelopes flow into this channel.
-    Attached(Sender<Envelope>),
+    /// Live endpoint; envelopes queue in its inbox.
+    Attached(VecDeque<Envelope>),
     /// Killed; envelopes addressed here are dropped.
     Dead,
 }
@@ -91,16 +87,11 @@ impl Fabric {
     /// Place `env` into the destination inbox if its current
     /// incarnation is alive; otherwise drop it (crash-loss model).
     fn deliver(&self, env: Envelope) {
-        let slot = self.slots[env.dst].lock();
-        match &slot.state {
-            SlotState::Attached(tx) => {
-                // The receiver can only disappear if the endpoint was
-                // dropped without `kill`; treat that as dead too.
-                if tx.send(env).is_ok() {
-                    self.stats.record_delivered();
-                } else {
-                    self.stats.record_dropped_dead(1);
-                }
+        let mut slot = self.slots[env.dst].lock();
+        match &mut slot.state {
+            SlotState::Attached(inbox) => {
+                inbox.push_back(env);
+                self.stats.record_delivered();
             }
             SlotState::Detached | SlotState::Dead => {
                 self.stats.record_dropped_dead(1);
@@ -108,20 +99,16 @@ impl Fabric {
         }
     }
 
-    /// Release every timed envelope that is due, in release order,
-    /// and return how long until the next one (`None`: nothing is
-    /// scheduled, or the fabric is not timed). Delivering under the
-    /// schedule lock keeps two concurrent releasers from reordering a
-    /// pair.
-    fn release_due(&self) -> Option<Duration> {
-        let Flight::Timed(schedule) = &self.flight else {
-            return None;
-        };
-        let mut schedule = schedule.lock();
-        while let Some(env) = schedule.pop_due() {
-            self.deliver(env);
+    /// Release every timed envelope that is due, in release order.
+    /// Delivering under the schedule lock keeps two concurrent
+    /// releasers from reordering a pair.
+    fn release_due(&self) {
+        if let Flight::Timed(schedule) = &self.flight {
+            let mut schedule = schedule.lock();
+            while let Some(env) = schedule.pop_due() {
+                self.deliver(env);
+            }
         }
-        schedule.next_release_in()
     }
 
     fn held(&self) -> Option<&Mutex<Vec<VecDeque<Envelope>>>> {
@@ -129,11 +116,6 @@ impl Fabric {
             Flight::Held(held) => Some(held),
             _ => None,
         }
-    }
-
-    fn is_current(&self, rank: Rank, incarnation: u64) -> bool {
-        let slot = self.slots[rank].lock();
-        slot.incarnation == incarnation && matches!(slot.state, SlotState::Attached(_))
     }
 }
 
@@ -198,18 +180,16 @@ impl SimNet {
     /// [`SimNet::respawn`] after a kill).
     pub fn attach(&self, rank: Rank) -> Endpoint {
         assert!(rank < self.fabric.n, "rank {rank} out of range");
-        let (tx, rx) = channel::unbounded();
         let mut slot = self.fabric.slots[rank].lock();
         assert!(
             matches!(slot.state, SlotState::Detached),
             "rank {rank} already attached; kill + respawn to reincarnate"
         );
         slot.incarnation = 1;
-        slot.state = SlotState::Attached(tx);
+        slot.state = SlotState::Attached(VecDeque::new());
         Endpoint {
             rank,
             incarnation: 1,
-            rx,
             fabric: Arc::clone(&self.fabric),
         }
     }
@@ -238,7 +218,6 @@ impl SimNet {
     /// rank with an empty inbox.
     pub fn respawn(&self, rank: Rank) -> Endpoint {
         assert!(rank < self.fabric.n, "rank {rank} out of range");
-        let (tx, rx) = channel::unbounded();
         let mut slot = self.fabric.slots[rank].lock();
         assert!(
             !matches!(slot.state, SlotState::Attached(_)),
@@ -246,11 +225,10 @@ impl SimNet {
         );
         slot.incarnation += 1;
         let incarnation = slot.incarnation;
-        slot.state = SlotState::Attached(tx);
+        slot.state = SlotState::Attached(VecDeque::new());
         Endpoint {
             rank,
             incarnation,
-            rx,
             fabric: Arc::clone(&self.fabric),
         }
     }
@@ -273,8 +251,8 @@ impl SimNet {
     /// chaos seed and the per-link sequence number, so a schedule
     /// replays identically for the same per-link send sequence.
     ///
-    /// On a timed fabric the envelope is scheduled, and then whatever
-    /// is due (it included) is released.
+    /// On a timed fabric the envelope is scheduled; the next
+    /// [`Endpoint::try_recv`] on the fabric releases it once due.
     pub fn send(&self, src: Rank, dst: Rank, payload: Bytes) -> Result<(), SendError> {
         self.send_parts(src, dst, payload, Bytes::new())
     }
@@ -363,8 +341,6 @@ impl SimNet {
                 for _ in 0..copies {
                     schedule.push(env.clone(), delay);
                 }
-                drop(schedule);
-                self.fabric.release_due();
             }
         }
         Ok(())
@@ -445,7 +421,6 @@ impl fmt::Debug for SimNet {
 pub struct Endpoint {
     rank: Rank,
     incarnation: u64,
-    rx: Receiver<Envelope>,
     fabric: Arc<Fabric>,
 }
 
@@ -460,54 +435,18 @@ impl Endpoint {
         self.incarnation
     }
 
-    /// True while this incarnation is the live one.
-    pub fn is_alive(&self) -> bool {
-        self.fabric.is_current(self.rank, self.incarnation)
-    }
-
-    /// Block up to `timeout` for the next envelope. On a timed fabric
-    /// the wait lasts at most until the fabric's next release, which
-    /// this call then makes, whoever the envelope is for.
+    /// The next queued envelope, after releasing whatever is due.
     ///
-    /// Returns [`RecvError::Dead`] as soon as this incarnation has
-    /// been killed — queued messages are *not* drained, matching the
+    /// Returns [`RecvError::Dead`] once this incarnation has been
+    /// killed — queued messages are *not* drained, matching the
     /// lost-volatile-state crash model.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if !self.is_alive() {
-                return Err(RecvError::Dead);
-            }
-            let next = self.fabric.release_due();
-            let left = deadline.saturating_duration_since(Instant::now());
-            match self
-                .rx
-                .recv_timeout(next.map_or(left, |next| next.min(left)))
-            {
-                Ok(env) if self.is_alive() => return Ok(env),
-                Ok(_) | Err(RecvTimeoutError::Disconnected) => return Err(RecvError::Dead),
-                Err(RecvTimeoutError::Timeout) if left.is_zero() => {
-                    return Err(if self.is_alive() {
-                        RecvError::Timeout
-                    } else {
-                        RecvError::Dead
-                    });
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-            }
-        }
-    }
-
-    /// Non-blocking receive (after releasing whatever is due).
     pub fn try_recv(&self) -> Result<Envelope, RecvError> {
-        if !self.is_alive() {
-            return Err(RecvError::Dead);
-        }
         self.fabric.release_due();
-        match self.rx.try_recv() {
-            Ok(env) => Ok(env),
-            Err(TryRecvError::Empty) => Err(RecvError::Empty),
-            Err(TryRecvError::Disconnected) => Err(RecvError::Dead),
+        let mut slot = self.fabric.slots[self.rank].lock();
+        let current = slot.incarnation == self.incarnation;
+        match &mut slot.state {
+            SlotState::Attached(inbox) if current => inbox.pop_front().ok_or(RecvError::Empty),
+            _ => Err(RecvError::Dead),
         }
     }
 }

@@ -2,10 +2,8 @@
 //! the counters, and a seeded schedule replays identically.
 
 use bytes::Bytes;
-use lclog_simnet::{ChaosConfig, NetConfig, Partition, RecvError, SimNet};
+use lclog_simnet::{ChaosConfig, Clock, NetConfig, Partition, RecvError, SimClock, SimNet};
 use std::time::Duration;
-
-const TICK: Duration = Duration::from_millis(200);
 
 /// Runs a fixed scripted traffic pattern and returns
 /// `(fault counters, digest of every delivered (src, seq, payload))`.
@@ -94,7 +92,7 @@ fn clean_chaos_config_is_transparent() {
     let _ep0 = net.attach(0);
     let ep1 = net.attach(1);
     net.send(0, 1, Bytes::from_static(b"hi")).unwrap();
-    assert_eq!(&ep1.recv_timeout(TICK).unwrap().payload[..], b"hi");
+    assert_eq!(&ep1.try_recv().unwrap().payload[..], b"hi");
 }
 
 #[test]
@@ -105,8 +103,8 @@ fn duplicates_share_the_fabric_seq() {
     let _ep0 = net.attach(0);
     let ep1 = net.attach(1);
     net.send(0, 1, Bytes::from_static(b"x")).unwrap();
-    let a = ep1.recv_timeout(TICK).unwrap();
-    let b = ep1.recv_timeout(TICK).unwrap();
+    let a = ep1.try_recv().unwrap();
+    let b = ep1.try_recv().unwrap();
     assert_eq!(a.seq, b.seq);
     assert_eq!(&a.payload[..], &b.payload[..]);
     assert_eq!(net.stats().chaos_duplicated(), 1);
@@ -119,7 +117,7 @@ fn corruption_flips_exactly_one_bit() {
     let ep1 = net.attach(1);
     let clean = vec![0u8; 32];
     net.send(0, 1, Bytes::from(clean.clone())).unwrap();
-    let env = ep1.recv_timeout(TICK).unwrap();
+    let env = ep1.try_recv().unwrap();
     let flipped: u32 = env
         .payload
         .iter()
@@ -134,18 +132,24 @@ fn corruption_flips_exactly_one_bit() {
 fn stalls_delay_but_deliver() {
     let stall = Duration::from_millis(20);
     let chaos = ChaosConfig::seeded(5).with_heavy_tail(1.0, stall, 0.0, stall);
-    let net = SimNet::new(2, NetConfig::direct().with_chaos(chaos));
+    let clock = SimClock::new();
+    let net = SimNet::with_clock(
+        2,
+        NetConfig::direct().with_chaos(chaos),
+        Clock::Sim(clock.clone()),
+    );
     let _ep0 = net.attach(0);
     let ep1 = net.attach(1);
-    let start = std::time::Instant::now();
     net.send(0, 1, Bytes::from_static(b"slow")).unwrap();
-    let env = ep1.recv_timeout(Duration::from_secs(5)).unwrap();
-    assert_eq!(&env.payload[..], b"slow");
-    assert!(
-        start.elapsed() >= Duration::from_millis(15),
-        "stall should impose noticeable delay, took {:?}",
-        start.elapsed()
+    clock.advance(stall - Duration::from_micros(1));
+    assert_eq!(
+        ep1.try_recv().unwrap_err(),
+        RecvError::Empty,
+        "still stalled"
     );
+    clock.advance(Duration::from_micros(1));
+    let env = ep1.try_recv().unwrap();
+    assert_eq!(&env.payload[..], b"slow");
     assert_eq!(net.stats().chaos_stalled(), 1);
 }
 

@@ -1,14 +1,25 @@
 //! Behavioural tests of the simulated fabric: FIFO, reordering,
-//! crash-loss semantics, incarnations, and traffic accounting.
+//! crash-loss semantics, incarnations, and traffic accounting. Timed
+//! fabrics run on a virtual clock the test advances explicitly.
 
 use bytes::Bytes;
 use lclog_simnet::{Clock, NetConfig, RecvError, SendError, SimClock, SimNet};
 use std::time::Duration;
 
+/// Longer than any release time the timed tests schedule.
 const TICK: Duration = Duration::from_millis(500);
 
 fn payload(tag: u8) -> Bytes {
     Bytes::copy_from_slice(&[tag])
+}
+
+/// An `n`-slot fabric on a virtual clock, and the clock.
+fn on_sim_clock(n: usize, config: NetConfig) -> (SimNet, SimClock) {
+    let clock = SimClock::new();
+    (
+        SimNet::with_clock(n, config, Clock::Sim(clock.clone())),
+        clock,
+    )
 }
 
 #[test]
@@ -17,7 +28,7 @@ fn direct_delivery_roundtrip() {
     let _ep0 = net.attach(0);
     let ep1 = net.attach(1);
     net.send(0, 1, payload(7)).unwrap();
-    let env = ep1.recv_timeout(TICK).unwrap();
+    let env = ep1.try_recv().unwrap();
     assert_eq!(env.src, 0);
     assert_eq!(env.dst, 1);
     assert_eq!(env.seq, 1);
@@ -32,7 +43,7 @@ fn per_pair_seq_increments() {
     for _ in 0..3 {
         net.send(0, 1, payload(0)).unwrap();
     }
-    let seqs: Vec<u64> = (0..3).map(|_| ep1.recv_timeout(TICK).unwrap().seq).collect();
+    let seqs: Vec<u64> = (0..3).map(|_| ep1.try_recv().unwrap().seq).collect();
     assert_eq!(seqs, vec![1, 2, 3]);
 }
 
@@ -40,7 +51,7 @@ fn per_pair_seq_increments() {
 fn delayed_model_preserves_per_pair_fifo() {
     // Large jitter relative to base: cross-pair reordering is nearly
     // certain, but per-pair FIFO must hold exactly.
-    let net = SimNet::new(3, NetConfig::delayed(
+    let (net, clock) = on_sim_clock(3, NetConfig::delayed(
         Duration::from_micros(10),
         Duration::ZERO,
         Duration::from_millis(2),
@@ -54,9 +65,10 @@ fn delayed_model_preserves_per_pair_fifo() {
         net.send(0, 2, payload(i as u8)).unwrap();
         net.send(1, 2, payload(i as u8)).unwrap();
     }
+    clock.advance(TICK);
     let mut last_seq = [0u64; 2];
     for _ in 0..2 * PER_SENDER {
-        let env = ep2.recv_timeout(TICK).unwrap();
+        let env = ep2.try_recv().unwrap();
         assert_eq!(
             env.seq,
             last_seq[env.src] + 1,
@@ -72,7 +84,7 @@ fn delayed_model_preserves_per_pair_fifo() {
 fn delayed_model_reorders_across_pairs() {
     // With per-KiB cost, a huge message from rank 0 sent *before* a
     // tiny message from rank 1 should usually arrive after it.
-    let net = SimNet::new(3, NetConfig::delayed(
+    let (net, clock) = on_sim_clock(3, NetConfig::delayed(
         Duration::from_micros(10),
         Duration::from_micros(200),
         Duration::ZERO,
@@ -83,9 +95,10 @@ fn delayed_model_reorders_across_pairs() {
     let ep2 = net.attach(2);
     net.send(0, 2, Bytes::from(vec![0u8; 64 * 1024])).unwrap();
     net.send(1, 2, payload(1)).unwrap();
-    let first = ep2.recv_timeout(TICK).unwrap();
+    clock.advance(TICK);
+    let first = ep2.try_recv().unwrap();
     assert_eq!(first.src, 1, "small message should overtake the large one");
-    let second = ep2.recv_timeout(TICK).unwrap();
+    let second = ep2.try_recv().unwrap();
     assert_eq!(second.src, 0);
 }
 
@@ -97,8 +110,7 @@ fn kill_drops_queued_and_future_messages() {
     net.send(0, 1, payload(1)).unwrap();
     net.kill(1);
     // Queued message is lost: the dead endpoint refuses to read.
-    assert_eq!(ep1.recv_timeout(TICK).unwrap_err(), RecvError::Dead);
-    assert!(!ep1.is_alive());
+    assert_eq!(ep1.try_recv().unwrap_err(), RecvError::Dead);
     // Sends to a dead rank succeed but are dropped.
     net.send(0, 1, payload(2)).unwrap();
     assert_eq!(net.stats().msgs_dropped_dead(), 1);
@@ -113,12 +125,11 @@ fn respawn_gets_fresh_empty_inbox() {
     net.kill(1);
     let ep1b = net.respawn(1);
     assert_eq!(ep1b.incarnation(), 2);
-    assert!(ep1b.is_alive());
-    assert!(!ep1.is_alive());
+    assert_eq!(ep1.try_recv().unwrap_err(), RecvError::Dead);
     // Old queued message is gone; a fresh one arrives.
     assert_eq!(ep1b.try_recv().unwrap_err(), RecvError::Empty);
     net.send(0, 1, payload(9)).unwrap();
-    let env = ep1b.recv_timeout(TICK).unwrap();
+    let env = ep1b.try_recv().unwrap();
     assert_eq!(&env.payload[..], &[9]);
     // Fabric seq keeps counting across incarnations.
     assert_eq!(env.seq, 2);
@@ -132,8 +143,8 @@ fn stale_endpoint_cannot_steal_new_incarnation_traffic() {
     net.kill(1);
     let ep1_new = net.respawn(1);
     net.send(0, 1, payload(3)).unwrap();
-    assert_eq!(ep1_old.recv_timeout(TICK).unwrap_err(), RecvError::Dead);
-    assert_eq!(&ep1_new.recv_timeout(TICK).unwrap().payload[..], &[3]);
+    assert_eq!(ep1_old.try_recv().unwrap_err(), RecvError::Dead);
+    assert_eq!(&ep1_new.try_recv().unwrap().payload[..], &[3]);
 }
 
 #[test]
@@ -150,8 +161,8 @@ fn stats_account_for_traffic() {
     let ep1 = net.attach(1);
     net.send(0, 1, Bytes::from(vec![0u8; 10])).unwrap();
     net.send(0, 1, Bytes::from(vec![0u8; 20])).unwrap();
-    let _ = ep1.recv_timeout(TICK).unwrap();
-    let _ = ep1.recv_timeout(TICK).unwrap();
+    let _ = ep1.try_recv().unwrap();
+    let _ = ep1.try_recv().unwrap();
     assert_eq!(net.stats().msgs_sent(), 2);
     assert_eq!(net.stats().bytes_sent(), 30);
     assert_eq!(net.stats().msgs_delivered(), 2);
@@ -186,7 +197,7 @@ fn frames_in_flight_outlive_the_last_handle_and_arrive_when_due() {
 fn kill_drops_frames_in_flight_toward_the_slot() {
     // A frame still in flight at the kill belongs to the dead
     // incarnation: the successor, respawned at once, never sees it.
-    let net = SimNet::new(
+    let (net, clock) = on_sim_clock(
         2,
         NetConfig::delayed(Duration::from_millis(5), Duration::ZERO, Duration::ZERO, 3),
     );
@@ -195,26 +206,20 @@ fn kill_drops_frames_in_flight_toward_the_slot() {
     net.send(0, 1, payload(1)).unwrap();
     net.kill(1);
     let successor = net.respawn(1);
-    assert_eq!(
-        successor
-            .recv_timeout(Duration::from_millis(50))
-            .unwrap_err(),
-        RecvError::Timeout
-    );
+    clock.advance(TICK);
+    assert_eq!(successor.try_recv().unwrap_err(), RecvError::Empty);
     assert_eq!(net.stats().msgs_dropped_dead(), 1);
     // What is sent to the successor still arrives.
     net.send(0, 1, payload(2)).unwrap();
-    assert_eq!(&successor.recv_timeout(TICK).unwrap().payload[..], &[2]);
+    clock.advance(TICK);
+    assert_eq!(&successor.try_recv().unwrap().payload[..], &[2]);
 }
 
 #[test]
-fn timeout_when_no_traffic() {
+fn try_recv_without_traffic_is_empty() {
     let net = SimNet::new(1, NetConfig::direct());
     let ep0 = net.attach(0);
-    assert_eq!(
-        ep0.recv_timeout(Duration::from_millis(10)).unwrap_err(),
-        RecvError::Timeout
-    );
+    assert_eq!(ep0.try_recv().unwrap_err(), RecvError::Empty);
 }
 
 #[test]
@@ -228,55 +233,55 @@ fn self_send_works() {
     let net = SimNet::new(1, NetConfig::direct());
     let ep0 = net.attach(0);
     net.send(0, 0, payload(4)).unwrap();
-    let env = ep0.recv_timeout(TICK).unwrap();
+    let env = ep0.try_recv().unwrap();
     assert_eq!(env.src, 0);
     assert_eq!(&env.payload[..], &[4]);
 }
 
 #[test]
 fn shared_bus_serializes_transmissions() {
-    // Two large frames submitted back-to-back: the second's delivery
-    // is delayed by the first's transmission time on the shared
-    // medium (even though they go to different receivers).
-    let net = SimNet::new(3, NetConfig {
+    // Two frames submitted back-to-back: the second's delivery is
+    // delayed by the first's transmission time on the shared medium
+    // (even though they go to different receivers).
+    let latency = Duration::from_micros(10);
+    let (net, clock) = on_sim_clock(3, NetConfig {
         delivery: lclog_simnet::DeliveryModel::SharedBus {
-            latency: Duration::from_micros(10),
-            bytes_per_sec: 10 * 1024 * 1024, // 10 MiB/s: 1 MiB ≈ 100 ms
+            latency,
+            bytes_per_sec: 10 * 1024 * 1024, // 10 MiB/s: 1 MiB = 100 ms
         },
         chaos: None,
     });
     let _ep0 = net.attach(0);
     let ep1 = net.attach(1);
     let ep2 = net.attach(2);
-    let big = Bytes::from(vec![0u8; 1024 * 1024]);
-    let start = std::time::Instant::now();
-    net.send(0, 1, big.clone()).unwrap();
+    net.send(0, 1, Bytes::from(vec![0u8; 1024 * 1024])).unwrap();
     net.send(0, 2, Bytes::from_static(b"tiny")).unwrap();
-    let _ = ep1.recv_timeout(Duration::from_secs(5)).unwrap();
-    let first_done = start.elapsed();
-    let _ = ep2.recv_timeout(Duration::from_secs(5)).unwrap();
-    let second_done = start.elapsed();
-    assert!(
-        first_done >= Duration::from_millis(80),
-        "big frame should take ~100 ms on the bus, took {first_done:?}"
-    );
-    assert!(
-        second_done >= first_done,
+    clock.advance(Duration::from_millis(80));
+    assert_eq!(ep1.try_recv().unwrap_err(), RecvError::Empty, "still on the bus");
+    assert_eq!(ep2.try_recv().unwrap_err(), RecvError::Empty, "queued behind it");
+    clock.advance(Duration::from_millis(20) + latency);
+    assert!(ep1.try_recv().is_ok(), "the big frame arrives after 100 ms");
+    assert_eq!(
+        ep2.try_recv().unwrap_err(),
+        RecvError::Empty,
         "the tiny frame must queue behind the big one"
     );
+    clock.advance(Duration::from_micros(1));
+    assert!(ep2.try_recv().is_ok());
 }
 
 #[test]
 fn shared_bus_preserves_per_pair_fifo() {
-    let net = SimNet::new(2, NetConfig::shared_bus());
+    let (net, clock) = on_sim_clock(2, NetConfig::shared_bus());
     let _ep0 = net.attach(0);
     let ep1 = net.attach(1);
     for _ in 0..40 {
         net.send(0, 1, payload(0)).unwrap();
     }
+    clock.advance(TICK);
     let mut last = 0;
     for _ in 0..40 {
-        let env = ep1.recv_timeout(TICK).unwrap();
+        let env = ep1.try_recv().unwrap();
         assert_eq!(env.seq, last + 1);
         last = env.seq;
     }

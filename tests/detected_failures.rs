@@ -1,7 +1,7 @@
 //! Detected failures end to end: the detector + membership + fencing
 //! stack replaces announced failures, and recovery must still be
-//! exactly-once. The NPB runs use the thread engine (wall clock); the
-//! chaos run uses the tasks engine (virtual clock) and repeats exactly.
+//! exactly-once. The NPB runs go through `Cluster::run`, the chaos run
+//! through the tasks driver; both run on a virtual clock.
 
 use std::time::Duration;
 

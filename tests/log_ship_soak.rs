@@ -21,10 +21,11 @@ const SEEDS: [u64; 8] = [
     0x0007, 0x00b5, 0x0dad, 0xbeef, 0xcafe, 0x2468, 0x8d31, 0xfade,
 ];
 
-// Must sit above the un-sheddable floor: the newest generation per
-// rank (what a node-loss restore needs) is never shed, and Test-class
-// checkpoint images run tens of KiB each across 4 ranks.
-const SPILL_LIMIT: usize = 192 * 1024;
+// Must sit above the un-sheddable floor: the two newest generations
+// per rank (what a node-loss restore needs, and what it falls back to
+// past a torn upload) are never shed, and Test-class checkpoint images
+// run tens of KiB each across 4 ranks.
+const SPILL_LIMIT: usize = 384 * 1024;
 
 fn protocol_for(seed: u64) -> ProtocolKind {
     match seed % 3 {
