@@ -578,10 +578,11 @@ pub fn scaling_table() -> Table {
 }
 
 /// HP1 (kernel hot path): the digest-parity gate that guards the
-/// data plane — clean vs. mid-run kill, across both engines (threaded
-/// ranks, ranks-as-tasks) and both tracking protocols (TDI, TDI-S). A
-/// `false` in `digest_ok` means the data plane broke exactly-once
-/// recovery. What the hot path costs is `lcbench`'s to say
+/// data plane — clean vs. mid-run kill, for both kinds of application
+/// (an `async` [`lclog_runtime::RankApp`] and a poll-style
+/// [`lclog_runtime::TaskApp`]) and both tracking protocols (TDI,
+/// TDI-S). A `false` in `digest_ok` means the data plane broke
+/// exactly-once recovery. What the hot path costs is `lcbench`'s to say
 /// (`pair_stream`, `pair_pingpong`, `lu_threads`).
 pub fn hotpath_table() -> Table {
     let mut t = Table::new(
@@ -589,13 +590,14 @@ pub fn hotpath_table() -> Table {
         &["cell", "engine", "protocol", "kills", "digest_ok"],
     );
     // Digest parity: the data plane must reproduce fault-free
-    // digests through a mid-run kill on every engine × protocol cell.
+    // digests through a mid-run kill on every application × protocol
+    // cell.
     let class = Class::Test;
     let steps = total_steps(Benchmark::Lu, class);
     let ckpt = (steps / 6).max(2);
     let rounds: u64 = 16;
     for kind in [ProtocolKind::Tdi, ProtocolKind::TdiSparse(32)] {
-        let threaded = |kill: bool| {
+        let rank_app = |kill: bool| {
             let mut c = ClusterConfig::new(
                 8,
                 RunConfig::new(kind).with_checkpoint(CheckpointPolicy::EverySteps(ckpt)),
@@ -606,16 +608,16 @@ pub fn hotpath_table() -> Table {
             c.max_wall = Duration::from_secs(600);
             run_benchmark(Benchmark::Lu, class, &c).expect("hotpath parity run")
         };
-        let clean = threaded(false);
-        let faulty = threaded(true);
+        let clean = rank_app(false);
+        let faulty = rank_app(true);
         t.row(vec![
             "parity_kill".to_string(),
-            "threads".to_string(),
+            "rank_app".to_string(),
             kind.to_string(),
             faulty.kills.to_string(),
             (faulty.kills >= 1 && faulty.digests == clean.digests).to_string(),
         ]);
-        let tasks = |kill: bool| {
+        let task_app = |kill: bool| {
             let failures = if kill {
                 FailurePlan::kill_at(1, rounds / 2)
             } else {
@@ -636,11 +638,11 @@ pub fn hotpath_table() -> Table {
             )
             .expect("hotpath tasks parity run")
         };
-        let clean = tasks(false);
-        let faulty = tasks(true);
+        let clean = task_app(false);
+        let faulty = task_app(true);
         t.row(vec![
             "parity_kill".to_string(),
-            "tasks".to_string(),
+            "task_app".to_string(),
             kind.to_string(),
             faulty.kills.to_string(),
             (faulty.kills >= 1 && faulty.digests == clean.digests).to_string(),
@@ -917,7 +919,7 @@ mod tests {
     #[test]
     fn hotpath_table_keeps_digest_parity() {
         let rows = rows("hotpath");
-        assert_eq!(rows.len(), 4, "2 engines x 2 protocols");
+        assert_eq!(rows.len(), 4, "2 application kinds x 2 protocols");
         for r in &rows {
             assert_eq!(
                 (r["kills"].as_str(), r["digest_ok"].as_str()),

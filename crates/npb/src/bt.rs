@@ -79,7 +79,7 @@ impl RankApp for BtApp {
         }
     }
 
-    fn step(&self, ctx: &mut RankCtx<'_>, state: &mut BtState) -> Result<StepStatus, Fault> {
+    async fn step(&self, ctx: &mut RankCtx<'_>, state: &mut BtState) -> Result<StepStatus, Fault> {
         let (_, iters) = self.class.adi_dims();
         if state.iter >= iters {
             return Ok(StepStatus::Done);
@@ -91,28 +91,30 @@ impl RankApp for BtApp {
                 // one whole 5-component face.
                 let (ny, nz) = (state.u.ny, state.u.nz);
                 let ghost: Vec<f64> = match g.west() {
-                    Some(wr) => ctx.recv_value(RecvSpec::from(wr, TAG_X))?.1,
+                    Some(wr) => ctx.recv_value(RecvSpec::from(wr, TAG_X)).await?.1,
                     None => vec![BC; ny * nz * COMPS],
                 };
                 for _ in 0..self.class.inner_reps() {
                     sweep_x(&mut state.u, &mut state.rhs, &ghost);
                 }
                 if let Some(er) = g.east() {
-                    ctx.send_value(er, TAG_X, &state.u.pack_face_x(state.u.nx - 1))?;
+                    ctx.send_value(er, TAG_X, &state.u.pack_face_x(state.u.nx - 1))
+                        .await?;
                 }
                 state.phase = PHASE_Y;
             }
             PHASE_Y => {
                 let (nx, nz) = (state.u.nx, state.u.nz);
                 let ghost: Vec<f64> = match g.north() {
-                    Some(nr) => ctx.recv_value(RecvSpec::from(nr, TAG_Y))?.1,
+                    Some(nr) => ctx.recv_value(RecvSpec::from(nr, TAG_Y)).await?.1,
                     None => vec![BC; nx * nz * COMPS],
                 };
                 for _ in 0..self.class.inner_reps() {
                     sweep_y(&mut state.u, &mut state.rhs, &ghost);
                 }
                 if let Some(sr) = g.south() {
-                    ctx.send_value(sr, TAG_Y, &state.u.pack_face_y(state.u.ny - 1))?;
+                    ctx.send_value(sr, TAG_Y, &state.u.pack_face_y(state.u.ny - 1))
+                        .await?;
                 }
                 state.phase = PHASE_Z;
             }
@@ -126,7 +128,7 @@ impl RankApp for BtApp {
             _ => {
                 let local = state.u.sum_sq() + 0.25 * state.rhs.sum_sq();
                 let tag = TAG_NORM_BASE + (state.iter as u32) * 2;
-                let total = allreduce_sum_f64(ctx, tag, local)?;
+                let total = allreduce_sum_f64(ctx, tag, local).await?;
                 state.residual = 0.5 * state.residual + 0.5 * total;
                 state.iter += 1;
                 state.phase = PHASE_X;

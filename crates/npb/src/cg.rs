@@ -104,7 +104,7 @@ impl RankApp for CgApp {
         }
     }
 
-    fn step(&self, ctx: &mut RankCtx<'_>, state: &mut CgState) -> Result<StepStatus, Fault> {
+    async fn step(&self, ctx: &mut RankCtx<'_>, state: &mut CgState) -> Result<StepStatus, Fault> {
         let (_, iters) = Self::dims(self.class);
         if state.iter >= iters {
             return Ok(StepStatus::Done);
@@ -117,18 +117,23 @@ impl RankApp for CgApp {
                 // goes right; boundaries use zero Dirichlet values.
                 let local = state.p.len();
                 if rank > 0 {
-                    ctx.send_value(rank - 1, TAG_HALO_LEFT, &state.p[0])?;
+                    ctx.send_value(rank - 1, TAG_HALO_LEFT, &state.p[0]).await?;
                 }
                 if rank + 1 < n {
-                    ctx.send_value(rank + 1, TAG_HALO_RIGHT, &state.p[local - 1])?;
+                    ctx.send_value(rank + 1, TAG_HALO_RIGHT, &state.p[local - 1])
+                        .await?;
                 }
                 let right_halo: f64 = if rank + 1 < n {
-                    ctx.recv_value(RecvSpec::from(rank + 1, TAG_HALO_LEFT))?.1
+                    ctx.recv_value(RecvSpec::from(rank + 1, TAG_HALO_LEFT))
+                        .await?
+                        .1
                 } else {
                     0.0
                 };
                 let left_halo: f64 = if rank > 0 {
-                    ctx.recv_value(RecvSpec::from(rank - 1, TAG_HALO_RIGHT))?.1
+                    ctx.recv_value(RecvSpec::from(rank - 1, TAG_HALO_RIGHT))
+                        .await?
+                        .1
                 } else {
                     0.0
                 };
@@ -141,14 +146,14 @@ impl RankApp for CgApp {
                     pq_local += state.p[i] * state.q[i];
                 }
                 let tag = TAG_DOT_BASE + (state.iter as u32) * 4;
-                state.pq = allreduce_sum_f64(ctx, tag, pq_local)?;
+                state.pq = allreduce_sum_f64(ctx, tag, pq_local).await?;
                 state.phase = PHASE_UPDATE;
             }
             _ => {
                 // First update globalizes the initial local ρ.
                 if state.iter == 0 {
                     let tag = TAG_DOT_BASE + (state.iter as u32) * 4 + 2;
-                    state.rho = allreduce_sum_f64(ctx, tag, state.rho)?;
+                    state.rho = allreduce_sum_f64(ctx, tag, state.rho).await?;
                 }
                 let alpha = state.rho / state.pq;
                 let mut rho_local = 0.0;
@@ -158,7 +163,7 @@ impl RankApp for CgApp {
                     rho_local += state.r[i] * state.r[i];
                 }
                 let tag = TAG_DOT_BASE + (state.iter as u32) * 4 + 10;
-                let rho_next = allreduce_sum_f64(ctx, tag, rho_local)?;
+                let rho_next = allreduce_sum_f64(ctx, tag, rho_local).await?;
                 let beta = rho_next / state.rho;
                 for i in 0..state.p.len() {
                     state.p[i] = state.r[i] + beta * state.p[i];

@@ -85,7 +85,7 @@ impl RankApp for LuApp {
         }
     }
 
-    fn step(&self, ctx: &mut RankCtx<'_>, state: &mut LuState) -> Result<StepStatus, Fault> {
+    async fn step(&self, ctx: &mut RankCtx<'_>, state: &mut LuState) -> Result<StepStatus, Fault> {
         let (_, _, gnz, iters) = self.class.lu_dims();
         if state.iter >= iters {
             return Ok(StepStatus::Done);
@@ -94,7 +94,7 @@ impl RankApp for LuApp {
         match state.phase {
             PHASE_LOWER => {
                 let k = state.k as usize;
-                lower_plane(ctx, &g, &mut state.u, k, self.class.inner_reps())?;
+                lower_plane(ctx, &g, &mut state.u, k, self.class.inner_reps()).await?;
                 state.k += 1;
                 if state.k as usize == gnz {
                     state.phase = PHASE_UPPER;
@@ -103,7 +103,7 @@ impl RankApp for LuApp {
             }
             PHASE_UPPER => {
                 let k = gnz - 1 - state.k as usize;
-                upper_plane(ctx, &g, &mut state.u, k, self.class.inner_reps())?;
+                upper_plane(ctx, &g, &mut state.u, k, self.class.inner_reps()).await?;
                 state.k += 1;
                 if state.k as usize == gnz {
                     state.phase = PHASE_NORM;
@@ -113,7 +113,7 @@ impl RankApp for LuApp {
             _ => {
                 let local = state.u.sum_sq();
                 let tag = TAG_NORM_BASE + (state.iter as u32) * 2;
-                let total = allreduce_sum_f64(ctx, tag, local)?;
+                let total = allreduce_sum_f64(ctx, tag, local).await?;
                 state.residual = 0.5 * state.residual + 0.5 * total;
                 state.iter += 1;
                 state.phase = PHASE_LOWER;
@@ -129,7 +129,7 @@ impl RankApp for LuApp {
 
 /// Lower-triangular SSOR relaxation of plane `k`: data flows
 /// north-west → south-east.
-fn lower_plane(
+async fn lower_plane(
     ctx: &mut RankCtx<'_>,
     g: &ProcGrid,
     u: &mut Field3,
@@ -138,11 +138,11 @@ fn lower_plane(
 ) -> Result<(), Fault> {
     let (nx, ny) = (u.nx, u.ny);
     let north_ghost: Vec<f64> = match g.north() {
-        Some(nr) => ctx.recv_value(RecvSpec::from(nr, TAG_NS_LOWER))?.1,
+        Some(nr) => ctx.recv_value(RecvSpec::from(nr, TAG_NS_LOWER)).await?.1,
         None => vec![BC; nx],
     };
     let west_ghost: Vec<f64> = match g.west() {
-        Some(wr) => ctx.recv_value(RecvSpec::from(wr, TAG_EW_LOWER))?.1,
+        Some(wr) => ctx.recv_value(RecvSpec::from(wr, TAG_EW_LOWER)).await?.1,
         None => vec![BC; ny],
     };
     for _ in 0..reps {
@@ -158,17 +158,19 @@ fn lower_plane(
         }
     }
     if let Some(sr) = g.south() {
-        ctx.send_value(sr, TAG_NS_LOWER, &u.pack_row(ny - 1, k))?;
+        ctx.send_value(sr, TAG_NS_LOWER, &u.pack_row(ny - 1, k))
+            .await?;
     }
     if let Some(er) = g.east() {
-        ctx.send_value(er, TAG_EW_LOWER, &u.pack_col(nx - 1, k))?;
+        ctx.send_value(er, TAG_EW_LOWER, &u.pack_col(nx - 1, k))
+            .await?;
     }
     Ok(())
 }
 
 /// Upper-triangular SSOR relaxation of plane `k`: data flows
 /// south-east → north-west.
-fn upper_plane(
+async fn upper_plane(
     ctx: &mut RankCtx<'_>,
     g: &ProcGrid,
     u: &mut Field3,
@@ -177,11 +179,11 @@ fn upper_plane(
 ) -> Result<(), Fault> {
     let (nx, ny, nz) = (u.nx, u.ny, u.nz);
     let south_ghost: Vec<f64> = match g.south() {
-        Some(sr) => ctx.recv_value(RecvSpec::from(sr, TAG_NS_UPPER))?.1,
+        Some(sr) => ctx.recv_value(RecvSpec::from(sr, TAG_NS_UPPER)).await?.1,
         None => vec![BC; nx],
     };
     let east_ghost: Vec<f64> = match g.east() {
-        Some(er) => ctx.recv_value(RecvSpec::from(er, TAG_EW_UPPER))?.1,
+        Some(er) => ctx.recv_value(RecvSpec::from(er, TAG_EW_UPPER)).await?.1,
         None => vec![BC; ny],
     };
     for _ in 0..reps {
@@ -196,10 +198,10 @@ fn upper_plane(
         }
     }
     if let Some(nr) = g.north() {
-        ctx.send_value(nr, TAG_NS_UPPER, &u.pack_row(0, k))?;
+        ctx.send_value(nr, TAG_NS_UPPER, &u.pack_row(0, k)).await?;
     }
     if let Some(wr) = g.west() {
-        ctx.send_value(wr, TAG_EW_UPPER, &u.pack_col(0, k))?;
+        ctx.send_value(wr, TAG_EW_UPPER, &u.pack_col(0, k)).await?;
     }
     Ok(())
 }

@@ -73,7 +73,7 @@ impl RankApp for SpApp {
         }
     }
 
-    fn step(&self, ctx: &mut RankCtx<'_>, state: &mut SpState) -> Result<StepStatus, Fault> {
+    async fn step(&self, ctx: &mut RankCtx<'_>, state: &mut SpState) -> Result<StepStatus, Fault> {
         let (_, iters) = self.class.adi_dims();
         if state.iter >= iters {
             return Ok(StepStatus::Done);
@@ -83,53 +83,55 @@ impl RankApp for SpApp {
         match state.phase {
             PHASE_X_FWD => {
                 let ghost: Vec<f64> = match g.west() {
-                    Some(wr) => ctx.recv_value(RecvSpec::from(wr, TAG_X_FWD))?.1,
+                    Some(wr) => ctx.recv_value(RecvSpec::from(wr, TAG_X_FWD)).await?.1,
                     None => vec![BC; u.ny * u.nz],
                 };
                 for _ in 0..self.class.inner_reps() {
                     pass_x(u, &ghost, true);
                 }
                 if let Some(er) = g.east() {
-                    ctx.send_value(er, TAG_X_FWD, &u.pack_face_x(u.nx - 1))?;
+                    ctx.send_value(er, TAG_X_FWD, &u.pack_face_x(u.nx - 1))
+                        .await?;
                 }
                 state.phase = PHASE_X_BWD;
             }
             PHASE_X_BWD => {
                 let ghost: Vec<f64> = match g.east() {
-                    Some(er) => ctx.recv_value(RecvSpec::from(er, TAG_X_BWD))?.1,
+                    Some(er) => ctx.recv_value(RecvSpec::from(er, TAG_X_BWD)).await?.1,
                     None => vec![BC; u.ny * u.nz],
                 };
                 for _ in 0..self.class.inner_reps() {
                     pass_x(u, &ghost, false);
                 }
                 if let Some(wr) = g.west() {
-                    ctx.send_value(wr, TAG_X_BWD, &u.pack_face_x(0))?;
+                    ctx.send_value(wr, TAG_X_BWD, &u.pack_face_x(0)).await?;
                 }
                 state.phase = PHASE_Y_FWD;
             }
             PHASE_Y_FWD => {
                 let ghost: Vec<f64> = match g.north() {
-                    Some(nr) => ctx.recv_value(RecvSpec::from(nr, TAG_Y_FWD))?.1,
+                    Some(nr) => ctx.recv_value(RecvSpec::from(nr, TAG_Y_FWD)).await?.1,
                     None => vec![BC; u.nx * u.nz],
                 };
                 for _ in 0..self.class.inner_reps() {
                     pass_y(u, &ghost, true);
                 }
                 if let Some(sr) = g.south() {
-                    ctx.send_value(sr, TAG_Y_FWD, &u.pack_face_y(u.ny - 1))?;
+                    ctx.send_value(sr, TAG_Y_FWD, &u.pack_face_y(u.ny - 1))
+                        .await?;
                 }
                 state.phase = PHASE_Y_BWD;
             }
             PHASE_Y_BWD => {
                 let ghost: Vec<f64> = match g.south() {
-                    Some(sr) => ctx.recv_value(RecvSpec::from(sr, TAG_Y_BWD))?.1,
+                    Some(sr) => ctx.recv_value(RecvSpec::from(sr, TAG_Y_BWD)).await?.1,
                     None => vec![BC; u.nx * u.nz],
                 };
                 for _ in 0..self.class.inner_reps() {
                     pass_y(u, &ghost, false);
                 }
                 if let Some(nr) = g.north() {
-                    ctx.send_value(nr, TAG_Y_BWD, &u.pack_face_y(0))?;
+                    ctx.send_value(nr, TAG_Y_BWD, &u.pack_face_y(0)).await?;
                 }
                 state.phase = PHASE_Z;
             }
@@ -142,7 +144,7 @@ impl RankApp for SpApp {
             _ => {
                 let local = u.sum_sq();
                 let tag = TAG_NORM_BASE + (state.iter as u32) * 2;
-                let total = allreduce_sum_f64(ctx, tag, local)?;
+                let total = allreduce_sum_f64(ctx, tag, local).await?;
                 state.residual = 0.5 * state.residual + 0.5 * total;
                 state.iter += 1;
                 state.phase = PHASE_X_FWD;

@@ -1,33 +1,18 @@
-//! The round driver for blocking applications, and what every driver's
-//! callers configure and read: the failure plan, the cluster
-//! configuration and the run report.
-//!
-//! [`Cluster::run`] runs a [`RankApp`] in rounds on the run's virtual
-//! clock, like a [`crate::TaskJob`], but each rank keeps a stack of its
-//! own (an OS thread) so its calls can block. A round resumes every
-//! runnable rank at once; each computes until it parks (see
-//! [`crate::engine`]). Then the driver alone does the boundary, in rank
-//! order: `Done`s and deaths ([`RunEnv::finish`] / [`RunEnv::lose`]),
-//! respawns the gate allows, ticks; the shared [`Tail`] (event logger,
-//! replicator, held frames, clock, watchdog); one inbox batch into each
-//! live kernel, which decides who runs next. A stack touches only its
-//! own kernel, fabric channels and storage keys, so a run repeats
-//! exactly however the stacks interleave.
+//! What every run's callers configure and read — the failure plan, the
+//! cluster configuration and the run report — and [`Cluster::run`], the
+//! entry point for a [`RankApp`]. It runs on the one round driver
+//! ([`crate::TaskJob`]): each rank is its `async` step, a future the
+//! sweeps poll until it completes (see [`crate::process`]).
 
 use crate::config::RunConfig;
-use crate::engine::{Engine, Park, Resume, Stage, Wait};
-use crate::env::{Death, RunEnv};
 use crate::events::Event;
-use crate::fault::{Fault, StepStatus};
-use crate::kernel::Kernel;
-use crate::process::{RankApp, RankCtx};
+use crate::process::{RankApp, Steps};
 use crate::replicator::{ReplicatorConfig, ReplicatorStats};
-use crate::tasks::Tail;
+use crate::tasks::TaskJob;
 use crate::transport::DataPlaneStats;
 use lclog_core::{Rank, TrackingStats};
-use lclog_simnet::{Endpoint, NetConfig, StorageChaos};
+use lclog_simnet::{NetConfig, StorageChaos};
 use lclog_stable::{FaultyRemote, MemRemote, RemoteStore};
-use parking_lot::Mutex;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -454,263 +439,32 @@ impl DetectorReport {
 /// Entry point for running applications under rollback recovery.
 pub struct Cluster;
 
-/// An incarnation handed to a rank's stack; a successor's restored
-/// `(step, state)`, or `None` to start over.
-struct Life<S> {
-    kernel: Arc<Kernel>,
-    incarnation: u64,
-    restored: Option<(u64, S)>,
-}
-
-/// Where a rank is between rounds, as the driver sees it.
-#[derive(Debug)]
-#[allow(dead_code)] // `step` is read by the watchdog's report
-enum Place {
-    /// Parked inside a call at `step`.
-    Waiting { wait: Wait, step: u64 },
-    /// Parked at `Done`.
-    Done,
-    /// Dead, until the respawn gate lets its successor up.
-    Down,
-    /// Resumed next round whatever it waits for (a fresh successor, or
-    /// a fenced rank that must notice).
-    Ready,
-}
-
-/// The driver's record of one rank.
-struct Slot {
-    incarnation: u64,
-    kernel: Arc<Kernel>,
-    endpoint: Endpoint,
-    place: Place,
-}
-
 impl Cluster {
     /// Run `app` on `cfg.n` ranks to completion, injecting the
-    /// configured failures. Returns an error naming where every
-    /// unfinished rank waits if the watchdog fires.
+    /// configured failures. Each rank is polled by the one driver like
+    /// a [`crate::TaskApp`], through an adapter whose poll drives the
+    /// rank's one step future; sweeps run as supersteps (every rank
+    /// computes, then the boundary books deaths, respawns and ticks).
+    /// Returns an error naming where every unfinished rank waits if the
+    /// watchdog fires.
     pub fn run<A: RankApp>(cfg: &ClusterConfig, app: A) -> Result<RunReport, String> {
-        let (env, mut tail) = Tail::open(cfg, None)?;
-        let stage = Stage::new(env.n);
-        let lives: Vec<_> = (0..env.n).map(|_| Mutex::new(None)).collect();
-        let mut slots: Vec<Slot> = (env.attach().into_iter().enumerate())
-            .map(|(rank, endpoint)| Slot {
-                incarnation: 1,
-                kernel: Arc::new(env.boot(rank)),
-                endpoint,
-                place: Place::Ready,
-            })
-            .collect();
-        let failure = std::thread::scope(|s| {
-            // Every stack runs its first round as soon as it starts.
-            for (rank, slot) in slots.iter().enumerate() {
-                let first = Life {
-                    kernel: Arc::clone(&slot.kernel),
-                    incarnation: 1,
-                    restored: None,
-                };
-                let (env, app, stage, lives) = (&env, &app, &stage, &lives);
-                std::thread::Builder::new()
-                    .name(format!("lclog-rank-{rank}"))
-                    .spawn_scoped(s, move || {
-                        rank_main(env, app, stage, &lives[rank], rank, first)
-                    })
-                    .expect("spawn rank stack");
-            }
-            let failure = drive(&env, &mut tail, &stage, &lives, &mut slots);
-            // Every stack is parked (or gone, if it panicked): unwind.
-            (0..env.n).for_each(|rank| stage.resume(rank, Resume::Shutdown));
-            failure
-        });
-        env.report(tail.start.elapsed(), failure)
-    }
-}
-
-/// Rounds until every rank is done, or the watchdog's error.
-fn drive<S: lclog_wire::Decode>(
-    env: &RunEnv,
-    tail: &mut Tail,
-    stage: &Stage,
-    lives: &[Mutex<Option<Life<S>>>],
-    slots: &mut [Slot],
-) -> Option<String> {
-    loop {
-        stage.wait_all_parked();
-        for (rank, slot) in slots.iter_mut().enumerate() {
-            match stage.take_park(rank) {
-                None => {}
-                Some(Park::Call { wait, step }) => slot.place = Place::Waiting { wait, step },
-                Some(Park::Done {
-                    step,
-                    image,
-                    digest,
-                }) => {
-                    env.finish(rank, step, &slot.kernel, image, digest);
-                    slot.place = Place::Done;
-                }
-                Some(Park::Dead { step, death }) => {
-                    env.lose(rank, slot.incarnation, step, &slot.kernel, death);
-                    slot.incarnation += 1;
-                    slot.place = Place::Down;
-                }
-                Some(Park::Panicked) => return Some(format!("rank {rank}'s stack panicked")),
-            }
-            // At once without a detector; else once certified (or the
-            // gate's fallback elapsed).
-            if matches!(slot.place, Place::Down) {
-                if !env.may_respawn(rank, slot.incarnation) {
-                    continue;
-                }
-                let (kernel, endpoint, restored) = env.respawn(rank, slot.incarnation, |bytes| {
-                    lclog_wire::decode_from_slice(bytes).ok()
-                });
-                slot.kernel = Arc::new(kernel);
-                slot.endpoint = endpoint;
-                slot.place = Place::Ready;
-                *lives[rank].lock() = Some(Life {
-                    kernel: Arc::clone(&slot.kernel),
-                    incarnation: slot.incarnation,
-                    restored,
-                });
-            }
-            // Finished ranks keep ticking: they serve their peers until
-            // every rank is done.
-            slot.kernel.tick();
-        }
-        match tail.close(env).1 {
-            None => {}
-            Some(Ok(())) => return None,
-            // Name where every unfinished rank waits.
-            Some(Err(mut error)) => {
-                for (rank, slot) in slots.iter().enumerate() {
-                    if !matches!(slot.place, Place::Done) {
-                        let (incarnation, place, kernel) =
-                            (slot.incarnation, &slot.place, &slot.kernel);
-                        error += &format!(
-                            "\n  rank {rank} incarnation {incarnation}: {place:?}; {kernel:?}"
-                        );
-                    }
-                }
-                return Some(error);
-            }
-        }
-        for (rank, slot) in slots.iter_mut().enumerate() {
-            if matches!(slot.place, Place::Down) {
-                continue;
-            }
-            // One batch per boundary: acks coalesce to one cumulative
-            // frame per peer.
-            let batch: Vec<_> = std::iter::from_fn(|| slot.endpoint.try_recv().ok()).collect();
-            let ingested = !batch.is_empty();
-            if ingested {
-                slot.kernel.ingest_batch(batch);
-            }
-            let runnable = match &slot.place {
-                Place::Waiting { wait, .. } => {
-                    slot.kernel.is_fenced()
-                        || slot.kernel.is_desynced()
-                        || wait.may_end(&slot.kernel, ingested)
-                }
-                // A false suspicion caught a finished rank: its digest
-                // is void, and it rejoins like any fenced incarnation.
-                Place::Done => slot.kernel.is_fenced(),
-                Place::Down => false,
-                Place::Ready => true,
-            };
-            if runnable {
-                slot.place = Place::Ready;
-                stage.resume(rank, Resume::Run);
-            }
-        }
-    }
-}
-
-/// One rank's whole life on its own stack: run an incarnation to
-/// `Done` or to its death, park there for the boundary to book it,
-/// come back as the next incarnation.
-fn rank_main<A: RankApp>(
-    env: &RunEnv,
-    app: &A,
-    stage: &Stage,
-    next_life: &Mutex<Option<Life<A::State>>>,
-    rank: Rank,
-    first: Life<A::State>,
-) {
-    // A panicking stack must not leave the driver waiting for its park.
-    struct Unwind<'a>(&'a Stage, Rank);
-    impl Drop for Unwind<'_> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                self.0.abandon(self.1);
-            }
-        }
-    }
-    let _unwind = Unwind(stage, rank);
-    let mut life = first;
-    loop {
-        let (mut step, mut state) = life
-            .restored
-            .unwrap_or_else(|| (0, app.init(rank, life.kernel.n())));
-        let engine = Engine::new(life.kernel, stage);
-        let death = loop {
-            if let Some(death) = env.due(rank, life.incarnation, step) {
-                break death;
-            }
-            match app.step(&mut RankCtx::new(&engine, step), &mut state) {
-                Ok(StepStatus::Continue) => {
-                    step += 1;
-                    if engine.kernel().checkpoint_due(step) {
-                        engine
-                            .kernel()
-                            .do_checkpoint(lclog_wire::encode_to_vec(&state), step);
-                    }
-                }
-                Ok(StepStatus::Done) => {
-                    let image = lclog_wire::encode_to_vec(&state);
-                    let digest = app.digest(&state);
-                    match stage.park(
-                        rank,
-                        Park::Done {
-                            step,
-                            image,
-                            digest,
-                        },
-                    ) {
-                        Resume::Shutdown => return,
-                        // Resumed while finished: fenced (see `drive`).
-                        Resume::Run => break Death::Fenced,
-                    }
-                }
-                Err(_) if engine.is_over() => return,
-                // A membership view declared this live incarnation dead:
-                // every peer rejects its frames, volatile state is
-                // forfeit.
-                Err(Fault::Fenced) => break Death::Fenced,
-                // Every other fault (`Unreachable`, `Desync`,
-                // `Collective`) unwinds like a crash and rejoins
-                // through the normal rollback path, which retries the
-                // operation against whatever incarnation of the peer
-                // answers.
-                Err(_) => break Death::Process,
-            }
-        };
-        if let Resume::Shutdown = stage.park(rank, Park::Dead { step, death }) {
-            return;
-        }
-        // The boundary restored the successor (Algorithm 1 lines 40–46).
-        life = next_life.lock().take().expect("a successor was brought up");
+        TaskJob::build(cfg, Steps(Arc::new(app)), None, true)?.run()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{Fault, StepStatus};
     use crate::message::RecvSpec;
+    use crate::process::RankCtx;
+    use crate::tasks::{run_tasks, TaskApp, TaskCtx, TaskPoll};
     use lclog_core::ProtocolKind;
 
     /// A deadlock is named, not just timed out: rank 0 waits for a
     /// message rank 1 never sends, and the watchdog's error says which
-    /// rank waits in which call.
+    /// rank waits where — in which call for a `RankApp`, pending for a
+    /// `TaskApp`.
     #[test]
     fn the_watchdog_names_where_each_rank_waits() {
         struct Stuck;
@@ -719,9 +473,13 @@ mod tests {
             fn init(&self, _rank: Rank, _n: usize) -> u64 {
                 0
             }
-            fn step(&self, ctx: &mut RankCtx<'_>, _state: &mut u64) -> Result<StepStatus, Fault> {
+            async fn step(
+                &self,
+                ctx: &mut RankCtx<'_>,
+                _state: &mut u64,
+            ) -> Result<StepStatus, Fault> {
                 if ctx.rank() == 0 {
-                    ctx.recv(RecvSpec::from(1, 42))?;
+                    ctx.recv(RecvSpec::from(1, 42)).await?;
                 }
                 Ok(StepStatus::Done)
             }
@@ -729,30 +487,54 @@ mod tests {
                 0
             }
         }
+        struct StuckTask;
+        impl TaskApp for StuckTask {
+            type State = u64;
+            fn init(&self, _rank: Rank, _n: usize) -> u64 {
+                0
+            }
+            fn poll(&self, ctx: &mut TaskCtx<'_>, _state: &mut u64) -> Result<TaskPoll, Fault> {
+                if ctx.rank() == 0 && ctx.try_recv(RecvSpec::from(1, 42))?.is_none() {
+                    return Ok(TaskPoll::Pending);
+                }
+                Ok(TaskPoll::Done)
+            }
+            fn digest(&self, _state: &u64) -> u64 {
+                0
+            }
+        }
         let cfg = ClusterConfig::new(2, RunConfig::new(ProtocolKind::Tdi))
             .with_max_wall(Duration::from_millis(200));
-        let started = std::time::Instant::now();
-        let err = Cluster::run(&cfg, Stuck).unwrap_err();
-        assert!(started.elapsed() < Duration::from_secs(10), "{err}");
         let spec = format!("{:?}", RecvSpec::from(1, 42));
-        assert!(
-            err.contains(&format!(
-                "rank 0 incarnation 1: Waiting {{ wait: Recv({spec}), step: 0 }}"
-            )),
-            "{err}"
+        let check = |run: &dyn Fn() -> Result<RunReport, String>, place: String| {
+            let started = std::time::Instant::now();
+            let err = run().unwrap_err();
+            assert!(started.elapsed() < Duration::from_secs(10), "{err}");
+            assert!(err.starts_with("watchdog fired after"), "{err}");
+            assert!(
+                err.contains(&format!("rank 0 incarnation 1: {place}")),
+                "{err}"
+            );
+            assert!(err.contains("Kernel {"), "the kernel is dumped: {err}");
+            assert!(
+                !err.contains("rank 1 "),
+                "a finished rank is not named: {err}"
+            );
+        };
+        check(
+            &|| Cluster::run(&cfg, Stuck),
+            format!("Waiting {{ wait: Recv({spec}), step: 0 }}"),
         );
-        assert!(err.contains("Kernel {"), "the kernel is dumped: {err}");
-        assert!(
-            !err.contains("rank 1 "),
-            "a finished rank is not named: {err}"
+        check(
+            &|| run_tasks(&cfg, StuckTask),
+            "Pending { step: 0 }".to_string(),
         );
     }
 
-    /// A panicking stack fails the run at the next boundary (the panic
-    /// surfaces when the stacks are joined) instead of leaving the
-    /// driver waiting for its park, or its peer parked forever.
+    /// A panicking step fails the run on the caller's thread instead of
+    /// leaving its peer waiting forever.
     #[test]
-    #[should_panic(expected = "a scoped thread panicked")]
+    #[should_panic(expected = "boom")]
     fn a_panicking_rank_does_not_hang_the_run() {
         struct Boom;
         impl RankApp for Boom {
@@ -760,9 +542,13 @@ mod tests {
             fn init(&self, _rank: Rank, _n: usize) -> u64 {
                 0
             }
-            fn step(&self, ctx: &mut RankCtx<'_>, _state: &mut u64) -> Result<StepStatus, Fault> {
+            async fn step(
+                &self,
+                ctx: &mut RankCtx<'_>,
+                _state: &mut u64,
+            ) -> Result<StepStatus, Fault> {
                 assert_eq!(ctx.rank(), 0, "boom");
-                ctx.recv(RecvSpec::from(1, 7))?;
+                ctx.recv(RecvSpec::from(1, 7)).await?;
                 Ok(StepStatus::Done)
             }
             fn digest(&self, _state: &u64) -> u64 {

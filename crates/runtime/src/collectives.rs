@@ -20,28 +20,28 @@ use lclog_wire::{Decode, Encode};
 
 /// Synchronize all ranks. Linear algorithm: everyone reports to rank
 /// 0 (`ANY_SOURCE` gather), rank 0 releases everyone.
-pub fn barrier(ctx: &mut RankCtx<'_>, tag: u32) -> Result<(), Fault> {
+pub async fn barrier(ctx: &mut RankCtx<'_>, tag: u32) -> Result<(), Fault> {
     let n = ctx.n();
     if n == 1 {
         return Ok(());
     }
     if ctx.rank() == 0 {
         for _ in 1..n {
-            ctx.recv(RecvSpec::any_source(tag))?;
+            ctx.recv(RecvSpec::any_source(tag)).await?;
         }
         for dst in 1..n {
-            ctx.send(dst, tag, &[])?;
+            ctx.send(dst, tag, &[]).await?;
         }
     } else {
-        ctx.send(0, tag, &[])?;
-        ctx.recv(RecvSpec::from(0, tag))?;
+        ctx.send(0, tag, &[]).await?;
+        ctx.recv(RecvSpec::from(0, tag)).await?;
     }
     Ok(())
 }
 
 /// Broadcast `value` from `root` to every rank; returns the value
 /// everywhere.
-pub fn broadcast<T: Encode + Decode + Clone>(
+pub async fn broadcast<T: Encode + Decode + Clone>(
     ctx: &mut RankCtx<'_>,
     root: Rank,
     tag: u32,
@@ -56,12 +56,12 @@ pub fn broadcast<T: Encode + Decode + Clone>(
         };
         for dst in 0..ctx.n() {
             if dst != root {
-                ctx.send_value(dst, tag, &v)?;
+                ctx.send_value(dst, tag, &v).await?;
             }
         }
         Ok(v)
     } else {
-        let (_, v) = ctx.recv_value::<T>(RecvSpec::from(root, tag))?;
+        let (_, v) = ctx.recv_value::<T>(RecvSpec::from(root, tag)).await?;
         Ok(v)
     }
 }
@@ -70,7 +70,7 @@ pub fn broadcast<T: Encode + Decode + Clone>(
 /// (collect-then-combine keeps floating-point results identical across
 /// arrival orders). Returns `Some(result)` at the root, `None`
 /// elsewhere.
-pub fn reduce<T, F>(
+pub async fn reduce<T, F>(
     ctx: &mut RankCtx<'_>,
     root: Rank,
     tag: u32,
@@ -83,7 +83,7 @@ where
 {
     let n = ctx.n();
     if ctx.rank() != root {
-        ctx.send_value(root, tag, &value)?;
+        ctx.send_value(root, tag, &value).await?;
         return Ok(None);
     }
     let mut contributions: Vec<Option<T>> = (0..n).map(|_| None).collect();
@@ -95,7 +95,7 @@ where
         // surfaces here as a `Fault` from `recv_value` (unreachable /
         // detector-declared), which `?` propagates so the survivor
         // takes the normal recovery path instead of panicking.
-        let (src, v) = ctx.recv_value::<T>(RecvSpec::any_source(tag))?;
+        let (src, v) = ctx.recv_value::<T>(RecvSpec::any_source(tag)).await?;
         if contributions[src].is_some() {
             // A duplicate slipped past suppression (e.g. a re-executed
             // sender reusing this collective's tag). Folding it would
@@ -113,25 +113,25 @@ where
 }
 
 /// Sum-reduce `f64` values to `root`.
-pub fn reduce_sum_f64(
+pub async fn reduce_sum_f64(
     ctx: &mut RankCtx<'_>,
     root: Rank,
     tag: u32,
     value: f64,
 ) -> Result<Option<f64>, Fault> {
-    reduce(ctx, root, tag, value, |a, b| a + b)
+    reduce(ctx, root, tag, value, |a, b| a + b).await
 }
 
 /// All-ranks sum: reduce to rank 0, then broadcast. Uses `tag` and
 /// `tag + 1`.
-pub fn allreduce_sum_f64(ctx: &mut RankCtx<'_>, tag: u32, value: f64) -> Result<f64, Fault> {
-    let total = reduce_sum_f64(ctx, 0, tag, value)?;
-    broadcast(ctx, 0, tag + 1, total)
+pub async fn allreduce_sum_f64(ctx: &mut RankCtx<'_>, tag: u32, value: f64) -> Result<f64, Fault> {
+    let total = reduce_sum_f64(ctx, 0, tag, value).await?;
+    broadcast(ctx, 0, tag + 1, total).await
 }
 
 /// Gather one value per rank at `root` (in rank order). Returns
 /// `Some(values)` at the root, `None` elsewhere.
-pub fn gather<T: Encode + Decode + Clone>(
+pub async fn gather<T: Encode + Decode + Clone>(
     ctx: &mut RankCtx<'_>,
     root: Rank,
     tag: u32,
@@ -139,14 +139,14 @@ pub fn gather<T: Encode + Decode + Clone>(
 ) -> Result<Option<Vec<T>>, Fault> {
     let n = ctx.n();
     if ctx.rank() != root {
-        ctx.send_value(root, tag, &value)?;
+        ctx.send_value(root, tag, &value).await?;
         return Ok(None);
     }
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     slots[root] = Some(value);
     let mut filled = 1;
     while filled < n {
-        let (src, v) = ctx.recv_value::<T>(RecvSpec::any_source(tag))?;
+        let (src, v) = ctx.recv_value::<T>(RecvSpec::any_source(tag)).await?;
         if slots[src].is_some() {
             return Err(Fault::Collective("duplicate contribution in gather"));
         }
@@ -168,7 +168,37 @@ mod tests {
     use parking_lot::Mutex;
     use std::sync::Arc;
 
-    type Body = fn(&mut RankCtx<'_>) -> Result<(), Fault>;
+    /// The collective misuse each test drives.
+    #[derive(Clone, Copy)]
+    enum Body {
+        /// The root of a broadcast supplies no value.
+        BroadcastWithoutValue,
+        /// Rank 1 contributes twice to rank 0's reduce.
+        DoubleReduce,
+        /// Rank 2 contributes twice to rank 0's gather.
+        DoubleGather,
+    }
+
+    impl Body {
+        async fn run(self, ctx: &mut RankCtx<'_>) -> Result<(), Fault> {
+            match (self, ctx.rank()) {
+                (Body::BroadcastWithoutValue, _) => {
+                    broadcast::<u64>(ctx, 0, 7, None).await.map(drop)
+                }
+                (Body::DoubleReduce, 0) => reduce(ctx, 0, 9, 0.5f64, |a, b| a + b).await.map(drop),
+                (Body::DoubleReduce, 1) => {
+                    ctx.send_value(0, 9, &1.0f64).await?;
+                    ctx.send_value(0, 9, &2.0f64).await // illegal second contribution
+                }
+                (Body::DoubleGather, 0) => gather(ctx, 0, 11, 1u64).await.map(drop),
+                (Body::DoubleGather, 2) => {
+                    ctx.send_value(0, 11, &7u64).await?;
+                    ctx.send_value(0, 11, &8u64).await
+                }
+                _ => Ok(()),
+            }
+        }
+    }
 
     /// One step of `body` on every rank of an `n`-rank cluster; rank
     /// 0's fault is kept, and every rank finishes regardless, so a
@@ -185,8 +215,8 @@ mod tests {
             0
         }
 
-        fn step(&self, ctx: &mut RankCtx<'_>, _state: &mut u64) -> Result<StepStatus, Fault> {
-            if let Err(fault) = (self.body)(ctx) {
+        async fn step(&self, ctx: &mut RankCtx<'_>, _state: &mut u64) -> Result<StepStatus, Fault> {
+            if let Err(fault) = self.body.run(ctx).await {
                 if ctx.rank() == 0 {
                     *self.fault.lock() = Some(fault);
                 }
@@ -218,7 +248,7 @@ mod tests {
     // to hit `expect("root must supply...")` and abort the process.
     #[test]
     fn broadcast_root_without_value_faults_instead_of_panicking() {
-        let err = rank0_fault(1, |ctx| broadcast::<u64>(ctx, 0, 7, None).map(drop));
+        let err = rank0_fault(1, Body::BroadcastWithoutValue);
         assert!(matches!(err, Fault::Collective(_)), "got {err}");
     }
 
@@ -228,14 +258,7 @@ mod tests {
     // It must now surface as a single-rank `Fault::Collective`.
     #[test]
     fn duplicate_contribution_faults_reduce_root() {
-        let err = rank0_fault(3, |ctx| match ctx.rank() {
-            0 => reduce(ctx, 0, 9, 0.5f64, |a, b| a + b).map(drop),
-            1 => {
-                ctx.send_value(0, 9, &1.0f64)?;
-                ctx.send_value(0, 9, &2.0f64) // illegal second contribution
-            }
-            _ => Ok(()),
-        });
+        let err = rank0_fault(3, Body::DoubleReduce);
         assert!(
             matches!(err, Fault::Collective(msg) if msg.contains("reduce")),
             "got {err}"
@@ -244,14 +267,7 @@ mod tests {
 
     #[test]
     fn duplicate_contribution_faults_gather_root() {
-        let err = rank0_fault(3, |ctx| match ctx.rank() {
-            0 => gather(ctx, 0, 11, 1u64).map(drop),
-            2 => {
-                ctx.send_value(0, 11, &7u64)?;
-                ctx.send_value(0, 11, &8u64)
-            }
-            _ => Ok(()),
-        });
+        let err = rank0_fault(3, Body::DoubleGather);
         assert!(
             matches!(err, Fault::Collective(msg) if msg.contains("gather")),
             "got {err}"

@@ -27,9 +27,9 @@ impl CommMode {
     }
 }
 
-/// Inert: nothing reads it. The driver is the entry point called —
-/// [`crate::Cluster::run`] (a stack per rank) or
-/// [`crate::run_tasks`] (ranks as tasks driven by one thread). The
+/// Inert: nothing reads it. One driver runs every job, polling each
+/// rank from one thread, whether entered through
+/// [`crate::Cluster::run`] or [`crate::run_tasks`]. The
 /// type survives only because the benchmark package still builds
 /// `EngineMode::Tasks { workers: 2 }` through
 /// [`RunConfig::with_engine`]; it goes once that use does.

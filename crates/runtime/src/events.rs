@@ -8,7 +8,7 @@
 //! when on, every kernel shares one lock-protected collector and the
 //! [`RunReport::timeline`] carries the merged result, ordered by
 //! (time, rank), each rank's events in emission order: the same every
-//! time on a virtual clock, however the ranks' stacks interleaved.
+//! time on a virtual clock, whichever phase of a round emitted them.
 //!
 //! [`ClusterConfig::with_trace`]: crate::ClusterConfig::with_trace
 //! [`RunReport::timeline`]: crate::RunReport::timeline

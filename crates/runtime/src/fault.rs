@@ -4,10 +4,6 @@ use std::fmt;
 /// Why a runtime call could not complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Fault {
-    /// The run is over — every rank finished, or the watchdog fired.
-    /// Application code must propagate it (`?`) so the rank's stack
-    /// unwinds.
-    Shutdown,
     /// The reliability layer exhausted its retransmit budget towards
     /// this peer: it has been silent across every backoff round. The
     /// cluster harness treats this like a crash (restore + `ROLLBACK`)
@@ -44,7 +40,6 @@ pub enum Fault {
 impl fmt::Display for Fault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Fault::Shutdown => write!(f, "cluster shutting down"),
             Fault::Unreachable(peer) => {
                 write!(f, "peer rank {peer} unreachable (retransmit budget exhausted)")
             }

@@ -1,13 +1,11 @@
 //! The rollback-recovery kernel: the paper's Algorithm 1 for one rank
 //! incarnation, behind one lock.
 //!
-//! Engines feed it raw envelopes ([`Kernel::ingest_batch`]) and pull
-//! deliverable application messages ([`Kernel::try_deliver`]). Under
-//! the round driver of [`crate::Cluster`] the two run on different
-//! threads — the rank's own stack while it runs, the driver at the
-//! round boundary while it is parked — so every mutable field lives in
-//! one `state: Mutex<State>` and every `&self` method is a critical
-//! section on it:
+//! The round driver feeds it raw envelopes ([`Kernel::ingest_batch`])
+//! and the rank's application pulls deliverable messages
+//! ([`Kernel::try_deliver`]) through a handle it may own, so every
+//! mutable field lives in one `state: Mutex<State>` and every `&self`
+//! method is a critical section on it:
 //!
 //! | part of `State`                   | owns                                                      | Algorithm 1    |
 //! |-----------------------------------|-----------------------------------------------------------|----------------|
@@ -231,8 +229,8 @@ impl State {
 pub const RETRY_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Frames of a log resend burst sent per acquisition of the state
-/// lock: long enough to amortise the lock, short enough that the
-/// rank's other thread waits for microseconds, not for the log.
+/// lock: long enough to amortise the lock, short enough that no other
+/// caller waits for more than microseconds, not for the log.
 const RESEND_CHUNK: usize = 256;
 
 /// Monotone raise: never lowers the stored value.

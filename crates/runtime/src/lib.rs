@@ -25,22 +25,23 @@
 //!   what is piggybacked and when queued messages may be delivered.
 //!
 //! Fig. 4's two communication modes are comm models on that clock.
-//! Both ingest a rank's inbox at the round boundary, while it is parked
+//! Both ingest a rank's inbox at the sweep, while its step is pending
 //! inside a runtime call:
 //!
 //! * [`CommMode::Blocking`] (Fig. 4a) — a send above the eager
-//!   threshold parks until the receiver's ingestion ack (a rendezvous),
+//!   threshold waits for the receiver's ingestion ack (a rendezvous),
 //!   so a failed receiver stalls its senders;
 //! * [`CommMode::NonBlocking`] (Fig. 4b) — sends return at once.
 //!
+//! One driver runs every rank: [`TaskJob`] / [`run_tasks`] poll
+//! [`TaskApp`] state machines from one thread, and [`Cluster::run`]
+//! runs a [`RankApp`], whose `async` step is such a state machine.
 //! One incarnation lifecycle ([`RunEnv`]: open storage, boot, lose,
-//! respawn, report) runs under both drivers, and both end each round
-//! the same way (event logger, replicator, held frames, clock,
-//! watchdog). [`Cluster::run`] gives each rank's [`RankApp`] a stack of
-//! its own, so its calls can block; [`TaskJob`] / [`run_tasks`] poll
-//! [`TaskApp`] state machines from one thread. Both inject failures
-//! from a [`FailurePlan`], return a [`RunReport`] of per-rank digests
-//! and tracking statistics, and repeat exactly from their config.
+//! respawn, report) serves it, every round ends the same way (event
+//! logger, replicator, held frames, clock, watchdog), failures come
+//! from a [`FailurePlan`], and a run returns a [`RunReport`] of
+//! per-rank digests and tracking statistics that repeats exactly from
+//! its config.
 
 #![warn(missing_docs)]
 
@@ -50,7 +51,6 @@ pub mod collectives;
 mod config;
 mod delivery;
 mod detector;
-mod engine;
 mod env;
 pub mod events;
 mod fault;
@@ -85,7 +85,7 @@ pub use message::{
 pub use process::{RankApp, RankCtx};
 pub use env::{Death, RunEnv, TasksEnv};
 pub use kernel::RETRY_INTERVAL;
-pub use tasks::{run_tasks, BlockingTaskApp, TaskApp, TaskCtx, TaskJob, TaskPoll};
+pub use tasks::{run_tasks, TaskApp, TaskCtx, TaskJob, TaskPoll};
 pub use recvq::{Pending, RecvQueue};
 pub use replicator::{Replicator, ReplicatorConfig, ReplicatorStats};
 pub use transport::{payload_is_app_frame, payload_is_data_frame, DataPlaneStats};

@@ -11,10 +11,7 @@
 //! send hot path:
 //!
 //! * checkpoint writes and determinant appends are **offered**: the
-//!   call queues the object and returns; the next step or drain files
-//!   what was offered in the spill buffer in source order (generations
-//!   by rank, then log records), so ranks checkpointing on concurrent
-//!   threads cannot reorder it;
+//!   object is filed in the spill buffer and the call returns;
 //! * what drives the run ships with [`Replicator::step`], one round of a
 //!   bounded in-flight window per call. A failed put sets a
 //!   [`RetryBackoff`] full-jitter not-before time on the replicator's
@@ -36,8 +33,8 @@
 //!   generation wins, a checksum failure falls back one generation,
 //!   and the rank then rejoins through the normal ROLLBACK protocol.
 //!
-//! There is no thread: both drivers step the replicator a run owns at
-//! the end of each round, on the run's virtual clock, so a log-shipping
+//! There is no thread: the round driver steps the replicator a run owns
+//! at the end of each round, on the run's virtual clock, so a log-shipping
 //! run is a pure function of its config; `lclog-serve`'s pool steps its
 //! service-wide one (on [`Clock::Real`]) until idle after each pass
 //! over its jobs. One lock holds the whole state, and a step or a drain
@@ -140,13 +137,6 @@ pub struct ReplicatorStats {
     /// Objects still unshipped after the last drain (0 means the
     /// remote holds everything the manifest promises).
     pub unsynced_at_exit: u64,
-}
-
-/// An offer not yet filed in the spill buffer: a checkpoint
-/// generation `(key, bytes)`, or a record of the log `key`.
-enum Offer {
-    Generation(String, Vec<u8>),
-    Record(String, Vec<u8>),
 }
 
 /// One object waiting to ship.
@@ -293,8 +283,8 @@ impl ShipState {
     }
 }
 
-/// The replication pipeline of a run (or of a hosting service); rank
-/// threads and the engine share it behind an `Arc`.
+/// The replication pipeline of a run (or of a hosting service); the
+/// run's kernels and its driver share it behind an `Arc`.
 pub struct Replicator {
     remote: Arc<dyn RemoteStore>,
     cfg: ReplicatorConfig,
@@ -303,8 +293,6 @@ pub struct Replicator {
     /// Rank used for replicator-side timeline events (the stable
     /// service slot).
     service_rank: Rank,
-    /// Offers not yet filed, in arrival order.
-    offers: Mutex<Vec<Offer>>,
     state: Mutex<ShipState>,
 }
 
@@ -332,7 +320,6 @@ impl Replicator {
             clock,
             sink,
             service_rank,
-            offers: Mutex::new(Vec::new()),
             state: Mutex::new(ShipState {
                 pending: VecDeque::new(),
                 pending_bytes: 0,
@@ -353,53 +340,34 @@ impl Replicator {
         }
     }
 
-    /// Offer a sealed checkpoint generation for shipping: queue it and
-    /// return; the next step or drain files it.
+    /// Offer a sealed checkpoint generation for shipping: file it in
+    /// the spill buffer and return.
     pub fn offer_generation(&self, key: &str, bytes: &[u8]) {
-        (self.offers.lock()).push(Offer::Generation(key.to_string(), bytes.to_vec()));
+        let mut st = self.state.lock();
+        let seq = st.next_seq();
+        st.newest_gen_seq = Some(seq);
+        st.pending_bytes += bytes.len();
+        st.pending.push_back(Item {
+            kind: ObjectKind::Generation,
+            key: key.to_string(),
+            bytes: bytes.to_vec(),
+            seq,
+        });
+        st.shed_to_bound(self.cfg.spill_limit_bytes);
     }
 
     /// Offer one appended log record (e.g. a TEL determinant batch)
-    /// for segment shipping: queue it and return, like a generation.
+    /// for segment shipping: buffer it and return.
     pub fn offer_record(&self, log: &str, record: &[u8]) {
-        (self.offers.lock()).push(Offer::Record(log.to_string(), record.to_vec()));
-    }
-
-    /// File the queued offers in the spill buffer in source order: the
-    /// generations by rank, then the log records (the event logger
-    /// appends them, on one thread); a source's offers keep their order.
-    fn file_offers(&self, st: &mut ShipState) {
-        let mut offers = std::mem::take(&mut *self.offers.lock());
-        offers.sort_by_key(|offer| match offer {
-            Offer::Generation(key, _) => key.split('/').nth(1).and_then(|r| r.parse().ok()),
-            Offer::Record(..) => Some(usize::MAX),
-        });
-        for offer in offers {
-            match offer {
-                Offer::Generation(key, bytes) => {
-                    let seq = st.next_seq();
-                    st.newest_gen_seq = Some(seq);
-                    st.pending_bytes += bytes.len();
-                    let kind = ObjectKind::Generation;
-                    st.pending.push_back(Item {
-                        kind,
-                        key,
-                        bytes,
-                        seq,
-                    });
-                }
-                Offer::Record(log, record) => {
-                    st.open_bytes += record.len();
-                    let buf = st.open.entry(log.clone()).or_default();
-                    buf.bytes += record.len();
-                    buf.records.push(record);
-                    if buf.bytes >= SEGMENT_FLUSH_BYTES {
-                        st.seal_segment(&log);
-                    }
-                }
-            }
-            st.shed_to_bound(self.cfg.spill_limit_bytes);
+        let mut st = self.state.lock();
+        st.open_bytes += record.len();
+        let buf = st.open.entry(log.to_string()).or_default();
+        buf.bytes += record.len();
+        buf.records.push(record.to_vec());
+        if buf.bytes >= SEGMENT_FLUSH_BYTES {
+            st.seal_segment(log);
         }
+        st.shed_to_bound(self.cfg.spill_limit_bytes);
     }
 
     /// Snapshot the statistics so far.
@@ -411,8 +379,7 @@ impl Replicator {
     /// the ledger. Open segment buffers don't count: they seal on flush
     /// thresholds or at a drain.
     pub fn is_synced(&self) -> bool {
-        let st = self.state.lock();
-        self.offers.lock().is_empty() && st.is_synced()
+        self.state.lock().is_synced()
     }
 
     /// One shipping round, unless the not-before time has not come or
@@ -420,10 +387,7 @@ impl Replicator {
     /// True if anything was stored.
     pub fn step(&self) -> bool {
         match self.state.try_lock() {
-            Some(mut st) => {
-                self.file_offers(&mut st);
-                self.round(&mut st, false)
-            }
+            Some(mut st) => self.round(&mut st, false),
             None => false,
         }
     }
@@ -436,7 +400,6 @@ impl Replicator {
     /// remote operations; true when synced.
     pub fn drain(&self) -> bool {
         let mut st = self.state.lock();
-        self.file_offers(&mut st);
         let logs: Vec<String> = st.open.keys().cloned().collect();
         for log in logs {
             st.seal_segment(&log);

@@ -1,16 +1,14 @@
-//! Ranks as scheduler tasks: many rank state machines driven in
-//! rounds by one thread.
+//! The one round driver: every rank of a job is a state machine
+//! polled in rounds by one thread, on the run's virtual clock.
 //!
-//! [`crate::Cluster::run`] gives every rank a stack of its own, so a
-//! [`RankApp`] can block inside `recv`; that tops out around n ≈ 64,
-//! where stacks and context switches dominate. This module runs the
-//! *same kernels* (same transport, sender log, checkpointing, rollback
-//! recovery) with no stacks at all: each rank is a [`TaskApp`] state
-//! machine that never blocks. Both drivers share the virtual clock, the
-//! held (or timed) fabric and the serial end of a round ([`Tail`]), so
-//! a run under either is a pure function of its config: the same
-//! digests, messages, bytes, retransmissions and chaos counters every
-//! time.
+//! A rank is a [`TaskApp`] — a hand-written state machine, or a
+//! [`RankApp`] whose `async` step [`crate::Cluster::run`] wraps — and
+//! never blocks: a call that cannot proceed leaves the poll pending
+//! until the next sweep. Every rank runs the same kernels (transport,
+//! sender log, checkpointing, rollback recovery) over a held (or timed)
+//! fabric, and the round ends with the [`Tail`], so a run is a pure
+//! function of its config: the same digests, messages, bytes,
+//! retransmissions and chaos counters every time.
 //!
 //! A round is one sweep over every rank, in rank order:
 //!
@@ -19,15 +17,21 @@
 //!    desynchronized, through the one lifecycle of [`crate::env`]; it
 //!    stays down until [`RunEnv::may_respawn`] lets its successor up;
 //! 3. poll a live rank's state machine up to a bounded budget
-//!    (checkpointing between steps, exactly like a rank's stack);
+//!    (checkpointing between steps);
 //! 4. tick the kernel (retransmission timers, resync-request drain,
 //!    failure detector, rollback rebroadcast);
 //!
-//! then the [`Tail`]: one step of the service slot (event logger and
+//! A [`RankApp`] job ([`crate::Cluster::run`]) sweeps in supersteps:
+//! stage 1 for every rank, then stages 2–3 for every rank, then every
+//! rank's deaths, respawns and stage 4 — and a planned kill fires as
+//! soon as a step reaches it, not at the next sweep.
+//!
+//! Then the [`Tail`]: one step of the service slot (event logger and
 //! membership arbiter, if the run has one), one shipping step of the
 //! replicator the job owns (if it has a remote), the release of all
 //! held fabric channels, the clock's advance (a timed fabric releases
-//! what then falls due at the next sweep's drains) and the watchdog.
+//! what then falls due at the next sweep's drains) and the watchdog,
+//! whose error names where every unfinished rank stopped.
 //! Completion leaves a rank serving its peers (drain + tick) until
 //! every rank is done. A send PES's gate holds returns
 //! [`Fault::WouldBlock`], which the driver treats like
@@ -41,26 +45,28 @@
 
 use crate::cluster::{ClusterConfig, RunReport};
 use crate::env::{Death, RunEnv, TasksEnv};
-use crate::fault::{Fault, StepStatus};
+use crate::fault::Fault;
 use crate::kernel::Kernel;
 use crate::message::{AppMsg, RecvSpec};
-use crate::process::{RankApp, RankCtx};
+use crate::process::Wait;
+#[cfg(doc)]
+use crate::{fault::StepStatus, process::RankApp};
 use crate::service::EventLogger;
 use bytes::Bytes;
 use lclog_core::Rank;
 use lclog_simnet::{Clock, DeliveryModel, Endpoint, SimClock};
 use lclog_wire::{Decode, Encode};
 use parking_lot::Mutex;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Virtual time per round — enough that retransmission and rebroadcast
 /// timers make progress over tens of rounds without ever dominating.
 const ROUND_ADVANCE: Duration = Duration::from_micros(50);
 
-/// The serial end of every round, the same under both drivers
-/// ([`TaskJob`] and [`crate::Cluster::run`]): step the event logger
-/// and the replicator the run owns, release held frames, advance the
-/// virtual clock, check completion and the watchdog.
+/// The serial end of every round: step the event logger and the
+/// replicator the run owns, release held frames, advance the virtual
+/// clock, check completion and the watchdog.
 pub(crate) struct Tail {
     clock: SimClock,
     logger: Option<EventLogger>,
@@ -70,7 +76,7 @@ pub(crate) struct Tail {
 }
 
 impl Tail {
-    /// Open `cfg`'s run for a round driver: its clock becomes a virtual
+    /// Open `cfg`'s run for the round driver: its clock becomes a virtual
     /// one, a direct fabric is held (released once per round) and a
     /// timed one keeps its release times on the virtual clock; the
     /// service slot is attached before any kernel can send to it.
@@ -157,15 +163,26 @@ pub trait TaskApp: Send + Sync + 'static {
 }
 
 /// The runtime handle passed to [`TaskApp::poll`] — the non-blocking
-/// subset of [`RankCtx`], over the rank's kernel under either driver.
+/// counterpart of [`crate::RankCtx`], over the rank's kernel.
 pub struct TaskCtx<'a> {
-    kernel: &'a Kernel,
+    kernel: &'a Arc<Kernel>,
     step: u64,
+    /// What a pending [`RankApp`] step waits for (the watchdog names it).
+    pub(crate) wait: Option<Wait>,
 }
 
 impl<'a> TaskCtx<'a> {
-    fn for_kernel(kernel: &'a Kernel, step: u64) -> Self {
-        TaskCtx { kernel, step }
+    fn for_kernel(kernel: &'a Arc<Kernel>, step: u64) -> Self {
+        TaskCtx {
+            kernel,
+            step,
+            wait: None,
+        }
+    }
+
+    /// The kernel, for a step future that must own a handle to it.
+    pub(crate) fn kernel_arc(&self) -> Arc<Kernel> {
+        Arc::clone(self.kernel)
     }
 
     /// This process's rank.
@@ -228,49 +245,31 @@ impl<'a> TaskCtx<'a> {
     }
 }
 
-/// Adapter running a [`TaskApp`] under [`crate::Cluster::run`]: `step`
-/// polls the state machine to its next step boundary, parking until
-/// the next round while it is pending (or PES's gate holds a send).
-/// This is how one workload runs under both drivers, which is what
-/// makes cross-driver digest checks possible.
-pub struct BlockingTaskApp<A>(pub A);
-
-impl<A: TaskApp> RankApp for BlockingTaskApp<A> {
-    type State = A::State;
-
-    fn init(&self, rank: Rank, n: usize) -> Self::State {
-        self.0.init(rank, n)
-    }
-
-    fn step(&self, ctx: &mut RankCtx<'_>, state: &mut Self::State) -> Result<StepStatus, Fault> {
-        let (engine, step) = (ctx.engine(), ctx.step());
-        loop {
-            let mut tctx = TaskCtx::for_kernel(engine.kernel(), step);
-            match self.0.poll(&mut tctx, state) {
-                Ok(TaskPoll::Step) => return Ok(StepStatus::Continue),
-                Ok(TaskPoll::Done) => return Ok(StepStatus::Done),
-                Ok(TaskPoll::Pending) | Err(Fault::WouldBlock) => engine.next_round(step)?,
-                Err(fault) => return Err(fault),
-            }
-        }
-    }
-
-    fn digest(&self, state: &Self::State) -> u64 {
-        self.0.digest(state)
-    }
-}
-
 /// One rank's slot in a job.
 struct Slot<A: TaskApp> {
     rank: Rank,
     incarnation: u64,
     endpoint: Endpoint,
-    kernel: Kernel,
+    kernel: Arc<Kernel>,
     state: A::State,
     step: u64,
+    /// What the last poll left pending, if a [`RankApp`] call.
+    wait: Option<Wait>,
     done: bool,
     /// Lost; `incarnation` is the successor's, awaiting the gate.
     down: bool,
+}
+
+/// Where an unfinished rank stopped, as the watchdog names it.
+#[derive(Debug)]
+#[allow(dead_code)] // read through `Debug` by the watchdog's report
+enum Place {
+    /// A [`RankApp`] step pending inside a runtime call at `step`.
+    Waiting { wait: Wait, step: u64 },
+    /// A [`TaskApp`] poll pending at `step`.
+    Pending { step: u64 },
+    /// Dead, until the respawn gate lets its successor up.
+    Down,
 }
 
 /// Steps a slot may take per sweep before the sweep moves on to the
@@ -296,6 +295,12 @@ struct Ranks<A: TaskApp> {
 pub struct TaskJob<A: TaskApp> {
     app: A,
     env: RunEnv,
+    /// Sweep in supersteps: every rank ingests, then every rank
+    /// computes, then the boundary books deaths, respawns and ticks in
+    /// rank order, and a planned kill fires as soon as a step reaches it. A [`RankApp`] job runs
+    /// so ([`crate::Cluster::run`]); a [`TaskApp`] job runs each rank's
+    /// boundary right after its own poll.
+    superstep: bool,
     ranks: Mutex<Ranks<A>>,
 }
 
@@ -305,17 +310,22 @@ impl<A: TaskApp> TaskJob<A> {
     /// replication pipeline (stepped each round on the job's virtual
     /// clock, drained when the job's report is taken).
     pub fn new(cfg: &ClusterConfig, app: A) -> Result<Self, String> {
-        Self::build(cfg, app, None)
+        Self::build(cfg, app, None, false)
     }
 
     /// Build a job against a host-owned environment (see [`TasksEnv`]).
     /// `cfg.remote` is ignored: remote durability is whatever the
     /// shared `env.replicator` provides, and the host steps it.
     pub fn with_env(cfg: &ClusterConfig, app: A, env: &TasksEnv) -> Result<Self, String> {
-        Self::build(cfg, app, Some(env))
+        Self::build(cfg, app, Some(env), false)
     }
 
-    fn build(cfg: &ClusterConfig, app: A, host: Option<&TasksEnv>) -> Result<Self, String> {
+    pub(crate) fn build(
+        cfg: &ClusterConfig,
+        app: A,
+        host: Option<&TasksEnv>,
+        superstep: bool,
+    ) -> Result<Self, String> {
         let n = cfg.n;
         let (env, tail) = Tail::open(cfg, host)?;
         let slots = (env.attach().into_iter().enumerate())
@@ -323,9 +333,10 @@ impl<A: TaskApp> TaskJob<A> {
                 rank,
                 incarnation: 1,
                 endpoint,
-                kernel: env.boot(rank),
+                kernel: Arc::new(env.boot(rank)),
                 state: app.init(rank, n),
                 step: 0,
+                wait: None,
                 done: false,
                 down: false,
             })
@@ -333,6 +344,7 @@ impl<A: TaskApp> TaskJob<A> {
         Ok(TaskJob {
             app,
             env,
+            superstep,
             ranks: Mutex::new(Ranks {
                 slots,
                 tail,
@@ -396,54 +408,91 @@ impl<A: TaskApp> TaskJob<A> {
 
     fn sweep_ranks(&self, ranks: &mut Ranks<A>) -> bool {
         let mut progressed = false;
-        for slot in &mut ranks.slots {
-            if !slot.down {
-                // 1. Drain the fabric inbox as one batch (one coalesced
-                // ack flush).
-                let mut batch = Vec::new();
-                while let Ok(env) = slot.endpoint.try_recv() {
-                    batch.push(env);
-                }
-                if !batch.is_empty() {
-                    slot.kernel.ingest_batch(batch);
-                    progressed = true;
-                }
-                // 2. Planned kills fire on step boundaries; a fenced
-                // incarnation (a finished one too: its digest is void)
-                // or a desynchronized one dies and rejoins.
-                let death = if slot.kernel.is_fenced() {
-                    Some(Death::Fenced)
-                } else if slot.done {
-                    None
-                } else {
-                    self.env
-                        .due(slot.rank, slot.incarnation, slot.step)
-                        .or_else(|| slot.kernel.is_desynced().then_some(Death::Process))
-                        .or_else(|| self.poll(slot, &mut progressed))
-                };
-                if let Some(death) = death {
-                    self.env
-                        .lose(slot.rank, slot.incarnation, slot.step, &slot.kernel, death);
-                    slot.incarnation += 1;
-                    slot.down = true;
-                    progressed = true;
-                }
+        let slots = &mut ranks.slots;
+        if self.superstep {
+            // Every rank ingests, then every rank computes, then every
+            // rank's boundary.
+            let ingested: Vec<_> = (slots.iter_mut())
+                .map(|slot| self.ingest(slot, &mut progressed))
+                .collect();
+            let deaths: Vec<_> = (slots.iter_mut().zip(ingested))
+                .map(|(slot, ingested)| self.compute(slot, ingested, &mut progressed))
+                .collect();
+            for (slot, death) in slots.iter_mut().zip(deaths) {
+                self.boundary(slot, death, &mut progressed);
             }
-            if slot.down {
-                // At once without a detector; else once certified (or
-                // the gate's fallback elapsed).
-                if !self.env.may_respawn(slot.rank, slot.incarnation) {
-                    continue;
-                }
-                self.respawn(slot);
-                progressed = true;
+        } else {
+            for slot in slots {
+                let ingested = self.ingest(slot, &mut progressed);
+                let death = self.compute(slot, ingested, &mut progressed);
+                self.boundary(slot, death, &mut progressed);
             }
-            // 4. Timers, resync-request drain, detector, rollback
-            // rebroadcast. Done ranks keep ticking: they serve their
-            // peers until every rank is done.
-            slot.kernel.tick();
         }
         progressed
+    }
+
+    /// Stage 1: drain a live slot's fabric inbox as one batch (one
+    /// coalesced ack flush). True if anything was ingested.
+    fn ingest(&self, slot: &mut Slot<A>, progressed: &mut bool) -> bool {
+        if slot.down {
+            return false;
+        }
+        let batch: Vec<_> = std::iter::from_fn(|| slot.endpoint.try_recv().ok()).collect();
+        let ingested = !batch.is_empty();
+        if ingested {
+            slot.kernel.ingest_batch(batch);
+            *progressed = true;
+        }
+        ingested
+    }
+
+    /// Stages 2–3 for a live slot: its death, or its poll.
+    fn compute(&self, slot: &mut Slot<A>, ingested: bool, progressed: &mut bool) -> Option<Death> {
+        if slot.down {
+            return None;
+        }
+        // Planned kills fire on step boundaries; a fenced incarnation
+        // (a finished one too: its digest is void) or a desynchronized
+        // one dies and rejoins.
+        if slot.kernel.is_fenced() {
+            Some(Death::Fenced)
+        } else if slot.done {
+            None
+        } else {
+            self.env
+                .due(slot.rank, slot.incarnation, slot.step)
+                .or_else(|| slot.kernel.is_desynced().then_some(Death::Process))
+                // A receive can end only once something was ingested.
+                .or_else(|| match (slot.wait, ingested) {
+                    (Some(Wait::Recv(_)), false) => None,
+                    _ => self.poll(slot, progressed),
+                })
+        }
+    }
+
+    /// The slot's boundary: book its `death`, bring up its successor
+    /// once the gate allows, tick.
+    fn boundary(&self, slot: &mut Slot<A>, death: Option<Death>, progressed: &mut bool) {
+        if let Some(death) = death {
+            self.env
+                .lose(slot.rank, slot.incarnation, slot.step, &slot.kernel, death);
+            slot.incarnation += 1;
+            slot.down = true;
+            *progressed = true;
+        }
+        if slot.down {
+            // At once without a detector; else once certified (or the
+            // gate's fallback elapsed).
+            if !self.env.may_respawn(slot.rank, slot.incarnation) {
+                return;
+            }
+            self.respawn(slot);
+            *progressed = true;
+        }
+        // 4. Timers, resync-request drain, detector, rollback
+        // rebroadcast. Done ranks keep ticking: they serve their peers
+        // until every rank is done.
+        slot.kernel.tick();
     }
 
     /// Stage 3: poll `slot`'s state machine up to the budget,
@@ -452,8 +501,10 @@ impl<A: TaskApp> TaskJob<A> {
     fn poll(&self, slot: &mut Slot<A>, progressed: &mut bool) -> Option<Death> {
         for _ in 0..POLL_BUDGET {
             let mut ctx = TaskCtx::for_kernel(&slot.kernel, slot.step);
-            match self.app.poll(&mut ctx, &mut slot.state) {
-                Ok(TaskPoll::Pending) | Err(Fault::Shutdown | Fault::WouldBlock) => break,
+            let polled = self.app.poll(&mut ctx, &mut slot.state);
+            slot.wait = ctx.wait;
+            match polled {
+                Ok(TaskPoll::Pending) | Err(Fault::WouldBlock) => break,
                 Ok(TaskPoll::Step) => {
                     slot.step += 1;
                     if slot.kernel.checkpoint_due(slot.step) {
@@ -461,14 +512,14 @@ impl<A: TaskApp> TaskJob<A> {
                             .do_checkpoint(lclog_wire::encode_to_vec(&slot.state), slot.step);
                     }
                     *progressed = true;
-                    // Leave the budget so the next sweep's kill check
-                    // sees the new step promptly.
-                    if self
-                        .env
-                        .due(slot.rank, slot.incarnation, slot.step)
-                        .is_some()
-                    {
-                        break;
+                    // A superstep's kill fires now; otherwise leave the
+                    // budget so the next sweep's kill check sees the new
+                    // step promptly.
+                    if let Some(death) = self.env.due(slot.rank, slot.incarnation, slot.step) {
+                        match self.superstep {
+                            true => return Some(death),
+                            false => break,
+                        }
                     }
                 }
                 Ok(TaskPoll::Done) => {
@@ -480,6 +531,12 @@ impl<A: TaskApp> TaskJob<A> {
                     *progressed = true;
                     break;
                 }
+                // A membership view declared this live incarnation dead.
+                Err(Fault::Fenced) => return Some(Death::Fenced),
+                // Every other fault (`Unreachable`, `Desync`,
+                // `Collective`) unwinds like a crash and rejoins through
+                // the normal rollback path, which retries the operation
+                // against whatever incarnation of the peer answers.
                 Err(_) => return Some(Death::Process),
             }
         }
@@ -490,7 +547,7 @@ impl<A: TaskApp> TaskJob<A> {
         let (progressed, end) = ranks.tail.close(&self.env);
         if let Some(end) = end {
             ranks.finished = true;
-            ranks.failure = end.err();
+            ranks.failure = end.err().map(|error| name_unfinished(error, &ranks.slots));
         }
         progressed
     }
@@ -507,6 +564,15 @@ impl<A: TaskApp> TaskJob<A> {
         let ranks = self.ranks.lock();
         self.env
             .report(ranks.tail.start.elapsed(), ranks.failure.clone())
+    }
+
+    /// Round after round on the caller's thread until the job finishes.
+    pub(crate) fn run(self) -> Result<RunReport, String> {
+        while !self.is_finished() {
+            self.sweep(0);
+            self.advance();
+        }
+        self.report()
     }
 
     /// Garbage-collect every checkpoint generation this job wrote,
@@ -527,22 +593,36 @@ impl<A: TaskApp> TaskJob<A> {
         });
         (slot.step, slot.state) =
             restored.unwrap_or_else(|| (0, self.app.init(slot.rank, self.env.n)));
-        slot.kernel = kernel;
+        slot.kernel = Arc::new(kernel);
         slot.endpoint = endpoint;
+        slot.wait = None;
         slot.done = false;
         slot.down = false;
     }
 }
 
+/// The watchdog's `error`, naming where every unfinished rank stopped:
+/// its incarnation, its [`Place`] and its kernel's `Debug` dump.
+fn name_unfinished<A: TaskApp>(mut error: String, slots: &[Slot<A>]) -> String {
+    for slot in slots.iter().filter(|slot| !slot.done) {
+        let place = match (slot.down, slot.wait) {
+            (true, _) => Place::Down,
+            (false, Some(wait)) => Place::Waiting {
+                wait,
+                step: slot.step,
+            },
+            (false, None) => Place::Pending { step: slot.step },
+        };
+        let (rank, incarnation, kernel) = (slot.rank, slot.incarnation, &slot.kernel);
+        error += &format!("\n  rank {rank} incarnation {incarnation}: {place:?}; {kernel:?}");
+    }
+    error
+}
+
 /// Run `app` on `cfg.n` ranks as cooperative tasks, driven round by
 /// round on the caller's thread (see the module docs for the round).
 pub fn run_tasks<A: TaskApp>(cfg: &ClusterConfig, app: A) -> Result<RunReport, String> {
-    let job = TaskJob::new(cfg, app)?;
-    while !job.is_finished() {
-        job.sweep(0);
-        job.advance();
-    }
-    job.report()
+    TaskJob::new(cfg, app)?.run()
 }
 
 #[cfg(test)]
@@ -551,11 +631,12 @@ mod tests {
     use crate::cluster::{Cluster, FailurePlan, RemoteConfig};
     use crate::config::{CheckpointPolicy, RunConfig};
     use crate::events::EventKind;
+    use crate::fault::StepStatus;
+    use crate::process::{RankApp, RankCtx};
     use lclog_core::ProtocolKind;
     use lclog_simnet::{ChaosConfig, NetConfig, SimNet, StorageChaos};
     use lclog_stable::{CheckpointStore, MemStore, RemoteStore, StableStorage, MANIFEST_KEY};
     use lclog_wire::impl_wire_struct;
-    use std::sync::Arc;
 
     const TAG: u32 = 7;
     /// A heavy-tail seed whose φ = 2 run fences live ranks, a finished
@@ -618,6 +699,45 @@ mod tests {
                 }
                 None => Ok(TaskPoll::Pending),
             }
+        }
+
+        fn digest(&self, st: &RingState) -> u64 {
+            mix(st.acc ^ st.round)
+        }
+    }
+
+    /// [`ExchangeRing`] as a [`RankApp`]: the same sends and folds, one
+    /// round per step, the same states at every step boundary.
+    struct AsyncRing {
+        rounds: u64,
+    }
+
+    impl RankApp for AsyncRing {
+        type State = RingState;
+
+        fn init(&self, rank: Rank, n: usize) -> RingState {
+            ExchangeRing {
+                rounds: self.rounds,
+            }
+            .init(rank, n)
+        }
+
+        async fn step(
+            &self,
+            ctx: &mut RankCtx<'_>,
+            st: &mut RingState,
+        ) -> Result<StepStatus, Fault> {
+            if st.round >= self.rounds {
+                return Ok(StepStatus::Done);
+            }
+            let (me, n) = (ctx.rank(), ctx.n());
+            let payload = mix(st.acc ^ st.round);
+            ctx.send_value((me + 1) % n, TAG, &payload).await?;
+            let left = (me + n - 1) % n;
+            let (_, v) = ctx.recv_value::<u64>(RecvSpec::from(left, TAG)).await?;
+            st.acc = mix(st.acc.wrapping_add(v));
+            st.round += 1;
+            Ok(StepStatus::Continue)
         }
 
         fn digest(&self, st: &RingState) -> u64 {
@@ -778,7 +898,7 @@ mod tests {
     }
 
     #[test]
-    fn tasks_and_threads_agree_on_digests() {
+    fn rank_apps_and_task_apps_agree_on_digests() {
         let app = || ExchangeRing { rounds: 6 };
         for (kind, net) in [
             (ProtocolKind::Tdi, NetConfig::direct()),
@@ -788,9 +908,9 @@ mod tests {
         ] {
             let cfg = tasks_cfg(4, kind).with_net(net);
             let tasks = run_tasks(&cfg, app()).unwrap();
-            let threads = Cluster::run(&cfg, BlockingTaskApp(app())).unwrap();
-            assert_eq!(tasks.digests, threads.digests, "{kind}");
-            assert_eq!(tasks.stats.delivers, threads.stats.delivers, "{kind}");
+            let steps = Cluster::run(&cfg, AsyncRing { rounds: 6 }).unwrap();
+            assert_eq!(tasks.digests, steps.digests, "{kind}");
+            assert_eq!(tasks.stats.delivers, steps.stats.delivers, "{kind}");
         }
     }
 
@@ -863,22 +983,22 @@ mod tests {
         }
     }
 
-    /// The incarnation lifecycle is one piece of code under both
-    /// drivers: a node loss on one rank and a plain kill on another at
-    /// the same step recover to the fault-free digests under
-    /// `Cluster::run` and under tasks, and each victim's whole timeline
-    /// from `Crashed` on reads the same on both — through
-    /// `RecoverySynced` for the node loss; the killed rank's
-    /// application finishes before its recovery syncs, on both.
+    /// The incarnation lifecycle is one piece of code for both kinds of
+    /// application: a node loss on one rank and a plain kill on another
+    /// at the same step recover to the fault-free digests for a
+    /// `RankApp` (`Cluster::run`) and a `TaskApp` (`run_tasks`), and
+    /// each victim's whole timeline from `Crashed` on reads the same on
+    /// both — through `RecoverySynced` for the node loss; the killed
+    /// rank's application finishes before its recovery syncs, on both.
     #[test]
-    fn lifecycle_is_the_same_under_both_engines() {
+    fn lifecycle_is_the_same_for_rank_and_task_apps() {
         let app = || ExchangeRing { rounds: 8 };
         let clean = run_tasks(&tasks_cfg(4, ProtocolKind::Tdi), app()).unwrap();
         let faulty = tasks_cfg(4, ProtocolKind::Tdi)
             .with_remote(RemoteConfig::in_memory())
             .with_failures(FailurePlan::kill_wipe_at(2, 4).and_kill(0, 4))
             .with_trace(true);
-        let threads = Cluster::run(&faulty, BlockingTaskApp(app())).unwrap();
+        let steps = Cluster::run(&faulty, AsyncRing { rounds: 8 }).unwrap();
         let tasks = run_tasks(&faulty, app()).unwrap();
         let lifecycle = |report: &RunReport, victim: Rank| -> Vec<&'static str> {
             let on_victim = report.timeline.iter().filter(|e| e.rank == victim);
@@ -897,7 +1017,7 @@ mod tests {
                 .collect();
             story
         };
-        for report in [&threads, &tasks] {
+        for report in [&steps, &tasks] {
             assert_eq!(report.digests, clean.digests);
             assert_eq!(report.kills, 2);
             assert_eq!(
@@ -975,8 +1095,20 @@ mod tests {
         let store = CheckpointStore::new(Arc::new(MemStore::new()));
         let _ep0 = net.attach(0);
         let ep1 = net.attach(1);
-        let k0 = Kernel::new(0, 2, RunConfig::new(ProtocolKind::Tdi), net.clone(), store.clone());
-        let k1 = Kernel::new(1, 2, RunConfig::new(ProtocolKind::Tdi), net.clone(), store);
+        let k0 = Kernel::new(
+            0,
+            2,
+            RunConfig::new(ProtocolKind::Tdi),
+            net.clone(),
+            store.clone(),
+        );
+        let k1 = Arc::new(Kernel::new(
+            1,
+            2,
+            RunConfig::new(ProtocolKind::Tdi),
+            net.clone(),
+            store,
+        ));
         // An empty payload can never decode as u64.
         k0.app_send(1, TAG, Bytes::new(), false);
         while let Ok(env) = ep1.try_recv() {

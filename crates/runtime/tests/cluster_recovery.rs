@@ -51,7 +51,11 @@ impl RankApp for RingApp {
         }
     }
 
-    fn step(&self, ctx: &mut RankCtx<'_>, state: &mut RingState) -> Result<StepStatus, Fault> {
+    async fn step(
+        &self,
+        ctx: &mut RankCtx<'_>,
+        state: &mut RingState,
+    ) -> Result<StepStatus, Fault> {
         if state.round >= self.rounds {
             return Ok(StepStatus::Done);
         }
@@ -60,13 +64,13 @@ impl RankApp for RingApp {
         let right = (r + 1) % n;
         if r == 0 {
             let out = mix(state.token, state.round);
-            ctx.send_value(right, RING_TAG, &out)?;
-            let (_, t): (_, u64) = ctx.recv_value(RecvSpec::from(n - 1, RING_TAG))?;
+            ctx.send_value(right, RING_TAG, &out).await?;
+            let (_, t): (_, u64) = ctx.recv_value(RecvSpec::from(n - 1, RING_TAG)).await?;
             state.token = t;
         } else {
-            let (_, t): (_, u64) = ctx.recv_value(RecvSpec::from(r - 1, RING_TAG))?;
+            let (_, t): (_, u64) = ctx.recv_value(RecvSpec::from(r - 1, RING_TAG)).await?;
             let out = mix(t, state.round ^ (r as u64) << 32);
-            ctx.send_value(right, RING_TAG, &out)?;
+            ctx.send_value(right, RING_TAG, &out).await?;
             state.token = out;
         }
         state.round += 1;
@@ -105,12 +109,12 @@ impl RankApp for AllReduceApp {
         }
     }
 
-    fn step(&self, ctx: &mut RankCtx<'_>, state: &mut ArState) -> Result<StepStatus, Fault> {
+    async fn step(&self, ctx: &mut RankCtx<'_>, state: &mut ArState) -> Result<StepStatus, Fault> {
         if state.iter >= self.iters {
             return Ok(StepStatus::Done);
         }
         let local = state.acc * (1.0 + ctx.rank() as f64) / (1.0 + state.iter as f64);
-        let total = allreduce_sum_f64(ctx, (state.iter as u32) * 2 + 100, local)?;
+        let total = allreduce_sum_f64(ctx, (state.iter as u32) * 2 + 100, local).await?;
         state.acc = state.acc * 0.5 + total * 0.25;
         state.iter += 1;
         Ok(StepStatus::Continue)

@@ -36,7 +36,7 @@ impl RankApp for CollectiveTour {
         }
     }
 
-    fn step(&self, ctx: &mut RankCtx<'_>, st: &mut TourState) -> Result<StepStatus, Fault> {
+    async fn step(&self, ctx: &mut RankCtx<'_>, st: &mut TourState) -> Result<StepStatus, Fault> {
         if st.stage >= 4 * ROUNDS {
             return Ok(StepStatus::Done);
         }
@@ -45,17 +45,17 @@ impl RankApp for CollectiveTour {
         let tag = 50 + (st.stage as u32) * 4;
         match st.stage % 4 {
             0 => {
-                barrier(ctx, tag)?;
+                barrier(ctx, tag).await?;
                 st.checks += 1;
             }
             1 => {
-                let v = broadcast(ctx, 1 % n, tag, (r == 1 % n).then_some(st.acc))?;
+                let v = broadcast(ctx, 1 % n, tag, (r == 1 % n).then_some(st.acc)).await?;
                 // Every rank folds the same broadcast value.
                 st.acc = 0.5 * st.acc + 0.25 * v;
                 st.checks += 1;
             }
             2 => {
-                let sum = reduce(ctx, 0, tag, st.acc, |a, b| a + b)?;
+                let sum = reduce(ctx, 0, tag, st.acc, |a, b| a + b).await?;
                 if r == 0 {
                     let sum = sum.expect("root sees the reduction");
                     st.acc += sum * 0.125;
@@ -63,11 +63,11 @@ impl RankApp for CollectiveTour {
                     assert!(sum.is_none(), "non-roots get None");
                 }
                 // Re-sync everyone's view.
-                st.acc = broadcast(ctx, 0, tag + 1, (r == 0).then_some(st.acc))?;
+                st.acc = broadcast(ctx, 0, tag + 1, (r == 0).then_some(st.acc)).await?;
                 st.checks += 1;
             }
             _ => {
-                let all = gather(ctx, 2 % n, tag, st.acc.to_bits())?;
+                let all = gather(ctx, 2 % n, tag, st.acc.to_bits()).await?;
                 if r == 2 % n {
                     let all = all.expect("root gathers");
                     assert_eq!(all.len(), n);
@@ -76,7 +76,7 @@ impl RankApp for CollectiveTour {
                     sorted.sort_unstable();
                     st.acc += sorted.iter().map(|b| f64::from_bits(*b)).sum::<f64>() * 0.01;
                 }
-                st.acc = broadcast(ctx, 2 % n, tag + 1, (r == 2 % n).then_some(st.acc))?;
+                st.acc = broadcast(ctx, 2 % n, tag + 1, (r == 2 % n).then_some(st.acc)).await?;
                 st.checks += 1;
             }
         }
@@ -155,11 +155,11 @@ impl RankApp for IterativeAllReduce {
             acc: 1.0 + rank as f64 * 0.5,
         }
     }
-    fn step(&self, ctx: &mut RankCtx<'_>, st: &mut ArSt) -> Result<StepStatus, Fault> {
+    async fn step(&self, ctx: &mut RankCtx<'_>, st: &mut ArSt) -> Result<StepStatus, Fault> {
         if st.round >= self.rounds {
             return Ok(StepStatus::Done);
         }
-        let total = allreduce_sum_f64(ctx, 200 + st.round as u32 * 2, st.acc)?;
+        let total = allreduce_sum_f64(ctx, 200 + st.round as u32 * 2, st.acc).await?;
         st.acc = st.acc * 0.5 + total * 0.125;
         st.round += 1;
         Ok(StepStatus::Continue)
@@ -224,11 +224,11 @@ fn allreduce_matches_sequential_sum() {
                 out: (rank + 1) as f64,
             }
         }
-        fn step(&self, ctx: &mut RankCtx<'_>, st: &mut S) -> Result<StepStatus, Fault> {
+        async fn step(&self, ctx: &mut RankCtx<'_>, st: &mut S) -> Result<StepStatus, Fault> {
             if st.done == 1 {
                 return Ok(StepStatus::Done);
             }
-            st.out = allreduce_sum_f64(ctx, 9, st.out)?;
+            st.out = allreduce_sum_f64(ctx, 9, st.out).await?;
             st.done = 1;
             Ok(StepStatus::Continue)
         }

@@ -28,15 +28,15 @@ impl RankApp for Ring {
             value: rank as u64 + 7,
         }
     }
-    fn step(&self, ctx: &mut RankCtx<'_>, st: &mut St) -> Result<StepStatus, Fault> {
+    async fn step(&self, ctx: &mut RankCtx<'_>, st: &mut St) -> Result<StepStatus, Fault> {
         if st.round >= self.rounds {
             return Ok(StepStatus::Done);
         }
         let n = ctx.n();
         let right = (ctx.rank() + 1) % n;
         let left = (ctx.rank() + n - 1) % n;
-        ctx.send_value(right, 3, &st.value)?;
-        let (_, v): (_, u64) = ctx.recv_value(RecvSpec::from(left, 3))?;
+        ctx.send_value(right, 3, &st.value).await?;
+        let (_, v): (_, u64) = ctx.recv_value(RecvSpec::from(left, 3)).await?;
         st.value = st.value.rotate_left(7) ^ v;
         st.round += 1;
         Ok(StepStatus::Continue)

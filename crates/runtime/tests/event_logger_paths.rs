@@ -32,19 +32,19 @@ impl RankApp for PingPong {
         }
     }
 
-    fn step(&self, ctx: &mut RankCtx<'_>, st: &mut PpState) -> Result<StepStatus, Fault> {
+    async fn step(&self, ctx: &mut RankCtx<'_>, st: &mut PpState) -> Result<StepStatus, Fault> {
         if st.round >= self.rounds {
             return Ok(StepStatus::Done);
         }
         let peer = 1 - ctx.rank();
         if ctx.rank() == 0 {
-            ctx.send_value(peer, 0, &st.value)?;
-            let (_, v): (_, u64) = ctx.recv_value(RecvSpec::from(peer, 0))?;
+            ctx.send_value(peer, 0, &st.value).await?;
+            let (_, v): (_, u64) = ctx.recv_value(RecvSpec::from(peer, 0)).await?;
             st.value = st.value.wrapping_mul(3).wrapping_add(v);
         } else {
-            let (_, v): (_, u64) = ctx.recv_value(RecvSpec::from(peer, 0))?;
+            let (_, v): (_, u64) = ctx.recv_value(RecvSpec::from(peer, 0)).await?;
             st.value = st.value.wrapping_mul(5).wrapping_add(v);
-            ctx.send_value(peer, 0, &st.value)?;
+            ctx.send_value(peer, 0, &st.value).await?;
         }
         st.round += 1;
         Ok(StepStatus::Continue)

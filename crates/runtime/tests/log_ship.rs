@@ -51,7 +51,11 @@ impl RankApp for RingApp {
         }
     }
 
-    fn step(&self, ctx: &mut RankCtx<'_>, state: &mut RingState) -> Result<StepStatus, Fault> {
+    async fn step(
+        &self,
+        ctx: &mut RankCtx<'_>,
+        state: &mut RingState,
+    ) -> Result<StepStatus, Fault> {
         if state.round >= self.rounds {
             return Ok(StepStatus::Done);
         }
@@ -60,13 +64,13 @@ impl RankApp for RingApp {
         let right = (r + 1) % n;
         if r == 0 {
             let out = mix(state.token, state.round);
-            ctx.send_value(right, RING_TAG, &out)?;
-            let (_, t): (_, u64) = ctx.recv_value(RecvSpec::from(n - 1, RING_TAG))?;
+            ctx.send_value(right, RING_TAG, &out).await?;
+            let (_, t): (_, u64) = ctx.recv_value(RecvSpec::from(n - 1, RING_TAG)).await?;
             state.token = t;
         } else {
-            let (_, t): (_, u64) = ctx.recv_value(RecvSpec::from(r - 1, RING_TAG))?;
+            let (_, t): (_, u64) = ctx.recv_value(RecvSpec::from(r - 1, RING_TAG)).await?;
             let out = mix(t, state.round ^ (r as u64) << 32);
-            ctx.send_value(right, RING_TAG, &out)?;
+            ctx.send_value(right, RING_TAG, &out).await?;
             state.token = out;
         }
         state.round += 1;

@@ -28,13 +28,15 @@ impl RankApp for Ring {
             value: rank as u64,
         }
     }
-    fn step(&self, ctx: &mut RankCtx<'_>, st: &mut St) -> Result<StepStatus, Fault> {
+    async fn step(&self, ctx: &mut RankCtx<'_>, st: &mut St) -> Result<StepStatus, Fault> {
         if st.round >= self.rounds {
             return Ok(StepStatus::Done);
         }
         let n = ctx.n();
-        ctx.send_value((ctx.rank() + 1) % n, 1, &st.value)?;
-        let (_, v): (_, u64) = ctx.recv_value(RecvSpec::from((ctx.rank() + n - 1) % n, 1))?;
+        ctx.send_value((ctx.rank() + 1) % n, 1, &st.value).await?;
+        let (_, v): (_, u64) = ctx
+            .recv_value(RecvSpec::from((ctx.rank() + n - 1) % n, 1))
+            .await?;
         st.value = st.value.wrapping_add(v ^ st.round);
         st.round += 1;
         Ok(StepStatus::Continue)

@@ -1,14 +1,11 @@
 //! The release-time schedule of a timed fabric.
 //!
-//! `send` stages each envelope with its send time on the fabric's
-//! [`Clock`]; the next release or purge settles what is staged, in
-//! (send time, src) order, giving each a release time: its send time,
-//! plus the delivery model's delay, plus any chaos delay, clamped to be
-//! non-decreasing per `(src, dst)` pair so per-pair FIFO survives.
-//! Senders racing each other between two releases cannot reorder the
-//! schedule (nor the shared bus), and nothing runs in the background:
-//! under a virtual clock the schedule is a pure function of the sends
-//! and the clock's advances.
+//! `send` gives each envelope a release time: its send time on the
+//! fabric's [`Clock`], plus the delivery model's delay, plus any chaos
+//! delay, clamped to be non-decreasing per `(src, dst)` pair so
+//! per-pair FIFO survives. Nothing runs in the background: under a
+//! virtual clock, with one thread sending, the schedule is a pure
+//! function of the sends and the clock's advances.
 //!
 //! * [`DeliveryModel::Delayed`] — `base + per_kib × ceil(len/1 KiB) +
 //!   jitter`, the jitter a hash of `(seed, src, dst, seq)`. Messages
@@ -32,10 +29,8 @@ pub(crate) struct Schedule {
     n: usize,
     clock: Clock,
     model: DeliveryModel,
-    /// Sent, not yet given a release time: (send time, extra delay).
-    staged: Vec<(Instant, Duration, Envelope)>,
-    /// Parked envelopes by `(release time, settle order)`: equal
-    /// release times go in settle order.
+    /// Parked envelopes by `(release time, send order)`: equal release
+    /// times go in send order.
     parked: BTreeMap<(Instant, u64), Envelope>,
     /// Latest release time given out on each `(src, dst)` pair.
     pair_floor: Vec<Instant>,
@@ -51,7 +46,6 @@ impl Schedule {
             n,
             clock,
             model,
-            staged: Vec::new(),
             parked: BTreeMap::new(),
             pair_floor: vec![now; n * n],
             bus_free: now,
@@ -59,23 +53,9 @@ impl Schedule {
         }
     }
 
-    /// Stage `env`, to be released `extra` past the model's delay.
+    /// Park `env`, to be released `extra` past the model's delay.
     pub(crate) fn push(&mut self, env: Envelope, extra: Duration) {
-        self.staged.push((self.clock.now(), extra, env));
-    }
-
-    /// Give every staged envelope its release time, in (send time,
-    /// src) order (stable: a source's envelopes keep their order).
-    fn settle(&mut self) {
-        let mut staged = std::mem::take(&mut self.staged);
-        staged.sort_by_key(|(sent, _, env)| (*sent, env.src));
-        for (sent, extra, env) in staged.drain(..) {
-            self.park(sent, extra, env);
-        }
-        self.staged = staged;
-    }
-
-    fn park(&mut self, now: Instant, extra: Duration, env: Envelope) {
+        let now = self.clock.now();
         let due = match self.model {
             DeliveryModel::Delayed {
                 base,
@@ -115,14 +95,12 @@ impl Schedule {
 
     /// The next envelope whose release time has come, if any.
     pub(crate) fn pop_due(&mut self) -> Option<Envelope> {
-        self.settle();
         let entry = self.parked.first_entry()?;
         (entry.key().0 <= self.clock.now()).then(|| entry.remove())
     }
 
     /// Drop everything scheduled toward `dst`; returns how many.
     pub(crate) fn purge(&mut self, dst: Rank) -> usize {
-        self.settle();
         let before = self.parked.len();
         self.parked.retain(|_, env| env.dst != dst);
         before - self.parked.len()

@@ -9,6 +9,17 @@ pub trait Encode {
 
     /// Exact number of bytes [`Encode::encode`] will append.
     fn encoded_len(&self) -> usize;
+
+    /// Append the encodings of `items` back to back, as a `Vec<Self>`
+    /// does after its length. Bytes override it with one copy.
+    fn encode_slice(items: &[Self], buf: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(buf);
+        }
+    }
 }
 
 /// Types that can be deserialized from the lclog wire format.
@@ -34,8 +45,26 @@ macro_rules! impl_fixed_int {
 }
 
 impl_fixed_int! {
-    u8 => 1, u16 => 2, u32 => 4, u64 => 8,
+    u16 => 2, u32 => 4, u64 => 8,
     i8 => 1, i16 => 2, i32 => 4, i64 => 8,
+}
+
+impl Encode for u8 {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(*self);
+    }
+    fn encoded_len(&self) -> usize {
+        1
+    }
+    fn encode_slice(items: &[u8], buf: &mut Vec<u8>) {
+        buf.extend_from_slice(items);
+    }
+}
+
+impl Decode for u8 {
+    fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(reader.take_array::<1>()?[0])
+    }
 }
 
 impl Encode for f64 {
@@ -122,9 +151,7 @@ fn decode_len(reader: &mut Reader<'_>, min_elem_size: usize) -> Result<usize, Wi
 impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
         varint::write_u64(buf, self.len() as u64);
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_slice(self, buf);
     }
     fn encoded_len(&self) -> usize {
         varint::len_u64(self.len() as u64) + self.iter().map(Encode::encoded_len).sum::<usize>()

@@ -37,7 +37,7 @@ impl RankApp for MasterWorkerSum {
         }
     }
 
-    fn step(&self, ctx: &mut RankCtx<'_>, state: &mut SumState) -> Result<StepStatus, Fault> {
+    async fn step(&self, ctx: &mut RankCtx<'_>, state: &mut SumState) -> Result<StepStatus, Fault> {
         if state.round >= self.rounds {
             return Ok(StepStatus::Done);
         }
@@ -46,7 +46,7 @@ impl RankApp for MasterWorkerSum {
         // result is identical whatever order messages become
         // deliverable — in normal operation *and* during recovery.
         let tag = 10 + (state.round as u32) * 2;
-        let total = collectives::allreduce_sum_f64(ctx, tag, state.acc * 0.9)?;
+        let total = collectives::allreduce_sum_f64(ctx, tag, state.acc * 0.9).await?;
         state.acc = 0.5 * state.acc + 0.1 * total;
         state.round += 1;
         Ok(StepStatus::Continue)

@@ -36,20 +36,25 @@ impl RankApp for TokenRing {
         }
     }
 
-    fn step(&self, ctx: &mut RankCtx<'_>, state: &mut RingState) -> Result<StepStatus, Fault> {
+    async fn step(
+        &self,
+        ctx: &mut RankCtx<'_>,
+        state: &mut RingState,
+    ) -> Result<StepStatus, Fault> {
         if state.round >= self.rounds {
             return Ok(StepStatus::Done);
         }
         let n = ctx.n();
         let right = (ctx.rank() + 1) % n;
         if ctx.rank() == 0 {
-            ctx.send_value(right, TAG, &state.value)?;
-            let (_, incoming): (_, u64) = ctx.recv_value(RecvSpec::from(n - 1, TAG))?;
+            ctx.send_value(right, TAG, &state.value).await?;
+            let (_, incoming): (_, u64) = ctx.recv_value(RecvSpec::from(n - 1, TAG)).await?;
             state.value = state.value.wrapping_mul(31).wrapping_add(incoming);
         } else {
-            let (_, incoming): (_, u64) = ctx.recv_value(RecvSpec::from(ctx.rank() - 1, TAG))?;
+            let (_, incoming): (_, u64) =
+                ctx.recv_value(RecvSpec::from(ctx.rank() - 1, TAG)).await?;
             state.value = state.value.wrapping_mul(31).wrapping_add(incoming);
-            ctx.send_value(right, TAG, &state.value)?;
+            ctx.send_value(right, TAG, &state.value).await?;
         }
         state.round += 1;
         Ok(StepStatus::Continue)

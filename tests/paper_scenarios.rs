@@ -116,7 +116,11 @@ impl RankApp for CountingApp {
         }
     }
 
-    fn step(&self, ctx: &mut RankCtx<'_>, state: &mut CountState) -> Result<StepStatus, Fault> {
+    async fn step(
+        &self,
+        ctx: &mut RankCtx<'_>,
+        state: &mut CountState,
+    ) -> Result<StepStatus, Fault> {
         if state.round >= self.rounds {
             return Ok(StepStatus::Done);
         }
@@ -126,8 +130,8 @@ impl RankApp for CountingApp {
         // Everyone sends, then receives: exactly one message from the
         // left per round. If a repetitive message were ever delivered
         // twice, `delivered` would exceed rounds and digests diverge.
-        ctx.send_value(right, 5, &(state.sum + state.round))?;
-        let (_, v): (_, u64) = ctx.recv_value(RecvSpec::from(left, 5))?;
+        ctx.send_value(right, 5, &(state.sum + state.round)).await?;
+        let (_, v): (_, u64) = ctx.recv_value(RecvSpec::from(left, 5)).await?;
         state.sum = state.sum.wrapping_mul(33).wrapping_add(v);
         state.delivered += 1;
         state.round += 1;
