@@ -77,7 +77,7 @@ pub fn overhead_matrix(cfg: &ExpConfig) -> Vec<OverheadCell> {
                     n,
                     kind,
                     avg_ids: report.stats.avg_ids_per_msg(),
-                    tracking_ms: report.stats.tracking_ms(),
+                    tracking_ms: report.tracking_time.as_secs_f64() * 1e3,
                     sends: report.stats.sends,
                 });
             }
@@ -792,6 +792,10 @@ mod tests {
         // TDI's Fig. 6 value is exactly n for every workload.
         for c in cells.iter().filter(|c| c.kind == ProtocolKind::Tdi) {
             assert_eq!(c.avg_ids, c.n as f64, "{} n={}", c.bench, c.n);
+        }
+        // Fig. 7 reads the host's clock, whatever clock the run is on.
+        for c in cells.iter().filter(|c| c.kind == ProtocolKind::Tag) {
+            assert!(c.tracking_ms > 0.0, "{} n={}", c.bench, c.n);
         }
     }
 

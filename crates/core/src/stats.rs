@@ -1,8 +1,9 @@
 /// Per-process dependency-tracking cost counters — the raw material of
-/// the paper's Fig. 6 (piggyback data amount) and Fig. 7 (tracking
-/// time overhead).
+/// the paper's Fig. 6 (piggyback data amount). Every field is a count a
+/// run replays exactly; Fig. 7's tracking time is host time and is
+/// reported by the runtime beside these.
 ///
-/// Owned by the runtime (one per rank thread, no sharing) and summed
+/// Owned by the runtime (one per incarnation, no sharing) and summed
 /// across ranks when an experiment ends.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrackingStats {
@@ -15,10 +16,6 @@ pub struct TrackingStats {
     pub piggyback_ids: u64,
     /// Encoded piggyback bytes across all sends.
     pub piggyback_bytes: u64,
-    /// Nanoseconds spent constructing piggybacks (`on_send`).
-    pub track_send_ns: u64,
-    /// Nanoseconds spent merging piggybacks (`on_deliver`).
-    pub track_deliver_ns: u64,
     /// Peak bytes retained in the sender-based message log (payloads +
     /// piggybacks) — the memory cost checkpoint-interval choices trade
     /// against (ablation ABL3).
@@ -58,8 +55,6 @@ impl TrackingStats {
         self.delivers += other.delivers;
         self.piggyback_ids += other.piggyback_ids;
         self.piggyback_bytes += other.piggyback_bytes;
-        self.track_send_ns += other.track_send_ns;
-        self.track_deliver_ns += other.track_deliver_ns;
         // Peaks aggregate by max, not sum: the cluster-wide peak is
         // the worst single process (incarnations of one rank reuse
         // the same memory).
@@ -88,12 +83,6 @@ impl TrackingStats {
             self.piggyback_bytes as f64 / self.sends as f64
         }
     }
-
-    /// Fig. 7's metric: total tracking time (send-side construction
-    /// plus deliver-side merge), in milliseconds.
-    pub fn tracking_ms(&self) -> f64 {
-        (self.track_send_ns + self.track_deliver_ns) as f64 / 1e6
-    }
 }
 
 #[cfg(test)]
@@ -105,7 +94,6 @@ mod tests {
         let s = TrackingStats::default();
         assert_eq!(s.avg_ids_per_msg(), 0.0);
         assert_eq!(s.avg_bytes_per_msg(), 0.0);
-        assert_eq!(s.tracking_ms(), 0.0);
     }
 
     #[test]
@@ -115,8 +103,6 @@ mod tests {
             delivers: 2,
             piggyback_ids: 3,
             piggyback_bytes: 4,
-            track_send_ns: 5,
-            track_deliver_ns: 6,
             log_bytes_peak: 7,
             recovery_sync_ns: 100,
             delta_frames: 8,
@@ -130,8 +116,6 @@ mod tests {
         assert_eq!(a.delivers, 4);
         assert_eq!(a.piggyback_ids, 6);
         assert_eq!(a.piggyback_bytes, 8);
-        assert_eq!(a.track_send_ns, 10);
-        assert_eq!(a.track_deliver_ns, 12);
         assert_eq!(a.log_bytes_peak, 7, "peaks merge by max");
         assert_eq!(a.recovery_sync_ns, 200);
         assert_eq!(a.delta_frames, 16);

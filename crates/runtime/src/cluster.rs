@@ -1,14 +1,15 @@
 //! What every run's callers configure and read — the failure plan, the
 //! cluster configuration and the run report — and [`Cluster::run`], the
-//! entry point for a [`RankApp`]. It runs on the one round driver
-//! ([`crate::TaskJob`]): each rank is its `async` step, a future the
-//! sweeps poll until it completes (see [`crate::process`]).
+//! entry point for a [`RankApp`]. It is [`run_tasks`] over an adapter:
+//! each rank is its `async` step, a future the one round driver's
+//! sweeps poll until it completes (see [`crate::process`]), on the same
+//! schedule as any [`crate::TaskApp`].
 
 use crate::config::RunConfig;
 use crate::events::Event;
 use crate::process::{RankApp, Steps};
 use crate::replicator::{ReplicatorConfig, ReplicatorStats};
-use crate::tasks::TaskJob;
+use crate::tasks::run_tasks;
 use crate::transport::DataPlaneStats;
 use lclog_core::{Rank, TrackingStats};
 use lclog_simnet::{NetConfig, StorageChaos};
@@ -374,9 +375,12 @@ pub struct RunReport {
     /// Cluster-wide sum of `per_rank_stats`.
     pub stats: TrackingStats,
     /// Wall-clock duration of the run (Fig. 8's accomplishment time).
-    /// The one field that reads the host's clock: it varies from run
-    /// to run.
+    /// Read off the host's clock, like `tracking_time`: the two vary
+    /// from run to run, every other field replays exactly.
     pub wall: Duration,
+    /// Host time the protocol's piggyback construction and merge took,
+    /// summed over ranks and incarnations (Fig. 7's metric).
+    pub tracking_time: Duration,
     /// Number of injected crashes that actually fired.
     pub kills: u32,
     /// Fabric envelope count (app + control + recovery traffic).
@@ -443,12 +447,10 @@ impl Cluster {
     /// Run `app` on `cfg.n` ranks to completion, injecting the
     /// configured failures. Each rank is polled by the one driver like
     /// a [`crate::TaskApp`], through an adapter whose poll drives the
-    /// rank's one step future; sweeps run as supersteps (every rank
-    /// computes, then the boundary books deaths, respawns and ticks).
-    /// Returns an error naming where every unfinished rank waits if the
-    /// watchdog fires.
+    /// rank's one step future. Returns an error naming where every
+    /// unfinished rank waits if the watchdog fires.
     pub fn run<A: RankApp>(cfg: &ClusterConfig, app: A) -> Result<RunReport, String> {
-        TaskJob::build(cfg, Steps(Arc::new(app)), None, true)?.run()
+        run_tasks(cfg, Steps(Arc::new(app)))
     }
 }
 
@@ -458,7 +460,7 @@ mod tests {
     use crate::fault::{Fault, StepStatus};
     use crate::message::RecvSpec;
     use crate::process::RankCtx;
-    use crate::tasks::{run_tasks, TaskApp, TaskCtx, TaskPoll};
+    use crate::tasks::{TaskApp, TaskCtx, TaskPoll};
     use lclog_core::ProtocolKind;
 
     /// A deadlock is named, not just timed out: rank 0 waits for a

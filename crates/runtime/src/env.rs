@@ -19,10 +19,10 @@
 //! * books a completion ([`RunEnv::finish`]) and assembles the
 //!   [`RunReport`] ([`RunEnv::report`]).
 //!
-//! The drivers only schedule: [`crate::Cluster`] at its round
-//! boundaries, [`crate::TaskJob`] inside a sweep, the schedule explorer
-//! at decider-chosen points — so the crash path the explorer
-//! model-checks is the one that ships.
+//! The drivers only schedule: [`crate::TaskJob`] inside a sweep (for
+//! [`crate::Cluster::run`] too), the schedule explorer at
+//! decider-chosen points — so the crash path the explorer model-checks
+//! is the one that ships.
 
 use crate::cluster::{ClusterConfig, DetectorReport, FailurePlan, RunReport, StorageKind};
 use crate::config::RunConfig;
@@ -120,6 +120,8 @@ struct Board {
     /// crash, the finishing one with its digest.
     stats: Vec<TrackingStats>,
     data_plane: Vec<DataPlaneStats>,
+    /// Host time in the tracking layer, summed like `stats`.
+    tracking_time: Duration,
     done: usize,
     kills: u32,
     false_kills: u32,
@@ -210,6 +212,7 @@ impl RunEnv {
                 digests: vec![None; n],
                 stats: vec![TrackingStats::default(); n],
                 data_plane: vec![DataPlaneStats::default(); n],
+                tracking_time: Duration::ZERO,
                 done: 0,
                 kills: 0,
                 false_kills: 0,
@@ -284,6 +287,7 @@ impl RunEnv {
             if board.digests[rank].is_none() {
                 board.stats[rank].merge(&snap.stats);
                 board.data_plane[rank].merge(&snap.data_plane);
+                board.tracking_time += snap.tracking_time;
             } else {
                 // Fenced after `Done`: the counters were tallied with
                 // the digest, the digest is void.
@@ -372,6 +376,7 @@ impl RunEnv {
         let mut board = self.board.lock();
         board.stats[rank].merge(&snap.stats);
         board.data_plane[rank].merge(&snap.data_plane);
+        board.tracking_time += snap.tracking_time;
         board.digests[rank] = Some(digest);
         board.done += 1;
     }
@@ -447,6 +452,7 @@ impl RunEnv {
             per_rank_stats: board.stats.clone(),
             stats,
             wall,
+            tracking_time: board.tracking_time,
             kills: board.kills,
             net_msgs: net.msgs_sent(),
             net_bytes: net.bytes_sent(),

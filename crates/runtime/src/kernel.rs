@@ -101,6 +101,8 @@ impl_wire_struct!(CheckpointImage {
 pub struct KernelSnapshot {
     /// Tracking statistics (piggyback cost, send/deliver counts…).
     pub stats: TrackingStats,
+    /// Host time the protocol's `on_send` / `on_deliver` took (Fig. 7).
+    pub tracking_time: Duration,
     /// Retained sender-log payload + piggyback bytes.
     pub log_bytes: usize,
     /// Retained sender-log entries.
@@ -254,7 +256,7 @@ impl Kernel {
         transport.suspicion_mode = detector.is_some();
         let state = State {
             rec: RecoveryLayer::new(n, ckpt_store, now),
-            trk: Tracking::new(protocol, n, cfg.clock.clone()),
+            trk: Tracking::new(protocol, n),
             del: Delivery::new(n),
             transport,
             acked: CounterVector::zeroed(n),
@@ -318,6 +320,7 @@ impl Kernel {
         stats.log_bytes_peak = st.rec.log_bytes_peak;
         KernelSnapshot {
             stats,
+            tracking_time: st.trk.time,
             log_bytes: st.rec.log.bytes(),
             log_entries: st.rec.log.len(),
             acked: st.acked.clone(),

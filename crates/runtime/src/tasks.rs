@@ -6,7 +6,7 @@
 //! never blocks: a call that cannot proceed leaves the poll pending
 //! until the next sweep. Every rank runs the same kernels (transport,
 //! sender log, checkpointing, rollback recovery) over a held (or timed)
-//! fabric, and the round ends with the [`Tail`], so a run is a pure
+//! fabric, and every job runs the same schedule, so a run is a pure
 //! function of its config: the same digests, messages, bytes,
 //! retransmissions and chaos counters every time.
 //!
@@ -17,21 +17,17 @@
 //!    desynchronized, through the one lifecycle of [`crate::env`]; it
 //!    stays down until [`RunEnv::may_respawn`] lets its successor up;
 //! 3. poll a live rank's state machine up to a bounded budget
-//!    (checkpointing between steps);
+//!    (checkpointing between steps; a step that reaches a planned kill
+//!    ends the budget, and the kill fires at the next sweep);
 //! 4. tick the kernel (retransmission timers, resync-request drain,
 //!    failure detector, rollback rebroadcast);
 //!
-//! A [`RankApp`] job ([`crate::Cluster::run`]) sweeps in supersteps:
-//! stage 1 for every rank, then stages 2–3 for every rank, then every
-//! rank's deaths, respawns and stage 4 — and a planned kill fires as
-//! soon as a step reaches it, not at the next sweep.
-//!
-//! Then the [`Tail`]: one step of the service slot (event logger and
-//! membership arbiter, if the run has one), one shipping step of the
-//! replicator the job owns (if it has a remote), the release of all
-//! held fabric channels, the clock's advance (a timed fabric releases
-//! what then falls due at the next sweep's drains) and the watchdog,
-//! whose error names where every unfinished rank stopped.
+//! then the round's serial end: one step of the service slot (event
+//! logger and membership arbiter, if the run has one), one shipping
+//! step of the replicator the job owns (if it has a remote), the
+//! release of all held fabric channels, the clock's advance (a timed
+//! fabric releases what then falls due at the next sweep's drains) and
+//! the watchdog, whose error names where every unfinished rank stopped.
 //! Completion leaves a rank serving its peers (drain + tick) until
 //! every rank is done. A send PES's gate holds returns
 //! [`Fault::WouldBlock`], which the driver treats like
@@ -63,67 +59,6 @@ use std::time::{Duration, Instant};
 /// Virtual time per round — enough that retransmission and rebroadcast
 /// timers make progress over tens of rounds without ever dominating.
 const ROUND_ADVANCE: Duration = Duration::from_micros(50);
-
-/// The serial end of every round: step the event logger and the
-/// replicator the run owns, release held frames, advance the virtual
-/// clock, check completion and the watchdog.
-pub(crate) struct Tail {
-    clock: SimClock,
-    logger: Option<EventLogger>,
-    /// When the run opened (the wall time a report states).
-    pub(crate) start: Instant,
-    max_wall: Duration,
-}
-
-impl Tail {
-    /// Open `cfg`'s run for the round driver: its clock becomes a virtual
-    /// one, a direct fabric is held (released once per round) and a
-    /// timed one keeps its release times on the virtual clock; the
-    /// service slot is attached before any kernel can send to it.
-    pub(crate) fn open(
-        cfg: &ClusterConfig,
-        host: Option<&TasksEnv>,
-    ) -> Result<(RunEnv, Tail), String> {
-        let clock = SimClock::new();
-        let mut cfg = cfg.clone();
-        cfg.run.clock = Clock::Sim(clock.clone());
-        if !cfg.net.is_timed() {
-            cfg.net.delivery = DeliveryModel::Held;
-        }
-        let env = RunEnv::open(&cfg, host)?;
-        let logger = EventLogger::attach(&env);
-        let tail = Tail {
-            clock,
-            logger,
-            start: Instant::now(),
-            max_wall: cfg.max_wall,
-        };
-        Ok((env, tail))
-    }
-
-    /// Close a round: whether anything arrived at the service slot or
-    /// held frames moved, and — once the run is over — `Ok` when every
-    /// rank finished, the watchdog's error when it fired.
-    pub(crate) fn close(&mut self, env: &RunEnv) -> (bool, Option<Result<(), String>>) {
-        let mut progressed = self.logger.as_mut().is_some_and(EventLogger::step);
-        if let Some(repl) = env.own_replicator() {
-            repl.step();
-        }
-        progressed |= env.net().held_deliver_all() > 0;
-        self.clock.advance(ROUND_ADVANCE);
-        let end = if env.done() == env.n {
-            Some(Ok(()))
-        } else if self.start.elapsed() > self.max_wall {
-            Some(Err(format!(
-                "watchdog fired after {:?} (protocol {}, {} ranks)",
-                self.max_wall, env.run.protocol, env.n
-            )))
-        } else {
-            None
-        };
-        (progressed, end)
-    }
-}
 
 /// What one poll of a task state machine produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,11 +211,15 @@ enum Place {
 /// next rank.
 const POLL_BUDGET: usize = 32;
 
-/// Everything a round mutates: every rank's slot, the round's tail,
-/// and how the job ended.
+/// Everything a round mutates: every rank's slot, the run's virtual
+/// clock and service slot, and how the job ended.
 struct Ranks<A: TaskApp> {
     slots: Vec<Slot<A>>,
-    tail: Tail,
+    clock: SimClock,
+    logger: Option<EventLogger>,
+    /// When the run opened (the wall time a report states).
+    start: Instant,
+    max_wall: Duration,
     finished: bool,
     failure: Option<String>,
 }
@@ -295,12 +234,6 @@ struct Ranks<A: TaskApp> {
 pub struct TaskJob<A: TaskApp> {
     app: A,
     env: RunEnv,
-    /// Sweep in supersteps: every rank ingests, then every rank
-    /// computes, then the boundary books deaths, respawns and ticks in
-    /// rank order, and a planned kill fires as soon as a step reaches it. A [`RankApp`] job runs
-    /// so ([`crate::Cluster::run`]); a [`TaskApp`] job runs each rank's
-    /// boundary right after its own poll.
-    superstep: bool,
     ranks: Mutex<Ranks<A>>,
 }
 
@@ -310,31 +243,37 @@ impl<A: TaskApp> TaskJob<A> {
     /// replication pipeline (stepped each round on the job's virtual
     /// clock, drained when the job's report is taken).
     pub fn new(cfg: &ClusterConfig, app: A) -> Result<Self, String> {
-        Self::build(cfg, app, None, false)
+        Self::build(cfg, app, None)
     }
 
     /// Build a job against a host-owned environment (see [`TasksEnv`]).
     /// `cfg.remote` is ignored: remote durability is whatever the
     /// shared `env.replicator` provides, and the host steps it.
     pub fn with_env(cfg: &ClusterConfig, app: A, env: &TasksEnv) -> Result<Self, String> {
-        Self::build(cfg, app, Some(env), false)
+        Self::build(cfg, app, Some(env))
     }
 
-    pub(crate) fn build(
-        cfg: &ClusterConfig,
-        app: A,
-        host: Option<&TasksEnv>,
-        superstep: bool,
-    ) -> Result<Self, String> {
-        let n = cfg.n;
-        let (env, tail) = Tail::open(cfg, host)?;
+    /// Open `cfg`'s run for the round driver: its clock becomes a
+    /// virtual one, a direct fabric is held (released once per round)
+    /// and a timed one keeps its release times on the virtual clock; the
+    /// service slot is attached before any kernel can send to it.
+    fn build(cfg: &ClusterConfig, app: A, host: Option<&TasksEnv>) -> Result<Self, String> {
+        let clock = SimClock::new();
+        let mut cfg = cfg.clone();
+        cfg.run.clock = Clock::Sim(clock.clone());
+        if !cfg.net.is_timed() {
+            cfg.net.delivery = DeliveryModel::Held;
+        }
+        let env = RunEnv::open(&cfg, host)?;
+        let logger = EventLogger::attach(&env);
+        let start = Instant::now();
         let slots = (env.attach().into_iter().enumerate())
             .map(|(rank, endpoint)| Slot {
                 rank,
                 incarnation: 1,
                 endpoint,
                 kernel: Arc::new(env.boot(rank)),
-                state: app.init(rank, n),
+                state: app.init(rank, cfg.n),
                 step: 0,
                 wait: None,
                 done: false,
@@ -344,10 +283,12 @@ impl<A: TaskApp> TaskJob<A> {
         Ok(TaskJob {
             app,
             env,
-            superstep,
             ranks: Mutex::new(Ranks {
                 slots,
-                tail,
+                clock,
+                logger,
+                start,
+                max_wall: cfg.max_wall,
                 finished: false,
                 failure: None,
             }),
@@ -383,9 +324,9 @@ impl<A: TaskApp> TaskJob<A> {
         self.sweep_ranks(&mut self.ranks.lock())
     }
 
-    /// Close the round with its tail: event logger, replicator,
-    /// held frames, virtual time, completion, watchdog. Returns true if
-    /// anything arrived at the service slot or held frames moved.
+    /// Close the round: event logger, replicator, held frames, virtual
+    /// time, completion, watchdog. Returns true if anything arrived at
+    /// the service slot or held frames moved.
     pub fn advance(&self) -> bool {
         self.advance_ranks(&mut self.ranks.lock())
     }
@@ -408,25 +349,10 @@ impl<A: TaskApp> TaskJob<A> {
 
     fn sweep_ranks(&self, ranks: &mut Ranks<A>) -> bool {
         let mut progressed = false;
-        let slots = &mut ranks.slots;
-        if self.superstep {
-            // Every rank ingests, then every rank computes, then every
-            // rank's boundary.
-            let ingested: Vec<_> = (slots.iter_mut())
-                .map(|slot| self.ingest(slot, &mut progressed))
-                .collect();
-            let deaths: Vec<_> = (slots.iter_mut().zip(ingested))
-                .map(|(slot, ingested)| self.compute(slot, ingested, &mut progressed))
-                .collect();
-            for (slot, death) in slots.iter_mut().zip(deaths) {
-                self.boundary(slot, death, &mut progressed);
-            }
-        } else {
-            for slot in slots {
-                let ingested = self.ingest(slot, &mut progressed);
-                let death = self.compute(slot, ingested, &mut progressed);
-                self.boundary(slot, death, &mut progressed);
-            }
+        for slot in &mut ranks.slots {
+            let ingested = self.ingest(slot, &mut progressed);
+            let death = self.compute(slot, ingested, &mut progressed);
+            self.boundary(slot, death, &mut progressed);
         }
         progressed
     }
@@ -512,14 +438,11 @@ impl<A: TaskApp> TaskJob<A> {
                             .do_checkpoint(lclog_wire::encode_to_vec(&slot.state), slot.step);
                     }
                     *progressed = true;
-                    // A superstep's kill fires now; otherwise leave the
-                    // budget so the next sweep's kill check sees the new
-                    // step promptly.
-                    if let Some(death) = self.env.due(slot.rank, slot.incarnation, slot.step) {
-                        match self.superstep {
-                            true => return Some(death),
-                            false => break,
-                        }
+                    // Leave the budget so the next sweep's kill check
+                    // sees the new step promptly.
+                    let due = self.env.due(slot.rank, slot.incarnation, slot.step);
+                    if due.is_some() {
+                        break;
                     }
                 }
                 Ok(TaskPoll::Done) => {
@@ -544,10 +467,21 @@ impl<A: TaskApp> TaskJob<A> {
     }
 
     fn advance_ranks(&self, ranks: &mut Ranks<A>) -> bool {
-        let (progressed, end) = ranks.tail.close(&self.env);
-        if let Some(end) = end {
+        let mut progressed = ranks.logger.as_mut().is_some_and(EventLogger::step);
+        if let Some(repl) = self.env.own_replicator() {
+            repl.step();
+        }
+        progressed |= self.env.net().held_deliver_all() > 0;
+        ranks.clock.advance(ROUND_ADVANCE);
+        if self.env.done() == self.env.n {
             ranks.finished = true;
-            ranks.failure = end.err().map(|error| name_unfinished(error, &ranks.slots));
+        } else if ranks.start.elapsed() > ranks.max_wall {
+            let error = format!(
+                "watchdog fired after {:?} (protocol {}, {} ranks)",
+                ranks.max_wall, self.env.run.protocol, self.env.n
+            );
+            ranks.failure = Some(name_unfinished(error, &ranks.slots));
+            ranks.finished = true;
         }
         progressed
     }
@@ -563,16 +497,7 @@ impl<A: TaskApp> TaskJob<A> {
     pub fn report(&self) -> Result<RunReport, String> {
         let ranks = self.ranks.lock();
         self.env
-            .report(ranks.tail.start.elapsed(), ranks.failure.clone())
-    }
-
-    /// Round after round on the caller's thread until the job finishes.
-    pub(crate) fn run(self) -> Result<RunReport, String> {
-        while !self.is_finished() {
-            self.sweep(0);
-            self.advance();
-        }
-        self.report()
+            .report(ranks.start.elapsed(), ranks.failure.clone())
     }
 
     /// Garbage-collect every checkpoint generation this job wrote,
@@ -622,7 +547,12 @@ fn name_unfinished<A: TaskApp>(mut error: String, slots: &[Slot<A>]) -> String {
 /// Run `app` on `cfg.n` ranks as cooperative tasks, driven round by
 /// round on the caller's thread (see the module docs for the round).
 pub fn run_tasks<A: TaskApp>(cfg: &ClusterConfig, app: A) -> Result<RunReport, String> {
-    TaskJob::new(cfg, app)?.run()
+    let job = TaskJob::new(cfg, app)?;
+    while !job.is_finished() {
+        job.sweep(0);
+        job.advance();
+    }
+    job.report()
 }
 
 #[cfg(test)]
@@ -897,6 +827,30 @@ mod tests {
         }
     }
 
+    /// `a` and `b` agree in every field a run replays exactly: all but
+    /// the host-clock `wall` and `tracking_time` (and `detector`, which
+    /// these runs do not have).
+    fn assert_same_run(a: &RunReport, b: &RunReport, what: &str) {
+        let net = |r: &RunReport| {
+            [
+                r.net_msgs,
+                r.net_bytes,
+                r.retransmits,
+                r.chaos_dropped,
+                r.chaos_duplicated,
+                r.chaos_corrupted,
+            ]
+        };
+        assert_eq!((&a.digests, a.kills), (&b.digests, b.kills), "{what}");
+        assert_eq!(net(a), net(b), "{what}");
+        assert_eq!(a.stats, b.stats, "{what}");
+        assert_eq!(a.per_rank_stats, b.per_rank_stats, "{what}");
+        assert_eq!(a.data_plane, b.data_plane, "{what}");
+        assert_eq!(a.per_rank_data_plane, b.per_rank_data_plane, "{what}");
+        assert_eq!(a.timeline, b.timeline, "{what}");
+        assert_eq!(a.replicator, b.replicator, "{what}");
+    }
+
     #[test]
     fn rank_apps_and_task_apps_agree_on_digests() {
         let app = || ExchangeRing { rounds: 6 };
@@ -909,8 +863,7 @@ mod tests {
             let cfg = tasks_cfg(4, kind).with_net(net);
             let tasks = run_tasks(&cfg, app()).unwrap();
             let steps = Cluster::run(&cfg, AsyncRing { rounds: 6 }).unwrap();
-            assert_eq!(tasks.digests, steps.digests, "{kind}");
-            assert_eq!(tasks.stats.delivers, steps.stats.delivers, "{kind}");
+            assert_same_run(&tasks, &steps, &kind.to_string());
         }
     }
 
@@ -990,6 +943,8 @@ mod tests {
     /// each victim's whole timeline from `Crashed` on reads the same on
     /// both — through `RecoverySynced` for the node loss; the killed
     /// rank's application finishes before its recovery syncs, on both.
+    /// One schedule runs both, so the two reports agree in every field
+    /// but the host-clock ones.
     #[test]
     fn lifecycle_is_the_same_for_rank_and_task_apps() {
         let app = || ExchangeRing { rounds: 8 };
@@ -1042,6 +997,7 @@ mod tests {
             );
             assert!(repl.restores >= 1, "the wipe must trigger a remote restore");
         }
+        assert_same_run(&steps, &tasks, "kill + node loss");
     }
 
     #[test]

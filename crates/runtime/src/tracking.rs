@@ -6,14 +6,15 @@
 //!
 //! The wrapper exists to time the protocol calls: the per-message
 //! tracking cost — `on_send` piggyback construction, `on_deliver`
-//! merge — is measured here, next to the call, and [`TrackingStats`]
-//! lives here because every counter it holds is incremented next to a
-//! protocol call. Part of the kernel's `State` (see [`crate::kernel`]).
+//! merge — is measured here, next to the call, on the host's clock
+//! (Fig. 7), and [`TrackingStats`] lives here because every counter it
+//! holds is incremented next to a protocol call. Part of the kernel's
+//! `State` (see [`crate::kernel`]).
 
-use lclog_simnet::Clock;
 use lclog_core::{
     CounterVector, LoggingProtocol, ProtocolError, Rank, SendArtifacts, TrackingStats,
 };
+use std::time::{Duration, Instant};
 
 /// Protocol box + the statistics measured around its calls.
 pub(crate) struct Tracking {
@@ -23,19 +24,19 @@ pub(crate) struct Tracking {
     /// protocol state and index order agree.
     pub last_send_index: CounterVector,
     pub stats: TrackingStats,
-    /// Time source for the tracking-cost accounting. Under a virtual
-    /// clock the measured cost is zero — deterministically so, which
-    /// is what the schedule explorer needs from the stats.
-    clock: Clock,
+    /// Host time spent inside the protocol's `on_send` and
+    /// `on_deliver`. It varies from run to run, so it stays out of
+    /// `stats`, whose counters replay exactly.
+    pub time: Duration,
 }
 
 impl Tracking {
-    pub fn new(protocol: Box<dyn LoggingProtocol>, n: usize, clock: Clock) -> Self {
+    pub fn new(protocol: Box<dyn LoggingProtocol>, n: usize) -> Self {
         Tracking {
             protocol,
             last_send_index: CounterVector::zeroed(n),
             stats: TrackingStats::default(),
-            clock,
+            time: Duration::ZERO,
         }
     }
 
@@ -43,9 +44,9 @@ impl Tracking {
     /// index, builds the piggyback and accounts the tracking cost.
     pub fn on_send(&mut self, dst: Rank) -> (u64, SendArtifacts) {
         let send_index = self.last_send_index.bump(dst);
-        let t0 = self.clock.now();
+        let t0 = Instant::now();
         let artifacts = self.protocol.on_send(dst, send_index);
-        self.stats.track_send_ns += self.clock.now().saturating_duration_since(t0).as_nanos() as u64;
+        self.time += t0.elapsed();
         self.stats.sends += 1;
         self.stats.piggyback_ids += artifacts.id_count;
         self.stats.piggyback_bytes += artifacts.piggyback.len() as u64;
@@ -66,10 +67,9 @@ impl Tracking {
         send_index: u64,
         piggyback: &[u8],
     ) -> Result<(), ProtocolError> {
-        let t0 = self.clock.now();
+        let t0 = Instant::now();
         self.protocol.on_deliver(src, send_index, piggyback)?;
-        self.stats.track_deliver_ns +=
-            self.clock.now().saturating_duration_since(t0).as_nanos() as u64;
+        self.time += t0.elapsed();
         self.stats.delivers += 1;
         Ok(())
     }

@@ -84,7 +84,7 @@ fn main() {
             kind.to_string(),
             faulty.stats.avg_ids_per_msg(),
             faulty.stats.avg_bytes_per_msg(),
-            faulty.stats.tracking_ms() * 1e3,
+            faulty.tracking_time.as_secs_f64() * 1e6,
             if ok { "yes" } else { "NO!" }
         );
         assert!(ok, "{kind} failed to recover exactly");
