@@ -651,127 +651,6 @@ pub fn hotpath_table() -> Table {
     t
 }
 
-/// SV1 (persistent service): four concurrent tenant jobs multiplexed
-/// onto one warm `lclog-serve` runtime, driven through the real TCP
-/// front end. Faults escalate across rows (none → process kill → node
-/// loss → node loss with a torn upload); the faulted tenant must land
-/// on its fault-free digests through the service's shared
-/// storage/replication plane, and every co-resident tenant must be
-/// byte-identical to its own fault-free run with zero kills — the
-/// zero-interference gate. Wall time and throughput are not columns:
-/// they move from run to run.
-pub fn serve_table() -> Table {
-    use lclog_serve::{Client, JobSpec, Service, ServiceConfig};
-    use std::time::Instant;
-
-    let mut t = Table::new(
-        "SV1 — persistent service: concurrent tenants × mid-job fault",
-        &["jobs", "fault", "kills", "digests_ok", "co_resident_ok"],
-    );
-    let rounds: u64 = 8;
-    let protos = ["tdi", "tdis", "tag"];
-    let kinds = ["ring", "pairs"];
-    let parse = |s: &str| JobSpec::parse(s.split_whitespace()).expect("SV1 spec parses");
-    let jobs = 4;
-    // The tenant mix is fixed across the fault column so rows are
-    // comparable; only the injected fault changes.
-    let specs: Vec<String> = (0..jobs)
-        .map(|i| {
-            format!(
-                "kind={} n={} proto={} rounds={rounds}",
-                kinds[i % kinds.len()],
-                4 + i % 3,
-                protos[i % protos.len()],
-            )
-        })
-        .collect();
-    let expected: Vec<String> = specs
-        .iter()
-        .map(|s| {
-            let spec = parse(s);
-            run_tasks(&spec.cluster_config(0), spec.workload())
-                .expect("SV1 fault-free baseline")
-                .digests
-                .iter()
-                .map(|d| format!("{d:016x}"))
-                .collect::<Vec<_>>()
-                .join(",")
-        })
-        .collect();
-    for fault in ["none", "kill", "kill_wipe", "kill_wipe_corrupt"] {
-        let victim_job = jobs / 2;
-        let service = Service::start(ServiceConfig::default());
-        let addr = service.listen("127.0.0.1:0").expect("SV1 bind loopback");
-        let mut client = Client::connect(addr).expect("SV1 connect");
-        let ids: Vec<String> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let fault_args = if i == victim_job {
-                    match fault {
-                        "kill" => format!(" kill=1@{}", rounds / 2),
-                        "kill_wipe" => format!(" kill=1@{} wipe=on", rounds / 2),
-                        "kill_wipe_corrupt" => {
-                            format!(" kill=1@{} corrupt=on", rounds / 2)
-                        }
-                        _ => String::new(),
-                    }
-                } else {
-                    String::new()
-                };
-                client
-                    .request_field(&format!("SUBMIT {s}{fault_args}"), "id")
-                    .expect("SV1 submit")
-            })
-            .collect();
-        let deadline = Instant::now() + Duration::from_secs(300);
-        for id in &ids {
-            loop {
-                let status = client.request(&format!("STATUS {id}")).expect("SV1 status");
-                if status.contains("state=finished") {
-                    break;
-                }
-                assert!(
-                    !status.contains("state=failed") && Instant::now() < deadline,
-                    "SV1 job wedged: {status}"
-                );
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        let mut digests_ok = true;
-        let mut co_resident_ok = true;
-        let mut kills = 0u64;
-        for (i, id) in ids.iter().enumerate() {
-            let digests = client
-                .request(&format!("DIGESTS {id}"))
-                .expect("SV1 digests");
-            let ok = digests.ends_with(&expected[i]);
-            let job_kills: u64 = client
-                .request_field(&format!("REPORT {id}"), "kills")
-                .expect("SV1 report")
-                .parse()
-                .unwrap_or(0);
-            kills += job_kills;
-            digests_ok &= ok;
-            if i != victim_job {
-                // A co-resident tenant diverging or dying is the
-                // interference the service must never exhibit.
-                co_resident_ok &= ok && job_kills == 0;
-            }
-        }
-        let (_, synced) = service.drain(Duration::from_secs(30));
-        service.shutdown();
-        t.row(vec![
-            jobs.to_string(),
-            fault.to_string(),
-            kills.to_string(),
-            (digests_ok && synced).to_string(),
-            co_resident_ok.to_string(),
-        ]);
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -930,17 +809,6 @@ mod tests {
                 ("1", "true"),
                 "{r:?}"
             );
-        }
-    }
-
-    #[test]
-    fn serve_table_isolates_tenants() {
-        let rows = rows("serve");
-        assert_eq!(rows.len(), 4, "one row per fault");
-        for r in &rows {
-            assert_eq!(r["digests_ok"], "true", "{r:?}");
-            assert_eq!(r["co_resident_ok"], "true", "{r:?}");
-            assert_eq!(r["kills"] != "0", r["fault"] != "none", "{r:?}");
         }
     }
 

@@ -14,8 +14,7 @@
 //!   compared with the committed `results/<csv>.csv` by the test suite:
 //!   schedule exploration (EXP1), digest parity through a kill (HP1),
 //!   piggyback scaling to n = 512 (SC1), log shipping under backend
-//!   outages (LS1), the multi-tenant service (SV1) and the chaos fabric
-//!   (ABL6).
+//!   outages (LS1) and the chaos fabric (ABL6).
 //!
 //! Run everything with `cargo run -p lclog-bench --bin reproduce
 //! --release`.

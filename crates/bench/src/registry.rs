@@ -8,7 +8,7 @@
 
 use crate::experiments::{
     ablation_chaos, explore_table, fig6_table, fig7_table, fig8_table, hotpath_table,
-    log_ship_table, overhead_matrix, scaling_table, serve_table, ExpConfig, OverheadCell,
+    log_ship_table, overhead_matrix, scaling_table, ExpConfig, OverheadCell,
 };
 use crate::table::Table;
 use lclog_explore::ReplayCase;
@@ -142,11 +142,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         name: "hotpath",
         csv: "hotpath",
         run: Run::Golden(|| hotpath_table().into()),
-    },
-    Experiment {
-        name: "serve",
-        csv: "serve",
-        run: Run::Golden(|| serve_table().into()),
     },
 ];
 

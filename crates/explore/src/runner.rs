@@ -359,7 +359,7 @@ impl<'w> World<'w> {
             .with_log_gc_lag(true)
             .with_clock(Clock::Sim(clock.clone()));
         let cfg = ClusterConfig::new(n, run).with_net(NetConfig::held());
-        let env = RunEnv::open(&cfg, None).expect("in-memory storage opens");
+        let env = RunEnv::open(&cfg).expect("in-memory storage opens");
         let endpoints = env.attach();
         World {
             workload,

@@ -293,14 +293,6 @@ pub struct ClusterConfig {
     /// Durable log shipping to a remote store (`None` = local-only
     /// stable storage, the paper's baseline).
     pub remote: Option<RemoteConfig>,
-    /// Global-rank offset of this job's rank namespace. The runtime
-    /// itself always sees local ranks `0..n`; the offset shifts every
-    /// durable artefact (checkpoint generations, remote manifest
-    /// entries, node-loss restores) into `rank_base..rank_base + n`,
-    /// so concurrent tenant jobs can share one storage backend and one
-    /// replication pipeline without colliding. Leave 0 for standalone
-    /// runs.
-    pub rank_base: usize,
 }
 
 impl ClusterConfig {
@@ -315,15 +307,7 @@ impl ClusterConfig {
             trace: false,
             max_wall: Duration::from_secs(60),
             remote: None,
-            rank_base: 0,
         }
-    }
-
-    /// Builder-style rank-namespace override (see
-    /// [`ClusterConfig::rank_base`]).
-    pub fn with_rank_base(mut self, base: usize) -> Self {
-        self.rank_base = base;
-        self
     }
 
     /// Builder-style fabric override.

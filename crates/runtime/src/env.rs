@@ -4,7 +4,8 @@
 //!
 //! A [`RunEnv`] owns what a run shares (fabric, adjusted [`RunConfig`],
 //! checkpoint store, raw store, replicator, timeline sink, failure
-//! plan, membership table, result board) and is the only code that
+//! plan, membership table, result board; no other run shares its
+//! storage or replicator) and is the only code that
 //!
 //! * opens storage ([`RunEnv::open`]),
 //! * boots incarnation 1 ([`RunEnv::attach`], [`RunEnv::boot`]),
@@ -30,7 +31,6 @@ use crate::detector::{MembershipTable, GATE_TIMEOUT};
 use crate::events::{EventKind, EventSink};
 use crate::kernel::Kernel;
 use crate::replicator::Replicator;
-use crate::service::event_log_key;
 use crate::transport::DataPlaneStats;
 use lclog_core::{Rank, TrackingStats};
 use lclog_simnet::{Endpoint, SimNet};
@@ -39,17 +39,6 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Durable resources a host shares between co-resident runs: jobs of a
-/// hosting service write into one backend (namespaced by
-/// [`ClusterConfig::rank_base`]) and ship through one replication
-/// pipeline, whose lifecycle stays with the host.
-pub struct TasksEnv {
-    /// Local stable storage shared by the jobs.
-    pub storage: Arc<dyn StableStorage>,
-    /// Shared replication pipeline (`None` = local-only durability).
-    pub replicator: Option<Arc<Replicator>>,
-}
 
 /// What died with an incarnation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,8 +129,8 @@ pub struct RunEnv {
     /// Restores install here, below the shipping wrapper: what just
     /// came down is not shipped back up.
     raw: Arc<dyn StableStorage>,
-    replicator: Option<Arc<Replicator>>,
-    owns_replicator: bool,
+    /// Stepped by the run's driver each round (`None` without a remote).
+    pub(crate) replicator: Option<Arc<Replicator>>,
     pub(crate) sink: EventSink,
     plan: FailurePlan,
     /// The arbiter's table (detected-failures runs only).
@@ -153,10 +142,8 @@ impl RunEnv {
     /// Open the run `cfg` describes: fabric (its release times on the
     /// run's clock), storage, and — with `cfg.remote` — the replication
     /// pipeline durable writes ship through, its retries and breaker on
-    /// the run's clock too. Under a `host`, storage and pipeline are the
-    /// host's (`cfg.storage` and `cfg.remote` are ignored), and the host
-    /// steps the pipeline.
-    pub fn open(cfg: &ClusterConfig, host: Option<&TasksEnv>) -> Result<Self, String> {
+    /// the run's clock too.
+    pub fn open(cfg: &ClusterConfig) -> Result<Self, String> {
         let n = cfg.n;
         assert!(n > 0, "cluster needs at least one rank");
         let sink = if cfg.trace {
@@ -164,27 +151,21 @@ impl RunEnv {
         } else {
             EventSink::disabled()
         };
-        let (raw, replicator) = match host {
-            Some(host) => (Arc::clone(&host.storage), host.replicator.clone()),
-            None => {
-                let raw: Arc<dyn StableStorage> = match &cfg.storage {
-                    StorageKind::Memory => Arc::new(MemStore::new()),
-                    StorageKind::Disk(dir) => {
-                        Arc::new(DiskStore::open(dir).map_err(|e| format!("open disk store: {e}"))?)
-                    }
-                };
-                let replicator = cfg.remote.as_ref().map(|rc| {
-                    Arc::new(Replicator::new(
-                        Arc::clone(&rc.store),
-                        rc.replicator.clone(),
-                        cfg.run.clock.clone(),
-                        sink.clone(),
-                        cfg.rank_base + crate::logger_rank(n),
-                    ))
-                });
-                (raw, replicator)
+        let raw: Arc<dyn StableStorage> = match &cfg.storage {
+            StorageKind::Memory => Arc::new(MemStore::new()),
+            StorageKind::Disk(dir) => {
+                Arc::new(DiskStore::open(dir).map_err(|e| format!("open disk store: {e}"))?)
             }
         };
+        let replicator = cfg.remote.as_ref().map(|rc| {
+            Arc::new(Replicator::new(
+                Arc::clone(&rc.store),
+                rc.replicator.clone(),
+                cfg.run.clock.clone(),
+                sink.clone(),
+                crate::logger_rank(n),
+            ))
+        });
         let storage: Arc<dyn StableStorage> = match &replicator {
             Some(repl) => Arc::new(ShippingStorage {
                 inner: Arc::clone(&raw),
@@ -202,10 +183,9 @@ impl RunEnv {
             net: SimNet::with_clock(n + 1, cfg.net.clone(), run.clock.clone()),
             membership: run.detector.map(|_| Arc::new(MembershipTable::new(n))),
             run,
-            ckpts: CheckpointStore::new(storage).with_rank_base(cfg.rank_base),
+            ckpts: CheckpointStore::new(storage),
             raw,
             replicator,
-            owns_replicator: host.is_none(),
             sink,
             plan: cfg.failures.clone(),
             board: Mutex::new(Board {
@@ -300,13 +280,12 @@ impl RunEnv {
             // respawn must not restore against a manifest staler than
             // what survivors can still replay. The drain ships what was
             // offered before it (an outage counted in operations is
-            // retried through), never what other tenants offer
-            // meanwhile, so the newest remote generation is now the one
-            // the victim last checkpointed.
+            // retried through), so the newest remote generation is now
+            // the one the victim last checkpointed.
             if let Some(repl) = &self.replicator {
                 repl.drain();
                 if torn_upload {
-                    repl.corrupt_newest_remote_generation(self.ckpts.rank_base() + rank);
+                    repl.corrupt_newest_remote_generation(rank);
                 }
             }
             let generations = self.ckpts.clear_rank(rank);
@@ -386,35 +365,10 @@ impl RunEnv {
         self.board.lock().done
     }
 
-    /// Crashes so far, injected or earned.
-    pub fn kills(&self) -> u32 {
-        self.board.lock().kills
-    }
-
-    /// Delete every checkpoint generation and event log this run
-    /// wrote, returning how many generations. For hosts retiring a
-    /// tenant whose report has been fetched.
-    pub fn clear_generations(&self) -> usize {
-        let storage = self.ckpts.storage();
-        (0..self.n)
-            .map(|rank| {
-                storage.truncate_log(&event_log_key(self.ckpts.rank_base() + rank));
-                self.ckpts.clear_rank(rank)
-            })
-            .sum()
-    }
-
-    /// The replicator this run owns and steps (`None` without a remote,
-    /// or when a host owns and steps it).
-    pub(crate) fn own_replicator(&self) -> Option<&Arc<Replicator>> {
-        self.replicator.as_ref().filter(|_| self.owns_replicator)
-    }
-
     /// The run's [`RunReport`] — or `failure`, the driver's watchdog
-    /// verdict. A replicator the run owns is drained first; a host's is
-    /// only read.
+    /// verdict. The run's replicator, if any, is drained first.
     pub fn report(&self, wall: Duration, failure: Option<String>) -> Result<RunReport, String> {
-        if let Some(repl) = self.own_replicator() {
+        if let Some(repl) = &self.replicator {
             repl.drain();
         }
         if let Some(msg) = failure {

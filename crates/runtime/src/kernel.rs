@@ -841,14 +841,13 @@ impl Kernel {
         remote: Option<(&Replicator, &dyn StableStorage)>,
         decode: impl FnOnce(&[u8]) -> Option<S>,
     ) -> (Kernel, Option<(u64, S)>) {
-        let global_rank = ckpts.rank_base() + rank;
         let mut kernel = Kernel::new(rank, n, cfg, net, ckpts);
         kernel.set_incarnation(incarnation);
         kernel.set_event_sink(sink);
         let mut image = kernel.load_checkpoint();
         if image.is_none() {
             if let Some((repl, raw_storage)) = remote {
-                if repl.restore_rank(global_rank, raw_storage).is_some() {
+                if repl.restore_rank(rank, raw_storage).is_some() {
                     image = kernel.load_checkpoint();
                 }
             }

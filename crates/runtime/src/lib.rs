@@ -83,7 +83,7 @@ pub use message::{
     ANY_SOURCE, ANY_TAG,
 };
 pub use process::{RankApp, RankCtx};
-pub use env::{Death, RunEnv, TasksEnv};
+pub use env::{Death, RunEnv};
 pub use kernel::RETRY_INTERVAL;
 pub use tasks::{run_tasks, TaskApp, TaskCtx, TaskJob, TaskPoll};
 pub use recvq::{Pending, RecvQueue};

@@ -17,8 +17,8 @@
 //!   [`RetryBackoff`] full-jitter not-before time on the replicator's
 //!   [`Clock`], an open breaker a cooldown; no call blocks on time;
 //! * [`Replicator::drain`] ships everything offered before the call,
-//!   plus a manifest naming it, at once — a node loss, a report and the
-//!   service's DRAIN / SNAPSHOT call it. Retries burn through an outage
+//!   plus a manifest naming it, at once — a node loss and a report call
+//!   it. Retries burn through an outage
 //!   counted in operations; a constant number of failed operations
 //!   bounds it;
 //! * every shipped object is recorded in a CRC-checked [`Manifest`];
@@ -33,13 +33,12 @@
 //!   generation wins, a checksum failure falls back one generation,
 //!   and the rank then rejoins through the normal ROLLBACK protocol.
 //!
-//! There is no thread: the round driver steps the replicator a run owns
-//! at the end of each round, on the run's virtual clock, so a log-shipping
-//! run is a pure function of its config; `lclog-serve`'s pool steps its
-//! service-wide one (on [`Clock::Real`]) until idle after each pass
-//! over its jobs. One lock holds the whole state, and a step or a drain
-//! holds it for its remote operations, so the manifest is only ever
-//! written by one round at a time.
+//! There is no thread: the round driver steps the replicator its run
+//! owns at the end of each round, on the run's virtual clock, so a
+//! log-shipping run is a pure function of its config. One lock holds
+//! the whole state, because the run's kernels offer into it and its
+//! driver steps it through a shared `Arc`; a step or a drain holds it
+//! for its remote operations.
 
 use crate::backoff::RetryBackoff;
 use crate::events::{EventKind, EventSink};
@@ -283,8 +282,8 @@ impl ShipState {
     }
 }
 
-/// The replication pipeline of a run (or of a hosting service); the
-/// run's kernels and its driver share it behind an `Arc`.
+/// The replication pipeline of a run; the run's kernels and its driver
+/// share it behind an `Arc`.
 pub struct Replicator {
     remote: Arc<dyn RemoteStore>,
     cfg: ReplicatorConfig,
@@ -383,8 +382,9 @@ impl Replicator {
     }
 
     /// One shipping round, unless the not-before time has not come or
-    /// another thread is stepping or draining (never waits on it).
-    /// True if anything was stored.
+    /// the state is locked (never waits on it; under the one driver
+    /// that steps and drains, it never is). True if anything was
+    /// stored.
     pub fn step(&self) -> bool {
         match self.state.try_lock() {
             Some(mut st) => self.round(&mut st, false),

@@ -31,9 +31,8 @@ use lclog_wire::encode_to_vec;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Stable-storage key of the event log of **global** rank `rank`
-/// (co-resident jobs share a backend).
-pub(crate) fn event_log_key(rank: usize) -> String {
+/// Stable-storage key of the event log of `rank`.
+fn event_log_key(rank: usize) -> String {
     format!("eventlog/{rank}")
 }
 
@@ -109,7 +108,7 @@ impl EventLogger {
         let me = self.endpoint.rank();
         match msg {
             WireMsg::LogDets(batch) => {
-                let key = event_log_key(self.ckpts.rank_base() + src);
+                let key = event_log_key(src);
                 let count = batch.len();
                 let upto = self.acked.entry(src).or_insert(0);
                 for det in batch {
@@ -202,11 +201,8 @@ mod tests {
     /// send one, so it is dropped and the service keeps answering.
     #[test]
     fn determinant_filed_under_another_receiver_is_dropped() {
-        let env = RunEnv::open(
-            &ClusterConfig::new(2, RunConfig::new(ProtocolKind::Tel)),
-            None,
-        )
-        .expect("in-memory storage opens");
+        let env = RunEnv::open(&ClusterConfig::new(2, RunConfig::new(ProtocolKind::Tel)))
+            .expect("in-memory storage opens");
         let logger = crate::logger_rank(2);
         let mut service = EventLogger::attach(&env).expect("TEL runs the service");
         let net = env.net();

@@ -33,14 +33,12 @@
 //! [`Fault::WouldBlock`], which the driver treats like
 //! [`TaskPoll::Pending`].
 //!
-//! [`run_tasks`] drives a job on the caller's thread. Long-running
-//! hosts (the `lclog-serve` service) hold many jobs and let any pool
-//! thread claim a whole round of one with [`TaskJob::try_round`]; a
-//! [`TasksEnv`] lets co-resident jobs share one stable-storage backend
-//! and one replication pipeline.
+//! A job is standalone: it owns its storage and, with a remote, its
+//! replicator. [`run_tasks`] drives it on the caller's thread; so does
+//! a caller looping [`TaskJob::sweep`] + [`TaskJob::advance`] itself.
 
 use crate::cluster::{ClusterConfig, RunReport};
-use crate::env::{Death, RunEnv, TasksEnv};
+use crate::env::{Death, RunEnv};
 use crate::fault::Fault;
 use crate::kernel::Kernel;
 use crate::message::{AppMsg, RecvSpec};
@@ -227,10 +225,9 @@ struct Ranks<A: TaskApp> {
 /// One tasks-engine run as a drivable object: construction attaches
 /// the service slot and builds every kernel; rounds of [`TaskJob::sweep`] +
 /// [`TaskJob::advance`] then run until [`TaskJob::is_finished`], and
-/// [`TaskJob::report`] assembles the [`RunReport`]. One lock holds the
-/// ranks, so one thread drives a round at a time: [`run_tasks`] on the
-/// caller's thread, the `lclog-serve` pool through
-/// [`TaskJob::try_round`].
+/// [`TaskJob::report`] assembles the [`RunReport`]. The ranks sit
+/// behind a lock only because [`TaskJob::sweep`] and
+/// [`TaskJob::advance`] take `&self`; one thread drives a job.
 pub struct TaskJob<A: TaskApp> {
     app: A,
     env: RunEnv,
@@ -242,29 +239,19 @@ impl<A: TaskApp> TaskJob<A> {
     /// `cfg.storage`) and, when `cfg.remote` is set, its own
     /// replication pipeline (stepped each round on the job's virtual
     /// clock, drained when the job's report is taken).
+    ///
+    /// The run's clock becomes a virtual one, a direct fabric is held
+    /// (released once per round) and a timed one keeps its release
+    /// times on the virtual clock; the service slot is attached before
+    /// any kernel can send to it.
     pub fn new(cfg: &ClusterConfig, app: A) -> Result<Self, String> {
-        Self::build(cfg, app, None)
-    }
-
-    /// Build a job against a host-owned environment (see [`TasksEnv`]).
-    /// `cfg.remote` is ignored: remote durability is whatever the
-    /// shared `env.replicator` provides, and the host steps it.
-    pub fn with_env(cfg: &ClusterConfig, app: A, env: &TasksEnv) -> Result<Self, String> {
-        Self::build(cfg, app, Some(env))
-    }
-
-    /// Open `cfg`'s run for the round driver: its clock becomes a
-    /// virtual one, a direct fabric is held (released once per round)
-    /// and a timed one keeps its release times on the virtual clock; the
-    /// service slot is attached before any kernel can send to it.
-    fn build(cfg: &ClusterConfig, app: A, host: Option<&TasksEnv>) -> Result<Self, String> {
         let clock = SimClock::new();
         let mut cfg = cfg.clone();
         cfg.run.clock = Clock::Sim(clock.clone());
         if !cfg.net.is_timed() {
             cfg.net.delivery = DeliveryModel::Held;
         }
-        let env = RunEnv::open(&cfg, host)?;
+        let env = RunEnv::open(&cfg)?;
         let logger = EventLogger::attach(&env);
         let start = Instant::now();
         let slots = (env.attach().into_iter().enumerate())
@@ -307,52 +294,39 @@ impl<A: TaskApp> TaskJob<A> {
         self.env.n
     }
 
-    /// `(done ranks, total ranks)` — a cheap progress probe.
-    pub fn progress(&self) -> (usize, usize) {
-        (self.env.done(), self.env.n)
-    }
-
-    /// Injected/earned crash count so far.
-    pub fn kills_fired(&self) -> u32 {
-        self.env.kills()
-    }
-
     /// One sweep over every rank (see the module docs for the four
     /// sweep stages); `_shard` is always 0 (see [`TaskJob::shards`]).
     /// Returns true if anything progressed.
     pub fn sweep(&self, _shard: usize) -> bool {
-        self.sweep_ranks(&mut self.ranks.lock())
+        let mut progressed = false;
+        for slot in &mut self.ranks.lock().slots {
+            let ingested = self.ingest(slot, &mut progressed);
+            let death = self.compute(slot, ingested, &mut progressed);
+            self.boundary(slot, death, &mut progressed);
+        }
+        progressed
     }
 
     /// Close the round: event logger, replicator, held frames, virtual
     /// time, completion, watchdog. Returns true if anything arrived at
     /// the service slot or held frames moved.
     pub fn advance(&self) -> bool {
-        self.advance_ranks(&mut self.ranks.lock())
-    }
-
-    /// One whole round — [`TaskJob::sweep`] then [`TaskJob::advance`]
-    /// — unless another thread is driving this job, in which case it
-    /// returns `None` at once. This is what lets a shared pool drive
-    /// many jobs in parallel without ever waiting on a busy one.
-    /// `Some(true)` once the job is finished; a finished job is never
-    /// swept again, so a host may GC it (late determinants reaching the
-    /// event logger would write its logs back).
-    pub fn try_round(&self) -> Option<bool> {
-        let mut ranks = self.ranks.try_lock()?;
-        if !ranks.finished {
-            self.sweep_ranks(&mut ranks);
-            self.advance_ranks(&mut ranks);
+        let mut ranks = self.ranks.lock();
+        let mut progressed = ranks.logger.as_mut().is_some_and(EventLogger::step);
+        if let Some(repl) = &self.env.replicator {
+            repl.step();
         }
-        Some(ranks.finished)
-    }
-
-    fn sweep_ranks(&self, ranks: &mut Ranks<A>) -> bool {
-        let mut progressed = false;
-        for slot in &mut ranks.slots {
-            let ingested = self.ingest(slot, &mut progressed);
-            let death = self.compute(slot, ingested, &mut progressed);
-            self.boundary(slot, death, &mut progressed);
+        progressed |= self.env.net().held_deliver_all() > 0;
+        ranks.clock.advance(ROUND_ADVANCE);
+        if self.env.done() == self.env.n {
+            ranks.finished = true;
+        } else if ranks.start.elapsed() > ranks.max_wall {
+            let error = format!(
+                "watchdog fired after {:?} (protocol {}, {} ranks)",
+                ranks.max_wall, self.env.run.protocol, self.env.n
+            );
+            ranks.failure = Some(name_unfinished(error, &ranks.slots));
+            ranks.finished = true;
         }
         progressed
     }
@@ -466,47 +440,18 @@ impl<A: TaskApp> TaskJob<A> {
         None
     }
 
-    fn advance_ranks(&self, ranks: &mut Ranks<A>) -> bool {
-        let mut progressed = ranks.logger.as_mut().is_some_and(EventLogger::step);
-        if let Some(repl) = self.env.own_replicator() {
-            repl.step();
-        }
-        progressed |= self.env.net().held_deliver_all() > 0;
-        ranks.clock.advance(ROUND_ADVANCE);
-        if self.env.done() == self.env.n {
-            ranks.finished = true;
-        } else if ranks.start.elapsed() > ranks.max_wall {
-            let error = format!(
-                "watchdog fired after {:?} (protocol {}, {} ranks)",
-                ranks.max_wall, self.env.run.protocol, self.env.n
-            );
-            ranks.failure = Some(name_unfinished(error, &ranks.slots));
-            ranks.finished = true;
-        }
-        progressed
-    }
-
     /// True once every rank is done (or the watchdog fired).
     pub fn is_finished(&self) -> bool {
         self.ranks.lock().finished
     }
 
     /// Assemble the run's [`RunReport`] (or the watchdog failure).
-    /// Call after [`TaskJob::is_finished`]; a job-owned replicator is
-    /// drained here, a host-owned one is only snapshotted.
+    /// Call after [`TaskJob::is_finished`]; the job's replicator, if
+    /// any, is drained here.
     pub fn report(&self) -> Result<RunReport, String> {
         let ranks = self.ranks.lock();
         self.env
             .report(ranks.start.elapsed(), ranks.failure.clone())
-    }
-
-    /// Garbage-collect every checkpoint generation this job wrote,
-    /// returning how many were deleted. For hosts retiring a tenant
-    /// whose report has been fetched — a job's ranks never restore
-    /// after that, and a long-running service must not accumulate dead
-    /// tenants' generations.
-    pub fn clear_generations(&self) -> usize {
-        self.env.clear_generations()
     }
 
     /// Bring up `slot`'s successor incarnation (the gate has passed):
@@ -565,7 +510,7 @@ mod tests {
     use crate::process::{RankApp, RankCtx};
     use lclog_core::ProtocolKind;
     use lclog_simnet::{ChaosConfig, NetConfig, SimNet, StorageChaos};
-    use lclog_stable::{CheckpointStore, MemStore, RemoteStore, StableStorage, MANIFEST_KEY};
+    use lclog_stable::{CheckpointStore, MemStore, RemoteStore, MANIFEST_KEY};
     use lclog_wire::impl_wire_struct;
 
     const TAG: u32 = 7;
@@ -998,47 +943,6 @@ mod tests {
             assert!(repl.restores >= 1, "the wipe must trigger a remote restore");
         }
         assert_same_run(&steps, &tasks, "kill + node loss");
-    }
-
-    #[test]
-    fn tasks_job_under_shared_env_uses_rank_namespace() {
-        // Two TEL jobs, one backend: rank namespaces keep their
-        // generations and event logs apart, and retiring one GCs only
-        // its own.
-        let backend: Arc<dyn StableStorage> = Arc::new(MemStore::new());
-        let env = TasksEnv {
-            storage: Arc::clone(&backend),
-            replicator: None,
-        };
-        let run = |base: usize| {
-            let cfg = tasks_cfg(3, ProtocolKind::Tel).with_rank_base(base);
-            let job = TaskJob::with_env(&cfg, ExchangeRing { rounds: 4 }, &env).unwrap();
-            while !job.is_finished() {
-                job.try_round().expect("nobody else drives this job");
-            }
-            job
-        };
-        let a = run(0);
-        let b = run(100);
-        assert_eq!(
-            a.report().unwrap().digests,
-            b.report().unwrap().digests,
-            "rank_base must not change the computation"
-        );
-        assert!(!backend.keys_with_prefix("ckpt/100/").is_empty());
-        assert!(!backend.keys_with_prefix("ckpt/0/").is_empty());
-        let logged = |rank| backend.log_len(&crate::service::event_log_key(rank));
-        assert!(
-            logged(0) > 0 && logged(100) > 0,
-            "each tenant logs under its own rank"
-        );
-        assert!(b.clear_generations() > 0);
-        assert!(backend.keys_with_prefix("ckpt/100/").is_empty());
-        assert_eq!(logged(100), 0, "retiring a tenant drops its event logs");
-        assert!(
-            !backend.keys_with_prefix("ckpt/0/").is_empty() && logged(0) > 0,
-            "retiring one tenant must not GC another's generations or logs"
-        );
     }
 
     /// Regression: a gate-approved message whose payload does not

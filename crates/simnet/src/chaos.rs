@@ -207,11 +207,6 @@ pub struct StorageChaos {
     /// Probability a put stores the object with one bit flipped yet
     /// reports success — silent media corruption.
     pub flip_p: f64,
-    /// Probability an operation is held for [`StorageChaos::spike`]
-    /// before executing (a latency spike, not a failure).
-    pub spike_p: f64,
-    /// Duration of a latency spike.
-    pub spike: Duration,
     /// Unavailability windows in operation-sequence space.
     pub outages: Vec<OutageWindow>,
 }
@@ -224,8 +219,6 @@ impl StorageChaos {
             transient_p: 0.0,
             torn_p: 0.0,
             flip_p: 0.0,
-            spike_p: 0.0,
-            spike: Duration::from_millis(1),
             outages: Vec::new(),
         }
     }
@@ -251,14 +244,6 @@ impl StorageChaos {
         self
     }
 
-    /// Sets the per-operation latency-spike probability and duration.
-    pub fn with_latency_spike(mut self, p: f64, spike: Duration) -> Self {
-        assert!((0.0..=1.0).contains(&p), "spike probability out of range");
-        self.spike_p = p;
-        self.spike = spike;
-        self
-    }
-
     /// Adds an unavailability window in operation-sequence space.
     pub fn with_outage(mut self, from_op: u64, to_op: u64) -> Self {
         self.outages.push(OutageWindow { from_op, to_op });
@@ -275,11 +260,6 @@ impl StorageChaos {
             torn: self.torn_p > 0.0 && self.roll(op, SALT_S_TORN) < self.torn_p,
             flip_bit: (self.flip_p > 0.0 && self.roll(op, SALT_S_FLIP) < self.flip_p)
                 .then(|| self.hash(op, SALT_S_BIT)),
-            spike: if self.spike_p > 0.0 && self.roll(op, SALT_S_SPIKE) < self.spike_p {
-                self.spike
-            } else {
-                Duration::ZERO
-            },
         }
     }
 
@@ -309,8 +289,6 @@ pub struct StorageFate {
     /// When `Some(h)`, a put stores the object with bit `h % (len*8)`
     /// flipped, yet reports success.
     pub flip_bit: Option<u64>,
-    /// Extra latency before the operation executes.
-    pub spike: Duration,
 }
 
 const SALT_DROP: u64 = 0xD0;
@@ -324,7 +302,6 @@ const SALT_S_TRANSIENT: u64 = 0x5A;
 const SALT_S_TORN: u64 = 0x5B;
 const SALT_S_FLIP: u64 = 0x5C;
 const SALT_S_BIT: u64 = 0x5D;
-const SALT_S_SPIKE: u64 = 0x5E;
 
 /// A pure 64-bit hash of `(seed, src, dst, seq, salt)`: the one source
 /// of randomness of every per-envelope decision (chaos fates and the
@@ -453,7 +430,6 @@ mod tests {
         assert!((0..1000u64).all(|op| {
             let f = quiet.fate(op);
             !f.unavailable && !f.transient && !f.torn && f.flip_bit.is_none()
-                && f.spike == Duration::ZERO
         }));
     }
 
@@ -466,17 +442,6 @@ mod tests {
         assert!(!c.fate(20).unavailable);
         assert!(c.fate(40).unavailable);
         assert!(!c.fate(41).unavailable);
-    }
-
-    #[test]
-    fn latency_spikes_apply_their_duration() {
-        let c = StorageChaos::seeded(4).with_latency_spike(1.0, Duration::from_millis(3));
-        assert_eq!(c.fate(0).spike, Duration::from_millis(3));
-        let rare = StorageChaos::seeded(4).with_latency_spike(0.05, Duration::from_millis(3));
-        let spiked = (0..10_000u64)
-            .filter(|&op| rare.fate(op).spike > Duration::ZERO)
-            .count();
-        assert!((300..800).contains(&spiked), "spiked={spiked}");
     }
 
     #[test]

@@ -24,8 +24,8 @@ use std::time::{Duration, Instant};
 /// Where the fabric and the kernel stack read "now" from.
 #[derive(Debug, Clone, Default)]
 pub enum Clock {
-    /// The wall clock (`Instant::now`) — the hosting service and
-    /// standalone fabrics.
+    /// The wall clock (`Instant::now`) — standalone fabrics and
+    /// kernels driven outside a round driver.
     #[default]
     Real,
     /// A shared virtual clock advanced only by the simulation

@@ -11,22 +11,10 @@ use std::sync::Arc;
 /// the last `retention` generations are kept (default 2), and
 /// [`CheckpointStore::load_latest`] falls back to the newest *intact*
 /// generation, skipping torn or corrupted ones.
-///
-/// # Rank namespaces
-///
-/// A store may carry a `rank_base` offset: instance methods address
-/// rank `r` under the key space of *global* rank `rank_base + r`.
-/// This is how concurrent tenant jobs share one storage backend (and
-/// one replication pipeline) without colliding — each job's runtime
-/// sees local ranks `0..n`, while its keys, remote manifest entries,
-/// and node-loss restores all live under the job's own global range.
-/// The associated-function key helpers ([`CheckpointStore::key`],
-/// [`CheckpointStore::prefix`]) always speak global rank.
 #[derive(Clone)]
 pub struct CheckpointStore {
     storage: Arc<dyn StableStorage>,
     retention: usize,
-    rank_base: usize,
 }
 
 impl CheckpointStore {
@@ -35,7 +23,6 @@ impl CheckpointStore {
         CheckpointStore {
             storage,
             retention: 2,
-            rank_base: 0,
         }
     }
 
@@ -48,26 +35,13 @@ impl CheckpointStore {
         self
     }
 
-    /// Offset every rank this store addresses by `base` (see the
-    /// type-level docs on rank namespaces).
-    pub fn with_rank_base(mut self, base: usize) -> Self {
-        self.rank_base = base;
-        self
-    }
-
-    /// The configured rank-namespace offset.
-    pub fn rank_base(&self) -> usize {
-        self.rank_base
-    }
-
-    /// Storage key of checkpoint `version` for **global** rank `rank`.
+    /// Storage key of checkpoint `version` for `rank`.
     /// Zero-padded so lexicographic order == numeric order.
     pub fn key(rank: usize, version: u64) -> String {
         format!("ckpt/{rank}/v{version:020}")
     }
 
-    /// Key prefix under which every generation of **global** rank
-    /// `rank` lives.
+    /// Key prefix under which every generation of `rank` lives.
     pub fn prefix(rank: usize) -> String {
         format!("ckpt/{rank}/v")
     }
@@ -81,7 +55,6 @@ impl CheckpointStore {
     /// CRC-32 trailer), then prune generations beyond the retention
     /// window. Versions must increase per rank.
     pub fn save(&self, rank: usize, version: u64, image: &[u8]) {
-        let rank = self.rank_base + rank;
         self.storage.put(&Self::key(rank, version), &seal(image));
         let keys = self.storage.keys_with_prefix(&Self::prefix(rank));
         let keep_from = keys.len().saturating_sub(self.retention);
@@ -95,9 +68,7 @@ impl CheckpointStore {
     /// does not verify — torn writes, truncation, media corruption —
     /// are skipped in favour of the next older one.
     pub fn load_latest(&self, rank: usize) -> Option<(u64, Vec<u8>)> {
-        let keys = self
-            .storage
-            .keys_with_prefix(&Self::prefix(self.rank_base + rank));
+        let keys = self.storage.keys_with_prefix(&Self::prefix(rank));
         for key in keys.iter().rev() {
             let Some(blob) = self.storage.get(key) else {
                 continue;
@@ -112,9 +83,7 @@ impl CheckpointStore {
     /// Every retained *intact* generation of `rank`, oldest first: the
     /// images a restore may fall back through.
     pub fn intact_generations(&self, rank: usize) -> Vec<(u64, Vec<u8>)> {
-        let keys = self
-            .storage
-            .keys_with_prefix(&Self::prefix(self.rank_base + rank));
+        let keys = self.storage.keys_with_prefix(&Self::prefix(rank));
         keys.iter()
             .filter_map(|key| {
                 let image = unseal(&self.storage.get(key)?)?;
@@ -129,15 +98,9 @@ impl CheckpointStore {
     }
 
     /// Delete every retained generation of `rank` from the backend,
-    /// returning how many were removed. This is the generation GC run
-    /// at job-retirement boundaries: once a tenant job's report has
-    /// been fetched, its ranks will never restore again, and a
-    /// long-running service would otherwise accumulate dead tenants'
-    /// generations forever.
+    /// returning how many were removed: the wipe of a node loss.
     pub fn clear_rank(&self, rank: usize) -> usize {
-        let keys = self
-            .storage
-            .keys_with_prefix(&Self::prefix(self.rank_base + rank));
+        let keys = self.storage.keys_with_prefix(&Self::prefix(rank));
         for key in &keys {
             self.storage.delete(key);
         }
@@ -241,32 +204,16 @@ mod tests {
     }
 
     #[test]
-    fn rank_base_namespaces_keys_without_changing_local_view() {
-        let backend: Arc<MemStore> = Arc::new(MemStore::new());
-        let job_a = CheckpointStore::new(backend.clone());
-        let job_b = CheckpointStore::new(backend.clone()).with_rank_base(8);
-        job_a.save(0, 1, b"tenant a");
-        job_b.save(0, 1, b"tenant b");
-        // Same local rank, disjoint global key spaces.
-        assert_eq!(job_a.load_latest(0), Some((1, b"tenant a".to_vec())));
-        assert_eq!(job_b.load_latest(0), Some((1, b"tenant b".to_vec())));
-        assert!(backend.get("ckpt/0/v00000000000000000001").is_some());
-        assert!(backend.get("ckpt/8/v00000000000000000001").is_some());
-    }
-
-    #[test]
-    fn clear_rank_garbage_collects_only_that_tenants_generations() {
-        let backend: Arc<MemStore> = Arc::new(MemStore::new());
-        let job_a = CheckpointStore::new(backend.clone());
-        let job_b = CheckpointStore::new(backend.clone()).with_rank_base(4);
-        job_a.save(0, 1, b"keep");
-        job_b.save(0, 1, b"gc v1");
-        job_b.save(0, 2, b"gc v2");
-        assert_eq!(job_b.clear_rank(0), 2);
-        assert!(job_b.load_latest(0).is_none());
-        assert_eq!(job_a.load_latest(0), Some((1, b"keep".to_vec())));
+    fn clear_rank_garbage_collects_only_that_ranks_generations() {
+        let s = store();
+        s.save(0, 1, b"keep");
+        s.save(1, 1, b"gc v1");
+        s.save(1, 2, b"gc v2");
+        assert_eq!(s.clear_rank(1), 2);
+        assert!(s.load_latest(1).is_none());
+        assert_eq!(s.load_latest(0), Some((1, b"keep".to_vec())));
         // Idempotent on an already-cleared rank.
-        assert_eq!(job_b.clear_rank(0), 0);
+        assert_eq!(s.clear_rank(1), 0);
     }
 
     #[test]

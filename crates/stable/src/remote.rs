@@ -8,8 +8,8 @@
 //! CRC-checked [`Manifest`] describing what was shipped, an in-memory
 //! backend, and [`FaultyRemote`] — a wrapper whose faults are seeded
 //! through [`lclog_simnet::StorageChaos`] so every misbehaviour
-//! (transient errors, unavailability windows, latency spikes,
-//! torn/corrupt objects) replays deterministically.
+//! (transient errors, unavailability windows, torn/corrupt objects)
+//! replays deterministically.
 //!
 //! Unlike [`StableStorage`](crate::StableStorage), every operation is
 //! fallible: remote backends fail, and callers (the replicator in
@@ -105,8 +105,7 @@ impl RemoteStore for MemRemote {
 ///
 /// Each operation consumes one global sequence number and asks the
 /// [`StorageChaos`] model for its fate: unavailability windows and
-/// transient errors fail the call, latency spikes hold it, and torn
-/// or bit-flipped puts *succeed* while silently storing damaged bytes
+/// transient errors fail the call, and torn or bit-flipped puts *succeed* while silently storing damaged bytes
 /// — the failure mode only the manifest's CRCs can catch. A manual
 /// [`FaultyRemote::set_available`] switch layers outages on top for
 /// tests that need to end an outage at a chosen moment.
@@ -158,9 +157,6 @@ impl<S: RemoteStore> FaultyRemote<S> {
     fn admit(&self) -> RemoteResult<lclog_simnet::StorageFate> {
         let op = self.ops.fetch_add(1, Ordering::SeqCst);
         let fate = self.chaos.fate(op);
-        if fate.spike > std::time::Duration::ZERO {
-            std::thread::sleep(fate.spike);
-        }
         if fate.unavailable || self.forced_down.load(Ordering::SeqCst) {
             self.faults.fetch_add(1, Ordering::SeqCst);
             return Err(RemoteError::Unavailable);

@@ -1,9 +1,8 @@
 //! Seeded soak for durable log shipping: fixed seeds, overlapping
 //! transient partitions, rank kills (including node-loss wipes),
-//! storage outages, transient remote errors and latency spikes — all
-//! at once. Every run must finish with exactly-once digests, a spill
-//! buffer that never exceeded its byte bound, and a fully caught-up
-//! remote.
+//! storage outages and transient remote errors — all at once. Every
+//! run must finish with exactly-once digests, a spill buffer that
+//! never exceeded its byte bound, and a fully caught-up remote.
 //!
 //! These runs are `#[ignore]`d for the ordinary `cargo test` pass and
 //! executed by the CI log-ship soak step:
@@ -87,11 +86,9 @@ fn soak_log_shipping_across_seeds() {
                 to_seq: 35,
             });
 
-        // A mid-run backend outage riding on transient errors and
-        // latency spikes.
+        // A mid-run backend outage riding on transient errors.
         let storage_chaos = StorageChaos::seeded(seed ^ 0x57A6)
             .with_transient(0.05)
-            .with_latency_spike(0.05, Duration::from_micros(500))
             .with_outage(20, 90);
         let (remote, handle) = RemoteConfig::faulty(storage_chaos);
         let replicator = ReplicatorConfig::default().with_spill_limit(SPILL_LIMIT);
