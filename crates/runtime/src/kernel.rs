@@ -25,7 +25,10 @@
 //!   ([`Kernel::ingest_batch`] re-locks per envelope);
 //! * a log resend burst answering `ROLLBACK` or `RESPONSE` is as long
 //!   as the sender log, so it goes out [`RESEND_CHUNK`] frames at a
-//!   time with the lock dropped between chunks.
+//!   time with the lock dropped between chunks. Time a sender spends
+//!   transmitting a resend burst is not charged to the peer: the
+//!   channel's retry deadline moves back by the burst's duration, so
+//!   the tick after a long burst does not send it all again.
 //!
 //! A checkpoint sends `CHECKPOINT_ADVANCE` only to the senders whose
 //! messages it newly covers, so on a ring it is one frame, not n − 1.
@@ -938,8 +941,11 @@ impl Kernel {
     /// verbatim — refcount bumps, zero payload copies; the original
     /// piggyback (and `needs_ack`, which is safe: rendezvous acks are
     /// idempotent) ride along exactly as first framed. The lock is
-    /// taken anew every [`RESEND_CHUNK`] frames.
+    /// taken anew every [`RESEND_CHUNK`] frames. The burst's duration
+    /// on the run's clock is added to the channel's retry deadline
+    /// ([`Transport::defer_retry`]).
     fn resend_logged(&self, dst: Rank, mut after: u64, upto: u64) {
+        let start = self.cfg.clock.now();
         let mut count = 0;
         loop {
             let mut st = self.state.lock();
@@ -957,6 +963,7 @@ impl Kernel {
             }
             count += sent;
             if sent < RESEND_CHUNK {
+                transport.defer_retry(dst, self.cfg.clock.now() - start);
                 break;
             }
         }
@@ -1419,6 +1426,57 @@ mod tests {
         assert_eq!(checkpoint_frames(&k1), 1);
         pump(&k0b, &ep0b);
         assert_eq!(k0b.snapshot().log_entries, 0);
+    }
+
+    /// One rig turn for `k`: drain its endpoint, ingest the batch, tick.
+    fn turn(k: &Kernel, ep: &lclog_simnet::Endpoint) {
+        k.ingest_batch(std::iter::from_fn(|| ep.try_recv().ok()).collect::<Vec<_>>());
+        k.tick();
+    }
+
+    #[test]
+    fn a_resend_burst_longer_than_the_timeout_goes_out_once() {
+        // On the wall clock, resending 20 000 logged sends takes far
+        // longer than the 2 ms retransmit timeout. The burst's own time
+        // is not the peer's, so the survivor's tick right after it
+        // finds nothing overdue and every message crosses once.
+        const SENDS: u64 = 20_000;
+        let (mut ks, net, eps) = harness(2, ProtocolKind::Tdi);
+        let k1 = ks.pop().unwrap();
+        let k0 = ks.pop().unwrap();
+        for window in 0..SENDS / 250 {
+            for i in window * 250..(window + 1) * 250 {
+                k0.app_send(1, 0, Bytes::copy_from_slice(&i.to_le_bytes()), false);
+            }
+            turn(&k1, &eps[1]);
+            while k1.try_deliver(RecvSpec::any()).is_some() {}
+            turn(&k0, &eps[0]);
+        }
+        assert_eq!(k0.snapshot().log_entries, SENDS as usize);
+        // Rank 1 dies having checkpointed nothing: every delivery is lost.
+        net.kill(1);
+        let ep1b = net.respawn(1);
+        let store = CheckpointStore::new(k1.ckpt_storage());
+        let mut k1b = Kernel::new(1, 2, RunConfig::new(ProtocolKind::Tdi), net.clone(), store);
+        k1b.set_incarnation(2);
+        assert!(k1b.load_checkpoint().is_none());
+        k1b.begin_recovery();
+        // The pair rig's order: survivor, incarnation, survivor.
+        turn(&k0, &eps[0]);
+        turn(&k1b, &ep1b);
+        let replayed: Vec<u64> = std::iter::from_fn(|| k1b.try_deliver(RecvSpec::any()))
+            .map(|m| u64::from_le_bytes(m.data[..].try_into().unwrap()))
+            .collect();
+        turn(&k0, &eps[0]);
+        turn(&k1b, &ep1b);
+        assert!(replayed.iter().copied().eq(0..SENDS), "each lost delivery replays once, in order");
+        assert!(k1b.try_deliver(RecvSpec::any()).is_none());
+        assert_eq!(k1b.recovery_phase(), RecoveryPhase::Synced);
+        for k in [&k0, &k1b] {
+            let snap = k.snapshot();
+            assert_eq!(snap.data_plane.retransmit_frames, 0, "rank {}", k.me());
+            assert_eq!(snap.dup_discarded, 0, "rank {}", k.me());
+        }
     }
 
     #[test]

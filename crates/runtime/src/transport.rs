@@ -15,7 +15,12 @@
 //! * senders buffer unacknowledged frames and retransmit on a capped
 //!   exponential backoff; a retransmit budget turns a permanently
 //!   silent peer into [`crate::Fault::Unreachable`] instead of an
-//!   infinite hang.
+//!   infinite hang;
+//! * time a sender spends transmitting a resend burst is not charged
+//!   to the peer: [`Transport::defer_retry`] moves the channel's retry
+//!   deadline back by the burst's duration, so a recovery resend
+//!   longer than the timeout does not expire on its own first frame
+//!   (under a virtual clock a burst takes no time and nothing moves).
 //!
 //! [`Transport`] is plain data behind `&mut self`: its owner — the
 //! kernel's one state lock, or the event-logger's thread — is all the
@@ -749,6 +754,19 @@ impl Transport {
         })
     }
 
+    /// Push `dst`'s retry deadline back by `burst`, the time this
+    /// endpoint just spent transmitting a resend burst to it, so the
+    /// burst's first frames are not overdue the moment it ends. A
+    /// no-op when nothing is outstanding; a frame outstanding before
+    /// the burst is retransmitted at most `burst` after its old
+    /// deadline.
+    pub(crate) fn defer_retry(&mut self, dst: Rank, burst: Duration) {
+        let tx = &mut self.peers[dst].tx;
+        if !tx.unacked.is_empty() {
+            tx.next_retry += burst;
+        }
+    }
+
     /// Apply one inbound envelope from `src`, as [`decode_envelope`]
     /// read it. Data frames mark their channel ack-pending instead of
     /// transmitting an ack inline; callers finish the batch with
@@ -1011,7 +1029,7 @@ impl Transport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lclog_simnet::{ChaosConfig, NetConfig};
+    use lclog_simnet::{ChaosConfig, NetConfig, SimClock};
     use lclog_wire::encode_to_vec;
 
     fn cfg() -> TransportConfig {
@@ -1264,6 +1282,67 @@ mod tests {
         let got = drain(&mut t0, &ep0);
         assert_eq!(got.len(), 1);
         assert!(!t0.peer_unreachable(1));
+    }
+
+    /// Rank 0's endpoint on the virtual `clock`. Rank 1 is attached but
+    /// never drained, so everything sent stays unacked.
+    fn sim_sender(clock: &SimClock) -> (Transport, lclog_simnet::Endpoint) {
+        let net = SimNet::new(2, NetConfig::direct());
+        let ep1 = net.attach(1);
+        let cfg = TransportConfig {
+            clock: Clock::Sim(clock.clone()),
+            ..cfg()
+        };
+        (Transport::new(0, 2, net, cfg), ep1)
+    }
+
+    #[test]
+    fn a_deferred_burst_still_retries_the_frame_before_it() {
+        // Timeout 1 ms. A frame goes out at 0 (due at 1 ms); a resend
+        // burst starts at 0.5 ms and takes 3 ms. Deferring by the burst
+        // moves the deadline to 4 ms: one burst-duration after the old
+        // one, and not a moment later.
+        let us = Duration::from_micros;
+        let clock = SimClock::new();
+        let (mut t0, _ep1) = sim_sender(&clock);
+        send_blob(&mut t0, 1, b"before");
+        clock.advance(us(500));
+        send_blob(&mut t0, 1, b"burst first");
+        clock.advance(us(3000));
+        send_blob(&mut t0, 1, b"burst last");
+        t0.defer_retry(1, us(3000));
+        t0.tick();
+        clock.advance(us(499));
+        t0.tick();
+        assert_eq!(t0.dp.retransmit_frames, 0, "the burst's time is not the peer's");
+        clock.advance(us(1));
+        t0.tick();
+        assert_eq!(t0.dp.retransmit_frames, 3, "due at old deadline + burst");
+    }
+
+    #[test]
+    fn a_zero_deferral_leaves_the_retry_schedule_alone() {
+        // Twin senders on one clock; one defers by zero after every
+        // call. Backoff, retransmits and the write-off stay in step.
+        let clock = SimClock::new();
+        let (mut plain, _ep_a) = sim_sender(&clock);
+        let (mut deferred, _ep_b) = sim_sender(&clock);
+        for t in [&mut plain, &mut deferred] {
+            send_blob(t, 1, b"lost");
+            send_blob(t, 1, b"also lost");
+        }
+        deferred.defer_retry(1, Duration::ZERO);
+        for _ in 0..120 {
+            clock.advance(Duration::from_micros(250));
+            plain.tick();
+            deferred.tick();
+            deferred.defer_retry(1, Duration::ZERO);
+            assert_eq!(plain.peers[1].tx.next_retry, deferred.peers[1].tx.next_retry);
+            assert_eq!(plain.dp.retransmit_frames, deferred.dp.retransmit_frames);
+            assert_eq!(plain.peer_unreachable(1), deferred.peer_unreachable(1));
+        }
+        assert_eq!(plain.dp.retransmit_frames, 10, "five rounds of two frames");
+        assert!(plain.peer_unreachable(1));
     }
 
     #[test]
