@@ -4,11 +4,10 @@ use crate::apps::TaskRing;
 use crate::table::Table;
 use lclog_core::ProtocolKind;
 use lclog_npb::{run_benchmark, Benchmark, Class};
-use lclog_runtime::{
-    run_tasks, CheckpointPolicy, ClusterConfig, CommMode, FailurePlan, RemoteConfig,
-    ReplicatorConfig, RunConfig,
-};
+use lclog_runtime::{run_tasks, CheckpointPolicy, ClusterConfig, CommMode, FailurePlan, RunConfig};
 use lclog_simnet::{ChaosConfig, NetConfig, StorageChaos};
+use lclog_stable::{FaultyRemote, MemRemote};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Shape of an experiment sweep.
@@ -438,12 +437,13 @@ pub fn explore_table() -> (Table, Option<lclog_explore::ReplayCase>) {
 /// the newest certified generation from the remote; `wipe+corrupt`
 /// additionally tears the newest remote upload, forcing the restore to
 /// fall back one generation. Outages are windows in storage-operation
-/// space ([`StorageChaos::with_outage`]); retries burn through them,
-/// so `short`/`long` translate to breaker-open windows of growing
-/// duration. `data_loss` must read `none` in every row: the digests of
-/// every faulted run equal the fault-free run's. The runs are tasks
-/// runs, the replicator stepped on the virtual clock, so every column
-/// repeats exactly.
+/// space ([`StorageChaos::with_outage`]): every failed put is a retry,
+/// and a generation that fails waits in the replicator's queue (at most
+/// two per rank, the rest `shed`) until a later round ships it, so
+/// `short`/`long` span more rounds and more retries. `data_loss` must
+/// read `none` in every row: the digests of every faulted run equal the
+/// fault-free run's. The runs are tasks runs, the replicator stepped
+/// once per round, so every column repeats exactly.
 pub fn log_ship_table() -> Table {
     let mut t = Table::new(
         "LS1 — Durable log shipping: outage duration × restore path (ring, 4 ranks)",
@@ -455,7 +455,6 @@ pub fn log_ship_table() -> Table {
             "spill_peak_B",
             "gens_skipped",
             "shed",
-            "resyncs",
             "data_loss",
         ],
     );
@@ -471,14 +470,11 @@ pub fn log_ship_table() -> Table {
         if let Some((from, to)) = outage {
             chaos = chaos.with_outage(from, to);
         }
-        let (remote, _) = RemoteConfig::faulty(chaos);
         ClusterConfig::new(
             n,
             RunConfig::new(ProtocolKind::Tdi).with_checkpoint(CheckpointPolicy::EverySteps(3)),
         )
-        .with_remote(
-            remote.with_replicator(ReplicatorConfig::default().with_spill_limit(32 * 1024)),
-        )
+        .with_remote(Arc::new(FaultyRemote::new(MemRemote::new(), chaos)))
     };
     let clean = run_tasks(&base(1, None), app).expect("clean run").digests;
     let outages: [(&str, Option<(u64, u64)>); 3] = [
@@ -508,7 +504,6 @@ pub fn log_ship_table() -> Table {
                 stats.spill_peak_bytes.to_string(),
                 stats.generations_skipped.to_string(),
                 stats.spill_shed.to_string(),
-                stats.resyncs.to_string(),
                 if r.digests == clean { "none" } else { "LOST" }.to_string(),
             ]);
         }
@@ -713,15 +708,13 @@ mod tests {
         assert_eq!(rows.len(), 9, "3 outages x 3 restore paths");
         for r in &rows {
             assert_eq!(r["data_loss"], "none", "{r:?}");
-            if r["path"] == "wipe+corrupt" {
-                let skipped: u32 = r["gens_skipped"].parse().unwrap();
-                assert!(skipped >= 1, "torn upload must be skipped: {r:?}");
-            }
-            // An outage opened the breaker; the backend's return closed
-            // it with a manifest resync.
+            // Exactly the torn upload is skipped, by one generation.
+            let torn = r["path"] == "wipe+corrupt";
+            assert_eq!(r["gens_skipped"], if torn { "1" } else { "0" }, "{r:?}");
+            // Every operation of an outage window fails as a retry.
             if r["outage"] != "none" {
-                let resyncs: u32 = r["resyncs"].parse().unwrap();
-                assert!(resyncs >= 1, "{r:?}");
+                let retries: u64 = r["retries"].parse().unwrap();
+                assert!(retries >= 34, "{r:?}");
             }
         }
     }

@@ -4,10 +4,10 @@
 
 use lclog_core::ProtocolKind;
 use lclog_npb::{run_benchmark, Benchmark, Class};
-use lclog_runtime::{
-    CheckpointPolicy, ClusterConfig, CommMode, FailurePlan, RemoteConfig, RunConfig,
-};
+use lclog_runtime::{CheckpointPolicy, ClusterConfig, CommMode, FailurePlan, RunConfig};
 use lclog_simnet::{ChaosConfig, NetConfig};
+use lclog_stable::MemRemote;
+use std::sync::Arc;
 
 fn cfg(n: usize, kind: ProtocolKind) -> ClusterConfig {
     ClusterConfig::new(
@@ -183,7 +183,7 @@ fn replay_config(which: usize) -> ClusterConfig {
     };
     match which {
         0 => ckpt(ProtocolKind::Tdi)
-            .with_remote(RemoteConfig::in_memory())
+            .with_remote(Arc::new(MemRemote::new()))
             .with_failures(FailurePlan::kill_at(1, 9).and_kill_wipe_corrupt(5, 17)),
         1 => {
             let mut c = ckpt(ProtocolKind::Tel).with_failures(FailurePlan::kill_at(2, 13));

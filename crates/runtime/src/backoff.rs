@@ -1,9 +1,9 @@
-//! The backoff schedule of the runtime's retry paths (the
-//! replicator's puts, the sparse codec's resync requests).
+//! The backoff schedule of the kernel's resync pacer: how long a rank
+//! waits before re-asking a peer for a full sparse-codec frame.
 //!
 //! [`RetryBackoff`] is capped exponential backoff with **full jitter**
-//! for *retrying failed operations* against a shared resource (the
-//! remote store): attempt `k` waits a uniformly random duration in
+//! for *retrying a request* that competing ranks may all be making:
+//! attempt `k` waits a uniformly random duration in
 //! `[0, min(cap, initial·2^k)]`, which de-synchronizes competing
 //! retriers far better than equal or half jitter.
 //!

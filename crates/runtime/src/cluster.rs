@@ -8,12 +8,12 @@
 use crate::config::RunConfig;
 use crate::events::Event;
 use crate::process::{RankApp, Steps};
-use crate::replicator::{ReplicatorConfig, ReplicatorStats};
+use crate::replicator::ReplicatorStats;
 use crate::tasks::run_tasks;
 use crate::transport::DataPlaneStats;
 use lclog_core::{Rank, TrackingStats};
-use lclog_simnet::{NetConfig, StorageChaos};
-use lclog_stable::{FaultyRemote, MemRemote, RemoteStore};
+use lclog_simnet::NetConfig;
+use lclog_stable::RemoteStore;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -219,57 +219,6 @@ pub enum StorageKind {
     Disk(PathBuf),
 }
 
-/// Remote durability for a cluster run: the backend object store and
-/// the replication pipeline shipping into it.
-#[derive(Clone)]
-pub struct RemoteConfig {
-    /// The backend object store.
-    pub store: Arc<dyn RemoteStore>,
-    /// Replication pipeline knobs.
-    pub replicator: ReplicatorConfig,
-}
-
-impl std::fmt::Debug for RemoteConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RemoteConfig")
-            .field("replicator", &self.replicator)
-            .finish_non_exhaustive()
-    }
-}
-
-impl RemoteConfig {
-    /// Ship to the given backend with default replicator knobs.
-    pub fn new(store: Arc<dyn RemoteStore>) -> Self {
-        RemoteConfig {
-            store,
-            replicator: ReplicatorConfig::default(),
-        }
-    }
-
-    /// A healthy in-memory backend.
-    pub fn in_memory() -> Self {
-        Self::new(Arc::new(MemRemote::new()))
-    }
-
-    /// A fault-injected in-memory backend driven by the given chaos
-    /// schedule. Also returns the `FaultyRemote` handle so tests can
-    /// inspect the stored objects and fault counters, or force an
-    /// outage with `set_available`.
-    pub fn faulty(chaos: StorageChaos) -> (Self, Arc<FaultyRemote<MemRemote>>) {
-        let remote = Arc::new(FaultyRemote::new(MemRemote::new(), chaos));
-        (
-            Self::new(Arc::clone(&remote) as Arc<dyn RemoteStore>),
-            remote,
-        )
-    }
-
-    /// Builder-style replicator knob override.
-    pub fn with_replicator(mut self, cfg: ReplicatorConfig) -> Self {
-        self.replicator = cfg;
-        self
-    }
-}
-
 /// Full configuration of one cluster run.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -290,9 +239,9 @@ pub struct ClusterConfig {
     /// waits) after this much wall time — a watchdog against protocol
     /// deadlocks.
     pub max_wall: Duration,
-    /// Durable log shipping to a remote store (`None` = local-only
+    /// Durable log shipping to this remote store (`None` = local-only
     /// stable storage, the paper's baseline).
-    pub remote: Option<RemoteConfig>,
+    pub remote: Option<Arc<dyn RemoteStore>>,
 }
 
 impl ClusterConfig {
@@ -334,8 +283,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder-style remote durability override.
-    pub fn with_remote(mut self, remote: RemoteConfig) -> Self {
+    /// Builder-style remote durability override: ship checkpoint
+    /// generations to `remote`.
+    pub fn with_remote(mut self, remote: Arc<dyn RemoteStore>) -> Self {
         self.remote = Some(remote);
         self
     }

@@ -81,7 +81,7 @@ pub struct RunConfig {
     /// generation past a corrupted upload and then needs survivors to
     /// replay messages the newest generation had already covered.
     /// [`crate::Cluster`] switches this on automatically whenever a
-    /// [`crate::RemoteConfig`] is attached.
+    /// remote store is attached ([`crate::ClusterConfig::with_remote`]).
     pub log_gc_lag: bool,
     /// Inert: nothing reads it (see [`EngineMode`]).
     pub engine: EngineMode,

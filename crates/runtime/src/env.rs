@@ -57,11 +57,11 @@ pub enum Death {
     Fenced,
 }
 
-/// Stable-storage wrapper that mirrors durable writes into the
-/// replicator: checkpoint-generation puts and append-log records are
-/// offered (non-blocking) after landing locally. Deletes are local
-/// only — remote retention is the manifest's business, and keeping
-/// superseded generations remotely deepens the restore fallback.
+/// Stable-storage wrapper that mirrors checkpoint generations into the
+/// replicator: each generation put is offered (non-blocking) after
+/// landing locally. Deletes are local only — keeping superseded
+/// generations remotely deepens the restore fallback — and append
+/// logs (TEL determinants) are not shipped: no restore reads them.
 struct ShippingStorage {
     inner: Arc<dyn StableStorage>,
     repl: Arc<Replicator>,
@@ -88,8 +88,7 @@ impl StableStorage for ShippingStorage {
     }
 
     fn append(&self, key: &str, record: &[u8]) {
-        self.inner.append(key, record);
-        self.repl.offer_record(key, record);
+        self.inner.append(key, record)
     }
 
     fn read_log(&self, key: &str) -> Vec<Vec<u8>> {
@@ -140,9 +139,8 @@ pub struct RunEnv {
 
 impl RunEnv {
     /// Open the run `cfg` describes: fabric (its release times on the
-    /// run's clock), storage, and — with `cfg.remote` — the replication
-    /// pipeline durable writes ship through, its retries and breaker on
-    /// the run's clock too.
+    /// run's clock), storage, and — with `cfg.remote` — the replicator
+    /// checkpoint generations ship through.
     pub fn open(cfg: &ClusterConfig) -> Result<Self, String> {
         let n = cfg.n;
         assert!(n > 0, "cluster needs at least one rank");
@@ -157,15 +155,10 @@ impl RunEnv {
                 Arc::new(DiskStore::open(dir).map_err(|e| format!("open disk store: {e}"))?)
             }
         };
-        let replicator = cfg.remote.as_ref().map(|rc| {
-            Arc::new(Replicator::new(
-                Arc::clone(&rc.store),
-                rc.replicator.clone(),
-                cfg.run.clock.clone(),
-                sink.clone(),
-                crate::logger_rank(n),
-            ))
-        });
+        let replicator = cfg
+            .remote
+            .as_ref()
+            .map(|store| Arc::new(Replicator::new(Arc::clone(store), sink.clone())));
         let storage: Arc<dyn StableStorage> = match &replicator {
             Some(repl) => Arc::new(ShippingStorage {
                 inner: Arc::clone(&raw),

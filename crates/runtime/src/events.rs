@@ -151,18 +151,6 @@ pub enum EventKind {
         /// Checkpoint generations deleted with the store.
         generations: usize,
     },
-    /// The replicator's circuit breaker opened: the remote backend is
-    /// down and shipping degraded to the bounded local spill buffer.
-    DegradedEntered {
-        /// Bytes queued in the spill buffer at the transition.
-        spill_bytes: usize,
-    },
-    /// The remote backend answered again: the breaker closed and the
-    /// manifest was re-synced.
-    DegradedExited {
-        /// Degraded-window duration in milliseconds.
-        ms: u64,
-    },
     /// A respawned rank with a wiped local store restored a checkpoint
     /// generation from the remote.
     RemoteRestored {
@@ -237,12 +225,6 @@ impl fmt::Display for EventKind {
             }
             EventKind::StoreWiped { generations } => {
                 write!(f, "local store WIPED ({generations} generations lost)")
-            }
-            EventKind::DegradedEntered { spill_bytes } => {
-                write!(f, "replication DEGRADED: spilling locally ({spill_bytes} bytes queued)")
-            }
-            EventKind::DegradedExited { ms } => {
-                write!(f, "replication recovered after {ms} ms degraded; manifest re-synced")
             }
             EventKind::RemoteRestored { version, skipped } => {
                 write!(

@@ -67,8 +67,7 @@ mod tracking;
 mod transport;
 
 pub use cluster::{
-    Cluster, ClusterConfig, DetectorReport, FailurePlan, Kill, RemoteConfig, RunReport,
-    StorageKind,
+    Cluster, ClusterConfig, DetectorReport, FailurePlan, Kill, RunReport, StorageKind,
 };
 pub use lclog_simnet::Clock;
 pub use events::{Event, EventKind, EventSink};
@@ -87,7 +86,7 @@ pub use env::{Death, RunEnv};
 pub use kernel::RETRY_INTERVAL;
 pub use tasks::{run_tasks, TaskApp, TaskCtx, TaskJob, TaskPoll};
 pub use recvq::{Pending, RecvQueue};
-pub use replicator::{Replicator, ReplicatorConfig, ReplicatorStats};
+pub use replicator::{Replicator, ReplicatorStats};
 pub use transport::{payload_is_app_frame, payload_is_data_frame, DataPlaneStats};
 
 /// Rank identifier (re-exported from the protocol layer).

@@ -1,6 +1,6 @@
 //! End-to-end durable log shipping: node-loss (process + wiped local
 //! store) recovery through the remote replica, torn-upload fallback,
-//! and degraded-mode behaviour across a backend outage.
+//! and catch-up after a backend outage.
 //!
 //! The invariant is the same as in `cluster_recovery`: **digests of a
 //! run with failures equal the digests of the fault-free run** — here
@@ -11,13 +11,11 @@ use lclog_core::ProtocolKind;
 use lclog_runtime::events::EventKind;
 use lclog_runtime::{
     CheckpointPolicy, Cluster, ClusterConfig, FailurePlan, Fault, RankApp, RankCtx, RecvSpec,
-    RemoteConfig, ReplicatorConfig, RunConfig, StepStatus,
+    RunConfig, StepStatus,
 };
-use lclog_runtime::{Clock, EventSink, Replicator};
 use lclog_simnet::StorageChaos;
-use lclog_stable::{CheckpointStore, Manifest, MemRemote, RemoteStore, MANIFEST_KEY};
+use lclog_stable::{FaultyRemote, Manifest, MemRemote, RemoteStore, MANIFEST_KEY};
 use lclog_wire::impl_wire_struct;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn mix(x: u64, salt: u64) -> u64 {
@@ -106,7 +104,7 @@ fn wipe_restore(kind: ProtocolKind) {
     let clean = baseline(4, kind, rounds);
     let config = cfg(4, kind)
         .with_failures(FailurePlan::kill_wipe_at(1, 7))
-        .with_remote(RemoteConfig::in_memory())
+        .with_remote(Arc::new(MemRemote::new()))
         .with_trace(true);
     let report = Cluster::run(&config, RingApp { rounds }).expect("node-loss run recovers");
     assert_eq!(report.kills, 1);
@@ -151,7 +149,7 @@ fn corrupted_newest_generation_falls_back_one() {
     // newest (v2) is torn there is still a v1 to fall back to.
     let config = cfg(4, ProtocolKind::Tdi)
         .with_failures(FailurePlan::none().and_kill_wipe_corrupt(1, 8))
-        .with_remote(RemoteConfig::in_memory())
+        .with_remote(Arc::new(MemRemote::new()))
         .with_trace(true);
     let report = Cluster::run(&config, RingApp { rounds }).expect("torn-upload run recovers");
     assert_eq!(report.kills, 1);
@@ -168,103 +166,42 @@ fn corrupted_newest_generation_falls_back_one() {
 }
 
 // ---------------------------------------------------------------------------
-// Backend outage: the breaker opens, shipping degrades to the bounded
-// spill buffer without ever blocking the application, and when the
-// backend returns the replicator re-syncs and catches up completely.
+// Backend outage: shipping never blocks the application, failed puts
+// wait in the queue, and when the backend returns the replicator
+// catches up completely.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn outage_degrades_then_catches_up() {
     let rounds = 24;
     let clean = baseline(4, ProtocolKind::Tdi, rounds);
-    let spill_limit = 16 * 1024;
-    let (remote, handle) =
-        RemoteConfig::faulty(StorageChaos::seeded(0xA11E).with_outage(4, 60));
-    let config = cfg(4, ProtocolKind::Tdi)
-        .with_remote(
-            remote.with_replicator(ReplicatorConfig::default().with_spill_limit(spill_limit)),
-        )
-        .with_trace(true);
+    let remote = Arc::new(FaultyRemote::new(
+        MemRemote::new(),
+        StorageChaos::seeded(0xA11E).with_outage(4, 60),
+    ));
+    let config = cfg(4, ProtocolKind::Tdi).with_remote(remote.clone());
     let report = Cluster::run(&config, RingApp { rounds }).expect("outage run completes");
     assert_eq!(report.digests, clean, "an outage must never affect the app");
     let stats = report.replicator.as_ref().expect("replicator ran");
-    assert!(
-        stats.degraded_windows >= 1,
-        "the op-window outage must open the breaker: {stats:?}"
+    assert_eq!(
+        stats.retries, 56,
+        "the operations of the outage window fail, and only they: {stats:?}"
     );
-    assert!(
-        stats.spill_peak_bytes <= spill_limit,
-        "spill peak {} exceeded the {} byte bound",
-        stats.spill_peak_bytes,
-        spill_limit
-    );
-    assert!(stats.resyncs >= 1, "breaker close must re-sync: {stats:?}");
     assert_eq!(
         stats.unsynced_at_exit, 0,
         "replication must catch up after the outage: {stats:?}"
     );
     // Every object the final manifest promises is certified.
-    let store = handle.inner();
-    let manifest =
-        Manifest::decode(&store.get(MANIFEST_KEY).unwrap().expect("manifest present"))
-            .expect("manifest intact");
+    let store = remote.inner();
+    let manifest = Manifest::decode(&store.get(MANIFEST_KEY).unwrap().expect("manifest present"))
+        .expect("manifest intact");
     assert!(!manifest.entries.is_empty());
     for entry in &manifest.entries {
         let blob = store.get(&entry.key).unwrap().expect("object present");
-        assert!(Manifest::certifies(entry, &blob), "{} not certified", entry.key);
+        assert!(
+            Manifest::certifies(entry, &blob),
+            "{} not certified",
+            entry.key
+        );
     }
-    let entered = report
-        .timeline
-        .iter()
-        .any(|e| matches!(e.kind, EventKind::DegradedEntered { .. }));
-    let exited = report
-        .timeline
-        .iter()
-        .any(|e| matches!(e.kind, EventKind::DegradedExited { .. }));
-    assert!(entered && exited, "timeline must bracket the degraded window");
-}
-
-// ---------------------------------------------------------------------------
-// A drain ships what was offered before it, whatever other tenants of a
-// shared replicator keep offering meanwhile.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn drain_does_not_wait_on_later_offers() {
-    let remote = Arc::new(MemRemote::new());
-    let repl = Replicator::new(
-        remote.clone(),
-        ReplicatorConfig::default(),
-        Clock::Real,
-        EventSink::disabled(),
-        0,
-    );
-    let (stop, offered) = (AtomicBool::new(false), AtomicU64::new(0));
-    let synced = std::thread::scope(|s| {
-        s.spawn(|| {
-            for v in 1.. {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                repl.offer_generation(&CheckpointStore::key(1, v), &[v as u8; 64]);
-                offered.store(v, Ordering::Relaxed);
-            }
-        });
-        while offered.load(Ordering::Relaxed) < 100 {
-            std::thread::yield_now();
-        }
-        for v in 1..=3 {
-            repl.offer_generation(&CheckpointStore::key(0, v), &[v as u8; 64]);
-        }
-        let synced = repl.drain();
-        stop.store(true, Ordering::Relaxed);
-        synced
-    });
-    assert!(synced, "the drain must not wait on offers made after it");
-    let manifest = Manifest::decode(&remote.get(MANIFEST_KEY).unwrap().expect("manifest"))
-        .expect("manifest intact");
-    let newest = manifest.generations_with_prefix(&CheckpointStore::prefix(0))[0];
-    assert_eq!(newest.key, CheckpointStore::key(0, 3));
-    let blob = remote.get(&newest.key).unwrap().expect("object present");
-    assert!(Manifest::certifies(newest, &blob));
 }

@@ -2,37 +2,30 @@ use crate::seal::{seal, unseal};
 use crate::StableStorage;
 use std::sync::Arc;
 
+/// Checkpoint generations kept per rank: the newest, which a restore
+/// loads, and the one before it, which the restore falls back to when
+/// the newest is torn. The local store prunes to this many, and the
+/// replicator holds at most this many unshipped generations per rank.
+pub const GENERATIONS: usize = 2;
+
 /// Typed helper mapping each rank to its recent checkpoint images.
 ///
 /// The paper's protocol only ever restores the *last* checkpoint
 /// (causal logging never rolls a process past it) — but a checkpoint
 /// write can itself be interrupted by the failure it is supposed to
 /// protect against. So every image is sealed with a CRC-32 trailer,
-/// the last `retention` generations are kept (default 2), and
+/// the last [`GENERATIONS`] generations are kept, and
 /// [`CheckpointStore::load_latest`] falls back to the newest *intact*
 /// generation, skipping torn or corrupted ones.
 #[derive(Clone)]
 pub struct CheckpointStore {
     storage: Arc<dyn StableStorage>,
-    retention: usize,
 }
 
 impl CheckpointStore {
-    /// Wrap a storage backend (keeping the last 2 generations).
+    /// Wrap a storage backend.
     pub fn new(storage: Arc<dyn StableStorage>) -> Self {
-        CheckpointStore {
-            storage,
-            retention: 2,
-        }
-    }
-
-    /// Override how many checkpoint generations are retained per rank
-    /// (must be at least 1; 1 restores the old prune-all behaviour,
-    /// at the cost of losing torn-write fallback).
-    pub fn with_retention(mut self, generations: usize) -> Self {
-        assert!(generations >= 1, "must retain at least one generation");
-        self.retention = generations;
-        self
+        CheckpointStore { storage }
     }
 
     /// Storage key of checkpoint `version` for `rank`.
@@ -52,12 +45,12 @@ impl CheckpointStore {
     }
 
     /// Durably save checkpoint `version` for `rank` (sealed with a
-    /// CRC-32 trailer), then prune generations beyond the retention
-    /// window. Versions must increase per rank.
+    /// CRC-32 trailer), then prune all but the newest [`GENERATIONS`].
+    /// Versions must increase per rank.
     pub fn save(&self, rank: usize, version: u64, image: &[u8]) {
         self.storage.put(&Self::key(rank, version), &seal(image));
         let keys = self.storage.keys_with_prefix(&Self::prefix(rank));
-        let keep_from = keys.len().saturating_sub(self.retention);
+        let keep_from = keys.len().saturating_sub(GENERATIONS);
         for key in &keys[..keep_from] {
             self.storage.delete(key);
         }
@@ -144,19 +137,9 @@ mod tests {
         s.save(0, 2, b"v2");
         s.save(0, 10, b"v10");
         assert_eq!(s.load_latest(0), Some((10, b"v10".to_vec())));
-        // Default retention: the last two generations remain.
-        assert_eq!(s.storage().keys_with_prefix("ckpt/0/").len(), 2);
+        assert_eq!(s.storage().keys_with_prefix("ckpt/0/").len(), GENERATIONS);
         let versions: Vec<u64> = s.intact_generations(0).iter().map(|g| g.0).collect();
         assert_eq!(versions, [2, 10]);
-    }
-
-    #[test]
-    fn retention_one_restores_prune_all() {
-        let s = store().with_retention(1);
-        s.save(0, 1, b"v1");
-        s.save(0, 2, b"v2");
-        assert_eq!(s.storage().keys_with_prefix("ckpt/0/").len(), 1);
-        assert_eq!(s.load_latest(0), Some((2, b"v2".to_vec())));
     }
 
     #[test]
@@ -218,10 +201,13 @@ mod tests {
 
     #[test]
     fn all_generations_corrupt_means_no_checkpoint() {
-        let s = store().with_retention(1);
-        s.save(0, 1, b"only");
-        let key = "ckpt/0/v00000000000000000001";
-        s.storage().put(key, b"garbage");
+        let s = store();
+        s.save(0, 1, b"older");
+        s.save(0, 2, b"newer");
+        for key in s.storage().keys_with_prefix(&CheckpointStore::prefix(0)) {
+            s.storage().put(&key, b"garbage");
+        }
         assert!(s.load_latest(0).is_none());
+        assert!(s.intact_generations(0).is_empty());
     }
 }

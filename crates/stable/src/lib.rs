@@ -14,14 +14,14 @@
 //! * [`DiskStore`] — real files with atomic replace, for examples that
 //!   want durability across OS processes,
 //! * [`CheckpointStore`] — a typed helper mapping ranks to their
-//!   latest checkpoint image.
+//!   latest [`GENERATIONS`] checkpoint images.
 //!
 //! For durability beyond the local disk — the node-loss case where
 //! the process dies *with* its storage — the [`remote`] module adds
 //! an object-store-style [`RemoteStore`] with CRC-checked manifests
 //! and a deterministically fault-injected backend; `lclog-runtime`'s
-//! replicator streams checkpoint generations and log segments into it
-//! and restores wiped ranks from it.
+//! replicator ships checkpoint generations into it and restores wiped
+//! ranks from it.
 //!
 //! ## Example
 //!
@@ -45,12 +45,12 @@ mod mem;
 pub mod remote;
 mod seal;
 
-pub use checkpoint::CheckpointStore;
+pub use checkpoint::{CheckpointStore, GENERATIONS};
 pub use disk::DiskStore;
 pub use mem::MemStore;
 pub use remote::{
-    FaultyRemote, Manifest, ManifestEntry, MemRemote, ObjectKind, RemoteError, RemoteResult,
-    RemoteStore, MANIFEST_KEY,
+    FaultyRemote, Manifest, ManifestEntry, MemRemote, RemoteError, RemoteResult, RemoteStore,
+    MANIFEST_KEY,
 };
 
 /// Abstract stable storage: a blob namespace plus append-only record

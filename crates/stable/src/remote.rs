@@ -4,8 +4,8 @@
 //! *local* stable storage, so a failure that takes the disk with the
 //! process (node loss) is unrecoverable. This module provides the
 //! remote side of the fix: an object-store-style [`RemoteStore`]
-//! trait holding sealed checkpoint generations and log segments, a
-//! CRC-checked [`Manifest`] describing what was shipped, an in-memory
+//! trait holding sealed checkpoint generations, a CRC-checked
+//! [`Manifest`] describing what was shipped, an in-memory
 //! backend, and [`FaultyRemote`] — a wrapper whose faults are seeded
 //! through [`lclog_simnet::StorageChaos`] so every misbehaviour
 //! (transient errors, unavailability windows, torn/corrupt objects)
@@ -13,14 +13,14 @@
 //!
 //! Unlike [`StableStorage`](crate::StableStorage), every operation is
 //! fallible: remote backends fail, and callers (the replicator in
-//! `lclog-runtime`) must retry, back off, and degrade gracefully.
+//! `lclog-runtime`) keep what failed and retry it.
 
 use lclog_simnet::StorageChaos;
 use lclog_wire::{crc32, varint, Reader};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Why a remote operation failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,9 +56,12 @@ pub trait RemoteStore: Send + Sync {
 
     /// List object keys with the given prefix, sorted.
     fn list(&self, prefix: &str) -> RemoteResult<Vec<String>>;
+}
 
-    /// Remove the object under `key` (no-op when absent).
-    fn delete(&self, key: &str) -> RemoteResult<()>;
+impl fmt::Debug for dyn RemoteStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("RemoteStore")
+    }
 }
 
 /// In-memory remote backend: always healthy, always consistent. The
@@ -94,26 +97,19 @@ impl RemoteStore for MemRemote {
             .map(|(k, _)| k.clone())
             .collect())
     }
-
-    fn delete(&self, key: &str) -> RemoteResult<()> {
-        self.objects.write().remove(key);
-        Ok(())
-    }
 }
 
 /// A remote backend that misbehaves on a seeded schedule.
 ///
 /// Each operation consumes one global sequence number and asks the
 /// [`StorageChaos`] model for its fate: unavailability windows and
-/// transient errors fail the call, and torn or bit-flipped puts *succeed* while silently storing damaged bytes
-/// — the failure mode only the manifest's CRCs can catch. A manual
-/// [`FaultyRemote::set_available`] switch layers outages on top for
-/// tests that need to end an outage at a chosen moment.
+/// transient errors fail the call, and torn or bit-flipped puts
+/// *succeed* while silently storing damaged bytes — the failure mode
+/// only the manifest's CRCs can catch.
 pub struct FaultyRemote<S> {
     inner: S,
     chaos: StorageChaos,
     ops: AtomicU64,
-    forced_down: AtomicBool,
     faults: AtomicU64,
     torn_objects: AtomicU64,
 }
@@ -125,16 +121,9 @@ impl<S: RemoteStore> FaultyRemote<S> {
             inner,
             chaos,
             ops: AtomicU64::new(0),
-            forced_down: AtomicBool::new(false),
             faults: AtomicU64::new(0),
             torn_objects: AtomicU64::new(0),
         }
-    }
-
-    /// Manually raise or end an outage that lasts until the next call
-    /// (orthogonal to the seeded op-sequence windows).
-    pub fn set_available(&self, up: bool) {
-        self.forced_down.store(!up, Ordering::SeqCst);
     }
 
     /// Operations failed so far (unavailable + transient).
@@ -157,7 +146,7 @@ impl<S: RemoteStore> FaultyRemote<S> {
     fn admit(&self) -> RemoteResult<lclog_simnet::StorageFate> {
         let op = self.ops.fetch_add(1, Ordering::SeqCst);
         let fate = self.chaos.fate(op);
-        if fate.unavailable || self.forced_down.load(Ordering::SeqCst) {
+        if fate.unavailable {
             self.faults.fetch_add(1, Ordering::SeqCst);
             return Err(RemoteError::Unavailable);
         }
@@ -197,27 +186,11 @@ impl<S: RemoteStore> RemoteStore for FaultyRemote<S> {
         self.admit()?;
         self.inner.list(prefix)
     }
-
-    fn delete(&self, key: &str) -> RemoteResult<()> {
-        self.admit()?;
-        self.inner.delete(key)
-    }
 }
 
-/// What kind of object a manifest entry describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ObjectKind {
-    /// A sealed log segment (batched append-log records).
-    Segment,
-    /// A sealed checkpoint generation.
-    Generation,
-}
-
-/// One shipped object, as recorded in the manifest.
+/// One shipped checkpoint generation, as recorded in the manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManifestEntry {
-    /// Segment or generation.
-    pub kind: ObjectKind,
     /// Remote object key.
     pub key: String,
     /// CRC-32 of the object bytes as shipped — the certification a
@@ -233,9 +206,9 @@ pub struct ManifestEntry {
 ///
 /// The manifest is itself sealed with the same CRC-32 + magic trailer
 /// as checkpoint generations, so a torn manifest upload is detected
-/// and the previous manifest semantics (re-list and re-ship) apply.
-/// An object is *fully certified* only when an intact manifest lists
-/// it and the stored bytes match the recorded CRC.
+/// rather than trusted. An object is *fully certified* only when an
+/// intact manifest lists it and the stored bytes match the recorded
+/// CRC.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Manifest {
     /// Shipped objects in ship order.
@@ -251,10 +224,6 @@ impl Manifest {
         let mut body = Vec::new();
         varint::write_u64(&mut body, self.entries.len() as u64);
         for e in &self.entries {
-            body.push(match e.kind {
-                ObjectKind::Segment => 0,
-                ObjectKind::Generation => 1,
-            });
             varint::write_u64(&mut body, e.key.len() as u64);
             body.extend_from_slice(e.key.as_bytes());
             body.extend_from_slice(&e.crc.to_le_bytes());
@@ -272,28 +241,23 @@ impl Manifest {
         let count = varint::read_u64(&mut r).ok()?;
         let mut entries = Vec::with_capacity(count.min(4096) as usize);
         for _ in 0..count {
-            let kind = match r.take(1).ok()?[0] {
-                0 => ObjectKind::Segment,
-                1 => ObjectKind::Generation,
-                _ => return None,
-            };
             let key_len = varint::read_u64(&mut r).ok()? as usize;
             let key = String::from_utf8(r.take(key_len).ok()?.to_vec()).ok()?;
             let crc = u32::from_le_bytes(r.take(4).ok()?.try_into().ok()?);
             let len = varint::read_u64(&mut r).ok()?;
             let seq = varint::read_u64(&mut r).ok()?;
-            entries.push(ManifestEntry { kind, key, crc, len, seq });
+            entries.push(ManifestEntry { key, crc, len, seq });
         }
         (r.remaining() == 0).then_some(Manifest { entries })
     }
 
-    /// Generation entries whose key starts with `prefix`, newest
-    /// (lexicographically largest key, i.e. highest version) first.
+    /// Entries whose key starts with `prefix`, newest (lexicographically
+    /// largest key, i.e. highest version) first.
     pub fn generations_with_prefix(&self, prefix: &str) -> Vec<&ManifestEntry> {
         let mut gens: Vec<&ManifestEntry> = self
             .entries
             .iter()
-            .filter(|e| e.kind == ObjectKind::Generation && e.key.starts_with(prefix))
+            .filter(|e| e.key.starts_with(prefix))
             .collect();
         gens.sort_by(|a, b| b.key.cmp(&a.key));
         gens
@@ -309,9 +273,8 @@ impl Manifest {
 mod tests {
     use super::*;
 
-    fn entry(kind: ObjectKind, key: &str, blob: &[u8], seq: u64) -> ManifestEntry {
+    fn entry(key: &str, blob: &[u8], seq: u64) -> ManifestEntry {
         ManifestEntry {
-            kind,
             key: key.to_string(),
             crc: crc32(blob),
             len: blob.len() as u64,
@@ -323,22 +286,24 @@ mod tests {
     fn mem_remote_roundtrip_and_listing() {
         let r = MemRemote::new();
         assert_eq!(r.get("a").unwrap(), None);
-        r.put("seg/1", b"one").unwrap();
-        r.put("seg/2", b"two").unwrap();
-        r.put("gen/1", b"g").unwrap();
-        assert_eq!(r.get("seg/1").unwrap().as_deref(), Some(&b"one"[..]));
-        assert_eq!(r.list("seg/").unwrap(), vec!["seg/1".to_string(), "seg/2".into()]);
-        r.delete("seg/1").unwrap();
-        assert_eq!(r.get("seg/1").unwrap(), None);
-        r.delete("seg/1").unwrap(); // idempotent
+        r.put("ckpt/0/v1", b"one").unwrap();
+        r.put("ckpt/0/v2", b"two").unwrap();
+        r.put("ckpt/1/v1", b"g").unwrap();
+        assert_eq!(r.get("ckpt/0/v1").unwrap().as_deref(), Some(&b"one"[..]));
+        assert_eq!(
+            r.list("ckpt/0/").unwrap(),
+            vec!["ckpt/0/v1".to_string(), "ckpt/0/v2".into()]
+        );
+        r.put("ckpt/0/v1", b"uno").unwrap();
+        assert_eq!(r.get("ckpt/0/v1").unwrap().as_deref(), Some(&b"uno"[..]));
     }
 
     #[test]
     fn manifest_roundtrips_and_rejects_damage() {
         let m = Manifest {
             entries: vec![
-                entry(ObjectKind::Generation, "ckpt/0/v1", b"img", 0),
-                entry(ObjectKind::Segment, "seg/evt/5", b"recs", 1),
+                entry("ckpt/0/v1", b"img", 0),
+                entry("ckpt/1/v5", b"other", 1),
             ],
         };
         let blob = m.encode();
@@ -354,10 +319,9 @@ mod tests {
     fn manifest_orders_generations_newest_first() {
         let m = Manifest {
             entries: vec![
-                entry(ObjectKind::Generation, "ckpt/0/v00000000000000000001", b"a", 0),
-                entry(ObjectKind::Generation, "ckpt/0/v00000000000000000010", b"b", 1),
-                entry(ObjectKind::Generation, "ckpt/1/v00000000000000000002", b"c", 2),
-                entry(ObjectKind::Segment, "ckpt/0/v-fake-segment", b"d", 3),
+                entry("ckpt/0/v00000000000000000001", b"a", 0),
+                entry("ckpt/0/v00000000000000000010", b"b", 1),
+                entry("ckpt/1/v00000000000000000002", b"c", 2),
             ],
         };
         let gens = m.generations_with_prefix("ckpt/0/v");
@@ -391,21 +355,10 @@ mod tests {
     }
 
     #[test]
-    fn forced_outage_overrides_until_lifted() {
-        let r = FaultyRemote::new(MemRemote::new(), StorageChaos::seeded(1));
-        r.put("a", b"1").unwrap();
-        r.set_available(false);
-        assert_eq!(r.get("a"), Err(RemoteError::Unavailable));
-        assert_eq!(r.list(""), Err(RemoteError::Unavailable));
-        r.set_available(true);
-        assert_eq!(r.get("a").unwrap().as_deref(), Some(&b"1"[..]));
-    }
-
-    #[test]
     fn torn_and_flipped_puts_report_success_but_fail_certification() {
         let torn = FaultyRemote::new(MemRemote::new(), StorageChaos::seeded(3).with_torn_put(1.0));
         let blob = b"a sealed object body".to_vec();
-        let e = entry(ObjectKind::Generation, "g", &blob, 0);
+        let e = entry("g", &blob, 0);
         torn.put("g", &blob).unwrap();
         let stored = torn.inner().get("g").unwrap().unwrap();
         assert!(stored.len() < blob.len());

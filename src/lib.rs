@@ -42,8 +42,7 @@ pub mod prelude {
     pub use lclog_runtime::{
         collectives, CheckpointPolicy, Cluster, ClusterConfig, CommMode, DetectorConfig,
         DetectorReport, Event, EventKind, FailurePlan, Fault, MembershipView, RankApp, RankCtx,
-        RecvSpec, RemoteConfig, ReplicatorConfig, ReplicatorStats, RunConfig, RunReport,
-        StepStatus, StorageKind,
+        RecvSpec, ReplicatorStats, RunConfig, RunReport, StepStatus, StorageKind,
     };
     pub use lclog_simnet::{ChaosConfig, NetConfig, Partition, SimNet, StorageChaos};
     pub use lclog_stable::{

@@ -3,13 +3,6 @@
 //! scripted kill notifications — every death must be detected,
 //! certified, fenced, and recovered from with exactly-once digests and
 //! zero false kills at the default threshold.
-//!
-//! These runs are `#[ignore]`d for the ordinary `cargo test` pass and
-//! executed by the CI chaos-soak step:
-//!
-//! ```sh
-//! cargo test --release --test detector_soak -- --ignored
-//! ```
 
 use std::time::Duration;
 
@@ -40,7 +33,6 @@ fn bench_for(seed: u64) -> Benchmark {
 }
 
 #[test]
-#[ignore = "chaos soak: run via the CI soak step (--ignored)"]
 fn soak_detected_random_failures_across_seeds() {
     let n = 4;
     for seed in SEEDS {
@@ -92,7 +84,6 @@ fn soak_detected_random_failures_across_seeds() {
 /// — digests still exactly match the failure-free run even though the
 /// kills are all false.
 #[test]
-#[ignore = "chaos soak: run via the CI soak step (--ignored)"]
 fn soak_false_suspicion_fencing_is_safe() {
     let n = 4;
     for seed in [0x0aceu64, 0x0bed, 0x0cab, 0x0dad] {
