@@ -19,6 +19,7 @@
 //! Run everything with `cargo run -p lclog-bench --bin reproduce
 //! --release`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod apps;

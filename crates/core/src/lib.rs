@@ -54,6 +54,7 @@
 //! assert!(matches!(p1.deliverable(2, 1, &m5.piggyback), DeliveryVerdict::Deliver));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod conformance;

@@ -275,10 +275,7 @@ impl SparseTdi {
         let epoch = varint::read_u64(r).map_err(corrupt)?;
         match kind {
             KIND_FULL => {
-                let mut values = Vec::with_capacity(n);
-                for _ in 0..n {
-                    values.push(varint::read_u64(r).map_err(corrupt)?);
-                }
+                let values = read_vec(r, n).map_err(corrupt)?;
                 Ok(Frame::Full { epoch, values })
             }
             KIND_DELTA => {
@@ -386,6 +383,13 @@ impl SparseTdi {
     }
 }
 
+/// A full vector: `n` back-to-back varints.
+fn read_vec(r: &mut Reader<'_>, n: usize) -> Result<Vec<u64>, WireError> {
+    let mut values = Vec::with_capacity(n);
+    varint::read_run(r, n, |_, v| values.push(v))?;
+    Ok(values)
+}
+
 impl LoggingProtocol for SparseTdi {
     fn kind(&self) -> ProtocolKind {
         ProtocolKind::TdiSparse(self.resync_interval)
@@ -454,9 +458,7 @@ impl LoggingProtocol for SparseTdi {
         if full {
             buf.push(KIND_FULL);
             varint::write_u64(&mut buf, self.epoch);
-            for &v in &self.depend {
-                varint::write_u64(&mut buf, v);
-            }
+            varint::write_run(&mut buf, &self.depend);
             id_count = self.n as u64;
             self.stats.full_frames += 1;
         } else {
@@ -556,9 +558,7 @@ impl LoggingProtocol for SparseTdi {
         // n × value] — hand-rolled so restore can validate exactly.
         let mut buf = Vec::new();
         varint::write_u64(&mut buf, self.epoch);
-        for &v in &self.depend {
-            varint::write_u64(&mut buf, v);
-        }
+        varint::write_run(&mut buf, &self.depend);
         for base in &self.bases {
             match base {
                 None => buf.push(0),
@@ -566,9 +566,7 @@ impl LoggingProtocol for SparseTdi {
                     buf.push(1);
                     varint::write_u64(&mut buf, b.epoch);
                     varint::write_u64(&mut buf, b.seq);
-                    for &v in &b.vec {
-                        varint::write_u64(&mut buf, v);
-                    }
+                    varint::write_run(&mut buf, &b.vec);
                 }
             }
         }
@@ -579,10 +577,7 @@ impl LoggingProtocol for SparseTdi {
         let corrupt = |_: WireError| ProtocolError::Corrupt("truncated TDI-S checkpoint");
         let mut r = Reader::new(bytes);
         let epoch = varint::read_u64(&mut r).map_err(corrupt)?;
-        let mut depend = Vec::with_capacity(self.n);
-        for _ in 0..self.n {
-            depend.push(varint::read_u64(&mut r).map_err(corrupt)?);
-        }
+        let depend = read_vec(&mut r, self.n).map_err(corrupt)?;
         let mut bases = Vec::with_capacity(self.n);
         for _ in 0..self.n {
             match r.take_byte().map_err(corrupt)? {
@@ -590,10 +585,7 @@ impl LoggingProtocol for SparseTdi {
                 1 => {
                     let b_epoch = varint::read_u64(&mut r).map_err(corrupt)?;
                     let seq = varint::read_u64(&mut r).map_err(corrupt)?;
-                    let mut vec = Vec::with_capacity(self.n);
-                    for _ in 0..self.n {
-                        vec.push(varint::read_u64(&mut r).map_err(corrupt)?);
-                    }
+                    let vec = read_vec(&mut r, self.n).map_err(corrupt)?;
                     bases.push(Some(Base {
                         epoch: b_epoch,
                         seq,
@@ -645,9 +637,7 @@ impl LoggingProtocol for SparseTdi {
         let mut buf = Vec::new();
         varint::write_u64(&mut buf, self.epoch);
         varint::write_u64(&mut buf, self.chans[dst].last_seq);
-        for &v in &self.depend {
-            varint::write_u64(&mut buf, v);
-        }
+        varint::write_run(&mut buf, &self.depend);
         let abs_end = self.compacted + self.dirty_log.len();
         let chan = &mut self.chans[dst];
         chan.primed = true;
@@ -666,10 +656,7 @@ impl LoggingProtocol for SparseTdi {
         let mut r = Reader::new(bytes);
         let epoch = varint::read_u64(&mut r).map_err(corrupt)?;
         let seq = varint::read_u64(&mut r).map_err(corrupt)?;
-        let mut vec = Vec::with_capacity(self.n);
-        for _ in 0..self.n {
-            vec.push(varint::read_u64(&mut r).map_err(corrupt)?);
-        }
+        let vec = read_vec(&mut r, self.n).map_err(corrupt)?;
         r.finish()
             .map_err(|_| ProtocolError::Corrupt("trailing bytes in TDI-S resync snapshot"))?;
         // Keep the newer of snapshot and existing base (a retransmitted

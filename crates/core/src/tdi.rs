@@ -11,7 +11,7 @@
 
 use crate::protocol::{DeliveryVerdict, LoggingProtocol, SendArtifacts};
 use crate::{DependVector, ProtocolError, ProtocolKind, Rank};
-use lclog_wire::{Encode, Reader};
+use lclog_wire::{Encode, WireError};
 
 /// The paper's lightweight causal message-logging protocol.
 #[derive(Debug, Clone)]
@@ -39,16 +39,23 @@ impl Tdi {
         &self.depend
     }
 
-    fn decode_piggyback(&self, piggyback: &[u8]) -> Result<DependVector, ProtocolError> {
-        let mut reader = Reader::new(piggyback);
-        let v = DependVector::decode_n(&mut reader, self.n)
-            .map_err(|_| ProtocolError::Corrupt("TDI piggyback vector"))?;
-        reader
-            .finish()
-            .map_err(|_| ProtocolError::Corrupt("TDI piggyback trailing bytes"))?;
-        Ok(v)
+    /// The piggyback's element `me`, all the gate reads, after checking
+    /// the whole piggyback in place.
+    fn entry_for_me(&self, piggyback: &[u8]) -> Result<u64, ProtocolError> {
+        DependVector::encoded_entry(piggyback, self.n, self.me).map_err(|e| match e {
+            WireError::TrailingBytes { .. } => {
+                ProtocolError::Corrupt("TDI piggyback trailing bytes")
+            }
+            _ => ProtocolError::Corrupt("TDI piggyback vector"),
+        })
     }
 }
+
+/// Piggyback capacity beyond `n` bytes. `n` bytes hold the vector
+/// while every element is below 0x80; the slack holds a few larger
+/// ones (a pair that has exchanged many messages) before the buffer
+/// has to grow, without a pass over the vector to size it exactly.
+const PIGGYBACK_SLACK: usize = 16;
 
 impl LoggingProtocol for Tdi {
     fn kind(&self) -> ProtocolKind {
@@ -74,7 +81,7 @@ impl LoggingProtocol for Tdi {
     fn on_send(&mut self, _dst: Rank, _send_index: u64) -> SendArtifacts {
         // Algorithm 1 line 11: piggyback the whole depend_interval
         // vector — n identifiers, independent of message history.
-        let mut piggyback = Vec::with_capacity(self.depend.encoded_len());
+        let mut piggyback = Vec::with_capacity(self.n + PIGGYBACK_SLACK);
         self.depend.encode(&mut piggyback);
         SendArtifacts {
             piggyback,
@@ -85,8 +92,8 @@ impl LoggingProtocol for Tdi {
     fn deliverable(&self, _src: Rank, _send_index: u64, piggyback: &[u8]) -> DeliveryVerdict {
         // Algorithm 1 line 17: deliver iff we have already delivered
         // at least as many messages as the sender saw us depend on.
-        match self.decode_piggyback(piggyback) {
-            Ok(v) if v[self.me] <= self.depend[self.me] => DeliveryVerdict::Deliver,
+        match self.entry_for_me(piggyback) {
+            Ok(needs) if needs <= self.depend[self.me] => DeliveryVerdict::Deliver,
             _ => DeliveryVerdict::Wait,
         }
     }
@@ -97,18 +104,20 @@ impl LoggingProtocol for Tdi {
         send_index: u64,
         piggyback: &[u8],
     ) -> Result<(), ProtocolError> {
-        let v = self.decode_piggyback(piggyback)?;
-        if v[self.me] > self.depend[self.me] {
+        if self.entry_for_me(piggyback)? > self.depend[self.me] {
             return Err(ProtocolError::NotDeliverable { src, send_index });
         }
-        // Lines 20, 22–24: advance own interval, join the rest.
+        // Lines 20, 22–24: advance own interval, join the rest. The
+        // piggyback was checked whole above, so the merge cannot stop
+        // part-way.
         self.depend.increment(self.me);
-        self.depend.merge_from(&v, self.me);
-        Ok(())
+        self.depend
+            .merge_encoded(piggyback, self.me)
+            .map_err(|_| ProtocolError::Corrupt("TDI piggyback vector"))
     }
 
     fn checkpoint_bytes(&self) -> Vec<u8> {
-        lclog_wire::encode_to_vec(&self.depend.as_slice().to_vec())
+        lclog_wire::encode_to_vec(self.depend.as_slice())
     }
 
     fn restore_from_checkpoint(&mut self, bytes: &[u8]) -> Result<(), ProtocolError> {
@@ -130,6 +139,8 @@ impl LoggingProtocol for Tdi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lclog_wire::{varint, Reader};
+    use proptest::prelude::*;
 
     fn artifacts(p: &mut Tdi, dst: Rank, idx: u64) -> Vec<u8> {
         p.on_send(dst, idx).piggyback
@@ -268,5 +279,167 @@ mod tests {
         assert_eq!(p.deliverable(0, 1, &m), DeliveryVerdict::Deliver);
         p.on_deliver(0, 1, &m).unwrap();
         assert_eq!(p.delivered_total(), 1);
+    }
+
+    /// The reference decoder the in-place gate and merge replaced: one
+    /// LEB128 varint at a time into a fresh vector, then no trailing
+    /// bytes.
+    fn decode_n(bytes: &[u8], n: usize) -> Option<DependVector> {
+        let mut r = Reader::new(bytes);
+        let mut values = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (mut value, mut shift) = (0u64, 0u32);
+            loop {
+                let byte = r.take_byte().ok()?;
+                let low = (byte & 0x7F) as u64;
+                if shift == 63 && low > 1 {
+                    return None;
+                }
+                value |= low << shift;
+                if byte & 0x80 == 0 {
+                    break;
+                }
+                shift += 7;
+                if shift > 63 {
+                    return None;
+                }
+            }
+            values.push(value);
+        }
+        r.finish().ok()?;
+        Some(DependVector::from_vec(values))
+    }
+
+    /// `piggyback` meets `p`'s gate and merge as the reference says it
+    /// must: rejected bytes wait, fail as `Corrupt` and change nothing;
+    /// accepted ones gate on the reference's element `me` and merge to
+    /// the reference's `increment` + `merge_from`.
+    fn agrees_with_reference(p: &Tdi, piggyback: &[u8]) {
+        let me = p.me();
+        let reference = decode_n(piggyback, p.n());
+        let gate_open = reference.as_ref().is_some_and(|v| v[me] <= p.depend[me]);
+        let verdict = if gate_open {
+            DeliveryVerdict::Deliver
+        } else {
+            DeliveryVerdict::Wait
+        };
+        assert_eq!(p.deliverable(1, 1, piggyback), verdict);
+        let mut merged = p.clone();
+        let result = merged.on_deliver(1, 1, piggyback);
+        match reference {
+            None => {
+                assert!(
+                    matches!(result, Err(ProtocolError::Corrupt(_))),
+                    "{result:?}"
+                );
+                assert_eq!(merged.depend_interval(), p.depend_interval());
+            }
+            Some(_) if !gate_open => {
+                assert!(matches!(result, Err(ProtocolError::NotDeliverable { .. })));
+                assert_eq!(merged.depend_interval(), p.depend_interval());
+            }
+            Some(v) => {
+                assert_eq!(result, Ok(()));
+                let mut expected = p.depend.clone();
+                expected.increment(me);
+                expected.merge_from(&v, me);
+                assert_eq!(merged.depend_interval(), &expected);
+            }
+        }
+    }
+
+    /// `n` entries: all below 0x80 (whole 8-byte words of single-byte
+    /// varints, the common shape), mostly below 0x80, or any mix of
+    /// values whose varints take 1, 2, 3 and 10 bytes.
+    fn entries(n: usize) -> impl Strategy<Value = Vec<u64>> {
+        let small = || 0u64..128;
+        let edges = || {
+            prop_oneof![
+                Just(0u64),
+                Just(127u64),
+                Just(128u64),
+                Just(16_383u64),
+                Just(16_384u64),
+                Just(u64::MAX),
+                any::<u64>(),
+            ]
+        };
+        prop_oneof![
+            proptest::collection::vec(small(), n),
+            proptest::collection::vec(
+                prop_oneof![
+                    small(),
+                    small(),
+                    small(),
+                    small(),
+                    small(),
+                    small(),
+                    edges()
+                ],
+                n
+            ),
+            proptest::collection::vec(edges(), n),
+        ]
+    }
+
+    /// A receiver of `n` ranks (rank `me`, with vector `mine`) and a
+    /// piggybacked vector of the same width.
+    fn case() -> impl Strategy<Value = (Tdi, Vec<u64>)> {
+        (1usize..600).prop_flat_map(|n| {
+            (0..n, entries(n), entries(n)).prop_map(move |(me, mut mine, theirs)| {
+                // The own count takes one more delivery.
+                mine[me] = mine[me].min(u64::MAX - 1);
+                let mut p = Tdi::new(me, n);
+                p.depend = DependVector::from_vec(mine);
+                (p, theirs)
+            })
+        })
+    }
+
+    proptest! {
+        /// The in-place gate and merge accept exactly what the
+        /// reference decoder accepts and compute what it computes, on
+        /// the piggyback and on every hostile variant of it.
+        #[test]
+        fn gate_and_merge_match_the_reference_on_hostile_bytes(
+            (p, theirs) in case(),
+            at in any::<u64>(),
+        ) {
+            let bytes = lclog_wire::encode_to_vec(&DependVector::from_vec(theirs.clone()));
+            agrees_with_reference(&p, &bytes);
+            // A piggyback whose element `me` the gate admits.
+            let mut admitted = theirs.clone();
+            admitted[p.me()] = p.depend[p.me()];
+            agrees_with_reference(&p, &lclog_wire::encode_to_vec(&DependVector::from_vec(admitted)));
+            for cut in 0..bytes.len() {
+                agrees_with_reference(&p, &bytes[..cut]);
+            }
+            for extra in [0x00u8, 0x01, 0x7F, 0x80, 0xFF] {
+                let mut longer = bytes.clone();
+                longer.push(extra);
+                agrees_with_reference(&p, &longer);
+            }
+            // One element re-encoded: overlong (11 bytes), overflowing
+            // (a tenth byte above 1), or padded with a zero group, which
+            // the reference accepts.
+            let k = (at % theirs.len() as u64) as usize;
+            let mut overflowing = vec![0x80u8; 9];
+            overflowing.push(0x02);
+            let mut padded = Vec::new();
+            varint::write_u64(&mut padded, theirs[k] & (u64::MAX >> 8));
+            *padded.last_mut().expect("one byte at least") |= 0x80;
+            padded.push(0x00);
+            for replacement in [vec![0x80u8; 11], overflowing, padded] {
+                let mut hostile = Vec::new();
+                for (i, &v) in theirs.iter().enumerate() {
+                    if i == k {
+                        hostile.extend_from_slice(&replacement);
+                    } else {
+                        varint::write_u64(&mut hostile, v);
+                    }
+                }
+                agrees_with_reference(&p, &hostile);
+            }
+        }
     }
 }

@@ -1,5 +1,5 @@
 use crate::Rank;
-use lclog_wire::{Decode, Encode, Reader, WireError};
+use lclog_wire::{varint, Decode, Encode, Reader, WireError};
 use std::ops::Index;
 
 /// The paper's `depend_interval[n]` vector: element `i` of process
@@ -84,23 +84,43 @@ impl Encode for DependVector {
     fn encode(&self, buf: &mut Vec<u8>) {
         // Encoded as `n` varints with no length prefix: every party
         // knows `n`, and Fig. 6 counts exactly n identifiers.
-        for v in &self.0 {
-            lclog_wire::varint::write_u64(buf, *v);
-        }
+        varint::write_run(buf, &self.0);
     }
     fn encoded_len(&self) -> usize {
-        self.0.iter().map(|v| lclog_wire::varint::len_u64(*v)).sum()
+        self.0.iter().map(|v| varint::len_u64(*v)).sum()
     }
 }
 
 impl DependVector {
-    /// Decode a vector of known length `n`.
-    pub fn decode_n(reader: &mut Reader<'_>, n: usize) -> Result<Self, WireError> {
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(lclog_wire::varint::read_u64(reader)?);
-        }
-        Ok(DependVector(v))
+    /// Element `k` of an encoded `n`-vector, read in place: the whole
+    /// encoding is checked (exactly `n` varints, nothing after them)
+    /// and nothing is materialised.
+    pub(crate) fn encoded_entry(bytes: &[u8], n: usize, k: Rank) -> Result<u64, WireError> {
+        let mut reader = Reader::new(bytes);
+        let mut entry = 0;
+        varint::read_run(&mut reader, n, |i, v| {
+            if i == k {
+                entry = v;
+            }
+        })?;
+        reader.finish()?;
+        Ok(entry)
+    }
+
+    /// [`DependVector::merge_from`] with the other vector still
+    /// encoded, straight from its bytes in one pass. It merges as it
+    /// reads, so an encoding that fails part-way leaves the elements
+    /// before the failure merged: check the bytes with
+    /// [`DependVector::encoded_entry`] first.
+    pub(crate) fn merge_encoded(&mut self, bytes: &[u8], me: Rank) -> Result<(), WireError> {
+        let mut reader = Reader::new(bytes);
+        let mine = &mut self.0;
+        varint::read_run(&mut reader, mine.len(), |k, theirs| {
+            if k != me && theirs > mine[k] {
+                mine[k] = theirs;
+            }
+        })?;
+        reader.finish()
     }
 }
 
@@ -214,10 +234,21 @@ mod tests {
     fn depend_vector_fixed_width_roundtrip() {
         let v = DependVector::from_vec(vec![0, 300, u64::MAX, 7]);
         let bytes = encode_to_vec(&v);
-        let mut reader = lclog_wire::Reader::new(&bytes);
-        let back = DependVector::decode_n(&mut reader, 4).unwrap();
-        reader.finish().unwrap();
-        assert_eq!(back, v);
+        for k in 0..4 {
+            assert_eq!(DependVector::encoded_entry(&bytes, 4, k), Ok(v[k]));
+        }
+        // Element 1 is the owner's: its 300 is not merged.
+        let mut mine = DependVector::from_vec(vec![1, 1, 1, 9]);
+        mine.merge_encoded(&bytes, 1).unwrap();
+        assert_eq!(mine.as_slice(), &[1, 1, u64::MAX, 9]);
+        assert!(
+            DependVector::encoded_entry(&bytes, 3, 0).is_err(),
+            "trailing bytes"
+        );
+        assert!(
+            DependVector::encoded_entry(&bytes, 5, 0).is_err(),
+            "short input"
+        );
     }
 
     #[test]

@@ -51,6 +51,7 @@
 //! [`DeliveryModel::Held`]: lclog_simnet::DeliveryModel::Held
 //! [`SimClock`]: lclog_simnet::SimClock
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod decider;

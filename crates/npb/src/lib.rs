@@ -35,6 +35,7 @@
 //! assert_eq!(report.digests.len(), 4);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bt;

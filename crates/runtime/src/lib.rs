@@ -43,6 +43,7 @@
 //! per-rank digests and tracking statistics that repeats exactly from
 //! its config.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backoff;

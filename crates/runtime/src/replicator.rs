@@ -86,8 +86,9 @@ struct ShipState {
     /// Offered generations not yet stored remotely, oldest first.
     queue: VecDeque<Queued>,
     queued_bytes: usize,
-    /// Everything successfully stored, keyed by remote key — the
-    /// source of truth the manifest is generated from.
+    /// The [`GENERATIONS`] newest generations of each rank stored
+    /// remotely, keyed by remote key — the source of truth the manifest
+    /// is generated from. A restore reads no further back.
     ledger: BTreeMap<String, ManifestEntry>,
     next_seq: u64,
     /// The ledger holds entries the stored manifest does not.
@@ -99,6 +100,22 @@ impl ShipState {
     /// Nothing queued, and the stored manifest matches the ledger.
     fn is_synced(&self) -> bool {
         self.queue.is_empty() && !self.manifest_dirty
+    }
+
+    /// Drop all but the [`GENERATIONS`] newest ledger entries under
+    /// `prefix` (one rank's keys, which sort by version), so a manifest
+    /// stays the size of the run's width rather than its length.
+    fn prune_ledger(&mut self, prefix: &str) {
+        let keys: Vec<String> = self
+            .ledger
+            .range(prefix.to_string()..)
+            .map(|(key, _)| key)
+            .take_while(|key| key.starts_with(prefix))
+            .cloned()
+            .collect();
+        for key in &keys[..keys.len().saturating_sub(GENERATIONS)] {
+            self.ledger.remove(key);
+        }
     }
 }
 
@@ -266,7 +283,9 @@ impl Replicator {
                 seq: st.next_seq,
             };
             st.next_seq += 1;
+            let rank = rank_prefix(&gen.key).to_string();
             st.ledger.insert(gen.key, entry);
+            st.prune_ledger(&rank);
             st.manifest_dirty = true;
             stored = true;
         }
@@ -411,6 +430,30 @@ mod tests {
         assert!(remote.get(&CheckpointStore::key(0, 1)).unwrap().is_none());
         assert!(repl.corrupt_newest_remote_generation(0));
         assert_eq!(repl.restore_rank(0, &MemStore::new()), Some(2));
+        assert_eq!(repl.stats().generations_skipped, 1);
+    }
+
+    /// The manifest names only what a restore can read: one rank ships
+    /// v1..v10 one round at a time, and the stored manifest lists v9
+    /// and v10. With v10 torn, the restore falls back to v9.
+    #[test]
+    fn the_manifest_lists_each_ranks_newest_generations() {
+        let remote = Arc::new(MemRemote::new());
+        let repl = replicator(remote.clone());
+        for v in 1..=10u64 {
+            repl.offer_generation(&CheckpointStore::key(3, v), &gen_blob(v as u8, 64));
+            assert!(repl.step());
+        }
+        assert_eq!(repl.stats().objects_shipped, 20, "10 generations + 10 manifests");
+        let manifest =
+            Manifest::decode(&remote.get(MANIFEST_KEY).unwrap().unwrap()).expect("intact");
+        let keys: Vec<&str> = manifest.entries.iter().map(|e| e.key.as_str()).collect();
+        assert_eq!(
+            keys,
+            [CheckpointStore::key(3, 9), CheckpointStore::key(3, 10)]
+        );
+        assert!(repl.corrupt_newest_remote_generation(3));
+        assert_eq!(repl.restore_rank(3, &MemStore::new()), Some(9));
         assert_eq!(repl.stats().generations_skipped, 1);
     }
 

@@ -53,6 +53,7 @@
 //! drop(ep0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod chaos;

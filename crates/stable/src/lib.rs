@@ -37,6 +37,7 @@
 //! assert_eq!(image, b"image-bytes");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod checkpoint;

@@ -30,6 +30,7 @@
 //! assert_eq!(xs, back);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod crc32;

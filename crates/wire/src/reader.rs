@@ -41,6 +41,11 @@ impl<'a> Reader<'a> {
         self.bytes.len() - self.pos
     }
 
+    /// The bytes not yet consumed, without consuming them.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.bytes[self.pos..]
+    }
+
     /// Take the next `n` bytes.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {

@@ -148,13 +148,23 @@ fn decode_len(reader: &mut Reader<'_>, min_elem_size: usize) -> Result<usize, Wi
     Ok(len)
 }
 
-impl<T: Encode> Encode for Vec<T> {
+/// A slice encodes as the `Vec` holding it would.
+impl<T: Encode> Encode for [T] {
     fn encode(&self, buf: &mut Vec<u8>) {
         varint::write_u64(buf, self.len() as u64);
         T::encode_slice(self, buf);
     }
     fn encoded_len(&self) -> usize {
         varint::len_u64(self.len() as u64) + self.iter().map(Encode::encoded_len).sum::<usize>()
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.as_slice().encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        self.as_slice().encoded_len()
     }
 }
 

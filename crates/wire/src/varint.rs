@@ -33,21 +33,91 @@ pub fn len_u64(value: u64) -> usize {
 
 /// Read a LEB128-encoded `u64` from `reader`.
 pub fn read_u64(reader: &mut Reader<'_>) -> Result<u64, WireError> {
+    let (value, len) = decode(reader.rest())?;
+    reader.take(len)?;
+    Ok(value)
+}
+
+/// Decode one varint from the front of `bytes`: its value and length.
+/// An input that ends inside the varint is `UnexpectedEof`; ten bytes
+/// that do not end it, or a tenth byte carrying more than the one bit
+/// left of a `u64`, are `VarintOverflow`.
+fn decode(bytes: &[u8]) -> Result<(u64, usize), WireError> {
     let mut value: u64 = 0;
-    let mut shift: u32 = 0;
-    for _ in 0..MAX_VARINT_LEN {
-        let byte = reader.take_byte()?;
+    for (i, &byte) in bytes.iter().take(MAX_VARINT_LEN).enumerate() {
         let low = (byte & 0x7F) as u64;
-        if shift == 63 && low > 1 {
+        if i == MAX_VARINT_LEN - 1 && low > 1 {
             return Err(WireError::VarintOverflow);
         }
-        value |= low << shift;
+        value |= low << (7 * i);
         if byte & 0x80 == 0 {
-            return Ok(value);
+            return Ok((value, i + 1));
         }
-        shift += 7;
     }
-    Err(WireError::VarintOverflow)
+    if bytes.len() < MAX_VARINT_LEN {
+        Err(WireError::UnexpectedEof {
+            needed: 1,
+            remaining: 0,
+        })
+    } else {
+        Err(WireError::VarintOverflow)
+    }
+}
+
+/// The continuation bit of each byte of a little-endian word.
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// Append `values` as back-to-back varints, with no length prefix: the
+/// bytes `write_u64` would append for each in turn. Eight values below
+/// 0x80 go out as one byte each in one `extend`.
+pub fn write_run(buf: &mut Vec<u8>, values: &[u64]) {
+    let mut chunks = values.chunks_exact(8);
+    for chunk in &mut chunks {
+        if chunk.iter().fold(0, |acc, &v| acc | v) < 0x80 {
+            buf.extend(chunk.iter().map(|&v| v as u8));
+        } else {
+            for &v in chunk {
+                write_u64(buf, v);
+            }
+        }
+    }
+    for &v in chunks.remainder() {
+        write_u64(buf, v);
+    }
+}
+
+/// Read `n` back-to-back varints from `reader`, handing each to
+/// `f(index, value)` in order; allocates nothing. Accepts and rejects
+/// exactly what `n` calls of [`read_u64`] would, but takes an 8-byte
+/// word with no continuation bit as eight values at once. On an error
+/// `f` has seen the values before it and the reader has not moved.
+pub fn read_run(
+    reader: &mut Reader<'_>,
+    n: usize,
+    mut f: impl FnMut(usize, u64),
+) -> Result<(), WireError> {
+    let bytes = reader.rest();
+    let (mut pos, mut i) = (0, 0);
+    while i < n {
+        if n - i >= 8 {
+            if let Some(word) = bytes[pos..].first_chunk::<8>() {
+                if u64::from_le_bytes(*word) & HIGH_BITS == 0 {
+                    for (k, &b) in word.iter().enumerate() {
+                        f(i + k, u64::from(b));
+                    }
+                    pos += 8;
+                    i += 8;
+                    continue;
+                }
+            }
+        }
+        let (value, len) = decode(&bytes[pos..])?;
+        f(i, value);
+        pos += len;
+        i += 1;
+    }
+    reader.take(pos)?;
+    Ok(())
 }
 
 /// ZigZag-encode a signed value so small magnitudes stay small.
@@ -115,6 +185,69 @@ mod tests {
         bytes.push(0x02);
         let mut r = Reader::new(&bytes);
         assert_eq!(read_u64(&mut r).unwrap_err(), WireError::VarintOverflow);
+    }
+
+    /// `n` calls of `read_u64`, the reference `read_run` must match.
+    fn read_each(bytes: &[u8], n: usize) -> Result<(Vec<u64>, usize), WireError> {
+        let mut r = Reader::new(bytes);
+        let values = (0..n).map(|_| read_u64(&mut r)).collect::<Result<_, _>>()?;
+        Ok((values, r.position()))
+    }
+
+    fn read_all(bytes: &[u8], n: usize) -> Result<(Vec<u64>, usize), WireError> {
+        let mut r = Reader::new(bytes);
+        let mut values = Vec::new();
+        read_run(&mut r, n, |i, v| {
+            assert_eq!(i, values.len(), "indices arrive in order");
+            values.push(v);
+        })?;
+        Ok((values, r.position()))
+    }
+
+    #[test]
+    fn runs_match_one_varint_at_a_time() {
+        let edges = [0u64, 1, 127, 128, 16_383, 16_384, u64::MAX];
+        // Runs of every length up to 40, cycling through the edges from
+        // every offset, so words start on every kind of byte.
+        for n in 0..40 {
+            for offset in 0..edges.len() {
+                let values: Vec<u64> = (0..n)
+                    .map(|i| edges[(i * i + offset) % edges.len()])
+                    .collect();
+                let mut run = Vec::new();
+                write_run(&mut run, &values);
+                let mut each = Vec::new();
+                for &v in &values {
+                    write_u64(&mut each, v);
+                }
+                assert_eq!(run, each, "write_run bytes for {values:?}");
+                assert_eq!(read_all(&run, n), Ok((values.clone(), run.len())));
+                // Every cut, every bad tail, as the reference sees it.
+                for cut in 0..run.len() {
+                    assert_eq!(read_all(&run[..cut], n), read_each(&run[..cut], n));
+                }
+                let tenth_overflows = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02];
+                for tail in [
+                    [0x80u8; 11].as_slice(),
+                    &[0xFF; 9],
+                    &[0x80, 0x00],
+                    &tenth_overflows,
+                ] {
+                    let mut bad = run.clone();
+                    bad.extend_from_slice(tail);
+                    assert_eq!(read_all(&bad, n + 1), read_each(&bad, n + 1));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_run_leaves_the_reader_where_it_was() {
+        let bytes = [1u8, 2, 3, 0x80];
+        let mut r = Reader::new(&bytes);
+        let mut seen = 0;
+        assert!(read_run(&mut r, 4, |_, _| seen += 1).is_err());
+        assert_eq!((seen, r.position()), (3, 0));
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! assert_eq!(report.kills, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use lclog_core as core;
