@@ -28,15 +28,14 @@ pub enum DeliveryVerdict {
 /// One process's dependency-tracking half of a causal message-logging
 /// protocol.
 ///
-/// The runtime calls these hooks from a single rank thread, so
-/// implementations need no interior synchronization; `Send` is
-/// required because incarnations are new threads.
+/// One thread drives every rank of a job and calls these hooks, so
+/// implementations need no interior synchronization and no `Send`.
 ///
 /// Division of labour (see crate docs): the runtime owns payload
 /// logging, `last_send/deliver_index` counters, the per-sender FIFO
 /// gate, duplicate suppression and checkpoint orchestration — this
 /// trait owns *dependency* tracking only.
-pub trait LoggingProtocol: Send {
+pub trait LoggingProtocol {
     /// Which protocol this is.
     fn kind(&self) -> ProtocolKind;
 

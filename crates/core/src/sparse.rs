@@ -77,7 +77,7 @@ use crate::protocol::{DeliveryVerdict, LoggingProtocol, SendArtifacts};
 use crate::stats::FrameStats;
 use crate::types::{ProtocolError, ProtocolKind, Rank};
 use lclog_wire::{varint, Reader, WireError};
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 /// Frame kind byte: full vector.
@@ -181,7 +181,7 @@ pub struct SparseTdi {
     bases: Vec<Option<Base>>,
     /// Sources needing a resync snapshot; filled by the (`&self`)
     /// delivery gate, drained by the kernel tick.
-    pending_resync: Mutex<BTreeSet<Rank>>,
+    pending_resync: RefCell<BTreeSet<Rank>>,
     stats: FrameStats,
     /// Debug oracle: a shadow receiver per destination replaying our
     /// own frames; must always reconstruct `depend` exactly.
@@ -207,7 +207,7 @@ impl SparseTdi {
             full_body: n * varint::len_u64(0),
             chans: vec![SendChannel::fresh(); n],
             bases: vec![None; n],
-            pending_resync: Mutex::new(BTreeSet::new()),
+            pending_resync: RefCell::new(BTreeSet::new()),
             stats: FrameStats::default(),
             #[cfg(debug_assertions)]
             shadow: vec![None; n],
@@ -352,7 +352,7 @@ impl SparseTdi {
     /// Queue a resync request toward `src` (deduplicated; drained by
     /// the kernel tick via `take_resync_requests`).
     fn request_resync(&self, src: Rank) {
-        self.pending_resync.lock().insert(src);
+        self.pending_resync.borrow_mut().insert(src);
     }
 
     /// Replay one of our own frames through the shadow receiver for
@@ -527,8 +527,10 @@ impl LoggingProtocol for SparseTdi {
         if sender_vec[self.me] > self.depend[self.me] {
             return Err(ProtocolError::NotDeliverable { src, send_index });
         }
+        let own = self.depend[self.me]
+            .checked_add(1)
+            .ok_or(ProtocolError::Corrupt("own delivery count overflows"))?;
         self.stamp += 1;
-        let own = self.depend[self.me] + 1;
         self.touch(self.me, own);
         for (k, &v) in sender_vec.iter().enumerate() {
             if k != self.me && v > self.depend[k] {
@@ -610,7 +612,7 @@ impl LoggingProtocol for SparseTdi {
         self.compacted = 0;
         self.full_body = self.depend.iter().map(|&v| varint::len_u64(v)).sum();
         self.chans = vec![SendChannel::fresh(); self.n];
-        self.pending_resync.lock().clear();
+        self.pending_resync.get_mut().clear();
         #[cfg(debug_assertions)]
         {
             self.shadow = vec![None; self.n];
@@ -619,7 +621,7 @@ impl LoggingProtocol for SparseTdi {
     }
 
     fn take_resync_requests(&mut self) -> Vec<Rank> {
-        let drained: Vec<Rank> = std::mem::take(&mut *self.pending_resync.lock())
+        let drained: Vec<Rank> = std::mem::take(self.pending_resync.get_mut())
             .into_iter()
             .collect();
         self.stats.resync_requests += drained.len() as u64;
@@ -900,6 +902,27 @@ mod tests {
             p.on_deliver(1, 1, &forged),
             Err(ProtocolError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn an_own_count_that_cannot_grow_is_corrupt_and_changes_nothing() {
+        // A checkpoint image may carry any own count; at `u64::MAX`
+        // the next delivery cannot be counted.
+        let mut image = Vec::new();
+        varint::write_u64(&mut image, 0);
+        varint::write_run(&mut image, &[0, u64::MAX, 0]);
+        image.extend([0; 3]);
+        let mut rx = SparseTdi::new(1, 3, 4);
+        rx.restore_from_checkpoint(&image).unwrap();
+        let before = rx.checkpoint_bytes();
+        let full = SparseTdi::new(0, 3, 4).on_send(1, 1).piggyback;
+        assert_eq!(rx.deliverable(0, 1, &full), DeliveryVerdict::Deliver);
+        assert!(matches!(
+            rx.on_deliver(0, 1, &full),
+            Err(ProtocolError::Corrupt(_))
+        ));
+        assert_eq!(rx.checkpoint_bytes(), before);
+        assert_eq!(rx.interval_vector(), Some(vec![0, u64::MAX, 0]));
     }
 
     #[test]

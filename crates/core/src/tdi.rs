@@ -109,8 +109,8 @@ impl LoggingProtocol for Tdi {
         }
         // Lines 20, 22–24: advance own interval, join the rest. The
         // piggyback was checked whole above, so the merge cannot stop
-        // part-way.
-        self.depend.increment(self.me);
+        // part-way; an own count that cannot grow changes nothing.
+        self.depend.increment(self.me)?;
         self.depend
             .merge_encoded(piggyback, self.me)
             .map_err(|_| ProtocolError::Corrupt("TDI piggyback vector"))
@@ -338,10 +338,18 @@ mod tests {
                 assert!(matches!(result, Err(ProtocolError::NotDeliverable { .. })));
                 assert_eq!(merged.depend_interval(), p.depend_interval());
             }
+            // The own count cannot take one more delivery.
+            Some(_) if p.depend[me] == u64::MAX => {
+                assert!(
+                    matches!(result, Err(ProtocolError::Corrupt(_))),
+                    "{result:?}"
+                );
+                assert_eq!(merged.depend_interval(), p.depend_interval());
+            }
             Some(v) => {
                 assert_eq!(result, Ok(()));
                 let mut expected = p.depend.clone();
-                expected.increment(me);
+                expected.increment(me).unwrap();
                 expected.merge_from(&v, me);
                 assert_eq!(merged.depend_interval(), &expected);
             }
@@ -386,9 +394,7 @@ mod tests {
     /// piggybacked vector of the same width.
     fn case() -> impl Strategy<Value = (Tdi, Vec<u64>)> {
         (1usize..600).prop_flat_map(|n| {
-            (0..n, entries(n), entries(n)).prop_map(move |(me, mut mine, theirs)| {
-                // The own count takes one more delivery.
-                mine[me] = mine[me].min(u64::MAX - 1);
+            (0..n, entries(n), entries(n)).prop_map(move |(me, mine, theirs)| {
                 let mut p = Tdi::new(me, n);
                 p.depend = DependVector::from_vec(mine);
                 (p, theirs)

@@ -1,4 +1,4 @@
-use crate::Rank;
+use crate::{ProtocolError, Rank};
 use lclog_wire::{varint, Decode, Encode, Reader, WireError};
 use std::ops::Index;
 
@@ -35,8 +35,13 @@ impl DependVector {
     }
 
     /// Increment the owner's own interval index (one more delivery).
-    pub fn increment(&mut self, me: Rank) {
-        self.0[me] += 1;
+    /// A count already at `u64::MAX` (reachable only from a forged
+    /// checkpoint image) is `Corrupt` and stays as it was.
+    pub fn increment(&mut self, me: Rank) -> Result<(), ProtocolError> {
+        self.0[me] = self.0[me]
+            .checked_add(1)
+            .ok_or(ProtocolError::Corrupt("own delivery count overflows"))?;
+        Ok(())
     }
 
     /// Element-wise max with `other`, skipping the owner's own element
@@ -218,7 +223,7 @@ mod tests {
         let piggy = DependVector::from_vec(vec![0, 2, 2, 1]);
         mine.merge_from(&piggy, 1);
         assert_eq!(mine.as_slice(), &[0, 2, 2, 1]);
-        mine.increment(1);
+        mine.increment(1).unwrap();
         assert_eq!(mine.as_slice(), &[0, 3, 2, 1]);
     }
 

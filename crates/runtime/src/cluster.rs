@@ -15,6 +15,7 @@ use lclog_core::{Rank, TrackingStats};
 use lclog_simnet::NetConfig;
 use lclog_stable::RemoteStore;
 use std::path::PathBuf;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -384,7 +385,7 @@ impl Cluster {
     /// rank's one step future. Returns an error naming where every
     /// unfinished rank waits if the watchdog fires.
     pub fn run<A: RankApp>(cfg: &ClusterConfig, app: A) -> Result<RunReport, String> {
-        run_tasks(cfg, Steps(Arc::new(app)))
+        run_tasks(cfg, Steps(Rc::new(app)))
     }
 }
 

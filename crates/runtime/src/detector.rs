@@ -33,7 +33,7 @@
 //! [`Frame::Heartbeat`]: crate::transport::Frame::Heartbeat
 
 use lclog_core::{MembershipView, Rank};
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -239,7 +239,7 @@ struct MembershipState {
 /// lifecycle (which gates respawns on them and reads detection-latency
 /// bookkeeping at the end of a run).
 pub(crate) struct MembershipTable {
-    state: Mutex<MembershipState>,
+    state: RefCell<MembershipState>,
 }
 
 impl MembershipTable {
@@ -247,7 +247,7 @@ impl MembershipTable {
     /// every first incarnation alive.
     pub(crate) fn new(n: usize) -> Self {
         MembershipTable {
-            state: Mutex::new(MembershipState {
+            state: RefCell::new(MembershipState {
                 view: MembershipView::initial(n),
                 declarations: Vec::new(),
             }),
@@ -264,7 +264,7 @@ impl MembershipTable {
         incarnation: u64,
         at: Instant,
     ) -> Option<MembershipView> {
-        let mut s = self.state.lock();
+        let mut s = self.state.borrow_mut();
         if !s.view.declare_dead(rank, incarnation) {
             return None;
         }
@@ -278,18 +278,18 @@ impl MembershipTable {
 
     /// The current certified view.
     pub(crate) fn view(&self) -> MembershipView {
-        self.state.lock().view.clone()
+        self.state.borrow().view.clone()
     }
 
     /// True once the floor for `rank` exceeds `incarnation`: that
     /// incarnation has been *detected and declared* dead.
     pub(crate) fn floor_above(&self, rank: Rank, incarnation: u64) -> bool {
-        self.state.lock().view.live_floor(rank) > incarnation
+        self.state.borrow().view.live_floor(rank) > incarnation
     }
 
     /// Every declaration so far, in order.
     pub(crate) fn declarations(&self) -> Vec<Declaration> {
-        self.state.lock().declarations.clone()
+        self.state.borrow().declarations.clone()
     }
 }
 

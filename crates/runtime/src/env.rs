@@ -35,8 +35,9 @@ use crate::transport::DataPlaneStats;
 use lclog_core::{Rank, TrackingStats};
 use lclog_simnet::{Endpoint, SimNet};
 use lclog_stable::{CheckpointStore, DiskStore, MemStore, StableStorage};
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -100,7 +101,7 @@ impl StableStorage for ShippingStorage {
     }
 }
 
-/// Per-rank results and run-wide bookkeeping, behind one lock.
+/// Per-rank results and run-wide bookkeeping.
 struct Board {
     /// `Some` once the rank's application finished.
     digests: Vec<Option<u64>>,
@@ -133,8 +134,8 @@ pub struct RunEnv {
     pub(crate) sink: EventSink,
     plan: FailurePlan,
     /// The arbiter's table (detected-failures runs only).
-    pub(crate) membership: Option<Arc<MembershipTable>>,
-    board: Mutex<Board>,
+    pub(crate) membership: Option<Rc<MembershipTable>>,
+    board: RefCell<Board>,
 }
 
 impl RunEnv {
@@ -158,7 +159,7 @@ impl RunEnv {
         let replicator = cfg
             .remote
             .as_ref()
-            .map(|store| Arc::new(Replicator::new(Arc::clone(store), sink.clone())));
+            .map(|store| Arc::new(Replicator::new(Arc::clone(store))));
         let storage: Arc<dyn StableStorage> = match &replicator {
             Some(repl) => Arc::new(ShippingStorage {
                 inner: Arc::clone(&raw),
@@ -174,14 +175,14 @@ impl RunEnv {
         Ok(RunEnv {
             n,
             net: SimNet::with_clock(n + 1, cfg.net.clone(), run.clock.clone()),
-            membership: run.detector.map(|_| Arc::new(MembershipTable::new(n))),
+            membership: run.detector.map(|_| Rc::new(MembershipTable::new(n))),
             run,
             ckpts: CheckpointStore::new(storage),
             raw,
             replicator,
             sink,
             plan: cfg.failures.clone(),
-            board: Mutex::new(Board {
+            board: RefCell::new(Board {
                 digests: vec![None; n],
                 stats: vec![TrackingStats::default(); n],
                 data_plane: vec![DataPlaneStats::default(); n],
@@ -248,7 +249,7 @@ impl RunEnv {
         self.net.kill(rank);
         let snap = kernel.snapshot();
         {
-            let mut board = self.board.lock();
+            let mut board = self.board.borrow_mut();
             board.kills += 1;
             if death == Death::Fenced {
                 board.false_kills += 1;
@@ -298,7 +299,7 @@ impl RunEnv {
         if table.floor_above(rank, incarnation - 1) {
             return true;
         }
-        let mut board = self.board.lock();
+        let mut board = self.board.borrow_mut();
         let Some(&died) = board.killed_at.get(&(rank, incarnation - 1)) else {
             return true; // fenced, so declared already
         };
@@ -345,7 +346,7 @@ impl RunEnv {
         self.sink.emit(rank, EventKind::Done { step });
         kernel.do_checkpoint(app_state, step);
         let snap = kernel.snapshot();
-        let mut board = self.board.lock();
+        let mut board = self.board.borrow_mut();
         board.stats[rank].merge(&snap.stats);
         board.data_plane[rank].merge(&snap.data_plane);
         board.tracking_time += snap.tracking_time;
@@ -355,7 +356,7 @@ impl RunEnv {
 
     /// Ranks finished so far.
     pub fn done(&self) -> usize {
-        self.board.lock().done
+        self.board.borrow().done
     }
 
     /// The run's [`RunReport`] — or `failure`, the driver's watchdog
@@ -367,7 +368,7 @@ impl RunEnv {
         if let Some(msg) = failure {
             return Err(msg);
         }
-        let board = self.board.lock();
+        let board = self.board.borrow();
         let mut stats = TrackingStats::default();
         board.stats.iter().for_each(|s| stats.merge(s));
         let mut data_plane = DataPlaneStats::default();

@@ -5,7 +5,7 @@
 //! recovery goes sideways.
 //!
 //! Collection is off unless [`ClusterConfig::with_trace`] enables it;
-//! when on, every kernel shares one lock-protected collector and the
+//! when on, every kernel of the run shares one collector and the
 //! [`RunReport::timeline`] carries the merged result, ordered by
 //! (time, rank), each rank's events in emission order: the same every
 //! time on a virtual clock, whichever phase of a round emitted them.
@@ -15,9 +15,9 @@
 
 use lclog_core::Rank;
 use lclog_simnet::Clock;
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
 
 /// What happened.
@@ -260,26 +260,27 @@ impl fmt::Display for Event {
 }
 
 /// Shared, cheap-to-clone event collector. A disabled sink is a
-/// no-op with a single branch per emission.
+/// no-op with a single branch per emission. It stamps events on the
+/// run's clock, so like the clock it stays on the run's thread.
 #[derive(Clone)]
 pub struct EventSink {
-    inner: Option<Arc<SinkInner>>,
+    inner: Option<Rc<SinkInner>>,
 }
 
 struct SinkInner {
     clock: Clock,
     start: Duration,
-    events: Mutex<Vec<Event>>,
+    events: RefCell<Vec<Event>>,
 }
 
 impl EventSink {
     /// A recording sink stamping events on `clock`, from its "now".
     pub fn recording(clock: Clock) -> Self {
         EventSink {
-            inner: Some(Arc::new(SinkInner {
+            inner: Some(Rc::new(SinkInner {
                 start: clock.elapsed(),
                 clock,
-                events: Mutex::new(Vec::new()),
+                events: RefCell::new(Vec::new()),
             })),
         }
     }
@@ -298,7 +299,7 @@ impl EventSink {
     pub fn emit(&self, rank: Rank, kind: EventKind) {
         if let Some(inner) = &self.inner {
             let at_us = (inner.clock.elapsed() - inner.start).as_micros() as u64;
-            inner.events.lock().push(Event { at_us, rank, kind });
+            inner.events.borrow_mut().push(Event { at_us, rank, kind });
         }
     }
 
@@ -307,7 +308,7 @@ impl EventSink {
     pub fn take(&self) -> Vec<Event> {
         match &self.inner {
             Some(inner) => {
-                let mut events = std::mem::take(&mut *inner.events.lock());
+                let mut events = inner.events.take();
                 events.sort_by_key(|e| (e.at_us, e.rank));
                 events
             }

@@ -1,11 +1,11 @@
 //! The rollback-recovery kernel: the paper's Algorithm 1 for one rank
-//! incarnation, behind one lock.
+//! incarnation, as plain single-threaded state.
 //!
 //! The round driver feeds it raw envelopes ([`Kernel::ingest_batch`])
 //! and the rank's application pulls deliverable messages
 //! ([`Kernel::try_deliver`]) through a handle it may own, so every
-//! mutable field lives in one `state: Mutex<State>` and every `&self`
-//! method is a critical section on it:
+//! mutable field lives in one `state: RefCell<State>` and every `&self`
+//! method borrows it once:
 //!
 //! | part of `State`                   | owns                                                      | Algorithm 1    |
 //! |-----------------------------------|-----------------------------------------------------------|----------------|
@@ -14,21 +14,19 @@
 //! | `del` ([`crate::delivery`])       | receiving queue, `last_deliver_index`                     | 13–17          |
 //! | `transport` ([`crate::transport`]) | CRC framing, sequencing, dedup, ack/retransmit, fencing  | —              |
 //! | `acked`, `rendezvous`, `detector`, `resync_pacer` | rendezvous acks and resend timer, φ-accrual detector, `RESYNC_REQ` pacing | — |
+//! | `fenced`, `desynced`              | the verdicts the driver polls between calls               | —              |
 //!
-//! Every public call is one critical section, and whatever it sends
-//! goes out inside it — the fabric send never blocks — so send order,
-//! wire order and log order agree by construction. Two things are kept
-//! off the lock:
-//!
-//! * the CRC check and frame decode of an inbound envelope, pure
-//!   functions of the envelope, run before it
-//!   ([`Kernel::ingest_batch`] re-locks per envelope);
-//! * a log resend burst answering `ROLLBACK` or `RESPONSE` is as long
-//!   as the sender log, so it goes out [`RESEND_CHUNK`] frames at a
-//!   time with the lock dropped between chunks. Time a sender spends
-//!   transmitting a resend burst is not charged to the peer: the
-//!   channel's retry deadline moves back by the burst's duration, so
-//!   the tick after a long burst does not send it all again.
+//! One thread drives every rank of a job, so there is no lock and no
+//! lock order: a `Kernel` is neither `Send` nor `Sync`, and the
+//! compiler keeps it on the thread that built it. Every public call is
+//! one borrow, and whatever it sends goes out inside it — the fabric
+//! send never blocks — so send order, wire order and log order agree
+//! by construction. [`Kernel::ingest_batch`] borrows once per batch.
+//! A log resend burst answering `ROLLBACK` or `RESPONSE` goes out in
+//! one pass. Time a sender spends transmitting it is not charged to
+//! the peer: the channel's retry deadline moves back by the burst's
+//! duration, so the tick after a long burst does not send it all
+//! again.
 //!
 //! A checkpoint sends `CHECKPOINT_ADVANCE` only to the senders whose
 //! messages it newly covers, so on a ring it is one frame, not n − 1.
@@ -37,10 +35,9 @@
 //! `ROLLBACK` (re)broadcast, heartbeats, the tick's scan of the peer
 //! table.
 //!
-//! `fenced` and `desynced` are atomics beside the lock: engines poll
-//! them between kernel calls. Cumulative transport acks are batched:
-//! the transport marks channels dirty and [`Kernel::ingest_batch`]
-//! flushes one ack per peer per batch instead of one frame per frame.
+//! Cumulative transport acks are batched: the transport marks channels
+//! dirty and [`Kernel::ingest_batch`] flushes one ack per peer per
+//! batch instead of one frame per frame.
 
 use crate::backoff::RetryBackoff;
 use crate::config::RunConfig;
@@ -65,8 +62,7 @@ use lclog_core::{make_protocol, CounterVector, DeliveryVerdict, MembershipView, 
 use lclog_simnet::{Envelope, SimNet};
 use lclog_stable::{CheckpointStore, StableStorage};
 use lclog_wire::{encode_to_vec, impl_wire_struct};
-use parking_lot::{Mutex, MutexGuard};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
 /// Everything a checkpoint durably captures (Algorithm 1 line 33:
@@ -97,7 +93,7 @@ impl_wire_struct!(CheckpointImage {
     log
 });
 
-/// One-lock-round-trip view of everything the harnesses report about
+/// One-borrow view of everything the harnesses report about
 /// a kernel: tracking statistics, log pressure, rendezvous acks,
 /// transport counters, and the recovery phase.
 #[derive(Debug, Clone)]
@@ -128,8 +124,14 @@ pub struct KernelSnapshot {
     pub data_plane: DataPlaneStats,
 }
 
-/// Per-rank rollback-recovery kernel: one state lock behind `&self`
-/// methods (see the module docs for who holds it across what).
+/// Per-rank rollback-recovery kernel: one state borrow per `&self`
+/// method (see the module docs). Neither `Send` nor `Sync`: the thread
+/// that builds a kernel is the only one that drives it.
+///
+/// ```compile_fail
+/// fn shared_across_threads<T: Sync>() {}
+/// shared_across_threads::<lclog_runtime::Kernel>();
+/// ```
 pub struct Kernel {
     me: Rank,
     n: usize,
@@ -137,18 +139,7 @@ pub struct Kernel {
     /// TEL event-logger service rank (slot `n`), when the protocol
     /// uses one. Constant per protocol kind.
     logger: Option<Rank>,
-    /// A membership view (or a peer's `Fenced` notice) declared this
-    /// incarnation dead; stored in the critical section in which the
-    /// transport reached that verdict. Engines poll it in `check_live`
-    /// and surface [`crate::Fault::Fenced`].
-    fenced: AtomicBool,
-    /// Set when the tracking merge rejected a gate-approved message:
-    /// the protocol state can no longer be trusted. Engines poll it in
-    /// `check_live` and surface [`crate::Fault::Desync`] so the rank
-    /// rebuilds through the rollback path instead of aborting the
-    /// process.
-    desynced: AtomicBool,
-    state: Mutex<State>,
+    state: RefCell<State>,
     /// Structured timeline collector (disabled by default).
     events: EventSink,
 }
@@ -177,6 +168,16 @@ struct State {
     /// pacing each kernel tick re-sends the request and a slow or lost
     /// `RESYNC_SNAP` turns into a request storm.
     resync_pacer: ResyncPacer,
+    /// A membership view (or a peer's `Fenced` notice) declared this
+    /// incarnation dead; set in the call in which the transport reached
+    /// that verdict. The driver polls it and surfaces
+    /// [`crate::Fault::Fenced`].
+    fenced: bool,
+    /// Set when the tracking merge rejected a gate-approved message:
+    /// the protocol state can no longer be trusted. The driver polls it
+    /// and surfaces [`crate::Fault::Desync`] so the rank rebuilds
+    /// through the rollback path instead of aborting the process.
+    desynced: bool,
 }
 
 impl State {
@@ -203,7 +204,7 @@ impl State {
         };
     }
 
-    /// The body of [`Kernel::app_send`], under the state lock (inlined
+    /// The body of [`Kernel::app_send`], on the borrowed state (inlined
     /// into both callers, so the plain send path compiles as one body).
     #[inline(always)]
     fn app_send(&mut self, dst: Rank, tag: u32, data: Bytes, needs_ack: bool) -> (u64, bool) {
@@ -233,11 +234,6 @@ impl State {
 /// `ROLLBACK` rebroadcasts to peers that have not answered.
 pub const RETRY_INTERVAL: Duration = Duration::from_millis(25);
 
-/// Frames of a log resend burst sent per acquisition of the state
-/// lock: long enough to amortise the lock, short enough that no other
-/// caller waits for more than microseconds, not for the log.
-const RESEND_CHUNK: usize = 256;
-
 /// Monotone raise: never lowers the stored value.
 fn raise(v: &mut CounterVector, k: Rank, to: u64) {
     if to > v.get(k) {
@@ -266,15 +262,15 @@ impl Kernel {
             rendezvous: None,
             detector,
             resync_pacer: ResyncPacer::new(me, n),
+            fenced: false,
+            desynced: false,
         };
         Kernel {
             me,
             n,
             cfg,
             logger,
-            fenced: AtomicBool::new(false),
-            desynced: AtomicBool::new(false),
-            state: Mutex::new(state),
+            state: RefCell::new(state),
             events: EventSink::disabled(),
         }
     }
@@ -290,12 +286,12 @@ impl Kernel {
     /// The blocking engine's rendezvous state for `dst`:
     /// `(highest acked send_index, peer written off)`.
     pub fn rendezvous_progress(&self, dst: Rank) -> (u64, bool) {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         (st.acked.get(dst), st.transport.peer_unreachable(dst))
     }
 
     /// Attach a timeline collector (see [`crate::events`]). Call
-    /// before the kernel is shared with the engine.
+    /// before the kernel is handed to the driver.
     pub fn set_event_sink(&mut self, sink: EventSink) {
         self.state.get_mut().transport.events = sink.clone();
         self.events = sink;
@@ -316,9 +312,9 @@ impl Kernel {
         &self.cfg
     }
 
-    /// Consistent snapshot for reporting, one lock round-trip.
+    /// Consistent snapshot for reporting, one borrow.
     pub fn snapshot(&self) -> KernelSnapshot {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         let mut stats = st.trk.snapshot_stats();
         stats.log_bytes_peak = st.rec.log_bytes_peak;
         KernelSnapshot {
@@ -338,29 +334,29 @@ impl Kernel {
 
     /// Where the recovery state machine stands.
     pub fn recovery_phase(&self) -> RecoveryPhase {
-        self.state.lock().rec.machine.phase().clone()
+        self.state.borrow().rec.machine.phase().clone()
     }
 
     /// True while this incarnation is still collecting recovery
     /// information.
     pub fn is_recovering(&self) -> bool {
-        self.state.lock().rec.machine.is_recovering()
+        self.state.borrow().rec.machine.is_recovering()
     }
 
     /// True once a membership view (or a peer's `FENCED` notice)
-    /// declared this very incarnation dead (lock-free). Engines must
-    /// stop the application with [`crate::Fault::Fenced`]: volatile
-    /// state is forfeit, the successor rejoins via `ROLLBACK`.
+    /// declared this very incarnation dead. The driver must stop the
+    /// application with [`crate::Fault::Fenced`]: volatile state is
+    /// forfeit, the successor rejoins via `ROLLBACK`.
     pub fn is_fenced(&self) -> bool {
-        self.fenced.load(Ordering::Acquire)
+        self.state.borrow().fenced
     }
 
-    /// True once the tracking merge rejected a gate-approved message
-    /// (lock-free). Engines must stop the application with
+    /// True once the tracking merge rejected a gate-approved message.
+    /// The driver must stop the application with
     /// [`crate::Fault::Desync`]: the protocol state is untrusted, the
     /// successor rebuilds via `ROLLBACK`.
     pub fn is_desynced(&self) -> bool {
-        self.desynced.load(Ordering::Acquire)
+        self.state.borrow().desynced
     }
 
     /// The protocol's dependency-interval vector (`depend_interval[n]`
@@ -369,7 +365,7 @@ impl Kernel {
     /// (§III.E): every legal delivery schedule must converge to the
     /// same vector.
     pub fn interval_vector(&self) -> Option<Vec<u64>> {
-        self.state.lock().trk.protocol.interval_vector()
+        self.state.borrow().trk.protocol.interval_vector()
     }
 
     /// The first send to `dst` with a `send_index` in
@@ -378,7 +374,7 @@ impl Kernel {
     /// delivered `after` messages from us needs every one of them:
     /// the schedule explorer's log-GC invariant.
     pub fn log_gap(&self, dst: Rank, after: u64) -> Option<u64> {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         let mut want = after + 1;
         for e in st.rec.log.entries_after(dst, after) {
             if e.send_index != want {
@@ -392,7 +388,7 @@ impl Kernel {
     /// Protocol send gate (pessimistic logging holds sends while
     /// determinants are unstable).
     pub fn send_ready(&self) -> bool {
-        self.state.lock().trk.protocol.send_ready()
+        self.state.borrow().trk.protocol.send_ready()
     }
 
     fn emit_transition(&self, tr: Option<Transition>) {
@@ -427,9 +423,8 @@ impl Kernel {
     /// Returns `(send_index, transmitted)`; when `transmitted` and
     /// `needs_ack`, the blocking engine waits for [`WireMsg::Ack`].
     ///
-    /// One critical section: index bump, piggyback, suppression check,
-    /// transmit, log insert. The fabric send is non-blocking, so
-    /// holding the lock across it is cheap, and it makes the send
+    /// One borrow: index bump, piggyback, suppression check, transmit,
+    /// log insert. The fabric send is non-blocking, so the send is
     /// atomic against `ROLLBACK`: the survivor side either sees the
     /// entry in the log (and resends it) or has already clamped the
     /// bound this send is checked against.
@@ -446,7 +441,7 @@ impl Kernel {
     /// move in from the send without a decode pass. A suppressed send
     /// encodes once into the log and transmits nothing.
     pub fn app_send(&self, dst: Rank, tag: u32, data: Bytes, needs_ack: bool) -> (u64, bool) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let (send_index, transmitted) = st.app_send(dst, tag, data, needs_ack);
         if needs_ack && transmitted {
             st.rendezvous = Some((dst, send_index, self.cfg.clock.now()));
@@ -455,9 +450,9 @@ impl Kernel {
     }
 
     /// [`Kernel::app_send`] behind the protocol's send gate, in one
-    /// critical section: `false`, sending nothing, while PES holds sends.
+    /// borrow: `false`, sending nothing, while PES holds sends.
     pub(crate) fn try_app_send(&self, dst: Rank, tag: u32, data: Bytes) -> bool {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         if !st.trk.protocol.send_ready() {
             return false;
         }
@@ -478,28 +473,27 @@ impl Kernel {
 
     /// Process a batch of raw envelopes in arrival order, then flush
     /// one cumulative ack per dirty peer instead of per-frame acks.
+    /// One borrow covers the whole batch.
     pub fn ingest_batch(&self, envs: impl IntoIterator<Item = Envelope>) {
+        let st = &mut *self.state.borrow_mut();
         for env in envs {
-            self.ingest_env(env);
+            self.ingest_env(st, env);
         }
-        self.state.lock().transport.flush_acks();
+        st.transport.flush_acks();
     }
 
-    /// Process one raw envelope without flushing acks. CRC check and
-    /// frame decode run before the lock; under it the transport
-    /// strips the frame — corrupt envelopes are NACK'ed, duplicates
-    /// discarded, and control frames consumed without ever reaching
-    /// the dispatch below — and the inner message is applied.
-    fn ingest_env(&self, env: Envelope) {
+    /// Process one raw envelope without flushing acks: CRC check and
+    /// frame decode, then the transport strips the frame — corrupt
+    /// envelopes are NACK'ed, duplicates discarded, and control frames
+    /// consumed without ever reaching the dispatch below — and the
+    /// inner message is applied.
+    fn ingest_env(&self, st: &mut State, env: Envelope) {
         let src = env.src;
         let frame = decode_envelope(&env);
-        let mut st = self.state.lock();
         let inner = match st.transport.ingest(src, frame) {
             Ingest::Dropped => {
                 // What was dropped may have been a `FENCED` notice.
-                if st.transport.is_self_fenced() {
-                    self.fenced.store(true, Ordering::Release);
-                }
+                st.fenced |= st.transport.is_self_fenced();
                 return;
             }
             Ingest::Heard => None,
@@ -554,7 +548,7 @@ impl Kernel {
             WireMsg::Rollback(w) => self.handle_rollback(st, src, w),
             WireMsg::Response(w) => self.handle_response(st, src, w),
             WireMsg::CkptAdvance(w) => {
-                let State { rec, trk, acked, .. } = &mut *st;
+                let State { rec, trk, acked, .. } = st;
                 let horizon = if self.cfg.log_gc_lag {
                     // Release only what the *previous* advance
                     // covered: one extra generation of entries
@@ -576,7 +570,7 @@ impl Kernel {
             WireMsg::LogQueryResp(dets) => {
                 // The event logger answered our `LOG_QUERY` with the
                 // failed incarnation's stable determinants.
-                let State { rec, trk, .. } = &mut *st;
+                let State { rec, trk, .. } = st;
                 let (_, tr) = rec.machine.note_logger_synced();
                 self.emit_transition(tr);
                 trk.protocol.install_recovery_info(dets);
@@ -584,7 +578,7 @@ impl Kernel {
                     self.finish_sync(trk, done);
                 }
             }
-            WireMsg::Membership(view) => self.handle_membership(&mut st, view),
+            WireMsg::Membership(view) => self.handle_membership(st, view),
             WireMsg::ResyncReq(_) => {
                 if let Some(bytes) = st.trk.protocol.resync_snapshot(src) {
                     st.transport.send_msg(src, &WireMsg::ResyncSnap(bytes.into()));
@@ -604,17 +598,17 @@ impl Kernel {
 
     /// Deliver the first queued message (in arrival order) matching
     /// `spec` whose per-sender FIFO predecessor has been delivered and
-    /// whose protocol dependency gate opens (lines 15–31). App thread.
+    /// whose protocol dependency gate opens (lines 15–31).
     ///
-    /// One critical section: gate, extraction, piggyback merge,
-    /// counter bump, rendezvous ack and TEL determinants see one
-    /// protocol state and one queue.
+    /// One borrow: gate, extraction, piggyback merge, counter bump,
+    /// rendezvous ack and TEL determinants see one protocol state and
+    /// one queue.
     pub fn try_deliver(&self, spec: RecvSpec) -> Option<AppMsg> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         if st.holds_delivery() {
             return None;
         }
-        let State { trk, del, transport, .. } = &mut *st;
+        let State { trk, del, transport, desynced, .. } = &mut *st;
         let protocol = &trk.protocol;
         let last_deliver_index = &del.last_deliver_index;
         let Pending { src, wire } = del.queue.take_first_matching(spec, |src, idx, piggyback| {
@@ -631,7 +625,7 @@ impl Kernel {
             // engine faults it (single-rank recovery, not a process
             // abort). No ack either — as far as the sender can tell,
             // the message was never consumed.
-            drop(st);
+            *desynced = true;
             self.events.emit(
                 self.me,
                 EventKind::TrackingDesync {
@@ -639,7 +633,6 @@ impl Kernel {
                     send_index: wire.send_index,
                 },
             );
-            self.desynced.store(true, Ordering::Release);
             return None;
         }
         del.note_delivered(src);
@@ -668,7 +661,7 @@ impl Kernel {
     /// schedule explorer's choice-point set (§III.E: any such order is
     /// supposed to converge). Read-only.
     pub fn deliverable_sources(&self, spec: RecvSpec) -> Vec<Rank> {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         if st.holds_delivery() {
             return Vec::new();
         }
@@ -690,19 +683,19 @@ impl Kernel {
     /// Should a checkpoint be taken now (between steps)?
     pub fn checkpoint_due(&self, step: u64) -> bool {
         self.state
-            .lock()
+            .borrow()
             .rec
             .checkpoint_due(self.cfg.checkpoint, step)
     }
 
     /// Take a checkpoint of `app_state` after `step`.
     ///
-    /// The image is assembled and written to stable storage under the
-    /// state lock — it has to be one consistent cut of log, counters
-    /// and protocol state — and the `CHECKPOINT_ADVANCE` notices
-    /// follow in the same section.
+    /// The image is assembled and written to stable storage in one
+    /// borrow — it has to be one consistent cut of log, counters and
+    /// protocol state — and the `CHECKPOINT_ADVANCE` notices follow in
+    /// the same call.
     pub fn do_checkpoint(&self, app_state: Vec<u8>, step: u64) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let State { rec, trk, del, transport, .. } = &mut *st;
         let image = CheckpointImage {
             step,
@@ -761,7 +754,7 @@ impl Kernel {
     /// from `checkpoint.depend_interval` — an obvious typo we
     /// correct.)
     pub fn restore(&self, image: CheckpointImage) -> Result<(u64, Vec<u8>), Fault> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let State { rec, trk, del, .. } = &mut *st;
         trk.protocol
             .restore_from_checkpoint(&image.protocol)
@@ -789,7 +782,7 @@ impl Kernel {
     /// restarts from the initial state and rolls forward through
     /// recovery instead of aborting the process.
     pub fn load_checkpoint(&self) -> Option<CheckpointImage> {
-        let (_, bytes) = self.state.lock().rec.ckpt_store.load_latest(self.me)?;
+        let (_, bytes) = self.state.borrow().rec.ckpt_store.load_latest(self.me)?;
         lclog_wire::decode_from_slice(&bytes).ok()
     }
 
@@ -802,7 +795,7 @@ impl Kernel {
     /// If called twice on one incarnation (the state machine rejects
     /// `begin` outside `Running`).
     pub fn begin_recovery(&self) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let tr = st
             .rec
             .machine
@@ -850,7 +843,8 @@ impl Kernel {
         let mut image = kernel.load_checkpoint();
         if image.is_none() {
             if let Some((repl, raw_storage)) = remote {
-                if repl.restore_rank(rank, raw_storage).is_some() {
+                let restored = repl.restore_rank(rank, raw_storage, &kernel.events);
+                if restored.is_some() {
                     image = kernel.load_checkpoint();
                 }
             }
@@ -895,7 +889,7 @@ impl Kernel {
     /// Survivor side of `ROLLBACK` (lines 47–51): answer with our
     /// delivery count and determinant knowledge, then resend logged
     /// messages the failed process lost.
-    fn handle_rollback(&self, mut st: MutexGuard<'_, State>, src: Rank, w: RollbackWire) {
+    fn handle_rollback(&self, st: &mut State, src: Rank, w: RollbackWire) {
         // The rollback vector is the *authoritative* post-restore
         // delivery state of src's new incarnation. Anything we
         // believed beyond it — an ack, or a RESPONSE-based duplicate
@@ -905,7 +899,7 @@ impl Kernel {
         // and must be forgotten, or we would suppress regenerated
         // messages the incarnation still needs.
         let upto = w.last_deliver_index.get(self.me).copied();
-        let State { rec, acked, .. } = &mut *st;
+        let State { rec, acked, .. } = st;
         if let Some(upto) = upto {
             rec.rollback_last_send_index.set(src, upto);
             acked.set(src, upto);
@@ -925,11 +919,8 @@ impl Kernel {
             epoch: w.epoch,
         });
         st.transport.send_msg(src, &response);
-        // Everything logged so far; a send racing the burst transmits
-        // itself.
         let last = st.trk.last_send_index.get(src);
-        drop(st);
-        self.resend_logged(src, upto.unwrap_or(0), last);
+        self.resend_logged(st, src, upto.unwrap_or(0), last);
         // Anything we had queued from the pre-failure incarnation will
         // be resent/regenerated with identical identities; keeping the
         // queued copies is both correct (dedup by send_index) and
@@ -937,36 +928,22 @@ impl Kernel {
     }
 
     /// Resend the logged sends to `dst` with `send_index` in
-    /// `(after, upto]`, oldest first. Logged wire bytes go out
-    /// verbatim — refcount bumps, zero payload copies; the original
+    /// `(after, upto]`, oldest first, in one pass. Logged wire bytes go
+    /// out verbatim — refcount bumps, zero payload copies; the original
     /// piggyback (and `needs_ack`, which is safe: rendezvous acks are
-    /// idempotent) ride along exactly as first framed. The lock is
-    /// taken anew every [`RESEND_CHUNK`] frames. The burst's duration
-    /// on the run's clock is added to the channel's retry deadline
-    /// ([`Transport::defer_retry`]).
-    fn resend_logged(&self, dst: Rank, mut after: u64, upto: u64) {
+    /// idempotent) ride along exactly as first framed. The burst's
+    /// duration on the run's clock is added to the channel's retry
+    /// deadline ([`Transport::defer_retry`]).
+    fn resend_logged(&self, st: &mut State, dst: Rank, after: u64, upto: u64) {
         let start = self.cfg.clock.now();
+        let State { rec, transport, .. } = st;
+        let burst = rec.log.entries_after(dst, after);
         let mut count = 0;
-        loop {
-            let mut st = self.state.lock();
-            let State { rec, transport, .. } = &mut *st;
-            let chunk = rec
-                .log
-                .entries_after(dst, after)
-                .take_while(|e| e.send_index <= upto)
-                .take(RESEND_CHUNK);
-            let mut sent = 0;
-            for e in chunk {
-                transport.send_encoded(dst, e.to_wire());
-                after = e.send_index;
-                sent += 1;
-            }
-            count += sent;
-            if sent < RESEND_CHUNK {
-                transport.defer_retry(dst, self.cfg.clock.now() - start);
-                break;
-            }
+        for e in burst.take_while(|e| e.send_index <= upto) {
+            transport.send_encoded(dst, e.to_wire());
+            count += 1;
         }
+        transport.defer_retry(dst, self.cfg.clock.now() - start);
         if count > 0 {
             self.events
                 .emit(self.me, EventKind::LogResent { to: dst, count });
@@ -975,10 +952,10 @@ impl Kernel {
 
     /// Incarnation side of `RESPONSE` (lines 52–53): install the
     /// recovery info, possibly lift the barrier, then resupply.
-    fn handle_response(&self, mut st: MutexGuard<'_, State>, src: Rank, w: ResponseWire) {
+    fn handle_response(&self, st: &mut State, src: Rank, w: ResponseWire) {
         let State {
             rec, trk, acked, ..
-        } = &mut *st;
+        } = st;
         raise(&mut rec.rollback_last_send_index, src, w.delivered_from_you);
         raise(acked, src, w.delivered_from_you);
         // The dead incarnation's transport may have been holding sent-
@@ -1002,8 +979,7 @@ impl Kernel {
         if let Some(done) = rec.machine.try_complete(self.cfg.clock.now()) {
             self.finish_sync(trk, done);
         }
-        drop(st);
-        self.resend_logged(src, w.delivered_from_you, restored);
+        self.resend_logged(st, src, w.delivered_from_you, restored);
     }
 
     /// A certified membership view from the arbiter. Three duties:
@@ -1024,9 +1000,7 @@ impl Kernel {
         let Some(advanced) = st.transport.apply_fence_floors(view.epoch, &view.floor) else {
             return; // stale or already-applied view
         };
-        if st.transport.is_self_fenced() {
-            self.fenced.store(true, Ordering::Release);
-        }
+        st.fenced |= st.transport.is_self_fenced();
         if let Some(det) = &mut st.detector {
             let now = self.cfg.clock.now();
             for &r in &advanced {
@@ -1053,10 +1027,10 @@ impl Kernel {
     /// `WireMsg::Membership(view)`; idempotent and safe on stale
     /// views (they are ignored, like any non-advancing view).
     pub fn apply_membership(&self, view: MembershipView) {
-        self.handle_membership(&mut self.state.lock(), view);
+        self.handle_membership(&mut self.state.borrow_mut(), view);
     }
 
-    /// Periodic maintenance, one critical section: drive the
+    /// Periodic maintenance, one borrow: drive the
     /// transport's retransmission timers, pace the sparse codec's
     /// resync requests, run the failure detector (forced suspicions,
     /// threshold crossings, idle heartbeats, reports to the arbiter),
@@ -1066,7 +1040,7 @@ impl Kernel {
     /// rendezvous send, and flush coalesced acks.
     pub fn tick(&self) {
         let now = self.cfg.clock.now();
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let State { trk, transport, detector, resync_pacer, .. } = &mut *st;
         let overdue = transport.tick();
         // Frames queued behind an undecodable one stay parked until
@@ -1133,7 +1107,7 @@ impl Kernel {
     /// kernels around the same storage).
     #[cfg(test)]
     pub(crate) fn ckpt_storage(&self) -> std::sync::Arc<dyn lclog_stable::StableStorage> {
-        std::sync::Arc::clone(self.state.lock().rec.ckpt_store.storage())
+        std::sync::Arc::clone(self.state.borrow().rec.ckpt_store.storage())
     }
 }
 
@@ -1216,7 +1190,7 @@ impl ResyncPacer {
 
 impl std::fmt::Debug for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         let State { rec, trk, del, transport, .. } = &*st;
         f.debug_struct("Kernel")
             .field("me", &self.me)
@@ -1345,7 +1319,7 @@ mod tests {
         pump(&k0, &eps[0]);
         assert_eq!(k0.rendezvous_progress(1), (1, false));
         // Re-transmit the same message (as a recovering sender would).
-        k0.state.lock().resend_unacked(1, 1);
+        k0.state.borrow_mut().resend_unacked(1, 1);
         pump(&k1, &eps[1]);
         // Discarded as repetitive — not deliverable again…
         assert!(k1.try_deliver(RecvSpec::any()).is_none());
@@ -1550,7 +1524,7 @@ mod tests {
             ks[1].app_send(2, 0, Bytes::from_static(b"m"), false);
             pump(&ks[2], &eps[2]);
             ks[2].try_deliver(RecvSpec::any()).unwrap();
-            let about_1 = || ks[2].state.lock().trk.protocol.determinants_for(1).len();
+            let about_1 = || ks[2].state.borrow().trk.protocol.determinants_for(1).len();
             assert_eq!(about_1(), 1, "{kind}");
             ks[1].do_checkpoint(vec![], 1);
             pump(&ks[2], &eps[2]);
@@ -1797,7 +1771,7 @@ mod tests {
         let sink = EventSink::recording(crate::Clock::Real);
         k1.set_event_sink(sink.clone());
         assert!(!k1.is_desynced());
-        k1.state.lock().del.admit(
+        k1.state.borrow_mut().del.admit(
             0,
             AppWire {
                 tag: 3,
@@ -1982,65 +1956,87 @@ mod tests {
         assert_eq!(k1.snapshot().stats.delivers, 1);
     }
 
-    #[test]
-    fn concurrent_send_and_ingest_keep_counters_exact() {
-        // Rank 0's app thread hammers app_send while another thread
-        // concurrently ingests rank 0's inbound traffic — the kernel
-        // is `Sync` and must stay exact even so: first rendezvous
-        // acks, then a ROLLBACK answered from the whole log. Every
-        // send must be counted once and every message delivered once.
-        use std::time::Instant;
+    /// A seeded schedule: each call picks one of `ops` choices.
+    fn schedule(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut state = seed;
+        move |ops| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % ops
+        }
+    }
 
+    /// `k` sends `seq`, as its payload too, to `dst`.
+    fn send_seq(k: &Kernel, dst: Rank, seq: u64, needs_ack: bool) {
+        let data = Bytes::copy_from_slice(&seq.to_le_bytes());
+        k.app_send(dst, 0, data, needs_ack);
+    }
+
+    #[test]
+    fn interleaved_send_and_ingest_keep_counters_exact() {
+        // Rank 0's sends interleave, in a seeded order, with its
+        // ingestion of inbound frames one at a time and its ticks:
+        // first rendezvous acks, then a ROLLBACK answered from the
+        // whole log. Every send must be counted once and every message
+        // delivered once.
+        let mut next_op = schedule(0x5EED);
         let (mut ks, net, mut eps) = harness(2, ProtocolKind::Tdi);
         let k1 = ks.pop().unwrap();
         let mut k0 = ks.pop().unwrap();
         let sink = EventSink::recording(crate::Clock::Real);
         k0.set_event_sink(sink.clone());
-        let k0 = Arc::new(k0);
         let ep1 = eps.pop().unwrap();
         let ep0 = eps.pop().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let ingester = {
-            let (k0, stop) = (Arc::clone(&k0), Arc::clone(&stop));
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    match ep0.try_recv() {
-                        Ok(env) => k0.ingest(env),
-                        Err(_) => std::hint::spin_loop(),
-                    }
-                }
-            })
-        };
-        // Each payload is its own send_index.
-        let mut next = 0u64;
-        let mut send = |needs_ack| {
-            next += 1;
-            k0.app_send(1, 0, Bytes::copy_from_slice(&next.to_le_bytes()), needs_ack);
+        let ingest_one = |k: &Kernel| {
+            if let Ok(env) = ep0.try_recv() {
+                k.ingest(env);
+            }
         };
         let logged = 10_000u64;
-        for _ in 0..logged {
-            send(true);
-            // Keep rank 1 consuming so acks flow back.
-            pump(&k1, &ep1);
-            while k1.try_deliver(RecvSpec::any()).is_some() {}
+        let (mut sends, mut delivered) = (0u64, 0u64);
+        while sends < logged || delivered < logged {
+            match next_op(4) {
+                0 if sends < logged => {
+                    sends += 1;
+                    send_seq(&k0, 1, sends, true);
+                }
+                1 => {
+                    pump(&k1, &ep1);
+                    while k1.try_deliver(RecvSpec::any()).is_some() {
+                        delivered += 1;
+                    }
+                }
+                2 => ingest_one(&k0),
+                _ => k0.tick(),
+            }
         }
         assert_eq!(k0.snapshot().stats.sends, logged);
         assert_eq!(k1.snapshot().stats.delivers, logged);
+        // Absorb the acks still queued; ticks may have resent an
+        // unacknowledged rendezvous send.
+        turn(&k0, &ep0);
+        let resent_before = k0.snapshot().data_plane.zero_copy_resends;
 
         // Rank 1 dies with nothing checkpointed; its successor's
-        // ROLLBACK makes the ingester resend the whole log. This
-        // thread keeps the app side of rank 0 going from before the
-        // burst starts until the timeline says it is over.
+        // ROLLBACK, ingested between two of rank 0's sends, resends the
+        // whole log.
         net.kill(1);
         let ep1b = net.respawn(1);
         let store = CheckpointStore::new(k1.ckpt_storage());
         let mut k1b = Kernel::new(1, 2, RunConfig::new(ProtocolKind::Tdi), net.clone(), store);
         k1b.set_incarnation(2);
         k1b.begin_recovery();
-        let deadline = Instant::now() + Duration::from_secs(60);
         let resent = loop {
-            send(false);
-            assert!(k0.try_deliver(RecvSpec::any()).is_none());
+            match next_op(3) {
+                0 => {
+                    sends += 1;
+                    send_seq(&k0, 1, sends, false);
+                }
+                1 => ingest_one(&k0),
+                _ => assert!(k0.try_deliver(RecvSpec::any()).is_none()),
+            }
             let burst = sink.take().into_iter().find_map(|e| match e.kind {
                 EventKind::LogResent { to: 1, count } => Some(count as u64),
                 _ => None,
@@ -2048,66 +2044,63 @@ mod tests {
             if let Some(count) = burst {
                 break count;
             }
-            assert!(Instant::now() < deadline, "resend burst stalled");
         };
         let snap = k0.snapshot();
-        let sends = snap.stats.sends;
+        assert_eq!(snap.stats.sends, sends);
         assert!(resent >= logged && resent <= sends);
-        assert_eq!(snap.data_plane.zero_copy_resends, resent);
+        assert_eq!(snap.data_plane.zero_copy_resends - resent_before, resent);
         assert_eq!(snap.log_entries as u64, sends);
 
         // The successor admits every send_index — resent or fresh,
         // however the two interleaved on the wire — exactly once.
         let mut expected = 1u64;
-        while expected <= sends {
-            pump(&k1b, &ep1b);
-            while let Some(msg) = k1b.try_deliver(RecvSpec::any()) {
-                assert_eq!(msg.data[..], expected.to_le_bytes());
-                expected += 1;
+        for _ in 0..100_000 {
+            if expected > sends {
+                break;
             }
-            assert!(Instant::now() < deadline, "replay stalled at {expected}");
+            match next_op(2) {
+                0 => {
+                    pump(&k1b, &ep1b);
+                    while let Some(msg) = k1b.try_deliver(RecvSpec::any()) {
+                        assert_eq!(msg.data[..], expected.to_le_bytes());
+                        expected += 1;
+                    }
+                }
+                _ => turn(&k0, &ep0),
+            }
         }
-        stop.store(true, Ordering::Release);
-        ingester.join().unwrap();
         let snap = k1b.snapshot();
         assert_eq!((snap.stats.delivers, snap.queued), (sends, 0));
         assert_eq!(snap.recovery_phase, RecoveryPhase::Synced);
     }
 
     #[test]
-    fn concurrent_ingest_and_deliver_is_fifo_and_exactly_once() {
-        // Fig. 4b on the receiver: a comm-style thread admits frames
-        // from two senders (`ingest_batch` + `tick`) while an app-style
-        // thread delivers and checkpoints. Each payload is its
-        // per-sender sequence number, so a lost, duplicated or
-        // reordered delivery shows as a gap.
-        use std::time::Instant;
-
+    fn interleaved_ingest_and_deliver_is_fifo_and_exactly_once() {
+        // Fig. 4b on the receiver as one seeded schedule: rank 2 admits
+        // frames from two senders (`ingest_batch` + `tick`), delivers
+        // and checkpoints, while the senders send and absorb its
+        // checkpoint notices. Each payload is its per-sender sequence
+        // number, so a lost, duplicated or reordered delivery shows as
+        // a gap.
         const PER_SENDER: u64 = 2_000;
+        let mut next_op = schedule(0xF1F0);
         let (mut ks, _net, mut eps) = harness(3, ProtocolKind::Tdi);
-        let k2 = Arc::new(ks.pop().unwrap());
+        let k2 = ks.pop().unwrap();
         let ep2 = eps.pop().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let comm = {
-            let (k2, stop) = (Arc::clone(&k2), Arc::clone(&stop));
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    let batch: Vec<_> = std::iter::from_fn(|| ep2.try_recv().ok()).collect();
-                    k2.ingest_batch(batch);
-                    k2.tick();
+        let (mut sent, mut next) = ([0u64; 2], [1u64; 2]);
+        let mut delivered = 0u64;
+        while delivered < 2 * PER_SENDER {
+            match next_op(4) {
+                0 => {
+                    let src = next_op(2) as usize;
+                    if sent[src] < PER_SENDER {
+                        sent[src] += 1;
+                        send_seq(&ks[src], 2, sent[src], false);
+                    }
                 }
-            })
-        };
-        let app = {
-            let k2 = Arc::clone(&k2);
-            std::thread::spawn(move || {
-                let deadline = Instant::now() + Duration::from_secs(60);
-                let mut next = [1u64; 2];
-                let mut delivered = 0u64;
-                while delivered < 2 * PER_SENDER {
+                1 => turn(&k2, &ep2),
+                2 => {
                     let Some(msg) = k2.try_deliver(RecvSpec::any()) else {
-                        assert!(Instant::now() < deadline, "stalled at {delivered}");
-                        std::thread::yield_now();
                         continue;
                     };
                     let seq = u64::from_le_bytes(msg.data[..].try_into().unwrap());
@@ -2118,23 +2111,13 @@ mod tests {
                         k2.do_checkpoint(vec![], delivered);
                     }
                 }
-            })
-        };
-        for seq in 1..=PER_SENDER {
-            for k in &ks {
-                k.app_send(2, 0, Bytes::copy_from_slice(&seq.to_le_bytes()), false);
+                _ => {
+                    for (k, ep) in ks.iter().zip(&eps) {
+                        pump(k, ep);
+                    }
+                }
             }
         }
-        // Keep absorbing rank 2's checkpoint notices until it is done.
-        while !app.is_finished() {
-            for (k, ep) in ks.iter().zip(&eps) {
-                pump(k, ep);
-            }
-            std::thread::yield_now();
-        }
-        app.join().unwrap();
-        stop.store(true, Ordering::Release);
-        comm.join().unwrap();
         let snap = k2.snapshot();
         assert_eq!(snap.stats.delivers, 2 * PER_SENDER);
         assert_eq!(snap.queued, 0);
@@ -2204,7 +2187,7 @@ mod tests {
         assert_eq!(
             kernels[1]
                 .state
-                .lock()
+                .borrow_mut()
                 .trk
                 .protocol
                 .deliverable(0, 2, &delta),
@@ -2214,7 +2197,7 @@ mod tests {
         // Rank 0's kernel must answer snapshot requests with the state
         // that actually produced the delta, so install the side sender
         // as its live protocol.
-        kernels[0].state.lock().trk.protocol = side_sender;
+        kernels[0].state.borrow_mut().trk.protocol = side_sender;
 
         // Simulate the stall: rank 1's app keeps polling (each gate
         // check re-queues the request) and the kernel ticks once per
@@ -2225,7 +2208,7 @@ mod tests {
             sim.advance(Duration::from_millis(1));
             let _ = kernels[1]
                 .state
-                .lock()
+                .borrow_mut()
                 .trk
                 .protocol
                 .deliverable(0, 2, &delta);
@@ -2242,7 +2225,7 @@ mod tests {
         // retransmission of unacked frames is bounded separately by
         // the retransmit budget, so it is excluded here on purpose).
         let originated = {
-            let st = kernels[1].state.lock();
+            let st = kernels[1].state.borrow();
             let slot = st.resync_pacer.slots[0].as_ref();
             slot.expect("slot live while desynced").backoff.attempt()
         };
@@ -2263,13 +2246,13 @@ mod tests {
         assert_eq!(
             kernels[1]
                 .state
-                .lock()
+                .borrow_mut()
                 .trk
                 .protocol
                 .deliverable(0, 2, &delta),
             DeliveryVerdict::Deliver,
             "installed snapshot must unblock the parked delta"
         );
-        assert!(kernels[1].state.lock().resync_pacer.slots[0].is_none());
+        assert!(kernels[1].state.borrow().resync_pacer.slots[0].is_none());
     }
 }

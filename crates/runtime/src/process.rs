@@ -23,10 +23,10 @@ use crate::tasks::{TaskApp, TaskCtx, TaskPoll};
 use bytes::Bytes;
 use lclog_core::Rank;
 use lclog_wire::{Decode, Encode, Reader, WireError};
-use parking_lot::Mutex;
+use std::cell::Cell;
 use std::future::{poll_fn, Future};
 use std::pin::Pin;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 /// A parallel application runnable under rollback recovery.
@@ -43,10 +43,10 @@ use std::task::{Context, Poll, Waker};
 /// * a receive posted with `ANY_SOURCE` promises the program's outcome
 ///   does not depend on which matching message arrives first (the
 ///   observation of §II.C on which TDI's relaxation rests).
-pub trait RankApp: Send + Sync + 'static {
+pub trait RankApp: 'static {
     /// Serializable per-rank state; everything the computation needs
     /// to resume from a checkpoint.
-    type State: Encode + Decode + Send;
+    type State: Encode + Decode;
 
     /// Deterministic initial state of `rank` in an `n`-rank run.
     fn init(&self, rank: Rank, n: usize) -> Self::State;
@@ -57,7 +57,7 @@ pub trait RankApp: Send + Sync + 'static {
         &self,
         ctx: &mut RankCtx<'_>,
         state: &mut Self::State,
-    ) -> impl Future<Output = Result<StepStatus, Fault>> + Send;
+    ) -> impl Future<Output = Result<StepStatus, Fault>>;
 
     /// A verification digest of the final state: identical across
     /// fault-free and recovered runs (the reproduction's central
@@ -83,7 +83,7 @@ pub struct RankCtx<'a> {
     kernel: &'a Kernel,
     step: u64,
     /// Where the step's pending call records its [`Wait`].
-    wait: &'a Mutex<Option<Wait>>,
+    wait: &'a Cell<Option<Wait>>,
 }
 
 impl<'a> RankCtx<'a> {
@@ -192,7 +192,7 @@ impl<'a> RankCtx<'a> {
                 Ok(Some(out)) => Poll::Ready(Ok(out)),
                 Err(fault) => Poll::Ready(Err(fault)),
                 Ok(None) => {
-                    *self.wait.lock() = Some(wait);
+                    self.wait.set(Some(wait));
                     Poll::Pending
                 }
             }
@@ -206,16 +206,16 @@ impl<'a> RankCtx<'a> {
 /// pending call is [`TaskPoll::Pending`], polled again on a later sweep
 /// (a pending receive once something was ingested for the rank). This
 /// is how [`crate::Cluster::run`] runs on the tasks driver.
-pub(crate) struct Steps<A>(pub(crate) Arc<A>);
+pub(crate) struct Steps<A>(pub(crate) Rc<A>);
 
-type StepFuture<S> = Pin<Box<dyn Future<Output = (S, Result<StepStatus, Fault>)> + Send>>;
+type StepFuture<S> = Pin<Box<dyn Future<Output = (S, Result<StepStatus, Fault>)>>>;
 
 /// [`Steps`]' per-rank state: the application state between steps, or
 /// the step in flight that holds it.
 pub(crate) struct Stepping<S> {
     state: Option<S>,
     in_flight: Option<StepFuture<S>>,
-    wait: Arc<Mutex<Option<Wait>>>,
+    wait: Rc<Cell<Option<Wait>>>,
 }
 
 impl<S> Stepping<S> {
@@ -223,7 +223,7 @@ impl<S> Stepping<S> {
         Stepping {
             state: Some(state),
             in_flight: None,
-            wait: Arc::default(),
+            wait: Rc::default(),
         }
     }
 
@@ -259,7 +259,7 @@ impl<A: RankApp> TaskApp for Steps<A> {
 
     fn poll(&self, ctx: &mut TaskCtx<'_>, st: &mut Self::State) -> Result<TaskPoll, Fault> {
         let step = st.in_flight.get_or_insert_with(|| {
-            let (app, kernel, wait) = (Arc::clone(&self.0), ctx.kernel_arc(), Arc::clone(&st.wait));
+            let (app, kernel, wait) = (Rc::clone(&self.0), ctx.kernel_rc(), Rc::clone(&st.wait));
             let (mut state, step) = (st.state.take().expect("between steps"), ctx.step());
             Box::pin(async move {
                 let mut ctx = RankCtx {
@@ -273,7 +273,7 @@ impl<A: RankApp> TaskApp for Steps<A> {
         });
         let Poll::Ready((state, out)) = step.as_mut().poll(&mut Context::from_waker(Waker::noop()))
         else {
-            ctx.wait = st.wait.lock().take();
+            ctx.wait = st.wait.take();
             return Ok(TaskPoll::Pending);
         };
         (st.state, st.in_flight) = (Some(state), None);

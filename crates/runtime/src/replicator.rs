@@ -123,17 +123,14 @@ impl ShipState {
 /// share it behind an `Arc`.
 pub struct Replicator {
     remote: Arc<dyn RemoteStore>,
-    sink: EventSink,
     state: Mutex<ShipState>,
 }
 
 impl Replicator {
-    /// A replicator shipping into `remote`, recording restores on
-    /// `sink`.
-    pub fn new(remote: Arc<dyn RemoteStore>, sink: EventSink) -> Self {
+    /// A replicator shipping into `remote`.
+    pub fn new(remote: Arc<dyn RemoteStore>) -> Self {
         Replicator {
             remote,
-            sink,
             state: Mutex::new(ShipState {
                 queue: VecDeque::new(),
                 queued_bytes: 0,
@@ -200,8 +197,14 @@ impl Replicator {
     /// checkpoint generation of `rank` from the remote into `local`,
     /// falling back one generation per checksum failure. Returns the
     /// restored version, or `None` when no certified generation could
-    /// be fetched (the rank then rejoins from its initial state).
-    pub fn restore_rank(&self, rank: Rank, local: &dyn StableStorage) -> Option<u64> {
+    /// be fetched (the rank then rejoins from its initial state). A
+    /// restore is recorded on `sink`, the restoring kernel's timeline.
+    pub fn restore_rank(
+        &self,
+        rank: Rank,
+        local: &dyn StableStorage,
+        sink: &EventSink,
+    ) -> Option<u64> {
         let mut st = self.state.lock();
         let prefix = CheckpointStore::prefix(rank);
         let mut skipped = 0u32;
@@ -223,8 +226,7 @@ impl Replicator {
         st.stats.generations_skipped += skipped;
         drop(st);
         if let Some(version) = restored {
-            self.sink
-                .emit(rank, EventKind::RemoteRestored { version, skipped });
+            sink.emit(rank, EventKind::RemoteRestored { version, skipped });
         }
         restored
     }
@@ -323,7 +325,11 @@ mod tests {
     use lclog_stable::{FaultyRemote, MemRemote, MemStore};
 
     fn replicator(remote: Arc<dyn RemoteStore>) -> Replicator {
-        Replicator::new(remote, EventSink::disabled())
+        Replicator::new(remote)
+    }
+
+    fn restore(repl: &Replicator, rank: Rank, local: &dyn StableStorage) -> Option<u64> {
+        repl.restore_rank(rank, local, &EventSink::disabled())
     }
 
     fn gen_blob(tag: u8, len: usize) -> Vec<u8> {
@@ -360,7 +366,7 @@ mod tests {
         assert!(repl.drain());
 
         let local = MemStore::new();
-        assert_eq!(repl.restore_rank(2, &local), Some(3));
+        assert_eq!(restore(&repl, 2, &local), Some(3));
         assert_eq!(
             local.get(&CheckpointStore::key(2, 3)).as_deref(),
             Some(&gen_blob(3, 128)[..])
@@ -369,7 +375,7 @@ mod tests {
         // Damage the newest remote generation: restore must fall back.
         assert!(repl.corrupt_newest_remote_generation(2));
         let wiped = MemStore::new();
-        assert_eq!(repl.restore_rank(2, &wiped), Some(2));
+        assert_eq!(restore(&repl, 2, &wiped), Some(2));
         assert!(wiped.get(&CheckpointStore::key(2, 3)).is_none());
         let stats = repl.stats();
         assert!(stats.generations_skipped >= 1);
@@ -381,7 +387,7 @@ mod tests {
         repl.offer_generation(&CheckpointStore::key(0, 1), &gen_blob(1, 32));
         assert!(repl.drain());
         let local = MemStore::new();
-        assert_eq!(repl.restore_rank(7, &local), None);
+        assert_eq!(restore(&repl, 7, &local), None);
     }
 
     /// Regression: a generation stored remotely but not yet in the
@@ -408,7 +414,7 @@ mod tests {
         );
         assert!(repl.step(), "the retried manifest is stored");
         assert!(repl.is_synced());
-        assert_eq!(repl.restore_rank(0, &MemStore::new()), Some(1));
+        assert_eq!(restore(&repl, 0, &MemStore::new()), Some(1));
     }
 
     /// The queue holds at most two generations per rank, whatever their
@@ -429,7 +435,7 @@ mod tests {
         assert!(repl.drain());
         assert!(remote.get(&CheckpointStore::key(0, 1)).unwrap().is_none());
         assert!(repl.corrupt_newest_remote_generation(0));
-        assert_eq!(repl.restore_rank(0, &MemStore::new()), Some(2));
+        assert_eq!(restore(&repl, 0, &MemStore::new()), Some(2));
         assert_eq!(repl.stats().generations_skipped, 1);
     }
 
@@ -453,7 +459,7 @@ mod tests {
             [CheckpointStore::key(3, 9), CheckpointStore::key(3, 10)]
         );
         assert!(repl.corrupt_newest_remote_generation(3));
-        assert_eq!(repl.restore_rank(3, &MemStore::new()), Some(9));
+        assert_eq!(restore(&repl, 3, &MemStore::new()), Some(9));
         assert_eq!(repl.stats().generations_skipped, 1);
     }
 

@@ -29,7 +29,7 @@ use lclog_simnet::{Clock, Endpoint, Envelope};
 use lclog_stable::CheckpointStore;
 use lclog_wire::encode_to_vec;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Stable-storage key of the event log of `rank`.
 fn event_log_key(rank: usize) -> String {
@@ -54,7 +54,7 @@ pub(crate) struct EventLogger {
     transport: Transport,
     clock: Clock,
     ckpts: CheckpointStore,
-    membership: Option<Arc<MembershipTable>>,
+    membership: Option<Rc<MembershipTable>>,
     /// In-memory mirror of stable storage for fast queries; the stable
     /// copy is authoritative and written first.
     dets: HashMap<Rank, Vec<Determinant>>,

@@ -36,6 +36,14 @@
 //! A job is standalone: it owns its storage and, with a remote, its
 //! replicator. [`run_tasks`] drives it on the caller's thread; so does
 //! a caller looping [`TaskJob::sweep`] + [`TaskJob::advance`] itself.
+//! Nothing in a job is shared with another thread, so nothing in it is
+//! locked: the ranks sit in one `RefCell`, each kernel behind an `Rc`
+//! its rank's step future may hold too, and the fabric, the clock and
+//! the result board are `Rc`s and cells. None of them is `Send`, so
+//! the compiler keeps a job on the thread that built it, and
+//! [`TaskApp`] and [`RankApp`] need no `Send` or `Sync`. Only what the
+//! job reaches through [`lclog_stable::StableStorage`] — the storage
+//! backends and the replicator — keeps a lock.
 
 use crate::cluster::{ClusterConfig, RunReport};
 use crate::env::{Death, RunEnv};
@@ -50,8 +58,8 @@ use bytes::Bytes;
 use lclog_core::Rank;
 use lclog_simnet::{Clock, DeliveryModel, Endpoint, SimClock};
 use lclog_wire::{Decode, Encode};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// Virtual time per round — enough that retransmission and rebroadcast
@@ -80,9 +88,9 @@ pub enum TaskPoll {
 /// (re-sends are suppressed as repetitive by the kernel). The one new
 /// rule: `poll` must never block — return [`TaskPoll::Pending`] and
 /// park the partial progress in `state` instead.
-pub trait TaskApp: Send + Sync + 'static {
+pub trait TaskApp: 'static {
     /// Serializable per-rank state, checkpointed between steps.
-    type State: Encode + Decode + Send;
+    type State: Encode + Decode;
 
     /// Deterministic initial state of `rank` in an `n`-rank run.
     fn init(&self, rank: Rank, n: usize) -> Self::State;
@@ -98,14 +106,14 @@ pub trait TaskApp: Send + Sync + 'static {
 /// The runtime handle passed to [`TaskApp::poll`] — the non-blocking
 /// counterpart of [`crate::RankCtx`], over the rank's kernel.
 pub struct TaskCtx<'a> {
-    kernel: &'a Arc<Kernel>,
+    kernel: &'a Rc<Kernel>,
     step: u64,
     /// What a pending [`RankApp`] step waits for (the watchdog names it).
     pub(crate) wait: Option<Wait>,
 }
 
 impl<'a> TaskCtx<'a> {
-    fn for_kernel(kernel: &'a Arc<Kernel>, step: u64) -> Self {
+    fn for_kernel(kernel: &'a Rc<Kernel>, step: u64) -> Self {
         TaskCtx {
             kernel,
             step,
@@ -114,8 +122,8 @@ impl<'a> TaskCtx<'a> {
     }
 
     /// The kernel, for a step future that must own a handle to it.
-    pub(crate) fn kernel_arc(&self) -> Arc<Kernel> {
-        Arc::clone(self.kernel)
+    pub(crate) fn kernel_rc(&self) -> Rc<Kernel> {
+        Rc::clone(self.kernel)
     }
 
     /// This process's rank.
@@ -183,7 +191,7 @@ struct Slot<A: TaskApp> {
     rank: Rank,
     incarnation: u64,
     endpoint: Endpoint,
-    kernel: Arc<Kernel>,
+    kernel: Rc<Kernel>,
     state: A::State,
     step: u64,
     /// What the last poll left pending, if a [`RankApp`] call.
@@ -225,13 +233,14 @@ struct Ranks<A: TaskApp> {
 /// One tasks-engine run as a drivable object: construction attaches
 /// the service slot and builds every kernel; rounds of [`TaskJob::sweep`] +
 /// [`TaskJob::advance`] then run until [`TaskJob::is_finished`], and
-/// [`TaskJob::report`] assembles the [`RunReport`]. The ranks sit
-/// behind a lock only because [`TaskJob::sweep`] and
-/// [`TaskJob::advance`] take `&self`; one thread drives a job.
+/// [`TaskJob::report`] assembles the [`RunReport`]. The ranks sit in
+/// a `RefCell` because [`TaskJob::sweep`] and [`TaskJob::advance`]
+/// take `&self`; the thread that builds a job is the one that drives
+/// it.
 pub struct TaskJob<A: TaskApp> {
     app: A,
     env: RunEnv,
-    ranks: Mutex<Ranks<A>>,
+    ranks: RefCell<Ranks<A>>,
 }
 
 impl<A: TaskApp> TaskJob<A> {
@@ -259,7 +268,7 @@ impl<A: TaskApp> TaskJob<A> {
                 rank,
                 incarnation: 1,
                 endpoint,
-                kernel: Arc::new(env.boot(rank)),
+                kernel: Rc::new(env.boot(rank)),
                 state: app.init(rank, cfg.n),
                 step: 0,
                 wait: None,
@@ -270,7 +279,7 @@ impl<A: TaskApp> TaskJob<A> {
         Ok(TaskJob {
             app,
             env,
-            ranks: Mutex::new(Ranks {
+            ranks: RefCell::new(Ranks {
                 slots,
                 clock,
                 logger,
@@ -299,7 +308,7 @@ impl<A: TaskApp> TaskJob<A> {
     /// Returns true if anything progressed.
     pub fn sweep(&self, _shard: usize) -> bool {
         let mut progressed = false;
-        for slot in &mut self.ranks.lock().slots {
+        for slot in &mut self.ranks.borrow_mut().slots {
             let ingested = self.ingest(slot, &mut progressed);
             let death = self.compute(slot, ingested, &mut progressed);
             self.boundary(slot, death, &mut progressed);
@@ -311,7 +320,7 @@ impl<A: TaskApp> TaskJob<A> {
     /// time, completion, watchdog. Returns true if anything arrived at
     /// the service slot or held frames moved.
     pub fn advance(&self) -> bool {
-        let mut ranks = self.ranks.lock();
+        let mut ranks = self.ranks.borrow_mut();
         let mut progressed = ranks.logger.as_mut().is_some_and(EventLogger::step);
         if let Some(repl) = &self.env.replicator {
             repl.step();
@@ -442,14 +451,14 @@ impl<A: TaskApp> TaskJob<A> {
 
     /// True once every rank is done (or the watchdog fired).
     pub fn is_finished(&self) -> bool {
-        self.ranks.lock().finished
+        self.ranks.borrow().finished
     }
 
     /// Assemble the run's [`RunReport`] (or the watchdog failure).
     /// Call after [`TaskJob::is_finished`]; the job's replicator, if
     /// any, is drained here.
     pub fn report(&self) -> Result<RunReport, String> {
-        let ranks = self.ranks.lock();
+        let ranks = self.ranks.borrow();
         self.env
             .report(ranks.start.elapsed(), ranks.failure.clone())
     }
@@ -463,7 +472,7 @@ impl<A: TaskApp> TaskJob<A> {
         });
         (slot.step, slot.state) =
             restored.unwrap_or_else(|| (0, self.app.init(slot.rank, self.env.n)));
-        slot.kernel = Arc::new(kernel);
+        slot.kernel = Rc::new(kernel);
         slot.endpoint = endpoint;
         slot.wait = None;
         slot.done = false;
@@ -514,6 +523,7 @@ mod tests {
         CheckpointStore, FaultyRemote, MemRemote, MemStore, RemoteStore, MANIFEST_KEY,
     };
     use lclog_wire::impl_wire_struct;
+    use std::sync::Arc;
 
     const TAG: u32 = 7;
     /// A heavy-tail seed whose φ = 2 run fences live ranks, a finished
@@ -963,7 +973,7 @@ mod tests {
             net.clone(),
             store.clone(),
         );
-        let k1 = Arc::new(Kernel::new(
+        let k1 = Rc::new(Kernel::new(
             1,
             2,
             RunConfig::new(ProtocolKind::Tdi),

@@ -22,11 +22,11 @@
 //!   longer than the timeout does not expire on its own first frame
 //!   (under a virtual clock a burst takes no time and nothing moves).
 //!
-//! [`Transport`] is plain data behind `&mut self`: its owner — the
-//! kernel's one state lock, or the event-logger's thread — is all the
-//! synchronisation it has. The one part of receiving that needs no
-//! endpoint state, the CRC check and frame decode, is the free
-//! function [`decode_envelope`], so the owner runs it before locking.
+//! [`Transport`] is plain data behind `&mut self`, owned by a kernel's
+//! state or by the event logger, and driven by the one thread that
+//! drives the job. The one part of receiving that needs no endpoint
+//! state, the CRC check and frame decode, is the free function
+//! [`decode_envelope`].
 //!
 //! ## Batched acknowledgements
 //!
@@ -955,7 +955,7 @@ impl Transport {
             let mut sent = 0u64;
             for fb in self.peers[dst].tx.unacked.range(floor + 1..).map(|(_, fb)| fb) {
                 transmit_frame(&self.net, self.me, dst, fb);
-                self.net.stats().record_retransmit();
+                self.net.record_retransmit();
                 sent += 1;
             }
             self.dp.retransmit_frames += sent;
@@ -1017,7 +1017,7 @@ impl Transport {
             with_copy_budget!(0, "Transport::tick retransmit", {
                 for fb in tx.unacked.values() {
                     transmit_frame(&self.net, me, dst, fb);
-                    self.net.stats().record_retransmit();
+                    self.net.record_retransmit();
                 }
                 self.dp.retransmit_frames += tx.unacked.len() as u64;
             })

@@ -16,9 +16,10 @@
 //! and fabric latency are all pure functions of the simulated
 //! schedule. Only watchdogs and reported wall times read real time.
 
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::rc::Rc;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Where the fabric and the kernel stack read "now" from.
@@ -57,13 +58,14 @@ impl Clock {
 }
 
 /// A shared virtual clock. Cheap to clone; all clones tick together.
+/// One thread drives a run, so the clones share a plain cell.
 #[derive(Clone)]
 pub struct SimClock {
     /// Wall-clock anchor taken once at construction. Only ever used as
     /// the zero point for `Instant` arithmetic — no code path reads
     /// the wall clock after this.
     epoch: Instant,
-    nanos: Arc<AtomicU64>,
+    nanos: Rc<Cell<u64>>,
 }
 
 impl SimClock {
@@ -71,7 +73,7 @@ impl SimClock {
     pub fn new() -> Self {
         SimClock {
             epoch: Instant::now(),
-            nanos: Arc::new(AtomicU64::new(0)),
+            nanos: Rc::new(Cell::new(0)),
         }
     }
 
@@ -79,18 +81,18 @@ impl SimClock {
     /// composes with `Duration` arithmetic and comparisons exactly
     /// like wall-clock readings.
     pub fn now(&self) -> Instant {
-        self.epoch + Duration::from_nanos(self.nanos.load(Ordering::Acquire))
+        self.epoch + Duration::from_nanos(self.nanos.get())
     }
 
     /// Advance simulated time by `d`.
     pub fn advance(&self, d: Duration) {
         let nanos = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        self.nanos.fetch_add(nanos, Ordering::AcqRel);
+        self.nanos.set(self.nanos.get().wrapping_add(nanos));
     }
 
     /// Simulated time elapsed since construction.
     pub fn elapsed(&self) -> Duration {
-        Duration::from_nanos(self.nanos.load(Ordering::Acquire))
+        Duration::from_nanos(self.nanos.get())
     }
 }
 

@@ -24,10 +24,14 @@
 //!   [`Endpoint::try_recv`] first gives what was sent its release time
 //!   and releases what is due. Built with [`SimNet::with_clock`] over a
 //!   [`SimClock`], latency and chaos delays are as deterministic as the
-//!   scheduler advancing the clock, even when several threads send
-//!   between two releases.
-//! * **No blocking reader**: an endpoint's inbox is a queue under its
-//!   slot's lock; [`Endpoint::try_recv`] is the only way to read it.
+//!   scheduler advancing the clock.
+//! * **One thread, no locks**: a fabric and its endpoints share one
+//!   `Rc<RefCell<…>>` of plain data (slots, per-pair sequence numbers,
+//!   what is in flight, counters), borrowed once per call. The types
+//!   are neither `Send` nor `Sync`, so the thread that builds a run's
+//!   fabric is the only one that can drive it.
+//! * **No blocking reader**: an endpoint's inbox is a plain queue;
+//!   [`Endpoint::try_recv`] is the only way to read it.
 //! * **Crash = lost volatile state**: [`SimNet::kill`] drops the
 //!   endpoint, its queued messages, and everything in flight towards
 //!   it, scheduled or held. A later [`SimNet::respawn`] creates a

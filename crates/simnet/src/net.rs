@@ -1,11 +1,10 @@
 use crate::schedule::Schedule;
 use crate::{ChaosConfig, Clock, DeliveryModel, Envelope, NetConfig, NetStats, Rank};
 use bytes::Bytes;
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
 
 /// Errors returned by [`SimNet::send`].
@@ -66,64 +65,46 @@ enum Flight {
     Direct,
     /// One FIFO per `(src, dst)` channel, released only by explicit
     /// `held_deliver*` calls ([`DeliveryModel::Held`]).
-    Held(Mutex<Vec<VecDeque<Envelope>>>),
+    Held(Vec<VecDeque<Envelope>>),
     /// Release times on the fabric's clock ([`NetConfig::is_timed`]).
-    Timed(Mutex<Schedule>),
+    Timed(Schedule),
 }
 
-/// Shared fabric state: endpoint slots, per-pair sequence counters,
-/// what is in flight and traffic stats. Held by `SimNet` and every
-/// `Endpoint`.
+/// Fabric state: endpoint slots, per-pair sequence counters, what is
+/// in flight and traffic stats. `SimNet` and every `Endpoint` share
+/// one; each call borrows it once.
 struct Fabric {
     n: usize,
-    slots: Vec<Mutex<Slot>>,
-    pair_seq: Vec<AtomicU64>,
+    slots: Vec<Slot>,
+    pair_seq: Vec<u64>,
     stats: NetStats,
     chaos: Option<ChaosConfig>,
     flight: Flight,
 }
 
-impl Fabric {
-    /// Place `env` into the destination inbox if its current
-    /// incarnation is alive; otherwise drop it (crash-loss model).
-    fn deliver(&self, env: Envelope) {
-        let mut slot = self.slots[env.dst].lock();
-        match &mut slot.state {
-            SlotState::Attached(inbox) => {
-                inbox.push_back(env);
-                self.stats.record_delivered();
-            }
-            SlotState::Detached | SlotState::Dead => {
-                self.stats.record_dropped_dead(1);
-            }
+/// Place `env` into the destination inbox if its current incarnation
+/// is alive; otherwise drop it (crash-loss model).
+fn deliver(slots: &mut [Slot], stats: &mut NetStats, env: Envelope) {
+    match &mut slots[env.dst].state {
+        SlotState::Attached(inbox) => {
+            inbox.push_back(env);
+            stats.record_delivered();
         }
-    }
-
-    /// Release every timed envelope that is due, in release order.
-    /// Delivering under the schedule lock keeps two concurrent
-    /// releasers from reordering a pair.
-    fn release_due(&self) {
-        if let Flight::Timed(schedule) = &self.flight {
-            let mut schedule = schedule.lock();
-            while let Some(env) = schedule.pop_due() {
-                self.deliver(env);
-            }
-        }
-    }
-
-    fn held(&self) -> Option<&Mutex<Vec<VecDeque<Envelope>>>> {
-        match &self.flight {
-            Flight::Held(held) => Some(held),
-            _ => None,
-        }
+        SlotState::Detached | SlotState::Dead => stats.record_dropped_dead(1),
     }
 }
 
 /// The simulated cluster fabric. Cheap to clone; all clones share the
-/// same state.
+/// same state. Neither `Send` nor `Sync`: the fabric of a run lives on
+/// the thread that drives the run.
+///
+/// ```compile_fail
+/// fn shared_across_threads<T: Sync>() {}
+/// shared_across_threads::<lclog_simnet::SimNet>();
+/// ```
 #[derive(Clone)]
 pub struct SimNet {
-    fabric: Arc<Fabric>,
+    fabric: Rc<RefCell<Fabric>>,
 }
 
 impl SimNet {
@@ -140,47 +121,55 @@ impl SimNet {
     pub fn with_clock(n: usize, config: NetConfig, clock: Clock) -> Self {
         assert!(n > 0, "fabric needs at least one endpoint");
         let flight = match config.delivery {
-            DeliveryModel::Held => Flight::Held(Mutex::new(vec![VecDeque::new(); n * n])),
+            DeliveryModel::Held => Flight::Held(vec![VecDeque::new(); n * n]),
             _ if config.is_timed() => {
-                Flight::Timed(Mutex::new(Schedule::new(n, config.delivery.clone(), clock)))
+                Flight::Timed(Schedule::new(n, config.delivery.clone(), clock))
             }
             _ => Flight::Direct,
         };
         SimNet {
-            fabric: Arc::new(Fabric {
+            fabric: Rc::new(RefCell::new(Fabric {
                 n,
                 slots: (0..n)
-                    .map(|_| {
-                        Mutex::new(Slot {
-                            incarnation: 0,
-                            state: SlotState::Detached,
-                        })
+                    .map(|_| Slot {
+                        incarnation: 0,
+                        state: SlotState::Detached,
                     })
                     .collect(),
-                pair_seq: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
+                // Written out, not `vec![0; n * n]`: at n = 513 the
+                // zeroed allocation made building a fabric about 1.5 ms
+                // slower with the system allocator.
+                pair_seq: (0..n * n).map(|_| 0).collect(),
                 stats: NetStats::default(),
                 chaos: config.chaos,
                 flight,
-            }),
+            })),
         }
     }
 
     /// Number of endpoint slots.
     pub fn n(&self) -> usize {
-        self.fabric.n
+        self.fabric.borrow().n
     }
 
-    /// Traffic counters.
-    pub fn stats(&self) -> &NetStats {
-        &self.fabric.stats
+    /// A snapshot of the traffic counters.
+    pub fn stats(&self) -> NetStats {
+        self.fabric.borrow().stats
+    }
+
+    /// Records one transport-level retransmission. Public because the
+    /// reliability layer above the fabric drives retransmissions.
+    pub fn record_retransmit(&self) {
+        self.fabric.borrow_mut().stats.record_retransmit();
     }
 
     /// Attach the first incarnation of `rank`, returning its receiving
     /// endpoint. Panics if the slot was already attached (use
     /// [`SimNet::respawn`] after a kill).
     pub fn attach(&self, rank: Rank) -> Endpoint {
-        assert!(rank < self.fabric.n, "rank {rank} out of range");
-        let mut slot = self.fabric.slots[rank].lock();
+        let mut fabric = self.fabric.borrow_mut();
+        assert!(rank < fabric.n, "rank {rank} out of range");
+        let slot = &mut fabric.slots[rank];
         assert!(
             matches!(slot.state, SlotState::Detached),
             "rank {rank} already attached; kill + respawn to reincarnate"
@@ -190,7 +179,7 @@ impl SimNet {
         Endpoint {
             rank,
             incarnation: 1,
-            fabric: Arc::clone(&self.fabric),
+            fabric: Rc::clone(&self.fabric),
         }
     }
 
@@ -198,27 +187,26 @@ impl SimNet {
     /// in-flight messages towards it — scheduled or held — are lost,
     /// so none of them reaches a later incarnation.
     pub fn kill(&self, rank: Rank) {
-        assert!(rank < self.fabric.n, "rank {rank} out of range");
-        self.fabric.slots[rank].lock().state = SlotState::Dead;
-        let n = self.fabric.n;
-        let lost = match &self.fabric.flight {
+        let fabric = &mut *self.fabric.borrow_mut();
+        let n = fabric.n;
+        assert!(rank < n, "rank {rank} out of range");
+        fabric.slots[rank].state = SlotState::Dead;
+        let lost = match &mut fabric.flight {
             Flight::Direct => 0,
-            Flight::Held(held) => {
-                let mut held = held.lock();
-                (0..n)
-                    .map(|src| held[src * n + rank].drain(..).count())
-                    .sum()
-            }
-            Flight::Timed(schedule) => schedule.lock().purge(rank),
+            Flight::Held(held) => (0..n)
+                .map(|src| held[src * n + rank].drain(..).count())
+                .sum(),
+            Flight::Timed(schedule) => schedule.purge(rank),
         };
-        self.fabric.stats.record_dropped_dead(lost);
+        fabric.stats.record_dropped_dead(lost);
     }
 
     /// Create a fresh incarnation of a previously killed (or detached)
     /// rank with an empty inbox.
     pub fn respawn(&self, rank: Rank) -> Endpoint {
-        assert!(rank < self.fabric.n, "rank {rank} out of range");
-        let mut slot = self.fabric.slots[rank].lock();
+        let mut fabric = self.fabric.borrow_mut();
+        assert!(rank < fabric.n, "rank {rank} out of range");
+        let slot = &mut fabric.slots[rank];
         assert!(
             !matches!(slot.state, SlotState::Attached(_)),
             "rank {rank} is still attached; kill it first"
@@ -229,15 +217,14 @@ impl SimNet {
         Endpoint {
             rank,
             incarnation,
-            fabric: Arc::clone(&self.fabric),
+            fabric: Rc::clone(&self.fabric),
         }
     }
 
     /// True when the current incarnation of `rank` is attached and
     /// alive.
     pub fn is_alive(&self, rank: Rank) -> bool {
-        let slot = self.fabric.slots[rank].lock();
-        matches!(slot.state, SlotState::Attached(_))
+        matches!(self.fabric.borrow().slots[rank].state, SlotState::Attached(_))
     }
 
     /// Send `payload` from `src` to `dst`. Sending to a dead rank
@@ -269,26 +256,31 @@ impl SimNet {
         payload: Bytes,
         body: Bytes,
     ) -> Result<(), SendError> {
-        if dst >= self.fabric.n {
+        let fabric = &mut *self.fabric.borrow_mut();
+        let n = fabric.n;
+        if dst >= n {
             return Err(SendError::BadRank(dst));
         }
-        if src >= self.fabric.n {
+        if src >= n {
             return Err(SendError::BadRank(src));
         }
-        let seq = self.fabric.pair_seq[src * self.fabric.n + dst].fetch_add(1, Ordering::Relaxed) + 1;
-        self.fabric.stats.record_send(payload.len() + body.len());
+        let seq = &mut fabric.pair_seq[src * n + dst];
+        *seq += 1;
+        let seq = *seq;
+        let stats = &mut fabric.stats;
+        stats.record_send(payload.len() + body.len());
         let mut payload = payload;
         let mut body = body;
         let mut duplicated = false;
         let mut delay = Duration::ZERO;
-        if let Some(chaos) = &self.fabric.chaos {
+        if let Some(chaos) = &fabric.chaos {
             let fate = chaos.fate(src, dst, seq);
             if fate.severed {
-                self.fabric.stats.record_partition_dropped();
+                stats.record_partition_dropped();
                 return Ok(());
             }
             if fate.dropped {
-                self.fabric.stats.record_chaos_dropped();
+                stats.record_chaos_dropped();
                 return Ok(());
             }
             if let Some(bit) = fate.corrupt_bit {
@@ -307,15 +299,15 @@ impl SimNet {
                     let mut bytes = seg.to_vec();
                     bytes[seg_bit / 8] ^= 1 << (seg_bit % 8);
                     *seg = Bytes::from(bytes);
-                    self.fabric.stats.record_chaos_corrupted();
+                    stats.record_chaos_corrupted();
                 }
             }
             if fate.duplicated {
-                self.fabric.stats.record_chaos_duplicated();
+                stats.record_chaos_duplicated();
                 duplicated = true;
             }
             if fate.delay > Duration::ZERO {
-                self.fabric.stats.record_chaos_stalled();
+                stats.record_chaos_stalled();
                 delay = fate.delay;
             }
         }
@@ -330,14 +322,14 @@ impl SimNet {
         // frame arriving twice, which the reliability layer above the
         // fabric must collapse to one delivery.
         let copies = if duplicated { 2 } else { 1 };
-        match &self.fabric.flight {
-            Flight::Direct => (0..copies).for_each(|_| self.fabric.deliver(env.clone())),
+        match &mut fabric.flight {
+            Flight::Direct => {
+                (0..copies).for_each(|_| deliver(&mut fabric.slots, stats, env.clone()))
+            }
             Flight::Held(held) => {
-                let channel = &mut held.lock()[src * self.fabric.n + dst];
-                channel.extend(std::iter::repeat_n(env, copies));
+                held[src * n + dst].extend(std::iter::repeat_n(env, copies));
             }
             Flight::Timed(schedule) => {
-                let mut schedule = schedule.lock();
                 for _ in 0..copies {
                     schedule.push(env.clone(), delay);
                 }
@@ -354,11 +346,10 @@ impl SimNet {
     /// `(src, dst)` — a deterministic view of everything in flight.
     /// Empty on fabrics not in held mode.
     pub fn held_channels(&self) -> Vec<(Rank, Rank, usize)> {
-        let Some(held) = self.fabric.held() else {
+        let fabric = self.fabric.borrow();
+        let (n, Flight::Held(held)) = (fabric.n, &fabric.flight) else {
             return Vec::new();
         };
-        let n = self.fabric.n;
-        let held = held.lock();
         (0..n * n)
             .filter(|&i| !held[i].is_empty())
             .map(|i| (i / n, i % n, held[i].len()))
@@ -371,9 +362,11 @@ impl SimNet {
     /// deciding whether releasing it is a branch point. `None` when the
     /// channel is empty or the fabric is not in held mode.
     pub fn held_head(&self, src: Rank, dst: Rank) -> Option<Bytes> {
-        self.fabric.held()?.lock()[src * self.fabric.n + dst]
-            .front()
-            .map(Envelope::contiguous)
+        let fabric = self.fabric.borrow();
+        let Flight::Held(held) = &fabric.flight else {
+            return None;
+        };
+        held[src * fabric.n + dst].front().map(Envelope::contiguous)
     }
 
     /// Release the head envelope of the `(src, dst)` channel into the
@@ -381,27 +374,29 @@ impl SimNet {
     /// construction). Returns `false` when the channel is empty or the
     /// fabric is not in held mode.
     pub fn held_deliver(&self, src: Rank, dst: Rank) -> bool {
-        let Some(held) = self.fabric.held() else {
+        let fabric = &mut *self.fabric.borrow_mut();
+        let Flight::Held(held) = &mut fabric.flight else {
             return false;
         };
-        let env = held.lock()[src * self.fabric.n + dst].pop_front();
-        env.map(|env| self.fabric.deliver(env)).is_some()
+        let env = held[src * fabric.n + dst].pop_front();
+        env.map(|env| deliver(&mut fabric.slots, &mut fabric.stats, env))
+            .is_some()
     }
 
     /// Release every held envelope, channel by channel in `(src, dst)`
-    /// order, in one pass under one lock (deliveries trigger no sends
-    /// at the fabric level, so nothing can be parked behind the pass).
-    /// Returns the number of envelopes released.
+    /// order, in one pass (deliveries trigger no sends at the fabric
+    /// level, so nothing can be parked behind the pass). Returns the
+    /// number of envelopes released.
     pub fn held_deliver_all(&self) -> usize {
-        let Some(held) = self.fabric.held() else {
+        let fabric = &mut *self.fabric.borrow_mut();
+        let Flight::Held(held) = &mut fabric.flight else {
             return 0;
         };
-        let mut held = held.lock();
         let mut released = 0;
         for channel in held.iter_mut() {
             released += channel.len();
             for env in channel.drain(..) {
-                self.fabric.deliver(env);
+                deliver(&mut fabric.slots, &mut fabric.stats, env);
             }
         }
         released
@@ -410,9 +405,10 @@ impl SimNet {
 
 impl fmt::Debug for SimNet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let fabric = self.fabric.borrow();
         f.debug_struct("SimNet")
-            .field("n", &self.fabric.n)
-            .field("timed", &matches!(self.fabric.flight, Flight::Timed(_)))
+            .field("n", &fabric.n)
+            .field("timed", &matches!(fabric.flight, Flight::Timed(_)))
             .finish()
     }
 }
@@ -421,7 +417,7 @@ impl fmt::Debug for SimNet {
 pub struct Endpoint {
     rank: Rank,
     incarnation: u64,
-    fabric: Arc<Fabric>,
+    fabric: Rc<RefCell<Fabric>>,
 }
 
 impl Endpoint {
@@ -441,8 +437,13 @@ impl Endpoint {
     /// killed — queued messages are *not* drained, matching the
     /// lost-volatile-state crash model.
     pub fn try_recv(&self) -> Result<Envelope, RecvError> {
-        self.fabric.release_due();
-        let mut slot = self.fabric.slots[self.rank].lock();
+        let fabric = &mut *self.fabric.borrow_mut();
+        if let Flight::Timed(schedule) = &mut fabric.flight {
+            while let Some(env) = schedule.pop_due() {
+                deliver(&mut fabric.slots, &mut fabric.stats, env);
+            }
+        }
+        let slot = &mut fabric.slots[self.rank];
         let current = slot.incarnation == self.incarnation;
         match &mut slot.state {
             SlotState::Attached(inbox) if current => inbox.pop_front().ok_or(RecvError::Empty),
