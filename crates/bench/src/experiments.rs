@@ -264,7 +264,7 @@ pub fn ablation_chaos() -> Table {
 /// EXP1: schedule exploration — the TDI order-insensitivity claim
 /// checked over every legal delivery interleaving of an
 /// `MPI_ANY_SOURCE` gather workload, now with **fault choice points**
-/// (crash, crash+wipe, forced detector verdicts) and **DPOR**
+/// (crash, crash+wipe) and **DPOR**
 /// sleep-set reduction. Brute-force rows enumerate the raw tree; dpor
 /// rows cover the same outcomes in a fraction of the executions
 /// (`reduction` = brute schedules / dpor executions, only reported
@@ -300,9 +300,6 @@ pub fn explore_table() -> (Table, Option<lclog_explore::ReplayCase>) {
             }
             if f.wipes > 0 {
                 parts.push(format!("wipe x{}", f.wipes));
-            }
-            if f.suspects > 0 {
-                parts.push(format!("suspect x{}", f.suspects));
             }
             if f.window > 0 {
                 parts.push(format!("w<{}", f.window));
@@ -373,13 +370,10 @@ pub fn explore_table() -> (Table, Option<lclog_explore::ReplayCase>) {
         row("gather n=3 r=2", "dpor", &cfg, &dpor, Some(&brute));
     }
 
-    // DPOR alone, three fault matrices:
+    // DPOR alone, two fault matrices:
     // - crash + storage wipe with checkpointing on: the victim falls
     //   back past its wiped checkpoint and replays under survivor log
     //   resends (log_gc_lag keeps one generation resendable);
-    // - a crash composed with a detector verdict (true kill or false
-    //   suspicion of a survivor) — two faults per schedule, so the
-    //   one-round gather keeps the product of positions enumerable;
     // - the exhaustive n=4 single-crash matrix: one crash, any target,
     //   any position, all downstream interleavings. Only application
     //   frames are choice points (protocol traffic flushes eagerly),
@@ -388,14 +382,9 @@ pub fn explore_table() -> (Table, Option<lclog_explore::ReplayCase>) {
         wipes: 1,
         ..FaultBudget::none()
     };
-    let suspect1 = FaultBudget {
-        suspects: 1,
-        ..crash1
-    };
     let ckpt2 = Workload::rotating_gather(3, 2).with_checkpoints(2);
     for (label, w, faults) in [
         ("gather n=3 r=2 ckpt2", ckpt2, wipe1),
-        ("gather n=3 r=1", Workload::rotating_gather(3, 1), suspect1),
         ("gather n=4 r=1", Workload::rotating_gather(4, 1), crash1),
     ] {
         let cfg = ExploreConfig { faults, ..base };

@@ -79,5 +79,5 @@ pub use tag::Tag;
 pub use tagf::TagF;
 pub use tdi::Tdi;
 pub use tel::Tel;
-pub use types::{Determinant, MembershipView, ProtocolError, ProtocolKind, Rank};
+pub use types::{Determinant, ProtocolError, ProtocolKind, Rank};
 pub use vectors::{CounterVector, DependVector};

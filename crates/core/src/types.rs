@@ -112,60 +112,6 @@ impl Determinant {
     }
 }
 
-/// A certified membership view: the epoch-stamped per-rank incarnation
-/// floor maintained by the membership arbiter (the stable service slot
-/// that also hosts the TEL event logger).
-///
-/// `floor[r]` is the lowest incarnation of rank `r` the view considers
-/// alive; every lower incarnation has been declared dead and must be
-/// *fenced* — its frames rejected — so that two incarnations of one
-/// rank can never both have traffic accepted once the view has
-/// propagated. `epoch` increments on every declaration, so views are
-/// totally ordered and a receiver applies only newer ones.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MembershipView {
-    /// Monotonic epoch; bumped once per death declaration.
-    pub epoch: u64,
-    /// Per-rank lowest live incarnation (index = rank).
-    pub floor: Vec<u64>,
-}
-
-impl_wire_struct!(MembershipView { epoch, floor });
-
-impl MembershipView {
-    /// The initial view for `n` ranks: epoch 0, every rank's first
-    /// incarnation alive.
-    pub fn initial(n: usize) -> Self {
-        MembershipView { epoch: 0, floor: vec![1; n] }
-    }
-
-    /// The lowest incarnation of `rank` this view considers alive
-    /// (ranks outside the view — e.g. the service slot — are never
-    /// fenced).
-    pub fn live_floor(&self, rank: Rank) -> u64 {
-        self.floor.get(rank).copied().unwrap_or(0)
-    }
-
-    /// True when `incarnation` of `rank` has been declared dead under
-    /// this view.
-    pub fn is_fenced(&self, rank: Rank, incarnation: u64) -> bool {
-        incarnation < self.live_floor(rank)
-    }
-
-    /// Declares `incarnation` of `rank` dead: raises the rank's floor
-    /// above it and bumps the epoch. Returns `false` (and changes
-    /// nothing) when the view already fences that incarnation — stale
-    /// suspicions are idempotent.
-    pub fn declare_dead(&mut self, rank: Rank, incarnation: u64) -> bool {
-        if rank >= self.floor.len() || self.floor[rank] > incarnation {
-            return false;
-        }
-        self.floor[rank] = incarnation + 1;
-        self.epoch += 1;
-        true
-    }
-}
-
 /// Errors surfaced by protocol implementations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtocolError {
@@ -211,24 +157,6 @@ mod tests {
         let back: Determinant = decode_from_slice(&encode_to_vec(&d)).unwrap();
         assert_eq!(back, d);
         assert_eq!(d.key(), (1, 42));
-    }
-
-    #[test]
-    fn membership_view_roundtrip_and_fencing() {
-        let mut v = MembershipView::initial(3);
-        assert_eq!(v.epoch, 0);
-        assert!(!v.is_fenced(1, 1));
-        assert!(v.declare_dead(1, 1));
-        assert_eq!(v.epoch, 1);
-        assert!(v.is_fenced(1, 1));
-        assert!(!v.is_fenced(1, 2));
-        // Stale re-declaration is a no-op.
-        assert!(!v.declare_dead(1, 1));
-        assert_eq!(v.epoch, 1);
-        // The service slot (out of range) is never fenced.
-        assert!(!v.is_fenced(3, 1));
-        let back: MembershipView = decode_from_slice(&encode_to_vec(&v)).unwrap();
-        assert_eq!(back, v);
     }
 
     #[test]

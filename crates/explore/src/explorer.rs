@@ -264,8 +264,8 @@ fn dependent(a: &Alt, b: &Alt) -> bool {
         (Alt::Deliver { rank, .. }, Alt::Release { dst, .. })
         | (Alt::Release { dst, .. }, Alt::Deliver { rank, .. }) => rank == dst,
         // Faults are dependent with everything: a crash changes every
-        // rank's world (channels drained, membership, recovery
-        // traffic), so no commutation is claimed.
+        // rank's world (channels drained, recovery traffic), so no
+        // commutation is claimed.
         _ => true,
     }
 }

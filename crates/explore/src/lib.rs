@@ -19,16 +19,14 @@
 //! * A [`Decider`] supplies those choices: which held **data** envelope
 //!   to release next (arrival-order permutation) and which eligible
 //!   sender an `ANY_SOURCE` receive extracts (the `RecvQueue` choice
-//!   point). Control frames (acks, heartbeats) are flushed eagerly —
+//!   point). Control frames (acks, recovery traffic) are flushed eagerly —
 //!   they cannot change application-visible behavior while virtual
 //!   time is frozen, so branching on them would only pad the tree.
 //! * **Faults are choice points too.** With a nonzero [`FaultBudget`]
 //!   the scheduler may, at any quiescent step, crash a rank
-//!   ([`Alt::Crash`]), crash it *and* wipe its stable storage
-//!   ([`Alt::CrashWipe`]), or force the failure detector's hand
-//!   ([`Alt::Suspect`] — a verdict `true` kills the suspect, `false`
-//!   fences a live rank as a zombie). Recovery, replay, and fencing
-//!   then run over the same held fabric, so crash-interleaved
+//!   ([`Alt::Crash`]) or crash it *and* wipe its stable storage
+//!   ([`Alt::CrashWipe`]). Recovery and replay then run over the same
+//!   held fabric, so crash-interleaved
 //!   schedules stay pure functions of `(workload, trace)` and their
 //!   digests must *still* match the fault-free baseline.
 //! * [`explore_exhaustive`] enumerates the full decision tree by

@@ -18,7 +18,7 @@
 //! payload = deterministic
 //! checkpoints = every 2
 //! protocol = tdi-s 64
-//! faults = crashes=1 wipes=0 suspects=0
+//! faults = crashes=1 wipes=0 window=0
 //! trace = 1.0.2
 //! ```
 
@@ -112,8 +112,8 @@ impl fmt::Display for ReplayCase {
         }
         writeln!(
             f,
-            "faults = crashes={} wipes={} suspects={} window={}",
-            self.faults.crashes, self.faults.wipes, self.faults.suspects, self.faults.window
+            "faults = crashes={} wipes={} window={}",
+            self.faults.crashes, self.faults.wipes, self.faults.window
         )?;
         writeln!(f, "trace = {}", self.trace)
     }
@@ -194,9 +194,11 @@ impl FromStr for ReplayCase {
                         match k {
                             "crashes" => faults.crashes = v,
                             "wipes" => faults.wipes = v,
-                            "suspects" => faults.suspects = v,
                             "window" => faults.window = v,
-                            _ => return Err(bad("fault budget key")),
+                            _ => {
+                                let line = lineno + 1;
+                                return Err(format!("line {line}: unknown fault budget key {k:?}"));
+                            }
                         }
                     }
                     case.faults = faults;
@@ -266,8 +268,7 @@ mod tests {
             protocol: ProtocolKind::TdiSparse(64),
             faults: FaultBudget {
                 crashes: 1,
-                wipes: 0,
-                suspects: 1,
+                wipes: 1,
                 window: 9,
             },
             trace: vec![1, 0, 2].into(),
@@ -284,6 +285,16 @@ mod tests {
         assert!("workload = gather 3 2\nmystery = 1"
             .parse::<ReplayCase>()
             .is_err());
+    }
+
+    /// `suspects=` budgeted forced detector verdicts, which no longer
+    /// exist: a case file that still carries the key is refused, and
+    /// the error names it.
+    #[test]
+    fn parse_rejects_the_retired_suspects_key() {
+        let text = "workload = gather 3 2\nfaults = crashes=0 wipes=0 suspects=0 window=0";
+        let err = text.parse::<ReplayCase>().unwrap_err();
+        assert_eq!(err, "line 2: unknown fault budget key \"suspects\"");
     }
 
     #[test]

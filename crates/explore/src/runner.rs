@@ -1,6 +1,6 @@
 //! Deterministic single-threaded execution of a [`Workload`] over real
-//! [`Kernel`]s — including crash, wipe, and detector-verdict injection
-//! as schedule choice points.
+//! [`Kernel`]s — including crash and wipe injection as schedule choice
+//! points.
 //!
 //! The runner owns everything that is normally concurrent: the fabric
 //! runs in [held mode](lclog_simnet::DeliveryModel::Held) so sends park
@@ -16,22 +16,20 @@
 //! 2. **extraction order** — which eligible sender an `ANY_SOURCE`
 //!    receive takes (the `RecvQueue` choice the paper's
 //!    order-insensitivity argument is about);
-//! 3. **fault placement** — when a rank crashes ([`Alt::Crash`]), when
-//!    it crashes *and* loses its local store ([`Alt::CrashWipe`]), and
-//!    what the failure detector concludes ([`Alt::Suspect`] — a true
-//!    verdict kills the rank and fences its incarnation, a false one
-//!    fences a rank that is still running).
+//! 3. **fault placement** — when a rank crashes ([`Alt::Crash`]), and
+//!    when it crashes *and* loses its local store ([`Alt::CrashWipe`]).
+//!    Failures are announced, as the paper assumes: the crash and the
+//!    successor's start are one step.
 //!
 //! Everything else is *forced* and executed eagerly to a fixpoint
-//! between choice points: endpoint drains, control-frame flushes
-//! (acks, `ROLLBACK`/`RESPONSE`, membership views — they cannot change
-//! application-visible behavior while the clock is frozen and their
-//! processing is order-insensitive at the reliability layer), sends,
-//! source-specific receives (delivery order already fixed by channel
-//! FIFO), checkpoints at fixed program positions, and zombie
-//! retirement. An injected fault goes through the runtime's own
-//! incarnation lifecycle ([`RunEnv::lose`] / [`RunEnv::respawn`], the
-//! code every engine runs) and recovery rides the *real* protocol
+//! between choice points: endpoint drains, control-frame flushes (acks,
+//! `ROLLBACK`/`RESPONSE` — they cannot change application-visible
+//! behavior while the clock is frozen and their processing is
+//! order-insensitive at the reliability layer), sends, source-specific
+//! receives (delivery order already fixed by channel FIFO) and
+//! checkpoints at fixed program positions. An injected fault goes
+//! through the runtime's own incarnation lifecycle ([`RunEnv::lose`] /
+//! [`RunEnv::respawn`], the code every engine runs) and recovery rides the *real* protocol
 //! machinery — `begin_recovery`, `ROLLBACK` broadcast, survivor
 //! `RESPONSE`s and sender-log resends — with the resent data
 //! frames parking in held channels like any other send, so the
@@ -45,7 +43,7 @@
 use std::time::Duration;
 
 use bytes::Bytes;
-use lclog_core::{CounterVector, MembershipView, ProtocolKind, Rank};
+use lclog_core::{CounterVector, ProtocolKind, Rank};
 use lclog_runtime::{
     payload_is_app_frame, AppMsg, CheckpointImage, CheckpointPolicy, Clock, ClusterConfig, Death,
     Kernel, RecvSpec, RunConfig, RunEnv, RETRY_INTERVAL,
@@ -81,7 +79,7 @@ pub enum Alt {
         /// Channel destination.
         dst: Rank,
     },
-    /// Kill `rank` unannounced and respawn it through checkpoint
+    /// Kill `rank` and respawn it at once through checkpoint
     /// restore + rollback recovery. In-flight frames *toward* the rank
     /// die with it; frames it already sent stay in flight (a real
     /// crash cannot recall datagrams).
@@ -96,20 +94,6 @@ pub enum Alt {
         /// The victim.
         rank: Rank,
     },
-    /// Force a detector verdict on `rank`: the explorer synthesizes
-    /// the certified membership view a real arbiter would publish and
-    /// applies it to every survivor. `real: true` additionally kills
-    /// the rank first (correct detection); `real: false` leaves it
-    /// running as a fenced zombie (false suspicion) — it keeps
-    /// executing until a survivor rejects one of its frames or it
-    /// finishes, then is forcibly retired through the rollback path.
-    Suspect {
-        /// The suspected rank.
-        rank: Rank,
-        /// Whether the rank really is dead (`true`) or falsely
-        /// suspected (`false`).
-        real: bool,
-    },
 }
 
 impl std::fmt::Display for Alt {
@@ -119,8 +103,6 @@ impl std::fmt::Display for Alt {
             Alt::Release { src, dst } => write!(f, "release {src}->{dst}"),
             Alt::Crash { rank } => write!(f, "crash {rank}"),
             Alt::CrashWipe { rank } => write!(f, "crash+wipe {rank}"),
-            Alt::Suspect { rank, real: true } => write!(f, "suspect {rank} (true)"),
-            Alt::Suspect { rank, real: false } => write!(f, "suspect {rank} (false)"),
         }
     }
 }
@@ -131,12 +113,10 @@ impl std::fmt::Display for Alt {
 /// (the default) reproduces fault-free exploration exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultBudget {
-    /// Unannounced crash+respawn injections ([`Alt::Crash`]).
+    /// Crash+respawn injections ([`Alt::Crash`]).
     pub crashes: usize,
     /// Crash+store-wipe injections ([`Alt::CrashWipe`]).
     pub wipes: usize,
-    /// Forced detector verdicts ([`Alt::Suspect`], true and false).
-    pub suspects: usize,
     /// Fault alternatives are only offered during the first `window`
     /// executed steps of a schedule (`0` = anywhere). Faults are
     /// dependent with everything, so the fault-position axis is not
@@ -155,7 +135,7 @@ impl FaultBudget {
 
     /// Total injections this budget still allows.
     pub fn total(&self) -> usize {
-        self.crashes + self.wipes + self.suspects
+        self.crashes + self.wipes
     }
 }
 
@@ -270,9 +250,8 @@ impl RunOutcome {
     /// Whether this outcome matches `baseline` in every property the
     /// order-insensitivity claim covers: it completed, and both the
     /// per-rank digests and the per-rank `depend_interval` vectors are
-    /// identical. Faulty schedules are held to the *same* bar — crash,
-    /// wipe, and false-suspicion recovery must converge to the
-    /// fault-free result.
+    /// identical. Faulty schedules are held to the *same* bar — crash
+    /// and wipe recovery must converge to the fault-free result.
     pub fn agrees_with(&self, baseline: &RunOutcome) -> bool {
         self.verdict == Verdict::Completed
             && self.digests == baseline.digests
@@ -330,13 +309,6 @@ struct World<'w> {
     state: Vec<u64>,
     pc: Vec<usize>,
     incarnation: Vec<u64>,
-    /// Falsely suspected ranks still running (fenced by survivors).
-    zombie: Vec<bool>,
-    /// Monotone synthesized membership state: every forced verdict
-    /// bumps the epoch and raises the victim's floor, exactly like a
-    /// real arbiter's certified view sequence.
-    view_epoch: u64,
-    floors: Vec<u64>,
     /// Per rank, what the oldest generation a restore may fall back to
     /// delivered from each sender (`None`: the initial state). Under
     /// `log_gc_lag` that is the generation before the newest; re-read
@@ -371,9 +343,6 @@ impl<'w> World<'w> {
             state: vec![0u64; n],
             pc: vec![0usize; n],
             incarnation: vec![1u64; n],
-            zombie: vec![false; n],
-            view_epoch: 0,
-            floors: vec![1u64; n],
             fallback: vec![None; n],
             delivered: 0,
             faults_injected: 0,
@@ -384,11 +353,9 @@ impl<'w> World<'w> {
         self.pc[r] >= self.workload.programs[r].len()
     }
 
-    /// A rank's program may run: alive, not mid-recovery, not fenced.
-    /// Zombies *do* run — a falsely suspected rank does not know it
-    /// was suspected until a survivor rejects one of its frames.
+    /// A rank's program may run: it is not mid-recovery.
     fn runnable(&self, r: Rank) -> bool {
-        !self.kernels[r].is_recovering() && !self.kernels[r].is_fenced()
+        !self.kernels[r].is_recovering()
     }
 
     fn read_fallback(&mut self, r: Rank) {
@@ -430,8 +397,7 @@ impl<'w> World<'w> {
             }
 
             // Flush protocol frames (acks, checkpoint advances,
-            // rollback/response traffic, membership, fence notices)
-            // at channel heads. Application frames stay parked —
+            // rollback/response traffic) at channel heads. Application frames stay parked —
             // releasing them is a choice.
             for (src, dst, _) in self.env.net().held_channels() {
                 if src >= self.n || dst >= self.n {
@@ -492,23 +458,6 @@ impl<'w> World<'w> {
         }
     }
 
-    /// Forced retirement of fenced zombies and of falsely suspected
-    /// ranks that finished their (now void) program: the rank finally
-    /// "notices" it was declared dead and goes through the normal
-    /// crash path — kill, respawn above the fence floor, restore,
-    /// rollback recovery. Returns whether any rank was retired.
-    fn retire_zombies(&mut self) -> bool {
-        let mut retired = false;
-        for r in 0..self.n {
-            if self.zombie[r] && (self.kernels[r].is_fenced() || self.done(r)) {
-                self.zombie[r] = false;
-                self.crash_respawn(r, Death::Fenced);
-                retired = true;
-            }
-        }
-        retired
-    }
-
     /// Kill + respawn `rank` through the real recovery machinery.
     /// In-flight frames toward the victim die with it (the fabric's
     /// crash semantics); frames it already sent stay parked — a crash
@@ -516,8 +465,7 @@ impl<'w> World<'w> {
     /// must absorb whichever copies the schedule later releases.
     fn crash_respawn(&mut self, rank: Rank, death: Death) {
         let pc = self.pc[rank] as u64;
-        self.env
-            .lose(rank, self.incarnation[rank], pc, &self.kernels[rank], death);
+        self.env.lose(rank, pc, &self.kernels[rank], death);
         self.read_fallback(rank);
         self.incarnation[rank] += 1;
         // `checkpoint_if_due` images are `pc | state`, 8 bytes each.
@@ -529,34 +477,6 @@ impl<'w> World<'w> {
         self.state[rank] = state;
         self.kernels[rank] = kernel;
         self.endpoints[rank] = endpoint;
-    }
-
-    /// Synthesize the certified membership view a real arbiter would
-    /// publish for a verdict on `rank` and apply it to every survivor
-    /// (and, on a true verdict, to the replacement incarnation).
-    fn force_verdict(&mut self, rank: Rank, real: bool) {
-        self.view_epoch += 1;
-        self.floors[rank] = self.incarnation[rank] + 1;
-        let view = MembershipView {
-            epoch: self.view_epoch,
-            floor: self.floors.clone(),
-        };
-        if real {
-            for s in 0..self.n {
-                if s != rank {
-                    self.kernels[s].apply_membership(view.clone());
-                }
-            }
-            self.crash_respawn(rank, Death::Process);
-            self.kernels[rank].apply_membership(view);
-        } else {
-            for s in 0..self.n {
-                if s != rank {
-                    self.kernels[s].apply_membership(view.clone());
-                }
-            }
-            self.zombie[rank] = true;
-        }
     }
 
     fn execute(&mut self, alt: Alt) {
@@ -580,10 +500,6 @@ impl<'w> World<'w> {
                 self.faults_injected += 1;
                 self.crash_respawn(rank, Death::Node { torn_upload: false });
             }
-            Alt::Suspect { rank, real } => {
-                self.faults_injected += 1;
-                self.force_verdict(rank, real);
-            }
         }
     }
 
@@ -591,7 +507,7 @@ impl<'w> World<'w> {
     /// extractions by rank (sources in the queue's arrival order, as
     /// the runtime itself would prefer them), then releases in the
     /// fabric's sorted channel order, then fault alternatives (crashes
-    /// by rank, wipes by rank, true then false verdicts by rank). The
+    /// by rank, then wipes by rank). The
     /// canonical order keeps branch indices stable across replays and
     /// guarantees index 0 is never a fault while a regular action
     /// exists.
@@ -621,19 +537,15 @@ impl<'w> World<'w> {
         }
         // Faults are offered only where a regular action exists
         // ("injectable before any enabled delivery") and only while
-        // the system is quiescent fault-wise: no recovery in flight
-        // and no zombie walking. Targets must be alive, unfenced, and
-        // still have program left — crashing a finished rank only
-        // re-runs an already-counted result.
+        // the system is quiescent fault-wise: no recovery in flight.
+        // Targets must be alive and still have program left — crashing
+        // a finished rank only re-runs an already-counted result.
         let in_window = budget.window == 0 || step_idx < budget.window;
         if !alts.is_empty() && budget.total() > 0 && in_window {
-            let quiescent = (0..self.n)
-                .all(|r| !self.kernels[r].is_recovering() && !self.zombie[r]);
+            let quiescent = (0..self.n).all(|r| !self.kernels[r].is_recovering());
             if quiescent {
                 let eligible: Vec<Rank> = (0..self.n)
-                    .filter(|&r| {
-                        self.env.net().is_alive(r) && !self.kernels[r].is_fenced() && !self.done(r)
-                    })
+                    .filter(|&r| self.env.net().is_alive(r) && !self.done(r))
                     .collect();
                 if budget.crashes > 0 {
                     alts.extend(eligible.iter().map(|&rank| Alt::Crash { rank }));
@@ -641,34 +553,18 @@ impl<'w> World<'w> {
                 if budget.wipes > 0 {
                     alts.extend(eligible.iter().map(|&rank| Alt::CrashWipe { rank }));
                 }
-                if budget.suspects > 0 {
-                    alts.extend(eligible.iter().map(|&rank| Alt::Suspect { rank, real: true }));
-                    alts.extend(
-                        eligible.iter().map(|&rank| Alt::Suspect { rank, real: false }),
-                    );
-                }
             }
         }
         alts
     }
 
     fn finished(&self) -> bool {
-        (0..self.n).all(|r| {
-            self.done(r)
-                && !self.kernels[r].is_recovering()
-                && !self.kernels[r].is_fenced()
-                && !self.zombie[r]
-        })
+        (0..self.n).all(|r| self.done(r) && !self.kernels[r].is_recovering())
     }
 
     fn unfinished(&self) -> Vec<Rank> {
         (0..self.n)
-            .filter(|&r| {
-                !self.done(r)
-                    || self.kernels[r].is_recovering()
-                    || self.kernels[r].is_fenced()
-                    || self.zombie[r]
-            })
+            .filter(|&r| !self.done(r) || self.kernels[r].is_recovering())
             .collect()
     }
 
@@ -722,9 +618,6 @@ pub fn run_schedule_cfg(
 
     loop {
         world.forced_fixpoint();
-        if world.retire_zombies() {
-            continue;
-        }
         if world.kernels.iter().any(|k| k.is_desynced()) {
             return world.outcome(steps, Verdict::Desynced);
         }
@@ -765,7 +658,6 @@ pub fn run_schedule_cfg(
         match alt {
             Alt::Crash { .. } => budget.crashes -= 1,
             Alt::CrashWipe { .. } => budget.wipes -= 1,
-            Alt::Suspect { .. } => budget.suspects -= 1,
             _ => {}
         }
         steps.push(Step {

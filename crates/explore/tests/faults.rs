@@ -1,15 +1,12 @@
-//! Fault choice points under exploration: crashes, crash+wipe, and
-//! forced detector verdicts injected at every quiescent point of
-//! every schedule must all converge back to the fault-free baseline's
-//! digests and `depend_interval` vectors — the message-logging
-//! recovery guarantee checked as an exhaustive invariant instead of a
-//! handful of scripted failure scenarios.
+//! Fault choice points under exploration: crashes and crash+wipe
+//! injected at every quiescent point of every schedule must all
+//! converge back to the fault-free baseline's digests and
+//! `depend_interval` vectors — the message-logging recovery guarantee
+//! checked as an exhaustive invariant instead of a handful of scripted
+//! failure scenarios.
 
 use lclog_core::ProtocolKind;
-use lclog_explore::{
-    explore_dpor, run_schedule_cfg, Alt, ExploreConfig, FaultBudget, RunnerConfig, Trace,
-    TraceDecider, Verdict, Workload,
-};
+use lclog_explore::{explore_dpor, ExploreConfig, FaultBudget, Workload};
 
 fn cfg(faults: FaultBudget) -> ExploreConfig {
     ExploreConfig {
@@ -82,47 +79,7 @@ fn crash_wipe_with_checkpoints_agrees() {
     assert_eq!(report.wedged, 0, "a wipe schedule wedged");
 }
 
-/// Forced detector verdicts: at every quiescent point the explorer
-/// may declare any live rank failed. A `true` verdict kills and
-/// recovers it; a `false` verdict fences a perfectly healthy rank
-/// (zombie), which must be excised and recovered without digest
-/// damage — the "detector is allowed to be wrong" half of the fault
-/// model.
-#[test]
-fn suspect_matrix_n3_agrees_everywhere() {
-    let w = Workload::rotating_gather(3, 1);
-    let report = explore_dpor(
-        &w,
-        &cfg(FaultBudget {
-            suspects: 1,
-            ..FaultBudget::none()
-        }),
-    );
-    assert!(report.divergence.is_none(), "{:?}", report.divergence);
-    assert!(report.exhausted);
-    assert_eq!(report.wedged, 0, "a forced-verdict schedule wedged");
-}
-
-/// ISSUE target: n=3 with crash + false-suspicion *pairs* — up to two
-/// faults per schedule, exploring a real crash composed with a wrong
-/// verdict about a survivor.
-#[test]
-fn crash_plus_suspicion_pairs_n3_agree() {
-    let w = Workload::rotating_gather(3, 1);
-    let report = explore_dpor(
-        &w,
-        &cfg(FaultBudget {
-            crashes: 1,
-            suspects: 1,
-            ..FaultBudget::none()
-        }),
-    );
-    assert!(report.divergence.is_none(), "{:?}", report.divergence);
-    assert!(report.exhausted);
-    assert_eq!(report.wedged, 0);
-}
-
-/// ISSUE target: exhaustive n=4 with one crash choice point completes
+/// Exhaustive n=4 with one crash choice point completes
 /// and agrees everywhere — single crash, any target, any position,
 /// composed with *all* downstream interleavings. A second run with
 /// `FaultBudget::window` set must explore a strict subset of the same
@@ -158,36 +115,4 @@ fn crash_matrix_n4_agrees_everywhere() {
         "window did not prune late injection points"
     );
     assert!(windowed.digests_seen.is_subset(&report.digests_seen));
-}
-
-/// A single hand-picked false-suspicion schedule, end to end: force
-/// the highest-indexed alternative at the root — the canonical alt
-/// order puts `Suspect{real: false}` of the highest live rank last —
-/// and check the zombie is fenced, recovered, and the digests match.
-#[test]
-fn false_suspicion_single_run_converges() {
-    let w = Workload::rotating_gather(3, 2);
-    let rcfg = RunnerConfig {
-        faults: FaultBudget {
-            suspects: 1,
-            ..FaultBudget::none()
-        },
-        ..RunnerConfig::default()
-    };
-    let mut base = TraceDecider::new(Trace::new());
-    let baseline = run_schedule_cfg(&w, &mut base, &RunnerConfig::default());
-
-    let mut d = TraceDecider::new(vec![usize::MAX].into());
-    let out = run_schedule_cfg(&w, &mut d, &rcfg);
-    assert_eq!(out.verdict, Verdict::Completed);
-    assert_eq!(out.faults_injected, 1);
-    assert!(
-        out.steps.iter().any(|s| matches!(
-            s.action(),
-            Alt::Suspect { real: false, .. }
-        )),
-        "clamped trace did not select the false-suspicion alternative"
-    );
-    assert_eq!(out.digests, baseline.digests);
-    assert_eq!(out.interval_vectors, baseline.interval_vectors);
 }

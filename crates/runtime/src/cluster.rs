@@ -339,40 +339,9 @@ pub struct RunReport {
     /// Structured fault-tolerance timeline (empty unless
     /// [`ClusterConfig::trace`] was set).
     pub timeline: Vec<Event>,
-    /// Failure-detection bookkeeping (`None` unless the run had a
-    /// detector configured).
-    pub detector: Option<DetectorReport>,
     /// Replication bookkeeping (`None` unless the run had a remote
     /// configured).
     pub replicator: Option<ReplicatorStats>,
-}
-
-/// What a detected-failures run learned about its own detector: how
-/// fast real deaths were certified and how many live incarnations a
-/// false suspicion fenced.
-#[derive(Debug, Clone, Default)]
-pub struct DetectorReport {
-    /// Death declarations certified by the membership arbiter.
-    pub declarations: u32,
-    /// Live incarnations fenced by a false suspicion; each one cost a
-    /// full crash-and-rejoin cycle.
-    pub false_kills: u32,
-    /// Per injected kill that was certified: time from the crash to
-    /// the arbiter's declaration.
-    pub detection_latency: Vec<Duration>,
-    /// Respawns that started on the gate-timeout fallback instead of a
-    /// certified declaration (no survivor managed to detect in time).
-    pub gate_timeouts: u32,
-}
-
-impl DetectorReport {
-    /// Mean declared-dead latency across certified kills.
-    pub fn mean_latency(&self) -> Option<Duration> {
-        if self.detection_latency.is_empty() {
-            return None;
-        }
-        Some(self.detection_latency.iter().sum::<Duration>() / self.detection_latency.len() as u32)
-    }
 }
 
 /// Entry point for running applications under rollback recovery.

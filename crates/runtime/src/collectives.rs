@@ -92,8 +92,8 @@ where
     while filled < n {
         // Non-deterministic delivery: take whichever rank's
         // contribution becomes deliverable first. A dead contributor
-        // surfaces here as a `Fault` from `recv_value` (unreachable /
-        // detector-declared), which `?` propagates so the survivor
+        // surfaces here as a `Fault` from `recv_value` (unreachable),
+        // which `?` propagates so the survivor
         // takes the normal recovery path instead of panicking.
         let (src, v) = ctx.recv_value::<T>(RecvSpec::any_source(tag)).await?;
         if contributions[src].is_some() {

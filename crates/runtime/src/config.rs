@@ -1,4 +1,3 @@
-use crate::detector::DetectorConfig;
 use lclog_core::ProtocolKind;
 use lclog_simnet::Clock;
 
@@ -62,12 +61,6 @@ pub struct RunConfig {
     pub comm: CommMode,
     /// Checkpoint cadence.
     pub checkpoint: CheckpointPolicy,
-    /// When `Some`, failures are *detected* instead of announced: the
-    /// φ-accrual detector runs at every rank, the membership arbiter
-    /// runs on the service slot, stale incarnations are fenced, and
-    /// budget exhaustion becomes a suspicion input rather than a
-    /// unilateral [`crate::Fault::Unreachable`] verdict.
-    pub detector: Option<DetectorConfig>,
     /// Time source for the kernel stack. [`Clock::Real`] (the default)
     /// reads the wall clock; [`Clock::Sim`] pins every kernel-path
     /// timestamp to a scheduler-advanced virtual clock, making runs
@@ -95,7 +88,6 @@ impl RunConfig {
             protocol,
             comm: CommMode::NonBlocking,
             checkpoint: CheckpointPolicy::EverySteps(64),
-            detector: None,
             clock: Clock::Real,
             log_gc_lag: false,
             engine: EngineMode::Threads,
@@ -111,13 +103,6 @@ impl RunConfig {
     /// Builder-style checkpoint policy override.
     pub fn with_checkpoint(mut self, policy: CheckpointPolicy) -> Self {
         self.checkpoint = policy;
-        self
-    }
-
-    /// Builder-style detector enablement: switch from announced to
-    /// detected failures.
-    pub fn with_detector(mut self, detector: DetectorConfig) -> Self {
-        self.detector = Some(detector);
         self
     }
 

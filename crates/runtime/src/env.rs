@@ -4,8 +4,8 @@
 //!
 //! A [`RunEnv`] owns what a run shares (fabric, adjusted [`RunConfig`],
 //! checkpoint store, raw store, replicator, timeline sink, failure
-//! plan, membership table, result board; no other run shares its
-//! storage or replicator) and is the only code that
+//! plan, result board; no other run shares its storage or replicator)
+//! and is the only code that
 //!
 //! * opens storage ([`RunEnv::open`]),
 //! * boots incarnation 1 ([`RunEnv::attach`], [`RunEnv::boot`]),
@@ -13,7 +13,6 @@
 //!   loses every frame in flight toward the victim → tally → on node
 //!   loss drain the replicator, tear the newest upload if asked, wipe →
 //!   `StoreWiped`),
-//! * gates the successor on detection ([`RunEnv::may_respawn`]),
 //! * brings up the successor ([`RunEnv::respawn`]: endpoint →
 //!   `Spawned` → [`Kernel::respawn`], the restore and the `ROLLBACK`
 //!   broadcast),
@@ -24,10 +23,14 @@
 //! [`crate::Cluster::run`] too), the schedule explorer at
 //! decider-chosen points — so the crash path the explorer model-checks
 //! is the one that ships.
+//!
+//! Failures are announced, as the paper assumes: a death is a
+//! [`FailurePlan`] kill (or a fault the application surfaced), booked
+//! by [`RunEnv::lose`], and the driver respawns the successor in the
+//! same sweep boundary. Nothing has to detect it.
 
-use crate::cluster::{ClusterConfig, DetectorReport, FailurePlan, RunReport, StorageKind};
+use crate::cluster::{ClusterConfig, FailurePlan, RunReport, StorageKind};
 use crate::config::RunConfig;
-use crate::detector::{MembershipTable, GATE_TIMEOUT};
 use crate::events::{EventKind, EventSink};
 use crate::kernel::Kernel;
 use crate::replicator::Replicator;
@@ -36,10 +39,8 @@ use lclog_core::{Rank, TrackingStats};
 use lclog_simnet::{Endpoint, SimNet};
 use lclog_stable::{CheckpointStore, DiskStore, MemStore, StableStorage};
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// What died with an incarnation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,9 +54,6 @@ pub enum Death {
         /// The node died mid-upload.
         torn_upload: bool,
     },
-    /// A live incarnation the membership service declared dead (false
-    /// suspicion); it rejoins like a crashed one.
-    Fenced,
 }
 
 /// Stable-storage wrapper that mirrors checkpoint generations into the
@@ -113,11 +111,6 @@ struct Board {
     tracking_time: Duration,
     done: usize,
     kills: u32,
-    false_kills: u32,
-    gate_timeouts: u32,
-    /// When each unfenced incarnation died (run clock): detection
-    /// latency and the respawn gate's fallback.
-    killed_at: HashMap<(Rank, u64), Instant>,
 }
 
 /// Everything one run shares; see the module docs.
@@ -133,8 +126,6 @@ pub struct RunEnv {
     pub(crate) replicator: Option<Arc<Replicator>>,
     pub(crate) sink: EventSink,
     plan: FailurePlan,
-    /// The arbiter's table (detected-failures runs only).
-    pub(crate) membership: Option<Rc<MembershipTable>>,
     board: RefCell<Board>,
 }
 
@@ -175,7 +166,6 @@ impl RunEnv {
         Ok(RunEnv {
             n,
             net: SimNet::with_clock(n + 1, cfg.net.clone(), run.clock.clone()),
-            membership: run.detector.map(|_| Rc::new(MembershipTable::new(n))),
             run,
             ckpts: CheckpointStore::new(storage),
             raw,
@@ -189,9 +179,6 @@ impl RunEnv {
                 tracking_time: Duration::ZERO,
                 done: 0,
                 kills: 0,
-                false_kills: 0,
-                gate_timeouts: 0,
-                killed_at: HashMap::new(),
             }),
         })
     }
@@ -242,32 +229,19 @@ impl RunEnv {
         })
     }
 
-    /// This incarnation of `rank` is dead. Its engine must already have
-    /// stopped touching `kernel`.
-    pub fn lose(&self, rank: Rank, incarnation: u64, step: u64, kernel: &Kernel, death: Death) {
+    /// This incarnation of `rank`, unfinished, is dead. Its engine must
+    /// already have stopped touching `kernel`.
+    pub fn lose(&self, rank: Rank, step: u64, kernel: &Kernel, death: Death) {
         self.sink.emit(rank, EventKind::Crashed { step });
         self.net.kill(rank);
         let snap = kernel.snapshot();
         {
             let mut board = self.board.borrow_mut();
+            debug_assert!(board.digests[rank].is_none(), "rank {rank} died after Done");
             board.kills += 1;
-            if death == Death::Fenced {
-                board.false_kills += 1;
-            } else {
-                board
-                    .killed_at
-                    .insert((rank, incarnation), self.run.clock.now());
-            }
-            if board.digests[rank].is_none() {
-                board.stats[rank].merge(&snap.stats);
-                board.data_plane[rank].merge(&snap.data_plane);
-                board.tracking_time += snap.tracking_time;
-            } else {
-                // Fenced after `Done`: the counters were tallied with
-                // the digest, the digest is void.
-                board.digests[rank] = None;
-                board.done -= 1;
-            }
+            board.stats[rank].merge(&snap.stats);
+            board.data_plane[rank].merge(&snap.data_plane);
+            board.tracking_time += snap.tracking_time;
         }
         if let Death::Node { torn_upload } = death {
             // Drain the replicator before the replacement comes up: the
@@ -287,31 +261,7 @@ impl RunEnv {
         }
     }
 
-    /// The respawn gate, never blocking: may `incarnation` (> 1) of
-    /// `rank` come up now? With detected failures only once the arbiter
-    /// certified its predecessor dead, or — liveness, counted in
-    /// [`DetectorReport::gate_timeouts`] — 1 s after the death on the
-    /// run's clock. A driver asks every round while the rank is down.
-    pub(crate) fn may_respawn(&self, rank: Rank, incarnation: u64) -> bool {
-        let Some(table) = &self.membership else {
-            return true;
-        };
-        if table.floor_above(rank, incarnation - 1) {
-            return true;
-        }
-        let mut board = self.board.borrow_mut();
-        let Some(&died) = board.killed_at.get(&(rank, incarnation - 1)) else {
-            return true; // fenced, so declared already
-        };
-        if self.run.clock.now().saturating_duration_since(died) < GATE_TIMEOUT {
-            return false;
-        }
-        board.gate_timeouts += 1;
-        true
-    }
-
-    /// Bring up `incarnation` (> 1) of `rank` once the respawn gate
-    /// allows it (always, without a detector). `decode` reads the
+    /// Bring up `incarnation` (> 1) of `rank`. `decode` reads the
     /// checkpointed application state; `None` in the third place means
     /// no usable image, so the caller restarts the application from
     /// its initial state and both roll forward.
@@ -373,23 +323,6 @@ impl RunEnv {
         board.stats.iter().for_each(|s| stats.merge(s));
         let mut data_plane = DataPlaneStats::default();
         board.data_plane.iter().for_each(|d| data_plane.merge(d));
-        let detector = self.membership.as_ref().map(|table| {
-            let declarations = table.declarations();
-            DetectorReport {
-                declarations: declarations.len() as u32,
-                false_kills: board.false_kills,
-                gate_timeouts: board.gate_timeouts,
-                // A declaration matching no recorded death was a false
-                // suspicion and has no latency.
-                detection_latency: declarations
-                    .iter()
-                    .filter_map(|decl| {
-                        let died = board.killed_at.get(&(decl.rank, decl.incarnation))?;
-                        Some(decl.at.saturating_duration_since(*died))
-                    })
-                    .collect(),
-            }
-        });
         let net = self.net.stats();
         Ok(RunReport {
             digests: board
@@ -411,7 +344,6 @@ impl RunEnv {
             per_rank_data_plane: board.data_plane.clone(),
             data_plane,
             timeline: self.sink.take(),
-            detector,
             replicator: self.replicator.as_ref().map(|r| r.stats()),
         })
     }

@@ -100,41 +100,6 @@ pub enum EventKind {
         /// Final step count.
         step: u64,
     },
-    /// The accrual failure detector at this rank crossed its threshold
-    /// for a peer and reported a suspicion to the membership arbiter.
-    PeerSuspected {
-        /// The suspected rank.
-        peer: Rank,
-        /// The suspected incarnation.
-        incarnation: u64,
-        /// Accrued suspicion at the crossing, in hundredths of φ.
-        phi_x100: u64,
-    },
-    /// The membership arbiter declared an incarnation dead and bumped
-    /// the epoch.
-    MembershipBumped {
-        /// The new membership epoch.
-        epoch: u64,
-        /// The rank declared dead.
-        dead: Rank,
-        /// The incarnation declared dead.
-        incarnation: u64,
-    },
-    /// This rank learned it was declared dead while still running (a
-    /// false suspicion): it must drop volatile state and rejoin via
-    /// the normal rollback path.
-    SelfFenced {
-        /// Membership epoch of the view that fenced it.
-        epoch: u64,
-    },
-    /// A frame from a fenced (stale) incarnation was rejected at the
-    /// reliability layer.
-    StaleFenced {
-        /// The rank whose stale incarnation sent the frame.
-        peer: Rank,
-        /// The stale incarnation.
-        incarnation: u64,
-    },
     /// The tracking layer's piggyback merge rejected a message the
     /// delivery gate had approved. The message was discarded, the
     /// delivery counter left untouched, and the rank marked
@@ -193,30 +158,6 @@ impl fmt::Display for EventKind {
                 write!(f, "logger answered rank {failed}'s query with {count} determinants")
             }
             EventKind::Done { step } => write!(f, "done at step {step}"),
-            EventKind::PeerSuspected {
-                peer,
-                incarnation,
-                phi_x100,
-            } => write!(
-                f,
-                "suspected rank {peer} (incarnation {incarnation}, phi {}.{:02})",
-                phi_x100 / 100,
-                phi_x100 % 100
-            ),
-            EventKind::MembershipBumped {
-                epoch,
-                dead,
-                incarnation,
-            } => write!(
-                f,
-                "membership epoch {epoch}: declared rank {dead} incarnation {incarnation} dead"
-            ),
-            EventKind::SelfFenced { epoch } => {
-                write!(f, "FENCED by membership epoch {epoch}: dropping volatile state")
-            }
-            EventKind::StaleFenced { peer, incarnation } => {
-                write!(f, "rejected frame from fenced incarnation {incarnation} of rank {peer}")
-            }
             EventKind::TrackingDesync { src, send_index } => {
                 write!(
                     f,

@@ -9,15 +9,7 @@ pub enum Fault {
     /// cluster harness treats this like a crash (restore + `ROLLBACK`)
     /// so the operation is retried against whatever incarnation of the
     /// peer eventually answers, instead of hanging forever.
-    ///
-    /// Only surfaced when no detector is configured; with one, budget
-    /// exhaustion feeds the detector instead.
     Unreachable(Rank),
-    /// A membership view declared this very incarnation dead (a false
-    /// suspicion caught it alive). The rank must drop its volatile
-    /// state and rejoin through the normal rollback path — continuing
-    /// would mix two incarnations' sends into one membership epoch.
-    Fenced,
     /// The tracking layer's piggyback merge rejected a message the
     /// delivery gate had approved (e.g. a poisoned or stale piggyback
     /// admitted across an incarnation boundary). The protocol state on
@@ -42,9 +34,6 @@ impl fmt::Display for Fault {
         match self {
             Fault::Unreachable(peer) => {
                 write!(f, "peer rank {peer} unreachable (retransmit budget exhausted)")
-            }
-            Fault::Fenced => {
-                write!(f, "this incarnation was declared dead (fenced); must rejoin")
             }
             Fault::Desync => {
                 write!(f, "tracking merge rejected a gate-approved message; rank desynchronized")

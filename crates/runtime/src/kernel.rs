@@ -12,9 +12,15 @@
 //! | `rec` ([`crate::recovery`])       | state machine, sender log, suppression bound, checkpoints | 8–9, 12, 32–53 |
 //! | `trk` ([`crate::tracking`])       | `LoggingProtocol` box, `last_send_index`, stats           | 10–11, 15–31   |
 //! | `del` ([`crate::delivery`])       | receiving queue, `last_deliver_index`                     | 13–17          |
-//! | `transport` ([`crate::transport`]) | CRC framing, sequencing, dedup, ack/retransmit, fencing  | —              |
-//! | `acked`, `rendezvous`, `detector`, `resync_pacer` | rendezvous acks and resend timer, φ-accrual detector, `RESYNC_REQ` pacing | — |
-//! | `fenced`, `desynced`              | the verdicts the driver polls between calls               | —              |
+//! | `transport` ([`crate::transport`]) | CRC framing, sequencing, dedup, ack/retransmit           | —              |
+//! | `acked`, `rendezvous`, `resync_pacer` | rendezvous acks and resend timer, `RESYNC_REQ` pacing | —              |
+//! | `desynced`                        | the verdict the driver polls between calls                | —              |
+//!
+//! Failures are announced, as the paper assumes: the driver kills an
+//! incarnation and brings up its successor, which broadcasts
+//! `ROLLBACK`. Nothing here watches for silence; a peer that stays
+//! silent through the whole retransmit budget is written off
+//! ([`crate::Fault::Unreachable`]).
 //!
 //! One thread drives every rank of a job, so there is no lock and no
 //! lock order: a `Kernel` is neither `Send` nor `Sync`, and the
@@ -32,8 +38,7 @@
 //! messages it newly covers, so on a ring it is one frame, not n − 1.
 //! Sections proportional to n are still accepted: that fan-out under
 //! TAG-f and TEL (their peers prune on any rank's checkpoint), a
-//! `ROLLBACK` (re)broadcast, heartbeats, the tick's scan of the peer
-//! table.
+//! `ROLLBACK` (re)broadcast, the tick's scan of the peer table.
 //!
 //! Cumulative transport acks are batched: the transport marks channels
 //! dirty and [`Kernel::ingest_batch`] flushes one ack per peer per
@@ -42,23 +47,21 @@
 use crate::backoff::RetryBackoff;
 use crate::config::RunConfig;
 use crate::delivery::{Admit, Delivery};
-use crate::detector::Detector;
 use crate::events::{EventKind, EventSink};
 use crate::fault::Fault;
 use crate::log::{LogEntry, SenderLog};
 use crate::message::{
-    AppMsg, AppWire, CkptAdvanceWire, RecvSpec, ResponseWire, RollbackWire, SuspectWire, WireMsg,
+    AppMsg, AppWire, CkptAdvanceWire, RecvSpec, ResponseWire, RollbackWire, WireMsg,
 };
 use crate::recovery::{RecoveryLayer, RecoveryPhase, Transition};
 use crate::recvq::Pending;
 use crate::replicator::Replicator;
 use crate::tracking::Tracking;
 use crate::transport::{
-    decode_envelope, DataPlaneStats, Ingest, Transport, TransportConfig, RETRANSMIT_CAP,
-    RETRANSMIT_TIMEOUT,
+    decode_envelope, DataPlaneStats, Transport, TransportConfig, RETRANSMIT_CAP, RETRANSMIT_TIMEOUT,
 };
 use bytes::Bytes;
-use lclog_core::{make_protocol, CounterVector, DeliveryVerdict, MembershipView, Rank, TrackingStats};
+use lclog_core::{make_protocol, CounterVector, DeliveryVerdict, Rank, TrackingStats};
 use lclog_simnet::{Envelope, SimNet};
 use lclog_stable::{CheckpointStore, StableStorage};
 use lclog_wire::{encode_to_vec, impl_wire_struct};
@@ -116,9 +119,6 @@ pub struct KernelSnapshot {
     pub dup_discarded: u64,
     /// Corrupt frames the transport detected.
     pub corrupt_detected: u64,
-    /// Frames rejected (and answered with `FENCED`) because they came
-    /// from a below-floor incarnation.
-    pub fenced_rejected: u64,
     /// Data-plane byte accounting: frames built, bytes framed, payload
     /// copies, zero-copy resends.
     pub data_plane: DataPlaneStats,
@@ -149,8 +149,8 @@ struct State {
     rec: RecoveryLayer,
     trk: Tracking,
     del: Delivery,
-    /// CRC framing, sequencing, dedup, ack/retransmit, fencing — every
-    /// wire message crosses it. Sends to dead ranks are retransmitted
+    /// CRC framing, sequencing, dedup, ack/retransmit — every wire
+    /// message crosses it. Sends to dead ranks are retransmitted
     /// until the peer's next incarnation answers (or the budget writes
     /// it off); recovery resends cover anything lost with the old one.
     transport: Transport,
@@ -160,19 +160,12 @@ struct State {
     /// send_index, last transmission)`: `tick` resends it every
     /// [`RETRY_INTERVAL`] until it is acknowledged.
     rendezvous: Option<(Rank, u64, Instant)>,
-    /// φ-accrual failure detector (detected-failures mode only).
-    detector: Option<Detector>,
     /// Full-jitter pacing of outgoing `RESYNC_REQ` frames (TDI-S): the
     /// protocol re-queues a request on *every* gate check while a
     /// channel is parked behind an undecodable frame, so without
     /// pacing each kernel tick re-sends the request and a slow or lost
     /// `RESYNC_SNAP` turns into a request storm.
     resync_pacer: ResyncPacer,
-    /// A membership view (or a peer's `Fenced` notice) declared this
-    /// incarnation dead; set in the call in which the transport reached
-    /// that verdict. The driver polls it and surfaces
-    /// [`crate::Fault::Fenced`].
-    fenced: bool,
     /// Set when the tracking merge rejected a gate-approved message:
     /// the protocol state can no longer be trusted. The driver polls it
     /// and surfaces [`crate::Fault::Desync`] so the rank rebuilds
@@ -246,13 +239,9 @@ impl Kernel {
     pub fn new(me: Rank, n: usize, cfg: RunConfig, net: SimNet, ckpt_store: CheckpointStore) -> Self {
         let protocol = make_protocol(cfg.protocol, me, n);
         let logger = protocol.wants_event_logger().then(|| crate::logger_rank(n));
-        let mut transport =
+        let transport =
             Transport::new(me, net.n(), net, TransportConfig::standard(cfg.clock.clone()));
         let now = cfg.clock.now();
-        let detector = cfg.detector.map(|dcfg| Detector::new(me, n, dcfg, now));
-        // With a detector, retransmit-budget exhaustion is a suspicion
-        // input, not a unilateral `unreachable` verdict.
-        transport.suspicion_mode = detector.is_some();
         let state = State {
             rec: RecoveryLayer::new(n, ckpt_store, now),
             trk: Tracking::new(protocol, n),
@@ -260,9 +249,7 @@ impl Kernel {
             transport,
             acked: CounterVector::zeroed(n),
             rendezvous: None,
-            detector,
             resync_pacer: ResyncPacer::new(me, n),
-            fenced: false,
             desynced: false,
         };
         Kernel {
@@ -327,7 +314,6 @@ impl Kernel {
             queued: st.del.queue.len(),
             dup_discarded: st.transport.dup_discarded,
             corrupt_detected: st.transport.corrupt_detected,
-            fenced_rejected: st.transport.fenced_rejected,
             data_plane: st.transport.dp.clone(),
         }
     }
@@ -341,14 +327,6 @@ impl Kernel {
     /// information.
     pub fn is_recovering(&self) -> bool {
         self.state.borrow().rec.machine.is_recovering()
-    }
-
-    /// True once a membership view (or a peer's `FENCED` notice)
-    /// declared this very incarnation dead. The driver must stop the
-    /// application with [`crate::Fault::Fenced`]: volatile state is
-    /// forfeit, the successor rejoins via `ROLLBACK`.
-    pub fn is_fenced(&self) -> bool {
-        self.state.borrow().fenced
     }
 
     /// True once the tracking merge rejected a gate-approved message.
@@ -489,40 +467,26 @@ impl Kernel {
     /// inner message is applied.
     fn ingest_env(&self, st: &mut State, env: Envelope) {
         let src = env.src;
-        let frame = decode_envelope(&env);
-        let inner = match st.transport.ingest(src, frame) {
-            Ingest::Dropped => {
-                // What was dropped may have been a `FENCED` notice.
-                st.fenced |= st.transport.is_self_fenced();
-                return;
-            }
-            Ingest::Heard => None,
-            Ingest::Data(inner) => Some(inner),
+        let Some(inner) = st.transport.ingest(src, decode_envelope(&env)) else {
+            return;
         };
-        // Intact frames double as liveness evidence for the detector.
-        if let Some(det) = &mut st.detector {
-            det.heard(src, self.cfg.clock.now());
-        }
         // Zero-copy decode: `App` payload and piggyback come out as
         // windows into the ingested frame, not fresh allocations. Any
-        // fabric peer can frame bytes that are not a message; they are
-        // dropped (the transport has already acknowledged the frame).
-        let Some(Ok(msg)) = inner.map(|b| lclog_wire::decode_from_bytes::<WireMsg>(&b)) else {
+        // fabric peer can frame bytes that are not a message (a retired
+        // tag among them); they are counted and dropped (the transport
+        // has already acknowledged the frame).
+        let Ok(msg) = lclog_wire::decode_from_bytes::<WireMsg>(&inner) else {
+            st.transport.corrupt_detected += 1;
             return;
         };
         match msg {
             // Frames no correct peer sends — from the service slot, any
-            // but the logger's and the arbiter's (other arms index by
-            // `src`); an answer to a `ROLLBACK` or `LOG_QUERY` this
-            // incarnation never sent, a resync request naming someone
-            // else, a service-bound message at an application rank —
-            // are counted and dropped like undecodable ones.
-            _ if src >= self.n
-                && !matches!(
-                    msg,
-                    WireMsg::LogAck(_) | WireMsg::LogQueryResp(_) | WireMsg::Membership(_)
-                ) =>
-            {
+            // but the logger's (other arms index by `src`); an answer to
+            // a `ROLLBACK` or `LOG_QUERY` this incarnation never sent, a
+            // resync request naming someone else, a service-bound
+            // message at an application rank — are counted and dropped
+            // like undecodable ones.
+            _ if src >= self.n && !matches!(msg, WireMsg::LogAck(_) | WireMsg::LogQueryResp(_)) => {
                 st.transport.corrupt_detected += 1;
             }
             WireMsg::Response(_) | WireMsg::LogQueryResp(_)
@@ -531,9 +495,7 @@ impl Kernel {
                 st.transport.corrupt_detected += 1;
             }
             WireMsg::ResyncReq(who) if who as Rank != src => st.transport.corrupt_detected += 1,
-            WireMsg::LogDets(_) | WireMsg::LogQuery(_) | WireMsg::Suspect(_) => {
-                st.transport.corrupt_detected += 1;
-            }
+            WireMsg::LogDets(_) | WireMsg::LogQuery(_) => st.transport.corrupt_detected += 1,
             WireMsg::App(wire) => {
                 // The re-ack a repetitive rendezvous duplicate is owed.
                 if let Admit::Repetitive {
@@ -578,7 +540,6 @@ impl Kernel {
                     self.finish_sync(trk, done);
                 }
             }
-            WireMsg::Membership(view) => self.handle_membership(st, view),
             WireMsg::ResyncReq(_) => {
                 if let Some(bytes) = st.trk.protocol.resync_snapshot(src) {
                     st.transport.send_msg(src, &WireMsg::ResyncSnap(bytes.into()));
@@ -925,6 +886,14 @@ impl Kernel {
         // be resent/regenerated with identical identities; keeping the
         // queued copies is both correct (dedup by send_index) and
         // faster.
+        //
+        // This `ROLLBACK` announces that src died. If we are recovering
+        // too and src still owes us a `RESPONSE`, our own `ROLLBACK`
+        // died with its predecessor's inbox: send it again now rather
+        // than at the next timed rebroadcast.
+        if st.rec.machine.is_recovering() && st.rec.machine.pending_targets().contains(&src) {
+            self.broadcast_rollback(st);
+        }
     }
 
     /// Resend the logged sends to `dst` with `send_index` in
@@ -982,67 +951,18 @@ impl Kernel {
         self.resend_logged(st, src, w.delivered_from_you, restored);
     }
 
-    /// A certified membership view from the arbiter. Three duties:
-    ///
-    /// 1. Raise the transport's fence floors, so below-floor
-    ///    incarnations are rejected (and notified) from here on — and
-    ///    publish the verdict if the view fences *us*.
-    /// 2. Reset the detector's book on every newly-declared rank: the
-    ///    successor incarnation starts with a clean silence clock and
-    ///    an unlatched suspicion.
-    /// 3. **Supervised recovery**: if we are mid-recovery and a rank
-    ///    we are still owed a `RESPONSE` by was just declared dead,
-    ///    re-drive the `ROLLBACK` broadcast immediately — its
-    ///    successor needs our rollback vector, and waiting for the
-    ///    retry clock would leave `Replaying{progress}` wedged on a
-    ///    corpse for a whole retry interval per cascade link.
-    fn handle_membership(&self, st: &mut State, view: MembershipView) {
-        let Some(advanced) = st.transport.apply_fence_floors(view.epoch, &view.floor) else {
-            return; // stale or already-applied view
-        };
-        st.fenced |= st.transport.is_self_fenced();
-        if let Some(det) = &mut st.detector {
-            let now = self.cfg.clock.now();
-            for &r in &advanced {
-                det.reset_peer(r, now);
-            }
-        }
-        if !st.rec.machine.is_recovering() {
-            return;
-        }
-        let pending = st.rec.machine.pending_targets();
-        if advanced.iter().any(|r| pending.contains(r)) {
-            self.broadcast_rollback(st);
-        }
-    }
-
-    /// Forced-verdict entry point for deterministic harnesses: apply a
-    /// certified membership view exactly as if the arbiter had
-    /// delivered it over the wire. The schedule explorer uses this to
-    /// make detector outcomes *choice points* — it synthesizes the
-    /// `(epoch, floor[])` view a real arbiter would certify for a
-    /// chosen verdict and applies it synchronously to each survivor,
-    /// instead of waiting on φ-accrual timing that virtual time never
-    /// advances past. Semantically identical to receiving
-    /// `WireMsg::Membership(view)`; idempotent and safe on stale
-    /// views (they are ignored, like any non-advancing view).
-    pub fn apply_membership(&self, view: MembershipView) {
-        self.handle_membership(&mut self.state.borrow_mut(), view);
-    }
-
     /// Periodic maintenance, one borrow: drive the
     /// transport's retransmission timers, pace the sparse codec's
-    /// resync requests, run the failure detector (forced suspicions,
-    /// threshold crossings, idle heartbeats, reports to the arbiter),
-    /// rebroadcast `ROLLBACK` to peers that have not responded (they
+    /// resync requests, rebroadcast `ROLLBACK` to peers that have not
+    /// responded (they
     /// may have been dead when the first broadcast went out — the
     /// multi-failure case of Fig. 2), resend an unacknowledged
     /// rendezvous send, and flush coalesced acks.
     pub fn tick(&self) {
         let now = self.cfg.clock.now();
         let mut st = self.state.borrow_mut();
-        let State { trk, transport, detector, resync_pacer, .. } = &mut *st;
-        let overdue = transport.tick();
+        let State { trk, transport, resync_pacer, .. } = &mut *st;
+        transport.tick();
         // Frames queued behind an undecodable one stay parked until
         // the snapshot round-trip completes, so the *first* request
         // goes out on the first tick. Re-requests are paced by a
@@ -1054,39 +974,6 @@ impl Kernel {
         if !resyncs.is_empty() {
             for src in resync_pacer.admit(&resyncs, now) {
                 transport.send_msg(src, &WireMsg::ResyncReq(self.me as u32));
-            }
-        }
-        if let Some(det) = detector {
-            // Budget exhaustion = forced threshold crossing.
-            let mut crossed: Vec<(Rank, u64)> = Vec::new();
-            for r in overdue {
-                if det.force_suspect(r) {
-                    crossed.push((r, (det.phi(r, now) * 100.0) as u64));
-                }
-            }
-            crossed.extend(det.poll(now));
-            if det.heartbeat_due(now) {
-                for k in 0..self.n {
-                    if k != self.me {
-                        transport.send_heartbeat(k);
-                    }
-                }
-            }
-            for (r, phi_x100) in crossed {
-                let incarnation = transport.believed_incarnation(r);
-                self.events.emit(
-                    self.me,
-                    EventKind::PeerSuspected {
-                        peer: r,
-                        incarnation,
-                        phi_x100,
-                    },
-                );
-                let suspect = WireMsg::Suspect(SuspectWire {
-                    rank: r as u32,
-                    incarnation,
-                });
-                transport.send_msg(crate::logger_rank(self.n), &suspect);
             }
         }
         if st.rec.machine.rebroadcast_due(RETRY_INTERVAL, now) {
@@ -1206,8 +1093,6 @@ impl std::fmt::Debug for Kernel {
             .field("recovery_phase", rec.machine.phase())
             .field("dup_discarded", &transport.dup_discarded)
             .field("corrupt_detected", &transport.corrupt_detected)
-            .field("fence_epoch", &transport.fence_epoch)
-            .field("fenced_rejected", &transport.fenced_rejected)
             .field("channels", &transport.channel_summary())
             .finish()
     }
@@ -1837,9 +1722,32 @@ mod tests {
 
     #[test]
     fn service_bound_messages_at_an_app_rank_are_counted_drops() {
-        let suspect = SuspectWire { rank: 0, incarnation: 1 };
-        let forged = [WireMsg::LogDets(vec![]), WireMsg::LogQuery(0), WireMsg::Suspect(suspect)];
-        assert_eq!(corrupt_count_after(0, false, &forged), 3);
+        let forged = [WireMsg::LogDets(vec![]), WireMsg::LogQuery(0)];
+        assert_eq!(corrupt_count_after(0, false, &forged), 2);
+    }
+
+    /// Tags 9 and 10 of `WireMsg` once carried suspicion reports and
+    /// membership views. A data frame whose message still carries one,
+    /// in either old shape and from a rank or the service slot, is
+    /// counted and dropped, and the rank keeps serving.
+    #[test]
+    fn messages_on_retired_tags_are_counted_drops() {
+        let suspect = [&[9u8][..], &0u32.to_le_bytes(), &1u64.to_le_bytes()].concat();
+        // Epoch 1, floor [2, 1] (a varint length, then the entries).
+        let floor = [&[2u8][..], &2u64.to_le_bytes(), &1u64.to_le_bytes()].concat();
+        let view = [&[10u8][..], &1u64.to_le_bytes(), &floor].concat();
+        for from in [0, crate::logger_rank(3)] {
+            let (ks, net, eps) = harness(3, ProtocolKind::Tdi);
+            let mut peer = raw_peer(from, &net);
+            for inner in [&suspect, &view] {
+                peer.send_encoded(1, Bytes::copy_from_slice(inner));
+            }
+            pump(&ks[1], &eps[1]);
+            assert_eq!(ks[1].snapshot().corrupt_detected, 2, "from slot {from}");
+            ks[2].app_send(1, 0, Bytes::from_static(b"real"), false);
+            pump(&ks[1], &eps[1]);
+            assert_eq!(&ks[1].try_deliver(RecvSpec::any()).unwrap().data[..], b"real");
+        }
     }
 
     #[test]
@@ -1850,8 +1758,8 @@ mod tests {
         assert_eq!(corrupt_count_after(0, false, &forged), 2);
     }
 
-    /// The service slot (`n`) hosts only the event logger and the
-    /// membership arbiter; a rank-to-rank message from there used to
+    /// The service slot (`n`) hosts only the event logger; a
+    /// rank-to-rank message from there used to
     /// index an `n`-long per-peer vector at `n` and panic.
     #[test]
     fn rank_messages_from_the_service_slot_are_counted_drops() {
@@ -1878,39 +1786,6 @@ mod tests {
         // `RESPONSE` reaches its handler only while rank 1 recovers.
         let response = ResponseWire { delivered_from_you: 9, dets: vec![], epoch: 1 };
         assert_eq!(corrupt_count_after(service, true, &[WireMsg::Response(response)]), 1);
-    }
-
-    // Both ways an incarnation learns it was declared dead must reach
-    // the flag engines poll before the carrying `ingest_batch` returns.
-    #[test]
-    fn fencing_verdicts_reach_the_polled_flag_within_the_ingest_call() {
-        let view = |epoch, floor: [u64; 2]| MembershipView { epoch, floor: floor.to_vec() };
-        // A `FENCED` notice: rank 1 holds a view that fences rank 0's
-        // incarnation 1, so rank 0's next frame draws the notice.
-        let (ks, _net, eps) = harness(2, ProtocolKind::Tdi);
-        ks[1].apply_membership(view(1, [2, 1]));
-        for rejected in 1..=2 {
-            ks[0].app_send(1, 0, Bytes::from_static(b"zombie"), false);
-            pump(&ks[1], &eps[1]);
-            assert_eq!(ks[1].snapshot().fenced_rejected, rejected);
-            assert!(ks[1].try_deliver(RecvSpec::any()).is_none());
-        }
-        assert!(!ks[0].is_fenced() && !ks[1].is_fenced());
-        pump(&ks[0], &eps[0]);
-        assert!(ks[0].is_fenced());
-
-        // A membership view over the wire, from the arbiter's slot.
-        let (ks, net, eps) = harness(2, ProtocolKind::Tdi);
-        let mut arbiter = raw_peer(crate::logger_rank(2), &net);
-        arbiter.send_msg(0, &WireMsg::Membership(view(1, [1, 1])));
-        // Stale (epoch not above the applied one): changes nothing.
-        arbiter.send_msg(0, &WireMsg::Membership(view(1, [2, 1])));
-        pump(&ks[0], &eps[0]);
-        assert!(!ks[0].is_fenced());
-        // Newer, with a floor above our incarnation: fenced.
-        arbiter.send_msg(0, &WireMsg::Membership(view(2, [2, 1])));
-        pump(&ks[0], &eps[0]);
-        assert!(ks[0].is_fenced());
     }
 
     // Duplicate-suppression audit: a respawned incarnation re-executes

@@ -51,7 +51,6 @@ mod cluster;
 pub mod collectives;
 mod config;
 mod delivery;
-mod detector;
 mod env;
 pub mod events;
 mod fault;
@@ -67,20 +66,17 @@ mod tasks;
 mod tracking;
 mod transport;
 
-pub use cluster::{
-    Cluster, ClusterConfig, DetectorReport, FailurePlan, Kill, RunReport, StorageKind,
-};
+pub use cluster::{Cluster, ClusterConfig, FailurePlan, Kill, RunReport, StorageKind};
 pub use lclog_simnet::Clock;
 pub use events::{Event, EventKind, EventSink};
 pub use config::{CheckpointPolicy, CommMode, EngineMode, RunConfig};
-pub use detector::DetectorConfig;
 pub use fault::{Fault, StepStatus};
 pub use kernel::{CheckpointImage, Kernel, KernelSnapshot};
 pub use recovery::RecoveryPhase;
 pub use log::{LogEntry, SenderLog};
 pub use message::{
-    AppMsg, AppWire, CkptAdvanceWire, RecvSpec, ResponseWire, RollbackWire, SuspectWire, WireMsg,
-    ANY_SOURCE, ANY_TAG,
+    AppMsg, AppWire, CkptAdvanceWire, RecvSpec, ResponseWire, RollbackWire, WireMsg, ANY_SOURCE,
+    ANY_TAG,
 };
 pub use process::{RankApp, RankCtx};
 pub use env::{Death, RunEnv};
@@ -92,9 +88,6 @@ pub use transport::{payload_is_app_frame, payload_is_data_frame, DataPlaneStats}
 
 /// Rank identifier (re-exported from the protocol layer).
 pub use lclog_core::Rank;
-
-/// Certified membership view (re-exported from the protocol layer).
-pub use lclog_core::MembershipView;
 
 /// The fabric rank used by the TEL event-logger service: always
 /// allocated as slot `n` of an `n`-process application.

@@ -138,8 +138,6 @@ impl LogEntry {
                     WireMsg::LogAck(_) => 6,
                     WireMsg::LogQuery(_) => 7,
                     WireMsg::LogQueryResp(_) => 8,
-                    WireMsg::Suspect(_) => 9,
-                    WireMsg::Membership(_) => 10,
                     WireMsg::ResyncReq(_) => 11,
                     WireMsg::ResyncSnap(_) => 12,
                     WireMsg::App(_) => unreachable!("matched above"),

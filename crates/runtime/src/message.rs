@@ -3,7 +3,7 @@
 //! message/matching types.
 
 use bytes::Bytes;
-use lclog_core::{Determinant, MembershipView};
+use lclog_core::Determinant;
 use lclog_wire::{impl_wire_enum, impl_wire_struct};
 
 /// Wildcard for [`RecvSpec::source`]: accept a message from any rank —
@@ -155,23 +155,8 @@ impl_wire_struct!(CkptAdvanceWire {
     total_delivered
 });
 
-/// A suspicion report sent to the membership arbiter: the detector at
-/// some rank has accrued past its threshold for `rank` and believes
-/// incarnation `incarnation` of it is dead. Carrying the *believed*
-/// incarnation keeps stale suspicions harmless: by the time the report
-/// lands the arbiter may already know a newer incarnation, and must
-/// not kill it on old evidence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SuspectWire {
-    /// The rank being suspected.
-    pub rank: u32,
-    /// The incarnation the suspecting detector last heard from.
-    pub incarnation: u64,
-}
-
-impl_wire_struct!(SuspectWire { rank, incarnation });
-
-/// Everything that can travel between runtimes.
+/// Everything that can travel between runtimes. Tags 9 and 10 are
+/// retired: a message carrying one is undecodable.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireMsg {
     /// Application message with recovery header.
@@ -197,10 +182,6 @@ pub enum WireMsg {
     LogQuery(u32),
     /// TEL: logger's reply to a query.
     LogQueryResp(Vec<Determinant>),
-    /// Detector → membership arbiter: a suspicion report.
-    Suspect(SuspectWire),
-    /// Membership arbiter → everyone: a certified epoch-stamped view.
-    Membership(MembershipView),
     /// TDI-S: receiver could not decode a piggyback frame from the
     /// carrier rank and asks it for a resync snapshot.
     ResyncReq(u32),
@@ -219,8 +200,6 @@ impl_wire_enum!(WireMsg {
     6 => LogAck(upto),
     7 => LogQuery(rank),
     8 => LogQueryResp(d),
-    9 => Suspect(s),
-    10 => Membership(v),
     11 => ResyncReq(rank),
     12 => ResyncSnap(b),
 });
@@ -279,14 +258,6 @@ mod tests {
             WireMsg::LogAck(13),
             WireMsg::LogQuery(3),
             WireMsg::LogQueryResp(vec![det]),
-            WireMsg::Suspect(SuspectWire {
-                rank: 2,
-                incarnation: 3,
-            }),
-            WireMsg::Membership(MembershipView {
-                epoch: 4,
-                floor: vec![1, 2, 1],
-            }),
             WireMsg::ResyncReq(5),
             WireMsg::ResyncSnap(Bytes::from(vec![7, 8, 9])),
         ];

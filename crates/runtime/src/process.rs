@@ -174,17 +174,14 @@ impl<'a> RankCtx<'a> {
         }
     }
 
-    /// The one wait: until `ready` yields, or the incarnation is fenced
-    /// or desynchronized, record `wait` and stay pending.
+    /// The one wait: until `ready` yields, or the incarnation is
+    /// desynchronized, record `wait` and stay pending.
     async fn until<T>(
         &self,
         wait: Wait,
         mut ready: impl FnMut(&Kernel) -> Result<Option<T>, Fault>,
     ) -> Result<T, Fault> {
         poll_fn(|_| {
-            if self.kernel.is_fenced() {
-                return Poll::Ready(Err(Fault::Fenced));
-            }
             if self.kernel.is_desynced() {
                 return Poll::Ready(Err(Fault::Desync));
             }

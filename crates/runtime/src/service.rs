@@ -9,52 +9,37 @@
 //! retransmitted, so a chaos fabric cannot silently eat a `LOG_ACK`
 //! and wedge a pessimistic sender.
 //!
-//! When failures are *detected* rather than announced, the same stable
-//! slot doubles as the **membership arbiter**: it turns `Suspect`
-//! reports into at-most-once death declarations (see
-//! [`crate::detector::MembershipTable`]) and broadcasts the certified
-//! `(epoch, floor[])` view to every rank, which fences the declared
-//! incarnation at their transports.
-//!
-//! One polled [`EventLogger`] serves both drivers: each steps it at
-//! the end of every round, before the run's replicator.
+//! The slot has no other role: failures are announced, so no service
+//! certifies deaths. The one round driver steps the polled
+//! [`EventLogger`] at the end of every round, before the run's
+//! replicator.
 
-use crate::detector::MembershipTable;
 use crate::env::RunEnv;
 use crate::events::EventKind;
 use crate::message::WireMsg;
-use crate::transport::{decode_envelope, Ingest, Transport, TransportConfig};
+use crate::transport::{decode_envelope, Transport, TransportConfig};
 use lclog_core::{Determinant, Rank};
-use lclog_simnet::{Clock, Endpoint, Envelope};
+use lclog_simnet::{Endpoint, Envelope};
 use lclog_stable::CheckpointStore;
 use lclog_wire::encode_to_vec;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 /// Stable-storage key of the event log of `rank`.
 fn event_log_key(rank: usize) -> String {
     format!("eventlog/{rank}")
 }
 
-/// The event logger and membership arbiter of one run, on its service
-/// slot. It answers:
+/// The event logger of one run, on its service slot. It answers:
 ///
 /// * [`WireMsg::LogDets`] — append the submitter's determinants to
 ///   stable storage and reply [`WireMsg::LogAck`] with the highest
 ///   contiguously stored deliver index;
 /// * [`WireMsg::LogQuery`] — return every stored determinant of the
-///   queried (failed) rank as [`WireMsg::LogQueryResp`];
-/// * [`WireMsg::Suspect`] — when the run detects failures, declare the
-///   suspected incarnation dead (at most once) and broadcast the new
-///   certified view; a stale suspicion is answered with the current
-///   view so the suspecter can catch up instead of killing a
-///   successor incarnation.
+///   queried (failed) rank as [`WireMsg::LogQueryResp`].
 pub(crate) struct EventLogger {
     endpoint: Endpoint,
     transport: Transport,
-    clock: Clock,
     ckpts: CheckpointStore,
-    membership: Option<Rc<MembershipTable>>,
     /// In-memory mirror of stable storage for fast queries; the stable
     /// copy is authoritative and written first.
     dets: HashMap<Rank, Vec<Determinant>>,
@@ -62,11 +47,10 @@ pub(crate) struct EventLogger {
 }
 
 impl EventLogger {
-    /// Attach the run's service slot, when the run needs one: an
-    /// event-logger protocol, or detected failures (the slot doubles
-    /// as the membership arbiter). Call before any kernel sends to it.
+    /// Attach the run's service slot when its protocol uses an event
+    /// logger. Call before any kernel sends to it.
     pub(crate) fn attach(env: &RunEnv) -> Option<Self> {
-        if !env.run.protocol.uses_event_logger() && env.membership.is_none() {
+        if !env.run.protocol.uses_event_logger() {
             return None;
         }
         let (net, me, clock) = (env.net(), crate::logger_rank(env.n), &env.run.clock);
@@ -76,9 +60,7 @@ impl EventLogger {
         Some(EventLogger {
             endpoint: net.attach(me),
             transport,
-            clock: clock.clone(),
             ckpts: env.ckpts.clone(),
-            membership: env.membership.clone(),
             dets: HashMap::new(),
             acked: HashMap::new(),
         })
@@ -99,7 +81,7 @@ impl EventLogger {
 
     fn handle(&mut self, env: Envelope) {
         let src = env.src;
-        let Ingest::Data(inner) = self.transport.ingest(src, decode_envelope(&env)) else {
+        let Some(inner) = self.transport.ingest(src, decode_envelope(&env)) else {
             return;
         };
         let Ok(msg) = lclog_wire::decode_from_bytes::<WireMsg>(&inner) else {
@@ -152,38 +134,6 @@ impl EventLogger {
                 );
                 self.transport.send_msg(src, &WireMsg::LogQueryResp(found));
             }
-            WireMsg::Suspect(s) => {
-                let Some(table) = &self.membership else {
-                    return; // announced-failures run: ignore
-                };
-                let suspect = s.rank as Rank;
-                match table.declare(suspect, s.incarnation, self.clock.now()) {
-                    Some(view) => {
-                        self.transport.events.emit(
-                            me,
-                            EventKind::MembershipBumped {
-                                epoch: view.epoch,
-                                dead: suspect,
-                                incarnation: s.incarnation,
-                            },
-                        );
-                        // Certified view to every application rank —
-                        // including the victim, whose transport will
-                        // self-fence if it is in fact still alive.
-                        let msg = WireMsg::Membership(view);
-                        for k in 0..me {
-                            self.transport.send_msg(k, &msg);
-                        }
-                    }
-                    None => {
-                        // Stale: that incarnation is already below the
-                        // floor. Re-send the current view so the
-                        // suspecter fences it too.
-                        let view = table.view();
-                        self.transport.send_msg(src, &WireMsg::Membership(view));
-                    }
-                }
-            }
             _ => {}
         }
     }
@@ -211,7 +161,7 @@ mod tests {
             0,
             net.n(),
             net.clone(),
-            TransportConfig::standard(Clock::Real),
+            TransportConfig::standard(lclog_simnet::Clock::Real),
         );
         let det = |receiver| Determinant {
             sender: 1,
@@ -225,7 +175,7 @@ mod tests {
         assert!(service.step());
         let mut answers = Vec::new();
         while let Ok(env) = ep0.try_recv() {
-            if let Ingest::Data(inner) = rank0.ingest(logger, decode_envelope(&env)) {
+            if let Some(inner) = rank0.ingest(logger, decode_envelope(&env)) {
                 if let Ok(WireMsg::LogQueryResp(found)) = lclog_wire::decode_from_bytes(&inner) {
                     answers.push(found);
                 }

@@ -13,17 +13,18 @@
 //! A round is one sweep over every rank, in rank order:
 //!
 //! 1. drain the rank's fabric inbox into its kernel;
-//! 2. lose the rank if the failure plan kills it or it was fenced or
-//!    desynchronized, through the one lifecycle of [`crate::env`]; it
-//!    stays down until [`RunEnv::may_respawn`] lets its successor up;
+//! 2. lose the rank if the failure plan kills it or it desynchronized,
+//!    through the one lifecycle of [`crate::env`], and bring up its
+//!    successor at once: failures are announced, so there is nothing
+//!    to wait for;
 //! 3. poll a live rank's state machine up to a bounded budget
 //!    (checkpointing between steps; a step that reaches a planned kill
 //!    ends the budget, and the kill fires at the next sweep);
 //! 4. tick the kernel (retransmission timers, resync-request drain,
-//!    failure detector, rollback rebroadcast);
+//!    rollback rebroadcast);
 //!
-//! then the round's serial end: one step of the service slot (event
-//! logger and membership arbiter, if the run has one), one shipping
+//! then the round's serial end: one step of the service slot (the
+//! event logger, if the run has one), one shipping
 //! step of the replicator the job owns (if it has a remote), the
 //! release of all held fabric channels, the clock's advance (a timed
 //! fabric releases what then falls due at the next sweep's drains) and
@@ -197,8 +198,6 @@ struct Slot<A: TaskApp> {
     /// What the last poll left pending, if a [`RankApp`] call.
     wait: Option<Wait>,
     done: bool,
-    /// Lost; `incarnation` is the successor's, awaiting the gate.
-    down: bool,
 }
 
 /// Where an unfinished rank stopped, as the watchdog names it.
@@ -209,8 +208,6 @@ enum Place {
     Waiting { wait: Wait, step: u64 },
     /// A [`TaskApp`] poll pending at `step`.
     Pending { step: u64 },
-    /// Dead, until the respawn gate lets its successor up.
-    Down,
 }
 
 /// Steps a slot may take per sweep before the sweep moves on to the
@@ -273,7 +270,6 @@ impl<A: TaskApp> TaskJob<A> {
                 step: 0,
                 wait: None,
                 done: false,
-                down: false,
             })
             .collect();
         Ok(TaskJob {
@@ -340,12 +336,9 @@ impl<A: TaskApp> TaskJob<A> {
         progressed
     }
 
-    /// Stage 1: drain a live slot's fabric inbox as one batch (one
-    /// coalesced ack flush). True if anything was ingested.
+    /// Stage 1: drain a slot's fabric inbox as one batch (one coalesced
+    /// ack flush). True if anything was ingested.
     fn ingest(&self, slot: &mut Slot<A>, progressed: &mut bool) -> bool {
-        if slot.down {
-            return false;
-        }
         let batch: Vec<_> = std::iter::from_fn(|| slot.endpoint.try_recv().ok()).collect();
         let ingested = !batch.is_empty();
         if ingested {
@@ -355,51 +348,33 @@ impl<A: TaskApp> TaskJob<A> {
         ingested
     }
 
-    /// Stages 2–3 for a live slot: its death, or its poll.
+    /// Stages 2–3 for an unfinished slot: its death, or its poll.
     fn compute(&self, slot: &mut Slot<A>, ingested: bool, progressed: &mut bool) -> Option<Death> {
-        if slot.down {
+        if slot.done {
             return None;
         }
-        // Planned kills fire on step boundaries; a fenced incarnation
-        // (a finished one too: its digest is void) or a desynchronized
-        // one dies and rejoins.
-        if slot.kernel.is_fenced() {
-            Some(Death::Fenced)
-        } else if slot.done {
-            None
-        } else {
-            self.env
-                .due(slot.rank, slot.incarnation, slot.step)
-                .or_else(|| slot.kernel.is_desynced().then_some(Death::Process))
-                // A receive can end only once something was ingested.
-                .or_else(|| match (slot.wait, ingested) {
-                    (Some(Wait::Recv(_)), false) => None,
-                    _ => self.poll(slot, progressed),
-                })
-        }
+        // Planned kills fire on step boundaries; a desynchronized
+        // incarnation dies and rejoins.
+        self.env
+            .due(slot.rank, slot.incarnation, slot.step)
+            .or_else(|| slot.kernel.is_desynced().then_some(Death::Process))
+            // A receive can end only once something was ingested.
+            .or_else(|| match (slot.wait, ingested) {
+                (Some(Wait::Recv(_)), false) => None,
+                _ => self.poll(slot, progressed),
+            })
     }
 
-    /// The slot's boundary: book its `death`, bring up its successor
-    /// once the gate allows, tick.
+    /// The slot's boundary: book its `death` and bring up its
+    /// successor, then tick.
     fn boundary(&self, slot: &mut Slot<A>, death: Option<Death>, progressed: &mut bool) {
         if let Some(death) = death {
-            self.env
-                .lose(slot.rank, slot.incarnation, slot.step, &slot.kernel, death);
+            self.env.lose(slot.rank, slot.step, &slot.kernel, death);
             slot.incarnation += 1;
-            slot.down = true;
-            *progressed = true;
-        }
-        if slot.down {
-            // At once without a detector; else once certified (or the
-            // gate's fallback elapsed).
-            if !self.env.may_respawn(slot.rank, slot.incarnation) {
-                return;
-            }
             self.respawn(slot);
             *progressed = true;
         }
-        // 4. Timers, resync-request drain, detector, rollback
-        // rebroadcast. Done ranks keep ticking: they serve their peers
+        // 4. Timers, resync-request drain, rollback rebroadcast. Done ranks keep ticking: they serve their peers
         // until every rank is done.
         slot.kernel.tick();
     }
@@ -437,8 +412,6 @@ impl<A: TaskApp> TaskJob<A> {
                     *progressed = true;
                     break;
                 }
-                // A membership view declared this live incarnation dead.
-                Err(Fault::Fenced) => return Some(Death::Fenced),
                 // Every other fault (`Unreachable`, `Desync`,
                 // `Collective`) unwinds like a crash and rejoins through
                 // the normal rollback path, which retries the operation
@@ -463,9 +436,8 @@ impl<A: TaskApp> TaskJob<A> {
             .report(ranks.start.elapsed(), ranks.failure.clone())
     }
 
-    /// Bring up `slot`'s successor incarnation (the gate has passed):
-    /// restore its last checkpoint, or start over from the initial
-    /// state.
+    /// Bring up `slot`'s successor incarnation: restore its last
+    /// checkpoint, or start over from the initial state.
     fn respawn(&self, slot: &mut Slot<A>) {
         let (kernel, endpoint, restored) = self.env.respawn(slot.rank, slot.incarnation, |bytes| {
             lclog_wire::decode_from_slice(bytes).ok()
@@ -475,8 +447,6 @@ impl<A: TaskApp> TaskJob<A> {
         slot.kernel = Rc::new(kernel);
         slot.endpoint = endpoint;
         slot.wait = None;
-        slot.done = false;
-        slot.down = false;
     }
 }
 
@@ -484,13 +454,12 @@ impl<A: TaskApp> TaskJob<A> {
 /// its incarnation, its [`Place`] and its kernel's `Debug` dump.
 fn name_unfinished<A: TaskApp>(mut error: String, slots: &[Slot<A>]) -> String {
     for slot in slots.iter().filter(|slot| !slot.done) {
-        let place = match (slot.down, slot.wait) {
-            (true, _) => Place::Down,
-            (false, Some(wait)) => Place::Waiting {
+        let place = match slot.wait {
+            Some(wait) => Place::Waiting {
                 wait,
                 step: slot.step,
             },
-            (false, None) => Place::Pending { step: slot.step },
+            None => Place::Pending { step: slot.step },
         };
         let (rank, incarnation, kernel) = (slot.rank, slot.incarnation, &slot.kernel);
         error += &format!("\n  rank {rank} incarnation {incarnation}: {place:?}; {kernel:?}");
@@ -526,9 +495,6 @@ mod tests {
     use std::sync::Arc;
 
     const TAG: u32 = 7;
-    /// A heavy-tail seed whose φ = 2 run fences live ranks, a finished
-    /// one among them.
-    const FALSE_KILL_SEED: u64 = 5;
 
     fn mix(mut z: u64) -> u64 {
         z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -784,8 +750,7 @@ mod tests {
     }
 
     /// `a` and `b` agree in every field a run replays exactly: all but
-    /// the host-clock `wall` and `tracking_time` (and `detector`, which
-    /// these runs do not have).
+    /// the host-clock `wall` and `tracking_time`.
     fn assert_same_run(a: &RunReport, b: &RunReport, what: &str) {
         let net = |r: &RunReport| {
             [
@@ -823,58 +788,6 @@ mod tests {
         }
     }
 
-    /// Fencing under tasks. At φ = 2 a heavy-tailed fabric makes live
-    /// ranks look dead: each false suspicion fences a live incarnation
-    /// — a finished one too, whose digest is voided — which is counted
-    /// as a false kill and rejoins through the rollback path. The run
-    /// still lands on the fault-free digests, and repeats exactly.
-    #[test]
-    fn false_suspicions_fence_live_ranks_and_repeat_exactly() {
-        let app = || ExchangeRing { rounds: 40 };
-        let cfg = |kind| {
-            ClusterConfig::new(
-                4,
-                RunConfig::new(kind).with_checkpoint(CheckpointPolicy::EverySteps(4)),
-            )
-            .with_max_wall(Duration::from_secs(60))
-            .with_trace(true)
-        };
-        let clean = run_tasks(&cfg(ProtocolKind::Tdi), app()).unwrap();
-        let mut twitchy = cfg(ProtocolKind::Tdi).with_net(NetConfig::direct().with_chaos(
-            ChaosConfig::seeded(FALSE_KILL_SEED).with_heavy_tail(
-                0.05,
-                Duration::from_millis(4),
-                1.2,
-                Duration::from_millis(40),
-            ),
-        ));
-        twitchy.run = twitchy
-            .run
-            .with_detector(crate::detector::DetectorConfig::default().with_threshold(2.0));
-        let first = run_tasks(&twitchy, app()).unwrap();
-        let det = first.detector.clone().expect("detector report");
-        assert!(
-            det.false_kills >= 1,
-            "the seed must fire a false kill: {det:?}"
-        );
-        assert_eq!(first.kills, det.false_kills, "nothing else dies: {det:?}");
-        let fenced_after_done = (0..4).any(|rank| {
-            let mut story = first.timeline.iter().filter(|e| e.rank == rank);
-            story.any(|e| matches!(e.kind, EventKind::Done { .. }))
-                && story.any(|e| matches!(e.kind, EventKind::Crashed { .. }))
-        });
-        assert!(
-            fenced_after_done,
-            "a finished rank must have been fenced too"
-        );
-        assert_eq!(first.digests, clean.digests);
-        let again = run_tasks(&twitchy, app()).unwrap();
-        assert_eq!(
-            again.detector.expect("detector report").false_kills,
-            det.false_kills
-        );
-    }
-
     #[test]
     fn tasks_mode_recovers_to_clean_digests() {
         for kind in [ProtocolKind::Tdi, ProtocolKind::TdiSparse(8)] {
@@ -897,10 +810,12 @@ mod tests {
     /// at the same step recover to the fault-free digests for a
     /// `RankApp` (`Cluster::run`) and a `TaskApp` (`run_tasks`), and
     /// each victim's whole timeline from `Crashed` on reads the same on
-    /// both — through `RecoverySynced` for the node loss; the killed
-    /// rank's application finishes before its recovery syncs, on both.
-    /// One schedule runs both, so the two reports agree in every field
-    /// but the host-clock ones.
+    /// both, through `RecoverySynced`. The two die in the same round,
+    /// so the killed rank's first `ROLLBACK` is lost with the wiped
+    /// rank's inbox; the wiped rank's `ROLLBACK` announces its death
+    /// and makes the killed rank send its own again. One schedule runs
+    /// both, so the two reports agree in every field but the
+    /// host-clock ones.
     #[test]
     fn lifecycle_is_the_same_for_rank_and_task_apps() {
         let app = || ExchangeRing { rounds: 8 };
@@ -942,7 +857,10 @@ mod tests {
                     "synced"
                 ]
             );
-            assert_eq!(lifecycle(report, 0), ["crashed", "spawned", "rollback"]);
+            assert_eq!(
+                lifecycle(report, 0),
+                ["crashed", "spawned", "rollback", "rollback", "synced"]
+            );
             let repl = report
                 .replicator
                 .as_ref()

@@ -108,8 +108,8 @@ impl ChaosConfig {
     /// with probability `p` an envelope is held for
     /// `median · exp(sigma · z)` (z standard normal), capped at `cap`.
     /// Because the fabric preserves per-pair FIFO, one tail draw
-    /// silences its whole link for the draw's duration — exactly the
-    /// jitter an accrual failure detector must ride out. A fixed stall
+    /// silences its whole link for the draw's duration, and the
+    /// retransmission timers above it must ride that out. A fixed stall
     /// of `d` is `with_heavy_tail(p, d, 0.0, d)`.
     pub fn with_heavy_tail(mut self, p: f64, median: Duration, sigma: f64, cap: Duration) -> Self {
         assert!((0.0..=1.0).contains(&p), "delay probability out of range");

@@ -5,14 +5,14 @@
 //! stores and compares `Instant`s keeps working unchanged. Nothing
 //! advances it but explicit [`SimClock::advance`] calls — on a
 //! deterministic run the scheduler owns *all* progress of time, so
-//! every timeout, backoff, and detector decision is a pure function of
+//! every timeout and backoff decision is a pure function of
 //! the schedule instead of the host's wall clock.
 //!
 //! A [`Clock`] is the choice between the two. The fabric reads it for
 //! release times (see [`crate::SimNet::with_clock`]), and every
 //! kernel-path timestamp of the runtime above it flows through the
-//! same clock, so under [`Clock::Sim`] retransmission backoff, detector
-//! accrual, rebroadcast intervals, rendezvous resends, timeline stamps
+//! same clock, so under [`Clock::Sim`] retransmission backoff,
+//! rebroadcast intervals, rendezvous resends, timeline stamps
 //! and fabric latency are all pure functions of the simulated
 //! schedule. Only watchdogs and reported wall times read real time.
 

@@ -63,9 +63,11 @@ struct Slot {
 enum Flight {
     /// Nowhere: `send` delivers synchronously.
     Direct,
-    /// One FIFO per `(src, dst)` channel, released only by explicit
-    /// `held_deliver*` calls ([`DeliveryModel::Held`]).
-    Held(Vec<VecDeque<Envelope>>),
+    /// Every parked envelope in send order, released only by explicit
+    /// `held_deliver*` calls ([`DeliveryModel::Held`]). A channel
+    /// `(src, dst)` is the envelopes with that pair, in the order they
+    /// sit here, so each channel is FIFO.
+    Held(Vec<Envelope>),
     /// Release times on the fabric's clock ([`NetConfig::is_timed`]).
     Timed(Schedule),
 }
@@ -121,7 +123,7 @@ impl SimNet {
     pub fn with_clock(n: usize, config: NetConfig, clock: Clock) -> Self {
         assert!(n > 0, "fabric needs at least one endpoint");
         let flight = match config.delivery {
-            DeliveryModel::Held => Flight::Held(vec![VecDeque::new(); n * n]),
+            DeliveryModel::Held => Flight::Held(Vec::new()),
             _ if config.is_timed() => {
                 Flight::Timed(Schedule::new(n, config.delivery.clone(), clock))
             }
@@ -188,14 +190,15 @@ impl SimNet {
     /// so none of them reaches a later incarnation.
     pub fn kill(&self, rank: Rank) {
         let fabric = &mut *self.fabric.borrow_mut();
-        let n = fabric.n;
-        assert!(rank < n, "rank {rank} out of range");
+        assert!(rank < fabric.n, "rank {rank} out of range");
         fabric.slots[rank].state = SlotState::Dead;
         let lost = match &mut fabric.flight {
             Flight::Direct => 0,
-            Flight::Held(held) => (0..n)
-                .map(|src| held[src * n + rank].drain(..).count())
-                .sum(),
+            Flight::Held(held) => {
+                let before = held.len();
+                held.retain(|env| env.dst != rank);
+                before - held.len()
+            }
             Flight::Timed(schedule) => schedule.purge(rank),
         };
         fabric.stats.record_dropped_dead(lost);
@@ -326,9 +329,7 @@ impl SimNet {
             Flight::Direct => {
                 (0..copies).for_each(|_| deliver(&mut fabric.slots, stats, env.clone()))
             }
-            Flight::Held(held) => {
-                held[src * n + dst].extend(std::iter::repeat_n(env, copies));
-            }
+            Flight::Held(held) => held.extend(std::iter::repeat_n(env, copies)),
             Flight::Timed(schedule) => {
                 for _ in 0..copies {
                     schedule.push(env.clone(), delay);
@@ -347,13 +348,19 @@ impl SimNet {
     /// Empty on fabrics not in held mode.
     pub fn held_channels(&self) -> Vec<(Rank, Rank, usize)> {
         let fabric = self.fabric.borrow();
-        let (n, Flight::Held(held)) = (fabric.n, &fabric.flight) else {
+        let Flight::Held(held) = &fabric.flight else {
             return Vec::new();
         };
-        (0..n * n)
-            .filter(|&i| !held[i].is_empty())
-            .map(|i| (i / n, i % n, held[i].len()))
-            .collect()
+        let mut pairs: Vec<(Rank, Rank)> = held.iter().map(|env| (env.src, env.dst)).collect();
+        pairs.sort_unstable();
+        let mut channels: Vec<(Rank, Rank, usize)> = Vec::new();
+        for (src, dst) in pairs {
+            match channels.last_mut() {
+                Some((s, d, queued)) if (*s, *d) == (src, dst) => *queued += 1,
+                _ => channels.push((src, dst, 1)),
+            }
+        }
+        channels
     }
 
     /// The whole frame of the next parked envelope on `src → dst`, if
@@ -366,7 +373,9 @@ impl SimNet {
         let Flight::Held(held) = &fabric.flight else {
             return None;
         };
-        held[src * fabric.n + dst].front().map(Envelope::contiguous)
+        held.iter()
+            .find(|env| (env.src, env.dst) == (src, dst))
+            .map(Envelope::contiguous)
     }
 
     /// Release the head envelope of the `(src, dst)` channel into the
@@ -378,26 +387,28 @@ impl SimNet {
         let Flight::Held(held) = &mut fabric.flight else {
             return false;
         };
-        let env = held[src * fabric.n + dst].pop_front();
-        env.map(|env| deliver(&mut fabric.slots, &mut fabric.stats, env))
-            .is_some()
+        let Some(head) = held.iter().position(|env| (env.src, env.dst) == (src, dst)) else {
+            return false;
+        };
+        deliver(&mut fabric.slots, &mut fabric.stats, held.remove(head));
+        true
     }
 
     /// Release every held envelope, channel by channel in `(src, dst)`
     /// order, in one pass (deliveries trigger no sends at the fabric
-    /// level, so nothing can be parked behind the pass). Returns the
+    /// level, so nothing can be parked behind the pass). The sort is
+    /// stable, so each channel keeps its send order; the pass costs
+    /// what is held, not the n² channels there could be. Returns the
     /// number of envelopes released.
     pub fn held_deliver_all(&self) -> usize {
         let fabric = &mut *self.fabric.borrow_mut();
         let Flight::Held(held) = &mut fabric.flight else {
             return 0;
         };
-        let mut released = 0;
-        for channel in held.iter_mut() {
-            released += channel.len();
-            for env in channel.drain(..) {
-                deliver(&mut fabric.slots, &mut fabric.stats, env);
-            }
+        held.sort_by_key(|env| (env.src, env.dst));
+        let released = held.len();
+        for env in held.drain(..) {
+            deliver(&mut fabric.slots, &mut fabric.stats, env);
         }
         released
     }

@@ -317,14 +317,23 @@ fn held_deliver_all_flushes_every_channel() {
     let _ep0 = net.attach(0);
     let ep1 = net.attach(1);
     let ep2 = net.attach(2);
-    net.send(0, 1, payload(1)).unwrap();
-    net.send(2, 1, payload(2)).unwrap();
-    net.send(0, 2, payload(3)).unwrap();
-    assert_eq!(net.held_deliver_all(), 3);
-    assert!(ep1.try_recv().is_ok());
-    assert!(ep1.try_recv().is_ok());
-    assert!(ep2.try_recv().is_ok());
+    // Sent out of `(src, dst)` order, channels interleaved.
+    for (src, dst, tag) in [(2, 1, 1), (0, 2, 2), (0, 1, 3), (2, 1, 4), (1, 2, 5), (0, 1, 6)] {
+        net.send(src, dst, payload(tag)).unwrap();
+    }
+    assert_eq!(net.held_channels(), [(0, 1, 2), (0, 2, 1), (1, 2, 1), (2, 1, 2)]);
+    assert_eq!(net.held_deliver_all(), 6);
+    // Each inbox receives channel by channel in `(src, dst)` order,
+    // and each channel in its send order.
+    let arrivals = |ep: &lclog_simnet::Endpoint| {
+        std::iter::from_fn(|| ep.try_recv().ok())
+            .map(|env| (env.src, env.payload[0]))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(arrivals(&ep1), [(0, 3), (0, 6), (2, 1), (2, 4)]);
+    assert_eq!(arrivals(&ep2), [(0, 2), (1, 5)]);
     assert!(net.held_channels().is_empty());
+    assert_eq!(net.held_deliver_all(), 0);
 }
 
 #[test]

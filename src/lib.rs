@@ -41,9 +41,9 @@ pub mod prelude {
         DeliveryVerdict, Determinant, LoggingProtocol, ProtocolKind, Rank, TrackingStats,
     };
     pub use lclog_runtime::{
-        collectives, CheckpointPolicy, Cluster, ClusterConfig, CommMode, DetectorConfig,
-        DetectorReport, Event, EventKind, FailurePlan, Fault, MembershipView, RankApp, RankCtx,
-        RecvSpec, ReplicatorStats, RunConfig, RunReport, StepStatus, StorageKind,
+        collectives, CheckpointPolicy, Cluster, ClusterConfig, CommMode, Event, EventKind,
+        FailurePlan, Fault, RankApp, RankCtx, RecvSpec, ReplicatorStats, RunConfig, RunReport,
+        StepStatus, StorageKind,
     };
     pub use lclog_simnet::{ChaosConfig, NetConfig, Partition, SimNet, StorageChaos};
     pub use lclog_stable::{
