@@ -705,16 +705,22 @@ impl Kernel {
 
     /// Restore state from a checkpoint image (incarnation side,
     /// lines 41–45). Returns `(step, app_state)` for the application
-    /// loop, or [`Fault::Desync`] when the image's protocol snapshot
-    /// does not decode — a CRC-intact blob whose contents are not a
-    /// protocol state (format drift, a hostile store). On error
-    /// nothing was mutated (every protocol decodes before
-    /// installing), so the caller may fall back to the initial state
-    /// and roll forward through normal recovery instead of aborting
-    /// the process. (Algorithm 1's lines 43–44 restore every vector
-    /// from `checkpoint.depend_interval` — an obvious typo we
-    /// correct.)
+    /// loop, or [`Fault::Desync`] when the image does not fit this
+    /// kernel — a CRC-intact blob whose contents are not this rank's
+    /// state (format drift, a hostile store): a counter vector that is
+    /// not `n` long, a logged send addressed to itself or outside the
+    /// system, or one past the image's own send count, or a protocol
+    /// snapshot that does not decode. On error nothing was mutated
+    /// (the image is checked, and every protocol decodes, before
+    /// anything is installed), so the caller may fall back to the
+    /// initial state and roll forward through normal recovery instead
+    /// of aborting the process. (Algorithm 1's lines 43–44 restore
+    /// every vector from `checkpoint.depend_interval` — an obvious
+    /// typo we correct.)
     pub fn restore(&self, image: CheckpointImage) -> Result<(u64, Vec<u8>), Fault> {
+        if !self.fits(&image) {
+            return Err(Fault::Desync);
+        }
         let mut st = self.state.borrow_mut();
         let State { rec, trk, del, .. } = &mut *st;
         trk.protocol
@@ -734,6 +740,18 @@ impl Kernel {
             .unwrap_or(rec.ckpt_version);
         rec.steps_at_ckpt = image.step;
         Ok((image.step, image.app_state))
+    }
+
+    /// Can `image` be installed without indexing out of range: both
+    /// counter vectors `n` long, and every logged send addressed to
+    /// another rank with `1 ≤ send_index ≤ last_send[dst]`.
+    fn fits(&self, image: &CheckpointImage) -> bool {
+        let sent = &image.last_send;
+        let logged = |e: &LogEntry| {
+            let dst = e.dst as Rank;
+            dst < self.n && dst != self.me && (1..=sent.get(dst)).contains(&e.send_index)
+        };
+        sent.len() == self.n && image.last_deliver.len() == self.n && image.log.iter().all(logged)
     }
 
     /// Load this rank's latest checkpoint image, if any. A stored blob
@@ -821,23 +839,20 @@ impl Kernel {
 
     /// `ROLLBACK` to every rank that has not answered yet (and the
     /// `LOG_QUERY` to the event logger while its answer is owed).
+    /// Peer `k`'s frame carries only `last_deliver_index[k]`, the one
+    /// element it reads, so a broadcast costs O(n) bytes, not O(n²).
     fn broadcast_rollback(&self, st: &mut State) {
         let rec = &mut st.rec;
         rec.rollback_epoch += 1;
-        let wire = RollbackWire {
-            last_deliver_index: st.del.last_deliver_index.as_slice().to_vec(),
-            epoch: rec.rollback_epoch,
-        };
+        let epoch = rec.rollback_epoch;
         let targets = rec.machine.pending_targets();
-        self.events.emit(
-            self.me,
-            EventKind::RollbackBroadcast {
-                epoch: rec.rollback_epoch,
-            },
-        );
-        let rollback = WireMsg::Rollback(wire);
+        self.events.emit(self.me, EventKind::RollbackBroadcast { epoch });
         for k in targets {
-            st.transport.send_msg(k, &rollback);
+            let wire = RollbackWire {
+                delivered_from_you: st.del.last_deliver_index.get(k),
+                epoch,
+            };
+            st.transport.send_msg(k, &WireMsg::Rollback(wire));
         }
         if let Some(logger) = self.logger {
             if rec.machine.needs_logger_sync() {
@@ -851,25 +866,23 @@ impl Kernel {
     /// delivery count and determinant knowledge, then resend logged
     /// messages the failed process lost.
     fn handle_rollback(&self, st: &mut State, src: Rank, w: RollbackWire) {
-        // The rollback vector is the *authoritative* post-restore
-        // delivery state of src's new incarnation. Anything we
-        // believed beyond it — an ack, or a RESPONSE-based duplicate
-        // suppression bound obtained from the pre-crash incarnation
-        // moments before it died (the crossing-recoveries race of
-        // Fig. 2) — describes deliveries that have been rolled back
-        // and must be forgotten, or we would suppress regenerated
+        // The rollback counter is the *authoritative* post-restore
+        // count of our messages src's new incarnation delivered.
+        // Anything we believed beyond it — an ack, or a RESPONSE-based
+        // duplicate suppression bound obtained from the pre-crash
+        // incarnation moments before it died (the crossing-recoveries
+        // race of Fig. 2) — describes deliveries that have been rolled
+        // back and must be forgotten, or we would suppress regenerated
         // messages the incarnation still needs.
-        let upto = w.last_deliver_index.get(self.me).copied();
+        let upto = w.delivered_from_you;
         let State { rec, acked, .. } = st;
-        if let Some(upto) = upto {
-            rec.rollback_last_send_index.set(src, upto);
-            acked.set(src, upto);
-            // Under `log_gc_lag`, src's next advance releases up to the
-            // previous one, which must not reach past the generation
-            // src restored: that is its next checkpoint's fallback.
-            if rec.peer_ckpt_advance.get(src) > upto {
-                rec.peer_ckpt_advance.set(src, upto);
-            }
+        rec.rollback_last_send_index.set(src, upto);
+        acked.set(src, upto);
+        // Under `log_gc_lag`, src's next advance releases up to the
+        // previous one, which must not reach past the generation src
+        // restored: that is its next checkpoint's fallback.
+        if rec.peer_ckpt_advance.get(src) > upto {
+            rec.peer_ckpt_advance.set(src, upto);
         }
         // src's restored log holds what our earlier checkpoints
         // released: the next one tells it again.
@@ -881,7 +894,7 @@ impl Kernel {
         });
         st.transport.send_msg(src, &response);
         let last = st.trk.last_send_index.get(src);
-        self.resend_logged(st, src, upto.unwrap_or(0), last);
+        self.resend_logged(st, src, upto, last);
         // Anything we had queued from the pre-failure incarnation will
         // be resent/regenerated with identical identities; keeping the
         // queued copies is both correct (dedup by send_index) and
@@ -1493,6 +1506,136 @@ mod tests {
         assert_eq!(&m.data[..], b"still alive");
     }
 
+    /// A real image of the last rank of `n`, whose log holds sends to
+    /// every other rank and whose counters are non-zero for each of
+    /// them.
+    fn busy_image(n: usize) -> CheckpointImage {
+        let (ks, _net, eps) = harness(n, ProtocolKind::Tdi);
+        let me = n - 1;
+        for k in 0..me {
+            for _ in 0..=k {
+                ks[me].app_send(k, 0, Bytes::from_static(b"logged"), false);
+            }
+            ks[k].app_send(me, 0, Bytes::from_static(b"seen"), false);
+        }
+        pump(&ks[me], &eps[me]);
+        while ks[me].try_deliver(RecvSpec::any()).is_some() {}
+        ks[me].do_checkpoint(b"app".to_vec(), 1);
+        ks[me].load_checkpoint().expect("checkpoint exists")
+    }
+
+    /// Damage `image` in the way `kind` names; `pick` and `by` choose
+    /// which entry and how far.
+    fn malform(image: &mut CheckpointImage, n: usize, kind: u8, pick: usize, by: u64) {
+        let resized = |v: &CounterVector, len: usize| {
+            let mut raw = v.as_slice().to_vec();
+            raw.resize(len, by);
+            CounterVector::from_vec(raw)
+        };
+        let shorter = pick % n;
+        let longer = n + 1 + pick % 4;
+        let i = pick % image.log.len();
+        let e = image.log[i].clone();
+        let relogged = |dst: u32, send_index: u64| {
+            LogEntry::new(dst, send_index, e.tag, e.piggyback.clone(), e.needs_ack, e.data.clone())
+        };
+        match kind {
+            0 => image.last_send = resized(&image.last_send, shorter),
+            1 => image.last_send = resized(&image.last_send, longer),
+            2 => image.last_deliver = resized(&image.last_deliver, shorter),
+            3 => image.last_deliver = resized(&image.last_deliver, longer),
+            4 => image.log[i] = relogged(n as u32 + (by % 3) as u32, e.send_index),
+            5 => image.log[i] = relogged(u32::MAX, e.send_index),
+            6 => image.log[i] = relogged(n as u32 - 1, e.send_index),
+            7 => {
+                let past = image.last_send.get(e.dst as Rank).saturating_add(1 + by % 3);
+                image.log[i] = relogged(e.dst, past);
+            }
+            _ => image.log[i] = relogged(e.dst, 0),
+        }
+    }
+
+    // The undamaged image restores; every way `malform` damages it, at
+    // n = 2 and n = 5 — truncated or extended counter vectors, a logged
+    // send to an out-of-range rank or to the rank itself, a send index
+    // past `last_send` or of 0 — is refused with `Fault::Desync` before
+    // anything is installed, and the kernel still serves afterwards.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 64,
+            .. proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn prop_a_malformed_image_is_a_typed_fault_and_changes_nothing(
+            pick in 0usize..64,
+            by in 0u64..1_000,
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            for n in [2, 5] {
+                let real = busy_image(n);
+                let (ks, _net, _eps) = harness(n, ProtocolKind::Tdi);
+                prop_assert_eq!(ks[n - 1].restore(real.clone()), Ok((1, b"app".to_vec())));
+                prop_assert_eq!(ks[n - 1].snapshot().log_entries, n * (n - 1) / 2);
+                for kind in 0..9 {
+                    let mut image = real.clone();
+                    malform(&mut image, n, kind, pick, by);
+                    // What a store would hand back: the image survives
+                    // its own encoding.
+                    let image: CheckpointImage =
+                        lclog_wire::decode_from_slice(&encode_to_vec(&image)).unwrap();
+                    let (ks, _net, eps) = harness(n, ProtocolKind::Tdi);
+                    let victim = &ks[n - 1];
+                    victim.app_send(0, 0, Bytes::from_static(b"before"), false);
+                    let before = format!("{victim:?}");
+                    prop_assert_eq!(victim.restore(image), Err(Fault::Desync));
+                    prop_assert_eq!(format!("{victim:?}"), before);
+                    ks[0].app_send(n - 1, 7, Bytes::from_static(b"still alive"), false);
+                    pump(victim, &eps[n - 1]);
+                    let m = victim.try_deliver(RecvSpec::any()).map(|m| m.data);
+                    prop_assert_eq!(m, Some(Bytes::from_static(b"still alive")));
+                }
+            }
+        }
+    }
+
+    /// Recovery at n = 64: `begin_recovery` frames exactly one
+    /// `ROLLBACK` per peer, each a few dozen bytes whatever n is, and
+    /// each peer's frame carries that peer's own element of the
+    /// restored `last_deliver_index`.
+    #[test]
+    fn rollback_frames_carry_one_counter_per_peer() {
+        let n = 64;
+        let (ks, net, eps) = harness(n, ProtocolKind::Tdi);
+        let delivered: Vec<u64> = (0..n as u64).map(|k| 1_000 + 7 * k).collect();
+        let image = CheckpointImage {
+            step: 3,
+            app_state: Vec::new(),
+            protocol: ks[0].state.borrow().trk.protocol.checkpoint_bytes(),
+            last_send: CounterVector::zeroed(n),
+            last_deliver: CounterVector::from_vec(delivered.clone()),
+            log: Vec::new(),
+        };
+        net.kill(0);
+        let _ep0b = net.respawn(0);
+        let store = CheckpointStore::new(ks[0].ckpt_storage());
+        let mut k0b = Kernel::new(0, n, RunConfig::new(ProtocolKind::Tdi), net.clone(), store);
+        k0b.set_incarnation(2);
+        k0b.restore(image).expect("image restores");
+        let before = k0b.snapshot().data_plane;
+        k0b.begin_recovery();
+        let after = k0b.snapshot().data_plane;
+        let frames = after.frames_built - before.frames_built;
+        let bytes = after.bytes_framed - before.bytes_framed;
+        assert_eq!(frames, n as u64 - 1);
+        assert!(bytes <= 64 * (n as u64 - 1), "{bytes} bytes in {frames} ROLLBACK frames");
+        for k in 1..n {
+            pump(&ks[k], &eps[k]);
+            let upto = ks[k].state.borrow().rec.rollback_last_send_index.get(0);
+            assert_eq!(upto, delivered[k], "rank {k}");
+        }
+    }
+
     /// Regression: every respawn copy used to `restore` before decoding
     /// the application state, so a CRC-intact image whose app bytes do
     /// not decode left a kernel at the checkpoint's counters under an
@@ -1750,6 +1893,27 @@ mod tests {
         }
     }
 
+    /// A `ROLLBACK` once carried the whole `last_deliver_index`
+    /// vector. A data frame whose message still has that shape — too
+    /// short for the per-peer counter, or with bytes left over — is
+    /// counted and dropped, and the rank keeps serving.
+    #[test]
+    fn rollbacks_in_the_retired_vector_shape_are_counted_drops() {
+        for len in [0u8, 1, 3] {
+            let (ks, net, eps) = harness(3, ProtocolKind::Tdi);
+            let entries: Vec<u8> = (0..len as u64).flat_map(|v| (v + 5).to_le_bytes()).collect();
+            let old = [&[2u8, len][..], &entries, &1u64.to_le_bytes()].concat();
+            raw_peer(0, &net).send_encoded(1, Bytes::from(old));
+            pump(&ks[1], &eps[1]);
+            let snap = ks[1].snapshot();
+            assert_eq!(snap.corrupt_detected, 1, "{len} entries");
+            assert_eq!(ks[1].state.borrow().rec.rollback_last_send_index.get(0), 0);
+            ks[2].app_send(1, 0, Bytes::from_static(b"real"), false);
+            pump(&ks[1], &eps[1]);
+            assert_eq!(&ks[1].try_deliver(RecvSpec::any()).unwrap().data[..], b"real");
+        }
+    }
+
     #[test]
     fn recovery_answers_to_a_running_incarnation_are_counted_drops() {
         // Rank 1 never broadcast `ROLLBACK` nor queried the logger.
@@ -1771,7 +1935,7 @@ mod tests {
             needs_ack: false,
             data: Bytes::from_static(b"forged"),
         };
-        let rollback = RollbackWire { last_deliver_index: vec![0; 3], epoch: 2 };
+        let rollback = RollbackWire { delivered_from_you: 0, epoch: 2 };
         let advance = CkptAdvanceWire { delivered_from_you: 1, total_delivered: 1 };
         for forged in [
             WireMsg::App(app),

@@ -16,9 +16,9 @@
 //!   state, protocol state, counters, and its log to stable storage on
 //!   its own schedule;
 //! * **failure and recovery** — a killed rank loses everything
-//!   volatile; its incarnation restores the last checkpoint, broadcasts
-//!   `ROLLBACK(last_deliver_index)`, and rolls forward from survivors'
-//!   log resends while regenerating its own sends (suppressed or
+//!   volatile; its incarnation restores the last checkpoint, sends each
+//!   peer j a `ROLLBACK` carrying `last_deliver_index[j]`, and rolls
+//!   forward from survivors' log resends while regenerating its own sends (suppressed or
 //!   discarded as repetitive exactly as §III.C.3 describes);
 //! * **pluggable dependency tracking** — the
 //!   [`lclog_core::LoggingProtocol`] instance (TDI, TAG or TEL) decides

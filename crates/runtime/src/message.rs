@@ -98,13 +98,13 @@ impl_wire_struct!(AppWire {
 });
 
 /// `ROLLBACK` broadcast by a recovering incarnation (Algorithm 1
-/// line 46).
+/// line 46). Each peer gets its own frame carrying only the element
+/// of the restored `last_deliver_index` vector that it reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RollbackWire {
-    /// The failed process's checkpointed `last_deliver_index` vector:
-    /// element `k` tells rank `k` which of its messages survive the
-    /// rollback.
-    pub last_deliver_index: Vec<u64>,
+    /// `last_deliver_index[you]` of the failed process's restored
+    /// state: how many of your messages survive the rollback.
+    pub delivered_from_you: u64,
     /// Distinguishes rebroadcasts so peers can skip duplicate resend
     /// work within one recovery epoch if they choose (we resend
     /// idempotently anyway).
@@ -112,7 +112,7 @@ pub struct RollbackWire {
 }
 
 impl_wire_struct!(RollbackWire {
-    last_deliver_index,
+    delivered_from_you,
     epoch
 });
 
@@ -242,7 +242,7 @@ mod tests {
             }),
             WireMsg::Ack(42),
             WireMsg::Rollback(RollbackWire {
-                last_deliver_index: vec![0, 3, 9],
+                delivered_from_you: 9,
                 epoch: 2,
             }),
             WireMsg::Response(ResponseWire {

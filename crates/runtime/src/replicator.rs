@@ -25,6 +25,10 @@
 //!   put after the objects it names; an object is *fully certified*
 //!   only when an intact manifest lists it and its stored bytes match
 //!   the recorded CRC;
+//! * a generation that falls out of its rank's [`GENERATIONS`] newest
+//!   is deleted remotely, but only once a stored manifest no longer
+//!   names it; a failed delete is retried the next round, so a fault
+//!   leaves garbage behind, never a manifest naming a missing object;
 //! * a respawned rank that finds its local store wiped calls
 //!   [`Replicator::restore_rank`]: the newest fully-certified
 //!   generation wins, a checksum failure falls back one generation,
@@ -44,7 +48,7 @@ use lclog_stable::{
 };
 use lclog_wire::crc32;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Failed remote operations after which a drain gives up.
@@ -93,6 +97,10 @@ struct ShipState {
     next_seq: u64,
     /// The ledger holds entries the stored manifest does not.
     manifest_dirty: bool,
+    /// Remote keys pruned from the ledger and not yet deleted. A rank's
+    /// ledger keeps the newest keys it ever shipped, so none of these
+    /// comes back into it.
+    garbage: BTreeSet<String>,
     stats: ReplicatorStats,
 }
 
@@ -104,7 +112,8 @@ impl ShipState {
 
     /// Drop all but the [`GENERATIONS`] newest ledger entries under
     /// `prefix` (one rank's keys, which sort by version), so a manifest
-    /// stays the size of the run's width rather than its length.
+    /// stays the size of the run's width rather than its length. The
+    /// dropped keys become garbage to delete remotely.
     fn prune_ledger(&mut self, prefix: &str) {
         let keys: Vec<String> = self
             .ledger
@@ -115,6 +124,7 @@ impl ShipState {
             .collect();
         for key in &keys[..keys.len().saturating_sub(GENERATIONS)] {
             self.ledger.remove(key);
+            self.garbage.insert(key.clone());
         }
     }
 }
@@ -137,6 +147,7 @@ impl Replicator {
                 ledger: BTreeMap::new(),
                 next_seq: 0,
                 manifest_dirty: false,
+                garbage: BTreeSet::new(),
                 stats: ReplicatorStats::default(),
             }),
         }
@@ -264,10 +275,12 @@ impl Replicator {
         .flatten()
     }
 
-    /// Objects first, manifest last: ship from the front of the queue
-    /// until a put fails, then put the manifest if it is behind the
-    /// ledger. Every failed put counts as a retry. True if anything was
-    /// stored.
+    /// Objects first, then the manifest, then the deletes: ship from
+    /// the front of the queue until a put fails, put the manifest if it
+    /// is behind the ledger, and once the stored manifest matches the
+    /// ledger delete the garbage it no longer names. Every failed put
+    /// or delete counts as a retry; a failed delete waits for the next
+    /// round. True if anything was stored.
     fn round(&self, st: &mut ShipState) -> bool {
         let mut stored = false;
         while let Some(front) = st.queue.front() {
@@ -301,6 +314,14 @@ impl Replicator {
                 stored = true;
             } else {
                 st.stats.retries += 1;
+            }
+        }
+        if !st.manifest_dirty {
+            for key in std::mem::take(&mut st.garbage) {
+                if self.remote.delete(&key).is_err() {
+                    st.stats.retries += 1;
+                    st.garbage.insert(key);
+                }
             }
         }
         stored
@@ -441,7 +462,8 @@ mod tests {
 
     /// The manifest names only what a restore can read: one rank ships
     /// v1..v10 one round at a time, and the stored manifest lists v9
-    /// and v10. With v10 torn, the restore falls back to v9.
+    /// and v10, the only generations left remotely. With v10 torn, the
+    /// restore falls back to v9.
     #[test]
     fn the_manifest_lists_each_ranks_newest_generations() {
         let remote = Arc::new(MemRemote::new());
@@ -458,9 +480,95 @@ mod tests {
             keys,
             [CheckpointStore::key(3, 9), CheckpointStore::key(3, 10)]
         );
+        assert_eq!(
+            remote.list("").unwrap(),
+            [
+                CheckpointStore::key(3, 9),
+                CheckpointStore::key(3, 10),
+                MANIFEST_KEY.to_string()
+            ]
+        );
         assert!(repl.corrupt_newest_remote_generation(3));
         assert_eq!(restore(&repl, 3, &MemStore::new()), Some(9));
         assert_eq!(repl.stats().generations_skipped, 1);
+    }
+
+    /// A remote whose deletes fail while `refuse` is set.
+    struct NoDeletes {
+        inner: MemRemote,
+        refuse: std::sync::atomic::AtomicBool,
+    }
+
+    impl RemoteStore for NoDeletes {
+        fn put(&self, key: &str, bytes: &[u8]) -> RemoteResult<()> {
+            self.inner.put(key, bytes)
+        }
+        fn get(&self, key: &str) -> RemoteResult<Option<Vec<u8>>> {
+            self.inner.get(key)
+        }
+        fn list(&self, prefix: &str) -> RemoteResult<Vec<String>> {
+            self.inner.list(prefix)
+        }
+        fn delete(&self, key: &str) -> RemoteResult<()> {
+            if self.refuse.load(std::sync::atomic::Ordering::SeqCst) {
+                return Err(lclog_stable::RemoteError::Unavailable);
+            }
+            self.inner.delete(key)
+        }
+    }
+
+    /// Failed deletes leave garbage, never a manifest naming a missing
+    /// object: the restore still lands on v10, and the garbage goes on
+    /// the first round after deletes succeed again.
+    #[test]
+    fn failed_deletes_leave_garbage_and_are_retried() {
+        let remote = Arc::new(NoDeletes {
+            inner: MemRemote::new(),
+            refuse: true.into(),
+        });
+        let repl = replicator(remote.clone());
+        for v in 1..=10u64 {
+            repl.offer_generation(&CheckpointStore::key(3, v), &gen_blob(v as u8, 64));
+            assert!(repl.step());
+        }
+        assert!(repl.is_synced());
+        // Each round retries every pruned generation so far: 1 + … + 8.
+        assert_eq!(repl.stats().retries, 36);
+        assert_eq!(remote.list(&CheckpointStore::prefix(3)).unwrap().len(), 10);
+        assert_eq!(restore(&repl, 3, &MemStore::new()), Some(10));
+        remote.refuse.store(false, std::sync::atomic::Ordering::SeqCst);
+        assert!(!repl.step(), "a round of deletes stores nothing");
+        assert_eq!(
+            remote.list(&CheckpointStore::prefix(3)).unwrap(),
+            [CheckpointStore::key(3, 9), CheckpointStore::key(3, 10)]
+        );
+        assert_eq!(restore(&repl, 3, &MemStore::new()), Some(10));
+    }
+
+    /// A pruned generation stays remotely while a stored manifest still
+    /// names it: here the manifest put that would drop v1 fails (op 5
+    /// is down), so a restore reading the stale manifest can still fall
+    /// back past a damaged v2 to v1. The next round stores the manifest
+    /// and only then deletes v1.
+    #[test]
+    fn deletes_wait_for_a_stored_manifest() {
+        let remote = Arc::new(FaultyRemote::new(
+            MemRemote::new(),
+            StorageChaos::seeded(1).with_outage(5, 6),
+        ));
+        let repl = replicator(remote.clone());
+        for v in 1..=3u64 {
+            repl.offer_generation(&CheckpointStore::key(0, v), &gen_blob(v as u8, 64));
+            assert!(repl.step());
+        }
+        assert!(!repl.is_synced(), "the third manifest put failed");
+        let v1 = CheckpointStore::key(0, 1);
+        assert!(remote.inner().get(&v1).unwrap().is_some());
+        remote.inner().put(&CheckpointStore::key(0, 2), b"torn").unwrap();
+        assert_eq!(restore(&repl, 0, &MemStore::new()), Some(1));
+        assert!(repl.step(), "the manifest is stored");
+        assert!(remote.inner().get(&v1).unwrap().is_none());
+        assert_eq!(restore(&repl, 0, &MemStore::new()), Some(3));
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl Rng {
             }),
             1 => WireMsg::Ack(self.next()),
             2 => WireMsg::Rollback(RollbackWire {
-                last_deliver_index: (0..self.below(9)).map(|_| self.next()).collect(),
+                delivered_from_you: self.next(),
                 epoch: self.next(),
             }),
             3 => WireMsg::Response(ResponseWire {

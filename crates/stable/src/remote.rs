@@ -45,8 +45,8 @@ impl fmt::Display for RemoteError {
 pub type RemoteResult<T> = Result<T, RemoteError>;
 
 /// An object-store-style remote backend: flat keys, whole-object
-/// puts and gets, prefix listing. Implementations must be safe for
-/// concurrent use.
+/// puts, gets and deletes, prefix listing. Implementations must be
+/// safe for concurrent use.
 pub trait RemoteStore: Send + Sync {
     /// Store `bytes` under `key`, replacing any previous object.
     fn put(&self, key: &str, bytes: &[u8]) -> RemoteResult<()>;
@@ -56,6 +56,10 @@ pub trait RemoteStore: Send + Sync {
 
     /// List object keys with the given prefix, sorted.
     fn list(&self, prefix: &str) -> RemoteResult<Vec<String>>;
+
+    /// Remove the object stored under `key`; removing an absent key
+    /// succeeds.
+    fn delete(&self, key: &str) -> RemoteResult<()>;
 }
 
 impl fmt::Debug for dyn RemoteStore {
@@ -97,15 +101,22 @@ impl RemoteStore for MemRemote {
             .map(|(k, _)| k.clone())
             .collect())
     }
+
+    fn delete(&self, key: &str) -> RemoteResult<()> {
+        self.objects.write().remove(key);
+        Ok(())
+    }
 }
 
 /// A remote backend that misbehaves on a seeded schedule.
 ///
-/// Each operation consumes one global sequence number and asks the
-/// [`StorageChaos`] model for its fate: unavailability windows and
+/// Each put, get and list consumes one global sequence number and asks
+/// the [`StorageChaos`] model for its fate: unavailability windows and
 /// transient errors fail the call, and torn or bit-flipped puts
 /// *succeed* while silently storing damaged bytes — the failure mode
-/// only the manifest's CRCs can catch.
+/// only the manifest's CRCs can catch. A delete passes straight
+/// through and draws no fate, so garbage collection leaves every
+/// other operation's fate where it was.
 pub struct FaultyRemote<S> {
     inner: S,
     chaos: StorageChaos,
@@ -185,6 +196,10 @@ impl<S: RemoteStore> RemoteStore for FaultyRemote<S> {
     fn list(&self, prefix: &str) -> RemoteResult<Vec<String>> {
         self.admit()?;
         self.inner.list(prefix)
+    }
+
+    fn delete(&self, key: &str) -> RemoteResult<()> {
+        self.inner.delete(key)
     }
 }
 
@@ -296,6 +311,9 @@ mod tests {
         );
         r.put("ckpt/0/v1", b"uno").unwrap();
         assert_eq!(r.get("ckpt/0/v1").unwrap().as_deref(), Some(&b"uno"[..]));
+        r.delete("ckpt/0/v1").unwrap();
+        r.delete("absent").unwrap();
+        assert_eq!(r.list("ckpt/").unwrap(), ["ckpt/0/v2", "ckpt/1/v1"]);
     }
 
     #[test]
@@ -352,6 +370,20 @@ mod tests {
         assert!(ok, "transient errors must be retryable");
         assert!(r.faults_injected() >= 3);
         assert_eq!(r.inner().get("k").unwrap().as_deref(), Some(&b"v"[..]));
+    }
+
+    #[test]
+    fn faulty_remote_deletes_draw_no_fate() {
+        let chaos = StorageChaos::seeded(7).with_outage(0, 3);
+        let r = FaultyRemote::new(MemRemote::new(), chaos);
+        r.inner().put("k", b"v").unwrap();
+        r.delete("k").unwrap();
+        assert_eq!(r.inner().get("k").unwrap(), None);
+        // The outage still covers the next three operations.
+        for _ in 0..3 {
+            assert_eq!(r.get("k"), Err(RemoteError::Unavailable));
+        }
+        assert_eq!(r.get("k"), Ok(None));
     }
 
     #[test]
