@@ -1,14 +1,14 @@
 //! The one list of tables `reproduce` prints, and what each promises.
 //!
-//! A **figure** (Figs. 6–8) is sized by `--quick`, printed and archived
-//! under `results/`, and never compared: its columns read wall clocks or
-//! threads. A **golden** table has one size, and every cell replays byte
-//! for byte; the test suite regenerates each one and compares it with
-//! the committed `results/<csv>.csv`.
+//! A **figure** (Figs. 6 and 7) is sized by `--quick`, printed and
+//! archived under `results/`, and never compared: Fig. 7 reads the
+//! host's clock. A **golden** table (Fig. 8 among them) has one size,
+//! and every cell replays byte for byte; the test suite regenerates
+//! each one and compares it with the committed `results/<csv>.csv`.
 
 use crate::experiments::{
-    ablation_chaos, explore_table, fig6_table, fig7_table, fig8_table, hotpath_table,
-    log_ship_table, overhead_matrix, scaling_table, ExpConfig, OverheadCell,
+    explore_table, fig6_table, fig7_table, fig8_table, hotpath_table, log_ship_table,
+    overhead_matrix, scaling_table, ExpConfig, OverheadCell,
 };
 use crate::table::Table;
 use lclog_explore::ReplayCase;
@@ -113,12 +113,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "fig8",
         csv: "fig8_blocking",
-        run: Run::Figure(|s| fig8_table(&s.cfg)),
-    },
-    Experiment {
-        name: "ablation-chaos",
-        csv: "ablation_chaos",
-        run: Run::Golden(|| ablation_chaos().into()),
+        run: Run::Golden(|| fig8_table().into()),
     },
     Experiment {
         name: "explore",

@@ -661,8 +661,9 @@ impl LoggingProtocol for SparseTdi {
         let vec = read_vec(&mut r, self.n).map_err(corrupt)?;
         r.finish()
             .map_err(|_| ProtocolError::Corrupt("trailing bytes in TDI-S resync snapshot"))?;
-        // Keep the newer of snapshot and existing base (a retransmitted
-        // stale snapshot must not regress the decode chain).
+        // Keep the newer of snapshot and existing base (a stale
+        // snapshot answering an earlier request must not regress the
+        // decode chain).
         let newer = match &self.bases[src] {
             None => true,
             Some(b) => epoch > b.epoch || (epoch == b.epoch && seq >= b.seq),

@@ -7,9 +7,9 @@
 //! in per-`(src, dst)` FIFOs instead of racing each other, every
 //! kernel-path timestamp reads a shared [`SimClock`], and there are no
 //! engine threads — the runner drives `ingest`/`try_deliver` itself.
-//! With wall time frozen the transport never retransmits, so each
-//! application message crosses the fabric exactly once and the degrees
-//! of freedom left are exactly the ones the explorer wants to permute:
+//! The fabric is reliable, so each application message crosses it
+//! exactly once (a recovery resend is a new send) and the degrees of
+//! freedom left are exactly the ones the explorer wants to permute:
 //!
 //! 1. **arrival order** — which held data frame is released next
 //!    (subject to per-channel FIFO, the same guarantee real MPI gives);
@@ -22,10 +22,10 @@
 //!    successor's start are one step.
 //!
 //! Everything else is *forced* and executed eagerly to a fixpoint
-//! between choice points: endpoint drains, control-frame flushes (acks,
-//! `ROLLBACK`/`RESPONSE` — they cannot change application-visible
-//! behavior while the clock is frozen and their processing is
-//! order-insensitive at the reliability layer), sends, source-specific
+//! between choice points: endpoint drains, protocol-frame flushes
+//! (rendezvous acks, checkpoint notices, `ROLLBACK`/`RESPONSE` — they
+//! cannot change application-visible behavior while the clock is
+//! frozen), sends, source-specific
 //! receives (delivery order already fixed by channel FIFO) and
 //! checkpoints at fixed program positions. An injected fault goes
 //! through the runtime's own incarnation lifecycle ([`RunEnv::lose`] /
@@ -667,9 +667,9 @@ pub fn run_schedule_cfg(
         world.execute(alt);
 
         // Nudge virtual time so successive events carry distinct
-        // timestamps; far below any transport timeout, and the runner
+        // timestamps; far below any resend interval, and the runner
         // only ticks inside the bounded escape hatch above, so no
-        // retransmission can fire spontaneously.
+        // timed resend can fire spontaneously.
         world.clock.advance(Duration::from_micros(1));
     }
 }

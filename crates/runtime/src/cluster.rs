@@ -309,10 +309,14 @@ pub struct RunReport {
     pub per_rank_stats: Vec<TrackingStats>,
     /// Cluster-wide sum of `per_rank_stats`.
     pub stats: TrackingStats,
-    /// Wall-clock duration of the run (Fig. 8's accomplishment time).
-    /// Read off the host's clock, like `tracking_time`: the two vary
-    /// from run to run, every other field replays exactly.
+    /// Wall-clock duration of the run. Read off the host's clock, like
+    /// `tracking_time`: the two vary from run to run, every other field
+    /// replays exactly.
     pub wall: Duration,
+    /// Time on the run's virtual clock when the last rank finished
+    /// (Fig. 8's accomplishment time): rounds × the round's advance,
+    /// so it replays exactly.
+    pub done_at: Duration,
     /// Host time the protocol's piggyback construction and merge took,
     /// summed over ranks and incarnations (Fig. 7's metric).
     pub tracking_time: Duration,
@@ -322,17 +326,10 @@ pub struct RunReport {
     pub net_msgs: u64,
     /// Fabric payload bytes.
     pub net_bytes: u64,
-    /// Transport-layer retransmissions (timeout and NACK driven).
-    pub retransmits: u64,
-    /// Envelopes the chaos fabric silently dropped.
-    pub chaos_dropped: u64,
-    /// Envelopes the chaos fabric delivered twice.
-    pub chaos_duplicated: u64,
-    /// Envelopes the chaos fabric flipped a bit in.
-    pub chaos_corrupted: u64,
+    /// Envelopes the fabric's [`lclog_simnet::ChaosConfig`] stalled.
+    pub chaos_stalled: u64,
     /// Per-rank data-plane byte accounting (frames built, payload
-    /// copies, zero-copy resends, ack coalescing), merged across
-    /// incarnations.
+    /// copies, zero-copy resends), merged across incarnations.
     pub per_rank_data_plane: Vec<DataPlaneStats>,
     /// Cluster-wide sum of `per_rank_data_plane`.
     pub data_plane: DataPlaneStats,

@@ -51,8 +51,8 @@ impl Delivery {
                 send_index: wire.send_index,
             };
         }
-        // A copy is already queued (recovery resend/retransmission
-        // crossing): drop silently; the queued copy's delivery will
+        // A copy is already queued (a recovery resend crossing the
+        // original): drop silently; the queued copy's delivery will
         // acknowledge.
         if self.queue.contains(src, wire.send_index) {
             return Admit::Duplicate;

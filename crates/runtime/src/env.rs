@@ -109,6 +109,8 @@ struct Board {
     data_plane: Vec<DataPlaneStats>,
     /// Host time in the tracking layer, summed like `stats`.
     tracking_time: Duration,
+    /// The run's clock when the last rank finished so far.
+    done_at: Duration,
     done: usize,
     kills: u32,
 }
@@ -177,6 +179,7 @@ impl RunEnv {
                 stats: vec![TrackingStats::default(); n],
                 data_plane: vec![DataPlaneStats::default(); n],
                 tracking_time: Duration::ZERO,
+                done_at: Duration::ZERO,
                 done: 0,
                 kills: 0,
             }),
@@ -301,6 +304,7 @@ impl RunEnv {
         board.data_plane[rank].merge(&snap.data_plane);
         board.tracking_time += snap.tracking_time;
         board.digests[rank] = Some(digest);
+        board.done_at = self.run.clock.elapsed();
         board.done += 1;
     }
 
@@ -334,13 +338,11 @@ impl RunEnv {
             stats,
             wall,
             tracking_time: board.tracking_time,
+            done_at: board.done_at,
             kills: board.kills,
             net_msgs: net.msgs_sent(),
             net_bytes: net.bytes_sent(),
-            retransmits: net.retransmits(),
-            chaos_dropped: net.chaos_dropped(),
-            chaos_duplicated: net.chaos_duplicated(),
-            chaos_corrupted: net.chaos_corrupted(),
+            chaos_stalled: net.chaos_stalled(),
             per_rank_data_plane: board.data_plane.clone(),
             data_plane,
             timeline: self.sink.take(),

@@ -71,14 +71,6 @@ pub enum EventKind {
         /// Phase entered.
         to: &'static str,
     },
-    /// The reliability layer exhausted its retransmit budget against a
-    /// silent peer and stopped waiting on it.
-    PeerWrittenOff {
-        /// The written-off rank.
-        peer: Rank,
-        /// Retransmit attempts spent before giving up.
-        attempts: u32,
-    },
     /// The TEL event-logger service stored a determinant batch.
     LoggerStored {
         /// Rank whose determinants were stored.
@@ -147,9 +139,6 @@ impl fmt::Display for EventKind {
             }
             EventKind::RecoveryTransition { from, to } => {
                 write!(f, "recovery phase {from} -> {to}")
-            }
-            EventKind::PeerWrittenOff { peer, attempts } => {
-                write!(f, "wrote off rank {peer} after {attempts} retransmits")
             }
             EventKind::LoggerStored { from, count, upto } => {
                 write!(f, "logger stored {count} determinants from rank {from} (upto {upto})")

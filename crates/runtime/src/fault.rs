@@ -1,15 +1,8 @@
-use lclog_core::Rank;
 use std::fmt;
 
 /// Why a runtime call could not complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Fault {
-    /// The reliability layer exhausted its retransmit budget towards
-    /// this peer: it has been silent across every backoff round. The
-    /// cluster harness treats this like a crash (restore + `ROLLBACK`)
-    /// so the operation is retried against whatever incarnation of the
-    /// peer eventually answers, instead of hanging forever.
-    Unreachable(Rank),
     /// The tracking layer's piggyback merge rejected a message the
     /// delivery gate had approved (e.g. a poisoned or stale piggyback
     /// admitted across an incarnation boundary). The protocol state on
@@ -20,9 +13,8 @@ pub enum Fault {
     /// A collective operation could not complete because its
     /// contribution pattern was violated — a participant died
     /// mid-collective, double-contributed, or a root supplied no
-    /// value. Carries a short reason for diagnostics. Survivors treat
-    /// it like an unreachable peer: unwind and retry the operation
-    /// through the normal recovery path.
+    /// value. Carries a short reason for diagnostics. Survivors unwind
+    /// and retry the operation through the normal recovery path.
     Collective(&'static str),
     /// A task's send met a closed send gate (PES awaits the logger) and
     /// sent nothing; the tasks engine treats it like a pending poll.
@@ -32,9 +24,6 @@ pub enum Fault {
 impl fmt::Display for Fault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Fault::Unreachable(peer) => {
-                write!(f, "peer rank {peer} unreachable (retransmit budget exhausted)")
-            }
             Fault::Desync => {
                 write!(f, "tracking merge rejected a gate-approved message; rank desynchronized")
             }

@@ -12,15 +12,17 @@
 //! | `rec` ([`crate::recovery`])       | state machine, sender log, suppression bound, checkpoints | 8–9, 12, 32–53 |
 //! | `trk` ([`crate::tracking`])       | `LoggingProtocol` box, `last_send_index`, stats           | 10–11, 15–31   |
 //! | `del` ([`crate::delivery`])       | receiving queue, `last_deliver_index`                     | 13–17          |
-//! | `transport` ([`crate::transport`]) | CRC framing, sequencing, dedup, ack/retransmit           | —              |
+//! | `transport` ([`crate::transport`]) | one encoded `WireMsg` per envelope, byte accounting      | —              |
 //! | `acked`, `rendezvous`, `resync_pacer` | rendezvous acks and resend timer, `RESYNC_REQ` pacing | —              |
 //! | `desynced`                        | the verdict the driver polls between calls                | —              |
 //!
-//! Failures are announced, as the paper assumes: the driver kills an
-//! incarnation and brings up its successor, which broadcasts
-//! `ROLLBACK`. Nothing here watches for silence; a peer that stays
-//! silent through the whole retransmit budget is written off
-//! ([`crate::Fault::Unreachable`]).
+//! Failures are announced and channels are reliable and FIFO, as the
+//! paper assumes: the driver kills an incarnation and brings up its
+//! successor, which broadcasts `ROLLBACK`. Nothing here watches for
+//! silence, and nothing is retransmitted below the protocol: what died
+//! with an inbox is resent from the sender log on `ROLLBACK`, and a
+//! receiver discards a copy it already holds or consumed by its
+//! `send_index`.
 //!
 //! One thread drives every rank of a job, so there is no lock and no
 //! lock order: a `Kernel` is neither `Send` nor `Sync`, and the
@@ -29,20 +31,13 @@
 //! send never blocks — so send order, wire order and log order agree
 //! by construction. [`Kernel::ingest_batch`] borrows once per batch.
 //! A log resend burst answering `ROLLBACK` or `RESPONSE` goes out in
-//! one pass. Time a sender spends transmitting it is not charged to
-//! the peer: the channel's retry deadline moves back by the burst's
-//! duration, so the tick after a long burst does not send it all
-//! again.
+//! one pass.
 //!
 //! A checkpoint sends `CHECKPOINT_ADVANCE` only to the senders whose
 //! messages it newly covers, so on a ring it is one frame, not n − 1.
 //! Sections proportional to n are still accepted: that fan-out under
 //! TAG-f and TEL (their peers prune on any rank's checkpoint), a
-//! `ROLLBACK` (re)broadcast, the tick's scan of the peer table.
-//!
-//! Cumulative transport acks are batched: the transport marks channels
-//! dirty and [`Kernel::ingest_batch`] flushes one ack per peer per
-//! batch instead of one frame per frame.
+//! `ROLLBACK` (re)broadcast.
 
 use crate::backoff::RetryBackoff;
 use crate::config::RunConfig;
@@ -57,9 +52,7 @@ use crate::recovery::{RecoveryLayer, RecoveryPhase, Transition};
 use crate::recvq::Pending;
 use crate::replicator::Replicator;
 use crate::tracking::Tracking;
-use crate::transport::{
-    decode_envelope, DataPlaneStats, Transport, TransportConfig, RETRANSMIT_CAP, RETRANSMIT_TIMEOUT,
-};
+use crate::transport::{DataPlaneStats, Transport};
 use bytes::Bytes;
 use lclog_core::{make_protocol, CounterVector, DeliveryVerdict, Rank, TrackingStats};
 use lclog_simnet::{Envelope, SimNet};
@@ -115,9 +108,11 @@ pub struct KernelSnapshot {
     pub recovery_phase: RecoveryPhase,
     /// Messages queued but not yet delivered.
     pub queued: usize,
-    /// Duplicate frames the transport discarded.
+    /// Application frames discarded by `send_index` (Algorithm 1's
+    /// duplicate discard): already consumed, or already queued.
     pub dup_discarded: u64,
-    /// Corrupt frames the transport detected.
+    /// Envelopes that were not a message a correct peer sends: counted
+    /// and dropped.
     pub corrupt_detected: u64,
     /// Data-plane byte accounting: frames built, bytes framed, payload
     /// copies, zero-copy resends.
@@ -136,6 +131,9 @@ pub struct Kernel {
     me: Rank,
     n: usize,
     cfg: RunConfig,
+    /// Which incarnation of `me` this kernel is (1-based; the `Debug`
+    /// dump names it).
+    incarnation: u64,
     /// TEL event-logger service rank (slot `n`), when the protocol
     /// uses one. Constant per protocol kind.
     logger: Option<Rank>,
@@ -149,11 +147,12 @@ struct State {
     rec: RecoveryLayer,
     trk: Tracking,
     del: Delivery,
-    /// CRC framing, sequencing, dedup, ack/retransmit — every wire
-    /// message crosses it. Sends to dead ranks are retransmitted
-    /// until the peer's next incarnation answers (or the budget writes
-    /// it off); recovery resends cover anything lost with the old one.
+    /// Every wire message crosses it, one encoded `WireMsg` per
+    /// envelope. Sends to dead ranks are lost with the inbox; recovery
+    /// resends cover them.
     transport: Transport,
+    /// Application frames discarded by `send_index`.
+    dup_discarded: u64,
     /// Highest acknowledged rendezvous send per destination.
     acked: CounterVector,
     /// The rendezvous send the application waits on, `(dst,
@@ -239,14 +238,14 @@ impl Kernel {
     pub fn new(me: Rank, n: usize, cfg: RunConfig, net: SimNet, ckpt_store: CheckpointStore) -> Self {
         let protocol = make_protocol(cfg.protocol, me, n);
         let logger = protocol.wants_event_logger().then(|| crate::logger_rank(n));
-        let transport =
-            Transport::new(me, net.n(), net, TransportConfig::standard(cfg.clock.clone()));
+        let transport = Transport::new(me, net);
         let now = cfg.clock.now();
         let state = State {
             rec: RecoveryLayer::new(n, ckpt_store, now),
             trk: Tracking::new(protocol, n),
             del: Delivery::new(n),
             transport,
+            dup_discarded: 0,
             acked: CounterVector::zeroed(n),
             rendezvous: None,
             resync_pacer: ResyncPacer::new(me, n),
@@ -256,31 +255,29 @@ impl Kernel {
             me,
             n,
             cfg,
+            incarnation: 1,
             logger,
             state: RefCell::new(state),
             events: EventSink::disabled(),
         }
     }
 
-    /// Tell the transport which incarnation this kernel is:
-    /// receivers use the epoch to distinguish a respawned sender's
-    /// fresh sequence space from stale duplicates. Must be called
-    /// before any traffic when the incarnation is not the first.
+    /// Name the incarnation this kernel is (1 when never called). The
+    /// wire carries no incarnation: per-pair FIFO already delivers a
+    /// dead incarnation's frames before its successor's.
     pub fn set_incarnation(&mut self, incarnation: u64) {
-        self.state.get_mut().transport.set_epoch(incarnation);
+        self.incarnation = incarnation;
     }
 
-    /// The blocking engine's rendezvous state for `dst`:
-    /// `(highest acked send_index, peer written off)`.
-    pub fn rendezvous_progress(&self, dst: Rank) -> (u64, bool) {
-        let st = self.state.borrow();
-        (st.acked.get(dst), st.transport.peer_unreachable(dst))
+    /// The blocking engine's rendezvous state for `dst`: the highest
+    /// acknowledged `send_index`.
+    pub fn rendezvous_progress(&self, dst: Rank) -> u64 {
+        self.state.borrow().acked.get(dst)
     }
 
     /// Attach a timeline collector (see [`crate::events`]). Call
     /// before the kernel is handed to the driver.
     pub fn set_event_sink(&mut self, sink: EventSink) {
-        self.state.get_mut().transport.events = sink.clone();
         self.events = sink;
     }
 
@@ -312,7 +309,7 @@ impl Kernel {
             acked: st.acked.clone(),
             recovery_phase: st.rec.machine.phase().clone(),
             queued: st.del.queue.len(),
-            dup_discarded: st.transport.dup_discarded,
+            dup_discarded: st.dup_discarded,
             corrupt_detected: st.transport.corrupt_detected,
             data_plane: st.transport.dp.clone(),
         }
@@ -410,14 +407,13 @@ impl Kernel {
     /// ## Zero-copy budget
     ///
     /// A transmitted send performs **exactly one frame allocation**:
-    /// the transport encodes `[crc | header | WireMsg::App]` in a
-    /// single pass and hands back the encoded-message region as a
-    /// zero-copy window, which the sender-log entry stores for
-    /// verbatim resends — the log entry, the transport's unacked
-    /// slot, and the in-flight envelope are all refcounted handles on
-    /// that one buffer, and the entry's `piggyback`/`data` handles
-    /// move in from the send without a decode pass. A suppressed send
-    /// encodes once into the log and transmits nothing.
+    /// the transport encodes the `WireMsg::App` in a single pass and
+    /// hands back the buffer, which the sender-log entry stores for
+    /// verbatim resends — the log entry and the in-flight envelope are
+    /// refcounted handles on that one buffer, and the entry's
+    /// `piggyback`/`data` handles move in from the send without a
+    /// decode pass. A suppressed send encodes once into the log and
+    /// transmits nothing.
     pub fn app_send(&self, dst: Rank, tag: u32, data: Bytes, needs_ack: bool) -> (u64, bool) {
         let mut st = self.state.borrow_mut();
         let (send_index, transmitted) = st.app_send(dst, tag, data, needs_ack);
@@ -442,40 +438,29 @@ impl Kernel {
     // Ingestion and delivery (lines 13–31)
     // ---------------------------------------------------------------
 
-    /// Process one raw envelope from the fabric, then flush the
-    /// coalesced acks. Engines that hold several envelopes should
-    /// prefer [`Kernel::ingest_batch`], which pays the flush once.
+    /// Process one raw envelope from the fabric.
     pub fn ingest(&self, env: Envelope) {
         self.ingest_batch([env]);
     }
 
-    /// Process a batch of raw envelopes in arrival order, then flush
-    /// one cumulative ack per dirty peer instead of per-frame acks.
-    /// One borrow covers the whole batch.
+    /// Process a batch of raw envelopes in arrival order. One borrow
+    /// covers the whole batch.
     pub fn ingest_batch(&self, envs: impl IntoIterator<Item = Envelope>) {
         let st = &mut *self.state.borrow_mut();
         for env in envs {
             self.ingest_env(st, env);
         }
-        st.transport.flush_acks();
     }
 
-    /// Process one raw envelope without flushing acks: CRC check and
-    /// frame decode, then the transport strips the frame — corrupt
-    /// envelopes are NACK'ed, duplicates discarded, and control frames
-    /// consumed without ever reaching the dispatch below — and the
-    /// inner message is applied.
+    /// Decode one raw envelope as a [`WireMsg`] and apply it.
     fn ingest_env(&self, st: &mut State, env: Envelope) {
         let src = env.src;
-        let Some(inner) = st.transport.ingest(src, decode_envelope(&env)) else {
-            return;
-        };
         // Zero-copy decode: `App` payload and piggyback come out as
-        // windows into the ingested frame, not fresh allocations. Any
-        // fabric peer can frame bytes that are not a message (a retired
-        // tag among them); they are counted and dropped (the transport
-        // has already acknowledged the frame).
-        let Ok(msg) = lclog_wire::decode_from_bytes::<WireMsg>(&inner) else {
+        // windows into the envelope, not fresh allocations. Any fabric
+        // peer can send bytes that are not a message (a retired tag
+        // among them); they are counted and dropped, and change
+        // nothing else.
+        let Ok(msg) = lclog_wire::decode_from_bytes::<WireMsg>(&env.payload) else {
             st.transport.corrupt_detected += 1;
             return;
         };
@@ -496,16 +481,20 @@ impl Kernel {
             }
             WireMsg::ResyncReq(who) if who as Rank != src => st.transport.corrupt_detected += 1,
             WireMsg::LogDets(_) | WireMsg::LogQuery(_) => st.transport.corrupt_detected += 1,
-            WireMsg::App(wire) => {
-                // The re-ack a repetitive rendezvous duplicate is owed.
-                if let Admit::Repetitive {
-                    needs_ack: true,
+            WireMsg::App(wire) => match st.del.admit(src, wire) {
+                Admit::Queued => {}
+                Admit::Repetitive {
+                    needs_ack,
                     send_index,
-                } = st.del.admit(src, wire)
-                {
-                    st.transport.send_msg(src, &WireMsg::Ack(send_index));
+                } => {
+                    st.dup_discarded += 1;
+                    // The re-ack a repetitive rendezvous duplicate is owed.
+                    if needs_ack {
+                        st.transport.send_msg(src, &WireMsg::Ack(send_index));
+                    }
                 }
-            }
+                Admit::Duplicate => st.dup_discarded += 1,
+            },
             WireMsg::Ack(idx) => raise(&mut st.acked, src, idx),
             WireMsg::Rollback(w) => self.handle_rollback(st, src, w),
             WireMsg::Response(w) => self.handle_response(st, src, w),
@@ -913,11 +902,8 @@ impl Kernel {
     /// `(after, upto]`, oldest first, in one pass. Logged wire bytes go
     /// out verbatim — refcount bumps, zero payload copies; the original
     /// piggyback (and `needs_ack`, which is safe: rendezvous acks are
-    /// idempotent) ride along exactly as first framed. The burst's
-    /// duration on the run's clock is added to the channel's retry
-    /// deadline ([`Transport::defer_retry`]).
+    /// idempotent) ride along exactly as first framed.
     fn resend_logged(&self, st: &mut State, dst: Rank, after: u64, upto: u64) {
-        let start = self.cfg.clock.now();
         let State { rec, transport, .. } = st;
         let burst = rec.log.entries_after(dst, after);
         let mut count = 0;
@@ -925,7 +911,6 @@ impl Kernel {
             transport.send_encoded(dst, e.to_wire());
             count += 1;
         }
-        transport.defer_retry(dst, self.cfg.clock.now() - start);
         if count > 0 {
             self.events
                 .emit(self.me, EventKind::LogResent { to: dst, count });
@@ -940,14 +925,13 @@ impl Kernel {
         } = st;
         raise(&mut rec.rollback_last_send_index, src, w.delivered_from_you);
         raise(acked, src, w.delivered_from_you);
-        // The dead incarnation's transport may have been holding sent-
-        // but-undelivered messages for retransmission when it crashed;
-        // on a lossy fabric those copies are gone for good. Any such
-        // message predates the checkpoint (its index is within the
-        // restored `last_send`), so re-execution will not regenerate
-        // it either — the checkpointed sender log is its only
-        // surviving copy. Resend that window; the receiver's dedup
-        // absorbs whatever did arrive.
+        // A message the dead incarnation sent after its checkpoint but
+        // that its peer had not consumed when it crashed may have been
+        // lost in flight with a dying inbox. If it predates the
+        // checkpoint (its index is within the restored `last_send`),
+        // re-execution will not regenerate it — the checkpointed
+        // sender log is its only surviving copy. Resend that window;
+        // the receiver's dedup absorbs whatever did arrive.
         let restored = rec.restored_send_index.get(src);
         let (newly, tr) = rec.machine.note_response(src);
         self.emit_transition(tr);
@@ -964,25 +948,20 @@ impl Kernel {
         self.resend_logged(st, src, w.delivered_from_you, restored);
     }
 
-    /// Periodic maintenance, one borrow: drive the
-    /// transport's retransmission timers, pace the sparse codec's
+    /// Periodic maintenance, one borrow: pace the sparse codec's
     /// resync requests, rebroadcast `ROLLBACK` to peers that have not
-    /// responded (they
-    /// may have been dead when the first broadcast went out — the
-    /// multi-failure case of Fig. 2), resend an unacknowledged
-    /// rendezvous send, and flush coalesced acks.
+    /// responded (they may have been dead when the first broadcast
+    /// went out — the multi-failure case of Fig. 2), and resend an
+    /// unacknowledged rendezvous send.
     pub fn tick(&self) {
         let now = self.cfg.clock.now();
         let mut st = self.state.borrow_mut();
         let State { trk, transport, resync_pacer, .. } = &mut *st;
-        transport.tick();
         // Frames queued behind an undecodable one stay parked until
         // the snapshot round-trip completes, so the *first* request
-        // goes out on the first tick. Re-requests are paced by a
-        // per-source full-jitter backoff: the protocol re-queues the
-        // request on every gate check while the snapshot is in flight,
-        // and re-sending each tick would be a request storm that the
-        // snapshot sender answers in kind.
+        // goes out on the first tick. The protocol re-queues the
+        // request on every gate check while the snapshot is in flight;
+        // the pacer lets a re-request out only on its backoff schedule.
         let resyncs = trk.protocol.take_resync_requests();
         if !resyncs.is_empty() {
             for src in resync_pacer.admit(&resyncs, now) {
@@ -1000,7 +979,6 @@ impl Kernel {
                 st.rendezvous = Some((dst, send_index, now));
             }
         }
-        st.transport.flush_acks();
     }
 
     /// The backing store checkpoints were written to (tests re-create
@@ -1017,32 +995,32 @@ impl Kernel {
 /// hits an undecodable frame, which is every delivery attempt while
 /// the snapshot round-trip is in flight. The pacer collapses that
 /// stream into: one immediate request, then re-requests only after a
-/// full-jitter backoff deadline passes (covering the lost-`SNAP` /
-/// lost-`REQ` cases), with the schedule reset once a snapshot arrives.
-/// The backoff is clock-free (seeded jitter), so paced schedules stay
-/// deterministic under the explorer's virtual clock.
+/// full-jitter backoff deadline passes (a request or its answer is
+/// lost only with a dying inbox), with the schedule reset once a
+/// snapshot arrives. The backoff is clock-free (seeded jitter), so
+/// paced schedules stay deterministic under the explorer's virtual
+/// clock.
 struct ResyncPacer {
     /// Per-source schedule; allocated lazily (resyncs are rare).
     slots: Vec<Option<ResyncSlot>>,
-    initial: Duration,
-    cap: Duration,
     seed: u64,
 }
 
 struct ResyncSlot {
     backoff: RetryBackoff,
     /// Next instant a re-request may go out.
-    deadline: std::time::Instant,
+    deadline: Instant,
 }
+
+/// First re-request ceiling: about one wire round-trip.
+const RESYNC_BACKOFF_INITIAL: Duration = Duration::from_millis(2);
+/// Ceiling the re-request backoff saturates at.
+const RESYNC_BACKOFF_CAP: Duration = Duration::from_millis(50);
 
 impl ResyncPacer {
     fn new(me: Rank, n: usize) -> Self {
         ResyncPacer {
             slots: (0..n).map(|_| None).collect(),
-            // A resync is one wire round-trip, same scale as a
-            // retransmission; reuse the transport's envelope.
-            initial: RETRANSMIT_TIMEOUT,
-            cap: RETRANSMIT_CAP,
             seed: 0x5EED_5EED ^ ((me as u64) << 32),
         }
     }
@@ -1050,30 +1028,23 @@ impl ResyncPacer {
     /// Filter the protocol's drained requests down to the ones whose
     /// schedule allows a send now. First request per source goes out
     /// immediately; later ones wait out the jittered deadline.
-    fn admit(&mut self, requests: &[Rank], now: std::time::Instant) -> Vec<Rank> {
+    fn admit(&mut self, requests: &[Rank], now: Instant) -> Vec<Rank> {
         let mut due = Vec::new();
         for &src in requests {
-            if src >= self.slots.len() {
+            let Some(slot) = self.slots.get_mut(src) else {
                 continue;
-            }
-            match &mut self.slots[src] {
-                slot @ None => {
-                    let mut backoff =
-                        RetryBackoff::new(self.initial, self.cap, self.seed ^ src as u64);
-                    let wait = self.initial / 2 + backoff.next_wait();
-                    *slot = Some(ResyncSlot {
-                        backoff,
-                        deadline: now + wait,
-                    });
-                    due.push(src);
-                }
-                Some(slot) => {
-                    if now >= slot.deadline {
-                        let wait = self.initial / 2 + slot.backoff.next_wait();
-                        slot.deadline = now + wait;
-                        due.push(src);
-                    }
-                }
+            };
+            let slot = slot.get_or_insert_with(|| ResyncSlot {
+                backoff: RetryBackoff::new(
+                    RESYNC_BACKOFF_INITIAL,
+                    RESYNC_BACKOFF_CAP,
+                    self.seed ^ src as u64,
+                ),
+                deadline: now,
+            });
+            if now >= slot.deadline {
+                slot.deadline = now + RESYNC_BACKOFF_INITIAL / 2 + slot.backoff.next_wait();
+                due.push(src);
             }
         }
         due
@@ -1091,9 +1062,10 @@ impl ResyncPacer {
 impl std::fmt::Debug for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let st = self.state.borrow();
-        let State { rec, trk, del, transport, .. } = &*st;
+        let State { rec, trk, del, .. } = &*st;
         f.debug_struct("Kernel")
             .field("me", &self.me)
+            .field("incarnation", &self.incarnation)
             .field("n", &self.n)
             .field("protocol", &self.cfg.protocol)
             .field("queued_len", &del.queue.len())
@@ -1104,9 +1076,7 @@ impl std::fmt::Debug for Kernel {
             .field("last_deliver", &del.last_deliver_index.as_slice())
             .field("delivered_total", &trk.protocol.delivered_total())
             .field("recovery_phase", rec.machine.phase())
-            .field("dup_discarded", &transport.dup_discarded)
-            .field("corrupt_detected", &transport.corrupt_detected)
-            .field("channels", &transport.channel_summary())
+            .field("dup_discarded", &st.dup_discarded)
             .finish()
     }
 }
@@ -1146,10 +1116,9 @@ mod tests {
         }
     }
 
-    /// A bare endpoint at slot `me`: frames whatever the test says.
+    /// A bare endpoint at slot `me`: sends whatever the test says.
     fn raw_peer(me: Rank, net: &SimNet) -> Transport {
-        let cfg = TransportConfig::standard(crate::Clock::Real);
-        Transport::new(me, net.n(), net.clone(), cfg)
+        Transport::new(me, net.clone())
     }
 
     #[test]
@@ -1215,7 +1184,7 @@ mod tests {
         k1.try_deliver(RecvSpec::any()).unwrap();
         // Ack for the first transmission.
         pump(&k0, &eps[0]);
-        assert_eq!(k0.rendezvous_progress(1), (1, false));
+        assert_eq!(k0.rendezvous_progress(1), 1);
         // Re-transmit the same message (as a recovering sender would).
         k0.state.borrow_mut().resend_unacked(1, 1);
         pump(&k1, &eps[1]);
@@ -1223,7 +1192,8 @@ mod tests {
         assert!(k1.try_deliver(RecvSpec::any()).is_none());
         // …but still acknowledged (Fig. 3's duplicate handling).
         pump(&k0, &eps[0]);
-        assert_eq!(k0.rendezvous_progress(1).0, 1);
+        assert_eq!(k0.rendezvous_progress(1), 1);
+        assert_eq!(k1.snapshot().dup_discarded, 1);
     }
 
     #[test]
@@ -1308,10 +1278,10 @@ mod tests {
 
     #[test]
     fn a_resend_burst_longer_than_the_timeout_goes_out_once() {
-        // On the wall clock, resending 20 000 logged sends takes far
-        // longer than the 2 ms retransmit timeout. The burst's own time
-        // is not the peer's, so the survivor's tick right after it
-        // finds nothing overdue and every message crosses once.
+        // Recovery resends 20 000 logged sends in one burst on the wall
+        // clock. Nothing below the protocol times it or sends it again:
+        // every message crosses once and replays in order, and the
+        // incarnation discards no duplicate.
         const SENDS: u64 = 20_000;
         let (mut ks, net, eps) = harness(2, ProtocolKind::Tdi);
         let k1 = ks.pop().unwrap();
@@ -1345,9 +1315,7 @@ mod tests {
         assert!(k1b.try_deliver(RecvSpec::any()).is_none());
         assert_eq!(k1b.recovery_phase(), RecoveryPhase::Synced);
         for k in [&k0, &k1b] {
-            let snap = k.snapshot();
-            assert_eq!(snap.data_plane.retransmit_frames, 0, "rank {}", k.me());
-            assert_eq!(snap.dup_discarded, 0, "rank {}", k.me());
+            assert_eq!(k.snapshot().dup_discarded, 0, "rank {}", k.me());
         }
     }
 
@@ -1705,19 +1673,20 @@ mod tests {
     #[test]
     fn recovering_sender_resupplies_in_flight_sends_from_checkpointed_log() {
         // The dual of the suppression test: rank 0 sends two messages
-        // whose frames are lost on the wire, checkpoints (recording
-        // them in last_send and in the sender log), then dies. Its old
-        // transport's retransmission window dies with it, and the new
-        // incarnation re-executes from *after* the sends — so the only
-        // surviving copies are in the checkpointed log, and the
-        // RESPONSE (delivered 0 from you) must trigger their resend.
+        // whose frames are lost with a dying inbox, checkpoints
+        // (recording them in last_send and in the sender log), then
+        // dies. The new incarnation re-executes from *after* the sends
+        // — so the only surviving copies are in the checkpointed log,
+        // and the RESPONSE (delivered 0 from you) must trigger their
+        // resend.
         let (mut ks, net, eps) = harness(2, ProtocolKind::Tdi);
         let k1 = ks.pop().unwrap();
         let k0 = ks.pop().unwrap();
         k0.app_send(1, 0, Bytes::from_static(b"a"), false);
         k0.app_send(1, 0, Bytes::from_static(b"b"), false);
-        // The fabric eats both frames (chaos drop) — and the
-        // checkpoint's CkptAdvance with them.
+        // Rank 1's inbox loses both frames unread, as it does when the
+        // incarnation holding it dies — and the checkpoint's
+        // CkptAdvance with them.
         k0.do_checkpoint(vec![], 1);
         while eps[1].try_recv().is_ok() {}
         net.kill(0);
@@ -1854,7 +1823,7 @@ mod tests {
         // nothing, gets through afterwards.
         raw_peer(2, &net).send_msg(1, &WireMsg::Ack(1));
         pump(&ks[1], &eps[1]);
-        assert_eq!(ks[1].rendezvous_progress(2).0, 1);
+        assert_eq!(ks[1].rendezvous_progress(2), 1);
         ks[1].snapshot().corrupt_detected
     }
 
@@ -1870,7 +1839,7 @@ mod tests {
     }
 
     /// Tags 9 and 10 of `WireMsg` once carried suspicion reports and
-    /// membership views. A data frame whose message still carries one,
+    /// membership views. An envelope whose message still carries one,
     /// in either old shape and from a rank or the service slot, is
     /// counted and dropped, and the rank keeps serving.
     #[test]
@@ -1894,7 +1863,7 @@ mod tests {
     }
 
     /// A `ROLLBACK` once carried the whole `last_deliver_index`
-    /// vector. A data frame whose message still has that shape — too
+    /// vector. An envelope whose message still has that shape — too
     /// short for the per-peer counter, or with bytes left over — is
     /// counted and dropped, and the rank keeps serving.
     #[test]
@@ -2242,7 +2211,8 @@ mod tests {
         // check re-queues the request) and the kernel ticks once per
         // simulated millisecond. Rank 0 receives the REQ and answers
         // with a SNAP, but rank 1 never ingests it — the lost-snapshot
-        // window.
+        // window. Rank 1 sends rank 0 nothing but requests.
+        let mut originated = 0;
         for _ in 0..400 {
             sim.advance(Duration::from_millis(1));
             let _ = kernels[1]
@@ -2253,21 +2223,13 @@ mod tests {
                 .deliverable(0, 2, &delta);
             kernels[1].tick();
             while let Ok(env) = endpoints[0].try_recv() {
+                originated += 1;
                 kernels[0].ingest(env);
             }
             kernels[0].tick();
-            // The SNAP replies (and rank 0's acks) park unread at
-            // rank 1's endpoint — the lost-snapshot window.
+            // The SNAP replies park unread at rank 1's endpoint — the
+            // lost-snapshot window.
         }
-        // The pacer's backoff attempt counter is exactly the number of
-        // `RESYNC_REQ` frames the kernel *originated* (transport-level
-        // retransmission of unacked frames is bounded separately by
-        // the retransmit budget, so it is excluded here on purpose).
-        let originated = {
-            let st = kernels[1].state.borrow();
-            let slot = st.resync_pacer.slots[0].as_ref();
-            slot.expect("slot live while desynced").backoff.attempt()
-        };
         assert!(
             originated >= 2,
             "a lost snapshot must be re-requested: {originated}"
@@ -2277,8 +2239,8 @@ mod tests {
             "request storm: {originated} REQ frames originated in 400 ticks"
         );
 
-        // The "lost" snapshot finally arrives (any retransmitted copy
-        // will do): the channel heals and the pacer schedule resets.
+        // The "lost" snapshot finally arrives (any of the answers will
+        // do): the channel heals and the pacer schedule resets.
         while let Ok(env) = endpoints[1].try_recv() {
             kernels[1].ingest(env);
         }
@@ -2293,5 +2255,226 @@ mod tests {
             "installed snapshot must unblock the parked delta"
         );
         assert!(kernels[1].state.borrow().resync_pacer.slots[0].is_none());
+    }
+
+    /// Frame guard: on a direct fabric an application send of k bytes
+    /// puts exactly one envelope on the fabric, and the envelope is the
+    /// message's encoding — no checksum or header around it, and no
+    /// acknowledgement frame after it.
+    #[test]
+    fn frame_guard_an_app_send_is_one_encoded_wire_msg() {
+        for k in [0usize, 1, 200, 64 * 1024] {
+            let (ks, _net, eps) = harness(2, ProtocolKind::Tdi);
+            let data = Bytes::from(vec![0x5A; k]);
+            ks[0].app_send(1, 7, data.clone(), false);
+            let env = eps[1].try_recv().expect("the send's envelope");
+            assert!(eps[1].try_recv().is_err(), "{k} bytes: one envelope");
+            let msg = lclog_wire::decode_from_bytes::<WireMsg>(&env.payload).expect("a WireMsg");
+            let WireMsg::App(wire) = &msg else {
+                panic!("{k} bytes: not an App message: {msg:?}");
+            };
+            use lclog_wire::Encode;
+            assert_eq!((wire.tag, wire.send_index, &wire.data), (7, 1, &data));
+            assert_eq!(env.len(), msg.encoded_len(), "{k} bytes: nothing but the message");
+            ks[1].ingest(env);
+            ks[1].tick();
+            assert!(eps[0].try_recv().is_err(), "{k} bytes: nothing comes back");
+            for k in &ks {
+                assert_eq!(k.snapshot().data_plane.ack_frames, 0);
+            }
+        }
+    }
+
+    /// One valid frame of every `WireMsg` variant.
+    fn frame_of_every_variant() -> Vec<Bytes> {
+        let det = lclog_core::Determinant {
+            sender: 0,
+            send_index: 1,
+            receiver: 1,
+            deliver_index: 1,
+        };
+        let app = AppWire {
+            tag: 3,
+            send_index: 1,
+            piggyback: Bytes::from_static(&[1, 0, 0, 0]),
+            needs_ack: true,
+            data: Bytes::from_static(b"payload"),
+        };
+        let response = ResponseWire { delivered_from_you: 1, dets: vec![det], epoch: 1 };
+        let advance = CkptAdvanceWire { delivered_from_you: 1, total_delivered: 2 };
+        [
+            WireMsg::App(app),
+            WireMsg::Ack(1),
+            WireMsg::Rollback(RollbackWire { delivered_from_you: 0, epoch: 1 }),
+            WireMsg::Response(response),
+            WireMsg::CkptAdvance(advance),
+            WireMsg::LogDets(vec![det]),
+            WireMsg::LogAck(1),
+            WireMsg::LogQuery(0),
+            WireMsg::LogQueryResp(vec![det]),
+            WireMsg::ResyncReq(0),
+            WireMsg::ResyncSnap(Bytes::from_static(&[1, 1, 0, 0, 0])),
+        ]
+        .iter()
+        .map(|msg| Bytes::from(encode_to_vec(msg)))
+        .collect()
+    }
+
+    // Decoding is total: arbitrary bytes, and truncations and bit flips
+    // of a valid frame of every `WireMsg` variant, from a rank or the
+    // service slot, at a running or a recovering rank. Bytes that do
+    // not decode are counted in `corrupt_detected` and change nothing
+    // else (the kernel's `Debug` dump is the same before and after);
+    // bytes that do are handled as the message they are. Nothing
+    // panics, debug assertions included.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            .. proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn prop_hostile_bytes_are_counted_or_handled_never_a_panic(
+            from in 0usize..4,
+            recovering in proptest::prelude::any::<bool>(),
+            variant in 0usize..11,
+            mode in 0u8..3,
+            pick in proptest::prelude::any::<u64>(),
+            garbage in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..48),
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            // Rank 1 receives; slot 3 is the service slot.
+            let from = if from == 1 { 0 } else { from };
+            let frame = frame_of_every_variant()[variant].clone();
+            let bytes = match mode {
+                0 => Bytes::from(garbage),
+                1 => frame.slice(..(pick as usize % frame.len())),
+                _ => {
+                    let mut flipped = frame.to_vec();
+                    let bit = pick as usize % (flipped.len() * 8);
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    Bytes::from(flipped)
+                }
+            };
+            // TDI-S: the one protocol that installs resync snapshots.
+            let (ks, net, eps) = harness(3, ProtocolKind::TdiSparse(8));
+            ks[0].app_send(1, 0, Bytes::from_static(b"real"), false);
+            pump(&ks[1], &eps[1]);
+            if recovering {
+                ks[1].begin_recovery();
+            }
+            let dump = format!("{:?}", ks[1]);
+            let corrupt = ks[1].snapshot().corrupt_detected;
+            let undecodable = lclog_wire::decode_from_bytes::<WireMsg>(&bytes).is_err();
+            raw_peer(from, &net).send_encoded(1, bytes);
+            ks[1].ingest_batch(std::iter::from_fn(|| eps[1].try_recv().ok()).collect::<Vec<_>>());
+            if undecodable {
+                prop_assert_eq!(ks[1].snapshot().corrupt_detected, corrupt + 1);
+                prop_assert_eq!(format!("{:?}", ks[1]), dump);
+            }
+            ks[1].tick();
+            while ks[1].try_deliver(RecvSpec::any()).is_some() {}
+        }
+    }
+
+    // Per-pair FIFO across incarnations, the property the wire's shape
+    // rests on (it carries no incarnation number): rank 0 dies with
+    // application frames still in flight to ranks 1 and 2, and its
+    // successor broadcasts `ROLLBACK`. On the direct, held and timed
+    // fabrics, for any release schedule, each peer ingests every one
+    // of the predecessor's frames before the successor's `ROLLBACK`,
+    // and delivers them exactly once, in send order.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 64,
+            .. proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn prop_a_dead_incarnations_frames_precede_its_successors_rollback(
+            model in 0u8..3,
+            pre in 1u64..8,
+            before_kill in 0usize..8,
+            choices in proptest::collection::vec(0usize..64, 0..48),
+        ) {
+            use crate::Clock;
+            use lclog_simnet::SimClock;
+            use proptest::prelude::{prop_assert, prop_assert_eq};
+            let n = 3;
+            let clock = SimClock::new();
+            let net_cfg = match model {
+                0 => NetConfig::direct(),
+                1 => NetConfig::held(),
+                _ => NetConfig::lan_like(pre ^ before_kill as u64),
+            };
+            let net = SimNet::with_clock(n + 1, net_cfg, Clock::Sim(clock.clone()));
+            let store = CheckpointStore::new(Arc::new(MemStore::new()));
+            let cfg = RunConfig::new(ProtocolKind::Tdi).with_clock(Clock::Sim(clock.clone()));
+            let eps: Vec<_> = (0..n).map(|r| net.attach(r)).collect();
+            let ks: Vec<Kernel> = (0..n)
+                .map(|r| Kernel::new(r, n, cfg.clone(), net.clone(), store.clone()))
+                .collect();
+            let mut choices = choices.into_iter();
+            // One scheduling step: release a held frame or let time pass.
+            let step = |choice: usize| match model {
+                1 => {
+                    let held = net.held_channels();
+                    if !held.is_empty() {
+                        let (src, dst, _) = held[choice % held.len()];
+                        net.held_deliver(src, dst);
+                    }
+                }
+                2 => clock.advance(Duration::from_micros(choice as u64 * 5)),
+                _ => {}
+            };
+            // What each peer ingested, in order: `Some(i)` the
+            // predecessor's i-th application frame, `None` the ROLLBACK.
+            let mut seen: Vec<Vec<Option<u64>>> = vec![Vec::new(); n];
+            let mut delivered: Vec<Vec<u64>> = vec![Vec::new(); n];
+            let mut drain = |peer: usize, ks: &[Kernel]| {
+                let batch: Vec<_> = std::iter::from_fn(|| eps[peer].try_recv().ok()).collect();
+                for env in &batch {
+                    match lclog_wire::decode_from_bytes::<WireMsg>(&env.payload) {
+                        Ok(WireMsg::App(w)) => seen[peer].push(Some(w.send_index)),
+                        Ok(WireMsg::Rollback(_)) => seen[peer].push(None),
+                        other => panic!("unexpected frame at rank {peer}: {other:?}"),
+                    }
+                }
+                ks[peer].ingest_batch(batch);
+                while let Some(m) = ks[peer].try_deliver(RecvSpec::any()) {
+                    delivered[peer].push(u64::from_le_bytes(m.data[..].try_into().unwrap()));
+                }
+            };
+            for i in 1..=pre {
+                for peer in [1, 2] {
+                    ks[0].app_send(peer, 0, Bytes::copy_from_slice(&i.to_le_bytes()), false);
+                }
+            }
+            for _ in 0..before_kill {
+                step(choices.next().unwrap_or(0));
+                drain(1, &ks);
+                drain(2, &ks);
+            }
+            net.kill(0);
+            let _ep0 = net.respawn(0);
+            let mut k0 = Kernel::new(0, n, cfg.clone(), net.clone(), store.clone());
+            k0.set_incarnation(2);
+            k0.begin_recovery();
+            for choice in choices {
+                step(choice);
+                drain(1 + choice % 2, &ks);
+            }
+            // Release whatever is left.
+            net.held_deliver_all();
+            clock.advance(Duration::from_millis(10));
+            drain(1, &ks);
+            drain(2, &ks);
+            for peer in [1, 2] {
+                let old: Vec<Option<u64>> = (1..=pre).map(Some).collect();
+                prop_assert_eq!(&seen[peer][..pre as usize], &old[..], "rank {}", peer);
+                prop_assert_eq!(&seen[peer][pre as usize..], &[None][..], "rank {}", peer);
+                prop_assert!(delivered[peer].iter().copied().eq(1..=pre), "rank {}", peer);
+            }
+        }
     }
 }

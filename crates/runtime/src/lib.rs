@@ -84,7 +84,7 @@ pub use kernel::RETRY_INTERVAL;
 pub use tasks::{run_tasks, TaskApp, TaskCtx, TaskJob, TaskPoll};
 pub use recvq::{Pending, RecvQueue};
 pub use replicator::{Replicator, ReplicatorStats};
-pub use transport::{payload_is_app_frame, payload_is_data_frame, DataPlaneStats};
+pub use transport::{payload_is_app_frame, DataPlaneStats};
 
 /// Rank identifier (re-exported from the protocol layer).
 pub use lclog_core::Rank;

@@ -19,10 +19,9 @@
 //! A [`LogEntry`] owns one refcounted handle on the message's
 //! **already-encoded wire form** (the `WireMsg::App` bytes that went
 //! into the frame), plus refcounted handles for the piggyback and
-//! payload. On the steady-state send path the wire handle is a window
-//! into the very frame the transport built — the log, the transport's
-//! unacked map, and the in-flight envelope share one allocation —
-//! while `piggyback`/`data` move in from the send call itself (no
+//! payload. On the steady-state send path the wire handle is the very
+//! buffer the transport built — the log and the in-flight envelope
+//! share one allocation — while `piggyback`/`data` move in from the send call itself (no
 //! decode pass). On checkpoint restore they are instead zero-copy
 //! windows decoded out of `wire`. Resends hand [`LogEntry::to_wire`]
 //! straight back to the transport with **zero payload copies**; the

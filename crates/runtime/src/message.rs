@@ -161,10 +161,9 @@ impl_wire_struct!(CkptAdvanceWire {
 pub enum WireMsg {
     /// Application message with recovery header.
     App(AppWire),
-    /// Ingestion acknowledgement for a rendezvous send (`send_index`
-    /// of the acknowledged message). Per-message and kernel-level —
-    /// distinct from the transport's frame-sequence `AckFrame`s, which
-    /// are cumulative and coalesced to one per peer per ingest batch.
+    /// Delivery acknowledgement for a rendezvous send (`send_index`
+    /// of the acknowledged message) — the only acknowledgement on the
+    /// wire.
     Ack(u64),
     /// Recovery broadcast from an incarnation.
     Rollback(RollbackWire),

@@ -129,17 +129,7 @@ impl<'a> RankCtx<'a> {
         }
         // Rendezvous: wait for the receiver's ingestion ack.
         self.until(Wait::Rendezvous { dst, send_index }, |kernel| {
-            let (acked, unreachable) = kernel.rendezvous_progress(dst);
-            if acked >= send_index {
-                return Ok(Some(()));
-            }
-            // The reliability layer has written the peer off: fail the
-            // send instead of waiting on a rendezvous that can never
-            // complete.
-            if unreachable {
-                return Err(Fault::Unreachable(dst));
-            }
-            Ok(None)
+            Ok((kernel.rendezvous_progress(dst) >= send_index).then_some(()))
         })
         .await
     }

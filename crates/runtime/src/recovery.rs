@@ -34,9 +34,8 @@
 //!   protocol bug and panics.
 //!
 //! Stale recovery information arriving after `Synced` (a survivor
-//! answering a rebroadcast it had already answered, or a retransmitted
-//! `RESPONSE`) is a legal no-op — the chaos fabric makes such
-//! duplicates routine. Calling [`RecoveryMachine::begin`] anywhere but
+//! answering a rebroadcast it had already answered) is a legal no-op —
+//! timed rebroadcasts make such duplicates routine. Calling [`RecoveryMachine::begin`] anywhere but
 //! `Running` is illegal and panics: one incarnation recovers at most
 //! once.
 
@@ -253,9 +252,8 @@ pub(crate) struct RecoveryLayer {
     /// `last_send_index` as restored from the checkpoint (zero on a
     /// first incarnation). Sends at or below this bound happened
     /// before the checkpoint, so re-execution will never regenerate
-    /// them — if one was still sitting in the dead incarnation's
-    /// retransmission window, only the checkpointed sender log can
-    /// resupply it.
+    /// them — if one was lost in flight with a dying inbox, only the
+    /// checkpointed sender log can resupply it.
     pub restored_send_index: CounterVector,
     /// `last_deliver_index[k]` as last announced to `k` in a
     /// `CHECKPOINT_ADVANCE`: a checkpoint notifies `k` only once its

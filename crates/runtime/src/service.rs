@@ -4,10 +4,8 @@
 //!
 //! The service occupies fabric slot `n` (see [`crate::logger_rank`])
 //! and is assumed never to fail — the same assumption the baseline
-//! protocol itself makes about its stable storage. It still speaks the
-//! reliability layer: its replies are sequenced, CRC-framed, and
-//! retransmitted, so a chaos fabric cannot silently eat a `LOG_ACK`
-//! and wedge a pessimistic sender.
+//! protocol itself makes about its stable storage. Its replies are
+//! plain encoded `WireMsg`s on the reliable fabric, like every rank's.
 //!
 //! The slot has no other role: failures are announced, so no service
 //! certifies deaths. The one round driver steps the polled
@@ -15,9 +13,9 @@
 //! replicator.
 
 use crate::env::RunEnv;
-use crate::events::EventKind;
+use crate::events::{EventKind, EventSink};
 use crate::message::WireMsg;
-use crate::transport::{decode_envelope, Transport, TransportConfig};
+use crate::transport::Transport;
 use lclog_core::{Determinant, Rank};
 use lclog_simnet::{Endpoint, Envelope};
 use lclog_stable::CheckpointStore;
@@ -39,6 +37,7 @@ fn event_log_key(rank: usize) -> String {
 pub(crate) struct EventLogger {
     endpoint: Endpoint,
     transport: Transport,
+    sink: EventSink,
     ckpts: CheckpointStore,
     /// In-memory mirror of stable storage for fast queries; the stable
     /// copy is authoritative and written first.
@@ -53,38 +52,30 @@ impl EventLogger {
         if !env.run.protocol.uses_event_logger() {
             return None;
         }
-        let (net, me, clock) = (env.net(), crate::logger_rank(env.n), &env.run.clock);
-        let cfg = TransportConfig::standard(clock.clone());
-        let mut transport = Transport::new(me, net.n(), net.clone(), cfg);
-        transport.events = env.sink.clone();
+        let (net, me) = (env.net(), crate::logger_rank(env.n));
         Some(EventLogger {
             endpoint: net.attach(me),
-            transport,
+            transport: Transport::new(me, net.clone()),
+            sink: env.sink.clone(),
             ckpts: env.ckpts.clone(),
             dets: HashMap::new(),
             acked: HashMap::new(),
         })
     }
 
-    /// Answer everything queued, then flush acks and run the
-    /// retransmission timers. True if anything arrived.
+    /// Answer everything queued. True if anything arrived.
     pub(crate) fn step(&mut self) -> bool {
         let mut arrived = false;
         while let Ok(env) = self.endpoint.try_recv() {
             arrived = true;
             self.handle(env);
         }
-        self.transport.flush_acks();
-        self.transport.tick();
         arrived
     }
 
     fn handle(&mut self, env: Envelope) {
         let src = env.src;
-        let Some(inner) = self.transport.ingest(src, decode_envelope(&env)) else {
-            return;
-        };
-        let Ok(msg) = lclog_wire::decode_from_bytes::<WireMsg>(&inner) else {
+        let Ok(msg) = lclog_wire::decode_from_bytes::<WireMsg>(&env.payload) else {
             return;
         };
         let me = self.endpoint.rank();
@@ -109,7 +100,7 @@ impl EventLogger {
                     }
                 }
                 let upto = *upto;
-                self.transport.events.emit(
+                self.sink.emit(
                     me,
                     EventKind::LoggerStored {
                         from: src,
@@ -125,7 +116,7 @@ impl EventLogger {
                     .get(&(failed as Rank))
                     .cloned()
                     .unwrap_or_default();
-                self.transport.events.emit(
+                self.sink.emit(
                     me,
                     EventKind::LoggerQueried {
                         failed: failed as Rank,
@@ -157,12 +148,7 @@ mod tests {
         let mut service = EventLogger::attach(&env).expect("TEL runs the service");
         let net = env.net();
         let ep0 = net.attach(0);
-        let mut rank0 = Transport::new(
-            0,
-            net.n(),
-            net.clone(),
-            TransportConfig::standard(lclog_simnet::Clock::Real),
-        );
+        let mut rank0 = Transport::new(0, net.clone());
         let det = |receiver| Determinant {
             sender: 1,
             send_index: 1,
@@ -175,10 +161,8 @@ mod tests {
         assert!(service.step());
         let mut answers = Vec::new();
         while let Ok(env) = ep0.try_recv() {
-            if let Some(inner) = rank0.ingest(logger, decode_envelope(&env)) {
-                if let Ok(WireMsg::LogQueryResp(found)) = lclog_wire::decode_from_bytes(&inner) {
-                    answers.push(found);
-                }
+            if let Ok(WireMsg::LogQueryResp(found)) = lclog_wire::decode_from_bytes(&env.payload) {
+                answers.push(found);
             }
         }
         assert_eq!(answers, [vec![], vec![det(0)]]);

@@ -1,58 +1,31 @@
-//! Seeded chaos fault model: per-link drop / duplicate / bit-flip
-//! corruption, transient partitions, and heavy-tailed delays.
+//! Seeded fault models: link stalls, storage faults, and the one
+//! per-envelope hash.
 //!
-//! Every decision is a pure function of `(seed, src, dst, seq, salt)`,
-//! where `seq` is the fabric's per-`(src, dst)` sequence number. Given
-//! the same seed and the same per-link send sequence, a chaos schedule
-//! therefore replays *identically* — independent of thread timing,
-//! wall-clock, or traffic on other links. Partitions are likewise
-//! expressed as windows in per-link sequence space rather than wall
-//! time, for the same reason.
+//! The network is reliable and FIFO, as the paper assumes: an
+//! envelope is never dropped, duplicated or corrupted between live
+//! endpoints. What such a channel may still do is be slow, so the one
+//! network fault left is a **stall** ([`ChaosConfig`]): a seeded,
+//! heavy-tailed extra delay that holds an envelope — and, since the
+//! fabric keeps per-pair FIFO, everything behind it on its link. The
+//! other seeded faults are a remote object store's ([`StorageChaos`]),
+//! because disks and object stores really do fail in ways a protocol
+//! must survive. Every decision is a pure function of the seed and a
+//! sequence number (the fabric's per-link `seq`, or the store's global
+//! operation number), so a schedule replays identically.
+//! [`link_hash`] is also the `Delayed` latency model's source of
+//! jitter.
 
 use crate::Rank;
 use std::time::Duration;
 
-/// A transient partition: while a link's per-pair sequence number lies
-/// in `[from_seq, to_seq)` and the link crosses the group boundary
-/// (exactly one endpoint inside `group`), the message is severed.
-///
-/// Expressing the window in sequence space instead of wall time keeps
-/// chaos schedules replayable: the k-th message on a link is severed
-/// or not regardless of when it is sent.
-#[derive(Debug, Clone)]
-pub struct Partition {
-    /// Ranks on one side of the cut.
-    pub group: Vec<Rank>,
-    /// First per-link sequence number affected (inclusive).
-    pub from_seq: u64,
-    /// First per-link sequence number no longer affected (exclusive).
-    pub to_seq: u64,
-}
-
-impl Partition {
-    /// True when this partition severs the `src → dst` message with
-    /// per-link sequence number `seq`.
-    pub fn severs(&self, src: Rank, dst: Rank, seq: u64) -> bool {
-        seq >= self.from_seq
-            && seq < self.to_seq
-            && (self.group.contains(&src) != self.group.contains(&dst))
-    }
-}
-
-/// Knobs of the seeded chaos fault model. All probabilities are per
-/// envelope accepted by [`crate::SimNet::send`] and default to zero;
-/// a default `ChaosConfig` injects no faults.
+/// Seeded link stalls on a reliable FIFO fabric. With probability
+/// `delay_p` an envelope accepted by [`crate::SimNet::send`] is held
+/// for an extra heavy-tailed delay; it still arrives, intact and in
+/// order. A default `ChaosConfig` stalls nothing.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
-    /// Seed for all chaos decisions.
+    /// Seed for all stall decisions.
     pub seed: u64,
-    /// Probability an envelope silently vanishes.
-    pub drop_p: f64,
-    /// Probability an envelope is delivered twice (same fabric `seq`,
-    /// so reliability layers can discard the copy below the app).
-    pub duplicate_p: f64,
-    /// Probability one payload bit is flipped in transit.
-    pub corrupt_p: f64,
     /// Probability an envelope draws an extra heavy-tailed delay.
     pub delay_p: f64,
     /// Median of the lognormal heavy-tail delay distribution.
@@ -63,53 +36,25 @@ pub struct ChaosConfig {
     /// Hard cap on a single heavy-tail draw, so a pathological sample
     /// cannot outlast a whole experiment.
     pub delay_cap: Duration,
-    /// Transient partitions in per-link sequence space.
-    pub partitions: Vec<Partition>,
 }
 
 impl ChaosConfig {
-    /// A chaos model with the given seed and no faults enabled.
+    /// A stall model with the given seed that stalls nothing.
     pub fn seeded(seed: u64) -> Self {
         ChaosConfig {
             seed,
-            drop_p: 0.0,
-            duplicate_p: 0.0,
-            corrupt_p: 0.0,
             delay_p: 0.0,
             delay_median: Duration::from_millis(2),
             delay_sigma: 1.0,
             delay_cap: Duration::from_millis(20),
-            partitions: Vec::new(),
         }
-    }
-
-    /// Sets the per-envelope drop probability.
-    pub fn with_drop(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "drop probability out of range");
-        self.drop_p = p;
-        self
-    }
-
-    /// Sets the per-envelope duplication probability.
-    pub fn with_duplicate(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "duplicate probability out of range");
-        self.duplicate_p = p;
-        self
-    }
-
-    /// Sets the per-envelope single-bit corruption probability.
-    pub fn with_corrupt(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "corrupt probability out of range");
-        self.corrupt_p = p;
-        self
     }
 
     /// Enables a seeded heavy-tailed (lognormal) per-envelope delay:
     /// with probability `p` an envelope is held for
     /// `median · exp(sigma · z)` (z standard normal), capped at `cap`.
     /// Because the fabric preserves per-pair FIFO, one tail draw
-    /// silences its whole link for the draw's duration, and the
-    /// retransmission timers above it must ride that out. A fixed stall
+    /// silences its whole link for the draw's duration. A fixed stall
     /// of `d` is `with_heavy_tail(p, d, 0.0, d)`.
     pub fn with_heavy_tail(mut self, p: f64, median: Duration, sigma: f64, cap: Duration) -> Self {
         assert!((0.0..=1.0).contains(&p), "delay probability out of range");
@@ -121,35 +66,15 @@ impl ChaosConfig {
         self
     }
 
-    /// Adds a transient partition window.
-    pub fn with_partition(mut self, partition: Partition) -> Self {
-        self.partitions.push(partition);
-        self
-    }
-
-    /// Decides the fate of one envelope. Pure in `(seed, src, dst,
-    /// seq)`; two calls with identical arguments always agree.
-    pub(crate) fn fate(&self, src: Rank, dst: Rank, seq: u64) -> Fate {
-        let severed = self.partitions.iter().any(|p| p.severs(src, dst, seq));
-        let delayed = self.delay_p > 0.0 && self.roll(src, dst, seq, SALT_DELAY) < self.delay_p;
-        Fate {
-            severed,
-            dropped: !severed && self.roll(src, dst, seq, SALT_DROP) < self.drop_p,
-            duplicated: self.roll(src, dst, seq, SALT_DUP) < self.duplicate_p,
-            corrupt_bit: (self.roll(src, dst, seq, SALT_CORRUPT) < self.corrupt_p)
-                .then(|| self.hash(src, dst, seq, SALT_BIT)),
-            delay: if delayed {
-                self.heavy_tail_sample(src, dst, seq)
-            } else {
-                Duration::ZERO
-            },
+    /// The extra delay of the `src → dst` envelope with per-link
+    /// sequence number `seq`; zero means deliver on schedule. Pure in
+    /// `(seed, src, dst, seq)`.
+    pub(crate) fn stall(&self, src: Rank, dst: Rank, seq: u64) -> Duration {
+        if self.delay_p == 0.0 || self.roll(src, dst, seq, SALT_DELAY) >= self.delay_p {
+            return Duration::ZERO;
         }
-    }
-
-    /// One lognormal draw via Box–Muller over two salted uniforms.
-    /// Pure in `(seed, src, dst, seq)` like every other chaos roll.
-    fn heavy_tail_sample(&self, src: Rank, dst: Rank, seq: u64) -> Duration {
-        // Nudge u1 into (0, 1] so ln(u1) is finite.
+        // One lognormal draw via Box–Muller over two salted uniforms;
+        // u1 is nudged into (0, 1] so ln(u1) is finite.
         let u1 = ((self.hash(src, dst, seq, SALT_TAIL_A) >> 11) + 1) as f64 / (1u64 << 53) as f64;
         let u2 = self.roll(src, dst, seq, SALT_TAIL_B);
         let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
@@ -170,9 +95,8 @@ impl ChaosConfig {
 /// sequence number lies in `[from_op, to_op)`, every operation fails
 /// with an *unavailable* error.
 ///
-/// Like [`Partition`], the window lives in sequence space rather than
-/// wall time so a storage chaos schedule replays identically under
-/// the same seed, independent of thread timing.
+/// The window lives in sequence space rather than wall time so a
+/// storage chaos schedule replays identically under the same seed.
 #[derive(Debug, Clone)]
 pub struct OutageWindow {
     /// First operation sequence number affected (inclusive).
@@ -188,12 +112,10 @@ impl OutageWindow {
     }
 }
 
-/// Seeded fault model for a simulated remote object store (the
-/// storage-side sibling of [`ChaosConfig`]). Every decision is a pure
-/// function of `(seed, op, salt)`, where `op` is the store's global
-/// operation sequence number — the same replayability discipline as
-/// the network chaos model. All probabilities are per operation and
-/// default to zero.
+/// Seeded fault model for a simulated remote object store. Every
+/// decision is a pure function of `(seed, op, salt)`, where `op` is the
+/// store's global operation sequence number. All probabilities are per
+/// operation and default to zero.
 #[derive(Debug, Clone)]
 pub struct StorageChaos {
     /// Seed for all storage-fault decisions.
@@ -291,10 +213,6 @@ pub struct StorageFate {
     pub flip_bit: Option<u64>,
 }
 
-const SALT_DROP: u64 = 0xD0;
-const SALT_DUP: u64 = 0xD1;
-const SALT_CORRUPT: u64 = 0xC0;
-const SALT_BIT: u64 = 0xB1;
 const SALT_DELAY: u64 = 0xDE;
 const SALT_TAIL_A: u64 = 0x7A;
 const SALT_TAIL_B: u64 = 0x7B;
@@ -304,7 +222,7 @@ const SALT_S_FLIP: u64 = 0x5C;
 const SALT_S_BIT: u64 = 0x5D;
 
 /// A pure 64-bit hash of `(seed, src, dst, seq, salt)`: the one source
-/// of randomness of every per-envelope decision (chaos fates and the
+/// of randomness of every per-envelope decision (stalls and the
 /// `Delayed` model's jitter).
 pub(crate) fn link_hash(seed: u64, src: Rank, dst: Rank, seq: u64, salt: u64) -> u64 {
     let key = seed
@@ -323,51 +241,35 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The outcome of the chaos rolls for one envelope.
-pub(crate) struct Fate {
-    /// Severed by a partition window (dropped, counted separately).
-    pub severed: bool,
-    /// Randomly dropped.
-    pub dropped: bool,
-    /// Delivered twice.
-    pub duplicated: bool,
-    /// When `Some(h)`, flip payload bit `h % (len * 8)`.
-    pub corrupt_bit: Option<u64>,
-    /// Heavy-tail delay added to this envelope's release time. Zero
-    /// means deliver on schedule.
-    pub delay: Duration,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn decisions_are_pure_and_seed_sensitive() {
-        let c = ChaosConfig::seeded(7)
-            .with_drop(0.3)
-            .with_duplicate(0.3)
-            .with_corrupt(0.3);
+        let c = ChaosConfig::seeded(7).with_heavy_tail(
+            0.3,
+            Duration::from_millis(2),
+            1.0,
+            Duration::from_millis(20),
+        );
         for seq in 1..200u64 {
-            let a = c.fate(0, 1, seq);
-            let b = c.fate(0, 1, seq);
-            assert_eq!(a.dropped, b.dropped);
-            assert_eq!(a.duplicated, b.duplicated);
-            assert_eq!(a.corrupt_bit, b.corrupt_bit);
+            assert_eq!(c.stall(0, 1, seq), c.stall(0, 1, seq), "seq {seq} must replay");
         }
         // A different seed must produce a different schedule somewhere.
-        let d = ChaosConfig::seeded(8)
-            .with_drop(0.3)
-            .with_duplicate(0.3)
-            .with_corrupt(0.3);
-        assert!((1..200u64).any(|seq| c.fate(0, 1, seq).dropped != d.fate(0, 1, seq).dropped));
+        let d = ChaosConfig { seed: 8, ..c.clone() };
+        assert!((1..200u64).any(|seq| c.stall(0, 1, seq) != d.stall(0, 1, seq)));
     }
 
     #[test]
     fn rates_are_roughly_honored() {
-        let c = ChaosConfig::seeded(42).with_drop(0.1);
-        let dropped = (1..=10_000u64).filter(|&s| c.fate(2, 3, s).dropped).count();
-        assert!((700..1300).contains(&dropped), "dropped={dropped}");
+        let ms = Duration::from_millis;
+        let c = ChaosConfig::seeded(42).with_heavy_tail(0.1, ms(2), 1.0, ms(20));
+        let stalled = (1..=10_000u64).filter(|&s| c.stall(2, 3, s) > Duration::ZERO).count();
+        assert!((700..1300).contains(&stalled), "stalled={stalled}");
+        // A fault-free model stalls nothing.
+        let quiet = ChaosConfig::seeded(42);
+        assert!((1..=1000u64).all(|s| quiet.stall(2, 3, s) == Duration::ZERO));
     }
 
     #[test]
@@ -375,9 +277,9 @@ mod tests {
         let median = Duration::from_millis(2);
         let cap = Duration::from_millis(20);
         let c = ChaosConfig::seeded(11).with_heavy_tail(1.0, median, 1.0, cap);
-        let draws: Vec<Duration> = (1..=10_000u64).map(|s| c.fate(0, 1, s).delay).collect();
+        let draws: Vec<Duration> = (1..=10_000u64).map(|s| c.stall(0, 1, s)).collect();
         for (i, d) in draws.iter().enumerate() {
-            assert_eq!(*d, c.fate(0, 1, (i + 1) as u64).delay, "draws must replay");
+            assert_eq!(*d, c.stall(0, 1, (i + 1) as u64), "draws must replay");
             assert!(*d <= cap, "draw {d:?} exceeds cap");
         }
         // Median of a lognormal is its scale parameter: roughly half
@@ -390,7 +292,7 @@ mod tests {
         // Probability gate honours delay_p.
         let rare = ChaosConfig::seeded(11).with_heavy_tail(0.05, median, 1.0, cap);
         let delayed = (1..=10_000u64)
-            .filter(|&s| rare.fate(0, 1, s).delay > Duration::ZERO)
+            .filter(|&s| rare.stall(0, 1, s) > Duration::ZERO)
             .count();
         assert!((300..800).contains(&delayed), "delayed={delayed}");
     }
@@ -401,7 +303,7 @@ mod tests {
         // is held for the same 4 ms.
         let stall = Duration::from_millis(4);
         let c = ChaosConfig::seeded(3).with_heavy_tail(1.0, stall, 0.0, stall);
-        assert!((1..100u64).all(|seq| c.fate(0, 1, seq).delay == stall));
+        assert!((1..100u64).all(|seq| c.stall(0, 1, seq) == stall));
     }
 
     #[test]
@@ -442,19 +344,5 @@ mod tests {
         assert!(!c.fate(20).unavailable);
         assert!(c.fate(40).unavailable);
         assert!(!c.fate(41).unavailable);
-    }
-
-    #[test]
-    fn partitions_sever_only_crossing_links_in_window() {
-        let p = Partition { group: vec![0, 1], from_seq: 10, to_seq: 20 };
-        assert!(p.severs(0, 2, 10));
-        assert!(p.severs(2, 1, 19));
-        assert!(!p.severs(0, 1, 15)); // same side
-        assert!(!p.severs(2, 3, 15)); // same side
-        assert!(!p.severs(0, 2, 9)); // before window
-        assert!(!p.severs(0, 2, 20)); // after window
-        let c = ChaosConfig::seeded(1).with_partition(p);
-        assert!(c.fate(0, 2, 12).severed);
-        assert!(!c.fate(0, 2, 12).dropped, "severed is not double-counted");
     }
 }

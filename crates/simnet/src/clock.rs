@@ -11,10 +11,9 @@
 //! A [`Clock`] is the choice between the two. The fabric reads it for
 //! release times (see [`crate::SimNet::with_clock`]), and every
 //! kernel-path timestamp of the runtime above it flows through the
-//! same clock, so under [`Clock::Sim`] retransmission backoff,
-//! rebroadcast intervals, rendezvous resends, timeline stamps
-//! and fabric latency are all pure functions of the simulated
-//! schedule. Only watchdogs and reported wall times read real time.
+//! same clock, so under [`Clock::Sim`] rebroadcast intervals,
+//! rendezvous resends, resync pacing, timeline stamps and fabric
+//! latency are all pure functions of the simulated schedule. Only watchdogs and reported wall times read real time.
 
 use std::cell::Cell;
 use std::fmt;

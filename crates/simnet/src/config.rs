@@ -13,8 +13,8 @@ pub enum DeliveryModel {
     /// Hand the envelope to the destination inbox synchronously inside
     /// `send`. Fast and deterministic-ish; used for overhead-counting
     /// experiments (Fig. 6/7) where transport time is irrelevant. A
-    /// chaos heavy-tail delay makes a direct fabric timed too: delayed
-    /// envelopes are released when due, the rest at once.
+    /// chaos stall makes a direct fabric timed too: stalled envelopes
+    /// are released when due, the rest at once.
     Direct,
     /// Release each envelope `base + per_kib * ceil(len/1024) +
     /// jitter` after its send, the jitter uniform in `0..jitter` and
@@ -50,9 +50,8 @@ pub enum DeliveryModel {
     /// until an external scheduler calls [`SimNet::held_deliver`] (or
     /// [`SimNet::held_deliver_all`]). No release times — arrival order
     /// is exactly the scheduler's decision sequence, so a run is a pure
-    /// function of `(topology, workload, schedule)`. Chaos fates
-    /// (seeded) still apply at send time, except heavy-tail delays:
-    /// when to deliver is already the scheduler's decision.
+    /// function of `(topology, workload, schedule)`. Chaos stalls do
+    /// not apply: when to deliver is already the scheduler's decision.
     ///
     /// [`SimNet::held_deliver`]: crate::SimNet::held_deliver
     /// [`SimNet::held_deliver_all`]: crate::SimNet::held_deliver_all
@@ -64,7 +63,7 @@ pub enum DeliveryModel {
 pub struct NetConfig {
     /// Delivery model for data envelopes.
     pub delivery: DeliveryModel,
-    /// Seeded fault-injection model; `None` means a faithful fabric.
+    /// Seeded link stalls; `None` means every envelope is on schedule.
     pub chaos: Option<ChaosConfig>,
 }
 
@@ -101,7 +100,7 @@ impl NetConfig {
         }
     }
 
-    /// Enables the seeded chaos fault model on this fabric.
+    /// Installs seeded link stalls on this fabric.
     pub fn with_chaos(mut self, chaos: ChaosConfig) -> Self {
         self.chaos = Some(chaos);
         self
@@ -133,7 +132,7 @@ impl NetConfig {
     }
 
     /// True when envelopes get release times (see [`DeliveryModel`]):
-    /// a latency model, or a direct fabric with heavy-tail chaos.
+    /// a latency model, or a direct fabric with chaos stalls.
     pub fn is_timed(&self) -> bool {
         match self.delivery {
             DeliveryModel::Delayed { .. } | DeliveryModel::SharedBus { .. } => true,

@@ -12,18 +12,22 @@
 //!   reordered with seeded jitter, which is exactly the
 //!   non-determinism the paper's protocols must tolerate.
 //! * **Reliable between live endpoints**: a message sent while the
-//!   destination's current incarnation stays alive is delivered —
-//!   unless a [`ChaosConfig`] is installed, in which case the fabric
-//!   turns adversarial: seeded per-link drop / duplicate / bit-flip
-//!   corruption, transient partitions, and heavy-tailed delays, all
-//!   replayable under the same seed. The reliability layer above the
-//!   fabric (in `lclog-runtime`) is responsible for masking these.
+//!   destination's current incarnation stays alive is delivered exactly
+//!   once, uncorrupted — the channels the paper's MPICH-over-TCP
+//!   testbed gives Algorithm 1, so nothing above the fabric checksums,
+//!   sequences or acknowledges frames. FIFO holds per slot pair, across
+//!   a sender's incarnations too: whatever a dead incarnation left in
+//!   flight reaches each peer before anything its successor sends.
+//!   The one network fault is a **stall**: a [`ChaosConfig`] holds
+//!   seeded envelopes back for a heavy-tailed delay, and per-pair FIFO
+//!   holds their links with them, so a stalled message arrives late
+//!   but intact and in order.
 //! * **Time is a release schedule, not a thread**: on a timed fabric
-//!   (a latency model, or chaos delays) `send` stamps each envelope
+//!   (a latency model, or chaos stalls) `send` stamps each envelope
 //!   with its send time on the fabric's [`Clock`], and every
 //!   [`Endpoint::try_recv`] first gives what was sent its release time
 //!   and releases what is due. Built with [`SimNet::with_clock`] over a
-//!   [`SimClock`], latency and chaos delays are as deterministic as the
+//!   [`SimClock`], latency and stalls are as deterministic as the
 //!   scheduler advancing the clock.
 //! * **One thread, no locks**: a fabric and its endpoints share one
 //!   `Rc<RefCell<…>>` of plain data (slots, per-pair sequence numbers,
@@ -37,6 +41,9 @@
 //!   it, scheduled or held. A later [`SimNet::respawn`] creates a
 //!   fresh incarnation with an empty inbox — message logs and
 //!   checkpoints live in other crates, never in the fabric.
+//! * **Storage faults**: [`StorageChaos`] drives the remote object
+//!   store of `lclog-stable` — transient errors, outages, torn and
+//!   bit-flipped objects.
 //!
 //! The fabric does not interpret payloads; the rollback-recovery layer
 //! encodes its own headers inside [`Envelope::payload`].
@@ -68,7 +75,7 @@ mod net;
 mod schedule;
 mod stats;
 
-pub use chaos::{ChaosConfig, OutageWindow, Partition, StorageChaos, StorageFate};
+pub use chaos::{ChaosConfig, OutageWindow, StorageChaos, StorageFate};
 pub use clock::{Clock, SimClock};
 pub use config::{DeliveryModel, NetConfig};
 pub use envelope::Envelope;

@@ -159,12 +159,6 @@ impl SimNet {
         self.fabric.borrow().stats
     }
 
-    /// Records one transport-level retransmission. Public because the
-    /// reliability layer above the fabric drives retransmissions.
-    pub fn record_retransmit(&self) {
-        self.fabric.borrow_mut().stats.record_retransmit();
-    }
-
     /// Attach the first incarnation of `rank`, returning its receiving
     /// endpoint. Panics if the slot was already attached (use
     /// [`SimNet::respawn`] after a kill).
@@ -233,32 +227,15 @@ impl SimNet {
     /// Send `payload` from `src` to `dst`. Sending to a dead rank
     /// succeeds and the message is dropped — senders cannot observe
     /// remote failures synchronously, exactly like a datagram on the
-    /// paper's LAN.
-    ///
-    /// When a [`ChaosConfig`] is installed, the envelope may be
-    /// dropped, duplicated, bit-flipped, severed by a partition
-    /// window, or delayed in flight — all decided purely from the
-    /// chaos seed and the per-link sequence number, so a schedule
-    /// replays identically for the same per-link send sequence.
+    /// paper's LAN. Between live endpoints the channel is reliable and
+    /// FIFO.
     ///
     /// On a timed fabric the envelope is scheduled; the next
-    /// [`Endpoint::try_recv`] on the fabric releases it once due.
+    /// [`Endpoint::try_recv`] on the fabric releases it once due. A
+    /// [`ChaosConfig`] may stall it further — decided purely from the
+    /// chaos seed and the per-link sequence number, so a schedule
+    /// replays identically for the same per-link send sequence.
     pub fn send(&self, src: Rank, dst: Rank, payload: Bytes) -> Result<(), SendError> {
-        self.send_parts(src, dst, payload, Bytes::new())
-    }
-
-    /// Send a two-segment frame (`payload ++ body`) without joining
-    /// the segments. The zero-copy resend path uses this to pair a
-    /// small fresh header with a refcounted window into the sender
-    /// log; the fabric charges, corrupts, and delivers the pair as one
-    /// logical frame.
-    pub fn send_parts(
-        &self,
-        src: Rank,
-        dst: Rank,
-        payload: Bytes,
-        body: Bytes,
-    ) -> Result<(), SendError> {
         let fabric = &mut *self.fabric.borrow_mut();
         let n = fabric.n;
         if dst >= n {
@@ -269,71 +246,23 @@ impl SimNet {
         }
         let seq = &mut fabric.pair_seq[src * n + dst];
         *seq += 1;
-        let seq = *seq;
-        let stats = &mut fabric.stats;
-        stats.record_send(payload.len() + body.len());
-        let mut payload = payload;
-        let mut body = body;
-        let mut duplicated = false;
-        let mut delay = Duration::ZERO;
-        if let Some(chaos) = &fabric.chaos {
-            let fate = chaos.fate(src, dst, seq);
-            if fate.severed {
-                stats.record_partition_dropped();
-                return Ok(());
-            }
-            if fate.dropped {
-                stats.record_chaos_dropped();
-                return Ok(());
-            }
-            if let Some(bit) = fate.corrupt_bit {
-                let total = payload.len() + body.len();
-                if total > 0 {
-                    // Pick the flipped bit across the logical frame so
-                    // segmented sends are corrupted with the same
-                    // probability per byte as contiguous ones, then
-                    // copy-on-write only the segment that owns it.
-                    let target = (bit % (total as u64 * 8)) as usize;
-                    let (seg, seg_bit) = if target / 8 < payload.len() {
-                        (&mut payload, target)
-                    } else {
-                        (&mut body, target - payload.len() * 8)
-                    };
-                    let mut bytes = seg.to_vec();
-                    bytes[seg_bit / 8] ^= 1 << (seg_bit % 8);
-                    *seg = Bytes::from(bytes);
-                    stats.record_chaos_corrupted();
-                }
-            }
-            if fate.duplicated {
-                stats.record_chaos_duplicated();
-                duplicated = true;
-            }
-            if fate.delay > Duration::ZERO {
-                stats.record_chaos_stalled();
-                delay = fate.delay;
-            }
-        }
         let env = Envelope {
             src,
             dst,
-            seq,
+            seq: *seq,
             payload,
-            body,
         };
-        // A duplicate keeps the same fabric `seq`: it models the same
-        // frame arriving twice, which the reliability layer above the
-        // fabric must collapse to one delivery.
-        let copies = if duplicated { 2 } else { 1 };
+        fabric.stats.record_send(env.len());
         match &mut fabric.flight {
-            Flight::Direct => {
-                (0..copies).for_each(|_| deliver(&mut fabric.slots, stats, env.clone()))
-            }
-            Flight::Held(held) => held.extend(std::iter::repeat_n(env, copies)),
+            Flight::Direct => deliver(&mut fabric.slots, &mut fabric.stats, env),
+            Flight::Held(held) => held.push(env),
             Flight::Timed(schedule) => {
-                for _ in 0..copies {
-                    schedule.push(env.clone(), delay);
+                let stall = (fabric.chaos.as_ref())
+                    .map_or(Duration::ZERO, |c| c.stall(src, dst, env.seq));
+                if stall > Duration::ZERO {
+                    fabric.stats.record_chaos_stalled();
                 }
+                schedule.push(env, stall)
             }
         }
         Ok(())
@@ -363,10 +292,10 @@ impl SimNet {
         channels
     }
 
-    /// The whole frame of the next parked envelope on `src → dst`, if
-    /// any — a peek (refcounted unless the frame has two segments) that
-    /// lets a deterministic scheduler classify the frame before
-    /// deciding whether releasing it is a branch point. `None` when the
+    /// The payload of the next parked envelope on `src → dst`, if
+    /// any — a refcounted peek that lets a deterministic scheduler
+    /// classify the frame before deciding whether releasing it is a
+    /// branch point. `None` when the
     /// channel is empty or the fabric is not in held mode.
     pub fn held_head(&self, src: Rank, dst: Rank) -> Option<Bytes> {
         let fabric = self.fabric.borrow();
@@ -375,7 +304,7 @@ impl SimNet {
         };
         held.iter()
             .find(|env| (env.src, env.dst) == (src, dst))
-            .map(Envelope::contiguous)
+            .map(|env| env.payload.clone())
     }
 
     /// Release the head envelope of the `(src, dst)` channel into the

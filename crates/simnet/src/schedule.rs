@@ -2,8 +2,10 @@
 //!
 //! `send` gives each envelope a release time: its send time on the
 //! fabric's [`Clock`], plus the delivery model's delay, plus any chaos
-//! delay, clamped to be non-decreasing per `(src, dst)` pair so
-//! per-pair FIFO survives. Nothing runs in the background: under a
+//! stall, clamped to be non-decreasing per `(src, dst)` pair so
+//! per-pair FIFO survives — across a sender's incarnations too, since
+//! the clamp is per slot pair and a kill purges only what is addressed
+//! to the dead rank. Nothing runs in the background: under a
 //! virtual clock, with one thread sending, the schedule is a pure
 //! function of the sends and the clock's advances.
 //!
@@ -15,7 +17,7 @@
 //!   serialize at the bus bandwidth, then propagate with a fixed
 //!   latency. A large frame delays *all* subsequent traffic, the
 //!   contention effect the paper attributes to BT's big messages.
-//! * [`DeliveryModel::Direct`] — no model delay; only chaos delays
+//! * [`DeliveryModel::Direct`] — no model delay; only chaos stalls
 //!   hold an envelope back.
 
 use crate::chaos::link_hash;
@@ -53,8 +55,8 @@ impl Schedule {
         }
     }
 
-    /// Park `env`, to be released `extra` past the model's delay.
-    pub(crate) fn push(&mut self, env: Envelope, extra: Duration) {
+    /// Park `env`, to be released `stall` past the model's delay.
+    pub(crate) fn push(&mut self, env: Envelope, stall: Duration) {
         let now = self.clock.now();
         let due = match self.model {
             DeliveryModel::Delayed {
@@ -83,7 +85,7 @@ impl Schedule {
                 self.bus_free + latency
             }
             DeliveryModel::Direct | DeliveryModel::Held => now,
-        } + extra;
+        } + stall;
         // Equal release times go in send order, so a pair stays FIFO
         // as long as its release times never go backwards.
         let floor = &mut self.pair_floor[env.src * self.n + env.dst];

@@ -8,12 +8,7 @@ pub struct NetStats {
     bytes_sent: u64,
     msgs_delivered: u64,
     msgs_dropped_dead: u64,
-    chaos_dropped: u64,
-    chaos_duplicated: u64,
-    chaos_corrupted: u64,
     chaos_stalled: u64,
-    partition_dropped: u64,
-    retransmits: u64,
 }
 
 impl NetStats {
@@ -30,28 +25,8 @@ impl NetStats {
         self.msgs_dropped_dead += envelopes as u64;
     }
 
-    pub(crate) fn record_chaos_dropped(&mut self) {
-        self.chaos_dropped += 1;
-    }
-
-    pub(crate) fn record_chaos_duplicated(&mut self) {
-        self.chaos_duplicated += 1;
-    }
-
-    pub(crate) fn record_chaos_corrupted(&mut self) {
-        self.chaos_corrupted += 1;
-    }
-
     pub(crate) fn record_chaos_stalled(&mut self) {
         self.chaos_stalled += 1;
-    }
-
-    pub(crate) fn record_partition_dropped(&mut self) {
-        self.partition_dropped += 1;
-    }
-
-    pub(crate) fn record_retransmit(&mut self) {
-        self.retransmits += 1;
     }
 
     /// Envelopes accepted by `send`.
@@ -75,34 +50,8 @@ impl NetStats {
         self.msgs_dropped_dead
     }
 
-    /// Envelopes the chaos model silently dropped.
-    pub fn chaos_dropped(&self) -> u64 {
-        self.chaos_dropped
-    }
-
-    /// Envelopes the chaos model delivered twice.
-    pub fn chaos_duplicated(&self) -> u64 {
-        self.chaos_duplicated
-    }
-
-    /// Envelopes the chaos model bit-flipped in transit.
-    pub fn chaos_corrupted(&self) -> u64 {
-        self.chaos_corrupted
-    }
-
-    /// Envelopes the chaos model delayed in flight.
+    /// Envelopes a [`crate::ChaosConfig`] stalled in flight.
     pub fn chaos_stalled(&self) -> u64 {
         self.chaos_stalled
-    }
-
-    /// Envelopes severed by a transient partition window.
-    pub fn partition_dropped(&self) -> u64 {
-        self.partition_dropped
-    }
-
-    /// Transport-level retransmissions recorded by the layer above
-    /// ([`crate::SimNet::record_retransmit`]).
-    pub fn retransmits(&self) -> u64 {
-        self.retransmits
     }
 }

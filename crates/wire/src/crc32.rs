@@ -1,11 +1,11 @@
 //! CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) used for
-//! envelope integrity checks in the reliability layer and for
-//! checkpoint trailers in stable storage.
+//! checkpoint trailers and manifests in stable storage — disks are
+//! real, so stored bytes are checked. The network is reliable, as the
+//! paper assumes, so nothing on the wire is.
 //!
 //! Slicing-by-8: eight const-built tables, eight bytes folded per
 //! iteration (~0.4 ns/byte vs ~2.5 for the classic byte-at-a-time
-//! loop — the difference is most of a 256-byte send's budget on the
-//! kernel hot path). Zero dependencies; identical checksums.
+//! loop). Zero dependencies; identical checksums.
 
 const POLY: u32 = 0xEDB8_8320;
 
@@ -43,17 +43,6 @@ static TABLES: [[u32; 256]; 8] = build_tables();
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut h = Crc32::new();
     h.update(bytes);
-    h.finalize()
-}
-
-/// CRC-32 of the logical concatenation `head ++ body`, computed
-/// without materializing the concatenation. The data plane uses this
-/// to checksum two-segment frames (fresh header + zero-copy payload)
-/// as if they were one contiguous buffer.
-pub fn crc32_concat(head: &[u8], body: &[u8]) -> u32 {
-    let mut h = Crc32::new();
-    h.update(head);
-    h.update(body);
     h.finalize()
 }
 
@@ -107,17 +96,16 @@ impl Crc32 {
 
 #[cfg(test)]
 mod tests {
-    use super::{crc32, crc32_concat, Crc32};
+    use super::{crc32, Crc32};
 
     #[test]
     fn concat_matches_contiguous() {
         let data = b"the frame header and then the payload bytes";
         for split in 0..=data.len() {
-            assert_eq!(
-                crc32_concat(&data[..split], &data[split..]),
-                crc32(data),
-                "split at {split}"
-            );
+            let mut h = Crc32::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            assert_eq!(h.finalize(), crc32(data), "split at {split}");
         }
         let mut h = Crc32::new();
         h.update(b"the frame ");

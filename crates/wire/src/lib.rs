@@ -40,7 +40,7 @@ mod reader;
 mod traits;
 pub mod varint;
 
-pub use crc32::{crc32, crc32_concat, Crc32};
+pub use crc32::{crc32, Crc32};
 pub use error::WireError;
 pub use reader::Reader;
 pub use traits::{Decode, Encode};

@@ -45,7 +45,7 @@ pub mod prelude {
         FailurePlan, Fault, RankApp, RankCtx, RecvSpec, ReplicatorStats, RunConfig, RunReport,
         StepStatus, StorageKind,
     };
-    pub use lclog_simnet::{ChaosConfig, NetConfig, Partition, SimNet, StorageChaos};
+    pub use lclog_simnet::{ChaosConfig, NetConfig, SimNet, StorageChaos};
     pub use lclog_stable::{
         FaultyRemote, Manifest, ManifestEntry, MemRemote, RemoteStore, MANIFEST_KEY,
     };

@@ -1,6 +1,6 @@
-//! Seeded soak for durable log shipping: fixed seeds, overlapping
-//! transient partitions, rank kills (including node-loss wipes),
-//! storage outages and transient remote errors — all at once. Every
+//! Seeded soak for durable log shipping: fixed seeds, rank kills
+//! (including node-loss wipes), storage outages and transient remote
+//! errors — all at once. Every
 //! run must finish with exactly-once digests, a restore from the
 //! remote and a fully caught-up remote whose manifest certifies every
 //! object it names.
@@ -59,21 +59,6 @@ fn soak_log_shipping_across_seeds() {
         let failures = FailurePlan::kill_at(kill_rank, (total / 3).max(2) + seed % 2)
             .and_kill_wipe(wipe_rank, (2 * total / 3).max(5) + seed % 2);
 
-        // Overlapping transient partitions plus light envelope chaos.
-        let net_chaos = ChaosConfig::seeded(seed ^ 0x5011)
-            .with_drop(0.01)
-            .with_duplicate(0.01)
-            .with_partition(Partition {
-                group: vec![0, 1],
-                from_seq: 10,
-                to_seq: 25,
-            })
-            .with_partition(Partition {
-                group: vec![1, 2],
-                from_seq: 18,
-                to_seq: 35,
-            });
-
         // A mid-run backend outage riding on transient errors.
         let storage_chaos = StorageChaos::seeded(seed ^ 0x57A6)
             .with_transient(0.05)
@@ -81,7 +66,6 @@ fn soak_log_shipping_across_seeds() {
         let remote = Arc::new(FaultyRemote::new(MemRemote::new(), storage_chaos));
 
         let mut cfg = ClusterConfig::new(n, run_cfg())
-            .with_net(NetConfig::direct().with_chaos(net_chaos))
             .with_failures(failures)
             .with_remote(remote.clone());
         cfg.max_wall = Duration::from_secs(300);
