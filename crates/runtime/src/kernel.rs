@@ -12,7 +12,7 @@
 //! | `rec` ([`crate::recovery`])       | state machine, sender log, suppression bound, checkpoints | 8–9, 12, 32–53 |
 //! | `trk` ([`crate::tracking`])       | `LoggingProtocol` box, `last_send_index`, stats           | 10–11, 15–31   |
 //! | `del` ([`crate::delivery`])       | receiving queue, `last_deliver_index`                     | 13–17          |
-//! | `transport` ([`crate::transport`]) | one encoded `WireMsg` per envelope, byte accounting      | —              |
+//! | `transport` ([`crate::transport`]) | one `WireMsg` per envelope in two segments, byte counts   | —              |
 //! | `acked`, `rendezvous`, `resync_pacer` | rendezvous acks and resend timer, `RESYNC_REQ` pacing | —              |
 //! | `desynced`                        | the verdict the driver polls between calls                | —              |
 //!
@@ -148,8 +148,9 @@ struct State {
     trk: Tracking,
     del: Delivery,
     /// Every wire message crosses it, one encoded `WireMsg` per
-    /// envelope. Sends to dead ranks are lost with the inbox; recovery
-    /// resends cover them.
+    /// envelope (an `App` payload shared as its second segment). Sends
+    /// to dead ranks are lost with the inbox; recovery resends cover
+    /// them.
     transport: Transport,
     /// Application frames discarded by `send_index`.
     dup_discarded: u64,
@@ -211,9 +212,9 @@ impl State {
                 needs_ack,
                 data,
             });
-            let inner = self.transport.send_msg(dst, &msg);
+            let head = self.transport.send_msg(dst, &msg);
             let WireMsg::App(w) = msg else { unreachable!() };
-            LogEntry::from_parts(dst as u32, w, inner)
+            LogEntry::from_parts(dst as u32, w, head)
         } else {
             LogEntry::new(dst as u32, send_index, tag, piggyback, needs_ack, data)
         };
@@ -406,14 +407,16 @@ impl Kernel {
     ///
     /// ## Zero-copy budget
     ///
-    /// A transmitted send performs **exactly one frame allocation**:
-    /// the transport encodes the `WireMsg::App` in a single pass and
-    /// hands back the buffer, which the sender-log entry stores for
-    /// verbatim resends — the log entry and the in-flight envelope are
-    /// refcounted handles on that one buffer, and the entry's
-    /// `piggyback`/`data` handles move in from the send without a
-    /// decode pass. A suppressed send encodes once into the log and
-    /// transmits nothing.
+    /// A transmitted send performs **exactly one allocation**, of the
+    /// frame's head: the transport encodes everything of the
+    /// `WireMsg::App` before the payload in a single pass and hands
+    /// back that buffer, and `data` itself travels as the frame's
+    /// second segment, never copied. The sender-log entry stores both
+    /// for verbatim resends — the log entry, the in-flight envelope and
+    /// the caller hold refcounted handles on the same buffers, and the
+    /// entry's `piggyback`/`data` handles move in from the send without
+    /// a decode pass. A suppressed send encodes its head once into the
+    /// log and transmits nothing.
     pub fn app_send(&self, dst: Rank, tag: u32, data: Bytes, needs_ack: bool) -> (u64, bool) {
         let mut st = self.state.borrow_mut();
         let (send_index, transmitted) = st.app_send(dst, tag, data, needs_ack);
@@ -455,12 +458,12 @@ impl Kernel {
     /// Decode one raw envelope as a [`WireMsg`] and apply it.
     fn ingest_env(&self, st: &mut State, env: Envelope) {
         let src = env.src;
-        // Zero-copy decode: `App` payload and piggyback come out as
-        // windows into the envelope, not fresh allocations. Any fabric
-        // peer can send bytes that are not a message (a retired tag
-        // among them); they are counted and dropped, and change
-        // nothing else.
-        let Ok(msg) = lclog_wire::decode_from_bytes::<WireMsg>(&env.payload) else {
+        // Zero-copy decode: an `App` payload is the envelope's body and
+        // its piggyback a window into the head, not fresh allocations.
+        // Any fabric peer can send bytes that are not a message (a
+        // retired tag among them); they are counted and dropped, and
+        // change nothing else.
+        let Ok(msg) = WireMsg::from_frame(&env.head, env.body) else {
             st.transport.corrupt_detected += 1;
             return;
         };
@@ -656,6 +659,7 @@ impl Kernel {
             log: rec.log.to_entries(),
         };
         rec.ckpt_version += 1;
+        rec.loaded_version = None;
         let encoded = encode_to_vec(&image);
         self.events.emit(
             self.me,
@@ -712,6 +716,7 @@ impl Kernel {
         }
         let mut st = self.state.borrow_mut();
         let State { rec, trk, del, .. } = &mut *st;
+        let loaded = rec.loaded_version.take();
         trk.protocol
             .restore_from_checkpoint(&image.protocol)
             .map_err(|_| Fault::Desync)?;
@@ -723,9 +728,8 @@ impl Kernel {
         rec.last_ckpt_deliver_index = CounterVector::zeroed(self.n);
         rec.log = SenderLog::from_entries(self.n, image.log);
         rec.log_bytes_peak = rec.log_bytes_peak.max(rec.log.bytes() as u64);
-        rec.ckpt_version = rec
-            .ckpt_store
-            .latest_version(self.me)
+        rec.ckpt_version = loaded
+            .or_else(|| rec.ckpt_store.latest_version(self.me))
             .unwrap_or(rec.ckpt_version);
         rec.steps_at_ckpt = image.step;
         Ok((image.step, image.app_state))
@@ -748,10 +752,16 @@ impl Kernel {
     /// (format drift, wrong contents under the key) is as unusable as
     /// a torn one and reads as "no checkpoint" — the incarnation then
     /// restarts from the initial state and rolls forward through
-    /// recovery instead of aborting the process.
+    /// recovery instead of aborting the process. The image is decoded
+    /// from one buffer, and every logged message in it stays a window
+    /// into that buffer; [`Kernel::restore`] takes its generation from
+    /// here rather than reading the image again.
     pub fn load_checkpoint(&self) -> Option<CheckpointImage> {
-        let (_, bytes) = self.state.borrow().rec.ckpt_store.load_latest(self.me)?;
-        lclog_wire::decode_from_slice(&bytes).ok()
+        let rec = &mut self.state.borrow_mut().rec;
+        let (version, bytes) = rec.ckpt_store.load_latest(self.me)?;
+        let image = lclog_wire::decode_from_bytes(&Bytes::from(bytes)).ok()?;
+        rec.loaded_version = Some(version);
+        Some(image)
     }
 
     /// Begin incarnation recovery: drive the state machine
@@ -899,10 +909,11 @@ impl Kernel {
     }
 
     /// Resend the logged sends to `dst` with `send_index` in
-    /// `(after, upto]`, oldest first, in one pass. Logged wire bytes go
-    /// out verbatim — refcount bumps, zero payload copies; the original
-    /// piggyback (and `needs_ack`, which is safe: rendezvous acks are
-    /// idempotent) ride along exactly as first framed.
+    /// `(after, upto]`, oldest first, in one pass. Logged heads and
+    /// payloads go out verbatim — refcount bumps, zero payload copies;
+    /// the original piggyback (and `needs_ack`, which is safe:
+    /// rendezvous acks are idempotent) ride along exactly as first
+    /// framed.
     fn resend_logged(&self, st: &mut State, dst: Rank, after: u64, upto: u64) {
         let State { rec, transport, .. } = st;
         let burst = rec.log.entries_after(dst, after);
@@ -1492,6 +1503,81 @@ mod tests {
         ks[me].load_checkpoint().expect("checkpoint exists")
     }
 
+    /// Restore decodes the image from the one buffer it was loaded
+    /// into: every logged message comes back as windows into that
+    /// buffer, not as an allocation of its own.
+    #[test]
+    fn restored_log_entries_share_the_image_buffer() {
+        let image = busy_image(3);
+        let (a, b) = (&image.log[0], &image.log[1]);
+        assert!(a.data.shares_allocation(&b.data), "payloads");
+        assert!(a.to_wire().0.shares_allocation(&b.to_wire().0), "heads");
+        assert!(a.data.shares_allocation(&a.to_wire().0), "one buffer");
+    }
+
+    /// `restore` numbers the next checkpoint after the generation
+    /// `load_checkpoint` read; it does not read the store a second
+    /// time (here the store loses every generation in between).
+    #[test]
+    fn restore_continues_the_loaded_generation_without_reading_it_again() {
+        let (mut ks, net, _eps) = harness(2, ProtocolKind::Tdi);
+        let k1 = ks.pop().unwrap();
+        for step in 1..=3 {
+            k1.do_checkpoint(vec![], step);
+        }
+        let store = CheckpointStore::new(k1.ckpt_storage());
+        let k1b = Kernel::new(1, 2, RunConfig::new(ProtocolKind::Tdi), net, store.clone());
+        let image = k1b.load_checkpoint().expect("generation 3");
+        assert!(store.clear_rank(1) > 0);
+        k1b.restore(image).expect("the image restores");
+        k1b.do_checkpoint(vec![], 4);
+        assert_eq!(store.latest_version(1), Some(4));
+    }
+
+    /// An image keeps its layout byte for byte: each logged send is its
+    /// `dst`, then the whole `WireMsg::App` — its tag byte, then the
+    /// `AppWire` fields in order — as one length-prefixed byte string,
+    /// whatever segments the log holds it in.
+    #[test]
+    fn an_image_logs_each_send_as_dst_then_its_encoded_message() {
+        use lclog_wire::Encode;
+        let (ks, _net, _eps) = harness(3, ProtocolKind::Tdi);
+        for (dst, k) in [(1, 0usize), (2, 200), (1, 64 * 1024)] {
+            ks[0].app_send(dst, 7, Bytes::from(vec![0x5A; k]), k == 200);
+        }
+        let log = ks[0].state.borrow().rec.log.to_entries();
+        assert_eq!(log.len(), 3);
+        let image = CheckpointImage {
+            step: 3,
+            app_state: b"app".to_vec(),
+            protocol: vec![1, 2],
+            last_send: CounterVector::from_vec(vec![0, 2, 1]),
+            last_deliver: CounterVector::zeroed(3),
+            log,
+        };
+        let mut expect = Vec::new();
+        image.step.encode(&mut expect);
+        image.app_state.encode(&mut expect);
+        image.protocol.encode(&mut expect);
+        image.last_send.encode(&mut expect);
+        image.last_deliver.encode(&mut expect);
+        lclog_wire::varint::write_u64(&mut expect, image.log.len() as u64);
+        for e in &image.log {
+            e.dst.encode(&mut expect);
+            let mut app = vec![0u8];
+            e.tag.encode(&mut app);
+            e.send_index.encode(&mut app);
+            e.piggyback.encode(&mut app);
+            e.needs_ack.encode(&mut app);
+            e.data.encode(&mut app);
+            Bytes::from(app).encode(&mut expect);
+        }
+        assert_eq!(encode_to_vec(&image), expect);
+        assert_eq!(image.encoded_len(), expect.len());
+        let back: CheckpointImage = lclog_wire::decode_from_slice(&expect).unwrap();
+        assert_eq!(back, image);
+    }
+
     /// Damage `image` in the way `kind` names; `pick` and `by` choose
     /// which entry and how far.
     fn malform(image: &mut CheckpointImage, n: usize, kind: u8, pick: usize, by: u64) {
@@ -1797,7 +1883,8 @@ mod tests {
     fn crc_valid_frame_around_garbage_is_dropped_not_panicked() {
         // Any fabric peer can frame bytes that are not a wire message.
         let (ks, net, eps) = harness(2, ProtocolKind::Tdi);
-        raw_peer(crate::logger_rank(2), &net).send_encoded(1, Bytes::from_static(&[0xFF]));
+        let garbage = (Bytes::from_static(&[0xFF]), Bytes::new());
+        raw_peer(crate::logger_rank(2), &net).send_encoded(1, garbage);
         ks[0].app_send(1, 0, Bytes::from_static(b"real"), false);
         pump(&ks[1], &eps[1]);
         assert_eq!(ks[1].snapshot().queued, 1);
@@ -1852,7 +1939,7 @@ mod tests {
             let (ks, net, eps) = harness(3, ProtocolKind::Tdi);
             let mut peer = raw_peer(from, &net);
             for inner in [&suspect, &view] {
-                peer.send_encoded(1, Bytes::copy_from_slice(inner));
+                peer.send_encoded(1, (Bytes::copy_from_slice(inner), Bytes::new()));
             }
             pump(&ks[1], &eps[1]);
             assert_eq!(ks[1].snapshot().corrupt_detected, 2, "from slot {from}");
@@ -1872,7 +1959,7 @@ mod tests {
             let (ks, net, eps) = harness(3, ProtocolKind::Tdi);
             let entries: Vec<u8> = (0..len as u64).flat_map(|v| (v + 5).to_le_bytes()).collect();
             let old = [&[2u8, len][..], &entries, &1u64.to_le_bytes()].concat();
-            raw_peer(0, &net).send_encoded(1, Bytes::from(old));
+            raw_peer(0, &net).send_encoded(1, (Bytes::from(old), Bytes::new()));
             pump(&ks[1], &eps[1]);
             let snap = ks[1].snapshot();
             assert_eq!(snap.corrupt_detected, 1, "{len} entries");
@@ -2258,9 +2345,10 @@ mod tests {
     }
 
     /// Frame guard: on a direct fabric an application send of k bytes
-    /// puts exactly one envelope on the fabric, and the envelope is the
-    /// message's encoding — no checksum or header around it, and no
-    /// acknowledgement frame after it.
+    /// puts exactly one envelope on the fabric, and its two segments
+    /// joined are the message's encoding — no checksum or header around
+    /// it, and no acknowledgement frame after it. The body is the
+    /// payload; the head, everything before it.
     #[test]
     fn frame_guard_an_app_send_is_one_encoded_wire_msg() {
         for k in [0usize, 1, 200, 64 * 1024] {
@@ -2269,13 +2357,16 @@ mod tests {
             ks[0].app_send(1, 7, data.clone(), false);
             let env = eps[1].try_recv().expect("the send's envelope");
             assert!(eps[1].try_recv().is_err(), "{k} bytes: one envelope");
-            let msg = lclog_wire::decode_from_bytes::<WireMsg>(&env.payload).expect("a WireMsg");
+            let joined = Bytes::from([&env.head[..], &env.body[..]].concat());
+            let msg = lclog_wire::decode_from_bytes::<WireMsg>(&joined).expect("a WireMsg");
             let WireMsg::App(wire) = &msg else {
                 panic!("{k} bytes: not an App message: {msg:?}");
             };
             use lclog_wire::Encode;
             assert_eq!((wire.tag, wire.send_index, &wire.data), (7, 1, &data));
             assert_eq!(env.len(), msg.encoded_len(), "{k} bytes: nothing but the message");
+            assert_eq!(env.body, data, "{k} bytes: the body is the payload");
+            assert_eq!(WireMsg::from_frame(&env.head, env.body.clone()), Ok(msg));
             ks[1].ingest(env);
             ks[1].tick();
             assert!(eps[0].try_recv().is_err(), "{k} bytes: nothing comes back");
@@ -2285,8 +2376,47 @@ mod tests {
         }
     }
 
-    /// One valid frame of every `WireMsg` variant.
-    fn frame_of_every_variant() -> Vec<Bytes> {
+    /// Frame guard: the send path never copies an application payload.
+    /// The envelope's body, the sender log's entry and a `ROLLBACK`
+    /// resend all hold the caller's own buffer; the head is the `App`
+    /// header alone (tag, tag field, send index, piggyback, `needs_ack`,
+    /// payload length), and it is all the send writes.
+    #[test]
+    fn frame_guard_an_app_payload_is_never_copied() {
+        let varint = |v: usize| lclog_wire::varint::len_u64(v as u64);
+        for k in [1usize, 200, 64 * 1024] {
+            let (ks, net, eps) = harness(2, ProtocolKind::Tdi);
+            let data = Bytes::from(vec![0x5A; k]);
+            let framed = ks[0].snapshot().data_plane.bytes_framed;
+            ks[0].app_send(1, 7, data.clone(), false);
+            let env = eps[1].try_recv().expect("the send's envelope");
+            assert!(env.body.shares_allocation(&data), "{k} bytes: envelope body");
+            let logged = ks[0].state.borrow().rec.log.to_entries();
+            assert!(logged[0].data.shares_allocation(&data), "{k} bytes: log entry");
+            let pb = logged[0].piggyback.len();
+            let bound = 1 + 4 + 8 + varint(pb) + pb + 1 + varint(k);
+            assert!(env.head.len() <= bound, "{k} bytes: head {} > {bound}", env.head.len());
+            let framed = ks[0].snapshot().data_plane.bytes_framed - framed;
+            assert_eq!(framed, env.head.len() as u64, "{k} bytes: only the head is written");
+            // Rank 1 dies with the send undelivered; its successor's
+            // `ROLLBACK` makes rank 0 resend it from the log.
+            net.kill(1);
+            let ep1b = net.respawn(1);
+            let store = CheckpointStore::new(Arc::new(MemStore::new()));
+            let k1b = Kernel::new(1, 2, RunConfig::new(ProtocolKind::Tdi), net.clone(), store);
+            k1b.begin_recovery();
+            pump(&ks[0], &eps[0]);
+            let resent: Vec<_> = std::iter::from_fn(|| ep1b.try_recv().ok())
+                .filter(|env| !env.body.is_empty())
+                .collect();
+            assert_eq!(resent.len(), 1, "{k} bytes: one resend");
+            assert!(resent[0].body.shares_allocation(&data), "{k} bytes: resend body");
+            assert!(resent[0].head.shares_allocation(&env.head), "{k} bytes: logged head");
+        }
+    }
+
+    /// One valid message of every `WireMsg` variant, `App` first.
+    fn every_variant() -> Vec<WireMsg> {
         let det = lclog_core::Determinant {
             sender: 0,
             send_index: 1,
@@ -2302,7 +2432,7 @@ mod tests {
         };
         let response = ResponseWire { delivered_from_you: 1, dets: vec![det], epoch: 1 };
         let advance = CkptAdvanceWire { delivered_from_you: 1, total_delivered: 2 };
-        [
+        vec![
             WireMsg::App(app),
             WireMsg::Ack(1),
             WireMsg::Rollback(RollbackWire { delivered_from_you: 0, epoch: 1 }),
@@ -2315,18 +2445,19 @@ mod tests {
             WireMsg::ResyncReq(0),
             WireMsg::ResyncSnap(Bytes::from_static(&[1, 1, 0, 0, 0])),
         ]
-        .iter()
-        .map(|msg| Bytes::from(encode_to_vec(msg)))
-        .collect()
     }
 
-    // Decoding is total: arbitrary bytes, and truncations and bit flips
-    // of a valid frame of every `WireMsg` variant, from a rank or the
-    // service slot, at a running or a recovering rank. Bytes that do
-    // not decode are counted in `corrupt_detected` and change nothing
-    // else (the kernel's `Debug` dump is the same before and after);
-    // bytes that do are handled as the message they are. Nothing
-    // panics, debug assertions included.
+    // Decoding is total, on both frame layouts. Contiguous: arbitrary
+    // bytes, and truncations and bit flips of a valid frame of every
+    // `WireMsg` variant. Two segments: an arbitrary `(head, body)`
+    // pair; the whole encoding of every variant as a head, with a
+    // body after it; an `App` head declaring fewer or more payload
+    // bytes than its body holds; a truncated `App` head. From a rank
+    // or the service slot, at a running or a recovering rank. Frames
+    // that do not decode are counted in `corrupt_detected` and change
+    // nothing else (the kernel's `Debug` dump is the same before and
+    // after); frames that do are handled as the message they are.
+    // Nothing panics, debug assertions included.
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig {
             cases: 256,
@@ -2338,23 +2469,36 @@ mod tests {
             from in 0usize..4,
             recovering in proptest::prelude::any::<bool>(),
             variant in 0usize..11,
-            mode in 0u8..3,
+            mode in 0u8..7,
             pick in proptest::prelude::any::<u64>(),
             garbage in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..48),
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..48),
         ) {
-            use proptest::prelude::prop_assert_eq;
+            use proptest::prelude::{prop_assert, prop_assert_eq};
             // Rank 1 receives; slot 3 is the service slot.
             let from = if from == 1 { 0 } else { from };
-            let frame = frame_of_every_variant()[variant].clone();
-            let bytes = match mode {
-                0 => Bytes::from(garbage),
-                1 => frame.slice(..(pick as usize % frame.len())),
-                _ => {
+            let msgs = every_variant();
+            let frame = Bytes::from(encode_to_vec(&msgs[variant]));
+            let (app_head, app_body) = msgs[0].to_frame();
+            let pick = pick as usize;
+            let (head, body) = match mode {
+                0 => (Bytes::from(garbage), Bytes::new()),
+                1 => (frame.slice(..pick % frame.len()), Bytes::new()),
+                2 => {
                     let mut flipped = frame.to_vec();
-                    let bit = pick as usize % (flipped.len() * 8);
+                    let bit = pick % (flipped.len() * 8);
                     flipped[bit / 8] ^= 1 << (bit % 8);
-                    Bytes::from(flipped)
+                    (Bytes::from(flipped), Bytes::new())
                 }
+                3 => (Bytes::from(garbage), Bytes::from(tail)),
+                4 => (frame, Bytes::from(tail)),
+                5 => {
+                    // Any length from 1 to 23 but the declared one.
+                    let len = 1 + pick % 22;
+                    let len = if len >= app_body.len() { len + 1 } else { len };
+                    (app_head, Bytes::from(vec![0xA5; len]))
+                }
+                _ => (app_head.slice(..pick % app_head.len()), app_body),
             };
             // TDI-S: the one protocol that installs resync snapshots.
             let (ks, net, eps) = harness(3, ProtocolKind::TdiSparse(8));
@@ -2365,8 +2509,9 @@ mod tests {
             }
             let dump = format!("{:?}", ks[1]);
             let corrupt = ks[1].snapshot().corrupt_detected;
-            let undecodable = lclog_wire::decode_from_bytes::<WireMsg>(&bytes).is_err();
-            raw_peer(from, &net).send_encoded(1, bytes);
+            let undecodable = WireMsg::from_frame(&head, body.clone()).is_err();
+            prop_assert!(undecodable || mode < 4, "mode {} decoded", mode);
+            raw_peer(from, &net).send_encoded(1, (head, body));
             ks[1].ingest_batch(std::iter::from_fn(|| eps[1].try_recv().ok()).collect::<Vec<_>>());
             if undecodable {
                 prop_assert_eq!(ks[1].snapshot().corrupt_detected, corrupt + 1);
@@ -2434,7 +2579,7 @@ mod tests {
             let mut drain = |peer: usize, ks: &[Kernel]| {
                 let batch: Vec<_> = std::iter::from_fn(|| eps[peer].try_recv().ok()).collect();
                 for env in &batch {
-                    match lclog_wire::decode_from_bytes::<WireMsg>(&env.payload) {
+                    match WireMsg::from_frame(&env.head, env.body.clone()) {
                         Ok(WireMsg::App(w)) => seen[peer].push(Some(w.send_index)),
                         Ok(WireMsg::Rollback(_)) => seen[peer].push(None),
                         other => panic!("unexpected frame at rank {peer}: {other:?}"),

@@ -16,14 +16,16 @@
 //!
 //! ## Zero-copy ownership
 //!
-//! A [`LogEntry`] owns one refcounted handle on the message's
-//! **already-encoded wire form** (the `WireMsg::App` bytes that went
-//! into the frame), plus refcounted handles for the piggyback and
-//! payload. On the steady-state send path the wire handle is the very
-//! buffer the transport built — the log and the in-flight envelope
-//! share one allocation — while `piggyback`/`data` move in from the send call itself (no
-//! decode pass). On checkpoint restore they are instead zero-copy
-//! windows decoded out of `wire`. Resends hand [`LogEntry::to_wire`]
+//! A [`LogEntry`] holds the message's **already-encoded wire form** in
+//! the two segments it was framed in ([`WireMsg::to_frame`]): the
+//! `head`, every byte of the `WireMsg::App` before the payload, and
+//! `data`, the payload itself. On the steady-state send path the head
+//! is the very buffer the transport built and `data` the very buffer
+//! the application handed to `app_send` — the log entry, the in-flight
+//! envelope and the application share both — while `piggyback` moves
+//! in from the send call itself (no decode pass). On checkpoint
+//! restore the head, piggyback and data are instead zero-copy windows
+//! into the one image buffer. Resends hand [`LogEntry::to_wire`]
 //! straight back to the transport with **zero payload copies**; the
 //! resent message carries its original `needs_ack` flag, which is
 //! safe because rendezvous acknowledgements are idempotent (the
@@ -32,10 +34,10 @@
 use crate::message::{AppWire, WireMsg};
 use bytes::Bytes;
 use lclog_core::Rank;
-use lclog_wire::{decode_from_bytes, encode_to_bytes, Decode, Encode, Reader, WireError};
+use lclog_wire::{decode_from_bytes, varint, Decode, Encode, Reader, WireError};
 
-/// One logged send: decoded header fields plus the shared encoded
-/// wire buffer they are windows into.
+/// One logged send: decoded header fields plus the encoded frame head
+/// they were written into.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogEntry {
     /// Destination rank.
@@ -47,17 +49,18 @@ pub struct LogEntry {
     /// Whether the original send requested a rendezvous ack.
     pub needs_ack: bool,
     /// The piggyback the message originally carried (window into the
-    /// wire buffer, or a handle on the protocol's vector).
+    /// head, or a handle on the protocol's vector).
     pub piggyback: Bytes,
-    /// Application payload (same sharing).
+    /// Application payload: the frame's second segment.
     pub data: Bytes,
-    /// The encoded `WireMsg::App`, exactly as framed; private so every
-    /// entry is guaranteed consistent with its decoded fields.
-    wire: Bytes,
+    /// The encoded `WireMsg::App` up to and including `data`'s length
+    /// prefix, exactly as framed; private so every entry is guaranteed
+    /// consistent with its decoded fields.
+    head: Bytes,
 }
 
 impl LogEntry {
-    /// Build an entry by encoding the message once (the only
+    /// Build an entry by encoding the message's head once (the only
     /// allocation; used for suppressed sends that are logged without
     /// being transmitted). `piggyback` and `data` handles are
     /// refcount-shared with the caller.
@@ -69,35 +72,22 @@ impl LogEntry {
         needs_ack: bool,
         data: Bytes,
     ) -> Self {
-        let wire = encode_to_bytes(&WireMsg::App(AppWire {
-            tag,
-            send_index,
-            piggyback: piggyback.clone(),
-            needs_ack,
-            data: data.clone(),
-        }));
-        LogEntry {
-            dst,
-            send_index,
-            tag,
-            needs_ack,
-            piggyback,
-            data,
-            wire,
-        }
+        let w = AppWire { tag, send_index, piggyback, needs_ack, data };
+        let (head, _) = WireMsg::App(w.clone()).to_frame();
+        LogEntry::from_parts(dst, w, head)
     }
 
     /// Build an entry on the send hot path from the [`AppWire`] that
-    /// was just encoded and the encoded-message window the transport
-    /// returned — no decode pass, no refcount churn: the header
-    /// fields and the `piggyback`/`data` handles move straight in.
-    /// The caller guarantees `wire` is the encoding of `w` (debug
+    /// was just framed and the head the transport returned — no decode
+    /// pass, no refcount churn: the header fields and the
+    /// `piggyback`/`data` handles move straight in. The caller
+    /// guarantees `head ++ w.data` is the encoding of `w` (debug
     /// builds verify).
-    pub(crate) fn from_parts(dst: u32, w: AppWire, wire: Bytes) -> Self {
+    pub(crate) fn from_parts(dst: u32, w: AppWire, head: Bytes) -> Self {
         debug_assert_eq!(
-            decode_from_bytes::<WireMsg>(&wire).ok().as_ref(),
+            WireMsg::from_frame(&head, w.data.clone()).ok().as_ref(),
             Some(&WireMsg::App(w.clone())),
-            "from_parts wire bytes must encode exactly the given AppWire"
+            "from_parts head must frame exactly the given AppWire"
         );
         LogEntry {
             dst,
@@ -106,26 +96,20 @@ impl LogEntry {
             needs_ack: w.needs_ack,
             piggyback: w.piggyback,
             data: w.data,
-            wire,
+            head,
         }
     }
 
-    /// Build an entry from already-encoded `WireMsg::App` bytes (the
-    /// inner window the transport returned when it framed the send).
-    /// Decoding is zero-copy: `piggyback` and `data` become windows
-    /// into `wire`. Errors if `wire` is not a well-formed `App`
+    /// Build an entry from the contiguous encoding of a `WireMsg::App`.
+    /// Decoding is zero-copy: the head, `piggyback` and `data` become
+    /// windows into `wire`. Errors if `wire` is not a well-formed `App`
     /// message.
     pub fn from_wire(dst: u32, wire: Bytes) -> Result<Self, WireError> {
         match decode_from_bytes::<WireMsg>(&wire)? {
-            WireMsg::App(w) => Ok(LogEntry {
-                dst,
-                send_index: w.send_index,
-                tag: w.tag,
-                needs_ack: w.needs_ack,
-                piggyback: w.piggyback,
-                data: w.data,
-                wire,
-            }),
+            WireMsg::App(w) => {
+                let head = wire.slice(..wire.len() - w.data.len());
+                Ok(LogEntry::from_parts(dst, w, head))
+            }
             other => Err(WireError::InvalidTag {
                 type_name: "LogEntry (expected WireMsg::App)",
                 tag: match other {
@@ -145,25 +129,28 @@ impl LogEntry {
         }
     }
 
-    /// The encoded `WireMsg::App` for resending — a refcount bump, no
+    /// The frame for resending, `(head, data)` — refcount bumps, no
     /// re-encoding. This is the single construction point for every
     /// resend path (rollback replay, response-driven regeneration,
     /// rendezvous retry).
-    pub fn to_wire(&self) -> Bytes {
-        self.wire.clone()
+    pub fn to_wire(&self) -> (Bytes, Bytes) {
+        (self.head.clone(), self.data.clone())
     }
 }
 
-/// Checkpoints persist only `(dst, wire)`; the decoded fields are
-/// rebuilt zero-copy on restore, so the image stores each message
-/// once.
+/// Checkpoints persist only `dst` and the whole encoded message, as
+/// one length-prefixed byte string; the decoded fields are rebuilt
+/// zero-copy on restore, so the image stores each message once.
 impl Encode for LogEntry {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.dst.encode(buf);
-        self.wire.encode(buf);
+        varint::write_u64(buf, (self.head.len() + self.data.len()) as u64);
+        buf.extend_from_slice(&self.head);
+        buf.extend_from_slice(&self.data);
     }
     fn encoded_len(&self) -> usize {
-        self.dst.encoded_len() + self.wire.encoded_len()
+        let len = self.head.len() + self.data.len();
+        self.dst.encoded_len() + varint::len_u64(len as u64) + len
     }
 }
 
@@ -261,7 +248,7 @@ impl SenderLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lclog_wire::{decode_from_slice, encode_to_vec};
+    use lclog_wire::{decode_from_slice, encode_to_bytes, encode_to_vec};
 
     fn entry(dst: u32, idx: u64) -> LogEntry {
         LogEntry::new(
@@ -355,13 +342,25 @@ mod tests {
         assert_eq!(back, e);
         assert!(back.needs_ack);
         assert_eq!(back.tag, 9);
-        // from_wire of to_wire is the identity on decoded fields and
-        // shares the wire allocation (refcount, not copy).
-        let w = e.to_wire();
-        let again = LogEntry::from_wire(3, w.clone()).unwrap();
+        // to_wire is the entry's frame: the payload handle it was built
+        // with (refcount, not copy) behind the head. Joined, the two
+        // are the contiguous encoding, and from_wire of that is the
+        // identity on decoded fields, its segments windows into it.
+        let (head, body) = e.to_wire();
+        assert!(body.shares_allocation(&e.data));
+        let wire = Bytes::from([&head[..], &body[..]].concat());
+        assert_eq!(wire, encode_to_bytes(&WireMsg::App(AppWire {
+            tag: 9,
+            send_index: 7,
+            piggyback: e.piggyback.clone(),
+            needs_ack: true,
+            data: e.data.clone(),
+        })));
+        let again = LogEntry::from_wire(3, wire.clone()).unwrap();
         assert_eq!(again, e);
-        assert!(again.to_wire().shares_allocation(&w));
-        assert!(again.data.shares_allocation(&w), "payload is a window into wire");
+        let (head, body) = again.to_wire();
+        assert!(head.shares_allocation(&wire) && body.shares_allocation(&wire));
+        assert!(again.data.shares_allocation(&wire), "payload is a window into wire");
     }
 
     #[test]

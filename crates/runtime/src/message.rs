@@ -1,10 +1,13 @@
 //! Wire formats exchanged between rank runtimes (inside
-//! [`lclog_simnet::Envelope`] payloads) and the application-facing
+//! [`lclog_simnet::Envelope`] frames) and the application-facing
 //! message/matching types.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use lclog_core::Determinant;
-use lclog_wire::{impl_wire_enum, impl_wire_struct};
+use lclog_wire::{
+    decode_from_bytes, encode_to_bytes, impl_wire_enum, impl_wire_struct, varint, Decode, Encode,
+    Reader, WireError,
+};
 
 /// Wildcard for [`RecvSpec::source`]: accept a message from any rank —
 /// the paper's `MPI_ANY_SOURCE`, the hook on which TDI's relaxation
@@ -89,13 +92,58 @@ pub struct AppWire {
     pub data: Bytes,
 }
 
-impl_wire_struct!(AppWire {
-    tag,
-    send_index,
-    piggyback,
-    needs_ack,
-    data
-});
+/// The wire format, written once: the head fields, then `data` as a
+/// length-prefixed byte string. A frame may carry `data` as its second
+/// segment ([`WireMsg::to_frame`]), so the head is everything up to
+/// and including the length prefix.
+impl AppWire {
+    fn encode_head(&self, buf: &mut Vec<u8>) {
+        self.tag.encode(buf);
+        self.send_index.encode(buf);
+        self.piggyback.encode(buf);
+        self.needs_ack.encode(buf);
+        varint::write_u64(buf, self.data.len() as u64);
+    }
+
+    fn head_len(&self) -> usize {
+        self.tag.encoded_len()
+            + self.send_index.encoded_len()
+            + self.piggyback.encoded_len()
+            + self.needs_ack.encoded_len()
+            + varint::len_u64(self.data.len() as u64)
+    }
+
+    /// The head fields, with `data` left empty, and the declared
+    /// length of `data`.
+    fn decode_head(reader: &mut Reader<'_>) -> Result<(Self, usize), WireError> {
+        let head = AppWire {
+            tag: Decode::decode(reader)?,
+            send_index: Decode::decode(reader)?,
+            piggyback: Decode::decode(reader)?,
+            needs_ack: Decode::decode(reader)?,
+            data: Bytes::new(),
+        };
+        Ok((head, usize::decode(reader)?))
+    }
+}
+
+impl Encode for AppWire {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.encode_head(buf);
+        buf.extend_from_slice(&self.data);
+    }
+    fn encoded_len(&self) -> usize {
+        self.head_len() + self.data.len()
+    }
+}
+
+impl Decode for AppWire {
+    fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
+        let (mut w, len) = AppWire::decode_head(reader)?;
+        w.data = reader.take_bytes(len)?;
+        Ok(w)
+    }
+}
 
 /// `ROLLBACK` broadcast by a recovering incarnation (Algorithm 1
 /// line 46). Each peer gets its own frame carrying only the element
@@ -189,6 +237,9 @@ pub enum WireMsg {
     ResyncSnap(Bytes),
 }
 
+/// Wire tag of [`WireMsg::App`].
+pub(crate) const APP_TAG: u8 = 0;
+
 impl_wire_enum!(WireMsg {
     0 => App(w),
     1 => Ack(idx),
@@ -202,6 +253,48 @@ impl_wire_enum!(WireMsg {
     11 => ResyncReq(rank),
     12 => ResyncSnap(b),
 });
+
+impl WireMsg {
+    /// The message as a frame of two segments, `head ++ body` being
+    /// its encoding: an `App` payload is the body — the caller's own
+    /// buffer, shared, not copied — and the head everything before it,
+    /// written into one allocation of exactly its length. Any other
+    /// message is all head.
+    pub fn to_frame(&self) -> (Bytes, Bytes) {
+        let WireMsg::App(w) = self else {
+            return (encode_to_bytes(self), Bytes::new());
+        };
+        let mut head = BytesMut::with_capacity(1 + w.head_len());
+        head.as_mut_vec().push(APP_TAG);
+        w.encode_head(head.as_mut_vec());
+        (head.freeze(), w.data.clone())
+    }
+
+    /// Decode a frame of two segments, as [`WireMsg::to_frame`] builds
+    /// them, without copying: an `App` piggyback comes out as a window
+    /// into the head, and the body moves in as its payload. An empty
+    /// `body` is a whole encoding in `head`. A non-empty one must
+    /// follow an `App` head that ends with its length prefix,
+    /// declaring exactly `body.len()` bytes.
+    pub fn from_frame(head: &Bytes, body: Bytes) -> Result<Self, WireError> {
+        if body.is_empty() {
+            return decode_from_bytes(head);
+        }
+        let mut reader = Reader::from_bytes(head);
+        let tag = reader.take_byte()?;
+        if tag != APP_TAG {
+            let type_name = "WireMsg (a frame with a body)";
+            return Err(WireError::InvalidTag { type_name, tag: tag.into() });
+        }
+        let (mut w, len) = AppWire::decode_head(&mut reader)?;
+        reader.finish()?;
+        let mut payload = Reader::new(&body);
+        payload.take(len)?;
+        payload.finish()?;
+        w.data = body;
+        Ok(WireMsg::App(w))
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -264,6 +357,59 @@ mod tests {
             let bytes = encode_to_vec(&m);
             let back: WireMsg = decode_from_slice(&bytes).unwrap();
             assert_eq!(back, m);
+        }
+    }
+
+    /// An `App` message is its tag byte, then the `AppWire` fields in
+    /// order: `tag` and `send_index` fixed-width little-endian, the
+    /// piggyback length-prefixed, `needs_ack` one byte, the payload
+    /// length-prefixed.
+    #[test]
+    fn app_layout_is_pinned() {
+        let msg = WireMsg::App(AppWire {
+            tag: 5,
+            send_index: 6,
+            piggyback: Bytes::from(vec![1, 2, 3]),
+            needs_ack: true,
+            data: Bytes::from_static(b"xyz"),
+        });
+        let expect = [
+            &[0u8, 5, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0][..],
+            &[3, 1, 2, 3, 1, 3],
+            b"xyz",
+        ]
+        .concat();
+        assert_eq!(encode_to_vec(&msg), expect);
+        let (head, body) = msg.to_frame();
+        assert_eq!((&head[..], &body[..]), (&expect[..19], &b"xyz"[..]));
+    }
+
+    // For any `AppWire`, the two-segment frame is the message's
+    // encoding split before the payload: `head ++ body` is
+    // `encode_to_vec`, the body is the payload buffer itself, and the
+    // split and contiguous layouts decode to the same message.
+    proptest::proptest! {
+        #[test]
+        fn prop_an_app_frame_is_its_encoding_in_two_segments(
+            tag in proptest::prelude::any::<u32>(),
+            send_index in proptest::prelude::any::<u64>(),
+            piggyback in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+            needs_ack in proptest::prelude::any::<bool>(),
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+        ) {
+            use proptest::prelude::{prop_assert, prop_assert_eq};
+            let data = Bytes::from(data);
+            let piggyback = Bytes::from(piggyback);
+            let w = AppWire { tag, send_index, piggyback, needs_ack, data: data.clone() };
+            let msg = WireMsg::App(w);
+            let (head, body) = msg.to_frame();
+            let joined = Bytes::from([&head[..], &body[..]].concat());
+            prop_assert_eq!(&joined[..], &encode_to_vec(&msg)[..]);
+            prop_assert_eq!(&body, &data);
+            prop_assert!(data.is_empty() || body.shares_allocation(&data));
+            prop_assert_eq!(WireMsg::from_frame(&head, body), Ok(msg.clone()));
+            prop_assert_eq!(WireMsg::from_frame(&joined, Bytes::new()), Ok(msg.clone()));
+            prop_assert_eq!(lclog_wire::decode_from_bytes::<WireMsg>(&joined), Ok(msg));
         }
     }
 }

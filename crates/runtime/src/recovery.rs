@@ -273,6 +273,10 @@ pub(crate) struct RecoveryLayer {
     pub log_bytes_peak: u64,
     pub ckpt_store: CheckpointStore,
     pub ckpt_version: u64,
+    /// The generation `Kernel::load_checkpoint` read, for the
+    /// `restore` after it: numbering continues from it without reading
+    /// the image a second time. A checkpoint in between clears it.
+    pub loaded_version: Option<u64>,
     pub steps_at_ckpt: u64,
     /// Distinguishes `ROLLBACK` rebroadcasts.
     pub rollback_epoch: u64,
@@ -290,6 +294,7 @@ impl RecoveryLayer {
             log_bytes_peak: 0,
             ckpt_store,
             ckpt_version: 0,
+            loaded_version: None,
             steps_at_ckpt: 0,
             rollback_epoch: 0,
         }

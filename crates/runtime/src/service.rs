@@ -75,7 +75,7 @@ impl EventLogger {
 
     fn handle(&mut self, env: Envelope) {
         let src = env.src;
-        let Ok(msg) = lclog_wire::decode_from_bytes::<WireMsg>(&env.payload) else {
+        let Ok(msg) = WireMsg::from_frame(&env.head, env.body) else {
             return;
         };
         let me = self.endpoint.rank();
@@ -161,7 +161,7 @@ mod tests {
         assert!(service.step());
         let mut answers = Vec::new();
         while let Ok(env) = ep0.try_recv() {
-            if let Ok(WireMsg::LogQueryResp(found)) = lclog_wire::decode_from_bytes(&env.payload) {
+            if let Ok(WireMsg::LogQueryResp(found)) = WireMsg::from_frame(&env.head, env.body) {
                 answers.push(found);
             }
         }

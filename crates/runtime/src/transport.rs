@@ -9,7 +9,7 @@
 //! adds nothing to a message:
 //!
 //! ```text
-//! envelope payload = encoded WireMsg
+//! envelope head ++ envelope body = encoded WireMsg
 //! ```
 //!
 //! No checksum, sequence number, epoch, ack or retransmission. What a
@@ -24,29 +24,35 @@
 //!
 //! ## Zero-copy data plane
 //!
-//! [`Transport::send_msg`] encodes the message **once**, into one
-//! allocation of exactly its encoded length, and hands the fabric a
-//! refcounted handle on it. The same `Bytes` come back to the caller:
-//! the sender log keeps them as the entry's wire form, so the log
-//! entry and the in-flight envelope share the one buffer.
-//! [`Transport::send_encoded`] covers recovery resends: the logged
-//! `Bytes` go to the fabric as they are — no allocation, no copy.
-//! Ingest decodes the `WireMsg` straight from the envelope, so an
-//! `App` payload and piggyback come out as windows into it.
+//! An envelope is one encoded `WireMsg` in two refcounted segments
+//! ([`WireMsg::to_frame`]). [`Transport::send_msg`] writes the
+//! **head** — every byte before an `App` payload, the whole message
+//! otherwise — into one allocation of exactly its length; the
+//! **body** is the application's own payload buffer, shared, never
+//! copied. The head comes back to the caller: the sender log keeps it
+//! beside the payload, so the log entry and the in-flight envelope
+//! share both buffers. [`Transport::send_encoded`] covers recovery
+//! resends: the logged segments go to the fabric as they are — no
+//! allocation, no copy. Ingest decodes the `WireMsg` straight from the
+//! two segments ([`WireMsg::from_frame`]), so an `App` payload and
+//! piggyback come out as windows into them.
 //!
-//! Decoding is total: bytes that are not a `WireMsg` are counted in
-//! `corrupt_detected` and dropped by the receiver, never a panic.
+//! Decoding is total: segments that are not a `WireMsg` are counted
+//! in `corrupt_detected` and dropped by the receiver, never a panic.
 //!
-//! [`DataPlaneStats`] counts frame allocations, framed bytes, and
-//! payload copies; under `debug_assertions` every send path asserts a
-//! copy *budget* against the thread-local [`bytes::audit`] counters,
-//! so an accidental deep copy panics in CI instead of silently
-//! regressing the hot path.
+//! [`DataPlaneStats`] counts frame allocations, the bytes written into
+//! them, and messages encoded; under `debug_assertions` every send
+//! path asserts a copy *budget* of zero against the thread-local
+//! [`bytes::audit`] counters, so an accidental deep copy panics in CI
+//! instead of silently regressing the hot path.
+//!
+//! [`WireMsg::to_frame`]: crate::WireMsg::to_frame
+//! [`WireMsg::from_frame`]: crate::WireMsg::from_frame
 
-use bytes::{Bytes, BytesMut};
+use crate::message::{WireMsg, APP_TAG};
+use bytes::Bytes;
 use lclog_core::Rank;
 use lclog_simnet::SimNet;
-use lclog_wire::Encode;
 
 /// Assert that the wrapped expression performs at most `$budget`
 /// copying `Bytes` constructions on this thread (debug builds only).
@@ -70,10 +76,7 @@ macro_rules! with_copy_budget {
     }};
 }
 
-/// Wire tag of `WireMsg::App` (see `impl_wire_enum!` in message.rs).
-const APP_TAG: u8 = 0;
-
-/// Whether a raw fabric payload carries an **application send**
+/// Whether a frame's head carries an **application send**
 /// (`WireMsg::App`), as opposed to kernel-to-kernel protocol traffic
 /// (rendezvous acks, checkpoint advances, rollback/response recovery
 /// frames, resync traffic, event-logger traffic).
@@ -93,15 +96,18 @@ pub fn payload_is_app_frame(payload: &[u8]) -> bool {
 /// [`crate::KernelSnapshot`] and the bench tables.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DataPlaneStats {
-    /// Frame buffers allocated: one per `send_msg`; a resend of logged
-    /// bytes allocates none.
+    /// Frame buffers allocated: one head per `send_msg`; a resend of
+    /// logged bytes allocates none.
     pub frames_built: u64,
-    /// Total bytes written into freshly built frame buffers.
+    /// Total bytes written into freshly built frame buffers: heads
+    /// only, since an `App` payload is shared, not written.
     pub bytes_framed: u64,
-    /// Payload encoding passes (payload bytes written into a frame).
-    /// Exactly one per `send_msg`; zero for resends.
+    /// Messages encoded for a first transmission: exactly one per
+    /// `send_msg`, zero for resends. (The name predates shared
+    /// payloads; nothing is copied.)
     pub payload_copies: u64,
-    /// Payload bytes written by those passes.
+    /// Encoded length of those messages, head and shared payload
+    /// together: the bytes their envelopes carry.
     pub payload_bytes_copied: u64,
     /// Sends that handed an already-encoded message from the sender
     /// log to the fabric (recovery / rendezvous resends) — zero
@@ -155,34 +161,30 @@ impl Transport {
         }
     }
 
-    /// Send one wire message to `dst`, encoded in a **single pass into
-    /// a single allocation** of exactly its length. Returns that
-    /// buffer — the caller logs it; the fabric carries another handle
-    /// on it. Sends to dead ranks are dropped by the fabric, exactly
-    /// the paper's model. Copy budget: one encoding pass, zero `Bytes`
-    /// copies.
-    pub(crate) fn send_msg<M: Encode>(&mut self, dst: Rank, msg: &M) -> Bytes {
+    /// Send one wire message to `dst` as a frame of two segments: the
+    /// head, written in one pass into one allocation of exactly its
+    /// length, and an `App` payload as it is. Returns the head — the
+    /// caller logs it; the fabric carries another handle on it. Sends
+    /// to dead ranks are dropped by the fabric, exactly the paper's
+    /// model. Copy budget: zero `Bytes` copies.
+    pub(crate) fn send_msg(&mut self, dst: Rank, msg: &WireMsg) -> Bytes {
         with_copy_budget!(0, "Transport::send_msg", {
-            let len = msg.encoded_len();
-            let mut buf = BytesMut::with_capacity(len);
-            msg.encode(buf.as_mut_vec());
-            debug_assert_eq!(buf.len(), len, "encoded_len mismatch");
-            let frame = buf.freeze();
+            let (head, body) = msg.to_frame();
             self.dp.frames_built += 1;
-            self.dp.bytes_framed += len as u64;
+            self.dp.bytes_framed += head.len() as u64;
             self.dp.payload_copies += 1;
-            self.dp.payload_bytes_copied += len as u64;
-            let _ = self.net.send(self.me, dst, frame.clone());
-            frame
+            self.dp.payload_bytes_copied += (head.len() + body.len()) as u64;
+            let _ = self.net.send_split(self.me, dst, head.clone(), body);
+            head
         })
     }
 
-    /// Send an **already-encoded** wire message (the sender log's
-    /// bytes) to `dst` as it is: a refcount bump, zero payload copies.
-    pub(crate) fn send_encoded(&mut self, dst: Rank, frame: Bytes) {
+    /// Send an **already-encoded** frame (the sender log's head and
+    /// payload) to `dst` as it is: refcount bumps, zero payload copies.
+    pub(crate) fn send_encoded(&mut self, dst: Rank, (head, body): (Bytes, Bytes)) {
         with_copy_budget!(0, "Transport::send_encoded", {
             self.dp.zero_copy_resends += 1;
-            let _ = self.net.send(self.me, dst, frame);
+            let _ = self.net.send_split(self.me, dst, head, body);
         })
     }
 }
@@ -208,21 +210,23 @@ mod tests {
     #[test]
     fn single_pass_frame_shares_one_allocation() {
         let (_net, mut t0, ep1) = pair();
-        let msg = Bytes::from(vec![0xAB; 64]);
+        let msg = WireMsg::ResyncSnap(Bytes::from(vec![0xAB; 64]));
         let logged = t0.send_msg(1, &msg);
         // The returned bytes and the envelope in flight are views of
         // the same allocation (frame built once), and they are the
-        // message's encoding, nothing more.
+        // message's encoding, nothing more: a message that is not
+        // `App` is all head.
         let env = ep1.try_recv().expect("delivered");
-        assert!(logged.shares_allocation(&env.payload));
-        assert_eq!(env.payload, Bytes::from(encode_to_vec(&msg)));
+        assert!(logged.shares_allocation(&env.head));
+        assert!(env.body.is_empty());
+        assert_eq!(env.head, Bytes::from(encode_to_vec(&msg)));
         assert_eq!(t0.dp.frames_built, 1);
         assert_eq!(t0.dp.payload_copies, 1);
         assert_eq!(t0.dp.bytes_framed, env.len() as u64);
         // A resend hands the fabric the logged bytes as they are.
-        t0.send_encoded(1, logged.clone());
+        t0.send_encoded(1, (logged.clone(), Bytes::new()));
         let again = ep1.try_recv().expect("delivered");
-        assert!(again.payload.shares_allocation(&logged));
+        assert!(again.head.shares_allocation(&logged));
         assert_eq!(t0.dp.frames_built, 1, "a resend allocates nothing");
         assert_eq!(t0.dp.zero_copy_resends, 1);
     }
@@ -243,9 +247,9 @@ mod tests {
         });
         t0.send_msg(1, &app);
         t0.send_msg(1, &adv);
-        t0.send_encoded(1, Bytes::from(encode_to_vec(&WireMsg::Ack(1))));
+        t0.send_encoded(1, (Bytes::from(encode_to_vec(&WireMsg::Ack(1))), Bytes::new()));
         let frames: Vec<Bytes> = std::iter::from_fn(|| ep1.try_recv().ok())
-            .map(|env| env.payload)
+            .map(|env| env.head)
             .collect();
         assert_eq!(frames.len(), 3);
         // App send: an application frame.
@@ -345,8 +349,9 @@ mod tests {
         clock.advance(RETRY_INTERVAL);
         k0.tick();
         let again = eps[1].try_recv().expect("the retransmission");
-        assert!(again.payload.shares_allocation(&first.payload));
-        assert_eq!(again.payload, first.payload);
+        assert!(again.head.shares_allocation(&first.head));
+        assert!(again.body.shares_allocation(&first.body));
+        assert_eq!((&again.head, &again.body), (&first.head, &first.body));
         let dp = k0.snapshot().data_plane;
         assert_eq!(dp.frames_built, built.frames_built, "retransmit allocates nothing");
         assert_eq!(dp.payload_copies, built.payload_copies);
@@ -382,7 +387,7 @@ mod tests {
         let back = drain(&ep1b);
         let resent: Vec<u64> = back
             .iter()
-            .filter_map(|env| match lclog_wire::decode_from_bytes::<WireMsg>(&env.payload) {
+            .filter_map(|env| match WireMsg::from_frame(&env.head, env.body.clone()) {
                 Ok(WireMsg::App(w)) => Some(w.send_index),
                 _ => None,
             })
@@ -402,7 +407,7 @@ mod tests {
         let dump = format!("{k1:?}");
         let mut peer = Transport::new(0, net.clone());
         for bytes in forged {
-            peer.send_encoded(1, Bytes::copy_from_slice(bytes));
+            peer.send_encoded(1, (Bytes::copy_from_slice(bytes), Bytes::new()));
         }
         k1.ingest_batch(std::iter::from_fn(|| eps[1].try_recv().ok()).collect::<Vec<_>>());
         k1.tick();
@@ -518,11 +523,11 @@ mod tests {
             // The (incarnation, index) of every frame rank 1 received.
             let mut seen: Vec<(u8, u8)> = Vec::new();
             let recv = |seen: &mut Vec<(u8, u8)>| {
-                seen.extend(drain(&ep1).iter().map(|env| (env.payload[0], env.payload[1])));
+                seen.extend(drain(&ep1).iter().map(|env| (env.head[0], env.head[1])));
             };
             let mut first = Transport::new(0, net.clone());
             for i in 0..pre {
-                first.send_encoded(1, Bytes::copy_from_slice(&[1, i]));
+                first.send_encoded(1, (Bytes::copy_from_slice(&[1, i]), Bytes::new()));
             }
             for _ in 0..before_kill {
                 step(choices.next().unwrap_or(0));
@@ -532,7 +537,7 @@ mod tests {
             let _ep0b = net.respawn(0);
             let mut second = Transport::new(0, net.clone());
             for i in 0..post {
-                second.send_encoded(1, Bytes::copy_from_slice(&[2, i]));
+                second.send_encoded(1, (Bytes::copy_from_slice(&[2, i]), Bytes::new()));
                 step(choices.next().unwrap_or(0));
                 recv(&mut seen);
             }

@@ -6,9 +6,14 @@ use bytes::Bytes;
 /// `seq` is a fabric-level sequence number unique per `(src, dst)`
 /// pair and monotonically increasing in send order; the delay models
 /// hash it into jitter, and tests use it to assert the FIFO guarantee.
-/// Protocol-level indices (send_index etc.) live inside `payload` and
-/// are independent of it. The payload is one refcounted buffer: a
-/// resend hands the fabric the very bytes the sender log holds.
+/// Protocol-level indices (send_index etc.) live inside the frame and
+/// are independent of it.
+///
+/// The frame is `head ++ body`, two refcounted segments. A sender that
+/// shares a buffer it already holds — an application payload — passes
+/// it as `body` and writes only what precedes it into `head`; every
+/// other frame is all `head`, with `body` empty. A resend hands the
+/// fabric the very segments the sender log holds.
 #[derive(Debug, Clone)]
 pub struct Envelope {
     /// Sending rank.
@@ -17,18 +22,22 @@ pub struct Envelope {
     pub dst: Rank,
     /// Per `(src, dst)` fabric sequence number, starting at 1.
     pub seq: u64,
-    /// The frame.
-    pub payload: Bytes,
+    /// The frame's first segment (the whole frame when `body` is
+    /// empty).
+    pub head: Bytes,
+    /// The frame's second segment: the bytes that follow `head`.
+    pub body: Bytes,
 }
 
 impl Envelope {
-    /// Frame size in bytes (what the delay model charges for).
+    /// Frame size in bytes, both segments (what the delay model
+    /// charges for).
     pub fn len(&self) -> usize {
-        self.payload.len()
+        self.head.len() + self.body.len()
     }
 
     /// True when the frame is empty.
     pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
+        self.len() == 0
     }
 }

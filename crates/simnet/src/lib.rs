@@ -45,8 +45,9 @@
 //!   store of `lclog-stable` — transient errors, outages, torn and
 //!   bit-flipped objects.
 //!
-//! The fabric does not interpret payloads; the rollback-recovery layer
-//! encodes its own headers inside [`Envelope::payload`].
+//! The fabric does not interpret frames; the rollback-recovery layer
+//! encodes its own headers inside [`Envelope::head`], and may share an
+//! application buffer as [`Envelope::body`] ([`SimNet::send_split`]).
 //!
 //! ## Example
 //!
@@ -60,7 +61,7 @@
 //! net.send(0, 1, Bytes::from_static(b"hi")).unwrap();
 //! let env = ep1.try_recv().unwrap();
 //! assert_eq!(env.src, 0);
-//! assert_eq!(&env.payload[..], b"hi");
+//! assert_eq!(&env.head[..], b"hi");
 //! drop(ep0);
 //! ```
 

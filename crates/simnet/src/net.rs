@@ -224,18 +224,25 @@ impl SimNet {
         matches!(self.fabric.borrow().slots[rank].state, SlotState::Attached(_))
     }
 
-    /// Send `payload` from `src` to `dst`. Sending to a dead rank
-    /// succeeds and the message is dropped — senders cannot observe
-    /// remote failures synchronously, exactly like a datagram on the
-    /// paper's LAN. Between live endpoints the channel is reliable and
-    /// FIFO.
+    /// Send `payload` from `src` to `dst`: [`SimNet::send_split`]
+    /// with the whole frame in the head.
+    pub fn send(&self, src: Rank, dst: Rank, payload: Bytes) -> Result<(), SendError> {
+        self.send_split(src, dst, payload, Bytes::new())
+    }
+
+    /// Send the frame `head ++ body` from `src` to `dst` as two
+    /// refcounted segments, neither of them copied. Sending to a dead
+    /// rank succeeds and the message is dropped — senders cannot
+    /// observe remote failures synchronously, exactly like a datagram
+    /// on the paper's LAN. Between live endpoints the channel is
+    /// reliable and FIFO.
     ///
     /// On a timed fabric the envelope is scheduled; the next
     /// [`Endpoint::try_recv`] on the fabric releases it once due. A
     /// [`ChaosConfig`] may stall it further — decided purely from the
     /// chaos seed and the per-link sequence number, so a schedule
     /// replays identically for the same per-link send sequence.
-    pub fn send(&self, src: Rank, dst: Rank, payload: Bytes) -> Result<(), SendError> {
+    pub fn send_split(&self, src: Rank, dst: Rank, head: Bytes, body: Bytes) -> Result<(), SendError> {
         let fabric = &mut *self.fabric.borrow_mut();
         let n = fabric.n;
         if dst >= n {
@@ -250,7 +257,8 @@ impl SimNet {
             src,
             dst,
             seq: *seq,
-            payload,
+            head,
+            body,
         };
         fabric.stats.record_send(env.len());
         match &mut fabric.flight {
@@ -292,8 +300,8 @@ impl SimNet {
         channels
     }
 
-    /// The payload of the next parked envelope on `src → dst`, if
-    /// any — a refcounted peek that lets a deterministic scheduler
+    /// The head segment of the next parked envelope on `src → dst`,
+    /// if any — a refcounted peek that lets a deterministic scheduler
     /// classify the frame before deciding whether releasing it is a
     /// branch point. `None` when the
     /// channel is empty or the fabric is not in held mode.
@@ -304,7 +312,7 @@ impl SimNet {
         };
         held.iter()
             .find(|env| (env.src, env.dst) == (src, dst))
-            .map(|env| env.payload.clone())
+            .map(|env| env.head.clone())
     }
 
     /// Release the head envelope of the `(src, dst)` channel into the

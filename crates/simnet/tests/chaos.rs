@@ -43,7 +43,7 @@ fn scripted_run(chaos: ChaosConfig) -> (u64, u64, Duration) {
                         for b in env.seq.to_le_bytes() {
                             absorb(b);
                         }
-                        for &b in env.payload.iter() {
+                        for &b in env.head.iter() {
                             absorb(b);
                         }
                     }
@@ -98,7 +98,7 @@ fn clean_chaos_config_is_transparent() {
     let _ep0 = net.attach(0);
     let ep1 = net.attach(1);
     net.send(0, 1, Bytes::from_static(b"hi")).unwrap();
-    assert_eq!(&ep1.try_recv().unwrap().payload[..], b"hi");
+    assert_eq!(&ep1.try_recv().unwrap().head[..], b"hi");
 }
 
 #[test]
@@ -122,6 +122,6 @@ fn stalls_delay_but_deliver() {
     );
     clock.advance(Duration::from_micros(1));
     let env = ep1.try_recv().unwrap();
-    assert_eq!(&env.payload[..], b"slow");
+    assert_eq!(&env.head[..], b"slow");
     assert_eq!(net.stats().chaos_stalled(), 1);
 }

@@ -32,7 +32,7 @@ fn direct_delivery_roundtrip() {
     assert_eq!(env.src, 0);
     assert_eq!(env.dst, 1);
     assert_eq!(env.seq, 1);
-    assert_eq!(&env.payload[..], &[7]);
+    assert_eq!(&env.head[..], &[7]);
 }
 
 #[test]
@@ -130,7 +130,7 @@ fn respawn_gets_fresh_empty_inbox() {
     assert_eq!(ep1b.try_recv().unwrap_err(), RecvError::Empty);
     net.send(0, 1, payload(9)).unwrap();
     let env = ep1b.try_recv().unwrap();
-    assert_eq!(&env.payload[..], &[9]);
+    assert_eq!(&env.head[..], &[9]);
     // Fabric seq keeps counting across incarnations.
     assert_eq!(env.seq, 2);
 }
@@ -144,7 +144,7 @@ fn stale_endpoint_cannot_steal_new_incarnation_traffic() {
     let ep1_new = net.respawn(1);
     net.send(0, 1, payload(3)).unwrap();
     assert_eq!(ep1_old.try_recv().unwrap_err(), RecvError::Dead);
-    assert_eq!(&ep1_new.try_recv().unwrap().payload[..], &[3]);
+    assert_eq!(&ep1_new.try_recv().unwrap().head[..], &[3]);
 }
 
 #[test]
@@ -189,7 +189,7 @@ fn frames_in_flight_outlive_the_last_handle_and_arrive_when_due() {
     clock.advance(Duration::from_millis(4));
     assert_eq!(ep1.try_recv().unwrap_err(), RecvError::Empty, "not due yet");
     clock.advance(Duration::from_millis(1));
-    let tags: Vec<u8> = std::iter::from_fn(|| ep1.try_recv().ok().map(|e| e.payload[0])).collect();
+    let tags: Vec<u8> = std::iter::from_fn(|| ep1.try_recv().ok().map(|e| e.head[0])).collect();
     assert_eq!(tags, (0..10).collect::<Vec<u8>>());
 }
 
@@ -212,7 +212,7 @@ fn kill_drops_frames_in_flight_toward_the_slot() {
     // What is sent to the successor still arrives.
     net.send(0, 1, payload(2)).unwrap();
     clock.advance(TICK);
-    assert_eq!(&successor.try_recv().unwrap().payload[..], &[2]);
+    assert_eq!(&successor.try_recv().unwrap().head[..], &[2]);
 }
 
 #[test]
@@ -235,7 +235,7 @@ fn self_send_works() {
     net.send(0, 0, payload(4)).unwrap();
     let env = ep0.try_recv().unwrap();
     assert_eq!(env.src, 0);
-    assert_eq!(&env.payload[..], &[4]);
+    assert_eq!(&env.head[..], &[4]);
 }
 
 #[test]
@@ -304,9 +304,9 @@ fn held_mode_parks_until_scheduler_releases() {
     // Releases are explicit and per-channel FIFO.
     assert!(net.held_deliver(0, 1));
     let env = ep1.try_recv().unwrap();
-    assert_eq!(&env.payload[..], &[1]);
+    assert_eq!(&env.head[..], &[1]);
     assert!(net.held_deliver(0, 1));
-    assert_eq!(&ep1.try_recv().unwrap().payload[..], &[2]);
+    assert_eq!(&ep1.try_recv().unwrap().head[..], &[2]);
     assert!(!net.held_deliver(0, 1), "channel drained");
     assert!(net.held_channels().is_empty());
 }
@@ -327,7 +327,7 @@ fn held_deliver_all_flushes_every_channel() {
     // and each channel in its send order.
     let arrivals = |ep: &lclog_simnet::Endpoint| {
         std::iter::from_fn(|| ep.try_recv().ok())
-            .map(|env| (env.src, env.payload[0]))
+            .map(|env| (env.src, env.head[0]))
             .collect::<Vec<_>>()
     };
     assert_eq!(arrivals(&ep1), [(0, 3), (0, 6), (2, 1), (2, 4)]);
@@ -356,7 +356,7 @@ fn held_scheduler_controls_cross_channel_order() {
             assert!(net.held_deliver(src, 2));
             let env = ep2.try_recv().unwrap();
             assert_eq!(env.src, src);
-            assert_eq!(&env.payload[..], &[tag]);
+            assert_eq!(&env.head[..], &[tag]);
         }
     }
 }
