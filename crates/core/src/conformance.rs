@@ -2,19 +2,9 @@
 //!
 //! The runtime relies on behavioural contracts the trait's signatures
 //! cannot express (gate/enforcement agreement, checkpoint fidelity,
-//! logger hand-off semantics). Anyone adding a protocol — as we did
-//! with TAG-f and PES beyond the paper's three — can run
-//! [`check_protocol`] in a unit test and get precise panics for any
-//! violation.
-//!
-//! ```
-//! use lclog_core::{conformance, make_protocol, ProtocolKind};
-//!
-//! conformance::check_protocol(
-//!     &|me, n| make_protocol(ProtocolKind::Tdi, me, n),
-//!     4,
-//! );
-//! ```
+//! logger hand-off semantics). [`check_protocol`] runs them all and
+//! panics precisely on any violation; `every_shipped_protocol_conforms`
+//! runs it over every [`ProtocolKind`](crate::ProtocolKind).
 
 use crate::{DeliveryVerdict, LoggingProtocol, Rank};
 
@@ -35,7 +25,7 @@ pub fn check_protocol(factory: Factory<'_>, n: usize) {
 }
 
 fn instantly_stabilize(p: &mut Box<dyn LoggingProtocol>) {
-    if p.wants_event_logger() {
+    if p.kind().uses_event_logger() {
         let upto = p.delivered_total();
         let _ = p.drain_determinants_for_logger();
         p.on_logger_ack(upto);
@@ -48,7 +38,6 @@ fn check_identity(factory: Factory<'_>, n: usize) {
         assert_eq!(p.me(), me, "me() must echo the construction rank");
         assert_eq!(p.n(), n, "n() must echo the system size");
         assert_eq!(p.delivered_total(), 0, "fresh instances have delivered nothing");
-        assert!(p.send_ready(), "fresh instances must be allowed to send");
         assert!(
             p.determinants_for(0).is_empty(),
             "fresh instances know no determinants"
@@ -177,7 +166,7 @@ fn check_recovery_info_idempotent(factory: Factory<'_>, n: usize) {
 fn check_logger_contract(factory: Factory<'_>, n: usize) {
     let mut a = factory(0, n);
     let mut b = factory(1, n);
-    if !b.wants_event_logger() {
+    if !b.kind().uses_event_logger() {
         assert!(
             b.drain_determinants_for_logger().is_empty(),
             "loggerless protocols must not emit determinants"
@@ -194,10 +183,10 @@ fn check_logger_contract(factory: Factory<'_>, n: usize) {
         "drain must hand over each determinant exactly once"
     );
     b.on_logger_ack(1);
-    assert!(b.send_ready(), "acked protocols must be ready to send");
+    let acked = b.on_send(0, 1).piggyback;
     // Acks are monotone: a stale smaller ack must not regress state.
     b.on_logger_ack(0);
-    assert!(b.send_ready(), "stale acks must be ignored");
+    assert_eq!(b.on_send(0, 2).piggyback, acked, "stale acks must be ignored");
 }
 
 fn check_checkpoint_hooks_preserve_liveness(factory: Factory<'_>, n: usize) {

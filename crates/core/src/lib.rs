@@ -57,14 +57,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod conformance;
 mod protocol;
 mod replay;
 mod stats;
-mod pessim;
 mod sparse;
 mod tag;
-mod tagf;
 mod tdi;
 mod tel;
 mod types;
@@ -73,11 +70,12 @@ mod vectors;
 pub use protocol::{make_protocol, DeliveryVerdict, LoggingProtocol, SendArtifacts};
 pub use replay::ReplayScript;
 pub use stats::{FrameStats, TrackingStats};
-pub use pessim::Pessim;
 pub use sparse::SparseTdi;
 pub use tag::Tag;
-pub use tagf::TagF;
 pub use tdi::Tdi;
 pub use tel::Tel;
 pub use types::{Determinant, ProtocolError, ProtocolKind, Rank};
 pub use vectors::{CounterVector, DependVector};
+
+#[cfg(test)]
+mod conformance;

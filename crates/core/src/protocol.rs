@@ -1,5 +1,5 @@
 use crate::stats::FrameStats;
-use crate::{Determinant, Pessim, ProtocolError, ProtocolKind, Rank, SparseTdi, Tag, TagF, Tdi, Tel};
+use crate::{Determinant, ProtocolError, ProtocolKind, Rank, SparseTdi, Tag, Tdi, Tel};
 
 /// What `on_send` produces: the bytes to piggyback on the outgoing
 /// message plus their size in *identifiers* (the unit the paper's
@@ -92,7 +92,7 @@ pub trait LoggingProtocol {
     /// held about the peer's deliveries from *any* sender, so every
     /// rank must hear each checkpoint — not only the senders whose
     /// messages it newly covers (Algorithm 1 lines 32–39). True for
-    /// TAG-f and TEL. Constant over the instance's lifetime.
+    /// TEL. Constant over the instance's lifetime.
     fn prunes_on_peer_checkpoint(&self) -> bool {
         false
     }
@@ -133,11 +133,6 @@ pub trait LoggingProtocol {
 
     // ----- event-logger integration (TEL only) ------------------------------
 
-    /// Whether this protocol uses the stable event-logger service.
-    fn wants_event_logger(&self) -> bool {
-        false
-    }
-
     /// Determinants created since the last drain, to be shipped
     /// asynchronously to the event logger.
     fn drain_determinants_for_logger(&mut self) -> Vec<Determinant> {
@@ -147,15 +142,6 @@ pub trait LoggingProtocol {
     /// The event logger has stably stored this process's determinants
     /// up to delivery position `upto` — stop piggybacking them.
     fn on_logger_ack(&mut self, _upto: u64) {}
-
-    /// May the application send right now? Pessimistic logging
-    /// returns `false` while delivery determinants are still in
-    /// flight to the logger; the runtime engine waits (servicing its
-    /// inbox meanwhile). Always `true` for the causal protocols —
-    /// their whole point is asynchronous logging.
-    fn send_ready(&self) -> bool {
-        true
-    }
 
     /// The protocol's dependency-interval vector, when it tracks one
     /// (`depend_interval[n]` for TDI; `None` for protocols without a
@@ -202,8 +188,6 @@ pub fn make_protocol(kind: ProtocolKind, me: Rank, n: usize) -> Box<dyn LoggingP
         ProtocolKind::Tdi => Box::new(Tdi::new(me, n)),
         ProtocolKind::Tag => Box::new(Tag::new(me, n)),
         ProtocolKind::Tel => Box::new(Tel::new(me, n)),
-        ProtocolKind::TagF(f) => Box::new(TagF::new(me, n, f)),
-        ProtocolKind::Pessim => Box::new(Pessim::new(me, n)),
         ProtocolKind::TdiSparse(k) => Box::new(SparseTdi::new(me, n, k)),
     }
 }
@@ -225,16 +209,11 @@ mod tests {
 
     #[test]
     fn event_logger_and_send_gating_assignments() {
-        assert!(!make_protocol(ProtocolKind::Tdi, 0, 2).wants_event_logger());
-        assert!(!make_protocol(ProtocolKind::Tag, 0, 2).wants_event_logger());
-        assert!(!make_protocol(ProtocolKind::TagF(1), 0, 2).wants_event_logger());
-        assert!(make_protocol(ProtocolKind::Tel, 0, 2).wants_event_logger());
-        assert!(make_protocol(ProtocolKind::Pessim, 0, 2).wants_event_logger());
         for kind in ProtocolKind::EXTENDED {
             let p = make_protocol(kind, 0, 2);
-            assert!(p.send_ready(), "{kind}: fresh instances can always send");
-            let prunes = matches!(kind, ProtocolKind::TagF(_) | ProtocolKind::Tel);
-            assert_eq!(p.prunes_on_peer_checkpoint(), prunes, "{kind}");
+            let tel = kind == ProtocolKind::Tel;
+            assert_eq!(p.kind().uses_event_logger(), tel, "{kind}");
+            assert_eq!(p.prunes_on_peer_checkpoint(), tel, "{kind}");
         }
     }
 }

@@ -227,10 +227,6 @@ impl LoggingProtocol for Tel {
         self.replay.install(self.me, relevant);
     }
 
-    fn wants_event_logger(&self) -> bool {
-        true
-    }
-
     fn needs_full_recovery_info(&self) -> bool {
         true
     }
@@ -368,6 +364,6 @@ mod tests {
 
     #[test]
     fn wants_event_logger() {
-        assert!(Tel::new(0, 2).wants_event_logger());
+        assert!(Tel::new(0, 2).kind().uses_event_logger());
     }
 }

@@ -14,12 +14,6 @@ pub enum ProtocolKind {
     Tag,
     /// Event-logger baseline (Bouteiller style).
     Tel,
-    /// Extension: f-bounded causal tracking (Alvisi / Bhatia–Marzullo
-    /// style, \[8\]), tolerating at most `f` simultaneous failures.
-    TagF(u32),
-    /// Extension: pessimistic (synchronous) logging — zero piggyback,
-    /// logger round-trip on every delivery's critical path.
-    Pessim,
     /// Extension: TDI over sparse per-channel delta frames (only the
     /// vector entries changed since the last frame on the channel,
     /// with a FULL resync frame forced every `k` deltas). Same
@@ -29,36 +23,31 @@ pub enum ProtocolKind {
 }
 
 impl ProtocolKind {
-    /// Short family name ("TDI", "TAG", "TEL", "TAG-f", "PES").
+    /// Short family name ("TDI", "TAG", "TEL", "TDI-S").
     pub fn name(self) -> &'static str {
         match self {
             ProtocolKind::Tdi => "TDI",
             ProtocolKind::Tag => "TAG",
             ProtocolKind::Tel => "TEL",
-            ProtocolKind::TagF(_) => "TAG-f",
-            ProtocolKind::Pessim => "PES",
             ProtocolKind::TdiSparse(_) => "TDI-S",
         }
     }
 
-    /// The paper's three protocols, in its figures' order (the two
-    /// extension baselines are excluded from figure reproduction).
+    /// The paper's three protocols, in its figures' order.
     pub const ALL: [ProtocolKind; 3] = [ProtocolKind::Tdi, ProtocolKind::Tag, ProtocolKind::Tel];
 
     /// Whether the runtime must provision the stable event-logger
     /// service for this protocol.
     pub fn uses_event_logger(self) -> bool {
-        matches!(self, ProtocolKind::Tel | ProtocolKind::Pessim)
+        matches!(self, ProtocolKind::Tel)
     }
 
-    /// Every implemented protocol (figure trio + extensions with a
-    /// representative f and a small sparse resync interval).
-    pub const EXTENDED: [ProtocolKind; 6] = [
+    /// Every implemented protocol: the paper's three plus TDI-S with a
+    /// small sparse resync interval.
+    pub const EXTENDED: [ProtocolKind; 4] = [
         ProtocolKind::Tdi,
         ProtocolKind::Tag,
         ProtocolKind::Tel,
-        ProtocolKind::TagF(1),
-        ProtocolKind::Pessim,
         ProtocolKind::TdiSparse(4),
     ];
 }
@@ -66,7 +55,6 @@ impl ProtocolKind {
 impl fmt::Display for ProtocolKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ProtocolKind::TagF(bound) => write!(f, "TAG-f{bound}"),
             ProtocolKind::TdiSparse(k) => write!(f, "TDI-S{k}"),
             other => f.write_str(other.name()),
         }
@@ -164,13 +152,10 @@ mod tests {
         assert_eq!(ProtocolKind::Tdi.to_string(), "TDI");
         assert_eq!(ProtocolKind::Tag.to_string(), "TAG");
         assert_eq!(ProtocolKind::Tel.to_string(), "TEL");
-        assert_eq!(ProtocolKind::TagF(2).to_string(), "TAG-f2");
-        assert_eq!(ProtocolKind::TagF(2).name(), "TAG-f");
-        assert_eq!(ProtocolKind::Pessim.to_string(), "PES");
         assert_eq!(ProtocolKind::TdiSparse(32).to_string(), "TDI-S32");
         assert_eq!(ProtocolKind::TdiSparse(32).name(), "TDI-S");
         assert!(!ProtocolKind::TdiSparse(32).uses_event_logger());
         assert_eq!(ProtocolKind::ALL.len(), 3);
-        assert_eq!(ProtocolKind::EXTENDED.len(), 6);
+        assert_eq!(ProtocolKind::EXTENDED.len(), 4);
     }
 }

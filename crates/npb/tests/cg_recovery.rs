@@ -19,12 +19,7 @@ fn cg_digests_protocol_independent() {
     let reference = run_benchmark(Benchmark::Cg, Class::Test, &cfg(4, ProtocolKind::Tdi))
         .unwrap()
         .digests;
-    for kind in [
-        ProtocolKind::Tag,
-        ProtocolKind::Tel,
-        ProtocolKind::TagF(1),
-        ProtocolKind::Pessim,
-    ] {
+    for kind in [ProtocolKind::Tag, ProtocolKind::Tel] {
         let got = run_benchmark(Benchmark::Cg, Class::Test, &cfg(4, kind))
             .unwrap()
             .digests;

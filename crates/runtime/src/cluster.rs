@@ -208,7 +208,7 @@ impl FailurePlan {
     }
 }
 
-/// Where checkpoints and the TEL/PES event log live.
+/// Where checkpoints and TEL's event log live.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum StorageKind {
     /// In-process store (default): crash survival is modelled by the

@@ -36,8 +36,8 @@
 //! A checkpoint sends `CHECKPOINT_ADVANCE` only to the senders whose
 //! messages it newly covers, so on a ring it is one frame, not n − 1.
 //! Sections proportional to n are still accepted: that fan-out under
-//! TAG-f and TEL (their peers prune on any rank's checkpoint), a
-//! `ROLLBACK` (re)broadcast.
+//! TEL (its peers prune on any rank's checkpoint), a `ROLLBACK`
+//! (re)broadcast.
 
 use crate::backoff::RetryBackoff;
 use crate::config::RunConfig;
@@ -238,7 +238,7 @@ impl Kernel {
     /// Fresh kernel for `me` of `n` (initial incarnation state).
     pub fn new(me: Rank, n: usize, cfg: RunConfig, net: SimNet, ckpt_store: CheckpointStore) -> Self {
         let protocol = make_protocol(cfg.protocol, me, n);
-        let logger = protocol.wants_event_logger().then(|| crate::logger_rank(n));
+        let logger = cfg.protocol.uses_event_logger().then(|| crate::logger_rank(n));
         let transport = Transport::new(me, net);
         let now = cfg.clock.now();
         let state = State {
@@ -361,12 +361,6 @@ impl Kernel {
         (want <= st.trk.last_send_index.get(dst)).then_some(want)
     }
 
-    /// Protocol send gate (pessimistic logging holds sends while
-    /// determinants are unstable).
-    pub fn send_ready(&self) -> bool {
-        self.state.borrow().trk.protocol.send_ready()
-    }
-
     fn emit_transition(&self, tr: Option<Transition>) {
         if let Some((from, to)) = tr {
             self.events
@@ -424,17 +418,6 @@ impl Kernel {
             st.rendezvous = Some((dst, send_index, self.cfg.clock.now()));
         }
         (send_index, transmitted)
-    }
-
-    /// [`Kernel::app_send`] behind the protocol's send gate, in one
-    /// borrow: `false`, sending nothing, while PES holds sends.
-    pub(crate) fn try_app_send(&self, dst: Rank, tag: u32, data: Bytes) -> bool {
-        let mut st = self.state.borrow_mut();
-        if !st.trk.protocol.send_ready() {
-            return false;
-        }
-        st.app_send(dst, tag, data, false);
-        true
     }
 
     // ---------------------------------------------------------------
@@ -673,9 +656,9 @@ impl Kernel {
         let total = trk.protocol.delivered_total();
         // Notify only the senders whose messages this checkpoint newly
         // covers (lines 32–39): those whose delivered count grew past
-        // what they were last told. TAG-f and TEL peers also prune
-        // other ranks' determinants on `total_delivered`, so under
-        // them every rank hears every checkpoint.
+        // what they were last told. TEL peers also prune other ranks'
+        // determinants on `total_delivered`, so under TEL every rank
+        // hears every checkpoint.
         let everyone = trk.protocol.prunes_on_peer_checkpoint();
         for k in 0..self.n {
             let delivered = del.last_deliver_index.get(k);
@@ -1389,24 +1372,22 @@ mod tests {
     }
 
     #[test]
-    fn tagf_and_tel_checkpoints_reach_ranks_that_never_sent() {
+    fn tel_checkpoints_reach_ranks_that_never_sent() {
         // Rank 2 learns a determinant of rank 1's delivery of a rank-0
         // message; rank 1's checkpoint covers no send of rank 2's, yet
         // must still let it prune that determinant.
-        for kind in [ProtocolKind::TagF(2), ProtocolKind::Tel] {
-            let (ks, _net, eps) = harness(3, kind);
-            ks[0].app_send(1, 0, Bytes::from_static(b"m"), false);
-            pump(&ks[1], &eps[1]);
-            ks[1].try_deliver(RecvSpec::any()).unwrap();
-            ks[1].app_send(2, 0, Bytes::from_static(b"m"), false);
-            pump(&ks[2], &eps[2]);
-            ks[2].try_deliver(RecvSpec::any()).unwrap();
-            let about_1 = || ks[2].state.borrow().trk.protocol.determinants_for(1).len();
-            assert_eq!(about_1(), 1, "{kind}");
-            ks[1].do_checkpoint(vec![], 1);
-            pump(&ks[2], &eps[2]);
-            assert_eq!(about_1(), 0, "{kind}");
-        }
+        let (ks, _net, eps) = harness(3, ProtocolKind::Tel);
+        ks[0].app_send(1, 0, Bytes::from_static(b"m"), false);
+        pump(&ks[1], &eps[1]);
+        ks[1].try_deliver(RecvSpec::any()).unwrap();
+        ks[1].app_send(2, 0, Bytes::from_static(b"m"), false);
+        pump(&ks[2], &eps[2]);
+        ks[2].try_deliver(RecvSpec::any()).unwrap();
+        let about_1 = || ks[2].state.borrow().trk.protocol.determinants_for(1).len();
+        assert_eq!(about_1(), 1);
+        ks[1].do_checkpoint(vec![], 1);
+        pump(&ks[2], &eps[2]);
+        assert_eq!(about_1(), 0);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! rank runs under the one driver ([`crate::TaskJob`]).
 //!
 //! `step` is an `async fn`: a runtime call that cannot proceed ([`Wait`]:
-//! nothing deliverable, the PES send gate, a rendezvous) records why and
-//! returns `Poll::Pending`, and the driver polls the step again on its
-//! next sweep, after it ingested the rank's inbox. [`Steps`] is that
+//! nothing deliverable, a rendezvous) records why and returns
+//! `Poll::Pending`, and the driver polls the step again on its next
+//! sweep, after it ingested the rank's inbox. [`Steps`] is that
 //! adapter: a [`TaskApp`] whose poll drives one owned step future, so
 //! no rank needs a stack of its own and a run repeats exactly.
 //!
@@ -71,9 +71,6 @@ pub trait RankApp: 'static {
 pub(crate) enum Wait {
     /// A deliverable message matching the spec.
     Recv(RecvSpec),
-    /// The protocol's send gate (PES holds sends while its
-    /// determinants are unlogged).
-    SendGate,
     /// The receiver's ingestion ack of rendezvous send `send_index`.
     Rendezvous { dst: Rank, send_index: u64 },
 }
@@ -104,8 +101,8 @@ impl<'a> RankCtx<'a> {
 
     /// Send `data` to `dst` under `tag`. In blocking mode a payload
     /// above the eager threshold waits for the receiver (Fig. 4a); in
-    /// non-blocking mode it returns immediately (Fig. 4b). Either way
-    /// a PES send waits for the protocol's gate.
+    /// non-blocking mode it returns immediately (Fig. 4b). A
+    /// desynchronized rank sends nothing and gets [`Fault::Desync`].
     pub async fn send(&mut self, dst: Rank, tag: u32, data: &[u8]) -> Result<(), Fault> {
         self.send_bytes(dst, tag, Bytes::copy_from_slice(data))
             .await
@@ -113,12 +110,9 @@ impl<'a> RankCtx<'a> {
 
     /// Zero-copy variant of [`RankCtx::send`].
     pub async fn send_bytes(&mut self, dst: Rank, tag: u32, data: Bytes) -> Result<(), Fault> {
-        // Pessimistic logging: hold the send until the logger has
-        // acknowledged our delivery determinants.
-        self.until(Wait::SendGate, |kernel| {
-            Ok(kernel.send_ready().then_some(()))
-        })
-        .await?;
+        if self.kernel.is_desynced() {
+            return Err(Fault::Desync);
+        }
         let needs_ack = match self.kernel.cfg().comm {
             CommMode::Blocking { eager_threshold } => data.len() > eager_threshold,
             CommMode::NonBlocking => false,

@@ -30,9 +30,7 @@
 //! fabric releases what then falls due at the next sweep's drains) and
 //! the watchdog, whose error names where every unfinished rank stopped.
 //! Completion leaves a rank serving its peers (drain + tick) until
-//! every rank is done. A send PES's gate holds returns
-//! [`Fault::WouldBlock`], which the driver treats like
-//! [`TaskPoll::Pending`].
+//! every rank is done.
 //!
 //! A job is standalone: it owns its storage and, with a remote, its
 //! replicator. [`run_tasks`] drives it on the caller's thread; so does
@@ -142,19 +140,16 @@ impl<'a> TaskCtx<'a> {
         self.step
     }
 
-    /// Send `data` to `dst` under `tag` (never blocks: a send the
-    /// protocol's gate holds returns [`Fault::WouldBlock`]; propagate
-    /// it with `?`, and the next poll retries).
+    /// Send `data` to `dst` under `tag`. It never blocks and is never
+    /// refused; the `Result` lets a poll propagate faults with `?`.
     pub fn send(&mut self, dst: Rank, tag: u32, data: &[u8]) -> Result<(), Fault> {
         self.send_bytes(dst, tag, Bytes::copy_from_slice(data))
     }
 
     /// Zero-copy variant of [`TaskCtx::send`].
     pub fn send_bytes(&mut self, dst: Rank, tag: u32, data: Bytes) -> Result<(), Fault> {
-        match self.kernel.try_app_send(dst, tag, data) {
-            true => Ok(()),
-            false => Err(Fault::WouldBlock),
-        }
+        self.kernel.app_send(dst, tag, data, false);
+        Ok(())
     }
 
     /// Send an [`Encode`]-able value.
@@ -388,7 +383,7 @@ impl<A: TaskApp> TaskJob<A> {
             let polled = self.app.poll(&mut ctx, &mut slot.state);
             slot.wait = ctx.wait;
             match polled {
-                Ok(TaskPoll::Pending) | Err(Fault::WouldBlock) => break,
+                Ok(TaskPoll::Pending) => break,
                 Ok(TaskPoll::Step) => {
                     slot.step += 1;
                     if slot.kernel.checkpoint_due(slot.step) {
@@ -607,15 +602,10 @@ mod tests {
 
     /// One thread drives every round, so nothing about a run depends on
     /// timing: not the digests, nor the traffic a mid-run kill provokes.
-    /// TEL and PES too: their event logger is a slot of the round, and
-    /// PES's send gate holds a task instead of a thread.
+    /// TEL too: its event logger is a slot of the round.
     #[test]
     fn a_tasks_run_is_a_pure_function_of_its_config() {
-        for (kind, n) in [
-            (ProtocolKind::TdiSparse(8), 64),
-            (ProtocolKind::Tel, 8),
-            (ProtocolKind::Pessim, 8),
-        ] {
+        for (kind, n) in [(ProtocolKind::TdiSparse(8), 64), (ProtocolKind::Tel, 8)] {
             let clean = run_tasks(&tasks_cfg(n, kind), ExchangeRing { rounds: 12 }).unwrap();
             let run = || {
                 let cfg = tasks_cfg(n, kind).with_failures(FailurePlan::kill_at(1, 5));
@@ -757,7 +747,6 @@ mod tests {
             (ProtocolKind::Tdi, NetConfig::direct()),
             (ProtocolKind::Tdi, NetConfig::lan_like(7)),
             (ProtocolKind::Tel, NetConfig::direct()),
-            (ProtocolKind::Pessim, NetConfig::direct()),
         ] {
             let cfg = tasks_cfg(4, kind).with_net(net);
             let tasks = run_tasks(&cfg, app()).unwrap();

@@ -1,10 +1,10 @@
 //! The event-logger service paths exercised deliberately: determinant
-//! shipping, acks, queries during recovery, and pessimistic send
-//! gating — at cluster level with TEL and PES.
+//! shipping, acks and queries during recovery, at cluster level with
+//! TEL.
 
 use lclog_core::ProtocolKind;
 use lclog_runtime::{
-    CheckpointPolicy, Cluster, ClusterConfig, CommMode, FailurePlan, Fault, RankApp, RankCtx,
+    CheckpointPolicy, Cluster, ClusterConfig, FailurePlan, Fault, RankApp, RankCtx,
     RecvSpec, RunConfig, StepStatus,
 };
 use lclog_wire::impl_wire_struct;
@@ -90,42 +90,4 @@ fn tel_recovery_pulls_stable_determinants_from_logger() {
     let report = Cluster::run(&config, PingPong { rounds }).expect("recovered run");
     assert_eq!(report.kills, 2);
     assert_eq!(report.digests, clean);
-}
-
-#[test]
-fn pessim_recovery_with_no_surviving_app_rank() {
-    let rounds = 16;
-    let clean = Cluster::run(&cfg(ProtocolKind::Pessim), PingPong { rounds })
-        .unwrap()
-        .digests;
-    let config = cfg(ProtocolKind::Pessim)
-        .with_failures(FailurePlan::kill_at(0, 8).and_kill(1, 8));
-    let report = Cluster::run(&config, PingPong { rounds }).expect("recovered run");
-    assert_eq!(report.digests, clean);
-}
-
-#[test]
-fn pessim_blocking_engine_gates_sends() {
-    // In blocking mode the send gate is serviced by inline pumping;
-    // the run must complete and recover.
-    let rounds = 12;
-    let run = RunConfig::new(ProtocolKind::Pessim)
-        .with_comm(CommMode::blocking_default())
-        .with_checkpoint(CheckpointPolicy::EverySteps(4));
-    let base = ClusterConfig::new(2, run);
-    let clean = Cluster::run(&base, PingPong { rounds }).unwrap().digests;
-    let report = Cluster::run(
-        &base.with_failures(FailurePlan::kill_at(1, 6)),
-        PingPong { rounds },
-    )
-    .expect("recovered run");
-    assert_eq!(report.digests, clean);
-}
-
-#[test]
-fn pessim_piggybacks_zero_always() {
-    let report = Cluster::run(&cfg(ProtocolKind::Pessim), PingPong { rounds: 30 }).unwrap();
-    assert_eq!(report.stats.piggyback_ids, 0);
-    assert_eq!(report.stats.piggyback_bytes, 0);
-    assert!(report.stats.sends > 0);
 }
