@@ -10,8 +10,9 @@
 //! antecedence graph, no increment computation.
 
 use crate::protocol::{DeliveryVerdict, LoggingProtocol, SendArtifacts};
+use crate::vectors::{counts_len, read_counts, write_counts};
 use crate::{DependVector, ProtocolError, ProtocolKind, Rank};
-use lclog_wire::{Encode, WireError};
+use lclog_wire::{Encode, Reader, WireError};
 
 /// The paper's lightweight causal message-logging protocol.
 #[derive(Debug, Clone)]
@@ -117,11 +118,16 @@ impl LoggingProtocol for Tdi {
     }
 
     fn checkpoint_bytes(&self) -> Vec<u8> {
-        lclog_wire::encode_to_vec(self.depend.as_slice())
+        let depend = self.depend.as_slice();
+        let mut buf = Vec::with_capacity(counts_len(depend));
+        write_counts(&mut buf, depend);
+        buf
     }
 
     fn restore_from_checkpoint(&mut self, bytes: &[u8]) -> Result<(), ProtocolError> {
-        let v: Vec<u64> = lclog_wire::decode_from_slice(bytes)
+        let mut r = Reader::new(bytes);
+        let v = read_counts(&mut r)
+            .and_then(|v| r.finish().map(|()| v))
             .map_err(|_| ProtocolError::Corrupt("TDI checkpoint"))?;
         if v.len() != self.n {
             return Err(ProtocolError::Corrupt("TDI checkpoint length"));

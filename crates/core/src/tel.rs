@@ -15,7 +15,9 @@
 //! distributed stability gossip of \[9\].
 
 use crate::protocol::{DeliveryVerdict, LoggingProtocol, SendArtifacts};
+use crate::vectors::{read_counts, write_counts};
 use crate::{Determinant, ProtocolError, ProtocolKind, Rank, ReplayScript};
+use lclog_wire::{encode_to_vec, Decode, Reader, WireError};
 use std::collections::BTreeMap;
 
 type DetKey = (u32, u64);
@@ -165,22 +167,18 @@ impl LoggingProtocol for Tel {
     fn checkpoint_bytes(&self) -> Vec<u8> {
         let own: Vec<Determinant> = self.own_unstable.values().copied().collect();
         let foreign: Vec<Determinant> = self.foreign_unstable.values().copied().collect();
-        lclog_wire::encode_to_vec(&(
-            self.deliver_count,
-            own,
-            foreign,
-            self.stable_counts.clone(),
-        ))
+        let mut buf = encode_to_vec(&(self.deliver_count, own, foreign));
+        write_counts(&mut buf, &self.stable_counts);
+        buf
     }
 
     fn restore_from_checkpoint(&mut self, bytes: &[u8]) -> Result<(), ProtocolError> {
-        let (deliver_count, own, foreign, stable): (
-            u64,
-            Vec<Determinant>,
-            Vec<Determinant>,
-            Vec<u64>,
-        ) = lclog_wire::decode_from_slice(bytes)
-            .map_err(|_| ProtocolError::Corrupt("TEL checkpoint"))?;
+        let corrupt = |_: WireError| ProtocolError::Corrupt("TEL checkpoint");
+        let mut r = Reader::new(bytes);
+        let (deliver_count, own, foreign) =
+            <(u64, Vec<Determinant>, Vec<Determinant>)>::decode(&mut r).map_err(corrupt)?;
+        let stable = read_counts(&mut r).map_err(corrupt)?;
+        r.finish().map_err(corrupt)?;
         if stable.len() != self.n {
             return Err(ProtocolError::Corrupt("TEL checkpoint stable length"));
         }

@@ -190,18 +190,45 @@ impl Index<Rank> for CounterVector {
     }
 }
 
+/// Append `counts` as a checkpoint image stores a per-peer vector: a
+/// varint length, then the counts as back-to-back varints, so a peer
+/// never heard from costs one byte, not eight.
+pub(crate) fn write_counts(buf: &mut Vec<u8>, counts: &[u64]) {
+    varint::write_u64(buf, counts.len() as u64);
+    varint::write_run(buf, counts);
+}
+
+/// Bytes [`write_counts`] appends for `counts`.
+pub(crate) fn counts_len(counts: &[u64]) -> usize {
+    varint::len_u64(counts.len() as u64) + varint::run_len(counts)
+}
+
+/// Read what [`write_counts`] wrote. A declared length the rest of the
+/// input cannot hold — every count takes at least one byte — is
+/// refused before anything is allocated.
+pub(crate) fn read_counts(reader: &mut Reader<'_>) -> Result<Vec<u64>, WireError> {
+    let declared = varint::read_u64(reader)?;
+    let len = usize::try_from(declared)
+        .ok()
+        .filter(|&len| len <= reader.remaining())
+        .ok_or(WireError::LengthOverflow { declared })?;
+    let mut counts = vec![0; len];
+    varint::read_run(reader, len, |k, v| counts[k] = v)?;
+    Ok(counts)
+}
+
 impl Encode for CounterVector {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
+        write_counts(buf, &self.0);
     }
     fn encoded_len(&self) -> usize {
-        self.0.encoded_len()
+        counts_len(&self.0)
     }
 }
 
 impl Decode for CounterVector {
     fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(CounterVector(Vec::<u64>::decode(reader)?))
+        read_counts(reader).map(CounterVector)
     }
 }
 
@@ -268,6 +295,32 @@ mod tests {
         let bytes = encode_to_vec(&c);
         let back: CounterVector = lclog_wire::decode_from_slice(&bytes).unwrap();
         assert_eq!(back, c);
+    }
+
+    #[test]
+    fn counter_vector_is_a_length_then_a_varint_run() {
+        let c = CounterVector::from_vec(vec![0, 300, 7, u64::MAX]);
+        let mut expect = vec![4, 0, 0xAC, 0x02, 7];
+        expect.extend_from_slice(&[0xFF; 9]);
+        expect.push(0x01);
+        assert_eq!(encode_to_vec(&c), expect);
+        assert_eq!(c.encoded_len(), expect.len());
+        let decode = lclog_wire::decode_from_slice::<CounterVector>;
+        assert_eq!(decode(&expect), Ok(c));
+        // A length the input cannot hold, an overlong varint, a run
+        // shorter than declared: typed errors, never a panic.
+        assert_eq!(
+            decode(&[0xFF, 0xFF, 0xFF, 0x7F, 1, 2]),
+            Err(WireError::LengthOverflow {
+                declared: 0x0FFF_FFFF
+            })
+        );
+        assert_eq!(
+            decode(&[1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80]),
+            Err(WireError::VarintOverflow)
+        );
+        assert!(decode(&[3, 1, 2]).is_err());
+        assert!(decode(&[2, 1, 2, 3]).is_err(), "trailing bytes");
     }
 
     fn arb_vec(n: usize) -> impl Strategy<Value = DependVector> {

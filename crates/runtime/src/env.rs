@@ -35,6 +35,7 @@ use crate::events::{EventKind, EventSink};
 use crate::kernel::Kernel;
 use crate::replicator::Replicator;
 use crate::transport::DataPlaneStats;
+use bytes::Bytes;
 use lclog_core::{Rank, TrackingStats};
 use lclog_simnet::{Endpoint, SimNet};
 use lclog_stable::{CheckpointStore, DiskStore, MemStore, StableStorage};
@@ -74,7 +75,7 @@ impl StableStorage for ShippingStorage {
         }
     }
 
-    fn get(&self, key: &str) -> Option<Vec<u8>> {
+    fn get(&self, key: &str) -> Option<Bytes> {
         self.inner.get(key)
     }
 

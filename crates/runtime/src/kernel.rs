@@ -57,12 +57,15 @@ use bytes::Bytes;
 use lclog_core::{make_protocol, CounterVector, DeliveryVerdict, Rank, TrackingStats};
 use lclog_simnet::{Envelope, SimNet};
 use lclog_stable::{CheckpointStore, StableStorage};
-use lclog_wire::{encode_to_vec, impl_wire_struct};
+use lclog_wire::{Decode, Encode, Reader, WireError};
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
 /// Everything a checkpoint durably captures (Algorithm 1 line 33:
-/// image, log, and the counter vectors).
+/// image, log, and the counter vectors), decoded.
+/// [`Kernel::do_checkpoint`] writes an image straight from the
+/// kernel's state; this is what a stored image reads back as, and it
+/// encodes through the same writer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointImage {
     /// Application step the image was taken after.
@@ -80,14 +83,81 @@ pub struct CheckpointImage {
     pub log: Vec<LogEntry>,
 }
 
-impl_wire_struct!(CheckpointImage {
-    step,
-    app_state,
-    protocol,
-    last_send,
-    last_deliver,
-    log
-});
+impl CheckpointImage {
+    fn parts(&self) -> ImageParts<'_, std::slice::Iter<'_, LogEntry>> {
+        ImageParts {
+            step: self.step,
+            app_state: &self.app_state,
+            protocol: &self.protocol,
+            last_send: &self.last_send,
+            last_deliver: &self.last_deliver,
+            log_len: self.log.len(),
+            log: self.log.iter(),
+        }
+    }
+}
+
+impl Encode for CheckpointImage {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.parts().encode(buf);
+    }
+    fn encoded_len(&self) -> usize {
+        self.parts().encoded_len()
+    }
+}
+
+impl Decode for CheckpointImage {
+    fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(CheckpointImage {
+            step: u64::decode(reader)?,
+            app_state: Vec::decode(reader)?,
+            protocol: Vec::decode(reader)?,
+            last_send: CounterVector::decode(reader)?,
+            last_deliver: CounterVector::decode(reader)?,
+            log: Vec::decode(reader)?,
+        })
+    }
+}
+
+/// The one checkpoint image writer, over borrowed parts: the step as a
+/// fixed 8-byte word; the application and protocol bytes, each
+/// length-prefixed; `last_send` and `last_deliver` as varint runs
+/// behind their length; then the log's entry count and each entry
+/// (`dst`, then its encoded `WireMsg::App` as one byte string).
+/// [`Kernel::do_checkpoint`] writes it from the kernel's own state
+/// into the buffer it seals, so nothing is cloned or collected first.
+struct ImageParts<'a, L> {
+    step: u64,
+    app_state: &'a [u8],
+    protocol: &'a [u8],
+    last_send: &'a CounterVector,
+    last_deliver: &'a CounterVector,
+    log_len: usize,
+    log: L,
+}
+
+impl<'a, L: Iterator<Item = &'a LogEntry> + Clone> Encode for ImageParts<'a, L> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.step.encode(buf);
+        self.app_state.encode(buf);
+        self.protocol.encode(buf);
+        self.last_send.encode(buf);
+        self.last_deliver.encode(buf);
+        self.log_len.encode(buf);
+        for e in self.log.clone() {
+            e.encode(buf);
+        }
+    }
+    fn encoded_len(&self) -> usize {
+        self.step.encoded_len()
+            + self.app_state.encoded_len()
+            + self.protocol.encoded_len()
+            + self.last_send.encoded_len()
+            + self.last_deliver.encoded_len()
+            + self.log_len.encoded_len()
+            + self.log.clone().map(Encode::encoded_len).sum::<usize>()
+    }
+}
 
 /// One-borrow view of everything the harnesses report about
 /// a kernel: tracking statistics, log pressure, rendezvous acks,
@@ -626,32 +696,42 @@ impl Kernel {
 
     /// Take a checkpoint of `app_state` after `step`.
     ///
-    /// The image is assembled and written to stable storage in one
-    /// borrow — it has to be one consistent cut of log, counters and
-    /// protocol state — and the `CHECKPOINT_ADVANCE` notices follow in
-    /// the same call.
+    /// The image is written from the kernel's state straight into the
+    /// buffer stable storage seals — one consistent cut of log,
+    /// counters and protocol state, in one borrow — and the
+    /// `CHECKPOINT_ADVANCE` notices follow in the same call.
+    ///
+    /// When the last image written or restored was taken after this
+    /// same `step` and no application send or delivery has happened
+    /// since (in practice: `Done` right after the final step's
+    /// checkpoint), that image already holds this cut, so no second
+    /// one is written — no new generation, no `Checkpoint` event. The
+    /// notices and the protocol's local-checkpoint pruning run either
+    /// way.
     pub fn do_checkpoint(&self, app_state: Vec<u8>, step: u64) {
         let mut st = self.state.borrow_mut();
         let State { rec, trk, del, transport, .. } = &mut *st;
-        let image = CheckpointImage {
-            step,
-            app_state,
-            protocol: trk.protocol.checkpoint_bytes(),
-            last_send: trk.last_send_index.clone(),
-            last_deliver: del.last_deliver_index.clone(),
-            log: rec.log.to_entries(),
-        };
-        rec.ckpt_version += 1;
-        rec.loaded_version = None;
-        let encoded = encode_to_vec(&image);
-        self.events.emit(
-            self.me,
-            EventKind::Checkpoint {
+        let mark = (step, trk.stats.sends + trk.stats.delivers);
+        if rec.image_mark != Some(mark) {
+            let protocol = trk.protocol.checkpoint_bytes();
+            let image = ImageParts {
                 step,
-                bytes: encoded.len(),
-            },
-        );
-        rec.ckpt_store.save(self.me, rec.ckpt_version, &encoded);
+                app_state: &app_state,
+                protocol: &protocol,
+                last_send: &trk.last_send_index,
+                last_deliver: &del.last_deliver_index,
+                log_len: rec.log.len(),
+                log: rec.log.entries(),
+            };
+            let bytes = image.encoded_len();
+            rec.ckpt_version += 1;
+            rec.loaded_version = None;
+            rec.image_mark = Some(mark);
+            self.events
+                .emit(self.me, EventKind::Checkpoint { step, bytes });
+            rec.ckpt_store
+                .save_with(self.me, rec.ckpt_version, bytes, |buf| image.encode(buf));
+        }
         trk.protocol.on_local_checkpoint();
         let total = trk.protocol.delivered_total();
         // Notify only the senders whose messages this checkpoint newly
@@ -715,6 +795,7 @@ impl Kernel {
             .or_else(|| rec.ckpt_store.latest_version(self.me))
             .unwrap_or(rec.ckpt_version);
         rec.steps_at_ckpt = image.step;
+        rec.image_mark = Some((image.step, trk.stats.sends + trk.stats.delivers));
         Ok((image.step, image.app_state))
     }
 
@@ -736,13 +817,14 @@ impl Kernel {
     /// a torn one and reads as "no checkpoint" — the incarnation then
     /// restarts from the initial state and rolls forward through
     /// recovery instead of aborting the process. The image is decoded
-    /// from one buffer, and every logged message in it stays a window
-    /// into that buffer; [`Kernel::restore`] takes its generation from
-    /// here rather than reading the image again.
+    /// in place from the blob the store holds, and every logged
+    /// message in it stays a window into that blob; [`Kernel::restore`]
+    /// takes its generation from here rather than reading the image
+    /// again.
     pub fn load_checkpoint(&self) -> Option<CheckpointImage> {
         let rec = &mut self.state.borrow_mut().rec;
-        let (version, bytes) = rec.ckpt_store.load_latest(self.me)?;
-        let image = lclog_wire::decode_from_bytes(&Bytes::from(bytes)).ok()?;
+        let (version, bytes) = rec.ckpt_store.load_latest_shared(self.me)?;
+        let image = lclog_wire::decode_from_bytes(&bytes).ok()?;
         rec.loaded_version = Some(version);
         Some(image)
     }
@@ -1082,15 +1164,28 @@ mod tests {
     use lclog_core::ProtocolKind;
     use lclog_simnet::NetConfig;
     use lclog_stable::MemStore;
+    use lclog_wire::{decode_from_bytes, encode_to_vec};
     use std::sync::Arc;
     use std::time::Duration;
 
     fn harness(n: usize, kind: ProtocolKind) -> (Vec<Kernel>, SimNet, Vec<lclog_simnet::Endpoint>) {
+        some_ranks(n, kind, &(0..n).collect::<Vec<_>>())
+    }
+
+    /// Kernels and endpoints for `ranks` alone of an `n`-rank system
+    /// (element `i` is rank `ranks[i]`) over one store, so a test at
+    /// large `n` builds only the ranks it drives.
+    fn some_ranks(
+        n: usize,
+        kind: ProtocolKind,
+        ranks: &[Rank],
+    ) -> (Vec<Kernel>, SimNet, Vec<lclog_simnet::Endpoint>) {
         let net = SimNet::new(n + 1, NetConfig::direct());
         let store = CheckpointStore::new(Arc::new(MemStore::new()));
-        let endpoints: Vec<_> = (0..n).map(|r| net.attach(r)).collect();
-        let kernels = (0..n)
-            .map(|r| {
+        let endpoints: Vec<_> = ranks.iter().map(|&r| net.attach(r)).collect();
+        let kernels = ranks
+            .iter()
+            .map(|&r| {
                 Kernel::new(
                     r,
                     n,
@@ -1468,8 +1563,8 @@ mod tests {
 
     /// A real image of the last rank of `n`, whose log holds sends to
     /// every other rank and whose counters are non-zero for each of
-    /// them.
-    fn busy_image(n: usize) -> CheckpointImage {
+    /// them, and the blob the store holds it in.
+    fn busy_image_and_blob(n: usize) -> (CheckpointImage, Bytes) {
         let (ks, _net, eps) = harness(n, ProtocolKind::Tdi);
         let me = n - 1;
         for k in 0..me {
@@ -1481,19 +1576,26 @@ mod tests {
         pump(&ks[me], &eps[me]);
         while ks[me].try_deliver(RecvSpec::any()).is_some() {}
         ks[me].do_checkpoint(b"app".to_vec(), 1);
-        ks[me].load_checkpoint().expect("checkpoint exists")
+        let image = ks[me].load_checkpoint().expect("checkpoint exists");
+        let blob = ks[me].ckpt_storage().get(&CheckpointStore::key(me, 1));
+        (image, blob.expect("generation 1"))
     }
 
-    /// Restore decodes the image from the one buffer it was loaded
-    /// into: every logged message comes back as windows into that
-    /// buffer, not as an allocation of its own.
+    fn busy_image(n: usize) -> CheckpointImage {
+        busy_image_and_blob(n).0
+    }
+
+    /// Restore decodes the image in place from the blob the store
+    /// holds: every logged message comes back as windows into that
+    /// blob, not as an allocation of its own or a copy of the image.
     #[test]
     fn restored_log_entries_share_the_image_buffer() {
-        let image = busy_image(3);
+        let (image, blob) = busy_image_and_blob(3);
         let (a, b) = (&image.log[0], &image.log[1]);
         assert!(a.data.shares_allocation(&b.data), "payloads");
         assert!(a.to_wire().0.shares_allocation(&b.to_wire().0), "heads");
         assert!(a.data.shares_allocation(&a.to_wire().0), "one buffer");
+        assert!(a.data.shares_allocation(&blob), "the stored blob");
     }
 
     /// `restore` numbers the next checkpoint after the generation
@@ -1515,34 +1617,35 @@ mod tests {
         assert_eq!(store.latest_version(1), Some(4));
     }
 
-    /// An image keeps its layout byte for byte: each logged send is its
-    /// `dst`, then the whole `WireMsg::App` — its tag byte, then the
+    /// An image keeps its layout byte for byte: the step as an 8-byte
+    /// word; the application and protocol bytes behind their lengths;
+    /// each counter vector as its length, then one varint per peer;
+    /// then the log's entry count and each logged send as its `dst`,
+    /// then the whole `WireMsg::App` — its tag byte, then the
     /// `AppWire` fields in order — as one length-prefixed byte string,
     /// whatever segments the log holds it in.
     #[test]
     fn an_image_logs_each_send_as_dst_then_its_encoded_message() {
-        use lclog_wire::Encode;
         let (ks, _net, _eps) = harness(3, ProtocolKind::Tdi);
         for (dst, k) in [(1, 0usize), (2, 200), (1, 64 * 1024)] {
             ks[0].app_send(dst, 7, Bytes::from(vec![0x5A; k]), k == 200);
         }
-        let log = ks[0].state.borrow().rec.log.to_entries();
+        let log: Vec<LogEntry> = ks[0].state.borrow().rec.log.entries().cloned().collect();
         assert_eq!(log.len(), 3);
         let image = CheckpointImage {
             step: 3,
             app_state: b"app".to_vec(),
             protocol: vec![1, 2],
             last_send: CounterVector::from_vec(vec![0, 2, 1]),
-            last_deliver: CounterVector::zeroed(3),
+            last_deliver: CounterVector::from_vec(vec![0, 300, 7]),
             log,
         };
-        let mut expect = Vec::new();
-        image.step.encode(&mut expect);
-        image.app_state.encode(&mut expect);
-        image.protocol.encode(&mut expect);
-        image.last_send.encode(&mut expect);
-        image.last_deliver.encode(&mut expect);
-        lclog_wire::varint::write_u64(&mut expect, image.log.len() as u64);
+        let mut expect = vec![3, 0, 0, 0, 0, 0, 0, 0]; // step
+        expect.extend_from_slice(&[3, b'a', b'p', b'p']); // app_state
+        expect.extend_from_slice(&[2, 1, 2]); // protocol
+        expect.extend_from_slice(&[3, 0, 2, 1]); // last_send
+        expect.extend_from_slice(&[3, 0, 0xAC, 0x02, 7]); // last_deliver: 300 takes two
+        expect.push(3); // log entries
         for e in &image.log {
             e.dst.encode(&mut expect);
             let mut app = vec![0u8];
@@ -1557,6 +1660,205 @@ mod tests {
         assert_eq!(image.encoded_len(), expect.len());
         let back: CheckpointImage = lclog_wire::decode_from_slice(&expect).unwrap();
         assert_eq!(back, image);
+    }
+
+    /// The image `k` would write after `step` now, built the long way:
+    /// every part cloned out of its state into a [`CheckpointImage`].
+    fn image_of_state(k: &Kernel, app_state: &[u8], step: u64) -> CheckpointImage {
+        let st = k.state.borrow();
+        CheckpointImage {
+            step,
+            app_state: app_state.to_vec(),
+            protocol: st.trk.protocol.checkpoint_bytes(),
+            last_send: st.trk.last_send_index.clone(),
+            last_deliver: st.del.last_deliver_index.clone(),
+            log: st.rec.log.entries().cloned().collect(),
+        }
+    }
+
+    /// The newest image `k` stored, trailer stripped, and its version.
+    fn stored_image(k: &Kernel) -> (u64, Bytes) {
+        let store = CheckpointStore::new(k.ckpt_storage());
+        store.load_latest_shared(k.me()).expect("an image")
+    }
+
+    // The kernel writes its image in one pass from its own state; for
+    // every protocol at n = 2, 5 and 512, after random traffic, those
+    // bytes decode as the image of that state built part by part, and
+    // that image encodes back to the very same bytes.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 8,
+            .. proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn prop_the_one_pass_image_is_the_image_of_the_state(
+            traffic in proptest::collection::vec((0usize..3, 0usize..3, 0usize..300), 0..24),
+            app_len in 0usize..64,
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            let kinds = [
+                ProtocolKind::Tdi,
+                ProtocolKind::Tag,
+                ProtocolKind::Tel,
+                ProtocolKind::TdiSparse(4),
+            ];
+            for kind in kinds {
+                for n in [2, 5, 512] {
+                    // The first two ranks, and the last when n > 2.
+                    let ranks: Vec<Rank> = [0, 1, n - 1].into_iter().take(n.min(3)).collect();
+                    let live = ranks.len();
+                    let (ks, _net, eps) = some_ranks(n, kind, &ranks);
+                    for &(a, b, len) in &traffic {
+                        let (a, b) = (a % live, b % live);
+                        if a == b {
+                            // A turn for `a` instead: take in and deliver.
+                            pump(&ks[a], &eps[a]);
+                            while ks[a].try_deliver(RecvSpec::any()).is_some() {}
+                            continue;
+                        }
+                        ks[a].app_send(ranks[b], 0, Bytes::from(vec![a as u8; len]), false);
+                    }
+                    let victim = &ks[live - 1];
+                    pump(victim, &eps[live - 1]);
+                    while victim.try_deliver(RecvSpec::any()).is_some() {}
+                    let app = vec![0xA5; app_len];
+                    let want = image_of_state(victim, &app, 2);
+                    victim.do_checkpoint(app, 2);
+                    let (_, stored) = stored_image(victim);
+                    let back: CheckpointImage = decode_from_bytes(&stored).unwrap();
+                    prop_assert_eq!(&back, &want, "{:?} at n = {}", kind, n);
+                    prop_assert_eq!(encode_to_vec(&back), stored.to_vec());
+                }
+            }
+        }
+    }
+
+    /// At n = 512 a TDI image's three per-peer vectors — `last_send`,
+    /// `last_deliver` and the protocol's `depend_interval` — cost what
+    /// they hold: with one peer's traffic, about a byte per peer each,
+    /// not the 12 288 bytes of three vectors of 8-byte words.
+    #[test]
+    fn a_wide_image_stores_each_counter_in_the_bytes_it_needs() {
+        let n = 512;
+        let (ks, _net, eps) = some_ranks(n, ProtocolKind::Tdi, &[0, 1]);
+        for _ in 0..200 {
+            ks[0].app_send(1, 0, Bytes::from_static(b"m"), false);
+            ks[1].app_send(0, 0, Bytes::from_static(b"m"), false);
+        }
+        pump(&ks[1], &eps[1]);
+        while ks[1].try_deliver(RecvSpec::any()).is_some() {}
+        ks[1].do_checkpoint(Vec::new(), 1);
+        let image: CheckpointImage = decode_from_bytes(&stored_image(&ks[1]).1).unwrap();
+        assert_eq!(
+            (image.last_send.get(0), image.last_deliver.get(0)),
+            (200, 200)
+        );
+        let vectors = image.last_send.encoded_len() + image.last_deliver.encoded_len();
+        let vectors = vectors + image.protocol.len();
+        assert!(vectors <= 3 * n + 16, "three vectors take {vectors} bytes");
+    }
+
+    /// Frames `act` makes `k` build.
+    fn frames_of(k: &Kernel, act: impl FnOnce()) -> u64 {
+        let before = k.snapshot().data_plane.frames_built;
+        act();
+        k.snapshot().data_plane.frames_built - before
+    }
+
+    /// `Done` right after the final step's checkpoint: the image it
+    /// would write is the one stored, so it writes no generation — yet
+    /// a peer restored in between still hears the notice that lets it
+    /// release its restored log.
+    #[test]
+    fn done_right_after_a_step_checkpoint_writes_no_second_image() {
+        let (mut ks, net, eps) = harness(2, ProtocolKind::Tdi);
+        let k1 = ks.pop().unwrap();
+        let k0 = ks.pop().unwrap();
+        k0.app_send(1, 0, Bytes::from_static(b"a"), false);
+        k0.app_send(1, 0, Bytes::from_static(b"b"), false);
+        k0.do_checkpoint(vec![], 1);
+        pump(&k1, &eps[1]);
+        while k1.try_deliver(RecvSpec::any()).is_some() {}
+        k1.do_checkpoint(b"app".to_vec(), 4);
+        pump(&k0, &eps[0]);
+        let store = CheckpointStore::new(k1.ckpt_storage());
+        let generations = || {
+            let keys = store
+                .storage()
+                .keys_with_prefix(&CheckpointStore::prefix(1));
+            (keys, store.latest_version(1))
+        };
+        let written = generations();
+        assert_eq!(written.1, Some(1));
+        net.kill(0);
+        let ep0b = net.respawn(0);
+        let store0 = CheckpointStore::new(k0.ckpt_storage());
+        let mut k0b = Kernel::new(0, 2, RunConfig::new(ProtocolKind::Tdi), net.clone(), store0);
+        k0b.set_incarnation(2);
+        k0b.restore(k0b.load_checkpoint().unwrap()).unwrap();
+        k0b.begin_recovery();
+        pump(&k1, &eps[1]); // ROLLBACK in, RESPONSE out
+        pump(&k0b, &ep0b);
+        assert_eq!(k0b.snapshot().log_entries, 2);
+        // Done, at the final step, with nothing sent or delivered since.
+        assert_eq!(frames_of(&k1, || k1.do_checkpoint(b"app".to_vec(), 4)), 1);
+        assert_eq!(generations(), written, "same keys, same version");
+        pump(&k0b, &ep0b);
+        assert_eq!(k0b.snapshot().log_entries, 0);
+    }
+
+    /// `Done` writes an image when the last one no longer holds the
+    /// state: a delivery or a send since, at the same step.
+    #[test]
+    fn done_after_traffic_since_the_last_image_writes_one() {
+        let (mut ks, _net, eps) = harness(2, ProtocolKind::Tdi);
+        let k1 = ks.pop().unwrap();
+        let k0 = ks.pop().unwrap();
+        let latest = || stored_image(&k1).0;
+        k0.app_send(1, 0, Bytes::from_static(b"a"), false);
+        pump(&k1, &eps[1]);
+        k1.try_deliver(RecvSpec::any()).unwrap();
+        k1.do_checkpoint(vec![], 4);
+        assert_eq!(latest(), 1);
+        k0.app_send(1, 0, Bytes::from_static(b"b"), false);
+        pump(&k1, &eps[1]);
+        k1.try_deliver(RecvSpec::any()).unwrap();
+        k1.do_checkpoint(vec![], 4);
+        assert_eq!(latest(), 2, "a delivery since");
+        let image: CheckpointImage = decode_from_bytes(&stored_image(&k1).1).unwrap();
+        assert_eq!(image.last_deliver.get(0), 2);
+        k1.app_send(0, 0, Bytes::from_static(b"c"), false);
+        k1.do_checkpoint(vec![], 4);
+        assert_eq!(latest(), 3, "a send since");
+        k1.do_checkpoint(vec![], 4);
+        assert_eq!(latest(), 3, "nothing since");
+        k1.do_checkpoint(vec![], 5);
+        assert_eq!(latest(), 4, "a later step");
+    }
+
+    /// Under TEL every rank hears every checkpoint; `Done` right after
+    /// the final step's checkpoint writes no image, but sends the very
+    /// notices the written one sent.
+    #[test]
+    fn tel_done_sends_the_notices_the_step_checkpoint_sent() {
+        let (ks, _net, eps) = harness(3, ProtocolKind::Tel);
+        ks[0].app_send(1, 0, Bytes::from_static(b"m"), false);
+        pump(&ks[1], &eps[1]);
+        ks[1].try_deliver(RecvSpec::any()).unwrap();
+        let notices = || {
+            ks[1].do_checkpoint(b"app".to_vec(), 2);
+            let heads = |ep: &lclog_simnet::Endpoint| -> Vec<Vec<u8>> {
+                std::iter::from_fn(|| ep.try_recv().ok())
+                    .map(|e| e.head.to_vec())
+                    .collect()
+            };
+            (heads(&eps[0]), heads(&eps[2]), stored_image(&ks[1]).0)
+        };
+        let (to0, to2, version) = notices();
+        assert_eq!((to0.len(), to2.len(), version), (1, 1, 1));
+        assert_eq!(notices(), (to0, to2, version));
     }
 
     /// Damage `image` in the way `kind` names; `pick` and `by` choose
@@ -1590,11 +1892,38 @@ mod tests {
         }
     }
 
+    /// Byte-level damage to a varint vector of an encoded image, as a
+    /// hostile store could plant it under an intact seal: `kind` 0
+    /// declares a `last_send` length past the input, 1 stretches its
+    /// first counter into an overlong varint, 2 declares more counters
+    /// than the run holds.
+    fn malform_bytes(bytes: &mut Vec<u8>, image: &CheckpointImage, kind: u8, by: u64) {
+        let at = 8 + image.app_state.encoded_len() + image.protocol.encoded_len();
+        let n = image.last_send.len();
+        let len = lclog_wire::varint::len_u64(n as u64);
+        let mut with = Vec::new();
+        match kind {
+            0 => lclog_wire::varint::write_u64(&mut with, (bytes.len() as u64 + by) << (by % 40)),
+            1 => {
+                lclog_wire::varint::write_u64(&mut with, n as u64);
+                with.extend_from_slice(&[0xFF; 10]);
+                with.push(0x01);
+                bytes.remove(at + len);
+            }
+            _ => lclog_wire::varint::write_u64(&mut with, n as u64 + 1 + by % 4),
+        }
+        bytes.splice(at..at + len, with);
+    }
+
     // The undamaged image restores; every way `malform` damages it, at
     // n = 2 and n = 5 — truncated or extended counter vectors, a logged
     // send to an out-of-range rank or to the rank itself, a send index
     // past `last_send` or of 0 — is refused with `Fault::Desync` before
     // anything is installed, and the kernel still serves afterwards.
+    // Every way `malform_bytes` damages its bytes — a vector length
+    // past the input, an overlong varint, a run shorter than declared —
+    // loads as no image or is refused the same way, never allocating
+    // what the bytes declare.
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig {
             cases: 64,
@@ -1606,24 +1935,32 @@ mod tests {
             pick in 0usize..64,
             by in 0u64..1_000,
         ) {
-            use proptest::prelude::prop_assert_eq;
+            use proptest::prelude::{prop_assert, prop_assert_eq};
             for n in [2, 5] {
                 let real = busy_image(n);
                 let (ks, _net, _eps) = harness(n, ProtocolKind::Tdi);
                 prop_assert_eq!(ks[n - 1].restore(real.clone()), Ok((1, b"app".to_vec())));
                 prop_assert_eq!(ks[n - 1].snapshot().log_entries, n * (n - 1) / 2);
-                for kind in 0..9 {
+                for kind in 0..12 {
                     let mut image = real.clone();
-                    malform(&mut image, n, kind, pick, by);
-                    // What a store would hand back: the image survives
-                    // its own encoding.
-                    let image: CheckpointImage =
-                        lclog_wire::decode_from_slice(&encode_to_vec(&image)).unwrap();
+                    let bytes = if kind < 9 {
+                        malform(&mut image, n, kind, pick, by);
+                        encode_to_vec(&image)
+                    } else {
+                        let mut bytes = encode_to_vec(&image);
+                        malform_bytes(&mut bytes, &image, kind - 9, by);
+                        bytes
+                    };
                     let (ks, _net, eps) = harness(n, ProtocolKind::Tdi);
                     let victim = &ks[n - 1];
                     victim.app_send(0, 0, Bytes::from_static(b"before"), false);
                     let before = format!("{victim:?}");
-                    prop_assert_eq!(victim.restore(image), Err(Fault::Desync));
+                    // What a store would hand back, under an intact seal.
+                    CheckpointStore::new(victim.ckpt_storage()).save(n - 1, 1, &bytes);
+                    match victim.load_checkpoint() {
+                        Some(image) => prop_assert_eq!(victim.restore(image), Err(Fault::Desync)),
+                        None => prop_assert!(kind >= 9, "kind {} must decode", kind),
+                    }
                     prop_assert_eq!(format!("{victim:?}"), before);
                     ks[0].app_send(n - 1, 7, Bytes::from_static(b"still alive"), false);
                     pump(victim, &eps[n - 1]);
@@ -2372,7 +2709,7 @@ mod tests {
             ks[0].app_send(1, 7, data.clone(), false);
             let env = eps[1].try_recv().expect("the send's envelope");
             assert!(env.body.shares_allocation(&data), "{k} bytes: envelope body");
-            let logged = ks[0].state.borrow().rec.log.to_entries();
+            let logged = ks[0].state.borrow().rec.log.entries().cloned().collect::<Vec<_>>();
             assert!(logged[0].data.shares_allocation(&data), "{k} bytes: log entry");
             let pb = logged[0].piggyback.len();
             let bound = 1 + 4 + 8 + varint(pb) + pb + 1 + varint(k);

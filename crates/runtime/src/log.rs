@@ -227,12 +227,13 @@ impl SenderLog {
         self.bytes
     }
 
-    /// Flatten for checkpointing (refcount bumps, not buffer copies).
-    pub fn to_entries(&self) -> Vec<LogEntry> {
+    /// Every retained entry, by destination then send index: what a
+    /// checkpoint image writes, in place.
+    pub fn entries(&self) -> impl Iterator<Item = &LogEntry> + Clone {
         self.by_dst
             .iter()
-            .flat_map(|m| m.values().cloned())
-            .collect()
+            .filter(|m| !m.is_empty())
+            .flat_map(|m| m.values())
     }
 
     /// Rebuild from checkpointed entries.
@@ -315,7 +316,7 @@ mod tests {
         let mut log = SenderLog::new(3);
         log.insert(entry(1, 1));
         log.insert(entry(2, 4));
-        let entries = log.to_entries();
+        let entries = log.entries().cloned().collect();
         let rebuilt = SenderLog::from_entries(3, entries);
         assert_eq!(rebuilt.len(), 2);
         assert_eq!(

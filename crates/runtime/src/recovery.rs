@@ -278,6 +278,10 @@ pub(crate) struct RecoveryLayer {
     /// the image a second time. A checkpoint in between clears it.
     pub loaded_version: Option<u64>,
     pub steps_at_ckpt: u64,
+    /// `(step, sends + deliveries)` when the last image was written or
+    /// restored: a checkpoint at the same mark would write the same
+    /// cut again, so `Kernel::do_checkpoint` skips the image.
+    pub image_mark: Option<(u64, u64)>,
     /// Distinguishes `ROLLBACK` rebroadcasts.
     pub rollback_epoch: u64,
 }
@@ -296,6 +300,7 @@ impl RecoveryLayer {
             ckpt_version: 0,
             loaded_version: None,
             steps_at_ckpt: 0,
+            image_mark: None,
             rollback_epoch: 0,
         }
     }

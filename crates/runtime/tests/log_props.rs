@@ -70,9 +70,9 @@ proptest! {
             }
         }
         prop_assert_eq!(actual, expected);
-        prop_assert_eq!(log.len(), log.to_entries().len());
+        prop_assert_eq!(log.len(), log.entries().cloned().collect::<Vec<_>>().len());
         // Checkpoint roundtrip preserves content.
-        let rebuilt = SenderLog::from_entries(n, log.to_entries());
+        let rebuilt = SenderLog::from_entries(n, log.entries().cloned().collect::<Vec<_>>());
         prop_assert_eq!(rebuilt.len(), log.len());
         prop_assert_eq!(rebuilt.bytes(), log.bytes());
     }

@@ -1,5 +1,6 @@
-use crate::seal::{seal, unseal};
+use crate::seal::{seal, unseal, TRAILER_LEN};
 use crate::StableStorage;
+use lclog_wire::Bytes;
 use std::sync::Arc;
 
 /// Checkpoint generations kept per rank: the newest, which a restore
@@ -48,7 +49,27 @@ impl CheckpointStore {
     /// CRC-32 trailer), then prune all but the newest [`GENERATIONS`].
     /// Versions must increase per rank.
     pub fn save(&self, rank: usize, version: u64, image: &[u8]) {
-        self.storage.put(&Self::key(rank, version), &seal(image));
+        self.save_with(rank, version, image.len(), |buf| {
+            buf.extend_from_slice(image)
+        });
+    }
+
+    /// [`CheckpointStore::save`] of the `len`-byte image `write`
+    /// appends to an empty buffer: the buffer is allocated once with
+    /// room for the trailer, sealed in place with one CRC pass, and
+    /// the backend copies it as it stores it.
+    pub fn save_with(
+        &self,
+        rank: usize,
+        version: u64,
+        len: usize,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) {
+        let mut blob = Vec::with_capacity(len + TRAILER_LEN);
+        write(&mut blob);
+        debug_assert_eq!(blob.len(), len, "the writer wrote the length it declared");
+        seal(&mut blob);
+        self.storage.put(&Self::key(rank, version), &blob);
         let keys = self.storage.keys_with_prefix(&Self::prefix(rank));
         let keep_from = keys.len().saturating_sub(GENERATIONS);
         for key in &keys[..keep_from] {
@@ -56,38 +77,40 @@ impl CheckpointStore {
         }
     }
 
+    /// The generation stored under `key`, if it is intact: its version
+    /// and image, a window into the stored blob.
+    fn intact(&self, key: &str) -> Option<(u64, Bytes)> {
+        let blob = self.storage.get(key)?;
+        let image = unseal(&blob)?.len();
+        Some((Self::parse_version(key)?, blob.slice(..image)))
+    }
+
     /// Load the newest *intact* checkpoint for `rank`, if any,
     /// returning its version and image. Generations whose CRC trailer
     /// does not verify — torn writes, truncation, media corruption —
-    /// are skipped in favour of the next older one.
-    pub fn load_latest(&self, rank: usize) -> Option<(u64, Vec<u8>)> {
+    /// are skipped in favour of the next older one. The image is a
+    /// window into the blob the backend holds, not a copy.
+    pub fn load_latest_shared(&self, rank: usize) -> Option<(u64, Bytes)> {
         let keys = self.storage.keys_with_prefix(&Self::prefix(rank));
-        for key in keys.iter().rev() {
-            let Some(blob) = self.storage.get(key) else {
-                continue;
-            };
-            if let Some(image) = unseal(&blob) {
-                return Some((Self::parse_version(key)?, image));
-            }
-        }
-        None
+        keys.iter().rev().find_map(|key| self.intact(key))
+    }
+
+    /// [`CheckpointStore::load_latest_shared`], copied out.
+    pub fn load_latest(&self, rank: usize) -> Option<(u64, Vec<u8>)> {
+        self.load_latest_shared(rank)
+            .map(|(version, image)| (version, image.to_vec()))
     }
 
     /// Every retained *intact* generation of `rank`, oldest first: the
     /// images a restore may fall back through.
-    pub fn intact_generations(&self, rank: usize) -> Vec<(u64, Vec<u8>)> {
+    pub fn intact_generations(&self, rank: usize) -> Vec<(u64, Bytes)> {
         let keys = self.storage.keys_with_prefix(&Self::prefix(rank));
-        keys.iter()
-            .filter_map(|key| {
-                let image = unseal(&self.storage.get(key)?)?;
-                Some((Self::parse_version(key)?, image))
-            })
-            .collect()
+        keys.iter().filter_map(|key| self.intact(key)).collect()
     }
 
     /// Newest intact checkpoint version for `rank`, if any.
     pub fn latest_version(&self, rank: usize) -> Option<u64> {
-        self.load_latest(rank).map(|(v, _)| v)
+        self.load_latest_shared(rank).map(|(v, _)| v)
     }
 
     /// Delete every retained generation of `rank` from the backend,
@@ -171,7 +194,9 @@ mod tests {
         s.storage().put(key, &blob[..blob.len() / 2]);
         assert_eq!(s.load_latest(0), Some((1, b"good".to_vec())));
         assert_eq!(s.latest_version(0), Some(1));
-        assert_eq!(s.intact_generations(0), [(1, b"good".to_vec())]);
+        let generations = s.intact_generations(0);
+        assert_eq!(generations.len(), 1);
+        assert_eq!((generations[0].0, &generations[0].1[..]), (1, &b"good"[..]));
     }
 
     #[test]
@@ -180,7 +205,7 @@ mod tests {
         s.save(3, 7, b"intact image");
         s.save(3, 8, b"flipped image");
         let key = "ckpt/3/v00000000000000000008";
-        let mut blob = s.storage().get(key).unwrap();
+        let mut blob = s.storage().get(key).unwrap().to_vec();
         blob[2] ^= 0x10;
         s.storage().put(key, &blob);
         assert_eq!(s.load_latest(3), Some((7, b"intact image".to_vec())));

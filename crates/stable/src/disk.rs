@@ -1,5 +1,5 @@
 use crate::StableStorage;
-use lclog_wire::varint;
+use lclog_wire::{varint, Bytes};
 use parking_lot::Mutex;
 use std::fs;
 use std::io::{Read, Write};
@@ -120,8 +120,8 @@ impl StableStorage for DiskStore {
         atomic_write(&self.blob_path(key), bytes);
     }
 
-    fn get(&self, key: &str) -> Option<Vec<u8>> {
-        fs::read(self.blob_path(key)).ok()
+    fn get(&self, key: &str) -> Option<Bytes> {
+        fs::read(self.blob_path(key)).ok().map(Bytes::from)
     }
 
     fn delete(&self, key: &str) {
@@ -277,6 +277,12 @@ mod tests {
         assert_eq!(tmp_path(Path::new("/x/plain")), Path::new("/x/plain.tmp"));
     }
 
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        let mut blob = body.to_vec();
+        crate::seal::seal(&mut blob);
+        blob
+    }
+
     /// Kill the writer after `step` while it replaces generation 1
     /// with generation 2, then "reboot" (fresh `DiskStore` handle)
     /// and report what a recovery would load.
@@ -287,8 +293,8 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         let disk = DiskStore::open(&dir).unwrap();
-        let gen1 = crate::seal::seal(b"generation one");
-        let gen2 = crate::seal::seal(b"generation two");
+        let gen1 = sealed(b"generation one");
+        let gen2 = sealed(b"generation two");
         let key1 = "ckpt/0/v00000000000000000001";
         let key2 = "ckpt/0/v00000000000000000002";
         disk.put(key1, &gen1);
@@ -306,14 +312,14 @@ mod tests {
     fn crash_after_temp_write_keeps_prior_generation() {
         let (loaded, prior) = crash_replacing_generation("w", WriteStep::TempWritten);
         assert_eq!(loaded, Some((1, b"generation one".to_vec())));
-        assert_eq!(prior, crate::seal::seal(b"generation one"), "prior file untouched");
+        assert_eq!(prior, sealed(b"generation one"), "prior file untouched");
     }
 
     #[test]
     fn crash_after_temp_sync_keeps_prior_generation() {
         let (loaded, prior) = crash_replacing_generation("s", WriteStep::TempSynced);
         assert_eq!(loaded, Some((1, b"generation one".to_vec())));
-        assert_eq!(prior, crate::seal::seal(b"generation one"));
+        assert_eq!(prior, sealed(b"generation one"));
     }
 
     #[test]
@@ -323,7 +329,7 @@ mod tests {
         // one still exists for fallback.
         let (loaded, prior) = crash_replacing_generation("r", WriteStep::Renamed);
         assert_eq!(loaded, Some((2, b"generation two".to_vec())));
-        assert_eq!(prior, crate::seal::seal(b"generation one"));
+        assert_eq!(prior, sealed(b"generation one"));
     }
 
     #[test]

@@ -40,6 +40,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use lclog_wire::Bytes;
+
 mod checkpoint;
 mod disk;
 mod mem;
@@ -62,8 +64,9 @@ pub trait StableStorage: Send + Sync {
     /// atomically.
     fn put(&self, key: &str, bytes: &[u8]);
 
-    /// Fetch the blob stored under `key`.
-    fn get(&self, key: &str) -> Option<Vec<u8>>;
+    /// Fetch the blob stored under `key`: a shared handle where the
+    /// backend keeps it in memory, never a copy it has to make.
+    fn get(&self, key: &str) -> Option<Bytes>;
 
     /// Remove the blob stored under `key` (no-op when absent).
     fn delete(&self, key: &str);

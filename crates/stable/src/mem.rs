@@ -1,4 +1,5 @@
 use crate::StableStorage;
+use lclog_wire::Bytes;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 
@@ -11,7 +12,8 @@ use std::collections::BTreeMap;
 /// are not the phenomenon under study).
 #[derive(Debug, Default)]
 pub struct MemStore {
-    blobs: RwLock<BTreeMap<String, Vec<u8>>>,
+    /// Each blob is one allocation: `get` hands out handles on it.
+    blobs: RwLock<BTreeMap<String, Bytes>>,
     logs: RwLock<BTreeMap<String, Vec<Vec<u8>>>>,
 }
 
@@ -24,10 +26,12 @@ impl MemStore {
 
 impl StableStorage for MemStore {
     fn put(&self, key: &str, bytes: &[u8]) {
-        self.blobs.write().insert(key.to_string(), bytes.to_vec());
+        self.blobs
+            .write()
+            .insert(key.to_string(), Bytes::from(bytes.to_vec()));
     }
 
-    fn get(&self, key: &str) -> Option<Vec<u8>> {
+    fn get(&self, key: &str) -> Option<Bytes> {
         self.blobs.read().get(key).cloned()
     }
 

@@ -245,14 +245,15 @@ impl Manifest {
             varint::write_u64(&mut body, e.len);
             varint::write_u64(&mut body, e.seq);
         }
-        crate::seal::seal(&body)
+        crate::seal::seal(&mut body);
+        body
     }
 
     /// Unseal and decode a manifest blob; `None` when torn, corrupt,
     /// or malformed.
     pub fn decode(blob: &[u8]) -> Option<Self> {
         let body = crate::seal::unseal(blob)?;
-        let mut r = Reader::new(&body);
+        let mut r = Reader::new(body);
         let count = varint::read_u64(&mut r).ok()?;
         let mut entries = Vec::with_capacity(count.min(4096) as usize);
         for _ in 0..count {

@@ -8,18 +8,17 @@ use lclog_wire::crc32;
 const TRAILER_MAGIC: &[u8; 4] = b"LCKP";
 pub(crate) const TRAILER_LEN: usize = 8;
 
-/// Append the CRC-32 + magic trailer to `body`.
-pub(crate) fn seal(body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(body.len() + TRAILER_LEN);
-    out.extend_from_slice(body);
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    out.extend_from_slice(TRAILER_MAGIC);
-    out
+/// Append the CRC-32 + magic trailer to `body`, in place: a buffer
+/// allocated with [`TRAILER_LEN`] bytes to spare does not grow.
+pub(crate) fn seal(body: &mut Vec<u8>) {
+    let crc = crc32(body);
+    body.extend_from_slice(&crc.to_le_bytes());
+    body.extend_from_slice(TRAILER_MAGIC);
 }
 
-/// Verify the trailer and return the body, or `None` if the blob is
-/// torn or corrupt.
-pub(crate) fn unseal(blob: &[u8]) -> Option<Vec<u8>> {
+/// Verify the trailer and return the body, a window into `blob`, or
+/// `None` if the blob is torn or corrupt.
+pub(crate) fn unseal(blob: &[u8]) -> Option<&[u8]> {
     if blob.len() < TRAILER_LEN {
         return None;
     }
@@ -28,7 +27,7 @@ pub(crate) fn unseal(blob: &[u8]) -> Option<Vec<u8>> {
         return None;
     }
     let want = u32::from_le_bytes(trailer[..4].try_into().expect("4 bytes"));
-    (crc32(body) == want).then(|| body.to_vec())
+    (crc32(body) == want).then_some(body)
 }
 
 #[cfg(test)]
@@ -37,8 +36,12 @@ mod tests {
 
     #[test]
     fn roundtrip_detects_tearing_and_flips() {
-        let sealed = seal(b"payload");
-        assert_eq!(unseal(&sealed).as_deref(), Some(&b"payload"[..]));
+        let mut sealed = Vec::with_capacity(7 + TRAILER_LEN);
+        sealed.extend_from_slice(b"payload");
+        let allocated = sealed.as_ptr();
+        seal(&mut sealed);
+        assert_eq!(sealed.as_ptr(), allocated, "sealed in place");
+        assert_eq!(unseal(&sealed), Some(&b"payload"[..]));
         assert!(unseal(&sealed[..sealed.len() - 3]).is_none(), "torn");
         let mut flipped = sealed.clone();
         flipped[1] ^= 0x04;

@@ -44,8 +44,12 @@ pub use crc32::{crc32, Crc32};
 pub use error::WireError;
 pub use reader::Reader;
 pub use traits::{Decode, Encode};
+/// The shared, refcounted buffer zero-copy decodes hand out windows
+/// into; re-exported so the storage layer can hand stored blobs back
+/// in it without a dependency of its own.
+pub use bytes::Bytes;
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 
 /// Encode a value into a fresh byte vector.
 pub fn encode_to_vec<T: Encode + ?Sized>(value: &T) -> Vec<u8> {

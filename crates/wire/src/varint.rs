@@ -86,6 +86,25 @@ pub fn write_run(buf: &mut Vec<u8>, values: &[u64]) {
     }
 }
 
+/// Bytes [`write_run`] appends for `values`: eight values below 0x80
+/// count as eight bytes with one test.
+pub fn run_len(values: &[u64]) -> usize {
+    let mut chunks = values.chunks_exact(8);
+    let mut len = 0;
+    for chunk in &mut chunks {
+        len += if chunk.iter().fold(0, |acc, &v| acc | v) < 0x80 {
+            8
+        } else {
+            chunk.iter().map(|&v| len_u64(v)).sum()
+        };
+    }
+    len + chunks
+        .remainder()
+        .iter()
+        .map(|&v| len_u64(v))
+        .sum::<usize>()
+}
+
 /// Read `n` back-to-back varints from `reader`, handing each to
 /// `f(index, value)` in order; allocates nothing. Accepts and rejects
 /// exactly what `n` calls of [`read_u64`] would, but takes an 8-byte
@@ -221,6 +240,7 @@ mod tests {
                     write_u64(&mut each, v);
                 }
                 assert_eq!(run, each, "write_run bytes for {values:?}");
+                assert_eq!(run_len(&values), run.len(), "run_len of {values:?}");
                 assert_eq!(read_all(&run, n), Ok((values.clone(), run.len())));
                 // Every cut, every bad tail, as the reference sees it.
                 for cut in 0..run.len() {
